@@ -36,8 +36,8 @@ func main() {
 	m := dcer.EvaluateClasses(res.Classes(), truth)
 	fmt.Printf("TPC-H dedup: |D|=%d tuples, %d planted duplicate pairs\n", g.D.Size(), len(g.Truth))
 	fmt.Printf("DMatch (8 workers): %s\n", m)
-	fmt.Printf("supersteps=%d messages=%d partition=%v er=%v\n\n",
-		res.Supersteps, res.MessagesRouted, res.PartitionTime, res.ERTime)
+	fmt.Printf("supersteps=%d messages=%d partition=%v build=%v er=%v\n\n",
+		res.Supersteps, res.MessagesRouted, res.PartitionTime, res.BuildTime, res.ERTime)
 
 	// Per-relation recall: deeper relations need more recursion.
 	fmt.Println("Recall by recursion depth:")

@@ -259,6 +259,23 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 	}
 	stats := &wire.Stats{}
 
+	// Listen and spawn first: the workers' exec and dataset load overlap
+	// the master's HyPart pass, and each worker's Hello waits in the
+	// accept backlog until the handshake below. From here on every return
+	// closes the listener, so a worker whose master gave up sees EOF (or a
+	// refused dial) and exits instead of waiting for an assignment.
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		return nil, fmt.Errorf("dmatch: listen: %w", err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	for i := 0; i < n; i++ {
+		if err := dopts.Spawn(i, addr); err != nil {
+			return nil, fmt.Errorf("dmatch: spawn worker %d: %w", i, err)
+		}
+	}
+
 	t0 := time.Now()
 	part, err := hypart.Partition(d, rules, n, hypart.Options{
 		Share:          !opts.NoMQO,
@@ -270,16 +287,10 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 		return nil, err
 	}
 	res := &Result{PartitionStats: part.Stats, d: d}
-	res.PartitionTime = time.Since(t0)
+	tb := time.Now()
+	res.PartitionTime = tb.Sub(t0)
 	ms := newMasterState(d, n)
 	ms.setHosts(part.Fragments)
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return nil, fmt.Errorf("dmatch: listen: %w", err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
 
 	remotes := make([]*remoteWorker, n)
 	events := make(chan distEvent, 4*n+8)
@@ -289,12 +300,6 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 				rw.close()
 				close(rw.sendCh)
 			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := dopts.Spawn(i, addr); err != nil {
-			closeAll()
-			return nil, fmt.Errorf("dmatch: spawn worker %d: %w", i, err)
 		}
 	}
 
@@ -349,7 +354,7 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 	}
 
 	t1 := time.Now()
-	ms.rebuildHostBits()
+	res.BuildTime = t1.Sub(tb)
 	curAssign := make([]int, len(part.Blocks))
 	for i := range part.Blocks {
 		curAssign[i] = part.Blocks[i].Worker
@@ -531,7 +536,6 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 			}
 			frags, ruleFrags := hypart.BuildFragments(part.Blocks, newAssign, n, len(rules))
 			ms.setHosts(frags)
-			ms.rebuildHostBits()
 			curAssign = newAssign
 			rebuilt := 0
 			for w, rw := range remotes {

@@ -3,6 +3,7 @@ package dmatch_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"sort"
@@ -291,4 +292,24 @@ func TestDistributedWorkerHelper(t *testing.T) {
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// TestDistributedPartitionErrorClosesListener: workers are spawned before
+// HyPart runs, so when Partition then fails (1024 workers put n² past the
+// block-key packing bound) the master must still close its listener —
+// the already-spawned workers see a refused dial or EOF and exit instead
+// of waiting for an assignment that never comes.
+func TestDistributedPartitionErrorClosesListener(t *testing.T) {
+	g, rules := tpchWorkload(t)
+	var addr string
+	_, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+		dmatch.Options{Workers: 1024},
+		dmatch.DistOptions{Spawn: func(_ int, a string) error { addr = a; return nil }})
+	if err == nil || !strings.Contains(err.Error(), "virtual blocks") {
+		t.Fatalf("got error %v, want HyPart's block-key packing error", err)
+	}
+	if conn, derr := net.DialTimeout("tcp", addr, time.Second); derr == nil {
+		conn.Close()
+		t.Fatalf("master listener %s still accepts connections after the failed run", addr)
+	}
 }

@@ -157,7 +157,15 @@ type Result struct {
 	FactsProduced   int64 // facts reported by workers incl. duplicates
 	PartitionStats  hypart.Stats
 	PartitionTime   time.Duration
-	ERTime          time.Duration
+	// BuildTime is the set-up between partitioning and the first
+	// superstep: the master's global E_id and host bitsets plus, in
+	// process, the worker engines (fragment datasets, rule scopes,
+	// compiled plans). Distributed workers build their engines inside
+	// their first superstep, so there it is the master's share only —
+	// accepting the workers and shipping their assignments included.
+	// PartitionTime + BuildTime + ERTime account for the whole run.
+	BuildTime time.Duration
+	ERTime    time.Duration
 	// SimulatedTime is the BSP makespan: per superstep, the maximum
 	// compute time over the workers, summed over supersteps. On a
 	// machine with fewer cores than workers this — not wall-clock ERTime
@@ -259,16 +267,6 @@ type factRoute struct {
 	off  int
 }
 
-// hasHost reports whether worker w appears in a host list.
-func hasHost(hosts []int, w int) bool {
-	for _, h := range hosts {
-		if h == w {
-			return true
-		}
-	}
-	return false
-}
-
 // Run partitions d with HyPart and executes the BSP fixpoint with n
 // workers.
 func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options) (*Result, error) {
@@ -301,7 +299,8 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 		return nil, err
 	}
 	res := &Result{PartitionStats: part.Stats, d: d}
-	res.PartitionTime = time.Since(t0)
+	tb := time.Now()
+	res.PartitionTime = tb.Sub(t0)
 	ms := newMasterState(d, n)
 
 	// buildWorker constructs one chase engine over a fragment via the
@@ -338,12 +337,12 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 		}
 		workers[i] = eng
 	}
-
 	t1 := time.Now()
+	res.BuildTime = t1.Sub(tb)
+
 	// The global E_id with per-class-root host bitsets, the delivery
 	// seen-sets, and the route scratch all live in ms (master.go) — the
 	// same state machine RunDistributed drives over the wire.
-	ms.rebuildHostBits()
 	inboxes := make([][]chase.Fact, n)
 	deltas := make([][]chase.Fact, n)
 	freshW := make([]bool, n) // rebuilt by a migration; must re-Deduce
@@ -651,7 +650,6 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 					wsp.End()
 				}
 				ms.setHosts(frags)
-				ms.rebuildHostBits()
 				curAssign = newAssign
 				// A rebuilt worker re-runs Deduce over its new fragment
 				// and replays the global fact history (see replayFor).

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"dcer/internal/chase"
 	"dcer/internal/datagen"
@@ -179,5 +180,31 @@ func TestMessagesOnlyFacts(t *testing.T) {
 	}
 	if len(res.Matches) == 0 {
 		t.Error("no matches deduced")
+	}
+}
+
+// TestRunTimeAccounting: PartitionTime, BuildTime and ERTime are
+// back-to-back phases of Run, so together they must cover (nearly) its
+// whole wall time — before BuildTime, worker-engine construction and the
+// master's set-up fell between the other two and were reported nowhere.
+func TestRunTimeAccounting(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 2})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BuildTime <= 0 {
+		t.Errorf("BuildTime = %v, want > 0", res.BuildTime)
+	}
+	sum := res.PartitionTime + res.BuildTime + res.ERTime
+	if sum > wall || float64(sum) < 0.9*float64(wall) {
+		t.Errorf("partition %v + build %v + er %v = %v, want within [90%%, 100%%] of Run's wall time %v",
+			res.PartitionTime, res.BuildTime, res.ERTime, sum, wall)
 	}
 }

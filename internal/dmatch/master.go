@@ -13,7 +13,7 @@ import (
 // masterState is the master's global view of a DMatch run, shared by the
 // in-process BSP loop (Run) and the distributed one (RunDistributed): the
 // global id-equivalence relation E_id with per-class host bitsets, the
-// tuple→worker host lists, the per-destination delivery records
+// tuple→worker host bitsets, the per-destination delivery records
 // (seen-sets), and the route scratch the per-superstep fold reuses. The
 // routing discipline is PR-5's: phase 1 folds every new fact into Γ
 // sequentially and computes its recipient bitset (two bitword ORs off the
@@ -27,10 +27,14 @@ type masterState struct {
 	idSpace int
 	d       *relation.Dataset
 
-	guf      *unionfind.UnionFind
-	hosts    [][]int          // hosts[gid] = workers hosting the tuple
-	hostBits map[int][]uint64 // class root -> bitset of hosting workers
-	seenML   map[chase.Fact]bool
+	guf *unionfind.UnionFind
+	// Host bitsets, flat and `words` wide per entry: hosts[gid*words:] is
+	// the set of workers hosting the tuple, classHosts[root*words:] the
+	// set hosting any member of the class rooted at root (entries of
+	// non-roots are stale and never read).
+	hosts      []uint64
+	classHosts []uint64
+	seenML     map[chase.Fact]bool
 	// seen[w] is worker w's delivery record: every fact routed to w plus
 	// every fact w produced itself. The per-destination builders consult
 	// it so a fact is never re-sent (Result.MessagesDeduped counts the
@@ -74,37 +78,35 @@ func newMasterState(d *relation.Dataset, n int) *masterState {
 	return ms
 }
 
-// setHosts rebuilds the tuple→worker host lists from the fragments.
+// setHosts rebuilds the host bitsets from the fragments: per tuple, and —
+// folded over the current E_id — per class root. The master tracks, per
+// class root, the workers hosting *any* member of the class: a match
+// merging classes Ca and Cb must reach every worker hosting any member of
+// either class — a worker hosting x and y needs the bridging fact (a,b)
+// even when it hosts neither a nor b, otherwise transitive chains through
+// remote tuples would be lost. Keeping host bitsets at the roots makes a
+// recipient set two bitword ORs instead of a member-list walk, and class
+// union a bitset merge.
 func (ms *masterState) setHosts(frags [][]relation.TID) {
-	ms.hosts = make([][]int, ms.idSpace)
+	words := ms.words
+	ms.hosts = make([]uint64, ms.idSpace*words)
 	for i, frag := range frags {
 		for _, gid := range frag {
-			ms.hosts[gid] = append(ms.hosts[gid], i)
+			ms.hosts[int(gid)*words+i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	ms.classHosts = make([]uint64, ms.idSpace*words)
+	for _, t := range ms.d.Tuples() {
+		root, gid := ms.guf.Find(int(t.GID)), int(t.GID)
+		for i := 0; i < words; i++ {
+			ms.classHosts[root*words+i] |= ms.hosts[gid*words+i]
 		}
 	}
 }
 
-// rebuildHostBits recomputes the per-class-root host bitsets. The master
-// tracks, per class root, the bitset of workers hosting *any* member of
-// the class: a match merging classes Ca and Cb must reach every worker
-// hosting any member of either class — a worker hosting x and y needs the
-// bridging fact (a,b) even when it hosts neither a nor b, otherwise
-// transitive chains through remote tuples would be lost. Keeping host
-// bitsets at the roots makes a recipient set two bitword ORs instead of a
-// member-list walk, and class union a bitset merge.
-func (ms *masterState) rebuildHostBits() {
-	ms.hostBits = make(map[int][]uint64, ms.d.Size())
-	for _, t := range ms.d.Tuples() {
-		root := ms.guf.Find(int(t.GID))
-		bs := ms.hostBits[root]
-		if bs == nil {
-			bs = make([]uint64, ms.words)
-			ms.hostBits[root] = bs
-		}
-		for _, h := range ms.hosts[t.GID] {
-			bs[h>>6] |= 1 << (uint(h) & 63)
-		}
-	}
+// hosted reports whether worker w hosts tuple gid.
+func (ms *masterState) hosted(gid relation.TID, w int) bool {
+	return ms.hosts[int(gid)*ms.words+w>>6]&(1<<(uint(w)&63)) != 0
 }
 
 // beginFold resets the route scratch for a new superstep.
@@ -128,27 +130,12 @@ func (ms *masterState) foldDelta(w int, delta []chase.Fact, res *Result) {
 			if ra == rb {
 				continue // globally redundant
 			}
-			ba, bb := ms.hostBits[ra], ms.hostBits[rb]
 			off := len(ms.arena)
 			for i := 0; i < words; i++ {
-				var x uint64
-				if ba != nil {
-					x = ba[i]
-				}
-				if bb != nil {
-					x |= bb[i]
-				}
-				ms.arena = append(ms.arena, x)
+				ms.arena = append(ms.arena, ms.classHosts[ra*words+i]|ms.classHosts[rb*words+i])
 			}
 			ms.guf.Union(ra, rb)
-			root := ms.guf.Find(ra)
-			delete(ms.hostBits, ra)
-			delete(ms.hostBits, rb)
-			if ba == nil {
-				ba = make([]uint64, words)
-			}
-			copy(ba, ms.arena[off:off+words])
-			ms.hostBits[root] = ba
+			copy(ms.classHosts[ms.guf.Find(ra)*words:], ms.arena[off:off+words])
 			res.Matches = append(res.Matches, f)
 			ms.routes = append(ms.routes, factRoute{f: f, from: w, off: off})
 		} else {
@@ -159,13 +146,7 @@ func (ms *masterState) foldDelta(w int, delta []chase.Fact, res *Result) {
 			res.Validated = append(res.Validated, f)
 			off := len(ms.arena)
 			for i := 0; i < words; i++ {
-				ms.arena = append(ms.arena, 0)
-			}
-			for _, h := range ms.hosts[f.A] {
-				ms.arena[off+h>>6] |= 1 << (uint(h) & 63)
-			}
-			for _, h := range ms.hosts[f.B] {
-				ms.arena[off+h>>6] |= 1 << (uint(h) & 63)
+				ms.arena = append(ms.arena, ms.hosts[int(f.A)*words+i]|ms.hosts[int(f.B)*words+i])
 			}
 			ms.routes = append(ms.routes, factRoute{f: f, from: w, off: off})
 		}
@@ -203,7 +184,7 @@ func (ms *masterState) buildDest(h int, selfDelta []chase.Fact) (out []chase.Fac
 func (ms *masterState) replayFor(w int, res *Result) []chase.Fact {
 	replay := append([]chase.Fact(nil), res.Matches...)
 	for _, f := range res.Validated {
-		if hasHost(ms.hosts[f.A], w) || hasHost(ms.hosts[f.B], w) {
+		if ms.hosted(f.A, w) || ms.hosted(f.B, w) {
 			replay = append(replay, f)
 		}
 	}

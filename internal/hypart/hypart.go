@@ -10,15 +10,19 @@
 // D ⊨ Σ (and chasing) can be done locally, with only deduced matches and
 // validated ML predictions exchanged between workers.
 //
-// Partition itself is parallel: the (rule, variable) tuple scans are
-// sharded over Options.Shards goroutines, each feeding a private block
-// accumulator keyed by packed-uint64 block fingerprints, and the
-// accumulators are merged commutatively and ordered canonically — the
-// output is byte-identical for every shard count (the snapshot-
-// enumerate-merge discipline of internal/chase applied to partitioning).
+// Partition itself is parallel and runs on the dense id spaces of the
+// storage layer: every rule's coordinate cells are resolved to block
+// indexes up front, the (rule, variable) tuple scans are sharded over
+// Options.Shards goroutines that hash packed columns through a Sym-indexed
+// memo and append GIDs to private per-block lists, and the lists are
+// merged, deduplicated and sorted through a |D|-bit bitset in canonical
+// block order — the output is byte-identical for every shard count (the
+// snapshot-enumerate-merge discipline of internal/chase applied to
+// partitioning).
 package hypart
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -27,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dcer/internal/fnv"
 	"dcer/internal/mqo"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -40,6 +43,7 @@ type Options struct {
 	// the DMatch_noMQO configuration.
 	Share bool
 	// VirtualBlocks overrides the number of virtual blocks; 0 means n².
+	// Either way it must stay below 2²⁰ (the block-key packing bound).
 	VirtualBlocks int
 	// ReplicationCap bounds the per-tuple copy factor of any rule: a
 	// dimension is only enlarged while every tuple variable's broadcast
@@ -157,50 +161,21 @@ func partitionSingle(d *relation.Dataset, rules []*rule.Rule, res *Result, metri
 // identities are short integer vectors instead of concatenated strings.
 // Numeric order on the packed value equals (fn, extent, bucket)
 // lexicographic order, so sorting packed dims canonicalizes a key exactly
-// like the seed partitioner's sorted string parts. The fields are bounded
-// far below the packing widths: fn by the plan's hash-function count,
-// extent and bucket by the virtual-block budget n².
+// like the seed partitioner's sorted string parts. Partition rejects any
+// configuration whose fields could outgrow the packing widths (see
+// maxExtent, maxHashFns), so distinct dimensions never alias.
 func packDim(fn, size, coord int) uint64 {
 	return uint64(fn)<<40 | uint64(size)<<20 | uint64(coord)
 }
 
-// blockAcc accumulates one virtual block inside a shard (and, after the
-// merge, globally): identity, member set, and the rules that emitted it.
-type blockAcc struct {
-	canon []uint64
-	gids  map[relation.TID]struct{}
-	rules []uint64 // bitset over rule indices
-}
-
-// shardAcc is one goroutine's private accumulator: blocks keyed by the
-// FNV fingerprint of the canonical key, fingerprint collisions resolved
-// by comparing the canonical keys themselves (the scopeKey/sameIDs
-// discipline — a collision costs a chain walk, never a wrong block).
-type shardAcc struct {
-	blocks    map[uint64][]*blockAcc
-	generated int64
-	ruleWords int
-	key       []uint64 // per-emit scratch
-}
-
-func newShardAcc(numRules int) *shardAcc {
-	return &shardAcc{
-		blocks:    make(map[uint64][]*blockAcc),
-		ruleWords: (numRules + 63) / 64,
-	}
-}
-
-func canonEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// Packing bounds of packDim: extents (and the buckets below them) own 20
+// bits each, the hash-function id the 24 above. An extent can grow to the
+// whole virtual-block budget, so the budget itself is what gets checked —
+// and one of exactly 2²⁰ would already carry into the function field.
+const (
+	maxExtent  = 1<<20 - 1
+	maxHashFns = 1 << 24
+)
 
 // canonLess orders canonical keys: shorter first, then elementwise.
 func canonLess(a, b []uint64) bool {
@@ -215,100 +190,79 @@ func canonLess(a, b []uint64) bool {
 	return false
 }
 
-// emit registers gid in the block identified by dims/coord for rule ri.
-func (sa *shardAcc) emit(dims []dim, coord []int, ri int, gid relation.TID) {
-	sa.generated++
-	key := sa.key[:0]
+// cube is one rule's hypercube resolved to block indexes before any tuple
+// is scanned: a coordinate vector is a mixed-radix cell index (dimension
+// di advances it by stride[di] per bucket), and cells maps each of the
+// ≤ n² cells to the virtual block its canonical key names. Block keys
+// embed (fn, extent, bucket) per dimension, so rules sharing all hash
+// functions and extents resolve to the same blocks — the tuple-copy dedup
+// that MQO sharing buys.
+type cube struct {
+	dims   []dim
+	stride []int32
+	cells  []int32
+}
+
+// blockIndex interns canonical block keys to dense block indexes while
+// the cubes are resolved. Most candidate blocks of a sparse cube stay
+// empty; Partition keeps the non-empty ones.
+type blockIndex struct {
+	byKey map[string]int32
+	canon [][]uint64
+}
+
+func (bx *blockIndex) resolve(dims []dim) *cube {
+	c := &cube{dims: dims, stride: make([]int32, len(dims))}
+	total := 1
 	for i := range dims {
-		key = append(key, packDim(dims[i].fn, dims[i].size, coord[i]))
+		c.stride[i] = int32(total)
+		total *= dims[i].size
 	}
-	// Insertion sort: keys are tiny (one element per rule dimension).
-	for i := 1; i < len(key); i++ {
-		for j := i; j > 0 && key[j] < key[j-1]; j-- {
-			key[j], key[j-1] = key[j-1], key[j]
+	c.cells = make([]int32, total)
+	coord := make([]int, len(dims))
+	key := make([]uint64, len(dims))
+	raw := make([]byte, 8*len(dims))
+	for cell := range c.cells {
+		for i := range dims {
+			key[i] = packDim(dims[i].fn, dims[i].size, coord[i])
 		}
-	}
-	sa.key = key
-	h := uint64(fnv.Offset64)
-	for _, k := range key {
-		h = fnv.Uint64(h, k)
-	}
-	var acc *blockAcc
-	for _, cand := range sa.blocks[h] {
-		if canonEqual(cand.canon, key) {
-			acc = cand
-			break
-		}
-	}
-	if acc == nil {
-		acc = &blockAcc{
-			canon: append([]uint64(nil), key...),
-			gids:  make(map[relation.TID]struct{}),
-			rules: make([]uint64, sa.ruleWords),
-		}
-		sa.blocks[h] = append(sa.blocks[h], acc)
-	}
-	acc.gids[gid] = struct{}{}
-	acc.rules[ri>>6] |= 1 << (uint(ri) & 63)
-}
-
-// emitBroadcast enumerates the broadcast combinations of coord and emits
-// the tuple into each resulting block. Block keys embed (fn, extent,
-// bucket) per dimension, so rules sharing all hash functions and extents
-// share blocks — the tuple-copy dedup that MQO sharing buys.
-func (sa *shardAcc) emitBroadcast(dims []dim, coord []int, bcast []int, bi, ri int, gid relation.TID) {
-	if bi == len(bcast) {
-		sa.emit(dims, coord, ri, gid)
-		return
-	}
-	di := bcast[bi]
-	for b := 0; b < dims[di].size; b++ {
-		coord[di] = b
-		sa.emitBroadcast(dims, coord, bcast, bi+1, ri, gid)
-	}
-}
-
-// merge folds other into sa. Union is commutative, so the merged content
-// is independent of shard scheduling.
-func (sa *shardAcc) merge(other *shardAcc) {
-	sa.generated += other.generated
-	for h, chain := range other.blocks {
-		for _, in := range chain {
-			var acc *blockAcc
-			for _, cand := range sa.blocks[h] {
-				if canonEqual(cand.canon, in.canon) {
-					acc = cand
-					break
-				}
-			}
-			if acc == nil {
-				sa.blocks[h] = append(sa.blocks[h], in)
-				continue
-			}
-			if len(acc.gids) < len(in.gids) {
-				acc.gids, in.gids = in.gids, acc.gids
-			}
-			for gid := range in.gids {
-				acc.gids[gid] = struct{}{}
-			}
-			for i, w := range in.rules {
-				acc.rules[i] |= w
+		// Insertion sort: keys are tiny (one element per rule dimension).
+		for i := 1; i < len(key); i++ {
+			for j := i; j > 0 && key[j] < key[j-1]; j-- {
+				key[j], key[j-1] = key[j-1], key[j]
 			}
 		}
+		for i, k := range key {
+			binary.LittleEndian.PutUint64(raw[8*i:], k)
+		}
+		b, ok := bx.byKey[string(raw)]
+		if !ok {
+			b = int32(len(bx.canon))
+			bx.byKey[string(raw)] = b
+			bx.canon = append(bx.canon, append([]uint64(nil), key...))
+		}
+		c.cells[cell] = b
+		for i := range coord { // next cell: dimension 0 runs fastest
+			if coord[i]++; coord[i] < dims[i].size {
+				break
+			}
+			coord[i] = 0
+		}
 	}
+	return c
 }
 
 // varScan is the per-(rule, variable) scan preparation shared by every
-// shard: the rule's dimensions, which of them hash this variable (and on
-// which attribute), which are broadcast, and the base coordinates.
+// shard: the rule's cube, which dimensions hash this variable (and on
+// which attribute), and the cell offsets of every combination of the
+// broadcast dimensions (a single 0 when nothing is broadcast).
 type varScan struct {
 	ri     int
-	dims   []dim
+	cube   *cube
 	rel    *relation.Relation
 	hashed []int
 	attrs  []int // attribute per hashed dim
-	bcast  []int
-	base   []int // -1 for open dims, 0 for extent-1 dims
+	bcast  []int32
 }
 
 // unit is one shard work item: a tuple range of one varScan.
@@ -320,6 +274,77 @@ type unit struct {
 // unitChunk bounds the tuples per work unit so large relations split
 // across shards while the unit list stays short.
 const unitChunk = 2048
+
+// shardAcc is one goroutine's private accumulator: per block, the members
+// it emitted (duplicates included — the finalisation dedups) and the
+// rules that emitted them.
+type shardAcc struct {
+	gids      [][]relation.TID
+	rules     []uint64 // ruleWords-wide bitset per block
+	generated int64
+	hash      [unitChunk]uint32 // per-unit scratch
+	cell      [unitChunk]int32
+}
+
+// scan hashes one unit column by column into cell indexes and appends
+// every tuple to the blocks of its cell's broadcast images.
+func (sa *shardAcc) scan(u unit, hasher *mqo.DenseHasher, ruleWords int) {
+	sc := u.scan
+	tuples := sc.rel.Tuples[u.lo:u.hi]
+	hash, cell := sa.hash[:len(tuples)], sa.cell[:len(tuples)]
+	for i := range cell {
+		cell[i] = 0
+	}
+	for hi, di := range sc.hashed {
+		dm, attr := &sc.cube.dims[di], sc.attrs[hi]
+		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, tuples[0].Col(attr), tuples, hash)
+		if size, stride := uint32(dm.size), sc.cube.stride[di]; size > 1 {
+			for i, h := range hash {
+				cell[i] += int32(h%size) * stride
+			}
+		}
+	}
+	cells := sc.cube.cells
+	rword, rbit := sc.ri>>6, uint64(1)<<(uint(sc.ri)&63)
+	for i, t := range tuples {
+		for _, off := range sc.bcast {
+			b := int(cells[cell[i]+off])
+			sa.gids[b] = append(sa.gids[b], t.GID)
+			sa.rules[b*ruleWords+rword] |= rbit
+		}
+	}
+	sa.generated += int64(len(tuples) * len(sc.bcast))
+}
+
+// tidSet is a scratch bitset over the GID space: add marks ids, drain
+// returns the marked ids in ascending order — deduplicated and sorted by
+// one word-by-word scan — and leaves the set empty for reuse.
+type tidSet []uint64
+
+func (s *tidSet) add(ids []relation.TID) {
+	for _, id := range ids {
+		w := int(id) >> 6
+		if w >= len(*s) {
+			*s = append(*s, make([]uint64, w+1-len(*s))...)
+		}
+		(*s)[w] |= 1 << (uint(id) & 63)
+	}
+}
+
+func (s tidSet) drain() []relation.TID {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]relation.TID, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, relation.TID(i<<6+bits.TrailingZeros64(w)))
+		}
+		s[i] = 0
+	}
+	return out
+}
 
 // Partition splits dataset d into n fragments for the rule set Σ.
 func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
@@ -349,41 +374,47 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	if vb == 0 {
 		vb = n * n
 	}
+	if vb > maxExtent {
+		return nil, fmt.Errorf("hypart: %d virtual blocks (Options.VirtualBlocks, or n² for %d workers) exceed the block-key packing bound %d", vb, n, maxExtent)
+	}
+	if plan.NumHashFns > maxHashFns {
+		return nil, fmt.Errorf("hypart: plan uses %d hash functions, block keys hold at most %d", plan.NumHashFns, maxHashFns)
+	}
 	repCap := effectiveRepCap(opts.ReplicationCap, n)
 	relSizes := make([]int, len(d.Relations))
 	for i, rel := range d.Relations {
 		relSizes[i] = len(rel.Tuples)
 	}
 
-	// Prepare the per-(rule, variable) scans and chunk them into units.
-	var scans []*varScan
+	// Resolve every rule's cube to block indexes, prepare the per-(rule,
+	// variable) scans and chunk them into units.
+	bx := &blockIndex{byKey: make(map[string]int32)}
+	var units []unit
 	for ri, ra := range plan.Assignments {
-		dims := buildDims(ra, vb, repCap, relSizes)
+		cb := bx.resolve(buildDims(ra, vb, repCap, relSizes))
 		for vi, v := range ra.Rule.Vars {
-			sc := &varScan{ri: ri, dims: dims, rel: d.Relations[v.RelIdx], base: make([]int, len(dims))}
-			for di := range dims {
-				sc.base[di] = -1
-				if dims[di].size == 1 {
-					sc.base[di] = 0
-				}
-				if attr, ok := dims[di].dv.AttrOf(vi); ok {
+			sc := &varScan{ri: ri, cube: cb, rel: d.Relations[v.RelIdx], bcast: []int32{0}}
+			for di := range cb.dims {
+				if attr, ok := cb.dims[di].dv.AttrOf(vi); ok {
 					sc.hashed = append(sc.hashed, di)
 					sc.attrs = append(sc.attrs, attr)
-				} else if dims[di].size > 1 {
-					sc.bcast = append(sc.bcast, di)
+				} else if size := cb.dims[di].size; size > 1 {
+					images := make([]int32, 0, len(sc.bcast)*size)
+					for b := 0; b < size; b++ {
+						for _, off := range sc.bcast {
+							images = append(images, off+int32(b)*cb.stride[di])
+						}
+					}
+					sc.bcast = images
 				}
 			}
-			scans = append(scans, sc)
-		}
-	}
-	var units []unit
-	for _, sc := range scans {
-		for lo := 0; lo < len(sc.rel.Tuples); lo += unitChunk {
-			hi := lo + unitChunk
-			if hi > len(sc.rel.Tuples) {
-				hi = len(sc.rel.Tuples)
+			for lo := 0; lo < len(sc.rel.Tuples); lo += unitChunk {
+				hi := lo + unitChunk
+				if hi > len(sc.rel.Tuples) {
+					hi = len(sc.rel.Tuples)
+				}
+				units = append(units, unit{sc, lo, hi})
 			}
-			units = append(units, unit{sc, lo, hi})
 		}
 	}
 
@@ -399,108 +430,69 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	}
 	res.Stats.Shards = shards
 
-	hasher := mqo.NewShardedHasher()
-	runShard := func(sa *shardAcc, take func() (unit, bool)) {
-		var coord []int
-		for {
-			u, ok := take()
-			if !ok {
-				return
-			}
-			sc := u.scan
-			coord = append(coord[:0], sc.base...)
-			for _, t := range sc.rel.Tuples[u.lo:u.hi] {
-				copy(coord, sc.base)
-				for hi, di := range sc.hashed {
-					coord[di] = int(hasher.Hash(sc.dims[di].fn, t.Val(sc.attrs[hi]))) % sc.dims[di].size
-				}
-				sa.emitBroadcast(sc.dims, coord, sc.bcast, 0, sc.ri, t.GID)
-			}
+	hasher := mqo.NewDenseHasher(plan.NumHashFns, d.Syms())
+	ruleWords := (len(rules) + 63) / 64
+	accs := make([]*shardAcc, shards)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for s := range accs {
+		accs[s] = &shardAcc{
+			gids:  make([][]relation.TID, len(bx.canon)),
+			rules: make([]uint64, len(bx.canon)*ruleWords),
 		}
+		wg.Add(1)
+		go func(s int, sa *shardAcc) {
+			defer wg.Done()
+			// Each scan goroutine renders on its own shard lane.
+			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
+			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
+				sa.scan(units[i], hasher, ruleWords)
+			}
+			sp.End()
+		}(s, accs[s])
 	}
-
-	global := newShardAcc(len(rules))
-	if shards == 1 {
-		var sp telemetry.Span
-		if ptc.Enabled() {
-			sp = ptc.Lane(telemetry.PIDHyPart, 1).Start("hypart.shard.scan")
-		}
-		i := 0
-		runShard(global, func() (unit, bool) {
-			if i >= len(units) {
-				return unit{}, false
-			}
-			i++
-			return units[i-1], true
-		})
-		sp.End()
-	} else {
-		accs := make([]*shardAcc, shards)
-		var cursor atomic.Int64
-		take := func() (unit, bool) {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(units) {
-				return unit{}, false
-			}
-			return units[i], true
-		}
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			accs[s] = newShardAcc(len(rules))
-			wg.Add(1)
-			go func(s int, sa *shardAcc) {
-				defer wg.Done()
-				var sp telemetry.Span
-				if ptc.Enabled() {
-					// Each scan goroutine renders on its own shard lane.
-					sp = ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
-				}
-				runShard(sa, take)
-				sp.End()
-			}(s, accs[s])
-		}
-		wg.Wait()
-		var msp telemetry.Span
-		if ptc.Enabled() {
-			msp = ptc.Start("hypart.merge", telemetry.L("shards", strconv.Itoa(shards)))
-		}
-		for _, sa := range accs {
-			global.merge(sa)
-		}
-		msp.End()
-	}
+	wg.Wait()
 	res.Stats.HashComputations, res.Stats.HashLookups = hasher.Counts()
-	res.Stats.GeneratedTuples = global.generated
 
-	var asp telemetry.Span
-	if ptc.Enabled() {
-		asp = ptc.Start("hypart.assign")
-		defer asp.End()
-	}
-	// Canonical block order: by key, so the result is independent of the
-	// shard count and scheduling.
-	var accs []*blockAcc
-	for _, chain := range global.blocks {
-		accs = append(accs, chain...)
-	}
-	sort.Slice(accs, func(i, j int) bool { return canonLess(accs[i].canon, accs[j].canon) })
-	res.Blocks = make([]Block, len(accs))
-	for bi, acc := range accs {
-		gids := make([]relation.TID, 0, len(acc.gids))
-		for gid := range acc.gids {
-			gids = append(gids, gid)
+	// Merge: the non-empty blocks in canonical key order — so the result
+	// is independent of the shard count and scheduling — each with the
+	// union of its shards' members, deduplicated and sorted through the
+	// bitset.
+	msp := ptc.Start("hypart.merge", telemetry.L("shards", strconv.Itoa(shards)))
+	var order []int
+	for b := range bx.canon {
+		for _, sa := range accs {
+			if len(sa.gids[b]) > 0 {
+				order = append(order, b)
+				break
+			}
 		}
-		sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
+	}
+	sort.Slice(order, func(i, j int) bool { return canonLess(bx.canon[order[i]], bx.canon[order[j]]) })
+	var set tidSet
+	res.Blocks = make([]Block, len(order))
+	for bi, b := range order {
 		var ris []int
-		for w, word := range acc.rules {
+		for w := 0; w < ruleWords; w++ {
+			var word uint64
+			for _, sa := range accs {
+				word |= sa.rules[b*ruleWords+w]
+			}
 			for ; word != 0; word &= word - 1 {
 				ris = append(ris, w*64+bits.TrailingZeros64(word))
 			}
 		}
-		res.Blocks[bi] = Block{Canon: acc.canon, GIDs: gids, Rules: ris}
-		res.Stats.PlacedTuples += int64(len(gids))
+		for _, sa := range accs {
+			set.add(sa.gids[b])
+		}
+		res.Blocks[bi] = Block{Canon: bx.canon[b], GIDs: set.drain(), Rules: ris}
+		res.Stats.PlacedTuples += int64(len(res.Blocks[bi].GIDs))
+	}
+	for _, sa := range accs {
+		res.Stats.GeneratedTuples += sa.generated
 	}
 	res.Stats.Blocks = len(res.Blocks)
+	msp.End()
 	if opts.Metrics != nil {
 		bh := opts.Metrics.Histogram("dcer_hypart_block_size")
 		for i := range res.Blocks {
@@ -508,6 +500,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		}
 	}
 
+	asp := ptc.Start("hypart.assign")
+	defer asp.End()
 	// LPT minimum-makespan assignment of virtual blocks to workers, by
 	// block size (the static cost model; dmatch re-runs this over
 	// observed costs when a run shows skew).
@@ -563,45 +557,32 @@ func AssignLPT(costs []float64, n int) []int {
 // BuildFragments materializes the per-worker fragments and per-rule rule
 // scopes implied by an assignment of blocks to workers: Fragments[i] is
 // the sorted union of worker i's blocks, RuleFragments[i][r] the sorted
-// union of its blocks generated for rule r.
+// union of its blocks generated for rule r. Unions go through one scratch
+// bitset, so the cost is linear in the block sizes.
 func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation.TID, [][][]relation.TID) {
-	fragSets := make([]map[relation.TID]struct{}, n)
-	ruleSets := make([][]map[relation.TID]struct{}, n)
-	for i := range fragSets {
-		fragSets[i] = make(map[relation.TID]struct{})
-		ruleSets[i] = make([]map[relation.TID]struct{}, numRules)
-	}
+	own := make([][]int, n)              // blocks per worker
+	ownRule := make([][]int, n*numRules) // blocks per (worker, rule)
 	for bi := range blocks {
 		w := assign[bi]
-		for _, gid := range blocks[bi].GIDs {
-			fragSets[w][gid] = struct{}{}
-		}
+		own[w] = append(own[w], bi)
 		for _, ri := range blocks[bi].Rules {
-			set := ruleSets[w][ri]
-			if set == nil {
-				set = make(map[relation.TID]struct{})
-				ruleSets[w][ri] = set
-			}
-			for _, gid := range blocks[bi].GIDs {
-				set[gid] = struct{}{}
-			}
+			ownRule[w*numRules+ri] = append(ownRule[w*numRules+ri], bi)
 		}
 	}
-	sortIDs := func(set map[relation.TID]struct{}) []relation.TID {
-		ids := make([]relation.TID, 0, len(set))
-		for gid := range set {
-			ids = append(ids, gid)
+	var set tidSet
+	union := func(bis []int) []relation.TID {
+		for _, bi := range bis {
+			set.add(blocks[bi].GIDs)
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		return ids
+		return set.drain()
 	}
 	frags := make([][]relation.TID, n)
 	ruleFrags := make([][][]relation.TID, n)
-	for i := range fragSets {
-		frags[i] = sortIDs(fragSets[i])
-		ruleFrags[i] = make([][]relation.TID, numRules)
-		for ri, rset := range ruleSets[i] {
-			ruleFrags[i][ri] = sortIDs(rset)
+	for w := range frags {
+		frags[w] = union(own[w])
+		ruleFrags[w] = make([][]relation.TID, numRules)
+		for ri := range ruleFrags[w] {
+			ruleFrags[w][ri] = union(ownRule[w*numRules+ri])
 		}
 	}
 	return frags, ruleFrags

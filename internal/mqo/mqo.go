@@ -297,9 +297,9 @@ func (p *Plan) String() string {
 // Hasher evaluates hash functions over values with cross-rule memoization:
 // the same (function, value) pair is computed once, which is exactly the
 // computation MQO sharing saves. Computations and lookups are counted for
-// the experiments. Hasher is single-threaded; the parallel partitioner
-// uses ShardedHasher, which keeps the same memo semantics under
-// concurrency.
+// the experiments. Hasher is single-threaded and value-keyed — the oracle
+// the reference partitioner and the tests use; the parallel partitioner
+// uses DenseHasher, which keeps the same memo semantics under concurrency.
 type Hasher struct {
 	memo         map[hkey]uint32
 	Computations int64
@@ -342,70 +342,101 @@ func (h *Hasher) Hash(fn int, v relation.Value) uint32 {
 	return r
 }
 
-// hasherStripes is the stripe count of ShardedHasher. 64 keeps the
-// per-stripe maps small and the lock contention negligible at any
-// realistic shard count.
-const hasherStripes = 64
-
-// ShardedHasher is the concurrency-safe Hasher used by the parallel
-// partitioner: the memo is striped over lock-guarded shards keyed by the
-// (function, value) fingerprint, and the counters are atomics. All
-// partition shards share one ShardedHasher, so each distinct (fn, value)
-// pair is still computed exactly once — the memo semantics (and the
-// Computations/Lookups accounting the Exp-2 experiments report) are
-// identical to the sequential Hasher.
-type ShardedHasher struct {
-	stripes      [hasherStripes]hasherStripe
+// DenseHasher is the concurrency-safe Hasher of the parallel partitioner,
+// built on the dense id spaces of the storage layer instead of a value-
+// keyed map: per hash function, string values are memoized in a paged
+// table indexed by relation.Sym and filled lock-free (0 = empty, else
+// memoSet|hash, published by compare-and-swap, so exactly one goroutine
+// counts each computation), numerics in a small map keyed by the packed
+// column word. It reads packed columns directly — no Value is boxed and
+// no string is re-hashed to find its own memo entry. Results are
+// bit-identical to fnvHashValue and the Computations/Lookups accounting
+// the Exp-2 experiments report is identical to the sequential Hasher's:
+// Syms and packed words are one-to-one with canonical value keys.
+type DenseHasher struct {
+	syms         *relation.SymTab
+	fns          []fnMemo
 	computations atomic.Int64
 	lookups      atomic.Int64
 }
 
-type hasherStripe struct {
+type fnMemo struct {
+	strs []atomic.Pointer[memoPage] // by Sym>>memoPageBits; pages allocated on first use
 	mu   sync.Mutex
-	memo map[hkey]uint32
-	_    [40]byte // pad to a cache line so stripes don't false-share
+	nums [2]map[uint64]uint32 // by packed word: TypeInt, TypeFloat
 }
 
-// NewShardedHasher creates an empty concurrency-safe memoizing hasher.
-func NewShardedHasher() *ShardedHasher {
-	h := &ShardedHasher{}
-	for i := range h.stripes {
-		h.stripes[i].memo = make(map[hkey]uint32)
+// A function hashes a few attributes, whose values cluster in the Sym
+// ranges their relations were loaded into; paging keeps the table from
+// paying for the rest of the symbol space.
+const (
+	memoSet      = 1 << 32
+	memoPageBits = 10
+)
+
+type memoPage [1 << memoPageBits]atomic.Uint64
+
+// NewDenseHasher creates an empty memo for hash functions 0..numFns-1
+// over values interned in syms.
+func NewDenseHasher(numFns int, syms *relation.SymTab) *DenseHasher {
+	h := &DenseHasher{syms: syms, fns: make([]fnMemo, numFns)}
+	pages := syms.Len()>>memoPageBits + 1
+	for i := range h.fns {
+		h.fns[i].strs = make([]atomic.Pointer[memoPage], pages)
 	}
 	return h
 }
 
-// Hash evaluates hash function fn on value v, memoized across all
-// goroutines sharing the hasher.
-func (h *ShardedHasher) Hash(fn int, v relation.Value) uint32 {
-	h.lookups.Add(1)
-	k := hkeyOf(fn, v)
-	// Stripe by a cheap fingerprint of the key; any distribution works,
-	// only the per-stripe map lookup must stay exact.
-	fp := uint32(fn) * 2654435761
-	if k.kind == relation.TypeString {
-		for i := 0; i < len(k.str); i++ {
-			fp = fp*31 + uint32(k.str[i])
+// HashColumn evaluates hash function fn on one attribute of every tuple:
+// col is the attribute's packed storage column (Tuple.Col) of type typ,
+// and out[i] receives the hash of tuples[i]'s value.
+func (h *DenseHasher) HashColumn(fn int, typ relation.Type, col []uint64, tuples []*relation.Tuple, out []uint32) {
+	h.lookups.Add(int64(len(tuples)))
+	m := &h.fns[fn]
+	var computed int64
+	if typ == relation.TypeString {
+		for i, t := range tuples {
+			w := col[t.Row]
+			slot := &m.strs[w>>memoPageBits]
+			page := slot.Load()
+			if page == nil {
+				slot.CompareAndSwap(nil, new(memoPage))
+				page = slot.Load()
+			}
+			entry := &page[w&(1<<memoPageBits-1)]
+			e := entry.Load()
+			if e == 0 {
+				e = memoSet | uint64(fnvHashValue(fn, relation.S(h.syms.Str(relation.Sym(w)))))
+				if entry.CompareAndSwap(0, e) {
+					computed++
+				}
+			}
+			out[i] = uint32(e)
 		}
 	} else {
-		fp = fp*31 + uint32(k.kind)
-		fp = fp*31 + uint32(k.bits) + uint32(k.bits>>32)
+		m.mu.Lock()
+		nums := m.nums[typ-relation.TypeInt]
+		if nums == nil {
+			nums = make(map[uint64]uint32)
+			m.nums[typ-relation.TypeInt] = nums
+		}
+		for i, t := range tuples {
+			w := col[t.Row]
+			r, ok := nums[w]
+			if !ok {
+				r = fnvHashValue(fn, relation.Value{Kind: typ, Num: math.Float64frombits(w)})
+				nums[w] = r
+				computed++
+			}
+			out[i] = r
+		}
+		m.mu.Unlock()
 	}
-	st := &h.stripes[fp%hasherStripes]
-	st.mu.Lock()
-	if r, ok := st.memo[k]; ok {
-		st.mu.Unlock()
-		return r
-	}
-	r := fnvHashValue(fn, v)
-	st.memo[k] = r
-	st.mu.Unlock()
-	h.computations.Add(1)
-	return r
+	h.computations.Add(computed)
 }
 
 // Counts reports the hash evaluations performed and requested so far.
-func (h *ShardedHasher) Counts() (computations, lookups int64) {
+func (h *DenseHasher) Counts() (computations, lookups int64) {
 	return h.computations.Load(), h.lookups.Load()
 }
 

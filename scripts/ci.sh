@@ -2,13 +2,15 @@
 # CI entry point: formatting and static analysis, build, the short test
 # suite, the race-enabled run of the concurrent packages, a one-shot
 # bench smoke, the telemetry/causal-trace/health smoke, a cmd/doctor
-# probe of a held live process, and the benchdiff regression gate over
-# the BENCH trajectory. The concurrent first pass of Deduce and the batched
-# parallel drain (internal/chase), the parallel BSP supersteps
-# (internal/dmatch), the justification log written from concurrent
-# drains (internal/provenance), and the distributed master's sender and
-# reader goroutines over the shared wire stats (internal/wire) make the
-# race detector mandatory for those packages.
+# probe of a held live process, the benchdiff regression gate over the
+# BENCH trajectory, and the nested benchmark module's own vet and tests.
+# The concurrent first pass of Deduce and the batched parallel drain
+# (internal/chase), the parallel BSP supersteps (internal/dmatch), the
+# justification log written from concurrent drains (internal/provenance),
+# the distributed master's sender and reader goroutines over the shared
+# wire stats (internal/wire), and the lock-free hash memo the HyPart scan
+# shards fill concurrently (internal/mqo) make the race detector mandatory
+# for those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -31,14 +33,14 @@ go build ./...
 echo "== go test -short ./..."
 go test -short ./...
 
-echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
-go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
+echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
+go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
 
 echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + dedup-routing Gamma equality + distributed TCP Gamma equality and recovery)"
-go test -short -count=1 -run 'TestPartitionParallelEquivalence' ./internal/hypart
+echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality and recovery)"
+go test -short -count=1 -run 'TestPartitionParallelEquivalence|TestPartitionGoldenDigest' ./internal/hypart
 go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery' ./internal/dmatch
 
 echo "== distributed process smoke (2 real worker processes over TCP: -out CSV byte-identity vs in-process, then kill-one-worker recovery)"
@@ -66,9 +68,9 @@ echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-iden
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan' ./internal/chase
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs' \
-    ./internal/relation ./internal/mlpred ./internal/chase
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs' \
+    ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
 echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamma equality)"
 go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget' \
@@ -123,5 +125,9 @@ echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_9 via bench
 # committed snapshot.
 go run ./cmd/bench -fig6=false -repeat 3 -arms '^(Deduce|IncDeduce)/' -memscale 0 -prev '' -out /tmp/dcer_ci_gate.json
 go run ./cmd/benchdiff -gate '^(Deduce|IncDeduce)/' -threshold 10 BENCH_9.json /tmp/dcer_ci_gate.json
+
+echo "== repository benchmark module (nested module, invisible to the root ./...: vet + every workload at tiny scale)"
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 echo "CI OK"
