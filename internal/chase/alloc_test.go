@@ -10,9 +10,10 @@ import (
 // TestEnumerationAllocs is the allocation-regression guard for the
 // enumeration inner loop: once Γ is saturated and the scratch buffers are
 // grown, re-enumerating a rule (extend, candidatesFor, checkNewBinding,
-// predict on warm caches) must be allocation-free. Both the interpreter
-// and the compiled-plan batch path are held to the same budget — the
-// plan path's per-depth candidate scratch must be reused, not regrown.
+// predict over warm feature bundles) must be allocation-free. Both the
+// interpreter and the compiled-plan batch path are held to the same
+// budget — the plan path's per-depth candidate scratch must be reused,
+// not regrown. A feature-scored predict on its own is held to zero.
 func TestEnumerationAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -47,6 +48,16 @@ func TestEnumerationAllocs(t *testing.T) {
 				if avg > 16 {
 					t.Errorf("rule %s: %.1f allocs per saturated enumeration, want ~0 (per-valuation allocation regressed)",
 						br.r.Name, avg)
+				}
+				for i := range br.mls {
+					m := &br.mls[i]
+					ts := g.D.Relations[br.r.Vars[m.pred.V1].RelIdx].Tuples
+					ta, tb := ts[0], ts[len(ts)-1]
+					e.ctx.reset(br)
+					e.ctx.predict(m, ta, tb) // build the two bundles
+					if avg := testing.AllocsPerRun(100, func() { e.ctx.predict(m, ta, tb) }); avg != 0 {
+						t.Errorf("rule %s: predict %s allocates %.1f per warm call, want 0", br.r.Name, m.pred.Model, avg)
+					}
 				}
 			}
 		})

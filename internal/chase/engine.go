@@ -24,9 +24,10 @@ type Options struct {
 	// path of IncDeduce preserves correctness.
 	MaxDeps int
 	// ShareIndexes enables MQO-style sharing of inverted indexes and the
-	// ML answer cache across rules. Disabling it reproduces the
-	// DMatch_noMQO ablation: every rule rebuilds its own indexes and ML
-	// cache, so no intermediate results are shared.
+	// ML stores (feature bundles, memoized opaque answers) across rules.
+	// Disabling it reproduces the DMatch_noMQO ablation: every rule
+	// rebuilds its own indexes and ML stores, so no intermediate results
+	// are shared.
 	ShareIndexes bool
 	// IDSpace overrides the size of the global tuple-id space; fragments
 	// of a larger dataset must pass the parent's size so the
@@ -133,12 +134,13 @@ const DefaultDrainParallelMin = 16
 var deduceSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // Stats is a point-in-time snapshot of the engine's work counters, for
-// the efficiency experiments. The counters live in atomics and the cache
-// and feature-store triples are each taken in one locked pass
-// (mlpred.Snapshot), so a snapshot taken while a drain is in flight is
-// coherent — hits, misses, and sizes never tear against each other. When
-// Options.Metrics is set the same counters back the registry's gauge
-// series, so Stats() and /metrics cannot disagree.
+// the efficiency experiments. The counters live in atomics, so a snapshot
+// may be taken while a drain is in flight; the enumeration contexts fold
+// their valuation, plan and ML counts in at their merge points (the end of
+// a rule enumeration or drain batch), so mid-run those trail the work by
+// at most the enumerations in flight. When Options.Metrics is set the same
+// counters back the registry's gauge series, so Stats() and /metrics
+// cannot disagree.
 type Stats struct {
 	Valuations   int64 // complete valuations inspected (emit calls)
 	Extensions   int64 // partial-binding extension steps
@@ -152,12 +154,16 @@ type Stats struct {
 	DepsDropped  int64
 	Rounds       int64 // internal incremental rounds
 	IndexBuilds  int   // inverted indexes materialized
-	MLCacheHits  int64 // answers served from the id-keyed pair cache
-	MLCacheMiss  int64 // classifier invocations (pair-cache misses)
-	MLCacheSize  int   // memoized (classifier, pair) answers retained
-	FeatHits     int64 // feature-store lookups served from the store
-	FeatMisses   int64 // feature bundles computed (one per miss)
-	FeatEntries  int   // (tuple, attr-list) feature bundles retained
+	// SymmetricRules counts the rules enumerated under symmetry reduction:
+	// each is its own mirror image (rule.Symmetry), so of every valuation
+	// and its mirror twin only one is inspected.
+	SymmetricRules int
+	MLCacheHits    int64 // opaque-classifier answers served from the pair cache
+	MLCacheMiss    int64 // classifier invocations: feature-scored calls + pair-cache misses
+	MLCacheSize    int   // memoized (opaque classifier, pair) answers retained
+	FeatHits       int64 // feature-store lookups served from the store
+	FeatMisses     int64 // feature bundles computed (one per retained bundle)
+	FeatEntries    int   // (tuple, attr-list) feature bundles retained
 }
 
 // boundMLPred is an ML body predicate resolved to its classifier.
@@ -166,18 +172,17 @@ type boundMLPred struct {
 	cl      mlpred.Classifier
 	dynamic bool // the model appears in some rule head, so validation can flip it
 
-	// fc is cl's feature-scoring interface, nil when cl cannot score
-	// precomputed Features (then the gathered-value path is used).
-	fc mlpred.FeatureClassifier
-	// clID is the pair-cache id of (model, A1Vec, A2Vec): two predicates
-	// share answers iff classifier and both attribute lists agree.
-	clID uint32
-	// aID / bID are the feature-store ids of the two attribute lists.
+	// fc is cl's feature-scoring interface; when set the predicate is
+	// scored over the bundles of feats, addressed by the interned ids of
+	// its two attribute lists.
+	fc       mlpred.FeatureClassifier
+	feats    *mlpred.FeatureStore
 	aID, bID uint32
-	// canonical marks that (a, b) and (b, a) provably share an answer
-	// (symmetric classifier, identical attribute lists), so the cache key
-	// is ordered a ≤ b and each unordered pair is stored once.
-	canonical bool
+	// An opaque classifier (fc nil) is memoized in cache instead, under
+	// the id of (model, A1Vec, A2Vec): two predicates share answers iff
+	// classifier and both attribute lists agree.
+	cache *mlpred.PairCache
+	clID  uint32
 }
 
 // boundRule is a rule prepared for enumeration.
@@ -203,6 +208,11 @@ type boundRule struct {
 	// words. Compiled even under Options.InterpretRules — candidatesFor
 	// and checkNewBinding read it in both modes.
 	plan *rulePlan
+
+	// reduced marks a rule that is its own mirror image (rule.Symmetry):
+	// its enumerations keep only valuations with
+	// h(head.V1).GID < h(head.V2).GID (the plan's orderStep).
+	reduced bool
 
 	headCl mlpred.Classifier // classifier of an ML head, if any
 
@@ -473,9 +483,9 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		br.cache = mlpred.NewPairCache()
 		br.feats = mlpred.NewFeatureStore(0)
 	}
-	// Resolve the cache and feature-store ids of the ML predicates against
-	// whichever cache pair this rule will consult at prediction time, so the
-	// hot path works with small interned integers only.
+	// Resolve each ML predicate against the store it will consult at
+	// prediction time — the shared pair, or the rule's own without MQO —
+	// so the hot path works with small interned integers only.
 	cache, feats := e.pairCache, e.feats
 	if br.cache != nil {
 		cache, feats = br.cache, br.feats
@@ -483,12 +493,16 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	for i := range br.mls {
 		m := &br.mls[i]
 		p := m.pred
-		m.fc, _ = m.cl.(mlpred.FeatureClassifier)
-		m.clID = cache.ClassifierID(predSignature(p))
-		m.aID = feats.AttrsID(p.A1Vec)
-		m.bID = feats.AttrsID(p.A2Vec)
-		m.canonical = m.fc != nil && m.fc.Symmetric() && sameInts(p.A1Vec, p.A2Vec)
+		if m.fc, _ = m.cl.(mlpred.FeatureClassifier); m.fc != nil {
+			m.feats = feats
+			m.aID = feats.AttrsID(p.A1Vec)
+			m.bID = feats.AttrsID(p.A2Vec)
+		} else {
+			m.cache = cache
+			m.clID = cache.ClassifierID(predSignature(p))
+		}
 	}
+	br.reduced = rule.Symmetry(r, e.symmetricModel) != nil
 	for _, p := range br.eqs {
 		br.eqIx = append(br.eqIx, [2]*relation.Index{
 			br.ix.For(r.Vars[p.V1].RelIdx, p.A1),
@@ -516,16 +530,21 @@ func predSignature(p *rule.Pred) string {
 	return sb.String()
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
+// symmetricModel reports whether an ML body predicate over the model may
+// take part in a rule symmetry: the classifier declares itself symmetric
+// and no rule head validates the model (a validated prediction is
+// directional, so such a predicate's truth is not a function of the
+// unordered pair).
+func (e *Engine) symmetricModel(model string) bool {
+	if e.dynamicModels[model] {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	cl, err := e.reg.Get(model)
+	if err != nil {
+		return false
 	}
-	return true
+	fc, ok := cl.(mlpred.FeatureClassifier)
+	return ok && fc.Symmetric()
 }
 
 // prebuildIndexes materializes every index a rule's query plan can reach
@@ -753,7 +772,10 @@ func (e *Engine) flushCtxCounters(c *evalCtx) {
 	e.cnt.extensions.Add(c.extensions)
 	e.cnt.planPreds.Add(c.planEvals)
 	e.cnt.planBatches.Add(c.planBatches)
+	e.cnt.featHits.Add(c.featHits)
+	e.cnt.mlCalls.Add(c.mlCalls)
 	c.valuations, c.extensions, c.planEvals, c.planBatches = 0, 0, 0, 0
+	c.featHits, c.mlCalls = 0, 0
 }
 
 // Deduce runs the first full chase pass over all rules (procedure Deduce
@@ -784,7 +806,7 @@ func (e *Engine) Deduce() []Fact {
 
 // deduceConcurrent is the snapshot-enumerate-merge first pass: every rule
 // enumerates on its own goroutine against the frozen Γ (frozen roots, the
-// read-only validated set, prebuilt indexes and the thread-safe ML cache),
+// read-only validated set, prebuilt indexes and the thread-safe ML stores),
 // buffering candidate facts and dependencies; a single-threaded merge then
 // applies them in rule order, which keeps the engine deterministic.
 func (e *Engine) deduceConcurrent() {
@@ -902,12 +924,10 @@ func (e *Engine) Classes() [][]relation.TID {
 	return out
 }
 
-// Stats returns a snapshot of the engine counters. The engine counters
-// are read from atomics, and each ML cache and feature store contributes
-// one coherent locked Snapshot (hits, misses, and size taken together,
-// never in separate calls that could tear mid-drain), so Stats is safe
-// to call — and meaningful — while a deduction is in flight on other
-// goroutines. DepsDropped reflects the engine goroutine's view of H.
+// Stats returns a snapshot of the engine counters. Everything is read
+// from atomics or under the pair cache's shard locks, so Stats is safe to
+// call while a deduction is in flight on other goroutines. DepsDropped
+// reflects the engine goroutine's view of H.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Valuations:   e.cnt.valuations.Load(),
@@ -927,6 +947,9 @@ func (e *Engine) Stats() Stats {
 		if !counted[br.ix] {
 			counted[br.ix] = true
 			s.IndexBuilds += br.ix.Built()
+		}
+		if br.reduced {
+			s.SymmetricRules++
 		}
 	}
 	pair, feat := e.cacheSnapshots()

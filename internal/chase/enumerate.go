@@ -39,6 +39,12 @@ type evalCtx struct {
 	valuations int64
 	extensions int64
 
+	// featHits counts feature-store probes served warm and mlCalls the
+	// classifier invocations over feature bundles; plain integers, landing
+	// in the engine counters at the same merge points as valuations.
+	featHits int64
+	mlCalls  int64
+
 	// plans mirrors !Options.InterpretRules (latched by reset so the hot
 	// path reads a local flag); planBufs are the per-recursion-depth
 	// candidate scratch buffers of the compiled path, and planEvals /
@@ -328,6 +334,11 @@ func (c *evalCtx) refineCandidates(cs candList, v, last int) candList {
 // adaptive reordering of the program is invisible here.
 func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 	br, binding := c.br, c.binding
+	if o := br.plan.vars[v].order; o != nil {
+		if ob := binding[o.other]; ob != nil && !o.keeps(t.GID, ob.GID) {
+			return false
+		}
+	}
 	for _, w := range *br.plan.vars[v].words.Load() {
 		switch w.kind {
 		case wpConst:
@@ -404,71 +415,76 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 	return true
 }
 
-// predict answers ML predicate m over tuples ta, tb through the id-keyed
-// pair cache, scoring misses over precomputed feature bundles when the
-// classifier supports it. The attribute vectors are gathered into the
-// context's scratch buffers only on a miss (the stores never retain them).
+// predict answers ML predicate m over tuples ta, tb. A feature-scoring
+// classifier is simply run over the two tuples' prebuilt bundles: no
+// answer memo, because a score over warm bundles costs less than a probe
+// plus an insert, and symmetry reduction already visits each unordered
+// pair once. An opaque classifier — the paper's black box — is answered
+// through the id-keyed pair cache. The attribute vectors are gathered into
+// the context's scratch buffers only when a bundle or an opaque answer is
+// missing (the stores never retain them).
 func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
-	cache, feats := c.e.pairCache, c.e.feats
-	if c.br.cache != nil {
-		cache, feats = c.br.cache, c.br.feats
+	if m.fc == nil {
+		if ans, ok := m.cache.Lookup(m.clID, ta.GID, tb.GID); ok {
+			return ans
+		}
 	}
-	ka, kb := ta.GID, tb.GID
-	if m.canonical && kb < ka {
-		ka, kb = kb, ka
-	}
-	if ans, ok := cache.Lookup(m.clID, ka, kb); ok {
-		return ans
-	}
-	// Cache miss: the classifier actually runs. Record it as a span on
-	// the ML lane when it clears the duration floor (sub-floor calls are
-	// plentiful and would flood the bounded ring).
+	// The classifier actually runs. Record it as a span on the ML lane
+	// when it clears the duration floor (sub-floor calls are plentiful and
+	// would flood the bounded ring).
 	var mt0 time.Time
 	if c.e.curTC.Enabled() {
 		mt0 = time.Now()
 	}
 	var ans bool
 	if m.fc != nil {
-		// Feature-scoring classifiers only need the boxed attribute
-		// vectors when a tuple's bundle is not in the store yet; probe the
-		// store first so warm lookups never rehydrate Values.
-		fa, ok := feats.Cached(ta.GID, m.aID)
-		if !ok {
+		c.mlCalls++
+		// Probe the store first so warm lookups never rehydrate Values.
+		fa, ok := m.feats.Cached(ta.GID, m.aID)
+		if ok {
+			c.featHits++
+		} else {
 			c.lvals = gatherInto(c.lvals, ta, m.pred.A1Vec)
-			fa = feats.Get(ta.GID, m.aID, c.lvals)
+			fa = m.feats.Get(ta.GID, m.aID, c.lvals)
 		}
-		fb, ok := feats.Cached(tb.GID, m.bID)
-		if !ok {
+		fb, ok := m.feats.Cached(tb.GID, m.bID)
+		if ok {
+			c.featHits++
+		} else {
 			c.rvals = gatherInto(c.rvals, tb, m.pred.A2Vec)
-			fb = feats.Get(tb.GID, m.bID, c.rvals)
+			fb = m.feats.Get(tb.GID, m.bID, c.rvals)
 		}
 		ans = m.fc.PredictFeatures(fa, fb)
 	} else {
 		c.lvals = gatherInto(c.lvals, ta, m.pred.A1Vec)
 		c.rvals = gatherInto(c.rvals, tb, m.pred.A2Vec)
 		ans = m.cl.Predict(c.lvals, c.rvals)
+		m.cache.Store(m.clID, ta.GID, tb.GID, ans)
 	}
 	if !mt0.IsZero() && time.Since(mt0) >= mlTraceFloor {
 		tc := c.e.curTC
 		tc.Lane(telemetry.PIDMLPred, tc.TID()).Record("mlpred.classify", mt0,
 			telemetry.L("model", m.pred.Model))
 	}
-	cache.Store(m.clID, ka, kb, ans)
 	return ans
+}
+
+// seedFor returns the context's reusable seed slice, cleared, for a rule
+// of n variables.
+func (c *evalCtx) seedFor(n int) []*relation.Tuple {
+	if cap(c.seedBuf) < n {
+		c.seedBuf = make([]*relation.Tuple, n)
+	}
+	seed := c.seedBuf[:n]
+	clear(seed)
+	return seed
 }
 
 // runSeed runs one drain job: a restricted enumeration of the job's rule
 // with the seeding predicate's variables bound to the job's tuples.
 func (c *evalCtx) runSeed(j *drainJob) {
 	c.reset(j.br)
-	n := len(j.br.r.Vars)
-	if cap(c.seedBuf) < n {
-		c.seedBuf = make([]*relation.Tuple, n)
-	}
-	seed := c.seedBuf[:n]
-	for i := range seed {
-		seed[i] = nil
-	}
+	seed := c.seedFor(len(j.br.r.Vars))
 	seed[j.p.V1] = j.tx
 	if j.p.V1 != j.p.V2 {
 		seed[j.p.V2] = j.ty

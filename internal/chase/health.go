@@ -185,12 +185,14 @@ func (e *Engine) auditPlans() {
 }
 
 // wordRateSpread returns the observed fail rates of the first and last
-// non-ML predicate of a variable program with enough evaluations to
-// matter; ok is false when fewer than two qualify.
+// word predicate of a variable program with enough evaluations to matter
+// (ML steps sort separately and the symmetry order step is pinned first,
+// so neither says anything about the adaptive order); ok is false when
+// fewer than two qualify.
 func wordRateSpread(preds []PlanPred) (first, last float64, ok bool) {
 	seen := 0
 	for _, p := range preds {
-		if p.Kind == "ml" || p.Evals < planOrderEvalFloor {
+		if p.Kind == "ml" || p.Kind == "order" || p.Evals < planOrderEvalFloor {
 			continue
 		}
 		if seen == 0 {

@@ -73,7 +73,7 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 				if t.Rel != v.RelIdx {
 					continue
 				}
-				seed := make([]*relation.Tuple, len(br.r.Vars))
+				seed := e.ctx.seedFor(len(br.r.Vars))
 				seed[vi] = t
 				e.enumerateRule(br, seed)
 			}

@@ -28,6 +28,12 @@ type engineCounters struct {
 	planBatches  atomic.Int64
 	planReorders atomic.Int64
 
+	// ML work account: warm feature-store probes and feature-scored
+	// classifier invocations, counted per context on the prediction path
+	// and landed here at the context merge points.
+	featHits atomic.Int64
+	mlCalls  atomic.Int64
+
 	// Memory-account mirrors, refreshed by rebudget on the engine
 	// goroutine once per drain round so the /metrics scrape goroutine
 	// never walks the live maps.
@@ -57,10 +63,12 @@ type chaseMetrics struct {
 	planDepth *telemetry.Histogram
 }
 
-// cacheSnapshots returns the engine's combined ML pair-cache and
-// feature-store snapshots, summing the rule-private stores of the noMQO
-// configuration into the shared ones. Safe for concurrent use (the
-// stores snapshot under their shard locks).
+// cacheSnapshots returns the engine's combined ML accounts, summing the
+// rule-private stores of the noMQO configuration into the shared ones and
+// the engine's own prediction-path counts into both: a feature-scored
+// classifier call is a pair miss ("the classifier ran" — there is no
+// answer memo on that path), a warm bundle probe a feature hit. Safe for
+// concurrent use.
 func (e *Engine) cacheSnapshots() (pair, feat mlpred.CacheSnapshot) {
 	add := func(dst *mlpred.CacheSnapshot, s mlpred.CacheSnapshot) {
 		dst.Hits += s.Hits
@@ -75,6 +83,8 @@ func (e *Engine) cacheSnapshots() (pair, feat mlpred.CacheSnapshot) {
 			add(&feat, br.feats.Snapshot())
 		}
 	}
+	pair.Misses += e.cnt.mlCalls.Load()
+	feat.Hits += e.cnt.featHits.Load()
 	return pair, feat
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dcer/internal/chase"
+	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
@@ -53,7 +54,7 @@ func TestDeduceParallelEquivalence(t *testing.T) {
 		seeds = 12
 	}
 	for seed := int64(200); seed < 200+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -89,7 +90,7 @@ func TestDrainParallelEquivalence(t *testing.T) {
 		seeds = 12
 	}
 	for seed := int64(400); seed < 400+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -123,8 +124,9 @@ func TestDrainParallelEquivalence(t *testing.T) {
 
 // TestInsertTuplesRandomSplitEquivalence is the property test for the
 // incremental ΔD path: withholding a random slice of a random instance and
-// inserting it later (with the parallel drain forced on) must reach
-// exactly the Γ of a full chase over the whole dataset.
+// inserting it later must reach exactly the Γ of a full chase over the
+// whole dataset, under the sequential, the default and the forced batched
+// drain.
 func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(25)
@@ -132,7 +134,7 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(500); seed < 500+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -142,47 +144,54 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 		}
 		scratch.Run()
 
-		// Rebuild withholding every k-th tuple, chase, then insert them.
-		k := 3 + int(seed%4)
-		d2 := relation.NewDataset(d.DB)
-		gidMap := make(map[relation.TID]relation.TID) // src gid -> new gid
-		var heldSrc []*relation.Tuple
-		for i, tt := range d.Tuples() {
-			if i%k == 1 {
-				heldSrc = append(heldSrc, tt)
-				continue
+		for _, opts := range []chase.Options{
+			{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
+			{ShareIndexes: true},
+			{ShareIndexes: true, DrainParallelMin: 1},
+		} {
+			// Rebuild withholding every k-th tuple, chase, then insert them.
+			k := 3 + int(seed%4)
+			d2 := relation.NewDataset(d.DB)
+			gidMap := make(map[relation.TID]relation.TID) // src gid -> new gid
+			var heldSrc []*relation.Tuple
+			for i, tt := range d.Tuples() {
+				if i%k == 1 {
+					heldSrc = append(heldSrc, tt)
+					continue
+				}
+				nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+				gidMap[tt.GID] = nt.GID
 			}
-			nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
-			gidMap[tt.GID] = nt.GID
-		}
-		eng, err := chase.New(d2, rules, reg, chase.Options{ShareIndexes: true, DrainParallelMin: 1})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		eng.Run()
-		var held []*relation.Tuple
-		for _, tt := range heldSrc {
-			nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
-			gidMap[tt.GID] = nt.GID
-			held = append(held, nt)
-		}
-		if _, err := eng.InsertTuples(held); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for i := 0; i < d.Size(); i++ {
-			for j := i + 1; j < d.Size(); j++ {
-				a, b := relation.TID(i), relation.TID(j)
-				if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
-					t.Fatalf("seed %d: scratch and incremental disagree on (%d,%d)", seed, i, j)
+			eng, err := chase.New(d2, rules, reg, opts)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			eng.Run()
+			var held []*relation.Tuple
+			for _, tt := range heldSrc {
+				nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+				gidMap[tt.GID] = nt.GID
+				held = append(held, nt)
+			}
+			if _, err := eng.InsertTuples(held); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			for i := 0; i < d.Size(); i++ {
+				for j := i + 1; j < d.Size(); j++ {
+					a, b := relation.TID(i), relation.TID(j)
+					if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
+						t.Fatalf("seed %d opts %+v: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
+							seed, opts, i, j, rulesOf(rules))
+					}
 				}
 			}
-		}
-		want := make([]chase.Fact, 0, len(scratch.Gamma().Validated))
-		for _, f := range scratch.Gamma().Validated {
-			want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
-		}
-		if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
-			t.Fatalf("seed %d: validated sets differ:\nscratch:\n%s\nincremental:\n%s", seed, wv, gv)
+			want := make([]chase.Fact, 0, len(scratch.Gamma().Validated))
+			for _, f := range scratch.Gamma().Validated {
+				want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
+			}
+			if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
+				t.Fatalf("seed %d opts %+v: validated sets differ:\nscratch:\n%s\nincremental:\n%s", seed, opts, wv, gv)
+			}
 		}
 	}
 }
@@ -200,7 +209,7 @@ func TestDMatchModesEquivalence(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(300); seed < 300+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -14,7 +14,9 @@ package chase
 // happens only between drain rounds, never mid-batch, and reordering the
 // conjuncts of a conjunction cannot change its survivor set, so Γ is
 // byte-identical to the interpreter (Options.InterpretRules) under every
-// drain mode.
+// drain mode. A rule that is its own mirror image additionally carries a
+// fixed first step on its head variables, the GID order test of the
+// symmetry reduction (orderStep), which both paths apply alike.
 
 import (
 	"sort"
@@ -113,6 +115,29 @@ type mlStep struct {
 	fails atomic.Int64
 }
 
+// orderStep is the symmetry-reduction filter of a reduced rule (one whose
+// body is its own mirror image, rule.Symmetry): of each valuation h and
+// its twin h∘σ only the one with h(head.V1).GID < h(head.V2).GID is
+// enumerated. It sits on both head variables and applies to whichever is
+// bound later — one GID compare, ahead of every other step, outside the
+// adaptive re-sort: no word or ML step can be cheaper.
+type orderStep struct {
+	other int  // the other head variable
+	below bool // the plan variable is head.V1: keep GIDs below the other's
+
+	evals atomic.Int64
+	fails atomic.Int64
+}
+
+// keeps reports whether binding the plan variable to tuple t survives,
+// given the other head variable's tuple o.
+func (s *orderStep) keeps(t, o relation.TID) bool {
+	if s.below {
+		return t < o
+	}
+	return t > o
+}
+
 // varPlan is the compiled program for binding one rule variable. The
 // slices are published through atomic pointers so the /debug/dcer plans
 // provider can walk a plan while a drain is running: a reader sees either
@@ -121,6 +146,7 @@ type mlStep struct {
 // rounds (maybeResortPlans runs on the engine goroutine at round
 // boundaries, after the workers have joined).
 type varPlan struct {
+	order *orderStep // nil unless the rule is reduced and this is a head variable
 	words atomic.Pointer[[]*wordPred]
 	mls   atomic.Pointer[[]*mlStep]
 }
@@ -152,6 +178,11 @@ func compilePlan(e *Engine, br *boundRule) *rulePlan {
 	p := &rulePlan{
 		vars:   make([]varPlan, len(r.Vars)),
 		consts: make([][]*wordPred, len(r.Vars)),
+	}
+	if br.reduced {
+		h := &r.Head
+		p.vars[h.V1].order = &orderStep{other: h.V2, below: true}
+		p.vars[h.V2].order = &orderStep{other: h.V1}
 	}
 	syms := br.scope.Syms()
 	attrType := func(v, a int) relation.Type {
@@ -374,6 +405,23 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 	buf := c.planBuf(nbound, len(cands))
 	n := len(src)
 	var evals, steps int64
+
+	if o := vp.order; o != nil && binding[o.other] != nil {
+		og := binding[o.other].GID
+		k := 0
+		for _, t := range src[:n] {
+			if o.keeps(t.GID, og) {
+				buf[k] = t
+				k++
+			}
+		}
+		o.evals.Add(int64(n))
+		o.fails.Add(int64(n - k))
+		evals += int64(n)
+		n = k
+		src = buf
+		steps++
+	}
 
 	for _, w := range *vp.words.Load() {
 		if n == 0 {
@@ -613,6 +661,13 @@ func (e *Engine) PlanReport() PlanReport {
 		for v := range br.plan.vars {
 			vp := &br.plan.vars[v]
 			pv := PlanVarReport{Var: br.r.Vars[v].Name}
+			if o := vp.order; o != nil {
+				lo, hi := br.r.Vars[v].Name, br.r.Vars[o.other].Name
+				if !o.below {
+					lo, hi = hi, lo
+				}
+				pv.Preds = append(pv.Preds, planPred(lo+".gid < "+hi+".gid", "order", o.evals.Load(), o.fails.Load()))
+			}
 			for _, w := range *vp.words.Load() {
 				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), w.evals.Load(), w.fails.Load()))
 			}

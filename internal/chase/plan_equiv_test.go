@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dcer/internal/chase"
+	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
@@ -43,7 +44,7 @@ func TestPlanGammaEquivalence(t *testing.T) {
 		{"noMQO", chase.Options{ShareIndexes: false, DrainParallelMin: 1}},
 	}
 	for seed := int64(200); seed < 200+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -80,7 +81,7 @@ func TestPlanDMatchEquivalence(t *testing.T) {
 		seeds = 6
 	}
 	for seed := int64(300); seed < 300+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

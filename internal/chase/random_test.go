@@ -1,81 +1,23 @@
 package chase_test
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"dcer/internal/chase"
 	"dcer/internal/complexity"
+	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
 )
 
-// randomInstance builds a small random dataset over a fixed 3-relation
-// schema with tiny value domains (to force collisions) and a random rule
-// set mixing equality, constant, id and ML predicates — deep, collective,
-// or both.
-func randomInstance(seed int64) (*relation.Dataset, []*rule.Rule, error) {
-	rng := rand.New(rand.NewSource(seed))
-	str := relation.TypeString
-	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
-	db := relation.MustDatabase(
-		relation.MustSchema("P", "pk", a("pk"), a("x"), a("y"), a("ref")),
-		relation.MustSchema("Q", "qk", a("qk"), a("x"), a("y"), a("ref")),
-		relation.MustSchema("R", "rk", a("rk"), a("x"), a("y"), a("ref")),
-	)
-	d := relation.NewDataset(db)
-	names := []string{"P", "Q", "R"}
-	vals := []string{"u", "v", "w"} // tiny domain: plenty of collisions
-	size := 6 + rng.Intn(10)
-	for _, rel := range names {
-		for i := 0; i < size; i++ {
-			d.MustAppend(rel,
-				relation.S(fmt.Sprintf("%s%d", rel, i)),
-				relation.S(vals[rng.Intn(len(vals))]),
-				relation.S(vals[rng.Intn(len(vals))]),
-				relation.S(fmt.Sprintf("%s%d", names[rng.Intn(3)], rng.Intn(size))))
-		}
-	}
-	attrs := []string{"x", "y"}
-	var rulesText string
-	numRules := 2 + rng.Intn(4)
-	for ri := 0; ri < numRules; ri++ {
-		relA := names[rng.Intn(3)]
-		relB := names[rng.Intn(3)]
-		body := ""
-		// 1-2 equality predicates between a and b.
-		for k := 0; k <= rng.Intn(2); k++ {
-			body += fmt.Sprintf(" ^ a.%s = b.%s", attrs[rng.Intn(2)], attrs[rng.Intn(2)])
-		}
-		extra := ""
-		switch rng.Intn(4) {
-		case 0: // constant predicate
-			body += fmt.Sprintf(" ^ a.x = %q", vals[rng.Intn(len(vals))])
-		case 1: // ML predicate (threshold similarity on small strings)
-			body += " ^ lev080(a.y, b.y)"
-		case 2: // deep: id predicate over a third pair of variables
-			relC := names[rng.Intn(3)]
-			extra = fmt.Sprintf(" ^ %s(c) ^ %s(e) ^ a.ref = c.%sk ^ b.ref = e.%sk ^ c.id = e.id",
-				relC, relC, lower(relC), lower(relC))
-		case 3: // collective join through a third variable
-			relC := names[rng.Intn(3)]
-			extra = fmt.Sprintf(" ^ %s(c) ^ a.ref = c.%sk ^ c.x = b.y", relC, lower(relC))
-		}
-		rulesText += fmt.Sprintf("r%d: %s(a) ^ %s(b)%s%s -> a.id = b.id\n",
-			ri, relA, relB, body, extra)
-	}
-	rules, err := rule.ParseResolved(rulesText, db)
-	return d, rules, err
-}
-
-func lower(s string) string { return string(s[0] + 32) }
-
 // TestEngineMatchesNaiveOracle cross-validates the optimized engine
-// against the brute-force reference chase on many random instances: the
-// final equivalence relations must be identical.
+// against the brute-force reference chase on many random instances, under
+// every Deduce and drain mode: the final equivalence relations must be
+// identical. The oracle enumerates every valuation of every rule, so this
+// is also the completeness check of the symmetry reduction (about half of
+// the random rules are mirrored, see datagen.RandomInstance).
 func TestEngineMatchesNaiveOracle(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(60)
@@ -83,7 +25,7 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		seeds = 15
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -96,6 +38,10 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 			{ShareIndexes: false},
 			{ShareIndexes: true, MaxDeps: 1},
 			{ShareIndexes: true, MaxDeps: -1},
+			{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
+			{ShareIndexes: true, DrainParallelMin: 1},
+			{ShareIndexes: true, DrainParallelMin: 1, MaxDeps: 1},
+			{ShareIndexes: true, InterpretRules: true},
 		} {
 			eng, err := chase.New(d, rules, reg, opts)
 			if err != nil {
@@ -124,7 +70,7 @@ func TestParallelMatchesNaiveOracle(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(100); seed < 100+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

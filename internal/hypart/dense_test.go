@@ -102,11 +102,20 @@ func TestPartitionRejectsBlockKeyOverflow(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is built in.
+var raceEnabled bool
+
 // TestPartitionAllocs guards the dense hot path: the scan appends to
 // per-block lists and the finalisation goes through one bitset, so the
 // allocation count grows with the number of blocks (list doublings, one
 // GID slice per block and scope), never with the number of tuples.
 func TestPartitionAllocs(t *testing.T) {
+	if raceEnabled {
+		// The race runtime allocates per goroutine start and per sync
+		// operation of the scan shards; at 35 blocks that is enough to
+		// cross the bound on some runs (2195-2205 against 2192).
+		t.Skip("allocation counts include the race detector's own")
+	}
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
 	rules, err := g.Rules()
 	if err != nil {

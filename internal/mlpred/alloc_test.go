@@ -151,4 +151,14 @@ func TestCacheProbeAllocs(t *testing.T) {
 	if feat == nil {
 		t.Fatal("feature bundle missing on hit")
 	}
+	if avg := testing.AllocsPerRun(200, func() { feat, ok = fs.Cached(7, aid) }); avg != 0 {
+		t.Errorf("FeatureStore.Cached allocates %.1f per warm probe, want 0", avg)
+	}
+	if !ok || feat == nil {
+		t.Fatal("feature bundle missing on warm probe")
+	}
+	// A cold probe must not build the directory path it fails to find.
+	if avg := testing.AllocsPerRun(200, func() { _, ok = fs.Cached(1<<24, aid) }); avg != 0 || ok {
+		t.Errorf("FeatureStore.Cached on an untouched page: %.1f allocs, found %v; want 0, false", avg, ok)
+	}
 }

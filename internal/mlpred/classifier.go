@@ -246,9 +246,10 @@ func DefaultRegistry() *Registry {
 // Cache memoizes classifier answers by (classifier, left text, right text).
 // Keys include argument order; for known-symmetric classifiers the key is
 // canonicalized (smaller text first) so each unordered pair is stored
-// once. The chase engine's hot path uses the id-keyed sharded PairCache
-// instead; this string-keyed cache serves callers without stable tuple
-// ids (naive oracle, proofs, discovery, soft chase).
+// once. The chase engine memoizes by tuple id instead — feature bundles
+// in the FeatureStore, opaque classifiers' answers in the PairCache; this
+// string-keyed cache serves callers without stable tuple ids (naive
+// oracle, proofs, discovery, soft chase).
 type Cache struct {
 	mu      sync.RWMutex
 	answers map[string]bool

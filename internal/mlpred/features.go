@@ -2,11 +2,12 @@ package mlpred
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"dcer/internal/fnv"
 	"dcer/internal/relation"
 )
 
@@ -159,45 +160,71 @@ func EmbeddingSimFeatures(a, b *Features) float64 {
 	return CosineVec(a.Embedding(), b.Embedding())
 }
 
-// featStoreShards is the shard count of a FeatureStore (a power of two so
-// shard selection is a mask).
-const featStoreShards = 64
+// featPageBits sizes a FeatureStore page: 256 bundle slots (2 KiB of
+// pointers). A predicate's tuples occupy the contiguous GID range of its
+// relation, so paging keeps a table from paying for the other relations.
+const featPageBits = 8
 
-type featShard struct {
-	mu sync.RWMutex
-	m  map[featKey]*Features
+type featPage [1 << featPageBits]atomic.Pointer[Features]
 
-	// hits and misses are incremented while the shard lock is held, so
-	// Snapshot — which takes the write lock — observes each shard
-	// quiesced: counters and map size mutually coherent. Atomics because
-	// multiple readers hold the RLock at once.
-	hits   atomic.Int64
-	misses atomic.Int64
+// featTable holds one attribute list's bundles indexed by GID. Pages hang
+// off directory segments of doubling size — segment 0 covers page 0,
+// segment k > 0 pages [2^(k-1), 2^k) — so the directory grows with the id
+// space (InsertTuples, remote ids of a larger parent dataset) by adding
+// segments, never by moving one: segments and pages are installed by
+// compare-and-swap on first touch and an installed slot is never replaced.
+type featTable struct {
+	segs [32 - featPageBits + 1]atomic.Pointer[[]atomic.Pointer[featPage]]
 }
 
-// featKey addresses one tuple's feature bundle for one attribute list.
-type featKey struct {
-	gid   relation.TID
-	attrs uint32
+// slot returns the bundle slot of gid. With alloc false it returns nil
+// instead of installing a missing segment or page.
+func (t *featTable) slot(gid relation.TID, alloc bool) *atomic.Pointer[Features] {
+	pn := uint32(gid) >> featPageBits
+	k := bits.Len32(pn)
+	base := uint32(1) << k >> 1 // first page of segment k
+	seg := t.segs[k].Load()
+	if seg == nil {
+		if !alloc {
+			return nil
+		}
+		s := make([]atomic.Pointer[featPage], max(base, 1))
+		t.segs[k].CompareAndSwap(nil, &s)
+		seg = t.segs[k].Load()
+	}
+	dir := &(*seg)[pn-base]
+	page := dir.Load()
+	if page == nil {
+		if !alloc {
+			return nil
+		}
+		dir.CompareAndSwap(nil, new(featPage))
+		page = dir.Load()
+	}
+	return &page[gid&(1<<featPageBits-1)]
 }
 
 // FeatureStore computes and retains the Features of each (tuple,
-// attribute-list) pair exactly once, indexed by the tuple's global id.
-// Attribute lists are interned to small ids (AttrsID) at rule-bind time so
-// the hot path never hashes slices or builds strings. The store is sharded
-// for concurrent access from parallel enumerations.
+// attribute-list) pair exactly once. Tuple ids are dense, so the store is
+// an array, not a map: per interned attribute list (AttrsID, at rule-bind
+// time) a paged table indexed by the tuple's global id, whose slots are
+// published by compare-and-swap. A lookup is a few dependent loads — no
+// hashing, no locks — and of several goroutines computing the same bundle
+// at once exactly one publishes it and counts the miss, so Misses always
+// equals Entries.
 type FeatureStore struct {
-	dim    int
-	shards [featStoreShards]featShard
+	dim int
 
-	mu      sync.Mutex // guards attrs interning (bind time only)
-	attrIDs map[uint64][]attrsEntry
-	nAttrs  uint32
-}
+	// tables is indexed by attribute-list id; the slice only grows, at bind
+	// time, and is republished copy-on-write so lookups read it with one
+	// atomic load.
+	tables atomic.Pointer[[]*featTable]
 
-type attrsEntry struct {
-	attrs []int
-	id    uint32
+	hits   atomic.Int64
+	misses atomic.Int64 // bundles published; also the retained count
+
+	mu    sync.Mutex // guards attribute-list interning (bind time only)
+	attrs [][]int
 }
 
 // NewFeatureStore creates an empty store producing embeddings of the given
@@ -206,136 +233,86 @@ func NewFeatureStore(dim int) *FeatureStore {
 	if dim <= 0 {
 		dim = EmbeddingDim
 	}
-	s := &FeatureStore{dim: dim, attrIDs: make(map[uint64][]attrsEntry)}
-	for i := range s.shards {
-		s.shards[i].m = make(map[featKey]*Features)
-	}
+	s := &FeatureStore{dim: dim}
+	s.tables.Store(new([]*featTable))
 	return s
 }
 
 // AttrsID interns an attribute-index list to a small id. Call once per
 // bound predicate at setup, not on the scoring path.
 func (s *FeatureStore) AttrsID(attrs []int) uint32 {
-	h := uint64(fnv.Offset64)
-	for _, a := range attrs {
-		h = fnv.Uint64(h, uint64(a))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.attrIDs[h] {
-		if equalInts(e.attrs, attrs) {
-			return e.id
+	for id, a := range s.attrs {
+		if slices.Equal(a, attrs) {
+			return uint32(id)
 		}
 	}
-	id := s.nAttrs
-	s.nAttrs++
-	s.attrIDs[h] = append(s.attrIDs[h], attrsEntry{attrs: append([]int(nil), attrs...), id: id})
-	return id
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *FeatureStore) shardFor(k featKey) *featShard {
-	h := fnv.Uint64(fnv.Uint64(fnv.Offset64, uint64(k.gid)), uint64(k.attrs))
-	return &s.shards[h&(featStoreShards-1)]
+	s.attrs = append(s.attrs, slices.Clone(attrs))
+	next := append(slices.Clone(*s.tables.Load()), new(featTable))
+	s.tables.Store(&next)
+	return uint32(len(next) - 1)
 }
 
 // Get returns the feature bundle of tuple gid projected on the interned
 // attribute list, computing and caching it on first use. vals is the
 // tuple's attribute-value vector for that list; it is only read on a miss.
 func (s *FeatureStore) Get(gid relation.TID, attrsID uint32, vals []relation.Value) *Features {
-	k := featKey{gid: gid, attrs: attrsID}
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	f, ok := sh.m[k]
-	if ok {
-		sh.hits.Add(1)
-	}
-	sh.mu.RUnlock()
-	if ok {
+	slot := (*s.tables.Load())[attrsID].slot(gid, true)
+	if f := slot.Load(); f != nil {
+		s.hits.Add(1)
 		return f
 	}
-	// Compute outside the lock; a concurrent duplicate costs one redundant
-	// computation, never a wrong answer (features are deterministic).
-	f = ComputeFeatures(vals, s.dim)
-	sh.mu.Lock()
-	sh.misses.Add(1)
-	if prev, ok := sh.m[k]; ok {
-		f = prev
-	} else {
-		sh.m[k] = f
-	}
-	sh.mu.Unlock()
-	return f
-}
-
-// Cached returns the feature bundle of (gid, attrsID) only if it is
-// already in the store, counting a hit when found. Callers use it to
-// avoid gathering the boxed attribute vector on warm lookups: probe
-// Cached first, and only on a miss gather the values and call Get (which
-// then accounts the miss).
-func (s *FeatureStore) Cached(gid relation.TID, attrsID uint32) (*Features, bool) {
-	k := featKey{gid: gid, attrs: attrsID}
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	f, ok := sh.m[k]
-	if ok {
-		sh.hits.Add(1)
-	}
-	sh.mu.RUnlock()
-	return f, ok
+	return s.publish(slot, ComputeFeatures(vals, s.dim))
 }
 
 // GetText is Get for callers that already hold the flattened text (the
 // baselines' record view).
 func (s *FeatureStore) GetText(gid relation.TID, attrsID uint32, text string) *Features {
-	k := featKey{gid: gid, attrs: attrsID}
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	f, ok := sh.m[k]
-	if ok {
-		sh.hits.Add(1)
-	}
-	sh.mu.RUnlock()
-	if ok {
+	slot := (*s.tables.Load())[attrsID].slot(gid, true)
+	if f := slot.Load(); f != nil {
+		s.hits.Add(1)
 		return f
 	}
-	f = computeFeaturesText(text, s.dim)
-	sh.mu.Lock()
-	sh.misses.Add(1)
-	if prev, ok := sh.m[k]; ok {
-		f = prev
-	} else {
-		sh.m[k] = f
-	}
-	sh.mu.Unlock()
-	return f
+	return s.publish(slot, computeFeaturesText(text, s.dim))
 }
 
-// Snapshot returns hits, misses, and retained bundle count in one pass.
-// Each shard is read under its write lock, excluding in-flight Gets on
-// that shard, so the per-shard triples are mutually coherent.
-func (s *FeatureStore) Snapshot() CacheSnapshot {
-	var out CacheSnapshot
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out.Hits += sh.hits.Load()
-		out.Misses += sh.misses.Load()
-		out.Entries += len(sh.m)
-		sh.mu.Unlock()
+// publish installs a freshly computed bundle. A concurrent duplicate costs
+// one redundant computation, never a wrong answer (features are
+// deterministic): the loser discards its bundle, returns the winner's and
+// counts as the hit it turned out to be.
+func (s *FeatureStore) publish(slot *atomic.Pointer[Features], f *Features) *Features {
+	if slot.CompareAndSwap(nil, f) {
+		s.misses.Add(1)
+		return f
 	}
-	return out
+	s.hits.Add(1)
+	return slot.Load()
+}
+
+// Cached returns the feature bundle of (gid, attrsID) only if it is
+// already in the store. Callers use it to avoid gathering the boxed
+// attribute vector on warm lookups: probe Cached first, and only on a miss
+// gather the values and call Get. Cached counts nothing — it is the
+// enumeration inner loop's probe, and a shared counter there is a cache
+// line every goroutine writes; such callers count their own hits (the
+// chase engine folds them into Stats.FeatHits).
+func (s *FeatureStore) Cached(gid relation.TID, attrsID uint32) (*Features, bool) {
+	slot := (*s.tables.Load())[attrsID].slot(gid, false)
+	if slot == nil {
+		return nil, false
+	}
+	f := slot.Load()
+	return f, f != nil
+}
+
+// Snapshot returns the hits and misses counted by Get and GetText and the
+// retained bundle count. Entries is the miss counter itself (one published
+// bundle per counted miss), so Misses == Entries in every snapshot, taken
+// mid-run or not.
+func (s *FeatureStore) Snapshot() CacheSnapshot {
+	misses := s.misses.Load()
+	return CacheSnapshot{Hits: s.hits.Load(), Misses: misses, Entries: int(misses)}
 }
 
 // Len returns the number of retained feature bundles.
@@ -345,7 +322,6 @@ func (s *FeatureStore) Len() int {
 
 // Stats returns (hits, misses); a miss creates and retains one bundle
 // (whose token and embedding parts are then derived lazily on first use).
-// Callers needing hits, misses, and Len coherently should use Snapshot.
 func (s *FeatureStore) Stats() (hits, misses int64) {
 	snap := s.Snapshot()
 	return snap.Hits, snap.Misses

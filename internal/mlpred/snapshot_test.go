@@ -1,6 +1,7 @@
 package mlpred
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -84,7 +85,67 @@ func TestFeatureStoreSnapshotCoherent(t *testing.T) {
 	if snap.Entries != 101 {
 		t.Fatalf("entries = %d, want 101", snap.Entries)
 	}
-	if int64(snap.Entries) > snap.Misses {
-		t.Fatalf("entries %d exceed misses %d", snap.Entries, snap.Misses)
+	if int64(snap.Entries) != snap.Misses {
+		t.Fatalf("entries %d != misses %d", snap.Entries, snap.Misses)
+	}
+}
+
+// TestFeatureStoreOnePublisherPerKey races 8 goroutines over the same
+// keys — in three attribute lists and at GIDs that land in the first
+// directory segment, in a late one and in the last slot of the id space —
+// and checks the CAS publication contract: every goroutine gets the same
+// bundle for a key, and exactly one of the duplicate computations is
+// retained and counted, so Misses == Entries == distinct keys.
+func TestFeatureStoreOnePublisherPerKey(t *testing.T) {
+	s := NewFeatureStore(0)
+	lists := []uint32{s.AttrsID([]int{0}), s.AttrsID([]int{1, 2}), s.AttrsID(nil)}
+	var gids []relation.TID
+	for i := 0; i < 600; i++ { // crosses pages and the first segments
+		gids = append(gids, relation.TID(i))
+	}
+	for i := 0; i < 40; i++ {
+		gids = append(gids, relation.TID(1<<20+i*97), relation.TID(math.MaxInt32-i))
+	}
+	const goroutines = 8
+	keys := len(lists) * len(gids)
+	got := make([][]*Features, goroutines) // per goroutine, by list*len(gids)+gid index
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		got[g] = make([]*Features, keys)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals := []relation.Value{relation.S("some text")}
+			for l, id := range lists {
+				for i := range gids {
+					// Each goroutine walks the keys from its own offset, so
+					// first touches collide instead of following one leader.
+					k := (i + g*len(gids)/goroutines) % len(gids)
+					f := s.Get(gids[k], id, vals)
+					if c, ok := s.Cached(gids[k], id); !ok || c != f {
+						t.Errorf("Cached(%d, %d) = %p, %v after Get returned %p", gids[k], id, c, ok, f)
+					}
+					got[g][l*len(gids)+k] = f
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		for k := range got[g] {
+			if got[g][k] != got[0][k] {
+				t.Fatalf("goroutine %d holds a different bundle for gid %d list %d", g, gids[k%len(gids)], k/len(gids))
+			}
+		}
+	}
+	snap := s.Snapshot()
+	if snap.Misses != int64(keys) || snap.Entries != keys {
+		t.Fatalf("misses %d, entries %d, want both %d (one publisher per key)", snap.Misses, snap.Entries, keys)
+	}
+	if snap.Hits+snap.Misses != int64(goroutines*keys) {
+		t.Fatalf("hits %d + misses %d != %d lookups", snap.Hits, snap.Misses, goroutines*keys)
+	}
+	if _, ok := s.Cached(700, lists[0]); ok {
+		t.Fatal("Cached reports a bundle nobody computed")
 	}
 }

@@ -9,77 +9,17 @@ package provenance_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"dcer/internal/chase"
 	"dcer/internal/complexity"
+	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
 	"dcer/internal/mlpred"
 	"dcer/internal/provenance"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
 )
-
-// randomInstance builds a small random dataset over a fixed 3-relation
-// schema with tiny value domains (to force collisions) and a random rule
-// set mixing equality, constant, id and ML predicates — the same
-// construction the chase oracle tests use (internal/chase/random_test.go;
-// duplicated here because test helpers do not cross packages).
-func randomInstance(seed int64) (*relation.Dataset, []*rule.Rule, error) {
-	rng := rand.New(rand.NewSource(seed))
-	str := relation.TypeString
-	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
-	db := relation.MustDatabase(
-		relation.MustSchema("P", "pk", a("pk"), a("x"), a("y"), a("ref")),
-		relation.MustSchema("Q", "qk", a("qk"), a("x"), a("y"), a("ref")),
-		relation.MustSchema("R", "rk", a("rk"), a("x"), a("y"), a("ref")),
-	)
-	d := relation.NewDataset(db)
-	names := []string{"P", "Q", "R"}
-	vals := []string{"u", "v", "w"}
-	size := 6 + rng.Intn(10)
-	for _, rel := range names {
-		for i := 0; i < size; i++ {
-			d.MustAppend(rel,
-				relation.S(fmt.Sprintf("%s%d", rel, i)),
-				relation.S(vals[rng.Intn(len(vals))]),
-				relation.S(vals[rng.Intn(len(vals))]),
-				relation.S(fmt.Sprintf("%s%d", names[rng.Intn(3)], rng.Intn(size))))
-		}
-	}
-	attrs := []string{"x", "y"}
-	var rulesText string
-	numRules := 2 + rng.Intn(4)
-	for ri := 0; ri < numRules; ri++ {
-		relA := names[rng.Intn(3)]
-		relB := names[rng.Intn(3)]
-		body := ""
-		for k := 0; k <= rng.Intn(2); k++ {
-			body += fmt.Sprintf(" ^ a.%s = b.%s", attrs[rng.Intn(2)], attrs[rng.Intn(2)])
-		}
-		extra := ""
-		switch rng.Intn(4) {
-		case 0:
-			body += fmt.Sprintf(" ^ a.x = %q", vals[rng.Intn(len(vals))])
-		case 1:
-			body += " ^ lev080(a.y, b.y)"
-		case 2:
-			relC := names[rng.Intn(3)]
-			extra = fmt.Sprintf(" ^ %s(c) ^ %s(e) ^ a.ref = c.%sk ^ b.ref = e.%sk ^ c.id = e.id",
-				relC, relC, lower(relC), lower(relC))
-		case 3:
-			relC := names[rng.Intn(3)]
-			extra = fmt.Sprintf(" ^ %s(c) ^ a.ref = c.%sk ^ c.x = b.y", relC, lower(relC))
-		}
-		rulesText += fmt.Sprintf("r%d: %s(a) ^ %s(b)%s%s -> a.id = b.id\n",
-			ri, relA, relB, body, extra)
-	}
-	rules, err := rule.ParseResolved(rulesText, db)
-	return d, rules, err
-}
-
-func lower(s string) string { return string(s[0] + 32) }
 
 // replayProof converts a proof extracted from the production log into the
 // verifier's fact sequence and replays it. Setup id-value duplicates need
@@ -136,7 +76,7 @@ func TestProofReplaysAgainstVerifier(t *testing.T) {
 		{"default", chase.Options{ShareIndexes: true}},
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -188,7 +128,7 @@ func TestDMatchProofEveryPair(t *testing.T) {
 		seeds = 4
 	}
 	for seed := int64(300); seed < 300+seeds; seed++ {
-		d, rules, err := randomInstance(seed)
+		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

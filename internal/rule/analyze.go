@@ -2,6 +2,7 @@ package rule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -238,4 +239,121 @@ func FilterDeepOnly(rules []*Rule, maxVars int) []*Rule {
 		}
 	}
 	return out
+}
+
+// maxSymmetryVars bounds the brute-force search of Symmetry: a rule with
+// more tuple variables is left unreduced.
+const maxSymmetryVars = 8
+
+// Symmetry returns a variable involution σ (σ[v] is the image of variable
+// v, σ∘σ = id) under which the rule is its own mirror image, or nil when
+// no such σ exists. σ swaps only variables of the same relation, maps the
+// two sides of the head onto each other (the head must be an id predicate
+// over two distinct variables), and leaves the body invariant as a set:
+// equalities and id predicates are unordered, a constant moves with its
+// variable, and an ML predicate M(a[Ā], b[B̄]) must land on a body
+// predicate M(σa[Ā], σb[B̄]) or on its mirror M(σb[B̄], σa[Ā]).
+//
+// symmetricML reports whether a model's answer is a fixed, symmetric
+// function of the tuple pair — false for asymmetric classifiers and for
+// models some rule head can validate, whose truth is directional. A rule
+// carrying an ML predicate over any other model has no symmetry.
+//
+// For such a rule every valuation h has a twin h∘σ that satisfies the
+// body exactly when h does and derives the same head fact and the same
+// dependency, so an enumeration may keep one of each pair (DESIGN.md §6).
+func Symmetry(r *Rule, symmetricML func(model string) bool) []int {
+	n := len(r.Vars)
+	h := &r.Head
+	if h.Kind != PredID || h.V1 == h.V2 || n > maxSymmetryVars ||
+		r.Vars[h.V1].RelIdx != r.Vars[h.V2].RelIdx {
+		return nil
+	}
+	for i := range r.Body {
+		if p := &r.Body[i]; p.Kind == PredML && !symmetricML(p.Model) {
+			return nil
+		}
+	}
+	sigma := make([]int, n)
+	for v := range sigma {
+		sigma[v] = -1
+	}
+	sigma[h.V1], sigma[h.V2] = h.V2, h.V1
+	// Assign the remaining variables in order: each is a fixed point or
+	// swaps with a later unassigned variable of its relation.
+	var search func(v int) bool
+	search = func(v int) bool {
+		for v < n && sigma[v] >= 0 {
+			v++
+		}
+		if v == n {
+			return bodyInvariant(r, sigma)
+		}
+		sigma[v] = v
+		if search(v + 1) {
+			return true
+		}
+		for w := v + 1; w < n; w++ {
+			if sigma[w] >= 0 || r.Vars[w].RelIdx != r.Vars[v].RelIdx {
+				continue
+			}
+			sigma[v], sigma[w] = w, v
+			if search(v + 1) {
+				return true
+			}
+			sigma[w] = -1
+		}
+		sigma[v] = -1
+		return false
+	}
+	if !search(0) {
+		return nil
+	}
+	return sigma
+}
+
+// bodyInvariant reports whether every body predicate's image under sigma
+// is again a body predicate. sigma permutes the predicates injectively,
+// so this makes the body, as a set, equal to its image.
+func bodyInvariant(r *Rule, sigma []int) bool {
+	for i := range r.Body {
+		p := &r.Body[i]
+		found := false
+		for j := range r.Body {
+			if mirrors(p, &r.Body[j], sigma) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// mirrors reports whether q is the image of p under sigma.
+func mirrors(p, q *Pred, sigma []int) bool {
+	if p.Kind != q.Kind {
+		return false
+	}
+	v1, v2 := sigma[p.V1], sigma[p.V2]
+	switch p.Kind {
+	case PredConst:
+		// Same relation, hence same attribute type: equal surface text is
+		// the same typed constant.
+		return q.V1 == v1 && q.A1 == p.A1 && q.ConstText == p.ConstText
+	case PredEq:
+		return q.V1 == v1 && q.A1 == p.A1 && q.V2 == v2 && q.A2 == p.A2 ||
+			q.V1 == v2 && q.A1 == p.A2 && q.V2 == v1 && q.A2 == p.A1
+	case PredID:
+		return q.V1 == v1 && q.V2 == v2 || q.V1 == v2 && q.V2 == v1
+	case PredML:
+		if q.Model != p.Model {
+			return false
+		}
+		return q.V1 == v1 && q.V2 == v2 && slices.Equal(q.A1Vec, p.A1Vec) && slices.Equal(q.A2Vec, p.A2Vec) ||
+			q.V1 == v2 && q.V2 == v1 && slices.Equal(q.A1Vec, p.A2Vec) && slices.Equal(q.A2Vec, p.A1Vec)
+	}
+	return false
 }

@@ -449,3 +449,106 @@ func TestRandomRuleRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSymmetry checks which rules rule.Symmetry recognises as their own
+// mirror image: every TPCH and TFACC rule is, and each way a rule can fail
+// to be — by relation, constant, join, attribute list, classifier or head —
+// is rejected.
+func TestSymmetry(t *testing.T) {
+	allSymmetric := func(string) bool { return true }
+	for _, rs := range []struct {
+		name string
+		text string
+		db   *relation.Database
+		want int
+	}{
+		{"tpch", datagen.TPCHRulesText, datagen.TPCHSchemas(), 6},
+		{"tfacc", datagen.TFACCRulesText, datagen.TFACCSchemas(), 8},
+	} {
+		rules, err := rule.ParseResolved(rs.text, rs.db)
+		if err != nil {
+			t.Fatalf("%s: %v", rs.name, err)
+		}
+		if len(rules) != rs.want {
+			t.Fatalf("%s: %d rules, want %d", rs.name, len(rules), rs.want)
+		}
+		for _, r := range rules {
+			sigma := rule.Symmetry(r, allSymmetric)
+			if sigma == nil {
+				t.Errorf("%s rule %s: no symmetry found", rs.name, r.Name)
+				continue
+			}
+			for v, w := range sigma {
+				if sigma[w] != v || r.Vars[v].RelIdx != r.Vars[w].RelIdx {
+					t.Errorf("%s rule %s: σ = %v is not a relation-preserving involution", rs.name, r.Name, sigma)
+				}
+			}
+			if sigma[r.Head.V1] != r.Head.V2 {
+				t.Errorf("%s rule %s: σ = %v does not swap the head", rs.name, r.Name, sigma)
+			}
+		}
+	}
+
+	str := relation.TypeString
+	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
+	db := relation.MustDatabase(
+		relation.MustSchema("P", "pk", a("pk"), a("x"), a("y"), a("ref")),
+		relation.MustSchema("Q", "qk", a("qk"), a("x"), a("y"), a("ref")),
+		relation.MustSchema("R", "rk", a("rk"), a("x"), a("y"), a("ref")),
+	)
+	for _, c := range []struct {
+		name  string
+		text  string
+		asym  string // model symmetricML rejects
+		sigma []int
+	}{
+		{name: "plain pair",
+			text: `P(a) ^ P(b) ^ a.x = b.x -> a.id = b.id`, sigma: []int{1, 0}},
+		{name: "cross attributes, both ways",
+			text: `P(a) ^ P(b) ^ a.x = b.y ^ a.y = b.x -> a.id = b.id`, sigma: []int{1, 0}},
+		{name: "mirrored constants",
+			text: `P(a) ^ P(b) ^ a.x = "u" ^ b.x = "u" -> a.id = b.id`, sigma: []int{1, 0}},
+		{name: "shared third variable is a fixed point",
+			text: `P(a) ^ P(b) ^ R(c) ^ a.ref = c.rk ^ b.ref = c.rk -> a.id = b.id`, sigma: []int{1, 0, 2}},
+		{name: "mirrored join with id predicate",
+			text:  `P(a) ^ P(b) ^ R(c) ^ R(e) ^ a.ref = c.rk ^ b.ref = e.rk ^ c.id = e.id -> a.id = b.id`,
+			sigma: []int{1, 0, 3, 2}},
+		{name: "symmetric ML on equal attribute lists",
+			text: `P(a) ^ P(b) ^ lev080(a.y, b.y) -> a.id = b.id`, sigma: []int{1, 0}},
+		{name: "ML pair mapped onto each other",
+			text:  `P(a) ^ P(b) ^ R(c) ^ R(e) ^ a.ref = c.rk ^ b.ref = e.rk ^ lev080(a.x, e.y) ^ lev080(b.x, c.y) -> a.id = b.id`,
+			sigma: []int{1, 0, 3, 2}},
+
+		{name: "relation mismatch",
+			text: `P(a) ^ Q(b) ^ a.x = b.x -> a.id = b.id`},
+		{name: "cross attributes, one way",
+			text: `P(a) ^ P(b) ^ a.x = b.y -> a.id = b.id`},
+		{name: "one-sided constant",
+			text: `P(a) ^ P(b) ^ a.x = b.x ^ a.y = "u" -> a.id = b.id`},
+		{name: "unequal constants",
+			text: `P(a) ^ P(b) ^ a.x = "u" ^ b.x = "v" -> a.id = b.id`},
+		{name: "one-sided join",
+			text: `P(a) ^ P(b) ^ R(c) ^ a.x = b.x ^ a.ref = c.rk -> a.id = b.id`},
+		{name: "mirrored join into different relations",
+			text: `P(a) ^ P(b) ^ R(c) ^ Q(e) ^ a.ref = c.rk ^ b.ref = e.qk -> a.id = b.id`},
+		{name: "ML with unequal attribute lists",
+			text: `P(a) ^ P(b) ^ lev080(a.x, b.y) -> a.id = b.id`},
+		{name: "asymmetric classifier",
+			text: `P(a) ^ P(b) ^ prefix(a.y, b.y) -> a.id = b.id`, asym: "prefix"},
+		{name: "dynamic ML predicate",
+			text: `P(a) ^ P(b) ^ a.x = b.x ^ lev080(a.y, b.y) -> a.id = b.id`, asym: "lev080"},
+		{name: "ML head",
+			text: `P(a) ^ P(b) ^ a.x = b.x -> lev080(a.y, b.y)`},
+		{name: "reflexive head",
+			text: `P(a) ^ P(b) ^ a.x = b.x -> a.id = a.id`},
+	} {
+		rules, err := rule.ParseResolved("r: "+c.text+"\n", db)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := rule.Symmetry(rules[0], func(model string) bool { return model != c.asym })
+		if fmt.Sprint(got) != fmt.Sprint(c.sigma) {
+			t.Errorf("%s: Symmetry(%s) = %v, want %v", c.name, c.text, got, c.sigma)
+		}
+	}
+}

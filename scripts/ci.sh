@@ -8,9 +8,10 @@
 # (internal/chase), the parallel BSP supersteps (internal/dmatch), the
 # justification log written from concurrent drains (internal/provenance),
 # the distributed master's sender and reader goroutines over the shared
-# wire stats (internal/wire), and the lock-free hash memo the HyPart scan
-# shards fill concurrently (internal/mqo) make the race detector mandatory
-# for those packages.
+# wire stats (internal/wire), the lock-free hash memo the HyPart scan
+# shards fill concurrently (internal/mqo), and the CAS-published feature
+# store every enumeration goroutine probes (internal/mlpred) make the race
+# detector mandatory for those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -33,8 +34,8 @@ go build ./...
 echo "== go test -short ./..."
 go test -short ./...
 
-echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
-go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
+echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
+go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
 
 echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
@@ -64,9 +65,10 @@ if ! grep -q "recoveries=1" /tmp/dcer_ci_crash.log; then
     exit 1
 fi
 
-echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch, adaptive reorders; then racing the compiled path)"
-go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence' ./internal/chase
-go test -race -short -count=1 -run 'TestPlan' ./internal/chase
+echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch, adaptive reorders; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path)"
+go test -short -count=1 -run 'TestSymmetry' ./internal/rule
+go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence|TestSymmetry' ./internal/chase
+go test -race -short -count=1 -run 'TestPlan|TestSymmetry' ./internal/chase
 
 echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple)"
 go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs' \
