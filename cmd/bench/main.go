@@ -2,15 +2,13 @@
 // chase hot path (first-pass Deduce, sequential vs concurrent), the
 // incremental IncDeduce drain, the ML caches, the HyPart partitioner
 // (seed-era reference vs the packed-key rewrite, sequential and sharded),
-// the full parallel DMatch run (in-process, and the DMatchDist arms as
-// true separate worker processes over TCP with the binary wire codec),
 // the wire codec's symbol dictionary in isolation, and the Fig. 6
 // experiment drivers on the synthetic generators, then writes the
 // results to a JSON file
 // (BENCH_<n>.json by convention, one per perf PR) so the performance
-// trajectory of the engine is tracked in-repo. The report also embeds the
-// instrumented DMatch run's routing profile (messages routed/deduped,
-// route time per superstep, adaptive rebalances) as routing_stats.
+// trajectory of the engine is tracked in-repo. End-to-end DMatch, in
+// process and distributed, is measured by the repository benchmark
+// (benchmark/, workloads tpch-dmatch and tpch-dist), not here.
 //
 //	go run ./cmd/bench                   # full run, writes BENCH_10.json
 //	go run ./cmd/bench -fig6=false       # hot-path benchmarks only
@@ -42,16 +40,13 @@
 // rows land in the report's "memory" section and are delta-printed
 // against -prev.
 //
-// Besides the timings the report embeds the per-stage latency histograms
-// of a telemetry-enabled pass (rule enumeration/merge, drain batches, BSP
-// routing and worker busy time) and the measured overhead of running
+// Besides the timings the report embeds the measured overhead of running
 // Deduce with instrumentation attached — the metrics registry, the
 // justification (provenance) log, and the health observatory (invariant
 // auditors + stall heartbeats + accuracy sampling), each against the same
 // interleaved uninstrumented arm; IncDeduce gets its own paired
 // health-on/health-off measurement. After writing the JSON it prints a
-// stage-attribution table and a delta table against the previous
-// BENCH_<n>.json (-prev).
+// delta table against the previous BENCH_<n>.json (-prev).
 //
 // The host class these artifacts are measured on (a shared single-core
 // VM) shows ±20% run-to-run variance under external load, so the
@@ -70,7 +65,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -86,7 +80,6 @@ import (
 	"dcer/internal/chase"
 	"dcer/internal/cliutil"
 	"dcer/internal/datagen"
-	"dcer/internal/dmatch"
 	"dcer/internal/eval"
 	"dcer/internal/experiments"
 	"dcer/internal/health"
@@ -141,32 +134,6 @@ type memEntry struct {
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
-// stageHist is one per-stage latency histogram snapshot from the
-// telemetry-enabled pass, embedded in the report so stage attribution
-// travels with the timings.
-type stageHist struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Count  uint64  `json:"count"`
-	Sum    float64 `json:"sum"`
-	P50    uint64  `json:"p50"`
-	P99    uint64  `json:"p99"`
-	Max    uint64  `json:"max"`
-}
-
-// routingStats summarizes the instrumented DMatch run's message routing:
-// batch sizes, dedup effectiveness, and the master's per-superstep route
-// cost, so the routing trajectory is tracked next to the timings.
-type routingStats struct {
-	Workers         int   `json:"workers"`
-	Supersteps      int   `json:"supersteps"`
-	MessagesRouted  int64 `json:"messages_routed"`
-	MessagesDeduped int64 `json:"messages_deduped"`
-	RouteNsTotal    int64 `json:"route_ns_total"`
-	RouteNsPerStep  int64 `json:"route_ns_per_step"`
-	Rebalances      int   `json:"rebalances"`
-}
-
 // report is the BENCH_<n>.json document.
 type report struct {
 	GOOS   string `json:"goos"`
@@ -218,24 +185,11 @@ type report struct {
 	// over the incremental drain (IncDeduce/health vs IncDeduce/health_base,
 	// interleaved pairs, median per-pair ratio). Budget ≤ 5%.
 	HealthIncOverheadPct float64 `json:"health_inc_overhead_pct"`
-	// RoutingStats snapshots the instrumented DMatch run's routing
-	// profile (messages routed/deduped, route time per superstep,
-	// adaptive rebalances), from the same pass as StageHistograms.
-	RoutingStats *routingStats `json:"routing_stats,omitempty"`
-	// WireStats snapshots the wire-level counters of each distributed
-	// DMatchDist arm (bytes and frames actually on the wire, encode and
-	// decode time, dictionary effectiveness), keyed by arm name, from the
-	// same pass whose timing the arm kept.
-	WireStats map[string]wire.Snapshot `json:"wire_stats,omitempty"`
 	// WireDictRatio is the codec arm's measured symbol compression:
 	// what re-sending every ML fact's model string inline would cost,
 	// over the dictionary bytes plus one varint id per fact actually
 	// shipped. Acceptance: ≥ 3.
 	WireDictRatio float64 `json:"wire_dict_ratio,omitempty"`
-	// StageHistograms are the per-stage latency histograms of the
-	// telemetry-enabled pass (chase rule enumeration/merge, drain
-	// batches, DMatch routing and worker busy time, HyPart shape).
-	StageHistograms []stageHist `json:"stage_histograms,omitempty"`
 	// PlanAttribution is the per-rule enumerate-time A/B between the rule
 	// interpreter and the compiled predicate plans: one telemetry-attached
 	// Deduce per mode, per-rule dcer_chase_rule_enumerate_ns sums paired
@@ -366,9 +320,6 @@ func toEntry(name string, r testing.BenchmarkResult) entry {
 type pass struct {
 	entries        []entry
 	incDeduceStats *chase.Stats
-	stageHists     []stageHist
-	routing        *routingStats
-	wireStats      map[string]wire.Snapshot
 	dictRatio      float64
 	// pairSamples holds this pass's interleaved overhead quads —
 	// ns per chase for (base, telemetry, provenance, health), the four
@@ -379,119 +330,8 @@ type pass struct {
 	incHealthSamples [][2]int64
 }
 
-// stageSnapshot flattens a registry's populated histograms into the
-// report's embedded form.
-func stageSnapshot(reg *telemetry.Registry) []stageHist {
-	var out []stageHist
-	for _, s := range reg.Snapshot() {
-		if s.Histogram == nil || s.Histogram.Count == 0 {
-			continue
-		}
-		var lbls []string
-		for _, l := range s.Labels {
-			lbls = append(lbls, l.Key+"="+l.Value)
-		}
-		out = append(out, stageHist{
-			Name:   s.Name,
-			Labels: strings.Join(lbls, ","),
-			Count:  s.Histogram.Count,
-			Sum:    s.Histogram.Sum,
-			P50:    s.Histogram.Quantile(0.5),
-			P99:    s.Histogram.Quantile(0.99),
-			Max:    s.Histogram.Max,
-		})
-	}
-	return out
-}
-
 // armRE, when non-nil, restricts which benchmark arms run (-arms).
 var armRE *regexp.Regexp
-
-// benchScale is the -scale the timing dataset was generated at, recorded
-// so the DMatchDist worker processes can regenerate the identical
-// dataset from the same seed (the distributed handshake fingerprint
-// rejects them otherwise).
-var benchScale float64
-
-// benchWorkerEnv is the env var that turns a re-exec of this binary into
-// a distributed DMatch worker process for the DMatchDist arms.
-const benchWorkerEnv = "DCER_BENCH_WORKER"
-
-// benchWorkerMain is the worker half of the DMatchDist arms: regenerate
-// the master's dataset from the shared seed, serve supersteps, exit.
-func benchWorkerMain() {
-	addr := os.Getenv("DCER_BENCH_ADDR")
-	id, err := strconv.Atoi(os.Getenv("DCER_BENCH_WORKER_ID"))
-	if err != nil {
-		fatal(fmt.Errorf("bad DCER_BENCH_WORKER_ID: %w", err))
-	}
-	scale, err := strconv.ParseFloat(os.Getenv("DCER_BENCH_SCALE"), 64)
-	if err != nil {
-		fatal(fmt.Errorf("bad DCER_BENCH_SCALE: %w", err))
-	}
-	g := datagen.TPCH(datagen.TPCHOptions{Scale: scale, Dup: 0.3, Seed: 1})
-	rules, err := g.Rules()
-	if err != nil {
-		fatal(err)
-	}
-	if err := dmatch.RunWorker(addr, g.D, rules, mlpred.DefaultRegistry(), dmatch.WorkerOptions{Worker: id}); err != nil {
-		fatal(err)
-	}
-	os.Exit(0)
-}
-
-// runDistributedArms times the true multi-process DMatch at 2 and 4
-// worker processes: each worker is a re-exec of this binary (own address
-// space, TCP to the master), so the arm pays real serialization, real
-// sockets, and real process scheduling. The arms run once per pass (the
-// repeat-and-keep-minimum merge suppresses noise, same as every arm) and
-// keep the run's wire-level counters next to the timing.
-func runDistributedArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred.Registry) {
-	exe, exeErr := os.Executable()
-	for _, n := range []int{2, 4} {
-		name := fmt.Sprintf("DMatchDist/workers=%d", n)
-		if !armOn(name) {
-			continue
-		}
-		if exeErr != nil {
-			logg.Warnf("skipping %s: cannot locate own binary: %v", name, exeErr)
-			return
-		}
-		logg.Infof("benchmarking %s (separate worker processes over TCP)...", name)
-		var procs []*exec.Cmd
-		spawn := func(w int, addr string) error {
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(),
-				benchWorkerEnv+"=1",
-				"DCER_BENCH_ADDR="+addr,
-				"DCER_BENCH_WORKER_ID="+strconv.Itoa(w),
-				"DCER_BENCH_SCALE="+strconv.FormatFloat(benchScale, 'g', -1, 64))
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				return err
-			}
-			procs = append(procs, cmd)
-			return nil
-		}
-		t0 := time.Now()
-		res, err := dmatch.RunDistributed(g.D, rules, reg, dmatch.Options{Workers: n}, dmatch.DistOptions{Spawn: spawn})
-		el := time.Since(t0)
-		for _, pr := range procs {
-			pr.Wait()
-		}
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		p.entries = append(p.entries, entry{
-			Name: name, Ops: 1, NsPerOp: el.Nanoseconds(),
-			SimulatedTimeNs: int64(res.SimulatedTime),
-		})
-		if p.wireStats == nil {
-			p.wireStats = map[string]wire.Snapshot{}
-		}
-		p.wireStats[name] = res.Wire
-	}
-}
 
 // runWireCodecArm measures the wire codec in isolation: encoding
 // superstep batches of ML facts (the realistic shape — few classifier
@@ -758,12 +598,11 @@ func runPass(g *datagen.Generated, rules []*dcer.Rule, workers int, fig6 bool, e
 	// corrupted outright — on this host a single spike otherwise moves
 	// even a best-pass sum by several percent, above the effect being
 	// measured.
-	treg := telemetry.NewRegistry()
 	if armOn("Deduce/telemetry") {
 		logg.Infof("benchmarking Deduce/telemetry, Deduce/provenance and Deduce/health (paired overhead samples)...")
 		runOverheadQuads(p, g, rules, reg)
 	}
-	runIncDeduceArms(p, g, rules, reg, workers, fig6, expScale, treg)
+	runIncDeduceArms(p, g, rules, reg, workers, fig6, expScale)
 	return p
 }
 
@@ -862,9 +701,9 @@ func runOverheadQuads(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 }
 
 // runIncDeduceArms runs the remaining arms of a pass: IncDeduce, the ML
-// cache microbenchmarks, the Partition arms, DMatch, and the Fig. 6
-// drivers, each gated by -arms.
-func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred.Registry, workers int, fig6 bool, expScale float64, treg *telemetry.Registry) {
+// cache microbenchmarks, the Partition arms, the wire codec, and the
+// Fig. 6 drivers, each gated by -arms.
+func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred.Registry, workers int, fig6 bool, expScale float64) {
 	// IncDeduce: replay a full chase's facts into a fresh engine through
 	// the incremental path A_Δ. The run is pure update-driven drain — the
 	// component that dominates the Fig. 6 drivers — A/B'd between the
@@ -960,57 +799,7 @@ func runIncDeduceArms(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *ml
 		}
 	}
 
-	runDistributedArms(p, g, rules, reg)
 	runWireCodecArm(p)
-
-	for _, n := range []int{1, workers} {
-		name := fmt.Sprintf("DMatch/workers=%d", n)
-		if !armOn(name) {
-			continue
-		}
-		logg.Infof("benchmarking %s...", name)
-		var sim time.Duration
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := dmatch.Run(g.D, rules, reg, dmatch.Options{Workers: n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = res.SimulatedTime
-			}
-		})
-		e := toEntry(name, r)
-		e.SimulatedTimeNs = int64(sim)
-		p.entries = append(p.entries, e)
-	}
-
-	// One instrumented DMatch run adds the BSP stage histograms (routing,
-	// per-worker busy time) and the HyPart shape to the same registry,
-	// then the combined snapshot is embedded in the report together with
-	// the run's routing profile.
-	if armOn("DMatch") {
-		dres, err := dmatch.Run(g.D, rules, reg, dmatch.Options{Workers: workers, Metrics: treg})
-		if err != nil {
-			fatal(err)
-		}
-		p.stageHists = stageSnapshot(treg)
-		var routeNs int64
-		for _, ss := range dres.Timeline().Steps {
-			routeNs += ss.RouteNs
-		}
-		p.routing = &routingStats{
-			Workers:         workers,
-			Supersteps:      dres.Supersteps,
-			MessagesRouted:  dres.MessagesRouted,
-			MessagesDeduped: dres.MessagesDeduped,
-			RouteNsTotal:    routeNs,
-			Rebalances:      len(dres.Rebalances),
-		}
-		if dres.Supersteps > 0 {
-			p.routing.RouteNsPerStep = routeNs / int64(dres.Supersteps)
-		}
-	}
 
 	if fig6 {
 		cfg := experiments.Config{Scale: expScale, Workers: workers, Seed: 1}
@@ -1134,14 +923,9 @@ func runIncDeduce(p *pass, g *datagen.Generated, rules []*dcer.Rule, reg *mlpred
 }
 
 func main() {
-	if os.Getenv(benchWorkerEnv) == "1" {
-		// Re-exec'd as a DMatchDist worker process: no flags, no report.
-		benchWorkerMain()
-		return
-	}
-	scale := flag.Float64("scale", 2.0, "TPCH scale for the Deduce/DMatch benchmarks (2.0 ≈ 57k tuples)")
+	scale := flag.Float64("scale", 2.0, "TPCH scale for the timing benchmarks (2.0 ≈ 57k tuples)")
 	expScale := flag.Float64("expscale", 0.1, "experiments.Config scale for the Fig. 6 drivers")
-	workers := flag.Int("workers", 8, "DMatch worker count")
+	workers := flag.Int("workers", 8, "worker count of the Fig. 6 drivers")
 	fig6 := flag.Bool("fig6", true, "also run the Fig. 6 experiment drivers")
 	repeat := flag.Int("repeat", 3, "measure every benchmark this many times and keep the per-benchmark minimum")
 	out := flag.String("out", "BENCH_10.json", "output JSON path")
@@ -1194,8 +978,7 @@ func main() {
 		Repeat:       *repeat,
 		SeedBaseline: seedBaseline,
 		PR1Baseline:  pr1Baseline,
-		Notes: "ns_per_op are wall-clock on this host; simulated_time_ns is the BSP makespan " +
-			"(max worker time per superstep, summed), the faithful stand-in for an n-machine cluster. " +
+		Notes: "ns_per_op are wall-clock on this host. " +
 			"The host is a shared single-core VM with ±20% run-to-run variance under external load; " +
 			"every benchmark is measured `repeat` times and the per-benchmark minimum recorded " +
 			"(the pr1/seed baselines were single-shot and carry the full variance). " +
@@ -1205,17 +988,13 @@ func main() {
 			"same way (unbounded log, worst case; budget ≤ 5%); health_overhead_pct and " +
 			"health_inc_overhead_pct measure the health observatory (invariant auditors, stall " +
 			"heartbeats, accuracy sampling) the same way over Deduce and the incremental drain " +
-			"(budget ≤ 5%); stage_histograms are the per-stage " +
-			"latency distributions of the telemetry-enabled pass. The plan=off|on arms A/B the " +
+			"(budget ≤ 5%). The plan=off|on arms A/B the " +
 			"compiled predicate plans against the rule interpreter (Options.InterpretRules); " +
 			"plan_attribution pairs the two modes' per-rule enumeration time from back-to-back " +
-			"telemetry-attached chases. The DMatchDist arms run the same DMatch with the workers " +
-			"as separate OS processes over TCP (each re-exec'd from this binary, regenerating the " +
-			"dataset from the shared seed); wire_stats keeps their wire-level counters and " +
-			"wire_dict_ratio the codec arm's symbol-dictionary compression vs naive inline strings.",
+			"telemetry-attached chases. wire_dict_ratio is the codec arm's symbol-dictionary " +
+			"compression vs naive inline strings.",
 	}
 
-	benchScale = *scale
 	logg.Infof("generating TPCH scale %.2f...", *scale)
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: *scale, Dup: 0.3, Seed: 1})
 	rules, err := g.Rules()
@@ -1250,16 +1029,6 @@ func main() {
 				best[e.Name] = e
 				if e.Name == "IncDeduce/parallel" {
 					rep.IncDeduceStats = p.incDeduceStats
-				}
-				if e.Name == "Deduce/telemetry" {
-					rep.StageHistograms = p.stageHists
-					rep.RoutingStats = p.routing
-				}
-				if snap, ok := p.wireStats[e.Name]; ok {
-					if rep.WireStats == nil {
-						rep.WireStats = map[string]wire.Snapshot{}
-					}
-					rep.WireStats[e.Name] = snap
 				}
 			}
 		}
@@ -1314,26 +1083,6 @@ func main() {
 	for _, e := range rep.Benchmarks {
 		fmt.Printf("  %-24s %3d ops  %12d ns/op  %10d allocs/op\n", e.Name, e.Ops, e.NsPerOp, e.AllocsPerOp)
 	}
-	if rs := rep.RoutingStats; rs != nil {
-		fmt.Printf("routing (w=%d): %d supersteps, %d routed, %d deduped, %s route time per superstep, %d rebalances\n",
-			rs.Workers, rs.Supersteps, rs.MessagesRouted, rs.MessagesDeduped,
-			time.Duration(rs.RouteNsPerStep).Round(time.Microsecond), rs.Rebalances)
-	}
-	if len(rep.WireStats) > 0 {
-		var names []string
-		for n := range rep.WireStats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			w := rep.WireStats[n]
-			fmt.Printf("wire (%s): out=%s in=%s frames=%d/%d encode=%s decode=%s dict=%d strings %s\n",
-				n, fmtBytes(w.BytesOut), fmtBytes(w.BytesIn), w.FramesOut, w.FramesIn,
-				time.Duration(w.EncodeNs).Round(time.Microsecond),
-				time.Duration(w.DecodeNs).Round(time.Microsecond),
-				w.DictStrings, fmtBytes(w.DictBytes))
-		}
-	}
 	if rep.WireDictRatio > 0 {
 		fmt.Printf("wire dictionary ratio: %.1fx vs naive inline model strings (acceptance ≥ 3x)\n", rep.WireDictRatio)
 	}
@@ -1344,7 +1093,6 @@ func main() {
 	fmt.Printf("health overhead: %+.2f%% Deduce, %+.2f%% IncDeduce (auditors + heartbeats + accuracy sampling vs paired health-off arms; budget ≤ 5%%)\n",
 		rep.HealthOverheadPct, rep.HealthIncOverheadPct)
 	printMemTable(rep)
-	printAttribution(rep)
 	printPlanAttribution(rep)
 	if *plandump && rep.PlanReport != nil {
 		dump, err := json.MarshalIndent(rep.PlanReport, "", "  ")
@@ -1447,32 +1195,6 @@ func medianRatioPct(ratios []float64) float64 {
 	return 100 * ((ratios[n/2-1]+ratios[n/2])/2 - 1)
 }
 
-// printAttribution breaks the instrumented time down by stage: each
-// duration histogram's share of the total time the telemetry pass saw.
-func printAttribution(rep *report) {
-	sums := map[string]float64{}
-	var total float64
-	for _, h := range rep.StageHistograms {
-		if !strings.HasSuffix(h.Name, "_ns") {
-			continue
-		}
-		sums[h.Name] += h.Sum
-		total += h.Sum
-	}
-	if total == 0 {
-		return
-	}
-	names := make([]string, 0, len(sums))
-	for n := range sums {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return sums[names[i]] > sums[names[j]] })
-	fmt.Println("stage attribution (telemetry pass, summed over instrumented regions):")
-	for _, n := range names {
-		fmt.Printf("  %-32s %12s  %5.1f%%\n", n, time.Duration(sums[n]).Round(time.Millisecond), 100*sums[n]/total)
-	}
-}
-
 // printDelta compares the run against a previous BENCH_<n>.json report.
 func printDelta(rep *report, path string) {
 	if path == "" {
@@ -1497,27 +1219,6 @@ func printDelta(rep *report, path string) {
 		if p, ok := prevNs[e.Name]; ok && p > 0 {
 			fmt.Printf("  %-24s %12d -> %12d ns/op  %+6.1f%%\n",
 				e.Name, p, e.NsPerOp, 100*float64(e.NsPerOp-p)/float64(p))
-		}
-	}
-	// Per-superstep route time: the previous report predates the
-	// routing_stats field, so fall back to its dcer_dmatch_route_ns stage
-	// histogram (sum/count over the instrumented run's supersteps).
-	if rep.RoutingStats != nil {
-		oldPerStep := float64(0)
-		if old.RoutingStats != nil {
-			oldPerStep = float64(old.RoutingStats.RouteNsPerStep)
-		} else {
-			for _, h := range old.StageHistograms {
-				if h.Name == "dcer_dmatch_route_ns" && h.Count > 0 {
-					oldPerStep = h.Sum / float64(h.Count)
-					break
-				}
-			}
-		}
-		if oldPerStep > 0 {
-			newPerStep := float64(rep.RoutingStats.RouteNsPerStep)
-			fmt.Printf("  %-24s %12.0f -> %12.0f ns/superstep  %+6.1f%%\n",
-				"DMatch/route", oldPerStep, newPerStep, 100*(newPerStep-oldPerStep)/oldPerStep)
 		}
 	}
 	// Memory deltas: allocations and live/resident bytes per storage arm,

@@ -170,15 +170,17 @@ func Match(d *Dataset, rules []*Rule, reg *ClassifierRegistry) (*Engine, error) 
 }
 
 // MatchParallel partitions d with HyPart and runs the parallel BSP engine
-// DMatch (Section V-B of the paper).
+// DMatch (Section V-B of the paper) with the workers as goroutines of
+// this process.
 func MatchParallel(d *Dataset, rules []*Rule, reg *ClassifierRegistry, opts ParallelOptions) (*ParallelResult, error) {
 	return dmatch.Run(d, rules, reg, opts)
 }
 
-// Distributed execution: the same DMatch fixpoint with the master and
-// workers as separate OS processes over TCP, speaking the compact binary
-// protocol of internal/wire. Γ is identical to MatchParallel with the
-// same options; see DESIGN.md §16.
+// Distributed execution: the same DMatch — one master loop, one worker
+// loop — with the workers as separate OS processes, the messages
+// MatchParallel hands its goroutines crossing TCP in the binary encoding
+// of internal/wire. Γ is identical to MatchParallel with the same
+// options; see DESIGN.md §16.
 type (
 	// DistributedOptions configures the process side of MatchDistributed:
 	// the listen address, the worker spawn hook, and failure-detection
@@ -193,9 +195,10 @@ type (
 var ErrWorkerCrash = dmatch.ErrInjectedCrash
 
 // MatchDistributed runs DMatch with n worker processes over TCP: the
-// master partitions, spawns workers via dopts.Spawn, routes facts through
+// master spawns workers via dopts.Spawn, partitions, routes facts through
 // the wire protocol, and recovers from worker failures by reassigning the
-// dead worker's blocks to the survivors.
+// dead worker's blocks to the survivors — the step a skew rebalance takes
+// in either mode.
 func MatchDistributed(d *Dataset, rules []*Rule, reg *ClassifierRegistry, opts ParallelOptions, dopts DistributedOptions) (*ParallelResult, error) {
 	return dmatch.RunDistributed(d, rules, reg, opts, dopts)
 }

@@ -166,6 +166,29 @@ type Stats struct {
 	FeatEntries    int   // (tuple, attr-list) feature bundles retained
 }
 
+// Add folds o's work counters into s — how a DMatch worker slot keeps the
+// work of the engines a reassignment retired. SymmetricRules, MLCacheSize
+// and FeatEntries describe what one engine holds, not work done, and stay
+// as s has them.
+func (s *Stats) Add(o Stats) {
+	s.Valuations += o.Valuations
+	s.Extensions += o.Extensions
+	s.PlanPreds += o.PlanPreds
+	s.PlanBatches += o.PlanBatches
+	s.PlanReorders += o.PlanReorders
+	s.MatchesFound += o.MatchesFound
+	s.MLValidated += o.MLValidated
+	s.DepsRecorded += o.DepsRecorded
+	s.DepsFired += o.DepsFired
+	s.DepsDropped += o.DepsDropped
+	s.Rounds += o.Rounds
+	s.IndexBuilds += o.IndexBuilds
+	s.MLCacheHits += o.MLCacheHits
+	s.MLCacheMiss += o.MLCacheMiss
+	s.FeatHits += o.FeatHits
+	s.FeatMisses += o.FeatMisses
+}
+
 // boundMLPred is an ML body predicate resolved to its classifier.
 type boundMLPred struct {
 	pred    *rule.Pred

@@ -137,20 +137,19 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 		reg.GaugeFunc(v.name, v.fn, labels...)
 	}
 
-	// The plans provider name is suffixed with the label values so the
+	// The provider names are suffixed with the label values so the
 	// parallel engine's per-worker engines (labelled worker=i) publish
-	// side by side instead of replacing each other.
-	planName := "plans"
+	// side by side instead of replacing each other — or, for provenance,
+	// the parallel engine's own view over all worker logs.
+	suffix := ""
 	for _, l := range labels {
-		planName += "_" + l.Value
+		suffix += "_" + l.Value
 	}
-	reg.SetDebug(planName, func() any { return e.PlanReport() })
+	reg.SetDebug("plans"+suffix, func() any { return e.PlanReport() })
 
 	if p := e.opts.Provenance; p != nil {
 		p.AttachMetrics(reg, labels...)
-		// The parallel engine replaces this per-engine provider with an
-		// aggregate over all worker logs (SetDebug replaces by name).
-		reg.SetDebug("provenance", func() any { return p.Summarize() })
+		reg.SetDebug("provenance"+suffix, func() any { return p.Summarize() })
 	}
 }
 

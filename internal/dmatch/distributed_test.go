@@ -16,6 +16,7 @@ import (
 	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
 	"dcer/internal/mlpred"
+	"dcer/internal/relation"
 	"dcer/internal/rule"
 )
 
@@ -50,15 +51,24 @@ func tpchWorkload(t *testing.T) (*datagen.Generated, []*rule.Rule) {
 // worker id to an injected CrashAfter value (0 = none).
 func spawnLocalWorkers(t *testing.T, crashAfter map[int]int, errs chan error) func(int, string) error {
 	t.Helper()
+	return spawnWorkersOver(func() (*relation.Dataset, []*rule.Rule, error) {
+		g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.04, Dup: 0.4, Seed: 7})
+		rules, err := g.Rules()
+		return g.D, rules, err
+	}, crashAfter, errs)
+}
+
+// spawnWorkersOver is spawnLocalWorkers over any inputs: every worker
+// goroutine calls load for its own copy.
+func spawnWorkersOver(load func() (*relation.Dataset, []*rule.Rule, error), crashAfter map[int]int, errs chan error) func(int, string) error {
 	return func(worker int, addr string) error {
 		go func() {
-			g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.04, Dup: 0.4, Seed: 7})
-			rules, err := g.Rules()
+			d, rules, err := load()
 			if err != nil {
 				errs <- err
 				return
 			}
-			errs <- dmatch.RunWorker(addr, g.D, rules, mlpred.DefaultRegistry(), dmatch.WorkerOptions{
+			errs <- dmatch.RunWorker(addr, d, rules, mlpred.DefaultRegistry(), dmatch.WorkerOptions{
 				Worker:            worker,
 				HeartbeatInterval: 100 * time.Millisecond,
 				CrashAfter:        crashAfter[worker],

@@ -1,7 +1,7 @@
 // Package dmatch implements the parallel algorithm DMatch of Section V-B:
 // the BSP fixpoint model of Section III-B over fragments produced by
 // HyPart. Each worker runs the sequential chase engine on its fragment —
-// partial evaluation A (Deduce) in the first superstep, incremental A_Δ
+// partial evaluation A (Deduce) in its first superstep, incremental A_Δ
 // (IncDeduce) afterwards — and a master routes newly deduced matches and
 // validated ML predictions to the workers hosting either tuple. No raw
 // tuples are ever exchanged after partitioning, only facts.
@@ -11,16 +11,23 @@
 // incremental work is bounded by the number of facts, so runtime shrinks
 // proportionally as workers are added.
 //
+// There is one DMatch. The master's superstep loop (loop.go) speaks the
+// wire protocol's Assign / Step / Done to each worker through a link and
+// gets Delta, final stats or the worker's death back (link.go); the worker
+// half (worker.go) executes those messages against its engine. Run puts
+// the workers behind loopback links — goroutines handed the decoded
+// message structs — and RunDistributed behind TCP links to processes
+// running RunWorker; nothing else differs, so both return the same Γ.
+//
 // The master's routing is batched: a sequential pass folds each new fact's
 // recipient set into a worker bitset (classes carry their host bitsets in
 // the union-find, so recipients are two bitword ORs, not a member-list
 // walk), then per-destination builders — one goroutine per worker — scan
 // the route list and assemble each inbox, suppressing any fact the
 // destination already received or itself produced (Result.MessagesDeduped).
-// When a superstep's skew ratio exceeds Options.RebalanceSkew, the
-// scheduler re-runs the LPT assignment over the virtual blocks' observed
-// costs and migrates blocks between workers before the next superstep
-// (see rebalance.go).
+// When a superstep's skew ratio exceeds Options.RebalanceSkew, or a worker
+// dies, the master reassigns virtual blocks and the workers whose block
+// sets changed rebuild and replay the fact history (masterState.reassign).
 package dmatch
 
 import (
@@ -30,7 +37,6 @@ import (
 	"time"
 
 	"dcer/internal/chase"
-	"dcer/internal/fnv"
 	"dcer/internal/health"
 	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
@@ -42,7 +48,11 @@ import (
 	"dcer/internal/wire"
 )
 
-// Options configures a DMatch run.
+// Options configures a DMatch run. Every field means the same under Run
+// and RunDistributed, with two exceptions: Provenance is rejected by
+// RunDistributed, and the engine-level hooks of Metrics, Log and Health
+// (the per-worker chase series, round events and engine auditors) reach
+// only workers in the master's process.
 type Options struct {
 	// Workers is the number n of workers; 0 means GOMAXPROCS.
 	Workers int
@@ -53,14 +63,13 @@ type Options struct {
 	MaxDeps int
 	// ReplicationCap bounds HyPart's per-tuple copy factor (see hypart).
 	ReplicationCap int
-	// PartitionShards is the goroutine fan-out of the HyPart pass (see
-	// hypart.Options.Shards); 0 means GOMAXPROCS.
-	PartitionShards int
 	// MaxSupersteps bounds the BSP loop as a safety net; 0 means 1 << 20.
 	MaxSupersteps int
-	// Sequential forces the supersteps to run workers one at a time (and
-	// each worker's Deduce to enumerate rules sequentially); useful for
-	// deterministic debugging and undistorted per-worker timings.
+	// Sequential forces the supersteps to run workers one at a time (the
+	// master waits for each worker's delta before it starts the next), each
+	// worker's Deduce to enumerate rules sequentially, and the master to
+	// build the inboxes one after another; useful for deterministic
+	// debugging and undistorted per-worker timings.
 	Sequential bool
 	// SequentialDeduce keeps the supersteps parallel across workers but
 	// disables the concurrent per-rule first pass inside each worker's
@@ -80,10 +89,6 @@ type Options struct {
 	// PlanResortMinEvals overrides the per-worker adaptive plan-reorder
 	// threshold (see chase.Options.PlanResortMinEvals).
 	PlanResortMinEvals int
-	// SequentialRoute disables the concurrent per-destination inbox build
-	// in the master after each barrier (the routing A/B knob for the
-	// benchmarks; the built inboxes are identical either way).
-	SequentialRoute bool
 	// RebalanceSkew is the per-superstep skew-ratio threshold above which
 	// the scheduler re-runs the LPT assignment over the virtual blocks'
 	// observed costs and migrates blocks between workers before the next
@@ -100,16 +105,16 @@ type Options struct {
 	RebalanceMinStepNs int64
 	// Metrics, when non-nil, receives live instrumentation: per-superstep
 	// makespan/skew gauges, routing counters, per-worker busy histograms,
-	// the partition-size histograms of HyPart, and every worker engine's
-	// chase series (labeled worker=i). The in-progress superstep timeline
-	// is exposed as the "dmatch_timeline" debug provider and the adaptive
-	// migrations as "dmatch_rebalance" (/debug/dcer).
+	// the partition-size histograms of HyPart, and every in-process worker
+	// engine's chase series (labeled worker=i). The in-progress superstep
+	// timeline is exposed as the "dmatch_timeline" debug provider and the
+	// adaptive migrations as "dmatch_rebalance" (/debug/dcer).
 	Metrics *telemetry.Registry
 	// Trace parents the run's causal spans: a dmatch.Run root, one
 	// dmatch.superstep span per BSP step with each worker's
-	// Deduce/IncDeduce as children on the worker's lane, the master's
-	// route span with per-destination inbox builds, and rebalance
-	// migrations with per-worker rebuild child spans. The zero value
+	// Deduce/IncDeduce as children on the worker's lane (in-process
+	// workers only), the master's route span with per-destination inbox
+	// builds, and a reassign span per migration or recovery. The zero value
 	// disables capture; when Metrics is set and Trace is not, a root is
 	// derived from the registry's tracer so a -telemetry run always
 	// yields a causal trace (/debug/trace).
@@ -121,9 +126,10 @@ type Options struct {
 	Log *telemetry.Logger
 	// Health attaches the run to a health monitor: a superstep heartbeat
 	// for the stall watchdog, a sampled auditor over the master's global
-	// union-find (run in the sequential route phase, where it is
-	// quiescent), and the same monitor threaded into every worker engine
-	// (see chase.Options.Health). When the monitor carries ground truth,
+	// union-find (run in the sequential fold phase, where it is
+	// quiescent), a "dist_workers" check that fails when a worker dies, and
+	// the same monitor threaded into every in-process worker engine (see
+	// chase.Options.Health). When the monitor carries ground truth,
 	// the master feeds the accuracy observatory from the globally folded
 	// matches — the authoritative estimate, since workers only see their
 	// fragments. nil disables the layer.
@@ -137,6 +143,20 @@ type Options struct {
 	// ProvenanceLimit bounds each worker's log (0 means
 	// provenance.DefaultLimit, negative means unbounded).
 	ProvenanceLimit int
+}
+
+// wireEngineOpts projects the Γ-relevant engine knobs onto the form every
+// Assign carries; Sequential folds into the per-engine flags here.
+func wireEngineOpts(opts Options) wire.EngineOpts {
+	return wire.EngineOpts{
+		NoMQO:              opts.NoMQO,
+		SequentialDeduce:   opts.Sequential || opts.SequentialDeduce,
+		SequentialDrain:    opts.Sequential || opts.SequentialDrain,
+		InterpretRules:     opts.InterpretRules,
+		MaxDeps:            opts.MaxDeps,
+		DrainParallelMin:   opts.DrainParallelMin,
+		PlanResortMinEvals: opts.PlanResortMinEvals,
+	}
 }
 
 // Result is the outcome of a parallel run.
@@ -157,13 +177,13 @@ type Result struct {
 	FactsProduced   int64 // facts reported by workers incl. duplicates
 	PartitionStats  hypart.Stats
 	PartitionTime   time.Duration
-	// BuildTime is the set-up between partitioning and the first
-	// superstep: the master's global E_id and host bitsets plus, in
-	// process, the worker engines (fragment datasets, rule scopes,
-	// compiled plans). Distributed workers build their engines inside
-	// their first superstep, so there it is the master's share only —
-	// accepting the workers and shipping their assignments included.
-	// PartitionTime + BuildTime + ERTime account for the whole run.
+	// BuildTime is the master's set-up between partitioning and the first
+	// superstep: the global E_id, the host bitsets and the links —
+	// accepting the worker processes included when distributed. The
+	// workers build their engines (fragment datasets, rule scopes,
+	// compiled plans) when their Assign arrives, concurrently, inside
+	// their first superstep. PartitionTime + BuildTime + ERTime account
+	// for the whole run.
 	BuildTime time.Duration
 	ERTime    time.Duration
 	// SimulatedTime is the BSP makespan: per superstep, the maximum
@@ -171,17 +191,19 @@ type Result struct {
 	// machine with fewer cores than workers this — not wall-clock ERTime
 	// — is the faithful stand-in for the runtime on a real n-machine
 	// cluster (use Options.Sequential for undistorted per-worker
-	// timings). The parallel-scalability experiments report it. It is a
-	// simulation-only model even under RunDistributed: real measured
-	// time lives in the timeline's per-superstep WallNs (and BytesOnWire
-	// for the wire), not here.
+	// timings). The parallel-scalability experiments report it. It leaves
+	// out engine construction, routing and the wire in both modes; the
+	// measured time is the timeline's per-superstep WallNs (and
+	// BytesOnWire for the wire).
 	SimulatedTime time.Duration
-	WorkerStats   []chase.Stats
+	// WorkerStats[w] sums the work counters over every engine slot w ran
+	// (a reassignment replaces the engine); a dead worker's are zero.
+	WorkerStats []chase.Stats
 	// Rebalances lists the skew-adaptive block migrations the scheduler
 	// performed (empty when none triggered).
 	Rebalances []RebalanceEvent
-	// Recoveries lists the worker-failure recoveries of a distributed run
-	// (always empty in-process).
+	// Recoveries lists the worker-failure recoveries of the run (a worker
+	// in the master's process dies only if its engine cannot be built).
 	Recoveries []RecoveryEvent
 	// Wire is the wire-protocol measurement of a distributed run — bytes,
 	// frames, codec time, and dictionary economics over every worker
@@ -233,32 +255,6 @@ func (r *Result) Classes() [][]relation.TID {
 	return out
 }
 
-// scopeKey fingerprints a sorted id list for scope deduplication with
-// 64-bit FNV-1a — no per-id string building. Callers confirm candidate
-// hits with sameIDs, so a hash collision costs a duplicate scope dataset,
-// never a wrong one.
-func scopeKey(ids []relation.TID) uint64 {
-	h := uint64(fnv.Offset64)
-	h = fnv.Uint64(h, uint64(len(ids)))
-	for _, id := range ids {
-		h = fnv.Uint64(h, uint64(id))
-	}
-	return h
-}
-
-// sameIDs reports whether two sorted id lists are identical.
-func sameIDs(a, b []relation.TID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // factRoute is one routable fact of a superstep with its recipient bitset
 // (an offset into the route arena, so arena growth never invalidates it).
 type factRoute struct {
@@ -268,17 +264,48 @@ type factRoute struct {
 }
 
 // Run partitions d with HyPart and executes the BSP fixpoint with n
-// workers.
+// workers running as goroutines of this process behind loopback links.
 func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options) (*Result, error) {
 	n := opts.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	maxSteps := opts.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 20
+	var provLogs []*provenance.Log
+	if opts.Provenance {
+		provLogs = make([]*provenance.Log, n)
+		for i := range provLogs {
+			provLogs[i] = provenance.NewLog(opts.ProvenanceLimit)
+			provLogs[i].SetWorker(i)
+		}
 	}
+	res, err := run(d, rules, opts, n, provLogs, func(ms *masterState, rtc telemetry.TraceContext) error {
+		building := new(sync.WaitGroup)
+		for i := range ms.links {
+			hooks := chase.Options{
+				Metrics:       opts.Metrics,
+				MetricsLabels: []telemetry.Label{telemetry.L("worker", strconv.Itoa(i))},
+				Trace:         rtc.Lane(telemetry.PIDDMatch, int32(i+1)),
+				Log:           opts.Log,
+				Health:        opts.Health,
+			}
+			if provLogs != nil {
+				hooks.Provenance = provLogs[i]
+			}
+			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, idSpace: ms.idSpace, hooks: hooks}, building, ms.events)
+		}
+		return nil
+	})
+	if err == nil && provLogs != nil {
+		res.prov = provenance.Merge(provLogs...)
+	}
+	return res, err
+}
 
+// run is DMatch: partition, connect one link per worker slot, drive the
+// supersteps to the fixpoint, collect the workers' stats. Run and
+// RunDistributed differ only in the links connect puts into ms.links.
+func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs []*provenance.Log,
+	connect func(ms *masterState, rtc telemetry.TraceContext) error) (*Result, error) {
 	tc := opts.Trace
 	if !tc.Enabled() && opts.Metrics != nil {
 		tc = opts.Metrics.Tracer().NewTrace(telemetry.PIDDMatch, 0)
@@ -291,7 +318,6 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 	part, err := hypart.Partition(d, rules, n, hypart.Options{
 		Share:          !opts.NoMQO,
 		ReplicationCap: opts.ReplicationCap,
-		Shards:         opts.PartitionShards,
 		Metrics:        opts.Metrics,
 		Trace:          rtc,
 	})
@@ -301,389 +327,23 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 	res := &Result{PartitionStats: part.Stats, d: d}
 	tb := time.Now()
 	res.PartitionTime = tb.Sub(t0)
-	ms := newMasterState(d, n)
-
-	// buildWorker constructs one chase engine over a fragment via the
-	// shared builder (see master.go), layering this run's observability
-	// hooks on top. The adaptive rebalancer re-invokes it when a
-	// migration changes a worker's block set.
-	var provLogs []*provenance.Log
-	if opts.Provenance {
-		provLogs = make([]*provenance.Log, n)
-		for i := range provLogs {
-			provLogs[i] = provenance.NewLog(opts.ProvenanceLimit)
-			provLogs[i].SetWorker(i)
+	ms := newMasterState(d, part, len(rules), wireEngineOpts(opts))
+	defer func() { // on the error paths; a finished run has dropped them all
+		for w := range ms.links {
+			ms.drop(w)
 		}
-	}
-	buildWorker := func(i int, frag []relation.TID, ruleFrags [][]relation.TID) (*chase.Engine, error) {
-		copts := workerChaseOptions(opts, ms.idSpace)
-		copts.Metrics = opts.Metrics
-		copts.MetricsLabels = []telemetry.Label{telemetry.L("worker", strconv.Itoa(i))}
-		copts.Trace = rtc.Lane(telemetry.PIDDMatch, int32(i+1))
-		copts.Log = opts.Log
-		copts.Health = opts.Health
-		if provLogs != nil {
-			copts.Provenance = provLogs[i]
-		}
-		return buildWorkerEngine(d, rules, reg, i, frag, ruleFrags, copts)
-	}
-
-	workers := make([]*chase.Engine, n)
-	ms.setHosts(part.Fragments)
-	for i, frag := range part.Fragments {
-		eng, err := buildWorker(i, frag, part.RuleFragments[i])
-		if err != nil {
-			return nil, err
-		}
-		workers[i] = eng
+	}()
+	if err := connect(ms, rtc); err != nil {
+		return nil, err
 	}
 	t1 := time.Now()
 	res.BuildTime = t1.Sub(tb)
-
-	// The global E_id with per-class-root host bitsets, the delivery
-	// seen-sets, and the route scratch all live in ms (master.go) — the
-	// same state machine RunDistributed drives over the wire.
-	inboxes := make([][]chase.Fact, n)
-	deltas := make([][]chase.Fact, n)
-	freshW := make([]bool, n) // rebuilt by a migration; must re-Deduce
-
-	// BSP instruments. Every instrument is a no-op when opts.Metrics is
-	// nil (nil-safe telemetry handles), so the loop below reads the same
-	// either way; the superstep timeline itself is recorded
-	// unconditionally (its cost is bounded by supersteps × workers).
-	tl := &res.timeline
-	tl.Workers = n
-	var tlMu sync.Mutex
-	mreg := opts.Metrics
-	stepGauge := mreg.Gauge("dcer_dmatch_superstep")
-	makespanGauge := mreg.Gauge("dcer_dmatch_step_makespan_ns")
-	skewGauge := mreg.Gauge("dcer_dmatch_step_skew")
-	routedCtr := mreg.Counter("dcer_dmatch_messages_routed")
-	dedupCtr := mreg.Counter("dcer_dmatch_messages_deduped")
-	factsCtr := mreg.Counter("dcer_dmatch_facts_produced")
-	rebalCtr := mreg.Counter("dcer_dmatch_rebalances")
-	movedCtr := mreg.Counter("dcer_dmatch_blocks_moved")
-	routeHist := mreg.Histogram("dcer_dmatch_route_ns")
-	busyHists := make([]*telemetry.Histogram, n)
-	for i := range busyHists {
-		busyHists[i] = mreg.Histogram("dcer_dmatch_worker_busy_ns", telemetry.L("worker", strconv.Itoa(i)))
+	if err := ms.fixpoint(opts, rtc, res, provLogs); err != nil {
+		return nil, err
 	}
-	mreg.SetDebug("dmatch_timeline", func() any {
-		tlMu.Lock()
-		defer tlMu.Unlock()
-		return Timeline{Workers: tl.Workers, Steps: append([]Superstep(nil), tl.Steps...)}
-	})
-	mreg.SetDebug("dmatch_rebalance", func() any {
-		tlMu.Lock()
-		defer tlMu.Unlock()
-		return append([]RebalanceEvent(nil), res.Rebalances...)
-	})
-	if provLogs != nil {
-		// Replace the per-engine providers registered by the worker
-		// engines with the aggregate view over all worker logs.
-		mreg.SetDebug("provenance", func() any { return provenance.Summarize(provLogs...) })
-	}
-
-	elapsed := make([]time.Duration, n)
-	runStep := func(step int, stc telemetry.TraceContext) {
-		runOne := func(i int) {
-			if stc.Enabled() {
-				// Re-parent the worker's engine under this superstep, on
-				// the worker's lane, so its Deduce/IncDeduce roots (and
-				// their drain rounds) render as this step's children. The
-				// engine is quiescent here — only this goroutine drives it.
-				workers[i].SetTraceContext(stc.Lane(telemetry.PIDDMatch, int32(i+1)))
-			}
-			start := time.Now()
-			if step == 0 || freshW[i] {
-				// First superstep, or a worker the rebalancer rebuilt:
-				// full partial evaluation over the (new) fragment, then
-				// the replayed/pending inbox through A_Δ.
-				delta := workers[i].Deduce()
-				if len(inboxes[i]) > 0 {
-					delta = append(delta, workers[i].IncDeduce(inboxes[i])...)
-				}
-				deltas[i] = delta
-				freshW[i] = false
-			} else {
-				deltas[i] = workers[i].IncDeduce(inboxes[i])
-			}
-			elapsed[i] = time.Since(start)
-		}
-		skip := func(i int) bool {
-			return step > 0 && len(inboxes[i]) == 0 && !freshW[i]
-		}
-		if opts.Sequential {
-			for i := range workers {
-				if skip(i) {
-					deltas[i] = nil
-					elapsed[i] = 0
-					continue
-				}
-				runOne(i)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for i := range workers {
-			if skip(i) {
-				deltas[i] = nil
-				elapsed[i] = 0
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	rb := newRebalancer(opts, n, len(part.Blocks))
-	curAssign := make([]int, len(part.Blocks))
-	for i := range part.Blocks {
-		curAssign[i] = part.Blocks[i].Worker
-	}
-
-	msgsIn := make([]int, n)
-	factsOut := make([]int, n)
-	// Health wiring: the superstep heartbeat brackets the whole BSP loop,
-	// and the master's sequential route phase audits the global
-	// union-find and feeds the accuracy observatory (nil-safe no-ops when
-	// no monitor is attached).
-	var dhb *health.Heartbeat
-	var gufCheck *health.Check
-	if opts.Health != nil {
-		dhb = opts.Health.Heartbeat("dmatch_superstep")
-		gufCheck = opts.Health.Check("global_unionfind")
-		dhb.Enter()
-		defer dhb.Exit()
-	}
-	accSeen := 0
-	for step := 0; step < maxSteps; step++ {
-		dhb.Beat()
-		stepWall := time.Now()
-		var ssp telemetry.Span
-		stc := rtc
-		if rtc.Enabled() {
-			ssp = rtc.Start("dmatch.superstep", telemetry.L("step", strconv.Itoa(step)))
-			stc = ssp.Context()
-		}
-		for i := range inboxes {
-			msgsIn[i] = len(inboxes[i])
-		}
-		for _, l := range provLogs {
-			l.SetStep(step)
-		}
-		runStep(step, stc)
-		res.Supersteps++
-		var stepMax time.Duration
-		for _, e := range elapsed {
-			if e > stepMax {
-				stepMax = e
-			}
-		}
-		res.SimulatedTime += stepMax
-		stepGauge.Set(float64(step))
-		makespanGauge.Set(float64(stepMax))
-		for i, e := range elapsed {
-			busyHists[i].Observe(uint64(e))
-		}
-		routeStart := time.Now()
-		var rsp telemetry.Span
-		routeTC := stc
-		if stc.Enabled() {
-			rsp = stc.Start("dmatch.route")
-			routeTC = rsp.Context()
-		}
-		// Master, phase 1 (sequential): fold the union of the workers'
-		// new facts into the global Γ and compute each fact's recipient
-		// bitset — the workers hosting any member of the classes the fact
-		// touches (the ΔΓ_i of the fixpoint equations). Fold order is
-		// worker-index order; the deterministic Γ depends on it.
-		ms.beginFold()
-		var stepFacts int64
-		for w, delta := range deltas {
-			stepFacts += int64(len(delta))
-			res.FactsProduced += int64(len(delta))
-			ms.foldDelta(w, delta, res)
-		}
-		if opts.Health != nil {
-			// Still in the sequential master phase: guf is quiescent, so
-			// the sampled chain audit needs no locks; Find's path
-			// compression is the master's own mutation, as in the fold.
-			sample := health.SampleIDs(ms.guf.Len(), opts.Health.SampleSize(), opts.Health.Seed()+int64(step))
-			if err := health.AuditUnionFind(ms.guf, sample); err != nil {
-				gufCheck.Fail(len(sample), "superstep %d: %v", step, err)
-			} else {
-				gufCheck.Pass(len(sample))
-			}
-			if acc := opts.Health.Accuracy(); acc != nil {
-				accSeen = observeMasterAccuracy(acc, res.Matches, accSeen, provLogs, ms.guf)
-			}
-		}
-		// Master, phase 2 (parallel): per-destination inbox builders.
-		// Each builder owns its destination's inbox, seen-set, and
-		// counters, so the fan-out is race-free and the built batches
-		// are identical to a sequential build.
-		next := make([][]chase.Fact, n)
-		stepRouted := make([]int64, n)
-		stepDeduped := make([]int64, n)
-		buildDest := func(h int) {
-			var isp telemetry.Span
-			if routeTC.Enabled() {
-				isp = routeTC.Lane(telemetry.PIDDMatch, int32(h+1)).Start("dmatch.inbox")
-				defer isp.End()
-			}
-			next[h], stepRouted[h], stepDeduped[h] = ms.buildDest(h, deltas[h])
-		}
-		if opts.Sequential || opts.SequentialRoute || len(ms.routes) == 0 {
-			for h := 0; h < n; h++ {
-				buildDest(h)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for h := 0; h < n; h++ {
-				wg.Add(1)
-				go func(h int) {
-					defer wg.Done()
-					buildDest(h)
-				}(h)
-			}
-			wg.Wait()
-		}
-		var routedStep, dedupedStep int64
-		for h := 0; h < n; h++ {
-			routedStep += stepRouted[h]
-			dedupedStep += stepDeduped[h]
-		}
-		res.MessagesRouted += routedStep
-		res.MessagesDeduped += dedupedStep
-		inboxes = next
-		rsp.End()
-		routeNs := int64(time.Since(routeStart))
-		routeHist.Observe(uint64(routeNs))
-		routedCtr.Add(routedStep)
-		dedupCtr.Add(dedupedStep)
-		factsCtr.Add(stepFacts)
-		for i, dl := range deltas {
-			factsOut[i] = len(dl)
-		}
-		tlMu.Lock()
-		tl.record(step, elapsed, factsOut, msgsIn, routeNs, int64(time.Since(stepWall)), 0, routedStep, dedupedStep)
-		ss := &tl.Steps[len(tl.Steps)-1]
-		skew := ss.SkewRatio
-		if len(res.Rebalances) > 0 {
-			last := &res.Rebalances[len(res.Rebalances)-1]
-			if last.Step == step-1 && last.SkewAfter == 0 {
-				last.SkewAfter = skew
-			}
-		}
-		tlMu.Unlock()
-		skewGauge.Set(skew)
-		if opts.Log.Level() <= telemetry.LogDebug {
-			opts.Log.Wide(telemetry.LogDebug, "dmatch_superstep",
-				telemetry.F{K: "step", V: step},
-				telemetry.F{K: "workers", V: n},
-				telemetry.F{K: "makespan_ns", V: int64(stepMax)},
-				telemetry.F{K: "skew", V: skew},
-				telemetry.F{K: "facts", V: stepFacts},
-				telemetry.F{K: "routed", V: routedStep},
-				telemetry.F{K: "deduped", V: dedupedStep},
-				telemetry.F{K: "route_ns", V: routeNs},
-				telemetry.F{K: "rebalances", V: len(res.Rebalances)},
-				telemetry.F{K: "plan_on", V: !opts.InterpretRules},
-				telemetry.F{K: "sequential", V: opts.Sequential},
-			)
-		}
-		ssp.End()
-		empty := true
-		for _, in := range inboxes {
-			if len(in) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			break
-		}
-		// Skew-adaptive scheduling: with work still pending and this
-		// superstep over the skew threshold, re-run LPT over the blocks'
-		// observed costs and migrate blocks before the next superstep.
-		if rb.shouldRebalance(skew, stepMax) {
-			t0 := time.Now()
-			var rbsp telemetry.Span
-			rbtc := rtc
-			if rtc.Enabled() {
-				rbsp = rtc.Start("dmatch.rebalance", telemetry.L("step", strconv.Itoa(step)))
-				rbtc = rbsp.Context()
-			}
-			newAssign, moved := rb.reassign(part.Blocks, curAssign, elapsed)
-			if moved > 0 {
-				changed := make([]bool, n)
-				for b := range newAssign {
-					if newAssign[b] != curAssign[b] {
-						changed[newAssign[b]] = true
-						changed[curAssign[b]] = true
-					}
-				}
-				frags, ruleFrags := hypart.BuildFragments(part.Blocks, newAssign, n, len(rules))
-				rebuilt := 0
-				for w := range workers {
-					if !changed[w] {
-						continue
-					}
-					var wsp telemetry.Span
-					if rbtc.Enabled() {
-						// One migration child span per rebuilt worker, on
-						// the worker's lane.
-						wsp = rbtc.Lane(telemetry.PIDDMatch, int32(w+1)).Start("dmatch.rebuild.worker")
-					}
-					eng, err := buildWorker(w, frags[w], ruleFrags[w])
-					if err != nil {
-						return nil, err
-					}
-					workers[w] = eng
-					freshW[w] = true
-					rebuilt++
-					wsp.End()
-				}
-				ms.setHosts(frags)
-				curAssign = newAssign
-				// A rebuilt worker re-runs Deduce over its new fragment
-				// and replays the global fact history (see replayFor).
-				for w := range workers {
-					if !changed[w] {
-						continue
-					}
-					replay := ms.replayFor(w, res)
-					ms.resetWorker(w, replay)
-					inboxes[w] = replay
-				}
-				ev := RebalanceEvent{
-					Step:           step,
-					BlocksMoved:    moved,
-					WorkersRebuilt: rebuilt,
-					SkewBefore:     skew,
-					RebuildNs:      int64(time.Since(t0)),
-				}
-				tlMu.Lock()
-				res.Rebalances = append(res.Rebalances, ev)
-				tlMu.Unlock()
-				rebalCtr.Add(1)
-				movedCtr.Add(int64(moved))
-			}
-			rbsp.End()
-		}
-	}
+	res.WorkerStats = ms.shutdown()
 	res.ERTime = time.Since(t1)
 	res.Eq = ms.guf
-	for _, w := range workers {
-		res.WorkerStats = append(res.WorkerStats, w.Stats())
-	}
-	if provLogs != nil {
-		res.prov = provenance.Merge(provLogs...)
-	}
+	res.Wire = ms.wire.Snapshot()
 	return res, nil
 }

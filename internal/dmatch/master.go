@@ -1,26 +1,22 @@
 package dmatch
 
 import (
-	"fmt"
-
 	"dcer/internal/chase"
-	"dcer/internal/mlpred"
+	"dcer/internal/hypart"
 	"dcer/internal/relation"
-	"dcer/internal/rule"
 	"dcer/internal/unionfind"
+	"dcer/internal/wire"
 )
 
-// masterState is the master's global view of a DMatch run, shared by the
-// in-process BSP loop (Run) and the distributed one (RunDistributed): the
-// global id-equivalence relation E_id with per-class host bitsets, the
-// tuple→worker host bitsets, the per-destination delivery records
-// (seen-sets), and the route scratch the per-superstep fold reuses. The
-// routing discipline is PR-5's: phase 1 folds every new fact into Γ
-// sequentially and computes its recipient bitset (two bitword ORs off the
-// class roots); phase 2 builds each destination's inbox independently,
-// suppressing re-deliveries. Extracting it here keeps the two masters
-// byte-identical — the in-process mode is the distributed mode's
-// equivalence oracle.
+// masterState is the master P₀ of a DMatch run: the global id-equivalence
+// relation E_id with per-class host bitsets, the tuple→worker host
+// bitsets, the per-destination delivery records (seen-sets), the route
+// scratch the per-superstep fold reuses, and — under all of it — one link
+// per worker slot. Routing is two-phase: phase 1 folds every new fact into
+// Γ sequentially and computes its recipient bitset (two bitword ORs off
+// the class roots); phase 2 builds each destination's inbox
+// independently, suppressing re-deliveries. Nothing here knows whether a
+// worker is a goroutine or a process.
 type masterState struct {
 	n       int // worker count (fixed; dead workers keep their slot)
 	words   int // host-bitset words, (n+63)/64
@@ -38,13 +34,33 @@ type masterState struct {
 	// seen[w] is worker w's delivery record: every fact routed to w plus
 	// every fact w produced itself. The per-destination builders consult
 	// it so a fact is never re-sent (Result.MessagesDeduped counts the
-	// suppressions); rebuilds (migration or recovery) reset it.
+	// suppressions); a reassignment resets it.
 	seen []map[chase.Fact]struct{}
 
 	// Route scratch, reused across supersteps: the fact list and the
 	// recipient-bitset arena the per-destination builders read.
 	routes []factRoute
 	arena  []uint64
+
+	// links[w] reaches worker w; nil once w is dropped: dead or, during
+	// shutdown, done. Every link reports on events, which is sized so
+	// that no link goroutine ever blocks on it: a worker has at most one
+	// reply and one death (per direction) outstanding.
+	links  []link
+	events chan linkEvent
+	live   int         // workers not yet dropped
+	wire   *wire.Stats // wire tallies of the TCP links; stays zero in-process
+
+	// The schedule: the virtual blocks, their current block→worker
+	// assignment, the engine options every Assign carries, and per worker
+	// the Assign awaiting dispatch (non-nil: the worker is fresh and must
+	// run Deduce on its next Step) and the inbox for the next superstep.
+	blocks  []hypart.Block
+	assign  []int
+	nRules  int
+	eopts   wire.EngineOpts
+	pending []*wire.Assign
+	inboxes [][]chase.Fact
 }
 
 // datasetIDSpace is the dense id-space bound of a dataset (max GID + 1).
@@ -60,20 +76,37 @@ func datasetIDSpace(d *relation.Dataset) int {
 	return idSpace
 }
 
-// newMasterState builds the master view over dataset d for n workers.
-func newMasterState(d *relation.Dataset, n int) *masterState {
-	idSpace := datasetIDSpace(d)
+// newMasterState builds the master view over dataset d partitioned as
+// part, with every worker's initial Assign pending and no links yet.
+func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, eopts wire.EngineOpts) *masterState {
+	n := len(part.Fragments)
 	ms := &masterState{
 		n:       n,
 		words:   (n + 63) / 64,
-		idSpace: idSpace,
+		idSpace: datasetIDSpace(d),
 		d:       d,
 		guf:     chase.BuildEquivalence(d, nil),
 		seenML:  make(map[chase.Fact]bool),
 		seen:    make([]map[chase.Fact]struct{}, n),
+		links:   make([]link, n),
+		events:  make(chan linkEvent, 4*n),
+		live:    n,
+		wire:    &wire.Stats{},
+		blocks:  part.Blocks,
+		assign:  make([]int, len(part.Blocks)),
+		nRules:  nRules,
+		eopts:   eopts,
+		pending: make([]*wire.Assign, n),
+		inboxes: make([][]chase.Fact, n),
 	}
-	for i := range ms.seen {
-		ms.seen[i] = make(map[chase.Fact]struct{})
+	for b := range part.Blocks {
+		ms.assign[b] = part.Blocks[b].Worker
+	}
+	ms.setHosts(part.Fragments)
+	for w := range ms.pending {
+		ms.seen[w] = make(map[chase.Fact]struct{})
+		ms.pending[w] = &wire.Assign{Worker: w, Workers: n, Opts: eopts,
+			Frag: part.Fragments[w], RuleFrags: part.RuleFragments[w]}
 	}
 	return ms
 }
@@ -107,12 +140,6 @@ func (ms *masterState) setHosts(frags [][]relation.TID) {
 // hosted reports whether worker w hosts tuple gid.
 func (ms *masterState) hosted(gid relation.TID, w int) bool {
 	return ms.hosts[int(gid)*ms.words+w>>6]&(1<<(uint(w)&63)) != 0
-}
-
-// beginFold resets the route scratch for a new superstep.
-func (ms *masterState) beginFold() {
-	ms.routes = ms.routes[:0]
-	ms.arena = ms.arena[:0]
 }
 
 // foldDelta folds one worker's superstep delta into the global Γ
@@ -180,7 +207,8 @@ func (ms *masterState) buildDest(h int, selfDelta []chase.Fact) (out []chase.Fac
 
 // replayFor builds the fact history a rebuilt worker w must replay: every
 // match fact (bridging facts may concern tuples it doesn't host) and the
-// validated predictions over tuples it now hosts.
+// validated predictions over tuples it now hosts. The history becomes w's
+// delivery record — a rebuilt worker starts from it, nothing else.
 func (ms *masterState) replayFor(w int, res *Result) []chase.Fact {
 	replay := append([]chase.Fact(nil), res.Matches...)
 	for _, f := range res.Validated {
@@ -188,70 +216,9 @@ func (ms *masterState) replayFor(w int, res *Result) []chase.Fact {
 			replay = append(replay, f)
 		}
 	}
-	return replay
-}
-
-// resetWorker replaces w's delivery record with the replay set (a rebuilt
-// worker starts from the replayed history, nothing else).
-func (ms *masterState) resetWorker(w int, replay []chase.Fact) {
-	sh := make(map[chase.Fact]struct{}, len(replay))
+	ms.seen[w] = make(map[chase.Fact]struct{}, len(replay))
 	for _, f := range replay {
-		sh[f] = struct{}{}
+		ms.seen[w][f] = struct{}{}
 	}
-	ms.seen[w] = sh
-}
-
-// workerChaseOptions maps run options to the chase.Options every worker
-// engine is built with. It is defined as the round-trip through the wire
-// form (see distributed.go), so the in-process engines and the worker-
-// process engines are constructed from identical chase.Options by
-// construction — engine construction is part of the Γ byte-identity
-// contract between the two modes (observability hooks are layered on by
-// the caller; they never change Γ).
-func workerChaseOptions(opts Options, idSpace int) chase.Options {
-	return chaseOptsFromWire(wireEngineOpts(opts), idSpace)
-}
-
-// buildWorkerEngine constructs one chase engine over a fragment, with
-// each rule scoped to the union of the worker's blocks generated for that
-// rule (hypercube semantics: a rule is checked within its own blocks).
-// Identical rule scopes are deduplicated so MQO index sharing applies.
-// Shared by Run, the adaptive rebalancer, and RunWorker (worker
-// processes), which is what keeps the engines — and therefore Γ —
-// identical across execution modes.
-func buildWorkerEngine(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry,
-	i int, frag []relation.TID, ruleFrags [][]relation.TID, copts chase.Options) (*chase.Engine, error) {
-	fd := d.Fragment(frag)
-	scopes := make([]*relation.Dataset, len(rules))
-	type scopeEntry struct {
-		ids []relation.TID
-		sc  *relation.Dataset
-	}
-	byContent := map[uint64][]scopeEntry{}
-	for ri, ids := range ruleFrags {
-		if len(ids) == len(frag) {
-			scopes[ri] = fd
-			continue
-		}
-		key := scopeKey(ids)
-		found := false
-		for _, ent := range byContent[key] {
-			if sameIDs(ent.ids, ids) {
-				scopes[ri] = ent.sc
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		sc := d.Fragment(ids)
-		byContent[key] = append(byContent[key], scopeEntry{ids, sc})
-		scopes[ri] = sc
-	}
-	eng, err := chase.NewScoped(fd, rules, scopes, reg, copts)
-	if err != nil {
-		return nil, fmt.Errorf("dmatch: worker %d: %w", i, err)
-	}
-	return eng, nil
+	return replay
 }

@@ -1,24 +1,18 @@
 package dmatch
 
 import (
+	"sort"
 	"time"
 
 	"dcer/internal/hypart"
 )
 
-// Skew-adaptive superstep scheduling (tentpole part 3): HyPart's LPT
-// assignment balances workers by *predicted* block cost (block size), but
-// the chase's actual cost per tuple varies with rule selectivity and ML
-// hit rates, so a superstep can come out skewed even under a perfectly
-// size-balanced assignment. When the observed skew ratio
-// (makespan / mean busy time) of a superstep exceeds a threshold and more
-// work is pending, the scheduler re-runs LPT over the virtual blocks'
-// observed costs — each block's size scaled by its current worker's
-// per-tuple rate this superstep — and migrates blocks between workers
-// before the next superstep. Rebuilt workers re-run partial evaluation
-// over their new fragments and replay the global fact history, so the
-// fixpoint Γ is unchanged (facts are idempotent and the fixpoint is
-// unique); only the schedule moves.
+// Skew-adaptive scheduling: HyPart's LPT assignment balances workers by
+// *predicted* block cost (block size), but the chase's actual cost per
+// tuple varies with rule selectivity and ML hit rates, so a superstep can
+// come out skewed even under a perfectly size-balanced assignment. This
+// file holds the policy — when to migrate, and where the blocks go; the
+// migration itself is masterState.reassign.
 
 // RebalanceEvent describes one adaptive block migration.
 type RebalanceEvent struct {
@@ -90,36 +84,53 @@ func (rb *rebalancer) shouldRebalance(skew float64, makespan time.Duration) bool
 	return true
 }
 
-// reassign re-runs LPT over the blocks' observed costs and returns the new
-// assignment plus the number of blocks that moved. The observed cost of a
-// block is its size scaled by its current worker's busy time per hosted
-// tuple this superstep — the best per-block signal available without
-// per-block timers inside the engines. Workers that were idle this step
-// contribute their blocks at predicted (size-only) cost.
-func (rb *rebalancer) reassign(blocks []hypart.Block, assign []int, busy []time.Duration) ([]int, int) {
+// balance places blocks on the live workers with the LPT heuristic —
+// descending cost, each to the least-loaded worker — and returns the new
+// assignment plus the number of blocks that moved. After a death only the
+// dead workers' blocks move, onto the loads the survivors already carry,
+// so a survivor that adopts none keeps its engine; otherwise every block
+// is placed afresh. The observed cost of a block is its size scaled by its
+// current worker's busy time per hosted tuple this superstep — the best
+// per-block signal available without per-block timers inside the engines.
+// Workers that were idle this step (or dead: busy is then all zero)
+// contribute their blocks at predicted, size-only cost.
+func balance(blocks []hypart.Block, assign []int, busy []time.Duration, alive func(int) bool) ([]int, int) {
 	n := len(busy)
 	sizeTotal := make([]float64, n)
+	orphaned := false
 	for b := range blocks {
 		sizeTotal[assign[b]] += float64(len(blocks[b].GIDs))
-	}
-	rate := make([]float64, n)
-	for w := 0; w < n; w++ {
-		if sizeTotal[w] > 0 && busy[w] > 0 {
-			rate[w] = float64(busy[w]) / sizeTotal[w]
-		} else {
-			rate[w] = 1 // predicted cost: size alone
-		}
+		orphaned = orphaned || !alive(assign[b])
 	}
 	costs := make([]float64, len(blocks))
-	for b := range blocks {
-		costs[b] = float64(len(blocks[b].GIDs)) * rate[assign[b]]
+	load := make([]float64, n)
+	var place []int // the blocks to place, in index (canonical key) order
+	for b, w := range assign {
+		costs[b] = float64(len(blocks[b].GIDs)) // predicted cost: size alone
+		if busy[w] > 0 && sizeTotal[w] > 0 {
+			costs[b] *= float64(busy[w]) / sizeTotal[w]
+		}
+		if orphaned && alive(w) {
+			load[w] += costs[b]
+		} else {
+			place = append(place, b)
+		}
 	}
-	newAssign := hypart.AssignLPT(costs, n)
+	sort.SliceStable(place, func(i, j int) bool { return costs[place[i]] > costs[place[j]] })
+	next := append([]int(nil), assign...)
 	moved := 0
-	for b := range newAssign {
-		if newAssign[b] != assign[b] {
+	for _, b := range place {
+		best := -1
+		for w := 0; w < n; w++ {
+			if alive(w) && (best < 0 || load[w] < load[best]) {
+				best = w
+			}
+		}
+		next[b] = best
+		load[best] += costs[b]
+		if best != assign[b] {
 			moved++
 		}
 	}
-	return newAssign, moved
+	return next, moved
 }

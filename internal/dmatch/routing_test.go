@@ -47,8 +47,8 @@ func TestRoutingDedupGammaEquality(t *testing.T) {
 		// runs (the chase's delta order is map-iteration dependent, so
 		// which representative of a merge chain gets routed varies).
 		seqRoute, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{
-			Workers:         n,
-			SequentialRoute: true,
+			Workers:    n,
+			Sequential: true,
 		})
 		if err != nil {
 			t.Fatalf("n=%d sequential route: %v", n, err)
@@ -161,6 +161,22 @@ func TestAdaptiveRebalance(t *testing.T) {
 	}
 	if len(res.Rebalances) > 2 {
 		t.Errorf("%d migrations exceed MaxRebalances=2", len(res.Rebalances))
+	}
+	// WorkerStats keep the work of the engines a migration retired: the
+	// migrated run did everything the unmigrated one did, and then some.
+	base, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 4, RebalanceSkew: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valuations := func(r *dmatch.Result) (sum int64) {
+		for _, st := range r.WorkerStats {
+			sum += st.Valuations
+		}
+		return sum
+	}
+	if got, floor := valuations(res), valuations(base); got < floor {
+		t.Errorf("summed Valuations %d after %d migration(s), below the %d of the same run without: retired engines' work was dropped",
+			got, len(res.Rebalances), floor)
 	}
 	for i, ev := range res.Rebalances {
 		if ev.BlocksMoved <= 0 || ev.WorkersRebuilt <= 0 {

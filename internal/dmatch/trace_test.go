@@ -3,9 +3,7 @@ package dmatch_test
 import (
 	"testing"
 
-	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
-	"dcer/internal/mlpred"
 	"dcer/internal/telemetry"
 )
 
@@ -14,20 +12,26 @@ import (
 // in which every non-root span's parent ID resolves to a recorded span
 // of the same trace, and in which at least two distinct worker lanes
 // appear — i.e. the trace really is a tree spread over the workers, not
-// a flat list on one lane.
+// a flat list on one lane. It holds over both links: the spans come from
+// the one master loop, and only the engines' own chase.Deduce spans need
+// the workers in the master's process.
 func TestParallelTraceCausality(t *testing.T) {
-	d, _ := datagen.PaperExample()
-	rules, err := datagen.PaperRules(d.DB)
-	if err != nil {
-		t.Fatal(err)
+	for _, lk := range bothLinks {
+		t.Run(lk.name, func(t *testing.T) {
+			want := []string{"dmatch.Run", "dmatch.superstep", "dmatch.route", "hypart.Partition"}
+			if lk.name == "loopback" {
+				want = append(want, "chase.Deduce")
+			}
+			reg := telemetry.NewRegistry()
+			if _, err := lk.run(t, paperLoader, dmatch.Options{Workers: 4, Metrics: reg}, nil); err != nil {
+				t.Fatal(err)
+			}
+			checkTraceCausality(t, reg, want)
+		})
 	}
-	reg := telemetry.NewRegistry()
-	if _, err := dmatch.Run(d, rules, mlpred.DefaultRegistry(), dmatch.Options{
-		Workers: 4,
-		Metrics: reg,
-	}); err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkTraceCausality(t *testing.T, reg *telemetry.Registry, wantNames []string) {
 
 	spans := reg.Tracer().Snapshot()
 	if len(spans) == 0 {
@@ -87,7 +91,7 @@ func TestParallelTraceCausality(t *testing.T) {
 	for _, sp := range spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"dmatch.Run", "dmatch.superstep", "dmatch.route", "hypart.Partition", "chase.Deduce"} {
+	for _, want := range wantNames {
 		if !names[want] {
 			t.Errorf("missing expected span %q in trace", want)
 		}

@@ -531,8 +531,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 // heuristic over the given per-block costs: blocks in descending cost
 // order (ties by block index, which is canonical key order) go to the
 // least-loaded worker (ties to the lowest worker). Partition calls it
-// with block sizes; the skew-adaptive scheduler in dmatch re-invokes it
-// with observed per-block costs to migrate blocks between supersteps.
+// with block sizes; dmatch's balance applies the same rule over observed
+// per-block costs and live workers to migrate blocks between supersteps.
 func AssignLPT(costs []float64, n int) []int {
 	order := make([]int, len(costs))
 	for i := range order {

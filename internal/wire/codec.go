@@ -23,8 +23,7 @@ type Hello struct {
 }
 
 // EngineOpts is the subset of dmatch.Options a worker needs to construct
-// a chase engine identical to the in-process one (the Γ byte-identity
-// oracle depends on it).
+// its chase engine; every worker, in process or not, gets it in Assign.
 type EngineOpts struct {
 	NoMQO              bool
 	SequentialDeduce   bool

@@ -1,8 +1,8 @@
-// Package wire is the compact binary protocol the distributed DMatch
-// speaks between the master and worker processes (ROADMAP item 2): the
-// PR-5 outbox layer (per-destination batches, recipient bitsets, dedup
-// seen-sets) feeds this encoding, which puts real bytes on a TCP stream
-// instead of the in-process channel hand-off.
+// Package wire is the protocol DMatch's master and workers speak — the
+// Hello / Assign / Step / Delta / Pong / Done / Stats messages — and its
+// compact binary encoding. In-process workers are handed the message
+// structs as they are; worker processes get them as frames on a TCP
+// stream.
 //
 // Layout. The stream is a sequence of length-prefixed frames:
 //

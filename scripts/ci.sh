@@ -5,13 +5,14 @@
 # probe of a held live process, the benchdiff regression gate over the
 # BENCH trajectory, and the nested benchmark module's own vet and tests.
 # The concurrent first pass of Deduce and the batched parallel drain
-# (internal/chase), the parallel BSP supersteps (internal/dmatch), the
-# justification log written from concurrent drains (internal/provenance),
-# the distributed master's sender and reader goroutines over the shared
-# wire stats (internal/wire), the lock-free hash memo the HyPart scan
-# shards fill concurrently (internal/mqo), and the CAS-published feature
-# store every enumeration goroutine probes (internal/mlpred) make the race
-# detector mandatory for those packages.
+# (internal/chase), the DMatch master loop with its per-worker link
+# goroutines (internal/dmatch), the justification log written from
+# concurrent drains (internal/provenance), the TCP links' sender and
+# reader goroutines over the shared wire stats (internal/wire), the
+# lock-free hash memo the HyPart scan shards fill concurrently
+# (internal/mqo), and the CAS-published feature store every enumeration
+# goroutine probes (internal/mlpred) make the race detector mandatory for
+# those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -40,9 +41,12 @@ go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./inte
 echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality and recovery)"
+echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit)"
 go test -short -count=1 -run 'TestPartitionParallelEquivalence|TestPartitionGoldenDigest' ./internal/hypart
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery' ./internal/dmatch
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit' ./internal/dmatch
+
+echo "== one DMatch: non-blank non-test lines of internal/dmatch"
+ls internal/dmatch/*.go | grep -v _test | xargs cat | grep -cv '^\s*$'
 
 echo "== distributed process smoke (2 real worker processes over TCP: -out CSV byte-identity vs in-process, then kill-one-worker recovery)"
 dist_data=/tmp/dcer_ci_dist_data
