@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"slices"
 	"testing"
 
 	"dcer/internal/relation"
@@ -8,24 +9,49 @@ import (
 
 func lit(a, b relation.TID) Literal { return Literal{Kind: FactMatch, A: a, B: b} }
 
+// satSet is a settable validity oracle standing in for Γ.
+type satSet map[Literal]bool
+
+func (m satSet) sat(l Literal) bool { return m[l] }
+
+// enforce makes l valid and wakes the dependencies watching its first
+// tuple, as applyFactJ does for every new fact.
+func (m satSet) enforce(s *DepStore, l Literal) {
+	m[l] = true
+	s.wake(l.A)
+}
+
+// fireAll fires what is ready and returns the heads, in firing order.
+func fireAll(s *DepStore) (heads []Literal) {
+	s.fireReady(false, func(h Literal, _ *justification) { heads = append(heads, h) })
+	return heads
+}
+
+func addDep(s *DepStore, head Literal, body ...Literal) bool {
+	return s.add(appendDep(nil, body, head), nil)
+}
+
 func TestDepStoreAddAndDedup(t *testing.T) {
-	s := NewDepStore(10)
-	d := &Dep{Body: []Literal{lit(1, 2)}, Head: lit(3, 4)}
-	if !s.Add(d) || s.Len() != 1 {
+	s := NewDepStore(10, satSet{}.sat)
+	if !addDep(s, lit(3, 4), lit(1, 2)) || s.Len() != 1 {
 		t.Fatal("first add failed")
 	}
-	if !s.Add(d) || s.Len() != 1 {
+	if !addDep(s, lit(3, 4), lit(1, 2)) || s.Len() != 1 {
 		t.Error("duplicate changed the store")
 	}
 	if s.Dropped() != 0 {
 		t.Error("dedup counted as drop")
 	}
+	// Same words, other split between body and head: a different dependency.
+	if !addDep(s, lit(1, 2), lit(3, 4)) || s.Len() != 2 {
+		t.Error("l1 → l2 and l2 → l1 were deduplicated")
+	}
 }
 
 func TestDepStoreCapacity(t *testing.T) {
-	s := NewDepStore(2)
+	s := NewDepStore(2, satSet{}.sat)
 	for i := relation.TID(0); i < 5; i++ {
-		s.Add(&Dep{Body: []Literal{lit(i, i+1)}, Head: lit(i+10, i+11)})
+		addDep(s, lit(i+10, i+11), lit(i, i+1))
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d, want 2", s.Len())
@@ -34,9 +60,9 @@ func TestDepStoreCapacity(t *testing.T) {
 		t.Errorf("Dropped = %d, want 3", s.Dropped())
 	}
 	// Unbounded store.
-	u := NewDepStore(-1)
+	u := NewDepStore(-1, satSet{}.sat)
 	for i := relation.TID(0); i < 100; i++ {
-		u.Add(&Dep{Body: []Literal{lit(i, i+1)}, Head: lit(i+200, i+201)})
+		addDep(u, lit(i+200, i+201), lit(i, i+1))
 	}
 	if u.Len() != 100 || u.Dropped() != 0 {
 		t.Errorf("unbounded store: Len=%d Dropped=%d", u.Len(), u.Dropped())
@@ -44,51 +70,90 @@ func TestDepStoreCapacity(t *testing.T) {
 }
 
 func TestDepStoreFire(t *testing.T) {
-	s := NewDepStore(10)
-	s.Add(&Dep{Body: []Literal{lit(1, 2), lit(3, 4)}, Head: lit(5, 6)})
-	s.Add(&Dep{Body: []Literal{lit(7, 8)}, Head: lit(5, 6)}) // same head, other body
-	s.Add(&Dep{Body: []Literal{lit(9, 10)}, Head: lit(11, 12)})
+	sat := satSet{}
+	s := NewDepStore(10, sat.sat)
+	addDep(s, lit(5, 6), lit(1, 2), lit(3, 4))
+	addDep(s, lit(5, 6), lit(7, 8)) // same head, other body
+	addDep(s, lit(11, 12), lit(9, 10))
 
-	sat := map[Literal]bool{lit(1, 2): true}
-	fired := s.Fire(func(l Literal) bool { return sat[l] })
-	if len(fired) != 0 {
+	sat.enforce(s, lit(1, 2))
+	if fired := fireAll(s); len(fired) != 0 {
 		t.Fatalf("fired with unsatisfied body: %v", fired)
 	}
-	sat[lit(3, 4)] = true
-	fired = s.Fire(func(l Literal) bool { return sat[l] })
-	if len(fired) != 1 || fired[0].Head != lit(5, 6) {
-		t.Fatalf("fired = %v", fired)
+	sat.enforce(s, lit(3, 4))
+	if fired := fireAll(s); len(fired) != 1 || fired[0] != lit(5, 6) {
+		t.Fatalf("fired = %v, want the one dependency with head (5,6)", fired)
 	}
-	// Both deps with head (5,6) must be gone; the third dep remains.
+	// The other dependency with head (5,6) goes the next time it is
+	// visited; the third remains.
+	sat.enforce(s, lit(5, 6))
+	s.wake(7)
 	if s.Len() != 1 {
 		t.Errorf("Len after fire = %d, want 1", s.Len())
 	}
+	if fired := fireAll(s); len(fired) != 0 {
+		t.Errorf("a dependency with an enforced head fired: %v", fired)
+	}
 }
 
-func TestDepStoreRemoveHead(t *testing.T) {
-	s := NewDepStore(10)
-	s.Add(&Dep{Body: []Literal{lit(1, 2)}, Head: lit(5, 6)})
-	s.Add(&Dep{Body: []Literal{lit(3, 4)}, Head: lit(5, 6)})
-	s.RemoveHead(lit(5, 6))
+// TestDepStoreFireOrder: ready dependencies come back oldest first however
+// the wakes were ordered, and one that arrives with its body already valid
+// is ready at once.
+func TestDepStoreFireOrder(t *testing.T) {
+	sat := satSet{lit(20, 21): true}
+	s := NewDepStore(-1, sat.sat)
+	addDep(s, lit(100, 101), lit(1, 2))
+	addDep(s, lit(102, 103), lit(3, 4))
+	addDep(s, lit(104, 105), lit(20, 21)) // already valid
+	addDep(s, lit(106, 107), lit(20, 21), lit(5, 6))
+	sat.enforce(s, lit(5, 6))
+	sat.enforce(s, lit(3, 4))
+	sat.enforce(s, lit(1, 2))
+	heads := fireAll(s)
+	want := []Literal{lit(100, 101), lit(102, 103), lit(104, 105), lit(106, 107)}
+	if !slices.Equal(heads, want) {
+		t.Errorf("fired %v, want insertion order %v", heads, want)
+	}
 	if s.Len() != 0 {
-		t.Errorf("Len = %d after RemoveHead", s.Len())
+		t.Errorf("Len = %d after firing everything", s.Len())
+	}
+}
+
+// TestDepStoreRemoveHead: dependencies whose head is enforced by other
+// means are discarded when next visited, without firing.
+func TestDepStoreRemoveHead(t *testing.T) {
+	sat := satSet{}
+	s := NewDepStore(10, sat.sat)
+	addDep(s, lit(5, 6), lit(1, 2))
+	addDep(s, lit(5, 6), lit(3, 4))
+	sat[lit(5, 6)] = true
+	s.wake(1)
+	s.wake(3)
+	if s.Len() != 0 {
+		t.Errorf("Len = %d after the head was enforced", s.Len())
+	}
+	if fired := fireAll(s); len(fired) != 0 {
+		t.Errorf("discarded dependencies fired: %v", fired)
 	}
 }
 
 func TestLiteralKeysDistinct(t *testing.T) {
 	a := Literal{Kind: FactMatch, A: 1, B: 2}
-	b := mlLit("m", 1, 2)
-	c := mlLit("n", 1, 2)
-	const basis = 14695981039346656037
-	if a.hashInto(basis) == b.hashInto(basis) || b.hashInto(basis) == c.hashInto(basis) {
+	b := mlLit(internModel("m"), 1, 2)
+	c := mlLit(internModel("n"), 1, 2)
+	hash := func(head Literal, body ...Literal) uint32 {
+		return appendDep(nil, body, head)[1]
+	}
+	if hash(a) == hash(b) || hash(b) == hash(c) {
 		t.Error("literal hashes collide across kinds/models")
 	}
 	// Dependency fingerprints must separate body from head: l1 → l2 and
 	// l2 → l1 are different dependencies.
-	d1 := &Dep{Body: []Literal{a}, Head: b}
-	d2 := &Dep{Body: []Literal{b}, Head: a}
-	if d1.key() == d2.key() {
-		t.Error("dep keys ignore body/head position")
+	if hash(b, a) == hash(a, b) {
+		t.Error("dep hashes ignore body/head position")
+	}
+	if unpackLit(packLit(nil, c)) != c {
+		t.Error("literal does not survive packing")
 	}
 }
 

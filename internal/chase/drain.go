@@ -72,19 +72,15 @@ func (e *Engine) drain() {
 				e.auditHealth()
 			}
 		}
-		// Lines 2-3 of IncDeduce: fire satisfied dependencies.
-		fired := e.H.Fire(e.satisfied)
-		for i := range fired {
-			dp := &fired[i]
+		// Lines 2-3 of IncDeduce: fire the dependencies whose bodies became
+		// fully valid since the last round. No scan: applyFactJ woke the
+		// watchers of every new fact as it entered Γ.
+		fired := e.H.fireReady(e.prov != nil, func(head Literal, j *justification) {
 			e.cnt.depsFired.Add(1)
-			var j *justification
-			if e.prov != nil {
-				j = firedJust(dp)
-			}
-			if e.applyFactJ(literalFact(dp.Head), j) {
+			if e.applyFactJ(literalFact(head), j) {
 				progressed = true
 			}
-		}
+		})
 		// Lines 4-7: update-driven re-evaluation of valuations that
 		// involve a new match or validated prediction.
 		events := len(e.queue)
@@ -98,7 +94,7 @@ func (e *Engine) drain() {
 			e.processEvents(q)
 		}
 		if e.log.Level() <= telemetry.LogDebug {
-			e.wideRound(round, len(fired), events)
+			e.wideRound(round, fired, events)
 		}
 		rsp.End()
 		if !progressed {
@@ -287,16 +283,38 @@ func (e *Engine) mergeCtx(ctx *evalCtx) {
 		}
 		e.applyFactJ(literalFact(l), j)
 	}
-	for i := range ctx.deps {
-		// The store copies the body into its own slab storage, so the
-		// context's literal arena can be reused immediately after.
-		d := &ctx.deps[i]
-		if e.H.add(d.Body, d.Head, d.J) {
-			e.cnt.depsRecorded.Add(1)
+	e.mergeDeps(ctx)
+	ctx.facts = ctx.facts[:0]
+	ctx.justs = ctx.justs[:0]
+}
+
+// mergeDeps records a buffered context's dependencies in H, which copies
+// each record into its own arena, and empties the context's buffer.
+func (e *Engine) mergeDeps(ctx *evalCtx) {
+	var recorded int64
+	words := 0
+	for _, chunk := range ctx.deps {
+		words += len(chunk)
+	}
+	e.H.reserve(words / (depBodyOff + depLitWords)) // at most: a record has a body literal
+	k := 0
+	for _, chunk := range ctx.deps {
+		for off := 0; off < len(chunk); k++ {
+			rec := chunk[off:]
+			var j *justification
+			if k < len(ctx.depJusts) {
+				j = ctx.depJusts[k]
+			}
+			if e.H.add(rec, j) {
+				recorded++
+			}
+			off += depSize(rec[0])
 		}
 	}
-	ctx.facts = ctx.facts[:0]
-	ctx.deps = ctx.deps[:0]
-	ctx.justs = ctx.justs[:0]
-	ctx.litArena = ctx.litArena[:0]
+	e.cnt.depsRecorded.Add(recorded)
+	if len(ctx.deps) > 0 { // keep one chunk for the next batch
+		ctx.deps = ctx.deps[:1]
+		ctx.deps[0] = ctx.deps[0][:0]
+	}
+	ctx.depJusts = ctx.depJusts[:0]
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"dcer/internal/health"
@@ -152,6 +151,7 @@ type Stats struct {
 	DepsRecorded int64
 	DepsFired    int64
 	DepsDropped  int64
+	DepsVisited  int64 // stored dependencies examined because a new fact touched the tuple they watch
 	Rounds       int64 // internal incremental rounds
 	IndexBuilds  int   // inverted indexes materialized
 	// SymmetricRules counts the rules enumerated under symmetry reduction:
@@ -181,6 +181,7 @@ func (s *Stats) Add(o Stats) {
 	s.DepsRecorded += o.DepsRecorded
 	s.DepsFired += o.DepsFired
 	s.DepsDropped += o.DepsDropped
+	s.DepsVisited += o.DepsVisited
 	s.Rounds += o.Rounds
 	s.IndexBuilds += o.IndexBuilds
 	s.MLCacheHits += o.MLCacheHits
@@ -193,7 +194,8 @@ func (s *Stats) Add(o Stats) {
 type boundMLPred struct {
 	pred    *rule.Pred
 	cl      mlpred.Classifier
-	dynamic bool // the model appears in some rule head, so validation can flip it
+	model   uint16 // pred.Model interned (deps.go), as literals carry it
+	dynamic bool   // the model appears in some rule head, so validation can flip it
 
 	// fc is cl's feature-scoring interface; when set the predicate is
 	// scored over the bundles of feats, addressed by the interned ids of
@@ -237,7 +239,8 @@ type boundRule struct {
 	// h(head.V1).GID < h(head.V2).GID (the plan's orderStep).
 	reduced bool
 
-	headCl mlpred.Classifier // classifier of an ML head, if any
+	headCl    mlpred.Classifier // classifier of an ML head, if any
+	headModel uint16            // its model name interned
 
 	// scope is the sub-dataset this rule enumerates over. In the
 	// sequential engine it is the whole dataset; in the parallel engine
@@ -278,8 +281,10 @@ type Engine struct {
 	// the map only materializes classes an actual merge touched — at
 	// million-tuple scale that is the difference between |D| seeded
 	// slices and |matches| merged ones.
-	members   map[int][]relation.TID
-	validated map[mlKey]bool
+	members map[int][]relation.TID
+	// validated holds the ML predictions of Γ, keyed by the literal form
+	// dependencies carry (model interned), so no probe hashes a string.
+	validated map[Literal]bool
 	H         *DepStore
 	ixSets    map[*relation.Dataset]*relation.IndexSet // shared per scope
 	pairCache *mlpred.PairCache
@@ -392,13 +397,13 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		opts:          opts,
 		uf:            unionfind.New(idSpace),
 		members:       make(map[int][]relation.TID),
-		validated:     make(map[mlKey]bool),
-		H:             NewDepStore(opts.MaxDeps),
+		validated:     make(map[Literal]bool),
 		ixSets:        make(map[*relation.Dataset]*relation.IndexSet),
 		pairCache:     mlpred.NewPairCache(),
 		feats:         mlpred.NewFeatureStore(0),
 		dynamicModels: make(map[string]bool),
 	}
+	e.H = NewDepStore(opts.MaxDeps, e.satisfied)
 	e.ctx.e = e
 	e.bctx.e = e
 	e.bctx.buffered = true
@@ -481,7 +486,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 			if err != nil {
 				return nil, fmt.Errorf("chase: rule %s: %w", r.Name, err)
 			}
-			br.mls = append(br.mls, boundMLPred{pred: p, cl: cl, dynamic: e.dynamicModels[p.Model]})
+			br.mls = append(br.mls, boundMLPred{pred: p, cl: cl, model: internModel(p.Model), dynamic: e.dynamicModels[p.Model]})
 		}
 	}
 	if r.Head.Kind == rule.PredML {
@@ -489,7 +494,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		if err != nil {
 			return nil, fmt.Errorf("chase: rule %s head: %w", r.Name, err)
 		}
-		br.headCl = cl
+		br.headCl, br.headModel = cl, internModel(r.Head.Model)
 	}
 	if e.tel != nil {
 		br.enumHist, br.mergeHist = e.tel.ruleHists(r.Name)
@@ -677,7 +682,7 @@ func (e *Engine) Same(a, b relation.TID) bool {
 
 // Validated reports whether the ML prediction (model, a, b) is in Γ.
 func (e *Engine) Validated(model string, a, b relation.TID) bool {
-	return e.validated[mlKey{model, a, b}]
+	return e.validated[mlLit(internModel(model), a, b)]
 }
 
 // membersOf returns the hosted members of the class rooted at r. A root
@@ -750,10 +755,13 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 		// so the event can reference them without copying.
 		if e.anyIDs && len(ma) > 0 && len(mb) > 0 {
 			e.queue = append(e.queue, event{kind: FactMatch, ma: ma, mb: mb})
+			// The same member lists are what H waits on: a match literal
+			// turns valid exactly when the classes of its tuples merge.
+			e.cnt.depsVisited.Add(e.H.wake(ma...) + e.H.wake(mb...))
 		}
 		return true
 	default:
-		k := mlKey{f.Model, f.A, f.B}
+		k := mlLit(internModel(f.Model), f.A, f.B)
 		if e.validated[k] {
 			return false
 		}
@@ -765,6 +773,7 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 			e.recordProvenance(f, j)
 		}
 		e.queue = append(e.queue, event{kind: FactML, model: f.Model, a: f.A, b: f.B})
+		e.cnt.depsVisited.Add(e.H.wake(f.A))
 		return true
 	}
 }
@@ -831,19 +840,22 @@ func (e *Engine) Deduce() []Fact {
 // enumerates on its own goroutine against the frozen Γ (frozen roots, the
 // read-only validated set, prebuilt indexes and the thread-safe ML stores),
 // buffering candidate facts and dependencies; a single-threaded merge then
-// applies them in rule order, which keeps the engine deterministic.
+// applies them in rule order, which keeps the engine deterministic. The
+// dependencies go first, each rule's as soon as it and its predecessors
+// are done — recording reads Γ and writes only H, the engine goroutine's
+// own, so it overlaps the enumerations still running; the facts follow
+// when all have joined, and wake what waits on them.
 func (e *Engine) deduceConcurrent() {
 	e.prebuildIndexes()
 	roots := e.frozenRoots()
 	ctxs := make([]*evalCtx, len(e.rules))
+	done := make([]chan struct{}, len(e.rules))
 	tc := e.curTC // stable for the whole pass; goroutines copy it
-	var wg sync.WaitGroup
 	for i, br := range e.rules {
 		ctx := &evalCtx{e: e, roots: roots, buffered: true}
-		ctxs[i] = ctx
-		wg.Add(1)
-		go func(ctx *evalCtx, br *boundRule) {
-			defer wg.Done()
+		ctxs[i], done[i] = ctx, make(chan struct{})
+		go func(ctx *evalCtx, br *boundRule, done chan struct{}) {
+			defer close(done)
 			deduceSem <- struct{}{}
 			defer func() { <-deduceSem }()
 			var t0 time.Time
@@ -860,20 +872,22 @@ func (e *Engine) deduceConcurrent() {
 				// the lock-striped histogram absorbs the concurrency.
 				br.enumHist.ObserveDuration(time.Since(t0))
 			}
-		}(ctx, br)
+		}(ctx, br, done[i])
 	}
-	wg.Wait()
-	for i, ctx := range ctxs {
-		var t0 time.Time
-		if e.tel != nil || tc.Enabled() {
-			t0 = time.Now()
-		}
-		e.mergeCtx(ctx)
-		if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
-			tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
-		}
-		if e.tel != nil {
-			e.rules[i].mergeHist.ObserveDuration(time.Since(t0))
+	for _, merge := range []func(*evalCtx){e.mergeDeps, e.mergeCtx} {
+		for i, ctx := range ctxs {
+			<-done[i]
+			var t0 time.Time
+			if e.tel != nil || tc.Enabled() {
+				t0 = time.Now()
+			}
+			merge(ctx)
+			if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
+				tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
+			}
+			if e.tel != nil {
+				e.rules[i].mergeHist.ObserveDuration(time.Since(t0))
+			}
 		}
 	}
 }
@@ -917,7 +931,7 @@ func (e *Engine) satisfied(l Literal) bool {
 	if l.Kind == FactMatch {
 		return e.Same(l.A, l.B)
 	}
-	return e.validated[mlKey{l.ModelName(), l.A, l.B}]
+	return e.validated[l]
 }
 
 // Run executes the full sequential algorithm Match and returns Γ.
@@ -962,6 +976,7 @@ func (e *Engine) Stats() Stats {
 		MLValidated:  e.cnt.mlValidated.Load(),
 		DepsRecorded: e.cnt.depsRecorded.Load(),
 		DepsFired:    e.cnt.depsFired.Load(),
+		DepsVisited:  e.cnt.depsVisited.Load(),
 		Rounds:       e.cnt.rounds.Load(),
 		DepsDropped:  int64(e.H.Dropped()),
 	}

@@ -31,10 +31,14 @@ type evalCtx struct {
 	// instead of applying them to the engine, for the post-pass merge.
 	buffered bool
 	facts    []Literal
-	deps     []Dep
-	// justs carries the justification of each buffered fact (aligned with
-	// facts); nil when provenance capture is off.
-	justs []*justification
+	// deps holds the buffered dependencies as packed records (deps.go),
+	// back to back in fixed-size chunks so growth never copies; the direct
+	// path packs each record here too and hands it straight to H.
+	deps [][]uint32
+	// justs carries the justification of each buffered fact and depJusts
+	// of each buffered dependency (aligned with facts and with the records
+	// of deps); empty when provenance capture is off.
+	justs, depJusts []*justification
 
 	valuations int64
 	extensions int64
@@ -73,12 +77,6 @@ type evalCtx struct {
 	rvals   []relation.Value
 	unsat   []Literal
 	seedBuf []*relation.Tuple
-
-	// litArena batches the buffered path's dependency-body copies into
-	// chunked appends; the slices handed out stay valid because a full
-	// chunk is replaced, never regrown. Reset by mergeCtx once the deps
-	// have been copied into H's own storage.
-	litArena []Literal
 }
 
 // reset points the context at rule br and clears the binding scratch.
@@ -130,37 +128,29 @@ func (c *evalCtx) apply(l Literal, j *justification) {
 	c.e.applyFactJ(literalFact(l), j)
 }
 
-// recordDep stores dependency body → head. The direct path hands the
-// scratch body straight to H, which copies it into slab storage; the
-// buffered path copies it into the context's literal arena so the scratch
-// buffer can be reused before the merge. The justification holds the
-// evidence already satisfied at emit time, completed by the body when the
-// dependency fires.
+// recordDep packs dependency body → head into the context's record
+// buffer, where the buffered path leaves it for the merge and the direct
+// path hands it to H (which copies it) and takes it back. The justification
+// holds the evidence already satisfied at emit time, completed by the body
+// when the dependency fires.
 func (c *evalCtx) recordDep(body []Literal, head Literal, j *justification) {
+	n := len(c.deps) - 1
+	if n < 0 || len(c.deps[n])+depBodyOff+depLitWords*len(body) > cap(c.deps[n]) {
+		c.deps = append(c.deps, make([]uint32, 0, depChunkWords))
+		n++
+	}
+	lo := len(c.deps[n])
+	c.deps[n] = appendDep(c.deps[n], body, head)
 	if c.buffered {
-		c.deps = append(c.deps, Dep{Body: c.ownLits(body), Head: head, J: j})
+		if j != nil {
+			c.depJusts = append(c.depJusts, j)
+		}
 		return
 	}
-	if c.e.H.add(body, head, j) {
+	if c.e.H.add(c.deps[n][lo:], j) {
 		c.e.cnt.depsRecorded.Add(1)
 	}
-}
-
-// ownLits copies body into the context's chunked literal arena and
-// returns a capacity-clipped view. A chunk that cannot fit the copy is
-// swapped for a fresh one (the old chunk stays alive through the views
-// already handed out), so views never move.
-func (c *evalCtx) ownLits(body []Literal) []Literal {
-	if len(c.litArena)+len(body) > cap(c.litArena) {
-		n := 1024
-		if len(body) > n {
-			n = len(body)
-		}
-		c.litArena = make([]Literal, 0, n)
-	}
-	lo := len(c.litArena)
-	c.litArena = append(c.litArena, body...)
-	return c.litArena[lo:len(c.litArena):len(c.litArena)]
+	c.deps[n] = c.deps[n][:lo]
 }
 
 // enumerate walks the valuations of the context's rule, starting from an
@@ -408,7 +398,7 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 		case h.V2 == v && binding[h.V1] != nil:
 			ta, tb = binding[h.V1], t
 		}
-		if ta != nil && c.e.validated[mlKey{h.Model, ta.GID, tb.GID}] {
+		if ta != nil && c.e.validated[mlLit(br.headModel, ta.GID, tb.GID)] {
 			return false
 		}
 	}
@@ -522,10 +512,10 @@ func (c *evalCtx) emit() {
 		headLit = matchLit(x, y)
 	} else {
 		a, b := binding[h.V1], binding[h.V2]
-		if a == b || c.e.validated[mlKey{h.Model, a.GID, b.GID}] {
+		headLit = mlLit(br.headModel, a.GID, b.GID)
+		if a == b || c.e.validated[headLit] {
 			return // trivial self prediction, or already validated
 		}
-		headLit = mlLit(h.Model, a.GID, b.GID)
 	}
 
 	unsat := c.unsat[:0]
@@ -545,15 +535,12 @@ func (c *evalCtx) emit() {
 		if !m.dynamic {
 			continue // already checked during binding
 		}
-		p := m.pred
-		a, b := binding[p.V1], binding[p.V2]
-		if c.e.validated[mlKey{p.Model, a.GID, b.GID}] {
+		a, b := binding[m.pred.V1], binding[m.pred.V2]
+		l := mlLit(m.model, a.GID, b.GID)
+		if c.e.validated[l] || c.predict(m, a, b) {
 			continue
 		}
-		if c.predict(m, a, b) {
-			continue
-		}
-		unsat = append(unsat, mlLit(p.Model, a.GID, b.GID))
+		unsat = append(unsat, l)
 	}
 	c.unsat = unsat
 
@@ -564,6 +551,9 @@ func (c *evalCtx) emit() {
 	if len(unsat) == 0 {
 		c.apply(headLit, j)
 		return
+	}
+	if len(unsat) > maxDepBody {
+		return // not encodable in H; the update-driven path covers it like any drop
 	}
 	sortLiterals(unsat)
 	c.recordDep(unsat, headLit, j)

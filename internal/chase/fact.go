@@ -53,12 +53,6 @@ func (f Fact) String() string {
 	return fmt.Sprintf("%s(%d, %d)", f.Model, f.A, f.B)
 }
 
-// mlKey is the map key of a validated ML prediction.
-type mlKey struct {
-	model string
-	a, b  relation.TID
-}
-
 // Gamma is the deduced set Γ: the id-equivalence relation over tuples plus
 // the validated ML predictions. See Engine for the full state.
 type Gamma struct {

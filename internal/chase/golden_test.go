@@ -1,0 +1,148 @@
+package chase_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+
+	"dcer/internal/chase"
+	"dcer/internal/datagen"
+	"dcer/internal/mlpred"
+	"dcer/internal/relation"
+)
+
+// gammaDigest is a sha256 over Γ's fact *sequence*: every match in
+// deduction order, then every validated prediction in deduction order.
+// Lengths precede contents, so no two distinct sequences serialize alike.
+func gammaDigest(g *chase.Gamma) string {
+	h := sha256.New()
+	num := func(v int64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for _, fs := range [][]chase.Fact{g.Matches, g.Validated} {
+		num(int64(len(fs)))
+		for _, f := range fs {
+			num(int64(f.Kind))
+			num(int64(f.A))
+			num(int64(f.B))
+			num(int64(len(f.Model)))
+			h.Write([]byte(f.Model))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenGammas were recorded from the engine of commit fcbfa76 (map-backed
+// DepStore with the full-scan, sort-the-survivors Fire), before the packed
+// watched-literal store replaced it. Key: dataset/mode. The modes force
+// their paths explicitly (DrainParallelMin: 1 takes the batched drain on
+// any GOMAXPROCS), so the digests do not depend on the host.
+var goldenGammas = map[string]string{
+	"tpch0.5/seq":          "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
+	"tpch0.5/conc":         "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/seqdeduce":    "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
+	"tpch0.5/seqdrain":     "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/unbounded":    "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/insert/seq":   "de9de54788bc160d452918b41e49dd34cf9404eccda401cd2e5399f30521b763",
+	"tpch0.5/insert/conc":  "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
+	"tfacc0.2/seq":         "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
+	"tfacc0.2/conc":        "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/seqdeduce":   "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
+	"tfacc0.2/seqdrain":    "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/unbounded":   "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/insert/seq":  "9c012bb13ba8369ddaf2e0fb315dc2ade262f2ca144603290c626c90a44e6ac6",
+	"tfacc0.2/insert/conc": "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
+}
+
+// TestGammaGoldenDigest pins Γ's fact sequence byte for byte in every
+// Deduce/drain mode: the dependency store decides which of two fired heads
+// landing in one class becomes the Γ fact, so any change to its firing
+// order shows here even when the final classes agree.
+func TestGammaGoldenDigest(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func() *datagen.Generated
+	}{
+		{"tpch0.5", func() *datagen.Generated {
+			return datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
+		}},
+		{"tfacc0.2", func() *datagen.Generated {
+			return datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
+		}},
+	}
+	modes := []struct {
+		name string
+		opts chase.Options
+	}{
+		{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true}},
+		{"conc", chase.Options{ShareIndexes: true, DrainParallelMin: 1}},
+		{"seqdeduce", chase.Options{ShareIndexes: true, SequentialDeduce: true, DrainParallelMin: 1}},
+		{"seqdrain", chase.Options{ShareIndexes: true, SequentialDrain: true}},
+		{"unbounded", chase.Options{ShareIndexes: true, DrainParallelMin: 1, MaxDeps: -1}},
+	}
+	check := func(key string, g *chase.Gamma) {
+		t.Helper()
+		got := gammaDigest(g)
+		if got != goldenGammas[key] {
+			t.Errorf("%s: digest %s, golden %q (%d facts)", key, got, goldenGammas[key], g.Size())
+		}
+		t.Logf("\t%q: %q,", key, got) // map-literal form, for re-recording
+	}
+	for _, gn := range gens {
+		g := gn.gen()
+		rules, err := g.Rules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range modes {
+			eng, err := chase.New(g.D, rules, mlpred.DefaultRegistry(), m.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(gn.name+"/"+m.name, eng.Run())
+		}
+		// ΔD: the IncDeduce drain with H already populated.
+		for _, m := range modes[:2] {
+			eng := insertRun(t, g, m.opts)
+			check(gn.name+"/insert/"+m.name, eng.Gamma())
+		}
+	}
+}
+
+// insertRun resolves three quarters of g's tuples, then appends the rest
+// through InsertTuples in four batches.
+func insertRun(t *testing.T, g *datagen.Generated, opts chase.Options) *chase.Engine {
+	t.Helper()
+	d := relation.NewDataset(g.D.DB)
+	var held []*relation.Tuple
+	for i, tt := range g.D.Tuples() {
+		if i%4 == 3 {
+			held = append(held, tt)
+			continue
+		}
+		d.MustAppend(g.D.DB.Schemas[tt.Rel].Name, tt.Values()...)
+	}
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := chase.New(d, rules, mlpred.DefaultRegistry(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for lo := 0; lo < len(held); lo += (len(held) + 3) / 4 {
+		hi := min(lo+(len(held)+3)/4, len(held))
+		var batch []*relation.Tuple
+		for _, tt := range held[lo:hi] {
+			batch = append(batch, d.MustAppend(g.D.DB.Schemas[tt.Rel].Name, tt.Values()...))
+		}
+		if _, err := eng.InsertTuples(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}

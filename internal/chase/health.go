@@ -124,28 +124,17 @@ func (e *Engine) auditGamma(seed int64) {
 	h.gamma.Pass(len(idx))
 }
 
-// auditDeps recomputes the dependency store's byte account over a sample:
-// exact equality when the sample covers the store, a tolerance-banded
-// extrapolation (warn, not fail) otherwise.
+// auditDeps recounts the dependency store from its chunks and tables:
+// the byte account and the live count it maintains incrementally must
+// equal what is actually resident.
 func (e *Engine) auditDeps() {
 	h := e.health
-	n := e.H.Len()
-	sampled, got := e.H.auditBytes(h.sampleN)
-	acct := e.H.MemBytes()
-	if sampled == n {
-		if got != acct {
-			h.deps.Fail(sampled, "H accounts %d bytes but a full recount gives %d (%d deps)", acct, got, n)
-			return
-		}
-		h.deps.Pass(sampled)
+	bytes, live := e.H.recount()
+	if acct, n := e.H.MemBytes(), e.H.Len(); bytes != acct || live != n {
+		h.deps.Fail(live, "H accounts %d bytes / %d deps but a recount gives %d / %d", acct, n, bytes, live)
 		return
 	}
-	est := got / int64(sampled) * int64(n)
-	if acct > est+est/2 || acct < est/2 {
-		h.deps.Warn(sampled, "H accounts %d bytes vs ~%d extrapolated from %d of %d deps", acct, est, sampled, n)
-		return
-	}
-	h.deps.Pass(sampled)
+	h.deps.Pass(live)
 }
 
 // planOrderEvalFloor is the per-predicate evaluation count below which

@@ -19,6 +19,7 @@ type engineCounters struct {
 	mlValidated  atomic.Int64
 	depsRecorded atomic.Int64
 	depsFired    atomic.Int64
+	depsVisited  atomic.Int64
 	rounds       atomic.Int64
 
 	// Compiled-plan work account (plan.go): predicate evaluations and
@@ -116,6 +117,7 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 		{"dcer_chase_ml_validated", func() float64 { return float64(e.cnt.mlValidated.Load()) }},
 		{"dcer_chase_deps_recorded", func() float64 { return float64(e.cnt.depsRecorded.Load()) }},
 		{"dcer_chase_deps_fired", func() float64 { return float64(e.cnt.depsFired.Load()) }},
+		{"dcer_chase_deps_visited", func() float64 { return float64(e.cnt.depsVisited.Load()) }},
 		{"dcer_chase_rounds", func() float64 { return float64(e.cnt.rounds.Load()) }},
 		{"dcer_plan_preds_evaluated", func() float64 { return float64(e.cnt.planPreds.Load()) }},
 		{"dcer_plan_batches", func() float64 { return float64(e.cnt.planBatches.Load()) }},

@@ -602,7 +602,7 @@ func (c *evalCtx) pruneHead(v int, buf, src []*relation.Tuple, n int) (int, []*r
 			if ta == tb || c.same(ta.GID, tb.GID) {
 				continue
 			}
-		} else if c.e.validated[mlKey{h.Model, ta.GID, tb.GID}] {
+		} else if c.e.validated[mlLit(c.br.headModel, ta.GID, tb.GID)] {
 			continue
 		}
 		buf[k] = t

@@ -4,7 +4,8 @@ package chase
 // through applyFactJ (engine.go); when Options.Provenance is set, the
 // justification carried alongside the fact — built at emit time from the
 // satisfied body predicates of the deriving valuation, or reconstructed
-// at dependency-fire time from the stored Dep — is converted to a
+// at dependency-fire time from the stored record (DepStore.fire) — is
+// converted to a
 // provenance.Entry and recorded. When capture is off every justification
 // pointer is nil and the valuation hot path allocates nothing.
 
@@ -153,11 +154,12 @@ func (c *evalCtx) buildJust() *justification {
 		p := m.pred
 		ta, tb := binding[p.V1], binding[p.V2]
 		if m.dynamic {
-			if c.e.validated[mlKey{p.Model, ta.GID, tb.GID}] {
-				ar.deps = append(ar.deps, mlLit(p.Model, ta.GID, tb.GID))
+			l := mlLit(m.model, ta.GID, tb.GID)
+			if c.e.validated[l] {
+				ar.deps = append(ar.deps, l)
 				continue
 			}
-			if litIn(unsat, mlLit(p.Model, ta.GID, tb.GID)) {
+			if litIn(unsat, l) {
 				continue
 			}
 		}
@@ -168,23 +170,6 @@ func (c *evalCtx) buildJust() *justification {
 	}
 	if cstart < len(ar.checks) {
 		j.checks = ar.checks[cstart:len(ar.checks):len(ar.checks)]
-	}
-	return j
-}
-
-// firedJust reconstructs the justification of a dependency fired from H:
-// the emit-time evidence stored on the Dep plus the body literals that
-// have since entered Γ. A Dep recorded before capture was enabled has no
-// stored evidence; its body alone still names the prerequisite facts.
-func firedJust(d *Dep) *justification {
-	j := &justification{origin: provenance.OriginDep}
-	if d.J != nil {
-		j.rule = d.J.rule
-		j.valuation = d.J.valuation
-		j.checks = d.J.checks
-		j.deps = append(append([]Literal(nil), d.J.deps...), d.Body...)
-	} else {
-		j.deps = append([]Literal(nil), d.Body...)
 	}
 	return j
 }

@@ -74,12 +74,12 @@ go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry' ./internal/chase
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs' \
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, dependency recording per chunk not per dependency, HyPart per-block not per-tuple)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestDepRecordAllocs|TestPartitionAllocs' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
-echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamma equality)"
-go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget' \
+echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamma equality + golden Gamma fact sequences in every Deduce/drain mode + the packed dependency store against the map-and-full-scan model + DepsVisited far below a scan per round)"
+go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget|TestGammaGoldenDigest|TestDepStoreDifferential|TestDepsVisitedProportionalToNewFacts' \
     ./internal/relation ./internal/chase
 
 echo "== bench smoke (IncDeduce + HyPart incl. the Partition equivalence assert, 1 iteration)"
