@@ -131,8 +131,10 @@ func BenchmarkDeduceParallel(b *testing.B) {
 // BenchmarkIncDeduce measures the incremental algorithm A_Δ: a full
 // chase's facts are replayed through IncDeduce into a fresh engine, which
 // exercises the update-driven drain that dominates the Fig. 6 drivers —
-// with the batched parallel drain (default) and the sequential drain as
-// A/B. Both must converge to the full chase's equivalence classes.
+// under the default engine, whose drain fans batches out only where there
+// is a second processor (run with -cpu 2 or more to time that path; at
+// -cpu 1 both arms run the live drain), and under the sequential engine.
+// Both must converge to the full chase's equivalence classes.
 func BenchmarkIncDeduce(b *testing.B) {
 	g, rules := tpchFixture(b, 0.2)
 	reg := mlpred.DefaultRegistry()
@@ -146,10 +148,8 @@ func BenchmarkIncDeduce(b *testing.B) {
 		name string
 		opts chase.Options
 	}{
-		// An explicit DrainParallelMin forces the batched path even where
-		// the default would fall back to sequential (GOMAXPROCS=1 hosts).
-		{"parallel", chase.Options{ShareIndexes: true, DrainParallelMin: chase.DefaultDrainParallelMin}},
-		{"sequential", chase.Options{ShareIndexes: true, SequentialDrain: true}},
+		{"default", chase.Options{ShareIndexes: true}},
+		{"sequential", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var last *chase.Engine
@@ -198,9 +198,8 @@ func BenchmarkParallelDMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation,
-// the seed-era reference partitioner, and the packed-key rewrite at 1 and
-// 8 shards. Before any timing it asserts the sharded pass is byte-
+// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation
+// and the packed-key partitioner at 1 and 8 shards. Before any timing it asserts the sharded pass is byte-
 // identical to the sequential one (the tentpole equivalence guard CI runs
 // as a bench smoke).
 func BenchmarkHyPart(b *testing.B) {
@@ -230,13 +229,6 @@ func BenchmarkHyPart(b *testing.B) {
 			}
 		})
 	}
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := hypart.PartitionReference(g.D, rules, 16, hypart.Options{Share: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, shards := range []int{1, 8} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -32,12 +32,11 @@ func TestEnumerationAllocs(t *testing.T) {
 			e, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{
 				ShareIndexes:     true,
 				SequentialDeduce: true,
-				SequentialDrain:  true,
-				InterpretRules:   mode.interpret,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.interpret = mode.interpret
 			e.Deduce()
 			for _, br := range e.rules {
 				br := br

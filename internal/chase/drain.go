@@ -9,8 +9,15 @@ package chase
 // per-goroutine buffered contexts, deterministic event-order merge, fan-out
 // bounded by the process-wide deduceSem. The final Γ is identical to the
 // sequential drain by the Church-Rosser property of the chase.
+//
+// Which of the two a batch takes is the engine's to work out (runJobs), not
+// an option: measured on the repository benchmark the fan-out is worth
+// about 7 % of e2e_s to DMatch's in-process workers, which drain while
+// their peers idle at the barrier, and nothing to a lone engine (DESIGN.md
+// §7).
 
 import (
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -21,6 +28,11 @@ import (
 
 	"dcer/internal/relation"
 )
+
+// drainParallelMin is the smallest batch that fans out across goroutines:
+// the fan-out overhead (root snapshot, buffered merge) only pays off on
+// bulk batches like the event floods behind IncDeduce.
+const drainParallelMin = 16
 
 // minDrainJobsPerWorker is the smallest job chunk worth a goroutine of its
 // own; batches fan out over at most ceil(jobs/minDrainJobsPerWorker)
@@ -171,8 +183,12 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 	return append(jobs, drainJob{br: br, p: p, tx: tx, ty: ty})
 }
 
-// runJobs executes one batch, sequentially for small batches (or under
-// Options.SequentialDrain), in parallel otherwise.
+// runJobs executes one batch: on the engine's live context when the engine
+// is sequential (Options.SequentialDeduce), when there is no second
+// processor to fan out to — a buffered chunk cannot see the facts of
+// earlier jobs in its own batch and re-derives them, which a lone
+// processor pays for with nothing to show — or when the batch is small;
+// across goroutines otherwise.
 func (e *Engine) runJobs(jobs []drainJob) {
 	if len(jobs) == 0 {
 		return
@@ -188,34 +204,22 @@ func (e *Engine) runJobs(jobs []drainJob) {
 		defer e.curTC.Start("chase.drain.batch",
 			telemetry.L("jobs", strconv.Itoa(len(jobs)))).EndIf(fineSpanFloor)
 	}
-	min := e.opts.DrainParallelMin
-	if min <= 0 {
-		// By default the batched path is only taken when there is real
-		// parallelism to buy: a buffered chunk cannot see the facts of
-		// earlier jobs in its own batch and re-derives them, which a lone
-		// processor pays for without any fan-out to show for it. An
-		// explicit DrainParallelMin forces the batched path regardless
-		// (A/B runs and the equivalence tests).
-		if runtime.GOMAXPROCS(0) <= 1 {
-			e.runJobsSequential(jobs)
-			return
+	min := e.drainMin
+	if min == 0 {
+		if e.opts.SequentialDeduce || runtime.GOMAXPROCS(0) <= 1 {
+			min = math.MaxInt
+		} else {
+			min = drainParallelMin
 		}
-		min = DefaultDrainParallelMin
 	}
-	if e.opts.SequentialDrain || len(jobs) < min {
-		e.runJobsSequential(jobs)
+	if len(jobs) < min {
+		for i := range jobs {
+			e.ctx.runSeed(&jobs[i])
+		}
+		e.flushCtxCounters(&e.ctx)
 		return
 	}
 	e.drainConcurrent(jobs)
-}
-
-// runJobsSequential runs the batch on the engine's live context, each job
-// seeing the facts applied by the previous — the original drain order.
-func (e *Engine) runJobsSequential(jobs []drainJob) {
-	for i := range jobs {
-		e.ctx.runSeed(&jobs[i])
-	}
-	e.flushCtxCounters(&e.ctx)
 }
 
 // drainConcurrent is the snapshot-enumerate-merge path: the batch is split
@@ -232,17 +236,6 @@ func (e *Engine) drainConcurrent(jobs []drainJob) {
 	nw := (len(jobs) + minDrainJobsPerWorker - 1) / minDrainJobsPerWorker
 	if g := runtime.GOMAXPROCS(0); nw > g {
 		nw = g
-	}
-	if nw <= 1 {
-		// One slot: run buffered on the engine's reusable context against
-		// the live union-find — a buffered pass never mutates Γ, so live
-		// reads equal a snapshot — then merge. Same semantics as the
-		// multi-worker path without the snapshot and goroutine overhead.
-		for i := range jobs {
-			e.bctx.runSeed(&jobs[i])
-		}
-		e.mergeCtx(&e.bctx)
-		return
 	}
 	roots := e.frozenRoots()
 	ctxs := make([]*evalCtx, 0, nw)
@@ -271,9 +264,9 @@ func (e *Engine) drainConcurrent(jobs []drainJob) {
 	}
 }
 
-// mergeCtx applies a buffered context's facts and dependencies to the
-// engine and resets the context for reuse. Duplicate facts (deduced by
-// several chunks against the same snapshot) coalesce in applyFact.
+// mergeCtx applies a buffered context's facts and whatever dependencies
+// mergeDeps has not recorded yet. Duplicate facts (deduced by several
+// rules or chunks against the same snapshot) coalesce in applyFact.
 func (e *Engine) mergeCtx(ctx *evalCtx) {
 	e.flushCtxCounters(ctx)
 	for i, l := range ctx.facts {
@@ -284,8 +277,6 @@ func (e *Engine) mergeCtx(ctx *evalCtx) {
 		e.applyFactJ(literalFact(l), j)
 	}
 	e.mergeDeps(ctx)
-	ctx.facts = ctx.facts[:0]
-	ctx.justs = ctx.justs[:0]
 }
 
 // mergeDeps records a buffered context's dependencies in H, which copies
@@ -312,9 +303,5 @@ func (e *Engine) mergeDeps(ctx *evalCtx) {
 		}
 	}
 	e.cnt.depsRecorded.Add(recorded)
-	if len(ctx.deps) > 0 { // keep one chunk for the next batch
-		ctx.deps = ctx.deps[:1]
-		ctx.deps[0] = ctx.deps[0][:0]
-	}
-	ctx.depJusts = ctx.depJusts[:0]
+	ctx.deps, ctx.depJusts = nil, nil
 }

@@ -33,28 +33,13 @@ type Options struct {
 	// id-equivalence relation can host remote ids. 0 means the dataset's
 	// own size.
 	IDSpace int
-	// SequentialDeduce disables the concurrent first pass of Deduce, so
-	// rules enumerate strictly one after another on the calling
-	// goroutine. The final Γ is identical either way (the chase is
-	// Church-Rosser); sequential mode exists for deterministic debugging
-	// and undistorted single-thread timings.
+	// SequentialDeduce keeps the engine on the calling goroutine: rules
+	// enumerate strictly one after another in the first pass of Deduce
+	// instead of concurrently, and no drain batch fans out (drain.go). The
+	// final Γ is identical either way (the chase is Church-Rosser);
+	// sequential mode exists for deterministic debugging and undistorted
+	// single-thread timings.
 	SequentialDeduce bool
-	// SequentialDrain disables the batched parallel update-driven pass:
-	// every drain round seeds its re-enumerations strictly one after
-	// another on the calling goroutine, each seeing the facts of the
-	// previous. The final Γ is identical either way (Church-Rosser);
-	// sequential mode exists for A/B timing and deterministic debugging.
-	SequentialDrain bool
-	// DrainParallelMin is the minimum number of seeded re-enumerations a
-	// drain batch must contain before it fans out across goroutines; 0
-	// means DefaultDrainParallelMin on multi-processor hosts and a fully
-	// sequential drain when GOMAXPROCS is 1 (buffered chunks re-derive
-	// facts of their own batch, which a lone processor pays for with no
-	// fan-out in return). Small batches stay sequential either way — the
-	// fan-out overhead (root snapshot, buffered merge) only pays off on
-	// bulk batches like the event floods behind IncDeduce. Setting the
-	// field explicitly forces the batched path even on one processor.
-	DrainParallelMin int
 	// Metrics attaches the engine to a telemetry registry: per-rule
 	// enumeration and merge timings, drain batch histograms, queue
 	// depths, and gauge views over the Stats counters (so /metrics and
@@ -71,21 +56,6 @@ type Options struct {
 	// branch per applied fact, nothing on the valuation hot path. The
 	// parallel engine passes each worker a log stamped with its id.
 	Provenance *provenance.Log
-	// InterpretRules disables the compiled predicate plans: enumeration
-	// checks each rule literal per candidate through boxed-free word
-	// compares but without batch vectorization or adaptive reordering.
-	// The compiled path is the default; the interpreter is retained as
-	// the equivalence oracle for A/B runs — Γ is byte-identical either
-	// way (see DESIGN.md §13 for the determinism argument).
-	InterpretRules bool
-	// PlanResortMinEvals is the number of predicate evaluations a rule's
-	// compiled plan accumulates before its program order is re-sorted by
-	// observed fail rate, always between drain rounds, never mid-batch.
-	// 0 means DefaultPlanResortMinEvals; negative disables adaptive
-	// reordering. Rules whose per-rule telemetry histograms already carry
-	// observations (a registry shared with a previous engine) warm-start
-	// with a warmResortDiv-times lower threshold.
-	PlanResortMinEvals int
 	// Trace threads causal span attribution through the engine: Deduce /
 	// IncDeduce roots, per-rule enumerate and merge spans, per-round
 	// drain and batch spans, plan re-sort events (stamped with the
@@ -98,9 +68,9 @@ type Options struct {
 	Trace telemetry.TraceContext
 	// Log, when non-nil and at debug level, receives one wide event per
 	// drain round: a single JSON line carrying the round's progress and
-	// the engine's full knob state (plan on/off + resort count, memory
-	// budget + evictions, drain mode). nil disables emission; the
-	// disabled cost is one level comparison per round.
+	// the engine's knob state (plan resort count, memory budget +
+	// evictions). nil disables emission; the disabled cost is one level
+	// comparison per round.
 	Log *telemetry.Logger
 	// Health attaches the engine to a health monitor: a drain heartbeat
 	// for the stall watchdog plus sampled invariant auditors (union-find
@@ -121,10 +91,6 @@ type Options struct {
 
 // DefaultMaxDeps is the default capacity of the dependency store.
 const DefaultMaxDeps = 1 << 20
-
-// DefaultDrainParallelMin is the default parallelism threshold of a drain
-// batch (Options.DrainParallelMin).
-const DefaultDrainParallelMin = 16
 
 // deduceSem bounds the process-wide fan-out of concurrent rule
 // enumerations: with n parallel dmatch workers × r rules each, up to n·r
@@ -230,8 +196,8 @@ type boundRule struct {
 
 	// plan is the compiled predicate program (plan.go): per-variable
 	// selectivity-ordered word/ML steps plus the resolved constant probe
-	// words. Compiled even under Options.InterpretRules — candidatesFor
-	// and checkNewBinding read it in both modes.
+	// words. Compiled even for the interpreter (Engine.interpret) —
+	// candidatesFor and checkNewBinding read it in both modes.
 	plan *rulePlan
 
 	// reduced marks a rule that is its own mirror image (rule.Symmetry):
@@ -312,9 +278,15 @@ type Engine struct {
 	// (seeded re-enumerations and SequentialDeduce).
 	ctx evalCtx
 
-	// bctx is the reusable buffered context of the single-slot parallel
-	// drain path (see drainConcurrent).
-	bctx evalCtx
+	// interpret switches enumeration from the compiled plans to the
+	// per-candidate rule interpreter, and a non-zero drainMin replaces
+	// runJobs' choice between the sequential and the fanned-out drain by a
+	// fixed batch-size threshold. Neither is an option: the interpreter is
+	// the equivalence oracle of the plans, the threshold is how the Γ
+	// oracles reach both drains on any host, and only this package's tests
+	// set them (export_test.go).
+	interpret bool
+	drainMin  int
 
 	// prov is the justification log (Options.Provenance); nil disables
 	// capture. provOrigin labels facts applied without a rule
@@ -405,8 +377,6 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 	}
 	e.H = NewDepStore(opts.MaxDeps, e.satisfied)
 	e.ctx.e = e
-	e.bctx.e = e
-	e.bctx.buffered = true
 	e.prov = opts.Provenance
 	e.provOrigin = provenance.OriginIDDup
 	if opts.Metrics != nil {

@@ -49,7 +49,7 @@ type evalCtx struct {
 	featHits int64
 	mlCalls  int64
 
-	// plans mirrors !Options.InterpretRules (latched by reset so the hot
+	// plans mirrors !Engine.interpret (latched by reset so the hot
 	// path reads a local flag); planBufs are the per-recursion-depth
 	// candidate scratch buffers of the compiled path, and planEvals /
 	// planBatches accumulate its work account, landing in the engine
@@ -82,7 +82,7 @@ type evalCtx struct {
 // reset points the context at rule br and clears the binding scratch.
 func (c *evalCtx) reset(br *boundRule) {
 	c.br = br
-	c.plans = !c.e.opts.InterpretRules
+	c.plans = !c.e.interpret
 	n := len(br.r.Vars)
 	if cap(c.binding) < n {
 		c.binding = make([]*relation.Tuple, n)

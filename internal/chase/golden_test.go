@@ -37,24 +37,30 @@ func gammaDigest(g *chase.Gamma) string {
 
 // goldenGammas were recorded from the engine of commit fcbfa76 (map-backed
 // DepStore with the full-scan, sort-the-survivors Fire), before the packed
-// watched-literal store replaced it. Key: dataset/mode. The modes force
-// their paths explicitly (DrainParallelMin: 1 takes the batched drain on
-// any GOMAXPROCS), so the digests do not depend on the host.
+// watched-literal store replaced it; "unbounded/live-drain" and
+// "insert/live-drain" from commit 68ad08b with its sequential-drain option
+// set. Key: dataset/mode. The modes force their drains explicitly (every
+// batch fanned out, or none, on any GOMAXPROCS), so the digests do not
+// depend on the host. "seqdeduce" — sequential Deduce over the forced
+// batched drain — pinned a combination the engine no longer has: its one
+// switch keeps the whole engine on the calling goroutine.
 var goldenGammas = map[string]string{
-	"tpch0.5/seq":          "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
-	"tpch0.5/conc":         "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
-	"tpch0.5/seqdeduce":    "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
-	"tpch0.5/seqdrain":     "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
-	"tpch0.5/unbounded":    "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
-	"tpch0.5/insert/seq":   "de9de54788bc160d452918b41e49dd34cf9404eccda401cd2e5399f30521b763",
-	"tpch0.5/insert/conc":  "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
-	"tfacc0.2/seq":         "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
-	"tfacc0.2/conc":        "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
-	"tfacc0.2/seqdeduce":   "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
-	"tfacc0.2/seqdrain":    "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
-	"tfacc0.2/unbounded":   "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
-	"tfacc0.2/insert/seq":  "9c012bb13ba8369ddaf2e0fb315dc2ade262f2ca144603290c626c90a44e6ac6",
-	"tfacc0.2/insert/conc": "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
+	"tpch0.5/seq":                   "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
+	"tpch0.5/conc":                  "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/seqdrain":              "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/unbounded":             "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/unbounded/live-drain":  "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
+	"tpch0.5/insert/seq":            "de9de54788bc160d452918b41e49dd34cf9404eccda401cd2e5399f30521b763",
+	"tpch0.5/insert/conc":           "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
+	"tpch0.5/insert/live-drain":     "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
+	"tfacc0.2/seq":                  "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
+	"tfacc0.2/conc":                 "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/seqdrain":             "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/unbounded":            "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/unbounded/live-drain": "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
+	"tfacc0.2/insert/seq":           "9c012bb13ba8369ddaf2e0fb315dc2ade262f2ca144603290c626c90a44e6ac6",
+	"tfacc0.2/insert/conc":          "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
+	"tfacc0.2/insert/live-drain":    "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
 }
 
 // TestGammaGoldenDigest pins Γ's fact sequence byte for byte in every
@@ -73,15 +79,13 @@ func TestGammaGoldenDigest(t *testing.T) {
 			return datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
 		}},
 	}
-	modes := []struct {
-		name string
-		opts chase.Options
-	}{
-		{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true}},
-		{"conc", chase.Options{ShareIndexes: true, DrainParallelMin: 1}},
-		{"seqdeduce", chase.Options{ShareIndexes: true, SequentialDeduce: true, DrainParallelMin: 1}},
-		{"seqdrain", chase.Options{ShareIndexes: true, SequentialDrain: true}},
-		{"unbounded", chase.Options{ShareIndexes: true, DrainParallelMin: 1, MaxDeps: -1}},
+	unbounded := chase.Options{ShareIndexes: true, MaxDeps: -1}
+	modes := []engineMode{
+		modeSeq,
+		modeBatched.as("conc"),
+		modeLive.as("seqdrain"),
+		{"unbounded", unbounded, modeBatched.switches},
+		{"unbounded/live-drain", unbounded, modeLive.switches},
 	}
 	check := func(key string, g *chase.Gamma) {
 		t.Helper()
@@ -98,23 +102,18 @@ func TestGammaGoldenDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range modes {
-			eng, err := chase.New(g.D, rules, mlpred.DefaultRegistry(), m.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(gn.name+"/"+m.name, eng.Run())
+			check(gn.name+"/"+m.name, m.engine(t, g.D, rules, mlpred.DefaultRegistry()).Run())
 		}
 		// ΔD: the IncDeduce drain with H already populated.
-		for _, m := range modes[:2] {
-			eng := insertRun(t, g, m.opts)
-			check(gn.name+"/insert/"+m.name, eng.Gamma())
+		for _, m := range []engineMode{modes[0], modes[1], modeLive.as("live-drain")} {
+			check(gn.name+"/insert/"+m.name, insertRun(t, g, m).Gamma())
 		}
 	}
 }
 
 // insertRun resolves three quarters of g's tuples, then appends the rest
 // through InsertTuples in four batches.
-func insertRun(t *testing.T, g *datagen.Generated, opts chase.Options) *chase.Engine {
+func insertRun(t *testing.T, g *datagen.Generated, mode engineMode) *chase.Engine {
 	t.Helper()
 	d := relation.NewDataset(g.D.DB)
 	var held []*relation.Tuple
@@ -129,10 +128,7 @@ func insertRun(t *testing.T, g *datagen.Generated, opts chase.Options) *chase.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := chase.New(d, rules, mlpred.DefaultRegistry(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := mode.engine(t, d, rules, mlpred.DefaultRegistry())
 	eng.Run()
 	for lo := 0; lo < len(held); lo += (len(held) + 3) / 4 {
 		hi := min(lo+(len(held)+3)/4, len(held))

@@ -141,15 +141,39 @@ func (e *Engine) auditDeps() {
 // observed fail rates are considered noise for the order-sanity warning.
 const planOrderEvalFloor = 256
 
+// planOrderDriftDiv bounds how much of a judged predicate's evidence may
+// postdate the plan's last re-sort: at most one evaluation in
+// planOrderDriftDiv. A fail rate fails/evals moves by at most δ/evals when
+// δ evaluations are added, so under the bound each rate has moved by at
+// most 1/8 since the re-sort and the spread between two of them by at most
+// 1/4 — a spread above 1/2 now was an inversion above 1/4 when the stable
+// sort by descending fail rate ran, which a working re-sort cannot leave.
+const planOrderDriftDiv = 8
+
 // auditPlans checks the compiled plans' counter sanity (fails ≤ evals,
 // rates in [0,1]) and warns when adaptive reordering left a variable's
 // word program strongly inverted (a much more selective predicate running
-// after a much less selective one).
+// after a much less selective one). A predicate is judged on its position
+// only if the plan's last re-sort saw nearly all of its evaluations
+// (planOrderDriftDiv): evidence that arrived since — a replayed
+// fragment's first uses of a predicate, the last round before a fixpoint —
+// is reordering's to act on at the round boundary where it falls due, not
+// an inversion it left behind. A re-sort that does not sort, a program
+// permuted behind its back or counters that ran backwards still warn at
+// the first audit after a round that evaluated little.
 func (e *Engine) auditPlans() {
 	h := e.health
 	rep := e.PlanReport()
 	preds := 0
-	for _, r := range rep.Rules {
+	for i, r := range rep.Rules {
+		plan := e.rules[i].plan
+		floor := int64(-1) // nothing is judged: the interpreter or a test disabled reordering
+		if !rep.Interpreted && plan.sortMin > 0 {
+			floor = planOrderDriftDiv * plan.sinceSort.Load()
+			if floor < planOrderEvalFloor {
+				floor = planOrderEvalFloor
+			}
+		}
 		for _, v := range r.Vars {
 			for _, p := range v.Preds {
 				preds++
@@ -162,8 +186,8 @@ func (e *Engine) auditPlans() {
 					return
 				}
 			}
-			if e.opts.PlanResortMinEvals >= 0 && !rep.Interpreted {
-				if first, last, ok := wordRateSpread(v.Preds); ok && last-first > 0.5 {
+			if floor > 0 {
+				if first, last, ok := wordRateSpread(v.Preds, floor); ok && last-first > 0.5 {
 					h.plan.Warn(preds, "rule %s var %s: word order inverted (first fail rate %.2f, last %.2f)", r.Rule, v.Var, first, last)
 					return
 				}
@@ -174,14 +198,14 @@ func (e *Engine) auditPlans() {
 }
 
 // wordRateSpread returns the observed fail rates of the first and last
-// word predicate of a variable program with enough evaluations to matter
-// (ML steps sort separately and the symmetry order step is pinned first,
-// so neither says anything about the adaptive order); ok is false when
-// fewer than two qualify.
-func wordRateSpread(preds []PlanPred) (first, last float64, ok bool) {
+// word predicate of a variable program with at least floor evaluations (ML
+// steps sort separately and the symmetry order step is pinned first, so
+// neither says anything about the adaptive order); ok is false when fewer
+// than two qualify.
+func wordRateSpread(preds []PlanPred, floor int64) (first, last float64, ok bool) {
 	seen := 0
 	for _, p := range preds {
-		if p.Kind == "ml" || p.Kind == "order" || p.Evals < planOrderEvalFloor {
+		if p.Kind == "ml" || p.Kind == "order" || p.Evals < floor {
 			continue
 		}
 		if seen == 0 {

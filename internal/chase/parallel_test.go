@@ -80,9 +80,9 @@ func TestDeduceParallelEquivalence(t *testing.T) {
 }
 
 // TestDrainParallelEquivalence is the property test for the batched
-// parallel drain: on randomized instances, the sequential drain, the
-// default-threshold drain, and a forced parallel drain (every batch fans
-// out) must reach byte-identical equivalence classes and validated sets.
+// parallel drain: on randomized instances, the live drain, the drain the
+// engine picks itself, and a forced parallel drain (every batch fans out)
+// must reach byte-identical equivalence classes and validated sets.
 func TestDrainParallelEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(40)
@@ -94,28 +94,21 @@ func TestDrainParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := []chase.Options{
-			{ShareIndexes: true, SequentialDrain: true},
-			{ShareIndexes: true},
-			{ShareIndexes: true, DrainParallelMin: 1},
-		}
+		opts := []engineMode{modeLive, modeDefault, modeBatched}
 		var classes, validated []string
 		for _, o := range opts {
-			eng, err := chase.New(d, rules, reg, o)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+			eng := o.engine(t, d, rules, reg)
 			eng.Run()
 			classes = append(classes, canonClasses(eng.Classes()))
 			validated = append(validated, canonValidated(eng.Gamma().Validated))
 		}
 		for i := 1; i < len(opts); i++ {
 			if classes[i] != classes[0] {
-				t.Fatalf("seed %d: drain mode %+v classes diverge from sequential:\nseq:\n%s\ngot:\n%s",
+				t.Fatalf("seed %d: drain mode %s classes diverge from sequential:\nseq:\n%s\ngot:\n%s",
 					seed, opts[i], classes[0], classes[i])
 			}
 			if validated[i] != validated[0] {
-				t.Fatalf("seed %d: drain mode %+v validated set diverges:\nseq:\n%s\ngot:\n%s",
+				t.Fatalf("seed %d: drain mode %s validated set diverges:\nseq:\n%s\ngot:\n%s",
 					seed, opts[i], validated[0], validated[i])
 			}
 		}
@@ -125,8 +118,8 @@ func TestDrainParallelEquivalence(t *testing.T) {
 // TestInsertTuplesRandomSplitEquivalence is the property test for the
 // incremental ΔD path: withholding a random slice of a random instance and
 // inserting it later must reach exactly the Γ of a full chase over the
-// whole dataset, under the sequential, the default and the forced batched
-// drain.
+// whole dataset, under the sequential engine, the default and the forced
+// batched drain.
 func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(25)
@@ -144,11 +137,7 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 		}
 		scratch.Run()
 
-		for _, opts := range []chase.Options{
-			{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
-			{ShareIndexes: true},
-			{ShareIndexes: true, DrainParallelMin: 1},
-		} {
+		for _, opts := range []engineMode{modeSeq, modeDefault, modeBatched} {
 			// Rebuild withholding every k-th tuple, chase, then insert them.
 			k := 3 + int(seed%4)
 			d2 := relation.NewDataset(d.DB)
@@ -162,10 +151,7 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 				nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
 				gidMap[tt.GID] = nt.GID
 			}
-			eng, err := chase.New(d2, rules, reg, opts)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+			eng := opts.engine(t, d2, rules, reg)
 			eng.Run()
 			var held []*relation.Tuple
 			for _, tt := range heldSrc {
@@ -180,7 +166,7 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 				for j := i + 1; j < d.Size(); j++ {
 					a, b := relation.TID(i), relation.TID(j)
 					if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
-						t.Fatalf("seed %d opts %+v: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
+						t.Fatalf("seed %d mode %s: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
 							seed, opts, i, j, rulesOf(rules))
 					}
 				}
@@ -190,18 +176,16 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 				want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
 			}
 			if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
-				t.Fatalf("seed %d opts %+v: validated sets differ:\nscratch:\n%s\nincremental:\n%s", seed, opts, wv, gv)
+				t.Fatalf("seed %d mode %s: validated sets differ:\nscratch:\n%s\nincremental:\n%s", seed, opts, wv, gv)
 			}
 		}
 	}
 }
 
 // TestDMatchModesEquivalence is the property test for the dmatch execution
-// modes: fully sequential supersteps, parallel supersteps with sequential
-// per-worker Deduce, parallel supersteps with the sequential (and the
-// always-parallel) per-worker drain, and the fully parallel default. All
-// must produce the same global equivalence classes and validated set on
-// randomized instances.
+// modes: fully sequential supersteps (one worker at a time, sequential
+// worker engines) and the parallel default must produce the same global
+// equivalence classes and validated set on randomized instances.
 func TestDMatchModesEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(30)
@@ -216,9 +200,6 @@ func TestDMatchModesEquivalence(t *testing.T) {
 		workers := 2 + int(seed%5)
 		modes := []dmatch.Options{
 			{Workers: workers, Sequential: true},
-			{Workers: workers, SequentialDeduce: true},
-			{Workers: workers, SequentialDrain: true},
-			{Workers: workers, DrainParallelMin: 1},
 			{Workers: workers},
 		}
 		var classes, validated []string

@@ -13,10 +13,11 @@ package chase
 // warm-started from the PR-3 per-rule enumeration histograms. Re-sorting
 // happens only between drain rounds, never mid-batch, and reordering the
 // conjuncts of a conjunction cannot change its survivor set, so Γ is
-// byte-identical to the interpreter (Options.InterpretRules) under every
-// drain mode. A rule that is its own mirror image additionally carries a
-// fixed first step on its head variables, the GID order test of the
-// symmetry reduction (orderStep), which both paths apply alike.
+// byte-identical to the interpreter (Engine.interpret, the plans'
+// equivalence oracle) under every drain mode. A rule that is its own
+// mirror image additionally carries a fixed first step on its head
+// variables, the GID order test of the symmetry reduction (orderStep),
+// which both paths apply alike.
 
 import (
 	"sort"
@@ -28,10 +29,10 @@ import (
 	"dcer/internal/telemetry"
 )
 
-// DefaultPlanResortMinEvals is the default number of predicate
-// evaluations a rule plan accumulates before its program order is
-// re-sorted by observed selectivity (Options.PlanResortMinEvals).
-const DefaultPlanResortMinEvals = 4096
+// planResortMinEvals is the number of predicate evaluations a rule plan
+// accumulates before its program order is re-sorted by observed
+// selectivity, always between drain rounds, never mid-batch.
+const planResortMinEvals = 4096
 
 // warmResortDiv divides the resort threshold for rules whose telemetry
 // histograms already carry observations from an earlier engine on the
@@ -162,17 +163,17 @@ type rulePlan struct {
 
 	// sortMin gates adaptive reordering: once sinceSort accumulates this
 	// many predicate evaluations the next round boundary re-sorts the
-	// programs. Non-positive disables reordering.
+	// programs. Non-positive disables reordering (tests only).
 	sortMin   int64
 	sinceSort atomic.Int64
 	reorders  atomic.Int64
 }
 
 // compilePlan builds the predicate program of br. Plans are compiled even
-// when Options.InterpretRules is set: candidatesFor uses the resolved
-// constant words in both modes, and the interpreter's checkNewBinding
-// walks the same word list (in whatever order it currently holds —
-// conjunct order cannot change the outcome).
+// for the interpreter: candidatesFor uses the resolved constant words in
+// both modes, and the interpreter's checkNewBinding walks the same word
+// list (in whatever order it currently holds — conjunct order cannot
+// change the outcome).
 func compilePlan(e *Engine, br *boundRule) *rulePlan {
 	r := br.r
 	p := &rulePlan{
@@ -245,16 +246,8 @@ func compilePlan(e *Engine, br *boundRule) *rulePlan {
 		p.vars[v].words.Store(&words)
 		p.vars[v].mls.Store(&mls)
 	}
-	min := int64(e.opts.PlanResortMinEvals)
-	switch {
-	case min < 0:
-		p.sortMin = 0
-	case min == 0:
-		p.sortMin = DefaultPlanResortMinEvals
-	default:
-		p.sortMin = min
-	}
-	if p.sortMin > warmResortDiv && br.enumHist != nil && br.enumHist.Snapshot().Count > 0 {
+	p.sortMin = planResortMinEvals
+	if br.enumHist != nil && br.enumHist.Snapshot().Count > 0 {
 		p.sortMin /= warmResortDiv
 	}
 	return p
@@ -282,7 +275,7 @@ func (e *Engine) refreshPlanConsts() {
 // deterministic (conjunct order cannot change a conjunction's survivors;
 // determinism only needs the order to be stable within a batch).
 func (e *Engine) maybeResortPlans() {
-	if e.opts.InterpretRules {
+	if e.interpret {
 		return
 	}
 	traced := e.curTC.Enabled()
@@ -612,8 +605,8 @@ func (c *evalCtx) pruneHead(v int, buf, src []*relation.Tuple, n int) (int, []*r
 }
 
 // PlanPred is one step of a compiled predicate program together with its
-// observed selectivity, as exposed by PlanReport, the plans debug
-// provider, and cmd/bench -plandump.
+// observed selectivity, as exposed by PlanReport and the plans debug
+// provider.
 type PlanPred struct {
 	Pred     string  `json:"pred"`
 	Kind     string  `json:"kind"`
@@ -651,7 +644,7 @@ type PlanReport struct {
 // PlanReport snapshots the engine's compiled predicate plans.
 func (e *Engine) PlanReport() PlanReport {
 	rep := PlanReport{
-		Interpreted:    e.opts.InterpretRules,
+		Interpreted:    e.interpret,
 		PredsEvaluated: e.cnt.planPreds.Load(),
 		Batches:        e.cnt.planBatches.Load(),
 		Reorders:       e.cnt.planReorders.Load(),

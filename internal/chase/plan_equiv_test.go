@@ -12,36 +12,72 @@ import (
 	"dcer/internal/rule"
 )
 
-// gammaOf runs a fresh engine over (d, rules) with opts and returns Γ.
-func gammaOf(t *testing.T, d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts chase.Options) *chase.Gamma {
-	t.Helper()
-	eng, err := chase.New(d, rules, reg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng.Run()
+// The test-only engine switches (export_test.go): the rule interpreter in
+// place of the compiled plans, an adaptive re-sort at every round
+// boundary, and the drain forced through the buffered fan-out on every
+// batch or on none, whatever GOMAXPROCS is.
+func interpreted(e *chase.Engine)  { e.SetInterpretRules(true) }
+func eagerResort(e *chase.Engine)  { e.SetPlanResortMinEvals(1) }
+func batchedDrain(e *chase.Engine) { e.SetDrainParallelMin(1) }
+func liveDrain(e *chase.Engine)    { e.SetDrainParallelMin(chase.NeverFanOut) }
+
+// engineMode is one cell of the Γ-identity matrix: the public options plus
+// the test-only switches applied before the engine first runs.
+type engineMode struct {
+	name     string
+	opts     chase.Options
+	switches []func(*chase.Engine)
 }
+
+func (m engineMode) String() string { return m.name }
+
+// as returns the mode under another name.
+func (m engineMode) as(name string) engineMode { m.name = name; return m }
+
+// with returns the mode with more switches applied after its own.
+func (m engineMode) with(name string, sw ...func(*chase.Engine)) engineMode {
+	return engineMode{m.name + "/" + name, m.opts, append(m.switches[:len(m.switches):len(m.switches)], sw...)}
+}
+
+// engine builds a fresh engine over (d, rules) in the mode.
+func (m engineMode) engine(t testing.TB, d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry) *chase.Engine {
+	t.Helper()
+	eng, err := chase.New(d, rules, reg, m.opts)
+	if err != nil {
+		t.Fatalf("mode %s: %v", m.name, err)
+	}
+	for _, sw := range m.switches {
+		sw(eng)
+	}
+	return eng
+}
+
+// The modes the Γ oracles cover: the sequential engine, concurrent Deduce
+// over the live drain (what a one-processor host and small batches run),
+// and concurrent Deduce with every drain batch fanned out. modeDefault
+// leaves the drain to the engine, so what it covers depends on GOMAXPROCS.
+var (
+	modeSeq     = engineMode{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true}, nil}
+	modeLive    = engineMode{"conc/live-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){liveDrain}}
+	modeBatched = engineMode{"conc/batched-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){batchedDrain}}
+	modeDefault = engineMode{"default", chase.Options{ShareIndexes: true}, nil}
+)
 
 // TestPlanGammaEquivalence is the compiled-plan determinism property: on
 // random rules and datasets, Γ — the exact fact log, not just the final
 // equivalence classes — must be byte-identical between the interpreter
-// (Options.InterpretRules) and the compiled plans, under the sequential
-// and the batched/parallel drain, with and without aggressive adaptive
-// reordering (PlanResortMinEvals: 1 re-sorts at every round boundary).
+// and the compiled plans, under the sequential engine, the default and
+// the forced batched drain, with and without aggressive adaptive
+// reordering (a re-sort at every round boundary).
 func TestPlanGammaEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(40)
 	if testing.Short() {
 		seeds = 10
 	}
-	modes := []struct {
-		name string
-		opts chase.Options
-	}{
-		{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true}},
-		{"conc", chase.Options{ShareIndexes: true}},
-		{"conc/batched-drain", chase.Options{ShareIndexes: true, DrainParallelMin: 1}},
-		{"noMQO", chase.Options{ShareIndexes: false, DrainParallelMin: 1}},
+	modes := []engineMode{
+		modeSeq, modeLive, modeBatched,
+		{"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches},
 	}
 	for seed := int64(200); seed < 200+seeds; seed++ {
 		d, rules, err := datagen.RandomInstance(seed)
@@ -49,21 +85,12 @@ func TestPlanGammaEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, m := range modes {
-			interp := m.opts
-			interp.InterpretRules = true
-			want := gammaOf(t, d, rules, reg, interp)
-
-			planned := m.opts
-			got := gammaOf(t, d, rules, reg, planned)
-			if !reflect.DeepEqual(want, got) {
+			want := m.with("interpreter", interpreted).engine(t, d, rules, reg).Run()
+			if got := m.engine(t, d, rules, reg).Run(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d mode %s: Γ differs between interpreter and compiled plans\nrules:\n%s",
 					seed, m.name, rulesOf(rules))
 			}
-
-			eager := m.opts
-			eager.PlanResortMinEvals = 1
-			got = gammaOf(t, d, rules, reg, eager)
-			if !reflect.DeepEqual(want, got) {
+			if got := m.with("eager-resort", eagerResort).engine(t, d, rules, reg).Run(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d mode %s: Γ differs under per-round adaptive reordering\nrules:\n%s",
 					seed, m.name, rulesOf(rules))
 			}
@@ -72,8 +99,9 @@ func TestPlanGammaEquivalence(t *testing.T) {
 }
 
 // TestPlanDMatchEquivalence extends the property to the parallel BSP
-// engine: the deduplicated global fact sets must be identical between
-// interpreter and compiled-plan worker engines for w ∈ {1, 4}.
+// engine: for w ∈ {1, 4}, DMatch — whose worker engines run the compiled
+// plans — must reach the classes and validated set of one engine under
+// the interpreter (Proposition 8 composed with plan equivalence).
 func TestPlanDMatchEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(16)
@@ -85,23 +113,16 @@ func TestPlanDMatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		oracle := modeDefault.with("interpreter", interpreted).engine(t, d, rules, reg)
+		oracle.Run()
+		wantClasses, wantValidated := canonClasses(oracle.Classes()), canonValidated(oracle.Gamma().Validated)
 		for _, workers := range []int{1, 4} {
-			run := func(interpret bool) *dmatch.Result {
-				res, err := dmatch.Run(d, rules, reg, dmatch.Options{
-					Workers:        workers,
-					InterpretRules: interpret,
-					// Eager reordering inside every worker engine, so the
-					// parallel path also exercises mid-run re-sorts.
-					PlanResortMinEvals: 1,
-				})
-				if err != nil {
-					t.Fatalf("seed %d w=%d interpret=%v: %v", seed, workers, interpret, err)
-				}
-				return res
+			res, err := dmatch.Run(d, rules, reg, dmatch.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("seed %d w=%d: %v", seed, workers, err)
 			}
-			want, got := run(true), run(false)
-			if !reflect.DeepEqual(want.Matches, got.Matches) || !reflect.DeepEqual(want.Validated, got.Validated) {
-				t.Fatalf("seed %d w=%d: global Γ differs between interpreter and compiled plans\nrules:\n%s",
+			if canonClasses(res.Classes()) != wantClasses || canonValidated(res.Validated) != wantValidated {
+				t.Fatalf("seed %d w=%d: DMatch over compiled plans diverges from the interpreter's Γ\nrules:\n%s",
 					seed, workers, rulesOf(rules))
 			}
 		}
@@ -133,16 +154,10 @@ func TestPlanAdaptiveReorderEquivalence(t *testing.T) {
 	}
 	reg := mlpred.DefaultRegistry()
 
-	interp, err := chase.New(build(), rules, reg, chase.Options{ShareIndexes: true, InterpretRules: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	interp := modeDefault.with("interpreter", interpreted).engine(t, build(), rules, reg)
 	want := interp.Run()
 
-	eng, err := chase.New(build(), rules, reg, chase.Options{ShareIndexes: true, PlanResortMinEvals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := modeDefault.with("eager-resort", eagerResort).engine(t, build(), rules, reg)
 	got := eng.Run()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("Γ differs between interpreter and compiled plans under forced reorder")

@@ -33,27 +33,24 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: naive: %v", seed, err)
 		}
-		for _, opts := range []chase.Options{
-			{ShareIndexes: true},
-			{ShareIndexes: false},
-			{ShareIndexes: true, MaxDeps: 1},
-			{ShareIndexes: true, MaxDeps: -1},
-			{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
-			{ShareIndexes: true, DrainParallelMin: 1},
-			{ShareIndexes: true, DrainParallelMin: 1, MaxDeps: 1},
-			{ShareIndexes: true, InterpretRules: true},
+		for _, mode := range []engineMode{
+			modeDefault,
+			{"noMQO", chase.Options{ShareIndexes: false}, nil},
+			{"maxdeps=1", chase.Options{ShareIndexes: true, MaxDeps: 1}, nil},
+			{"unbounded", chase.Options{ShareIndexes: true, MaxDeps: -1}, nil},
+			modeSeq,
+			modeBatched,
+			{"batched-drain/maxdeps=1", chase.Options{ShareIndexes: true, MaxDeps: 1}, modeBatched.switches},
+			modeDefault.with("interpreter", interpreted),
 		} {
-			eng, err := chase.New(d, rules, reg, opts)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+			eng := mode.engine(t, d, rules, reg)
 			eng.Run()
 			for i := 0; i < d.Size(); i++ {
 				for j := i + 1; j < d.Size(); j++ {
 					a, b := relation.TID(i), relation.TID(j)
 					if eng.Same(a, b) != naive.Same(a, b) {
-						t.Fatalf("seed %d opts %+v: engine and oracle disagree on (%d,%d): engine=%v oracle=%v\nrules:\n%s",
-							seed, opts, i, j, eng.Same(a, b), naive.Same(a, b), rulesOf(rules))
+						t.Fatalf("seed %d mode %s: engine and oracle disagree on (%d,%d): engine=%v oracle=%v\nrules:\n%s",
+							seed, mode, i, j, eng.Same(a, b), naive.Same(a, b), rulesOf(rules))
 					}
 				}
 			}

@@ -30,10 +30,7 @@ func TestSymmetryReductionHalvesTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := chase.New(g.D, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true, SequentialDrain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := modeLive.engine(t, g.D, rules, mlpred.DefaultRegistry()) // the valuation counts are the live drain's
 	e.Run()
 	st := e.Stats()
 	if st.SymmetricRules != len(rules) {
@@ -116,21 +113,14 @@ r2: P(a) ^ P(b) ^ a.ref = b.ref ^ lev080(a.y, b.y) -> a.id = b.id
 	if !naive.Same(t0.GID, t1.GID) {
 		t.Fatal("oracle does not match t0 and t1: the instance no longer exercises a directional validation")
 	}
-	for _, opts := range []chase.Options{
-		{ShareIndexes: true},
-		{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
-		{ShareIndexes: true, InterpretRules: true},
-	} {
-		e, err := chase.New(d, rules, reg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, mode := range []engineMode{modeDefault, modeSeq, modeDefault.with("interpreter", interpreted)} {
+		e := mode.engine(t, d, rules, reg)
 		e.Run()
 		if n := e.Stats().SymmetricRules; n != 0 {
-			t.Errorf("opts %+v: SymmetricRules = %d, want 0 (r1 has an ML head, r2 a dynamic ML predicate)", opts, n)
+			t.Errorf("mode %s: SymmetricRules = %d, want 0 (r1 has an ML head, r2 a dynamic ML predicate)", mode, n)
 		}
 		if !e.Same(t0.GID, t1.GID) {
-			t.Errorf("opts %+v: t0 and t1 not matched", opts)
+			t.Errorf("mode %s: t0 and t1 not matched", mode)
 		}
 	}
 
@@ -144,7 +134,7 @@ r2: P(a) ^ P(b) ^ a.ref = b.ref ^ lev080(a.y, b.y) -> a.id = b.id
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := chase.New(d, rules, opaque, chase.Options{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true})
+	e, err := chase.New(d, rules, opaque, chase.Options{ShareIndexes: true, SequentialDeduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

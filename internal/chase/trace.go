@@ -97,7 +97,7 @@ func planOrderDesc(br *boundRule) string {
 }
 
 // wideRound emits the per-drain-round wide event: one JSON line carrying
-// the round's progress and the full knob state of the engine, so a long
+// the round's progress and the knob state of the engine, so a long
 // run is post-hoc debuggable from a grep. Callers gate on the logger's
 // level before computing any of the arguments.
 func (e *Engine) wideRound(round, fired, events int) {
@@ -111,14 +111,12 @@ func (e *Engine) wideRound(round, fired, events int) {
 		telemetry.F{K: "events", V: events},
 		telemetry.F{K: "matches", V: e.cnt.matches.Load()},
 		telemetry.F{K: "ml_validated", V: e.cnt.mlValidated.Load()},
-		telemetry.F{K: "plan_on", V: !e.opts.InterpretRules},
 		telemetry.F{K: "plan_resorts", V: e.cnt.planReorders.Load()},
 		telemetry.F{K: "mem_budget_bytes", V: e.opts.MemBudgetBytes},
 		telemetry.F{K: "mem_dataset_bytes", V: e.cnt.memDataset.Load()},
 		telemetry.F{K: "mem_gamma_bytes", V: e.cnt.memGamma.Load()},
 		telemetry.F{K: "mem_deps_bytes", V: e.cnt.memDeps.Load()},
 		telemetry.F{K: "deps_evicted", V: e.cnt.memEvicted.Load()},
-		telemetry.F{K: "seq_drain", V: e.opts.SequentialDrain},
 	)
 	e.log.Wide(telemetry.LogDebug, "deduce_round", fields...)
 }

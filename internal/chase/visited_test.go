@@ -27,29 +27,23 @@ func TestDepsVisitedProportionalToNewFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []chase.Options{
-			{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true},
-			{ShareIndexes: true, DrainParallelMin: 1},
-		} {
+		for _, mode := range []engineMode{modeSeq, modeBatched} {
 			for _, insert := range []bool{false, true} {
 				var eng *chase.Engine
 				if insert {
-					eng = insertRun(t, g.gen, opts)
+					eng = insertRun(t, g.gen, mode)
 				} else {
-					var err error
-					if eng, err = chase.New(g.gen.D, rules, mlpred.DefaultRegistry(), opts); err != nil {
-						t.Fatal(err)
-					}
+					eng = mode.engine(t, g.gen.D, rules, mlpred.DefaultRegistry())
 					eng.Run()
 				}
 				s := eng.Stats()
 				t.Logf("%s seq=%v insert=%v: recorded %d fired %d visited %d rounds %d", g.name,
-					opts.SequentialDrain, insert, s.DepsRecorded, s.DepsFired, s.DepsVisited, s.Rounds)
+					mode.opts.SequentialDeduce, insert, s.DepsRecorded, s.DepsFired, s.DepsVisited, s.Rounds)
 				if s.DepsVisited > s.DepsRecorded || 4*s.DepsVisited > s.DepsRecorded*s.Rounds {
 					t.Errorf("%s: visited %d dependencies for %d recorded over %d rounds: H is being scanned",
 						g.name, s.DepsVisited, s.DepsRecorded, s.Rounds)
 				}
-				if !opts.SequentialDrain && (s.DepsFired == 0 || s.DepsVisited == 0) {
+				if !mode.opts.SequentialDeduce && (s.DepsFired == 0 || s.DepsVisited == 0) {
 					t.Errorf("%s: fired %d, visited %d: H is not doing its job", g.name, s.DepsFired, s.DepsVisited)
 				}
 			}

@@ -3,6 +3,7 @@ package dmatch_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -18,6 +19,7 @@ import (
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
+	"dcer/internal/wire"
 )
 
 // factSetSignature canonicalizes a fact set (order-insensitive): the Γ
@@ -226,6 +228,47 @@ func TestDistributedFingerprintMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fingerprint") && !strings.Contains(err.Error(), "handshake") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestDistributedVersionMismatch: a worker built against another protocol
+// version must be refused at the handshake — the run fails with the
+// "protocol version" error, promptly — instead of being sent an Assign it
+// would misparse.
+func TestDistributedVersionMismatch(t *testing.T) {
+	g, rules := tpchWorkload(t)
+	spawn := func(worker int, addr string) error {
+		go func() {
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				return // the master already refused the other worker and closed
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			hello := wire.Hello{
+				Version: wire.Version + 1, Worker: worker,
+				DatasetSize: g.D.Size(), IDSpace: g.D.Size(), Rules: len(rules),
+			}
+			if wire.NewEncoder(conn, nil).Hello(hello) == nil {
+				io.Copy(io.Discard, conn) // until the master hangs up
+			}
+		}()
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+			dmatch.Options{Workers: 2},
+			dmatch.DistOptions{Spawn: spawn, AcceptTimeout: 10 * time.Second})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "protocol version") {
+			t.Fatalf("got error %v, want the handshake's protocol version error", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("RunDistributed still running 20s after a worker of another protocol version connected")
 	}
 }
 

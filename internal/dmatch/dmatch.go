@@ -67,28 +67,11 @@ type Options struct {
 	MaxSupersteps int
 	// Sequential forces the supersteps to run workers one at a time (the
 	// master waits for each worker's delta before it starts the next), each
-	// worker's Deduce to enumerate rules sequentially, and the master to
-	// build the inboxes one after another; useful for deterministic
-	// debugging and undistorted per-worker timings.
+	// worker's engine to stay on its own goroutine
+	// (chase.Options.SequentialDeduce), and the master to build the inboxes
+	// one after another; useful for deterministic debugging and undistorted
+	// per-worker timings.
 	Sequential bool
-	// SequentialDeduce keeps the supersteps parallel across workers but
-	// disables the concurrent per-rule first pass inside each worker's
-	// Deduce (the pre-intra-parallelism behavior, kept for comparison).
-	SequentialDeduce bool
-	// SequentialDrain disables the batched parallel drain inside each
-	// worker's Deduce/IncDeduce (see chase.Options.SequentialDrain), so
-	// every superstep's incremental pass runs single-threaded per worker.
-	SequentialDrain bool
-	// DrainParallelMin overrides the per-worker parallel-drain batch
-	// threshold (see chase.Options.DrainParallelMin); 0 keeps the default.
-	DrainParallelMin int
-	// InterpretRules disables the compiled predicate plans inside every
-	// worker engine (see chase.Options.InterpretRules); the A/B oracle
-	// for plan-equivalence runs.
-	InterpretRules bool
-	// PlanResortMinEvals overrides the per-worker adaptive plan-reorder
-	// threshold (see chase.Options.PlanResortMinEvals).
-	PlanResortMinEvals int
 	// RebalanceSkew is the per-superstep skew-ratio threshold above which
 	// the scheduler re-runs the LPT assignment over the virtual blocks'
 	// observed costs and migrates blocks between workers before the next
@@ -145,17 +128,13 @@ type Options struct {
 	ProvenanceLimit int
 }
 
-// wireEngineOpts projects the Γ-relevant engine knobs onto the form every
-// Assign carries; Sequential folds into the per-engine flags here.
+// wireEngineOpts projects the engine knobs onto the form every Assign
+// carries; Sequential becomes the per-engine SequentialDeduce here.
 func wireEngineOpts(opts Options) wire.EngineOpts {
 	return wire.EngineOpts{
-		NoMQO:              opts.NoMQO,
-		SequentialDeduce:   opts.Sequential || opts.SequentialDeduce,
-		SequentialDrain:    opts.Sequential || opts.SequentialDrain,
-		InterpretRules:     opts.InterpretRules,
-		MaxDeps:            opts.MaxDeps,
-		DrainParallelMin:   opts.DrainParallelMin,
-		PlanResortMinEvals: opts.PlanResortMinEvals,
+		NoMQO:            opts.NoMQO,
+		SequentialDeduce: opts.Sequential,
+		MaxDeps:          opts.MaxDeps,
 	}
 }
 

@@ -312,7 +312,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 				telemetry.F{K: "wire_bytes", V: wireStep},
 				telemetry.F{K: "rebalances", V: len(res.Rebalances)},
 				telemetry.F{K: "recoveries", V: len(res.Recoveries)},
-				telemetry.F{K: "plan_on", V: !opts.InterpretRules},
 				telemetry.F{K: "sequential", V: opts.Sequential},
 			)
 		}

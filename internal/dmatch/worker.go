@@ -106,10 +106,6 @@ func chaseOptsFromWire(o wire.EngineOpts, idSpace int, hooks chase.Options) chas
 	hooks.ShareIndexes = !o.NoMQO
 	hooks.IDSpace = idSpace
 	hooks.SequentialDeduce = o.SequentialDeduce
-	hooks.SequentialDrain = o.SequentialDrain
-	hooks.DrainParallelMin = o.DrainParallelMin
-	hooks.InterpretRules = o.InterpretRules
-	hooks.PlanResortMinEvals = o.PlanResortMinEvals
 	return hooks
 }
 

@@ -12,9 +12,8 @@ import (
 
 // PartitionReference is the seed-era single-threaded partitioner, kept
 // verbatim (string block keys, per-emit key concatenation, map-of-maps
-// accumulation) as the baseline the BENCH_<n>.json Partition arms measure
-// the rewritten partitioner against, and as an independent oracle for the
-// invariants the rewrite must preserve: the same non-empty block count,
+// accumulation) as an independent oracle for the invariants the rewritten
+// partitioner must preserve: the same non-empty block count,
 // the same multiset of block sizes, and the same generated/placed tuple
 // totals. The LPT tie-break differs (string vs numeric key order), so
 // fragment contents are compared against Partition's own sequential path

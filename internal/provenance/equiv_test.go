@@ -4,8 +4,11 @@ package provenance_test
 // extracted from the production justification log must replay through
 // complexity.VerifyProof — the independent polynomial verifier of
 // Theorem 2(1) — and the log must entail exactly the pairs the
-// brute-force NaiveChase matches. Checked under the sequential drain, the
-// forced batched/parallel drain, and the BSP engine with w ≥ 2.
+// brute-force NaiveChase matches. Checked under the sequential engine, the
+// default engine and the BSP engine with w ≥ 2; the drain forced through
+// its buffered fan-out on every batch is a test-only switch of
+// internal/chase and has the same check there
+// (TestProofReplaysUnderBatchedDrain).
 
 import (
 	"fmt"
@@ -58,8 +61,8 @@ func replayProof(t *testing.T, tag string, d *relation.Dataset, rules []*rule.Ru
 	}
 }
 
-// TestProofReplaysAgainstVerifier is the sequential-engine property: under
-// every drain mode, each matched pair gets a proof from the log that the
+// TestProofReplaysAgainstVerifier is the single-engine property: in both
+// engine modes, each matched pair gets a proof from the log that the
 // independent verifier accepts, and unmatched pairs get ErrNotEntailed.
 func TestProofReplaysAgainstVerifier(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
@@ -71,8 +74,7 @@ func TestProofReplaysAgainstVerifier(t *testing.T) {
 		tag  string
 		opts chase.Options
 	}{
-		{"seqdrain", chase.Options{ShareIndexes: true, SequentialDeduce: true, SequentialDrain: true}},
-		{"pardrain", chase.Options{ShareIndexes: true, DrainParallelMin: 1}},
+		{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
 		{"default", chase.Options{ShareIndexes: true}},
 	}
 	for seed := int64(0); seed < seeds; seed++ {

@@ -25,13 +25,9 @@ type Hello struct {
 // EngineOpts is the subset of dmatch.Options a worker needs to construct
 // its chase engine; every worker, in process or not, gets it in Assign.
 type EngineOpts struct {
-	NoMQO              bool
-	SequentialDeduce   bool
-	SequentialDrain    bool
-	InterpretRules     bool
-	MaxDeps            int
-	DrainParallelMin   int
-	PlanResortMinEvals int
+	NoMQO            bool
+	SequentialDeduce bool
+	MaxDeps          int
 }
 
 // Assign carries a worker's (re)assignment: engine options, the fragment
@@ -155,16 +151,8 @@ func (e *Encoder) Assign(a Assign) error {
 	if a.Opts.SequentialDeduce {
 		flags |= 2
 	}
-	if a.Opts.SequentialDrain {
-		flags |= 4
-	}
-	if a.Opts.InterpretRules {
-		flags |= 8
-	}
 	fw.uvarint(flags)
 	fw.varint(int64(a.Opts.MaxDeps))
-	fw.varint(int64(a.Opts.DrainParallelMin))
-	fw.varint(int64(a.Opts.PlanResortMinEvals))
 	fw.buf = hypart.AppendFragment(fw.buf, a.Frag, a.RuleFrags)
 	e.writeFacts(a.Replay)
 	return fw.flush()
@@ -339,15 +327,7 @@ func (d *Decoder) Next() (Msg, error) {
 		}
 		m.Assign.Opts.NoMQO = flags&1 != 0
 		m.Assign.Opts.SequentialDeduce = flags&2 != 0
-		m.Assign.Opts.SequentialDrain = flags&4 != 0
-		m.Assign.Opts.InterpretRules = flags&8 != 0
 		if m.Assign.Opts.MaxDeps, err = p.varintInt("max deps"); err != nil {
-			return Msg{}, err
-		}
-		if m.Assign.Opts.DrainParallelMin, err = p.varintInt("drain parallel min"); err != nil {
-			return Msg{}, err
-		}
-		if m.Assign.Opts.PlanResortMinEvals, err = p.varintInt("plan resort min"); err != nil {
 			return Msg{}, err
 		}
 		frag, ruleFrags, rest, err := hypart.ReadFragment(p.b[p.off:])

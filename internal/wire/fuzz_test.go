@@ -38,7 +38,7 @@ func FuzzDecoder(f *testing.F) {
 	})
 	seed(func(e *Encoder) error {
 		return e.Assign(Assign{Worker: 0, Workers: 2,
-			Opts:      EngineOpts{MaxDeps: 64, DrainParallelMin: -3},
+			Opts:      EngineOpts{SequentialDeduce: true, MaxDeps: -3},
 			Frag:      []relation.TID{3, 1, 2},
 			RuleFrags: [][]relation.TID{{1, 2, 3}},
 			Replay:    []chase.Fact{{Kind: chase.FactMatch, A: 8, B: 9}},

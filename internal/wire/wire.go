@@ -40,8 +40,9 @@ import (
 )
 
 // Version is the protocol version carried in Hello; mismatches abort the
-// handshake rather than misdecoding frames.
-const Version = 1
+// handshake rather than misdecoding frames. Version 2 shrank Assign's
+// engine options to one flag word and one varint.
+const Version = 2
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest

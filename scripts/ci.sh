@@ -2,8 +2,8 @@
 # CI entry point: formatting and static analysis, build, the short test
 # suite, the race-enabled run of the concurrent packages, a one-shot
 # bench smoke, the telemetry/causal-trace/health smoke, a cmd/doctor
-# probe of a held live process, the benchdiff regression gate over the
-# BENCH trajectory, and the nested benchmark module's own vet and tests.
+# probe of a held live process, the benchdiff regression gate against
+# BENCH_GATE.json, and the nested benchmark module's own vet and tests.
 # The concurrent first pass of Deduce and the batched parallel drain
 # (internal/chase), the DMatch master loop with its per-worker link
 # goroutines (internal/dmatch), the justification log written from
@@ -38,15 +38,20 @@ go test -short ./...
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
 
-echo "== provenance equivalence (proof replay vs the reference verifier, all drain modes + DMatch w>=2)"
+echo "== provenance equivalence (proof replay vs the reference verifier: sequential and default engine + DMatch w>=2, then the forced batched drain)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
+go test -short -run 'TestProofReplaysUnderBatchedDrain' ./internal/chase
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit)"
+echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, engine options through wire and worker, protocol version refusal)"
 go test -short -count=1 -run 'TestPartitionParallelEquivalence|TestPartitionGoldenDigest' ./internal/hypart
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit' ./internal/dmatch
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestEngineOptsRoundTrip|TestDistributedVersionMismatch' ./internal/dmatch
 
-echo "== one DMatch: non-blank non-test lines of internal/dmatch"
+echo "== one DMatch: non-blank non-test lines of internal/dmatch, then of the root module"
 ls internal/dmatch/*.go | grep -v _test | xargs cat | grep -cv '^\s*$'
+find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | grep -cv '^\s*$'
+
+echo "== option surface (exported fields of chase.Options, dmatch.Options, wire.EngineOpts; a new knob edits TestOptionsSurface)"
+go test -count=1 -v -run 'TestOptionsSurface' ./internal/dmatch | grep -E 'exported fields|^(ok|FAIL|---)'
 
 echo "== distributed process smoke (2 real worker processes over TCP: -out CSV byte-identity vs in-process, then kill-one-worker recovery)"
 dist_data=/tmp/dcer_ci_dist_data
@@ -86,10 +91,7 @@ echo "== bench smoke (IncDeduce + HyPart incl. the Partition equivalence assert,
 go test -run=NONE -bench='IncDeduce|HyPart' -benchtime=1x -short .
 
 echo "== storage bench smoke (Ingest arm at scale 20, single iteration)"
-go run ./cmd/bench -fig6=false -repeat 1 -arms '^Ingest' -memscale 20 -prev '' -out /tmp/dcer_ci_bench.json
-
-echo "== plan bench smoke (Deduce plan=off|on A/B at scale 0.5 with per-rule attribution, single iteration)"
-go run ./cmd/bench -fig6=false -repeat 1 -scale 0.5 -arms '^Deduce/plan=' -memscale 0 -prev '' -out /tmp/dcer_ci_plan.json
+go run ./cmd/bench -repeat 1 -arms '^Ingest' -memscale 20 -prev '' -out /tmp/dcer_ci_bench.json
 
 echo "== telemetry smoke (ephemeral /metrics + provenance + /debug/trace + /debug/health scrape over a live DMatch run)"
 go run ./scripts/telemetrysmoke
@@ -124,13 +126,25 @@ go test -race -short -count=1 \
     -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide' \
     ./internal/telemetry ./internal/dmatch
 
-echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_9 via benchdiff, threshold 10%)"
-# The gate keeps the BENCH trajectory honest: measure the gated tier
-# fresh (min over 3 repeats suppresses scheduler noise on the shared
-# host) and fail when any arm slowed past the threshold vs the last
-# committed snapshot.
-go run ./cmd/bench -fig6=false -repeat 3 -arms '^(Deduce|IncDeduce)/' -memscale 0 -prev '' -out /tmp/dcer_ci_gate.json
-go run ./cmd/benchdiff -gate '^(Deduce|IncDeduce)/' -threshold 10 BENCH_9.json /tmp/dcer_ci_gate.json
+echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_GATE via benchdiff, threshold 25%)"
+# Measure the gated tier fresh (min over 3 repeats suppresses scheduler
+# noise on the shared host) and fail when any arm slowed past the
+# threshold vs the committed snapshot. BENCH_GATE.json holds, per gated
+# arm, the median of seven such min-of-3 runs of one tree, which read
+# Deduce/sequential 201-258 ms (median 205.7), Deduce/concurrent 149-230
+# (159.8), IncDeduce/sequential 27.5-44.7 (30.4) and IncDeduce/default
+# 26.6-49.6 (28.6); a faster phase of the same host read Deduce/sequential
+# 150-186 ms hours earlier. 25 % over the medians — the bound
+# BENCHMARK.json puts on its timing metrics for the same reason — fails an
+# arm above 257 / 200 / 38 / 36 ms: all but the slowest of the seven
+# readings of each arm pass, a 10 % threshold would have failed one or
+# two of seven on an unchanged tree. A burst of the host can still exceed
+# it (one run of this script on that tree read 280 / 200 / 37 / 49 ms and
+# failed, the next 209 / 156 / 30 / 28): re-run before believing a
+# failure. IncDeduce/default is the arm that times the batched drain's
+# fan-out (GOMAXPROCS >= 2).
+go run ./cmd/bench -repeat 3 -arms '^(Deduce|IncDeduce)/' -memscale 0 -prev '' -out /tmp/dcer_ci_gate.json
+go run ./cmd/benchdiff -gate '^(Deduce|IncDeduce)/' -threshold 25 BENCH_GATE.json /tmp/dcer_ci_gate.json
 
 echo "== repository benchmark module (nested module, invisible to the root ./...: vet + every workload at tiny scale)"
 go -C benchmark vet ./...
