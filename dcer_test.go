@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcer"
+	"dcer/internal/datagen"
 )
 
 // TestPublicAPIQuickstart exercises the README quick-start end to end
@@ -95,4 +96,56 @@ func TestPublicAPISoft(t *testing.T) {
 
 func k(i int, suffix string) string {
 	return suffix + string(rune('A'+i%26)) + string(rune('a'+i/26))
+}
+
+// TestPublicAPIMineRules runs the paper's rule-acquisition loop (Section
+// VI) through the facade only: mine rules from labeled pairs, parse each
+// mined rule's text back as a user would from a rule file, and match with
+// the result. A labeled positive that a mined rule covers must come out
+// matched — every rule covers at least its Support of them.
+func TestPublicAPIMineRules(t *testing.T) {
+	g := datagen.IMDBLike(400, 0.3, 21)
+	pairs := make([]dcer.MinerPair, len(g.LabeledPairs))
+	positives := 0
+	for i, p := range g.LabeledPairs {
+		pairs[i] = dcer.MinerPair{A: p.A, B: p.B, Match: p.Match}
+		if p.Match {
+			positives++
+		}
+	}
+	reg := dcer.DefaultClassifiers()
+	mined, err := dcer.MineRules(g.D, pairs, reg, dcer.MineOptions{Relation: "movie"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mined) == 0 {
+		t.Fatal("no rules mined")
+	}
+	var rules []*dcer.Rule
+	covered := 0
+	for _, m := range mined {
+		parsed, err := dcer.ParseRules(m.Text, g.D.DB)
+		if err != nil || len(parsed) != 1 {
+			t.Fatalf("mined rule text does not parse back to one rule (%v):\n%s", err, m.Text)
+		}
+		rules = append(rules, parsed[0])
+		covered = max(covered, m.Support)
+	}
+	eng, err := dcer.Match(g.D, rules, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := 0
+	for _, p := range pairs {
+		if p.Match && eng.Same(p.A, p.B) {
+			matched++
+		}
+	}
+	t.Logf("%d rules; %d of %d labeled positives matched, widest rule covers %d", len(mined), matched, positives, covered)
+	if matched < covered {
+		t.Errorf("%d labeled positives matched, but one mined rule alone covers %d", matched, covered)
+	}
+	if m := dcer.EvaluateClasses(eng.Classes(), dcer.NewTruth(g.Truth)); m.F1 < 0.85 {
+		t.Errorf("matching with the mined rules: %s, want F1 ≥ 0.85", m)
+	}
 }

@@ -7,8 +7,8 @@ package chase
 // goroutines with the same snapshot-enumerate-merge discipline as the
 // concurrent first pass of Deduce (engine.go): frozen union-find roots,
 // per-goroutine buffered contexts, deterministic event-order merge, fan-out
-// bounded by the process-wide deduceSem. The final Γ is identical to the
-// sequential drain by the Church-Rosser property of the chase.
+// bounded by the process-wide slots of acquireDeduceSlot. The final Γ is
+// identical to the sequential drain by the Church-Rosser property.
 //
 // Which of the two a batch takes is the engine's to work out (runJobs), not
 // an option: measured on the repository benchmark the fan-out is worth
@@ -251,8 +251,8 @@ func (e *Engine) drainConcurrent(jobs []drainJob) {
 		wg.Add(1)
 		go func(ctx *evalCtx, part []drainJob) {
 			defer wg.Done()
-			deduceSem <- struct{}{}
-			defer func() { <-deduceSem }()
+			acquireDeduceSlot()
+			defer releaseDeduceSlot()
 			for i := range part {
 				ctx.runSeed(&part[i])
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"dcer/internal/health"
@@ -92,11 +93,43 @@ type Options struct {
 // DefaultMaxDeps is the default capacity of the dependency store.
 const DefaultMaxDeps = 1 << 20
 
-// deduceSem bounds the process-wide fan-out of concurrent rule
+// The deduce slots bound the process-wide fan-out of concurrent rule
 // enumerations: with n parallel dmatch workers × r rules each, up to n·r
-// goroutines contend for these GOMAXPROCS slots, so the chase never
-// oversubscribes the machine no matter how many engines run at once.
-var deduceSem = make(chan struct{}, runtime.GOMAXPROCS(0))
+// goroutines contend for GOMAXPROCS slots, so the chase never
+// oversubscribes the machine no matter how many engines run at once. The
+// bound is the GOMAXPROCS of the moment a slot is asked for, not of
+// package init: `go test -cpu 1,2` and a program that sets it in main
+// change it afterwards.
+var (
+	deduceMu    sync.Mutex
+	deduceFreed = sync.NewCond(&deduceMu) // signalled when deduceHeld drops
+	deduceHeld  int                       // slots taken; guarded by deduceMu
+)
+
+// acquireDeduceSlot blocks until fewer than GOMAXPROCS enumerations hold
+// a slot, and takes one.
+func acquireDeduceSlot() {
+	deduceMu.Lock()
+	for deduceHeld >= runtime.GOMAXPROCS(0) {
+		deduceFreed.Wait()
+	}
+	deduceHeld++
+	deduceMu.Unlock()
+}
+
+// releaseDeduceSlot frees a slot and wakes one waiter per free slot — more
+// than one only when GOMAXPROCS has grown — the longest waiting first: the
+// rules of a Deduce are admitted in rule order, the order they are merged
+// in.
+func releaseDeduceSlot() {
+	deduceMu.Lock()
+	deduceHeld--
+	free := runtime.GOMAXPROCS(0) - deduceHeld
+	deduceMu.Unlock()
+	for ; free > 0; free-- {
+		deduceFreed.Signal()
+	}
+}
 
 // Stats is a point-in-time snapshot of the engine's work counters, for
 // the efficiency experiments. The counters live in atomics, so a snapshot
@@ -222,11 +255,10 @@ type boundRule struct {
 	cache *mlpred.PairCache
 	feats *mlpred.FeatureStore
 
-	// enumHist and mergeHist time this rule's enumerations and merge
-	// passes; nil when telemetry is off (Observe on nil is a no-op, and
-	// the timed regions skip the clock reads entirely).
-	enumHist  *telemetry.Histogram
-	mergeHist *telemetry.Histogram
+	// enumHist times this rule's enumerations; nil when telemetry is off
+	// (Observe on nil is a no-op, and the timed regions skip the clock
+	// reads entirely).
+	enumHist *telemetry.Histogram
 }
 
 // Engine is the sequential Match engine of Section V-A. It owns the
@@ -467,7 +499,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		br.headCl, br.headModel = cl, internModel(r.Head.Model)
 	}
 	if e.tel != nil {
-		br.enumHist, br.mergeHist = e.tel.ruleHists(r.Name)
+		br.enumHist = e.tel.ruleHist(r.Name)
 	}
 	if e.opts.ShareIndexes {
 		ix, ok := e.ixSets[scope]
@@ -826,8 +858,8 @@ func (e *Engine) deduceConcurrent() {
 		ctxs[i], done[i] = ctx, make(chan struct{})
 		go func(ctx *evalCtx, br *boundRule, done chan struct{}) {
 			defer close(done)
-			deduceSem <- struct{}{}
-			defer func() { <-deduceSem }()
+			acquireDeduceSlot()
+			defer releaseDeduceSlot()
 			var t0 time.Time
 			if e.tel != nil || tc.Enabled() {
 				t0 = time.Now()
@@ -848,15 +880,12 @@ func (e *Engine) deduceConcurrent() {
 		for i, ctx := range ctxs {
 			<-done[i]
 			var t0 time.Time
-			if e.tel != nil || tc.Enabled() {
+			if tc.Enabled() {
 				t0 = time.Now()
 			}
 			merge(ctx)
 			if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
 				tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
-			}
-			if e.tel != nil {
-				e.rules[i].mergeHist.ObserveDuration(time.Since(t0))
 			}
 		}
 	}

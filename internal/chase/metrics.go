@@ -58,10 +58,6 @@ type chaseMetrics struct {
 	drainBatchNs   *telemetry.Histogram
 	drainBatchJobs *telemetry.Histogram
 	queueDepth     *telemetry.Histogram
-
-	// planDepth observes, per compiled-plan batch, how many program steps
-	// ran before the batch finished or short-circuited to zero survivors.
-	planDepth *telemetry.Histogram
 }
 
 // cacheSnapshots returns the engine's combined ML accounts, summing the
@@ -89,13 +85,6 @@ func (e *Engine) cacheSnapshots() (pair, feat mlpred.CacheSnapshot) {
 	return pair, feat
 }
 
-func hitRate(s mlpred.CacheSnapshot) float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
 // initMetrics attaches the engine to a registry: creates the stage
 // histograms and registers the gauge views that make /metrics and
 // Engine.Stats two faces of the same counters.
@@ -104,7 +93,6 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 	m.drainBatchNs = reg.Histogram("dcer_chase_drain_batch_ns", labels...)
 	m.drainBatchJobs = reg.Histogram("dcer_chase_drain_batch_jobs", labels...)
 	m.queueDepth = reg.Histogram("dcer_chase_drain_queue_depth", labels...)
-	m.planDepth = reg.Histogram("dcer_plan_short_circuit_depth", labels...)
 	e.tel = m
 
 	views := []struct {
@@ -118,14 +106,10 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 		{"dcer_chase_deps_recorded", func() float64 { return float64(e.cnt.depsRecorded.Load()) }},
 		{"dcer_chase_deps_fired", func() float64 { return float64(e.cnt.depsFired.Load()) }},
 		{"dcer_chase_deps_visited", func() float64 { return float64(e.cnt.depsVisited.Load()) }},
-		{"dcer_chase_rounds", func() float64 { return float64(e.cnt.rounds.Load()) }},
 		{"dcer_plan_preds_evaluated", func() float64 { return float64(e.cnt.planPreds.Load()) }},
 		{"dcer_plan_batches", func() float64 { return float64(e.cnt.planBatches.Load()) }},
 		{"dcer_plan_reorders", func() float64 { return float64(e.cnt.planReorders.Load()) }},
-		{"dcer_chase_mlcache_hit_rate", func() float64 { p, _ := e.cacheSnapshots(); return hitRate(p) }},
 		{"dcer_chase_mlcache_entries", func() float64 { p, _ := e.cacheSnapshots(); return float64(p.Entries) }},
-		{"dcer_chase_featstore_hit_rate", func() float64 { _, f := e.cacheSnapshots(); return hitRate(f) }},
-		{"dcer_chase_featstore_entries", func() float64 { _, f := e.cacheSnapshots(); return float64(f.Entries) }},
 		{"dcer_mem_dataset_bytes", func() float64 { return float64(e.cnt.memDataset.Load()) }},
 		{"dcer_mem_gamma_bytes", func() float64 { return float64(e.cnt.memGamma.Load()) }},
 		{"dcer_mem_deps_bytes", func() float64 { return float64(e.cnt.memDeps.Load()) }},
@@ -155,10 +139,9 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 	}
 }
 
-// ruleHists resolves the per-rule enumeration and merge histograms, once
-// per bound rule at setup.
-func (m *chaseMetrics) ruleHists(ruleName string) (enum, merge *telemetry.Histogram) {
+// ruleHist resolves a rule's enumeration histogram, once per bound rule at
+// setup.
+func (m *chaseMetrics) ruleHist(ruleName string) *telemetry.Histogram {
 	lbls := append(append([]telemetry.Label(nil), m.labels...), telemetry.L("rule", ruleName))
-	return m.reg.Histogram("dcer_chase_rule_enumerate_ns", lbls...),
-		m.reg.Histogram("dcer_chase_rule_merge_ns", lbls...)
+	return m.reg.Histogram("dcer_chase_rule_enumerate_ns", lbls...)
 }

@@ -397,7 +397,7 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 	src := cands
 	buf := c.planBuf(nbound, len(cands))
 	n := len(src)
-	var evals, steps int64
+	var evals int64
 
 	if o := vp.order; o != nil && binding[o.other] != nil {
 		og := binding[o.other].GID
@@ -413,7 +413,6 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 		evals += int64(n)
 		n = k
 		src = buf
-		steps++
 	}
 
 	for _, w := range *vp.words.Load() {
@@ -467,7 +466,6 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 				src = buf
 			}
 		}
-		steps++
 	}
 
 	// Head pruning runs before the ML steps: dropping a candidate whose
@@ -518,15 +516,11 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 		evals += int64(n)
 		n = k
 		src = buf
-		steps++
 	}
 
 	c.planEvals += evals
 	c.planBatches++
 	br.plan.sinceSort.Add(evals)
-	if c.e.tel != nil {
-		c.e.tel.planDepth.Observe(uint64(steps))
-	}
 
 	for i := 0; i < n; i++ {
 		binding[v] = src[i]

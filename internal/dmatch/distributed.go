@@ -136,15 +136,8 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 		return nil
 	}
 	res, err := run(d, rules, opts, n, nil, connect)
-	if mreg := opts.Metrics; err == nil && mreg != nil {
-		snap := res.Wire
-		mreg.Counter("dcer_wire_bytes_out").Add(snap.BytesOut)
-		mreg.Counter("dcer_wire_bytes_in").Add(snap.BytesIn)
-		mreg.Counter("dcer_wire_frames_out").Add(snap.FramesOut)
-		mreg.Counter("dcer_wire_frames_in").Add(snap.FramesIn)
-		mreg.Counter("dcer_wire_encode_ns").Add(snap.EncodeNs)
-		mreg.Counter("dcer_wire_decode_ns").Add(snap.DecodeNs)
-		mreg.Counter("dcer_wire_dict_strings").Add(snap.DictStrings)
+	if err == nil {
+		opts.Metrics.Counter("dcer_wire_frames_out").Add(res.Wire.FramesOut)
 	}
 	return res, err
 }

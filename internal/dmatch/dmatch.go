@@ -75,17 +75,10 @@ type Options struct {
 	// RebalanceSkew is the per-superstep skew-ratio threshold above which
 	// the scheduler re-runs the LPT assignment over the virtual blocks'
 	// observed costs and migrates blocks between workers before the next
-	// superstep. 0 means the default (1.5); negative disables adaptive
+	// superstep, at most twice per run and only after a superstep of 2 ms
+	// or more. 0 means the default (1.5); negative disables adaptive
 	// rebalancing.
 	RebalanceSkew float64
-	// MaxRebalances bounds the number of migrations per run (0 means the
-	// default of 2; negative disables).
-	MaxRebalances int
-	// RebalanceMinStepNs is the makespan floor a superstep must reach
-	// before its skew can trigger a migration — microsecond-scale steps
-	// show large skew ratios that are pure timing noise. 0 means the
-	// default (2ms); negative removes the floor (used by tests).
-	RebalanceMinStepNs int64
 	// Metrics, when non-nil, receives live instrumentation: per-superstep
 	// makespan/skew gauges, routing counters, per-worker busy histograms,
 	// the partition-size histograms of HyPart, and every in-process worker
@@ -165,16 +158,6 @@ type Result struct {
 	// for the whole run.
 	BuildTime time.Duration
 	ERTime    time.Duration
-	// SimulatedTime is the BSP makespan: per superstep, the maximum
-	// compute time over the workers, summed over supersteps. On a
-	// machine with fewer cores than workers this — not wall-clock ERTime
-	// — is the faithful stand-in for the runtime on a real n-machine
-	// cluster (use Options.Sequential for undistorted per-worker
-	// timings). The parallel-scalability experiments report it. It leaves
-	// out engine construction, routing and the wire in both modes; the
-	// measured time is the timeline's per-superstep WallNs (and
-	// BytesOnWire for the wire).
-	SimulatedTime time.Duration
 	// WorkerStats[w] sums the work counters over every engine slot w ran
 	// (a reassignment replaces the engine); a dead worker's are zero.
 	WorkerStats []chase.Stats

@@ -115,15 +115,16 @@ func TestSuperstepLimit(t *testing.T) {
 
 // forcedRebalance makes every eligible superstep migrate: a threshold
 // below any positive skew and no makespan floor.
-func forcedRebalance(workers int) dmatch.Options {
-	return dmatch.Options{Workers: workers, RebalanceSkew: 1e-9, RebalanceMinStepNs: -1}
+func forcedRebalance(t *testing.T, workers int) dmatch.Options {
+	dmatch.NoRebalanceMinStep(t)
+	return dmatch.Options{Workers: workers, RebalanceSkew: 1e-9}
 }
 
 // TestDistributedRebalance: the skew-adaptive scheduler runs over TCP
 // links too — the migrated workers rebuild from an Assign carrying the
 // replay — and Γ stays the single-engine fixpoint.
 func TestDistributedRebalance(t *testing.T) {
-	res, err := runTCP(t, tpchSmall, forcedRebalance(3), nil)
+	res, err := runTCP(t, tpchSmall, forcedRebalance(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestDistributedRebalance(t *testing.T) {
 func TestDistributedRebalanceAndCrash(t *testing.T) {
 	want := sequentialClasses(t, tpchSmall)
 	for _, after := range []int{1, 2} {
-		res, err := runTCP(t, tpchSmall, forcedRebalance(3), map[int]int{1: after})
+		res, err := runTCP(t, tpchSmall, forcedRebalance(t, 3), map[int]int{1: after})
 		if err != nil {
 			t.Fatalf("CrashAfter=%d: %v", after, err)
 		}

@@ -95,15 +95,11 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	tl.Workers = n
 	var tlMu sync.Mutex
 	mreg := opts.Metrics
-	stepGauge := mreg.Gauge("dcer_dmatch_superstep")
 	makespanGauge := mreg.Gauge("dcer_dmatch_step_makespan_ns")
 	skewGauge := mreg.Gauge("dcer_dmatch_step_skew")
 	routedCtr := mreg.Counter("dcer_dmatch_messages_routed")
 	dedupCtr := mreg.Counter("dcer_dmatch_messages_deduped")
 	factsCtr := mreg.Counter("dcer_dmatch_facts_produced")
-	rebalCtr := mreg.Counter("dcer_dmatch_rebalances")
-	movedCtr := mreg.Counter("dcer_dmatch_blocks_moved")
-	routeHist := mreg.Histogram("dcer_dmatch_route_ns")
 	busyHists := make([]*telemetry.Histogram, n)
 	for i := range busyHists {
 		busyHists[i] = mreg.Histogram("dcer_dmatch_worker_busy_ns", telemetry.L("worker", strconv.Itoa(i)))
@@ -219,8 +215,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 			stepMax = max(stepMax, e)
 			busyHists[i].Observe(uint64(e))
 		}
-		res.SimulatedTime += stepMax
-		stepGauge.Set(float64(step))
 		makespanGauge.Set(float64(stepMax))
 
 		routeStart := time.Now()
@@ -286,7 +280,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 		res.MessagesDeduped += deduped
 		rsp.End()
 		routeNs := int64(time.Since(routeStart))
-		routeHist.Observe(uint64(routeNs))
 		routedCtr.Add(routed)
 		dedupCtr.Add(deduped)
 		factsCtr.Add(stepFacts)
@@ -347,8 +340,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 				tlMu.Lock()
 				res.Rebalances = append(res.Rebalances, ev)
 				tlMu.Unlock()
-				rebalCtr.Add(1)
-				movedCtr.Add(int64(moved))
 			}
 			sp.End()
 		}

@@ -18,13 +18,13 @@ import (
 //     MemBudgetBytes, and the six observability hooks (Metrics,
 //     MetricsLabels, Provenance, Trace, Log, Health).
 //   - dmatch.Options: Workers, NoMQO, MaxDeps, ReplicationCap,
-//     MaxSupersteps, Sequential, the three rebalance settings, the four
-//     observability hooks and the two provenance settings.
+//     MaxSupersteps, Sequential, RebalanceSkew, the four observability
+//     hooks and the two provenance settings.
 //   - wire.EngineOpts: what of the above changes the engine a worker
 //     builds — NoMQO, SequentialDeduce, MaxDeps.
 const (
 	chaseOptionsFields   = 11
-	dmatchOptionsFields  = 15
+	dmatchOptionsFields  = 13
 	wireEngineOptsFields = 3
 )
 

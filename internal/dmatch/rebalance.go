@@ -33,38 +33,33 @@ type RebalanceEvent struct {
 }
 
 const (
-	defaultRebalanceSkew    = 1.5
-	defaultMaxRebalances    = 2
-	defaultRebalanceMinStep = 2 * time.Millisecond
+	defaultRebalanceSkew = 1.5
+	// maxRebalances bounds the number of migrations per run.
+	maxRebalances = 2
 )
 
-// rebalancer holds the adaptive-scheduling policy knobs resolved from
-// Options and the remaining migration budget.
+// rebalanceMinStep is the makespan floor a superstep must reach before its
+// skew can trigger a migration — microsecond-scale steps show large skew
+// ratios that are pure timing noise. A variable only so that the package's
+// tests, whose steps are that short, can remove it (export_test.go).
+var rebalanceMinStep = 2 * time.Millisecond
+
+// rebalancer holds the adaptive-scheduling policy resolved from Options
+// and the remaining migration budget.
 type rebalancer struct {
 	enabled bool
 	skewMin float64
 	left    int
-	minStep time.Duration
 }
 
 func newRebalancer(opts Options, n, blocks int) *rebalancer {
 	rb := &rebalancer{
-		enabled: opts.RebalanceSkew >= 0 && opts.MaxRebalances >= 0,
+		enabled: opts.RebalanceSkew >= 0,
 		skewMin: opts.RebalanceSkew,
-		left:    opts.MaxRebalances,
-		minStep: defaultRebalanceMinStep,
+		left:    maxRebalances,
 	}
 	if rb.skewMin == 0 {
 		rb.skewMin = defaultRebalanceSkew
-	}
-	if rb.left == 0 {
-		rb.left = defaultMaxRebalances
-	}
-	switch {
-	case opts.RebalanceMinStepNs < 0:
-		rb.minStep = 0
-	case opts.RebalanceMinStepNs > 0:
-		rb.minStep = time.Duration(opts.RebalanceMinStepNs)
 	}
 	// With n workers and ≤ n blocks every worker holds at most one block,
 	// so no migration can improve the makespan.
@@ -77,7 +72,7 @@ func newRebalancer(opts Options, n, blocks int) *rebalancer {
 // shouldRebalance reports whether the just-finished superstep's skew and
 // makespan warrant a migration, consuming one unit of budget when so.
 func (rb *rebalancer) shouldRebalance(skew float64, makespan time.Duration) bool {
-	if !rb.enabled || rb.left <= 0 || skew < rb.skewMin || makespan < rb.minStep {
+	if !rb.enabled || rb.left <= 0 || skew < rb.skewMin || makespan < rebalanceMinStep {
 		return false
 	}
 	rb.left--

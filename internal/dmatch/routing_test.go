@@ -144,11 +144,10 @@ func TestAdaptiveRebalance(t *testing.T) {
 	seq.Run()
 	want := classSignature(seq.Classes())
 
+	dmatch.NoRebalanceMinStep(t)
 	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{
-		Workers:            4,
-		RebalanceSkew:      0.5, // below 1.0: every eligible superstep triggers
-		RebalanceMinStepNs: -1,  // no makespan floor
-		MaxRebalances:      2,
+		Workers:       4,
+		RebalanceSkew: 0.5, // below 1.0: every eligible superstep triggers
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +158,8 @@ func TestAdaptiveRebalance(t *testing.T) {
 	if res.Supersteps > 1 && len(res.Rebalances) == 0 {
 		t.Skip("no migration triggered (observed costs already balanced)")
 	}
-	if len(res.Rebalances) > 2 {
-		t.Errorf("%d migrations exceed MaxRebalances=2", len(res.Rebalances))
+	if len(res.Rebalances) > dmatch.MaxRebalances {
+		t.Errorf("%d migrations exceed the budget of %d", len(res.Rebalances), dmatch.MaxRebalances)
 	}
 	// WorkerStats keep the work of the engines a migration retired: the
 	// migrated run did everything the unmigrated one did, and then some.
@@ -201,10 +200,10 @@ func TestRebalanceDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dmatch.NoRebalanceMinStep(t)
 	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{
-		Workers:            4,
-		RebalanceSkew:      -1,
-		RebalanceMinStepNs: -1,
+		Workers:       4,
+		RebalanceSkew: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +222,11 @@ func TestRebalanceDebugProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
+	dmatch.NoRebalanceMinStep(t)
 	if _, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{
-		Workers:            4,
-		Metrics:            reg,
-		RebalanceSkew:      0.5,
-		RebalanceMinStepNs: -1,
+		Workers:       4,
+		Metrics:       reg,
+		RebalanceSkew: 0.5,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ type Superstep struct {
 	RouteNs    int64 `json:"route_ns"`    // master routing after the barrier
 	// WallNs is the real elapsed time of the whole superstep as the master
 	// observed it: dispatch, worker compute, barrier, and routing. Unlike
-	// SimulatedTime (a what-if model of an n-machine cluster), this is a
-	// measurement.
+	// Timeline.Makespan (a what-if model of an n-machine cluster), this is
+	// a measurement.
 	WallNs int64 `json:"wall_ns"`
 	// BytesOnWire is the wire traffic of this superstep (both directions,
 	// master side); 0 in in-process mode, where no bytes move.
@@ -82,6 +82,22 @@ func (tl *Timeline) record(step int, elapsed []time.Duration, factsOut, msgsIn [
 		}
 	}
 	tl.Steps = append(tl.Steps, ss)
+}
+
+// Makespan is the BSP makespan: per superstep, the maximum compute time
+// over the workers, summed over supersteps. On a machine with fewer cores
+// than workers this — not wall-clock ERTime — is the faithful stand-in for
+// the runtime on a real n-machine cluster (use Options.Sequential for
+// undistorted per-worker timings). The parallel-scalability experiments
+// report it. It leaves out engine construction, routing and the wire in
+// both modes; the measured time is the per-superstep WallNs (and
+// BytesOnWire for the wire).
+func (tl *Timeline) Makespan() time.Duration {
+	var ns int64
+	for _, ss := range tl.Steps {
+		ns += ss.MakespanNs
+	}
+	return time.Duration(ns)
 }
 
 // JSON marshals the timeline (indented, stable field order).

@@ -31,9 +31,10 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 	if len(tl.Steps) != res.Supersteps {
 		t.Fatalf("timeline has %d steps, result reports %d supersteps", len(tl.Steps), res.Supersteps)
 	}
-	var routed int64
+	var routed, makespan int64
 	for _, ss := range tl.Steps {
 		routed += ss.MessagesRouted
+		makespan += ss.MakespanNs
 		if len(ss.Workers) != 3 {
 			t.Fatalf("step %d has %d worker rows, want 3", ss.Step, len(ss.Workers))
 		}
@@ -46,6 +47,9 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 	}
 	if routed != res.MessagesRouted {
 		t.Errorf("timeline routed %d messages, result reports %d", routed, res.MessagesRouted)
+	}
+	if got := tl.Makespan(); int64(got) != makespan || got <= 0 {
+		t.Errorf("Makespan() = %v, the steps' makespans sum to %d ns", got, makespan)
 	}
 
 	data, err := tl.JSON()

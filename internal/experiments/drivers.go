@@ -34,7 +34,7 @@ func (c Config) withDefaults() Config {
 }
 
 // runDMatch executes DMatch and returns its accuracy and simulated
-// cluster time (the BSP makespan; see dmatch.Result.SimulatedTime —
+// cluster time (the BSP makespan; see dmatch.Timeline.Makespan —
 // wall-clock is meaningless for n workers on a smaller host).
 func runDMatch(g *datagen.Generated, workers int, noMQO bool) (eval.Metrics, time.Duration, *dmatch.Result) {
 	rules, err := g.Rules()
@@ -53,7 +53,7 @@ func runDMatchRules(g *datagen.Generated, rules []*rule.Rule, workers int, noMQO
 		panic(err)
 	}
 	m := eval.EvaluateClasses(res.Classes(), eval.NewTruth(g.Truth))
-	return m, res.SimulatedTime, res
+	return m, res.Timeline().Makespan(), res
 }
 
 // timeRepeats is how often the timed experiments repeat each measurement;
@@ -363,21 +363,23 @@ func Partitioning(cfg Config) *Table {
 	}
 	for _, n := range []int{4, 8, 16, 32} {
 		var best *dmatch.Result
+		var bestSim time.Duration
 		for i := 0; i < timeRepeats; i++ {
 			res, err := dmatch.Run(tp.D, rules, mlpred.DefaultRegistry(),
 				dmatch.Options{Workers: n, Sequential: true})
 			if err != nil {
 				panic(err)
 			}
-			if best == nil || res.SimulatedTime+res.PartitionTime < best.SimulatedTime+best.PartitionTime {
-				best = res
+			sim := res.Timeline().Makespan()
+			if best == nil || sim+res.PartitionTime < bestSim+best.PartitionTime {
+				best, bestSim = res, sim
 			}
 		}
 		// Hypercube routing is per-tuple parallel; the simulated cluster
 		// partition time is the single-threaded wall time divided by n.
 		simPart := best.PartitionTime / time.Duration(n)
-		ratio := float64(simPart) / float64(best.SimulatedTime)
-		t.AddRow(n, simPart, best.SimulatedTime, ratio, best.MessagesRouted, best.Supersteps)
+		ratio := float64(simPart) / float64(bestSim)
+		t.AddRow(n, simPart, bestSim, ratio, best.MessagesRouted, best.Supersteps)
 	}
 	return t
 }

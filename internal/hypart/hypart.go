@@ -59,10 +59,9 @@ type Options struct {
 	// is byte-identical for every value (merge is commutative and the
 	// final block order canonical).
 	Shards int
-	// Metrics, when non-nil, receives the partition shape as histograms:
-	// dcer_hypart_fragment_size (tuples per worker fragment, one
-	// observation per worker) and dcer_hypart_block_size (tuples per
-	// non-empty virtual block). Nil disables with no overhead.
+	// Metrics, when non-nil, receives the partition shape as the
+	// dcer_hypart_fragment_size histogram (tuples per worker fragment, one
+	// observation per worker). Nil disables with no overhead.
 	Metrics *telemetry.Registry
 	// Trace parents the partition's causal spans: a hypart.Partition
 	// root, one hypart.shard.scan span per scan goroutine (each on its
@@ -493,12 +492,6 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	}
 	res.Stats.Blocks = len(res.Blocks)
 	msp.End()
-	if opts.Metrics != nil {
-		bh := opts.Metrics.Histogram("dcer_hypart_block_size")
-		for i := range res.Blocks {
-			bh.Observe(uint64(len(res.Blocks[i].GIDs)))
-		}
-	}
 
 	asp := ptc.Start("hypart.assign")
 	defer asp.End()

@@ -91,9 +91,9 @@ type Stats struct {
 	// DictStrings / DictBytes count dictionary-delta entries and their
 	// payload bytes actually shipped. NaiveSymBytes counts what the same
 	// traffic would have cost re-sending each fact's symbol string
-	// inline (length prefix + bytes) — the ≥3× shrink the BENCH_10
-	// acceptance tracks is NaiveSymBytes / (DictBytes + id bytes ≈
-	// DictBytes + FactsWithSyms).
+	// inline (length prefix + bytes) — the ≥3× shrink wire_test.go
+	// checks is NaiveSymBytes / (DictBytes + id bytes ≈ DictBytes +
+	// FactsWithSyms).
 	DictStrings, DictBytes atomic.Int64
 	NaiveSymBytes          atomic.Int64
 }

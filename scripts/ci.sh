@@ -2,8 +2,9 @@
 # CI entry point: formatting and static analysis, build, the short test
 # suite, the race-enabled run of the concurrent packages, a one-shot
 # bench smoke, the telemetry/causal-trace/health smoke, a cmd/doctor
-# probe of a held live process, the benchdiff regression gate against
-# BENCH_GATE.json, and the nested benchmark module's own vet and tests.
+# probe of a held live process, the bench-regression gate of `go test
+# -bench` against BENCH_GATE.txt, and the nested benchmark module's own vet
+# and tests.
 # The concurrent first pass of Deduce and the batched parallel drain
 # (internal/chase), the DMatch master loop with its per-worker link
 # goroutines (internal/dmatch), the justification log written from
@@ -87,11 +88,12 @@ echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamm
 go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget|TestGammaGoldenDigest|TestDepStoreDifferential|TestDepsVisitedProportionalToNewFacts' \
     ./internal/relation ./internal/chase
 
-echo "== bench smoke (IncDeduce + HyPart incl. the Partition equivalence assert, 1 iteration)"
-go test -run=NONE -bench='IncDeduce|HyPart' -benchtime=1x -short .
+echo "== bench smoke (IncDeduce at the -short scale incl. its full-chase assert + HyPart incl. the Partition equivalence assert, 1 iteration)"
+go test -run=NONE -bench='IncDeduce|HyPart' -benchtime=1x -short . | tee /tmp/dcer_ci_smoke.txt
+grep -q '^BenchmarkIncDeduce/default' /tmp/dcer_ci_smoke.txt
 
-echo "== storage bench smoke (Ingest arm at scale 20, single iteration)"
-go run ./cmd/bench -repeat 1 -arms '^Ingest' -memscale 20 -prev '' -out /tmp/dcer_ci_bench.json
+echo "== storage bench smoke (ingest arm at scale 20, single iteration)"
+go test -run=NONE -bench 'Storage/ingest' -benchtime=1x .
 
 echo "== telemetry smoke (ephemeral /metrics + provenance + /debug/trace + /debug/health scrape over a live DMatch run)"
 go run ./scripts/telemetrysmoke
@@ -126,25 +128,34 @@ go test -race -short -count=1 \
     -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide' \
     ./internal/telemetry ./internal/dmatch
 
-echo "== bench-regression gate (fresh Deduce/IncDeduce arms vs BENCH_GATE via benchdiff, threshold 25%)"
-# Measure the gated tier fresh (min over 3 repeats suppresses scheduler
-# noise on the shared host) and fail when any arm slowed past the
-# threshold vs the committed snapshot. BENCH_GATE.json holds, per gated
-# arm, the median of seven such min-of-3 runs of one tree, which read
-# Deduce/sequential 201-258 ms (median 205.7), Deduce/concurrent 149-230
+echo "== bench-regression gate (fresh DeduceParallel/IncDeduce vs BENCH_GATE.txt, min of 3, threshold 25%)"
+# Measure the gated benchmarks fresh (the min over -count 3 suppresses
+# scheduler noise on the shared host; -cpu 2 is the width BENCH_GATE.txt
+# was taken at) and fail when any slowed past the threshold vs the
+# committed baseline. BENCH_GATE.txt holds, per gated benchmark, the median
+# of seven such min-of-3 runs of one tree (PR 18), which read
+# DeduceParallel/sequential 201-258 ms (median 205.7), /concurrent 149-230
 # (159.8), IncDeduce/sequential 27.5-44.7 (30.4) and IncDeduce/default
-# 26.6-49.6 (28.6); a faster phase of the same host read Deduce/sequential
-# 150-186 ms hours earlier. 25 % over the medians — the bound
-# BENCHMARK.json puts on its timing metrics for the same reason — fails an
-# arm above 257 / 200 / 38 / 36 ms: all but the slowest of the seven
-# readings of each arm pass, a 10 % threshold would have failed one or
-# two of seven on an unchanged tree. A burst of the host can still exceed
-# it (one run of this script on that tree read 280 / 200 / 37 / 49 ms and
-# failed, the next 209 / 156 / 30 / 28): re-run before believing a
-# failure. IncDeduce/default is the arm that times the batched drain's
-# fan-out (GOMAXPROCS >= 2).
-go run ./cmd/bench -repeat 3 -arms '^(Deduce|IncDeduce)/' -memscale 0 -prev '' -out /tmp/dcer_ci_gate.json
-go run ./cmd/benchdiff -gate '^(Deduce|IncDeduce)/' -threshold 25 BENCH_GATE.json /tmp/dcer_ci_gate.json
+# 26.6-49.6 (28.6); a faster phase of the same host read
+# DeduceParallel/sequential 150-186 ms hours earlier. 25 % over the medians
+# — the bound BENCHMARK.json puts on its timing metrics for the same reason
+# — fails above 257 / 200 / 38 / 36 ms: all but the slowest of the seven
+# readings of each pass, a 10 % threshold would have failed one or two of
+# seven on an unchanged tree. A burst of the host can still exceed it (one
+# run of this script on that tree read 280 / 200 / 37 / 49 ms and failed,
+# the next 209 / 156 / 30 / 28): re-run before believing a failure.
+# IncDeduce/default is the one that times the batched drain's fan-out
+# (GOMAXPROCS >= 2).
+go test -run=NONE -bench '^Benchmark(DeduceParallel|IncDeduce)$' -count 3 -cpu 2 . | tee /tmp/dcer_ci_gate.txt
+# The gate gates: the fresh output passes against itself, and fails against
+# a baseline that claims every benchmark once ran twice as fast.
+go run ./scripts/benchgate /tmp/dcer_ci_gate.txt /tmp/dcer_ci_gate.txt > /dev/null
+awk '{ for (i = 2; i <= NF; i++) if ($i == "ns/op") $(i-1) /= 2; print }' /tmp/dcer_ci_gate.txt > /tmp/dcer_ci_gate_halved.txt
+if go run ./scripts/benchgate /tmp/dcer_ci_gate_halved.txt /tmp/dcer_ci_gate.txt > /dev/null 2>&1; then
+    echo "benchgate passed a run twice as slow as its baseline" >&2
+    exit 1
+fi
+go run ./scripts/benchgate BENCH_GATE.txt /tmp/dcer_ci_gate.txt
 
 echo "== repository benchmark module (nested module, invisible to the root ./...: vet + every workload at tiny scale)"
 go -C benchmark vet ./...
