@@ -345,6 +345,48 @@ func BenchmarkMLPredicates(b *testing.B) {
 	})
 }
 
+// BenchmarkSimKernels sets a threshold classifier's exact decider against
+// its scoring kernel on the three kinds of pair a chase feeds it: a match,
+// a pair one edit / one token under the threshold, and unrelated texts of
+// the same shape (17-character VINs for lev080, advisory sentences for
+// jaccard05). Not gated.
+func BenchmarkSimKernels(b *testing.B) {
+	reg := mlpred.DefaultRegistry()
+	feat := func(s string) *mlpred.Features { return mlpred.ComputeFeatures([]dcer.Value{dcer.S(s)}, 0) }
+	for _, arm := range []struct{ model, kind, x, y string }{
+		{"lev080", "match", "WVWZZZ1JZ3W386752", "WVWZZZ1JZ3W386725"},
+		{"lev080", "near", "WVWZZZ1JZ3W386752", "WVWZZZ1JZ3W3A67B5"},
+		{"lev080", "random", "WVWZZZ1JZ3W386752", "1HGCM82633A004352"},
+		{"jaccard05", "match", "nearside front tyre worn close to the legal limit", "front nearside tyre worn close to legal limit"},
+		{"jaccard05", "near", "nearside front tyre worn close to the legal limit", "offside rear tyre worn close to the edge"},
+		{"jaccard05", "random", "nearside front tyre worn close to the legal limit", "exhaust has a minor leak of gases"},
+	} {
+		cl, err := reg.Get(arm.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := cl.(*mlpred.SimClassifier)
+		fx, fy := feat(arm.x), feat(arm.y)
+		fx.Tokens()
+		fy.Tokens()
+		want := sc.ScoreFeatures(fx, fy) >= sc.Threshold
+		b.Run(arm.model+"/"+arm.kind+"/decide", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if sc.Decide(fx, fy, sc.Threshold) != want {
+					b.Fatal("decider disagrees with the kernel")
+				}
+			}
+		})
+		b.Run(arm.model+"/"+arm.kind+"/score", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if (sc.ScoreFeatures(fx, fy) >= sc.Threshold) != want {
+					b.Fatal("kernel disagrees with itself")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStorage measures what the columnar storage layer is judged on —
 // memory, not time: bulk ingest and a full Deduce at TPCH scale 20
 // (573 552 tuples), and a ~1M-tuple ingest plus chase (scale 35) held under

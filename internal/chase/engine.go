@@ -118,9 +118,11 @@ func acquireDeduceSlot() {
 }
 
 // releaseDeduceSlot frees a slot and wakes one waiter per free slot — more
-// than one only when GOMAXPROCS has grown — the longest waiting first: the
-// rules of a Deduce are admitted in rule order, the order they are merged
-// in.
+// than one only when GOMAXPROCS has grown — the longest waiting first. That
+// is not rule order: of the goroutines one Deduce spawns the scheduler runs
+// the last-spawned first, so the last rules take the free slots (measured:
+// tl and tc on TPCH, fa on TFACC) and the rest queue in the order they came
+// to run. Only the merge is in rule order.
 func releaseDeduceSlot() {
 	deduceMu.Lock()
 	deduceHeld--
@@ -158,7 +160,7 @@ type Stats struct {
 	// and its mirror twin only one is inspected.
 	SymmetricRules int
 	MLCacheHits    int64 // opaque-classifier answers served from the pair cache
-	MLCacheMiss    int64 // classifier invocations: feature-scored calls + pair-cache misses
+	MLCacheMiss    int64 // classifier decisions taken: feature-scored calls (a similarity join's, one per value scored, included) + pair-cache misses
 	MLCacheSize    int   // memoized (opaque classifier, pair) answers retained
 	FeatHits       int64 // feature-store lookups served from the store
 	FeatMisses     int64 // feature bundles computed (one per retained bundle)
@@ -207,6 +209,11 @@ type boundMLPred struct {
 	// classifier and both attribute lists agree.
 	cache *mlpred.PairCache
 	clID  uint32
+
+	// sim[s] is the similarity join that binds the predicate's side-s
+	// variable (0: V1, 1: V2) from the other side's tuple; nil where the
+	// predicate or that variable does not qualify (simjoin.go).
+	sim [2]*simJoin
 }
 
 // boundRule is a rule prepared for enumeration.
@@ -539,6 +546,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 			br.ix.For(r.Vars[p.V2].RelIdx, p.A2),
 		})
 	}
+	br.bindSimJoins()
 	br.plan = compilePlan(e, br)
 	return br, nil
 }
@@ -579,9 +587,10 @@ func (e *Engine) symmetricModel(model string) bool {
 
 // prebuildIndexes materializes every index a rule's query plan can reach
 // (one per equality- or constant-predicate attribute), so the concurrent
-// pass never mutates the lazy index caches. Since bindRule resolves eqIx
-// and the plan's constant probes eagerly, this is a backstop that runs
-// once and finds everything already built.
+// pass never mutates the lazy index caches — but for a similarity join's
+// index, built under the set's lock by the first probe. Since bindRule
+// resolves eqIx and the plan's constant probes eagerly, this is a backstop
+// that runs once and finds everything already built.
 func (e *Engine) prebuildIndexes() {
 	if e.prebuilt {
 		return
@@ -802,6 +811,7 @@ func (e *Engine) enumerateRule(br *boundRule, seed []*relation.Tuple) {
 // atomics (the merge-point discipline that keeps the hot loops free of
 // atomic traffic).
 func (e *Engine) flushCtxCounters(c *evalCtx) {
+	c.flushAccess()
 	e.cnt.valuations.Add(c.valuations)
 	e.cnt.extensions.Add(c.extensions)
 	e.cnt.planPreds.Add(c.planEvals)
@@ -842,7 +852,8 @@ func (e *Engine) Deduce() []Fact {
 // enumerates on its own goroutine against the frozen Γ (frozen roots, the
 // read-only validated set, prebuilt indexes and the thread-safe ML stores),
 // buffering candidate facts and dependencies; a single-threaded merge then
-// applies them in rule order, which keeps the engine deterministic. The
+// applies them in rule order — whatever order the slots admitted the
+// enumerations in (releaseDeduceSlot) — which keeps the engine deterministic. The
 // dependencies go first, each rule's as soon as it and its predecessors
 // are done — recording reads Γ and writes only H, the engine goroutine's
 // own, so it overlaps the enumerations still running; the facts follow

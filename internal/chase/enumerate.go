@@ -3,6 +3,7 @@ package chase
 import (
 	"time"
 
+	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
 	"dcer/internal/telemetry"
@@ -59,6 +60,11 @@ type evalCtx struct {
 	planEvals   int64
 	planBatches int64
 
+	// access counts, per variable of br and access path, the times chosen
+	// and the candidates returned; flushAccess lands them in the plan when
+	// the context moves to another rule and at the merge points.
+	access [][numAccessPaths][2]int64
+
 	// arena batch-allocates justifications and their evidence slices when
 	// provenance capture is on, so each captured valuation costs O(1)
 	// amortized allocations instead of a handful.
@@ -81,9 +87,16 @@ type evalCtx struct {
 
 // reset points the context at rule br and clears the binding scratch.
 func (c *evalCtx) reset(br *boundRule) {
+	n := len(br.r.Vars)
+	if c.br != br {
+		c.flushAccess() // leaves every entry zero
+		if cap(c.access) < n {
+			c.access = make([][numAccessPaths][2]int64, n)
+		}
+		c.access = c.access[:n]
+	}
 	c.br = br
 	c.plans = !c.e.interpret
-	n := len(br.r.Vars)
 	if cap(c.binding) < n {
 		c.binding = make([]*relation.Tuple, n)
 	}
@@ -100,6 +113,20 @@ func (c *evalCtx) reset(br *boundRule) {
 			c.candRows[i] = make([]candList, n)
 		}
 		c.candRows[i] = c.candRows[i][:n]
+	}
+}
+
+// flushAccess lands the context's access-path counts in br's plan.
+func (c *evalCtx) flushAccess() {
+	for v := range c.access {
+		for ap, n := range c.access[v] {
+			if n[0] != 0 {
+				a := &c.br.plan.vars[v].access[ap]
+				a.probes.Add(n[0])
+				a.cands.Add(n[1])
+			}
+		}
+		c.access[v] = [numAccessPaths][2]int64{}
 	}
 }
 
@@ -176,12 +203,12 @@ func (c *evalCtx) enumerate(seed []*relation.Tuple) {
 }
 
 // candList is one memoized candidate set: the tightest posting list seen
-// for a variable so far, and whether any index probe produced it (found
-// false means the list is the fallback full relation scan, which any
-// probe beats regardless of length).
+// for a variable so far, and the access path that produced it (apScan
+// means the list is the fallback full relation scan, which any index probe
+// beats regardless of length).
 type candList struct {
-	list  []*relation.Tuple
-	found bool
+	list []*relation.Tuple
+	path accessPath
 }
 
 // refineSkipLen is the candidate-list length below which extend reuses
@@ -221,7 +248,7 @@ func (c *evalCtx) extend(nbound, last int) {
 		var cs candList
 		if last < 0 {
 			cs = c.candidatesFor(v)
-		} else if cs = prev[v]; !cs.found || len(cs.list) > refineSkipLen {
+		} else if cs = prev[v]; cs.path == apScan || len(cs.list) > refineSkipLen {
 			// Refining an already-tiny list costs more in index probes
 			// than the batch filters save: below the threshold the parent
 			// list is reused as-is (the predicate programs still check
@@ -237,8 +264,19 @@ func (c *evalCtx) extend(nbound, last int) {
 			return
 		}
 	}
+	// The variable is chosen; only now may its scan be traded for the
+	// similarity join (the interpreter, the plans' oracle, keeps scanning).
+	path, satisfied := row[bestVar].path, -1
+	if path == apScan && c.plans {
+		if cands, mi, scored := c.simAccess(bestVar); mi >= 0 {
+			bestCands, path, satisfied = cands, apSim, mi
+			c.br.plan.vars[bestVar].access[apSim].scored.Add(scored)
+		}
+	}
+	c.access[bestVar][path][0]++
+	c.access[bestVar][path][1] += int64(len(bestCands))
 	if c.plans {
-		c.extendPlanned(bestVar, bestCands, nbound)
+		c.extendPlanned(bestVar, bestCands, nbound, satisfied)
 		return
 	}
 	for _, t := range bestCands {
@@ -261,28 +299,28 @@ func (c *evalCtx) candidatesFor(v int) candList {
 	br, binding := c.br, c.binding
 	relIdx := br.r.Vars[v].RelIdx
 	var cs candList
-	consider := func(lst []*relation.Tuple) {
-		if !cs.found || len(lst) < len(cs.list) {
-			cs = candList{list: lst, found: true}
+	consider := func(lst []*relation.Tuple, path accessPath) {
+		if cs.path == apScan || len(lst) < len(cs.list) {
+			cs = candList{list: lst, path: path}
 		}
 	}
 	for i, p := range br.eqs {
 		if p.V1 == v && binding[p.V2] != nil {
-			consider(br.eqIx[i][0].LookupTuple(binding[p.V2], p.A2))
+			consider(br.eqIx[i][0].LookupTuple(binding[p.V2], p.A2), apEq)
 		} else if p.V2 == v && binding[p.V1] != nil {
-			consider(br.eqIx[i][1].LookupTuple(binding[p.V1], p.A1))
+			consider(br.eqIx[i][1].LookupTuple(binding[p.V1], p.A1), apEq)
 		}
 	}
 	for _, w := range br.plan.consts[v] {
 		if !w.constOK {
 			// Unresolvable probe (string not interned, or NaN): the
 			// constant matches nothing, so v has no candidates at all.
-			consider(nil)
+			consider(nil, apConst)
 			continue
 		}
-		consider(w.ix.LookupWord(w.constW))
+		consider(w.ix.LookupWord(w.constW), apConst)
 	}
-	if !cs.found {
+	if cs.path == apScan {
 		cs.list = br.scope.Relations[relIdx].Tuples
 	}
 	return cs
@@ -304,8 +342,8 @@ func (c *evalCtx) refineCandidates(cs candList, v, last int) candList {
 		} else {
 			continue
 		}
-		if !cs.found || len(lst) < len(cs.list) {
-			cs = candList{list: lst, found: true}
+		if cs.path == apScan || len(lst) < len(cs.list) {
+			cs = candList{list: lst, path: apEq}
 		}
 	}
 	return cs
@@ -429,22 +467,7 @@ func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
 	var ans bool
 	if m.fc != nil {
 		c.mlCalls++
-		// Probe the store first so warm lookups never rehydrate Values.
-		fa, ok := m.feats.Cached(ta.GID, m.aID)
-		if ok {
-			c.featHits++
-		} else {
-			c.lvals = gatherInto(c.lvals, ta, m.pred.A1Vec)
-			fa = m.feats.Get(ta.GID, m.aID, c.lvals)
-		}
-		fb, ok := m.feats.Cached(tb.GID, m.bID)
-		if ok {
-			c.featHits++
-		} else {
-			c.rvals = gatherInto(c.rvals, tb, m.pred.A2Vec)
-			fb = m.feats.Get(tb.GID, m.bID, c.rvals)
-		}
-		ans = m.fc.PredictFeatures(fa, fb)
+		ans = m.fc.PredictFeatures(c.bundle(m, ta, 0), c.bundle(m, tb, 1))
 	} else {
 		c.lvals = gatherInto(c.lvals, ta, m.pred.A1Vec)
 		c.rvals = gatherInto(c.rvals, tb, m.pred.A2Vec)
@@ -457,6 +480,21 @@ func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
 			telemetry.L("model", m.pred.Model))
 	}
 	return ans
+}
+
+// bundle returns t's feature bundle under side s of m (0: A1Vec, 1: A2Vec),
+// probing the store first so warm lookups never rehydrate Values.
+func (c *evalCtx) bundle(m *boundMLPred, t *relation.Tuple, s int) *mlpred.Features {
+	id, attrs := m.aID, m.pred.A1Vec
+	if s == 1 {
+		id, attrs = m.bID, m.pred.A2Vec
+	}
+	if f, ok := m.feats.Cached(t.GID, id); ok {
+		c.featHits++
+		return f
+	}
+	c.lvals = gatherInto(c.lvals, t, attrs)
+	return m.feats.Get(t.GID, id, c.lvals)
 }
 
 // seedFor returns the context's reusable seed slice, cleared, for a rule

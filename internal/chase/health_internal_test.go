@@ -142,13 +142,21 @@ func TestPlanOrderAuditSparesEvidenceNewerThanTheSort(t *testing.T) {
 // the engine's own re-sorts left), then every word program is reversed
 // behind reordering's back — what a re-sort that does not sort would
 // leave — and the next audit must warn. It also pins that a live fixpoint
-// is a state the auditor judges at all, not only a hand-stamped one.
+// is a state the auditor judges at all, not only a hand-stamped one. One
+// rule more than TPCH's own binds a variable through its similarity join:
+// its ML step is never evaluated, reports what it was satisfied for, and
+// the healthy audit must not read that as a fault.
 func TestAuditorDetectsPermutedPlan(t *testing.T) {
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
 	rules, err := g.Rules()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim, err := rule.ParseResolved("tsim: nation(n) ^ nation(m) ^ lev075(n.nname, m.nname) -> n.id = m.id\n", g.D.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules = append(rules, sim...)
 	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 64, Seed: 1})
 	defer mon.Stop()
 	eng, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Health: mon})
@@ -158,6 +166,12 @@ func TestAuditorDetectsPermutedPlan(t *testing.T) {
 	eng.Run()
 	if c := mon.Check("plan_order"); c.Status() != health.StatusPass {
 		t.Fatalf("healthy run: plan_order is %v (%s), want pass", c.Status(), c.Detail())
+	}
+	rep := eng.PlanReport()
+	m := rep.Rules[len(rep.Rules)-1].Vars[1]
+	if len(m.Access) != 1 || m.Access[0].Path != "sim" || m.Access[0].Probes == 0 || m.Access[0].Scored == 0 ||
+		len(m.Preds) == 0 || m.Preds[len(m.Preds)-1].Satisfied == 0 || m.Preds[len(m.Preds)-1].Evals != 0 {
+		t.Errorf("rule tsim, variable m: want every binding through the similarity join and the ML step satisfied, never evaluated; report %+v", m)
 	}
 	for _, br := range eng.rules {
 		for v := range br.plan.vars {

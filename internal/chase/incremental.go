@@ -46,6 +46,7 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 			br.ix.Add(t)
 		}
 	}
+	e.resetSimJoins(tuples)
 	// Appending the tuples may have interned string payloads that a
 	// constant predicate could not resolve at compile time; retry those
 	// probe words now, while no enumeration is in flight.

@@ -114,6 +114,28 @@ type mlStep struct {
 
 	evals atomic.Int64
 	fails atomic.Int64
+	// satisfied counts the candidates the step was skipped for because
+	// their access path, the predicate's similarity join, already implies it.
+	satisfied atomic.Int64
+}
+
+// accessPath says where a chosen variable's candidates came from.
+type accessPath uint8
+
+const (
+	apScan  accessPath = iota // the whole relation: no index applied
+	apEq                      // the posting list of an equality to a bound variable
+	apConst                   // the posting list of a constant predicate
+	apSim                     // the similarity join of an ML predicate (simjoin.go)
+	numAccessPaths
+)
+
+var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim"}
+
+// accessStats is the account of one access path of one variable: times
+// chosen, candidates returned and, for apSim, distinct values scored.
+type accessStats struct {
+	probes, cands, scored atomic.Int64
 }
 
 // orderStep is the symmetry-reduction filter of a reduced rule (one whose
@@ -147,9 +169,10 @@ func (s *orderStep) keeps(t, o relation.TID) bool {
 // rounds (maybeResortPlans runs on the engine goroutine at round
 // boundaries, after the workers have joined).
 type varPlan struct {
-	order *orderStep // nil unless the rule is reduced and this is a head variable
-	words atomic.Pointer[[]*wordPred]
-	mls   atomic.Pointer[[]*mlStep]
+	order  *orderStep // nil unless the rule is reduced and this is a head variable
+	words  atomic.Pointer[[]*wordPred]
+	mls    atomic.Pointer[[]*mlStep]
+	access [numAccessPaths]accessStats
 }
 
 // rulePlan is the compiled predicate program of one bound rule.
@@ -384,8 +407,10 @@ func (c *evalCtx) planBuf(d, n int) []*relation.Tuple {
 // the variable choice was already made by extend, and the surviving set
 // equals the interpreter's (each step is one conjunct of the same
 // conjunction), so the recursion — and therefore Γ — is reached in the
-// exact same order as the per-candidate interpreter.
-func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
+// exact same order as the per-candidate interpreter. satisfied is the index
+// in br.mls of the ML predicate the candidates' access path already implies
+// (their similarity join's), -1 when there is none: its step is skipped.
+func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfied int) {
 	c.extensions += int64(len(cands))
 	br, binding := c.br, c.binding
 	vp := &br.plan.vars[v]
@@ -479,6 +504,10 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound int) {
 	for _, m := range *vp.mls.Load() {
 		if n == 0 {
 			break
+		}
+		if m.mi == satisfied {
+			m.satisfied.Add(int64(n))
+			continue
 		}
 		bm := &br.mls[m.mi]
 		p := m.p
@@ -607,13 +636,27 @@ type PlanPred struct {
 	Evals    int64   `json:"evals"`
 	Fails    int64   `json:"fails"`
 	FailRate float64 `json:"fail_rate"`
+	// Satisfied counts the candidates an ML step was skipped for because
+	// their access path implied it: exercised, whatever Evals says.
+	Satisfied int64 `json:"satisfied,omitempty"`
+}
+
+// PlanAccess is one access path a variable was bound through: times chosen,
+// candidates returned in total and, for "sim", distinct values scored.
+type PlanAccess struct {
+	Path       string `json:"path"`
+	Probes     int64  `json:"probes"`
+	Scored     int64  `json:"scored,omitempty"`
+	Candidates int64  `json:"candidates"`
 }
 
 // PlanVarReport is the compiled program of one rule variable, in current
-// (possibly adaptively re-sorted) execution order.
+// (possibly adaptively re-sorted) execution order, and the access paths
+// its candidates came from ("scan", "eq", "const", "sim"; used ones only).
 type PlanVarReport struct {
-	Var   string     `json:"var"`
-	Preds []PlanPred `json:"preds"`
+	Var    string       `json:"var"`
+	Preds  []PlanPred   `json:"preds"`
+	Access []PlanAccess `json:"access,omitempty"`
 }
 
 // RulePlanReport describes one rule's compiled plan.
@@ -659,7 +702,17 @@ func (e *Engine) PlanReport() PlanReport {
 				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), w.evals.Load(), w.fails.Load()))
 			}
 			for _, m := range *vp.mls.Load() {
-				pv.Preds = append(pv.Preds, planPred(m.p.String(), "ml", m.evals.Load(), m.fails.Load()))
+				pp := planPred(m.p.String(), "ml", m.evals.Load(), m.fails.Load())
+				pp.Satisfied = m.satisfied.Load()
+				pv.Preds = append(pv.Preds, pp)
+			}
+			for ap := range vp.access {
+				if a := &vp.access[ap]; a.probes.Load() > 0 {
+					pv.Access = append(pv.Access, PlanAccess{
+						Path: accessPathNames[ap], Probes: a.probes.Load(),
+						Scored: a.scored.Load(), Candidates: a.cands.Load(),
+					})
+				}
 			}
 			rr.Vars = append(rr.Vars, pv)
 		}

@@ -219,3 +219,41 @@ func TestLoopbackBuildFailure(t *testing.T) {
 		t.Fatal("run hangs when its workers cannot build their engines")
 	}
 }
+
+// TestSimilarityJoinThroughDMatch: TFACC's rule fa joins its advisories by
+// nothing but an ML predicate, so every worker engine binds them through a
+// similarity join whose index it builds over its own fragment scope. Γ is
+// the single engine's over both links, and the workers together take fewer
+// classifier decisions than one scan per advisory would — the join fired.
+func TestSimilarityJoinThroughDMatch(t *testing.T) {
+	load := func() (*relation.Dataset, []*rule.Rule, error) {
+		g := datagen.TFACC(datagen.TFACCOptions{Scale: 0.1, Dup: 0.3, Seed: 3})
+		rules, err := g.Rules()
+		return g.D, rules, err
+	}
+	d, _, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	advisories := int64(len(d.Relation("advisory").Tuples))
+	want := sequentialClasses(t, load)
+	for _, lk := range bothLinks {
+		t.Run(lk.name, func(t *testing.T) {
+			res, err := lk.run(t, load, dmatch.Options{Workers: 3}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := classSignature(res.Classes()); got != want {
+				t.Error("classes diverge from the single-engine chase")
+			}
+			var calls int64
+			for _, ws := range res.WorkerStats {
+				calls += ws.MLCacheMiss
+			}
+			t.Logf("%d advisories, %d classifier decisions", advisories, calls)
+			if calls >= advisories*(advisories-1)/2 {
+				t.Errorf("%d classifier decisions for %d advisories: fa scanned", calls, advisories)
+			}
+		})
+	}
+}

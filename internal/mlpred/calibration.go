@@ -78,6 +78,18 @@ func (c *Calibration) Snapshot() CalibSnapshot {
 	return s
 }
 
+// CalibrationOf returns the Calibration attached to cl, nil when there is
+// none; while one is, every pair cl is asked about must reach cl itself.
+func CalibrationOf(cl Classifier) *Calibration {
+	switch c := cl.(type) {
+	case *SimClassifier:
+		return c.Calib
+	case *LogisticClassifier:
+		return c.Calib
+	}
+	return nil
+}
+
 // EnableCalibration attaches a Calibration to every registered classifier
 // that can score (SimClassifier, LogisticClassifier) and returns them by
 // classifier name. Idempotent: already-attached calibrations are kept.

@@ -58,6 +58,10 @@ type SimClassifier struct {
 	// nil, PredictFeatures falls back to Metric over the cached texts.
 	FeatureMetric func(a, b *Features) float64
 	Threshold     float64
+	// Decide, when set, answers ScoreFeatures(a, b) >= threshold exactly
+	// and more cheaply than scoring (decide.go). Nil keeps the kernel, as
+	// does a Calib, which wants the raw score of every call.
+	Decide func(a, b *Features, threshold float64) bool
 	// Calib, when set, records every raw score this classifier produces
 	// (see Calibration). Nil — the default — costs one branch per call.
 	Calib *Calibration
@@ -90,6 +94,9 @@ func (c *SimClassifier) ScoreFeatures(a, b *Features) float64 {
 
 // PredictFeatures implements FeatureClassifier.
 func (c *SimClassifier) PredictFeatures(a, b *Features) bool {
+	if c.Decide != nil && c.Calib == nil {
+		return c.Decide(a, b, c.Threshold)
+	}
 	score := c.ScoreFeatures(a, b)
 	if c.Calib != nil {
 		c.Calib.Observe(score, score >= c.Threshold)
@@ -223,14 +230,15 @@ func (r *Registry) Names() []string {
 // Classifiers whose metric decomposes over per-text features carry a
 // FeatureMetric so engines with a FeatureStore score by token merges and
 // dot products; the rest (edit-distance-style metrics) still skip the
-// per-call value flattening by reading the cached Features.Text.
+// per-call value flattening by reading the cached Features.Text. The
+// Levenshtein and Jaccard thresholds carry an exact decider (decide.go).
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
-	r.Register(&SimClassifier{ClassifierName: "jaccard07", Metric: Jaccard, FeatureMetric: JaccardFeatures, Threshold: 0.7})
-	r.Register(&SimClassifier{ClassifierName: "jaccard05", Metric: Jaccard, FeatureMetric: JaccardFeatures, Threshold: 0.5})
+	r.Register(&SimClassifier{ClassifierName: "jaccard07", Metric: Jaccard, FeatureMetric: JaccardFeatures, Decide: JaccardAtLeast, Threshold: 0.7})
+	r.Register(&SimClassifier{ClassifierName: "jaccard05", Metric: Jaccard, FeatureMetric: JaccardFeatures, Decide: JaccardAtLeast, Threshold: 0.5})
 	r.Register(&SimClassifier{ClassifierName: "jaro085", Metric: JaroWinkler, Threshold: 0.85})
-	r.Register(&SimClassifier{ClassifierName: "lev080", Metric: LevenshteinSim, Threshold: 0.8})
-	r.Register(&SimClassifier{ClassifierName: "lev075", Metric: LevenshteinSim, Threshold: 0.75})
+	r.Register(&SimClassifier{ClassifierName: "lev080", Metric: LevenshteinSim, Decide: LevenshteinAtLeast, Threshold: 0.8})
+	r.Register(&SimClassifier{ClassifierName: "lev075", Metric: LevenshteinSim, Decide: LevenshteinAtLeast, Threshold: 0.75})
 	r.Register(&SimClassifier{ClassifierName: "cosine07", Metric: CosineTokens, FeatureMetric: CosineTokensFeatures, Threshold: 0.7})
 	r.Register(&SimClassifier{ClassifierName: "embed080",
 		Metric:        func(a, b string) float64 { return EmbeddingSim(a, b, EmbeddingDim) },

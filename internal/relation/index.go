@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -245,6 +246,16 @@ func (ix *Index) Add(t *Tuple) {
 // Distinct returns the number of distinct values in the index.
 func (ix *Index) Distinct() int { return ix.pm.n }
 
+// Each calls fn once per distinct value of the indexed attribute, with its
+// packed word and posting list, in table order.
+func (ix *Index) Each(fn func(w uint64, post []*Tuple)) {
+	for i, post := range ix.pm.vals {
+		if post != nil {
+			fn(ix.pm.keys[i], post)
+		}
+	}
+}
+
 // MaxBucket returns the size of the largest posting list (a skew measure).
 func (ix *Index) MaxBucket() int {
 	max := 0
@@ -269,12 +280,14 @@ func (ix *Index) MemBytes() int64 {
 }
 
 // IndexSet caches the indexes of a dataset, built lazily per
-// (relation, attribute). It is not safe for concurrent mutation; the
-// parallel engine gives each worker its own IndexSet over its fragment.
-// Built alone is safe to read concurrently (it backs the engine's
-// mid-run stats snapshots), so the build count lives in an atomic.
+// (relation, attribute). For is safe for concurrent use (enumerations
+// build a similarity join's index on its first probe); Add and MemBytes
+// need them quiesced. The parallel engine gives each worker its own
+// IndexSet over its fragment. Built alone is safe to read at any time (it
+// backs the engine's mid-run stats snapshots): the count is an atomic.
 type IndexSet struct {
 	d       *Dataset
+	mu      sync.Mutex // guards indexes in For
 	indexes map[[2]int]*Index
 	built   atomic.Int64
 }
@@ -286,6 +299,8 @@ func NewIndexSet(d *Dataset) *IndexSet {
 
 // For returns the index for (relation, attribute), building it on first use.
 func (s *IndexSet) For(rel, attr int) *Index {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	key := [2]int{rel, attr}
 	if ix, ok := s.indexes[key]; ok {
 		return ix

@@ -80,6 +80,15 @@ go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry' ./internal/chase
 
+echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence in every mode, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
+go test -short -count=1 -run 'TestSimJoinEqualsScan|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
+go test -short -count=1 -run 'TestSimilarityJoinThroughDMatch' ./internal/dmatch
+go test -short -count=1 -run 'TestDecidersMatchKernels|TestDecidersSkippedUnderCalibration' ./internal/mlpred
+go test -race -short -count=1 -run 'TestSimJoin' ./internal/chase
+# -fuzzminimizetime bounds the minimizer: left at its default of 60 s, the
+# first interesting input it finds eats the rest of the smoke.
+go test -run=NONE -fuzz=FuzzSimDecide -fuzztime=10s -fuzzminimizetime=100x ./internal/mlpred
+
 echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, dependency recording per chunk not per dependency, HyPart per-block not per-tuple)"
 go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestDepRecordAllocs|TestPartitionAllocs' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
