@@ -220,17 +220,21 @@ func BenchmarkParallelDMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation
-// and the packed-key partitioner at 1 and 8 shards. Before any timing it asserts the sharded pass is byte-
-// identical to the sequential one (the tentpole equivalence guard CI runs
-// as a bench smoke).
+// BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation,
+// and the packed-key partitioner at GOMAXPROCS 1 and 8, which set its shard
+// count. Before any timing it asserts that the sharded pass is
+// byte-identical to the sequential one (the equivalence guard CI runs as a
+// bench smoke).
 func BenchmarkHyPart(b *testing.B) {
 	g, rules := tpchFixture(b, 0.2)
-	seq, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true, Shards: 1})
+	procs0 := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs0)
+	seq, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	par, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true, Shards: 8})
+	runtime.GOMAXPROCS(8)
+	par, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,6 +242,7 @@ func BenchmarkHyPart(b *testing.B) {
 		!reflect.DeepEqual(seq.RuleFragments, par.RuleFragments) {
 		b.Fatal("sharded Partition diverges from the sequential path")
 	}
+	runtime.GOMAXPROCS(procs0)
 	for _, share := range []bool{true, false} {
 		name := "mqo"
 		if !share {
@@ -251,10 +256,11 @@ func BenchmarkHyPart(b *testing.B) {
 			}
 		})
 	}
-	for _, shards := range []int{1, 8} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
+	for _, procs := range []int{1, 8} {
+		b.Run("gomaxprocs="+itoa(procs), func(b *testing.B) {
+			runtime.GOMAXPROCS(procs)
 			for i := 0; i < b.N; i++ {
-				if _, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true, Shards: shards}); err != nil {
+				if _, err := hypart.Partition(g.D, rules, 16, hypart.Options{Share: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,11 +3,9 @@ package chase
 // The update-driven drain loop of algorithm Match: every drain round fires
 // the satisfied dependencies of H and re-inspects the valuations involving
 // the round's new facts. This file batches each round's event queue into
-// explicit re-enumeration jobs and fans large batches out across
-// goroutines with the same snapshot-enumerate-merge discipline as the
-// concurrent first pass of Deduce (engine.go): frozen union-find roots,
-// per-goroutine buffered contexts, deterministic event-order merge, fan-out
-// bounded by the process-wide slots of acquireDeduceSlot. The final Γ is
+// explicit re-enumeration jobs and runs a batch either on the engine's live
+// context or, split into contiguous chunks, as tasks of the engine's pool
+// (pool.go), the same one the first pass of Deduce runs on. The final Γ is
 // identical to the sequential drain by the Church-Rosser property.
 //
 // Which of the two a batch takes is the engine's to work out (runJobs), not
@@ -20,7 +18,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"dcer/internal/rule"
@@ -29,14 +26,13 @@ import (
 	"dcer/internal/relation"
 )
 
-// drainParallelMin is the smallest batch that fans out across goroutines:
+// drainParallelMin is the smallest batch that fans out over the pool:
 // the fan-out overhead (root snapshot, buffered merge) only pays off on
 // bulk batches like the event floods behind IncDeduce.
 const drainParallelMin = 16
 
-// minDrainJobsPerWorker is the smallest job chunk worth a goroutine of its
-// own; batches fan out over at most ceil(jobs/minDrainJobsPerWorker)
-// workers.
+// minDrainJobsPerWorker is the smallest job chunk worth a pool task of its
+// own; batches fan out over at most ceil(jobs/minDrainJobsPerWorker) tasks.
 const minDrainJobsPerWorker = 8
 
 // drainBatchCap bounds how many jobs a drain round materializes at once.
@@ -187,8 +183,15 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 // is sequential (Options.SequentialDeduce), when there is no second
 // processor to fan out to — a buffered chunk cannot see the facts of
 // earlier jobs in its own batch and re-derives them, which a lone
-// processor pays for with nothing to show — or when the batch is small;
-// across goroutines otherwise.
+// processor pays for with nothing to show — or when the batch is small.
+//
+// Otherwise the batch is split into contiguous chunks, at most one per
+// processor, each a pool task; the chunks merge in batch order, facts then
+// dependencies. A chunk may buffer a dependency where the sequential drain
+// (seeing an earlier chunk's fact) would have emitted the head directly;
+// the merged facts queue their own events, so the update-driven path
+// re-derives such heads in the next round even if H drops the dependency —
+// the same invariant the bounded store relies on everywhere.
 func (e *Engine) runJobs(jobs []drainJob) {
 	if len(jobs) == 0 {
 		return
@@ -204,64 +207,28 @@ func (e *Engine) runJobs(jobs []drainJob) {
 		defer e.curTC.Start("chase.drain.batch",
 			telemetry.L("jobs", strconv.Itoa(len(jobs)))).EndIf(fineSpanFloor)
 	}
-	min := e.drainMin
-	if min == 0 {
+	fanMin := e.drainMin
+	if fanMin == 0 {
 		if e.opts.SequentialDeduce || runtime.GOMAXPROCS(0) <= 1 {
-			min = math.MaxInt
+			fanMin = math.MaxInt
 		} else {
-			min = drainParallelMin
+			fanMin = drainParallelMin
 		}
 	}
-	if len(jobs) < min {
+	if len(jobs) < fanMin {
 		for i := range jobs {
 			e.ctx.runSeed(&jobs[i])
 		}
 		e.flushCtxCounters(&e.ctx)
 		return
 	}
-	e.drainConcurrent(jobs)
-}
-
-// drainConcurrent is the snapshot-enumerate-merge path: the batch is split
-// into contiguous chunks, each enumerated by a goroutine holding its own
-// buffered context against the frozen Γ; the buffered facts and
-// dependencies are then merged in batch order, which keeps the engine
-// deterministic. A chunk may buffer a dependency where the sequential
-// drain (seeing an earlier chunk's fact) would have emitted the head
-// directly; the merged facts queue their own events, so the update-driven
-// path re-derives such heads in the next round even if H drops the
-// dependency — the same invariant the bounded store relies on everywhere.
-func (e *Engine) drainConcurrent(jobs []drainJob) {
-	e.prebuildIndexes()
-	nw := (len(jobs) + minDrainJobsPerWorker - 1) / minDrainJobsPerWorker
-	if g := runtime.GOMAXPROCS(0); nw > g {
-		nw = g
-	}
-	roots := e.frozenRoots()
-	ctxs := make([]*evalCtx, 0, nw)
+	nw := min((len(jobs)+minDrainJobsPerWorker-1)/minDrainJobsPerWorker, runtime.GOMAXPROCS(0))
 	chunk := (len(jobs) + nw - 1) / nw
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
+	e.pool((len(jobs)+chunk-1)/chunk, func(i int, c *evalCtx) {
+		for k := i * chunk; k < min((i+1)*chunk, len(jobs)); k++ {
+			c.runSeed(&jobs[k])
 		}
-		ctx := &evalCtx{e: e, roots: roots, buffered: true}
-		ctxs = append(ctxs, ctx)
-		wg.Add(1)
-		go func(ctx *evalCtx, part []drainJob) {
-			defer wg.Done()
-			acquireDeduceSlot()
-			defer releaseDeduceSlot()
-			for i := range part {
-				ctx.runSeed(&part[i])
-			}
-		}(ctx, jobs[lo:hi])
-	}
-	wg.Wait()
-	for _, ctx := range ctxs {
-		e.mergeCtx(ctx)
-	}
+	}, nil, func(_ int, c *evalCtx) { e.mergeCtx(c) })
 }
 
 // mergeCtx applies a buffered context's facts and whatever dependencies

@@ -2,9 +2,7 @@ package chase
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"dcer/internal/health"
@@ -92,46 +90,6 @@ type Options struct {
 
 // DefaultMaxDeps is the default capacity of the dependency store.
 const DefaultMaxDeps = 1 << 20
-
-// The deduce slots bound the process-wide fan-out of concurrent rule
-// enumerations: with n parallel dmatch workers × r rules each, up to n·r
-// goroutines contend for GOMAXPROCS slots, so the chase never
-// oversubscribes the machine no matter how many engines run at once. The
-// bound is the GOMAXPROCS of the moment a slot is asked for, not of
-// package init: `go test -cpu 1,2` and a program that sets it in main
-// change it afterwards.
-var (
-	deduceMu    sync.Mutex
-	deduceFreed = sync.NewCond(&deduceMu) // signalled when deduceHeld drops
-	deduceHeld  int                       // slots taken; guarded by deduceMu
-)
-
-// acquireDeduceSlot blocks until fewer than GOMAXPROCS enumerations hold
-// a slot, and takes one.
-func acquireDeduceSlot() {
-	deduceMu.Lock()
-	for deduceHeld >= runtime.GOMAXPROCS(0) {
-		deduceFreed.Wait()
-	}
-	deduceHeld++
-	deduceMu.Unlock()
-}
-
-// releaseDeduceSlot frees a slot and wakes one waiter per free slot — more
-// than one only when GOMAXPROCS has grown — the longest waiting first. That
-// is not rule order: of the goroutines one Deduce spawns the scheduler runs
-// the last-spawned first, so the last rules take the free slots (measured:
-// tl and tc on TPCH, fa on TFACC) and the rest queue in the order they came
-// to run. Only the merge is in rule order.
-func releaseDeduceSlot() {
-	deduceMu.Lock()
-	deduceHeld--
-	free := runtime.GOMAXPROCS(0) - deduceHeld
-	deduceMu.Unlock()
-	for ; free > 0; free-- {
-		deduceFreed.Signal()
-	}
-}
 
 // Stats is a point-in-time snapshot of the engine's work counters, for
 // the efficiency experiments. The counters live in atomics, so a snapshot
@@ -309,8 +267,8 @@ type Engine struct {
 	anyIDs bool
 
 	// prebuilt marks that every index reachable from the rules' query
-	// plans has been materialized (required before the concurrent pass,
-	// whose goroutines must not mutate the lazy index cache).
+	// plans has been materialized (required before the pool runs, whose
+	// tasks must not mutate the lazy index cache).
 	prebuilt bool
 
 	// ctx is the reusable evaluation context of the sequential paths
@@ -347,9 +305,8 @@ type Engine struct {
 	// tc is the engine's root trace context (Options.Trace, or derived
 	// from the metrics registry); the zero value disables span capture.
 	// curTC is the in-flight Deduce/IncDeduce call's child context —
-	// written only while the engine is quiescent (before the concurrent
-	// passes spawn, between drain rounds), so worker goroutines read a
-	// stable value.
+	// written only while the engine is quiescent (never while the pool
+	// runs), so the pool's tasks read a stable value.
 	tc    telemetry.TraceContext
 	curTC telemetry.TraceContext
 	// log receives the per-round wide events (Options.Log).
@@ -585,40 +542,6 @@ func (e *Engine) symmetricModel(model string) bool {
 	return ok && fc.Symmetric()
 }
 
-// prebuildIndexes materializes every index a rule's query plan can reach
-// (one per equality- or constant-predicate attribute), so the concurrent
-// pass never mutates the lazy index caches — but for a similarity join's
-// index, built under the set's lock by the first probe. Since bindRule
-// resolves eqIx and the plan's constant probes eagerly, this is a backstop
-// that runs once and finds everything already built.
-func (e *Engine) prebuildIndexes() {
-	if e.prebuilt {
-		return
-	}
-	e.prebuilt = true
-	for _, br := range e.rules {
-		for _, p := range br.eqs {
-			br.ix.For(br.r.Vars[p.V1].RelIdx, p.A1)
-			br.ix.For(br.r.Vars[p.V2].RelIdx, p.A2)
-		}
-		for v := range br.consts {
-			for _, p := range br.consts[v] {
-				br.ix.For(br.r.Vars[p.V1].RelIdx, p.A1)
-			}
-		}
-	}
-}
-
-// frozenRoots snapshots the union-find roots so concurrent enumerations
-// can answer Same without path-compressing shared state.
-func (e *Engine) frozenRoots() []int32 {
-	roots := make([]int32, e.uf.Len())
-	for i := range roots {
-		roots[i] = int32(e.uf.Find(i))
-	}
-	return roots
-}
-
 // MemUsage is the engine's accounted memory estimate under
 // Options.MemBudgetBytes: the dataset's columnar arenas (packed columns,
 // symbol table, tuple handles), the deduced set Γ (fact logs, class
@@ -790,21 +713,23 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 }
 
 // enumerateRule runs one seeded (or full, seed == nil) enumeration of br
-// on the engine's sequential context, applying facts directly.
-func (e *Engine) enumerateRule(br *boundRule, seed []*relation.Tuple) {
+// on context c: the engine's own, which applies facts directly, or a pool
+// task's buffered one. The histogram and the trace absorb concurrent
+// observations, and the counters land in atomics.
+func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, seed []*relation.Tuple) {
 	var t0 time.Time
 	if e.tel != nil || e.curTC.Enabled() {
 		t0 = time.Now()
 	}
-	e.ctx.reset(br)
-	e.ctx.enumerate(seed)
+	c.reset(br)
+	c.enumerate(seed)
 	if e.curTC.Enabled() && time.Since(t0) >= fineSpanFloor {
 		e.curTC.Record("chase.enumerate", t0, telemetry.L("rule", br.r.Name))
 	}
 	if e.tel != nil {
 		br.enumHist.ObserveDuration(time.Since(t0))
 	}
-	e.flushCtxCounters(&e.ctx)
+	e.flushCtxCounters(c)
 }
 
 // flushCtxCounters lands a context's plain work counters in the engine
@@ -824,10 +749,15 @@ func (e *Engine) flushCtxCounters(c *evalCtx) {
 
 // Deduce runs the first full chase pass over all rules (procedure Deduce
 // of Section V-A) and then drains the internal update-driven fixpoint.
-// The pass enumerates rules concurrently against a frozen snapshot of Γ
-// unless Options.SequentialDeduce is set; either way the final Γ is the
-// same, by the Church-Rosser property of the chase. It returns the facts
-// deduced during the call.
+// Unless Options.SequentialDeduce is set, the pass is one pool task per
+// rule against a frozen snapshot of Γ; either way the final Γ is the same,
+// by the Church-Rosser property of the chase. It returns the facts deduced
+// during the call.
+//
+// The pool merges each rule's dependencies as soon as it and its
+// predecessors are done — recording reads Γ and writes only H, the engine
+// goroutine's own, so it overlaps the enumerations still running — and the
+// facts when all have joined, where they wake what waits on them.
 func (e *Engine) Deduce() []Fact {
 	sp := e.startRoot("chase.Deduce")
 	defer e.endRoot(sp)
@@ -839,65 +769,29 @@ func (e *Engine) Deduce() []Fact {
 	e.maybeResortPlans() // quiesced: no enumeration in flight between calls
 	if e.opts.SequentialDeduce || len(e.rules) <= 1 {
 		for _, br := range e.rules {
-			e.enumerateRule(br, nil)
+			e.enumerateRule(&e.ctx, br, nil)
 		}
 	} else {
-		e.deduceConcurrent()
+		e.pool(len(e.rules), func(i int, c *evalCtx) {
+			e.enumerateRule(c, e.rules[i], nil)
+		}, e.timedMerge(e.mergeDeps), e.timedMerge(e.mergeCtx))
 	}
 	e.drain()
 	return append([]Fact(nil), e.delta...)
 }
 
-// deduceConcurrent is the snapshot-enumerate-merge first pass: every rule
-// enumerates on its own goroutine against the frozen Γ (frozen roots, the
-// read-only validated set, prebuilt indexes and the thread-safe ML stores),
-// buffering candidate facts and dependencies; a single-threaded merge then
-// applies them in rule order — whatever order the slots admitted the
-// enumerations in (releaseDeduceSlot) — which keeps the engine deterministic. The
-// dependencies go first, each rule's as soon as it and its predecessors
-// are done — recording reads Γ and writes only H, the engine goroutine's
-// own, so it overlaps the enumerations still running; the facts follow
-// when all have joined, and wake what waits on them.
-func (e *Engine) deduceConcurrent() {
-	e.prebuildIndexes()
-	roots := e.frozenRoots()
-	ctxs := make([]*evalCtx, len(e.rules))
-	done := make([]chan struct{}, len(e.rules))
-	tc := e.curTC // stable for the whole pass; goroutines copy it
-	for i, br := range e.rules {
-		ctx := &evalCtx{e: e, roots: roots, buffered: true}
-		ctxs[i], done[i] = ctx, make(chan struct{})
-		go func(ctx *evalCtx, br *boundRule, done chan struct{}) {
-			defer close(done)
-			acquireDeduceSlot()
-			defer releaseDeduceSlot()
-			var t0 time.Time
-			if e.tel != nil || tc.Enabled() {
-				t0 = time.Now()
-			}
-			ctx.reset(br)
-			ctx.enumerate(nil)
-			if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
-				tc.Record("chase.enumerate", t0, telemetry.L("rule", br.r.Name))
-			}
-			if e.tel != nil {
-				// Each goroutine owns its rule's histogram observation;
-				// the lock-striped histogram absorbs the concurrency.
-				br.enumHist.ObserveDuration(time.Since(t0))
-			}
-		}(ctx, br, done[i])
-	}
-	for _, merge := range []func(*evalCtx){e.mergeDeps, e.mergeCtx} {
-		for i, ctx := range ctxs {
-			<-done[i]
-			var t0 time.Time
-			if tc.Enabled() {
-				t0 = time.Now()
-			}
-			merge(ctx)
-			if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
-				tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
-			}
+// timedMerge wraps a merge of rule i's buffered context in a chase.merge
+// span above the span floor.
+func (e *Engine) timedMerge(merge func(*evalCtx)) func(int, *evalCtx) {
+	return func(i int, c *evalCtx) {
+		tc := e.curTC
+		var t0 time.Time
+		if tc.Enabled() {
+			t0 = time.Now()
+		}
+		merge(c)
+		if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
+			tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
 		}
 	}
 }

@@ -10,14 +10,14 @@ import (
 )
 
 // evalCtx carries the mutable state of one rule enumeration: the scratch
-// buffers reused across valuations and, in the concurrent first pass of
-// Deduce, the per-goroutine result buffers and the frozen view of Γ.
+// buffers reused across valuations and, in a pool task (pool.go), the
+// task's result buffers and the frozen view of Γ.
 //
 // The sequential path reuses a single context owned by the engine and
-// applies facts directly; the concurrent pass gives each rule goroutine
-// its own context so the enumerations share no mutable state (the engine
-// structures they read — validated set, indexes, scopes — are frozen for
-// the duration of the pass) and are merged deterministically afterwards.
+// applies facts directly; the pool gives each task its own context so the
+// enumerations share no mutable state (the engine structures they read —
+// validated set, indexes, scopes — are frozen while the pool runs) and are
+// merged deterministically afterwards.
 type evalCtx struct {
 	e  *Engine
 	br *boundRule

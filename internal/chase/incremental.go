@@ -76,7 +76,7 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 				}
 				seed := e.ctx.seedFor(len(br.r.Vars))
 				seed[vi] = t
-				e.enumerateRule(br, seed)
+				e.enumerateRule(&e.ctx, br, seed)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package hypart_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -88,17 +89,18 @@ func TestBuildFragmentsMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestPartitionRejectsBlockKeyOverflow: a virtual-block budget beyond the
-// 20-bit extent field of the packed block keys would alias distinct
-// blocks (and silently break Lemma 6 locality); Partition must refuse it.
+// TestPartitionRejectsBlockKeyOverflow: a virtual-block budget (n² for n
+// workers) beyond the 20-bit extent field of the packed block keys would
+// alias distinct blocks (and silently break Lemma 6 locality); Partition
+// must refuse it. 1024 workers need exactly 2²⁰ blocks, one too many.
 func TestPartitionRejectsBlockKeyOverflow(t *testing.T) {
 	d, rules := randomPartitionInstance(t, 1)
-	_, err := hypart.Partition(d, rules, 4, hypart.Options{Share: true, VirtualBlocks: 1<<20 + 1})
+	_, err := hypart.Partition(d, rules, 1024, hypart.Options{Share: true})
 	if err == nil || !strings.Contains(err.Error(), "virtual blocks") {
-		t.Fatalf("VirtualBlocks=1<<20+1: got error %v, want a block-key packing error", err)
+		t.Fatalf("n=1024: got error %v, want a block-key packing error", err)
 	}
-	if _, err := hypart.Partition(d, rules, 4, hypart.Options{Share: true, VirtualBlocks: 1 << 10}); err != nil {
-		t.Fatalf("VirtualBlocks=1<<10 rejected: %v", err)
+	if _, err := hypart.Partition(d, rules, 32, hypart.Options{Share: true}); err != nil {
+		t.Fatalf("n=32 rejected: %v", err)
 	}
 }
 
@@ -123,7 +125,9 @@ func TestPartitionAllocs(t *testing.T) {
 	}
 	var res *hypart.Result
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err = hypart.Partition(g.D, rules, 4, hypart.Options{Share: true, Shards: 2})
+		// Two scan shards; AllocsPerRun itself runs f at GOMAXPROCS 1.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		res, err = hypart.Partition(g.D, rules, 4, hypart.Options{Share: true})
 		if err != nil {
 			t.Fatal(err)
 		}

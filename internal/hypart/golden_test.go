@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dcer/internal/datagen"
@@ -95,8 +96,10 @@ var goldenPartitions = map[string]string{
 
 // TestPartitionGoldenDigest pins the computed partition byte for byte:
 // the dense-array partitioner must reproduce the digests of the map-based
-// one it replaced, at every worker count, sharing mode and shard count.
+// one it replaced, at every worker count, sharing mode and shard count. The
+// shard count is GOMAXPROCS, and Stats records it.
 func TestPartitionGoldenDigest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type instance struct {
 		name  string
 		d     *relation.Dataset
@@ -121,7 +124,8 @@ func TestPartitionGoldenDigest(t *testing.T) {
 			for _, share := range []bool{true, false} {
 				for _, shards := range []int{1, 4} {
 					key := fmt.Sprintf("%s/n=%d/share=%v/shards=%d", in.name, n, share, shards)
-					res, err := hypart.Partition(in.d, in.rules, n, hypart.Options{Share: share, Shards: shards})
+					runtime.GOMAXPROCS(shards)
+					res, err := hypart.Partition(in.d, in.rules, n, hypart.Options{Share: share})
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}

@@ -13,7 +13,7 @@
 // Partition itself is parallel and runs on the dense id spaces of the
 // storage layer: every rule's coordinate cells are resolved to block
 // indexes up front, the (rule, variable) tuple scans are sharded over
-// Options.Shards goroutines that hash packed columns through a Sym-indexed
+// GOMAXPROCS goroutines that hash packed columns through a Sym-indexed
 // memo and append GIDs to private per-block lists, and the lists are
 // merged, deduplicated and sorted through a |D|-bit bitset in canonical
 // block order — the output is byte-identical for every shard count (the
@@ -42,9 +42,6 @@ type Options struct {
 	// Share enables MQO hash-function sharing (HyPart proper); false is
 	// the DMatch_noMQO configuration.
 	Share bool
-	// VirtualBlocks overrides the number of virtual blocks; 0 means n².
-	// Either way it must stay below 2²⁰ (the block-key packing bound).
-	VirtualBlocks int
 	// ReplicationCap bounds the per-tuple copy factor of any rule: a
 	// dimension is only enlarged while every tuple variable's broadcast
 	// product stays within the cap. This is the pragmatic stand-in for
@@ -54,11 +51,6 @@ type Options struct {
 	// communication-optimal factor for a ρ-wide join is n^(1-1/ρ)), so
 	// the default grows with the worker count: max(4, n/2).
 	ReplicationCap int
-	// Shards is the number of goroutines the tuple scans fan out over;
-	// 0 means GOMAXPROCS, 1 forces the single-threaded path. The output
-	// is byte-identical for every value (merge is commutative and the
-	// final block order canonical).
-	Shards int
 	// Metrics, when non-nil, receives the partition shape as the
 	// dcer_hypart_fragment_size histogram (tuples per worker fragment, one
 	// observation per worker). Nil disables with no overhead.
@@ -369,13 +361,10 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		return partitionSingle(d, rules, res, opts.Metrics), nil
 	}
 
-	vb := opts.VirtualBlocks
-	if vb == 0 {
-		vb = n * n
+	if n > maxExtent/n { // n² > maxExtent, without overflowing
+		return nil, fmt.Errorf("hypart: %d workers need n² virtual blocks, beyond the block-key packing bound %d", n, maxExtent)
 	}
-	if vb > maxExtent {
-		return nil, fmt.Errorf("hypart: %d virtual blocks (Options.VirtualBlocks, or n² for %d workers) exceed the block-key packing bound %d", vb, n, maxExtent)
-	}
+	vb := n * n
 	if plan.NumHashFns > maxHashFns {
 		return nil, fmt.Errorf("hypart: plan uses %d hash functions, block keys hold at most %d", plan.NumHashFns, maxHashFns)
 	}
@@ -417,16 +406,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		}
 	}
 
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > len(units) {
-		shards = len(units)
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
 	res.Stats.Shards = shards
 
 	hasher := mqo.NewDenseHasher(plan.NumHashFns, d.Syms())

@@ -2,6 +2,7 @@ package hypart_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dcer/internal/datagen"
@@ -11,17 +12,19 @@ import (
 )
 
 // checkPartitionEquivalent asserts the sharded partitioner is byte-identical
-// to its own sequential path (Shards=1) on one instance, for several shard
-// counts, and that the seed-era reference partitioner agrees on every
+// to its own sequential path (GOMAXPROCS 1) on one instance, for several
+// shard counts, and that the seed-era reference partitioner agrees on every
 // schedule-independent invariant.
 func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.Rule, n int) {
 	t.Helper()
-	seq, err := hypart.Partition(d, rules, n, hypart.Options{Share: true, Shards: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq, err := hypart.Partition(d, rules, n, hypart.Options{Share: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 3, 8} {
-		par, err := hypart.Partition(d, rules, n, hypart.Options{Share: true, Shards: shards})
+		runtime.GOMAXPROCS(shards)
+		par, err := hypart.Partition(d, rules, n, hypart.Options{Share: true})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

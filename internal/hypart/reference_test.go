@@ -32,10 +32,7 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 		return partitionSingle(d, rules, res, nil), nil
 	}
 
-	vb := opts.VirtualBlocks
-	if vb == 0 {
-		vb = n * n
-	}
+	vb := n * n
 	hasher := mqo.NewHasher()
 	blocks := make(map[string]map[relation.TID]bool)
 	blockRules := make(map[string]map[int]bool)

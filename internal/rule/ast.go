@@ -246,10 +246,14 @@ func (r *Rule) String() string {
 // String renders the predicate in the DSL syntax accepted by Parse.
 func (p *Pred) String() string { return predString(p) }
 
+// constEscaper escapes exactly what the lexer unescapes, the quote and the
+// backslash; every other byte of a constant stands for itself in a string.
+var constEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
 func predString(p *Pred) string {
 	switch p.Kind {
 	case PredConst:
-		return fmt.Sprintf("%s.%s = %q", p.V1Name, p.A1Name, p.ConstText)
+		return fmt.Sprintf(`%s.%s = "%s"`, p.V1Name, p.A1Name, constEscaper.Replace(p.ConstText))
 	case PredEq:
 		return fmt.Sprintf("%s.%s = %s.%s", p.V1Name, p.A1Name, p.V2Name, p.A2Name)
 	case PredID:

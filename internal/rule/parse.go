@@ -19,7 +19,9 @@ import (
 // Predicates are separated by '^' (or '&&' or ','). `.id` denotes the
 // designated id attribute and makes the predicate an id predicate. ML
 // predicates are Model(t.attr, s.attr) or Model(t[a,b], s[a,b]). Constants
-// are double-quoted strings or bare numbers. '#' starts a comment.
+// are double-quoted strings or bare numbers; in a string a backslash makes
+// the next byte (a quote, a backslash) literal, and every other byte stands
+// for itself. '#' starts a comment.
 //
 // Parse only builds the AST; call Rule.Resolve (or ParseResolved) to bind
 // rules to a database schema.

@@ -195,6 +195,54 @@ func TestStringRoundTrip(t *testing.T) {
 			t.Errorf("%s: round trip drifted:\n%s\n%s", r.Name, text, re[0].String())
 		}
 	}
+	// Constants the printer must escape (the quote and the backslash) or
+	// must not (control characters, invalid UTF-8: Go's %q escapes them,
+	// and the lexer would not undo that).
+	for _, c := range []string{"a\tb", "a\nb", "a\ab", "\xff", `a"b\c`, "é\u0085"} {
+		r := rule.MustParse(`c: Customers(a) ^ Customers(b) ^ a.name = "x" -> a.id = b.id`)[0]
+		r.Body[0].ConstText = c
+		text := r.String()
+		re, err := rule.Parse(text)
+		if err != nil {
+			t.Errorf("constant %q: re-parse of %s: %v", c, text, err)
+			continue
+		}
+		if got := re[0].Body[0].ConstText; got != c {
+			t.Errorf("constant %q prints as %s and re-parses as %q", c, text, got)
+		}
+		if re[0].String() != text {
+			t.Errorf("constant %q: round trip drifted:\n%s\n%s", c, text, re[0].String())
+		}
+	}
+}
+
+// FuzzRuleRoundTrip: Parse never panics, and every rule it accepts prints
+// (String) as text that parses back to one rule printing the same text.
+func FuzzRuleRoundTrip(f *testing.F) {
+	for _, src := range []string{
+		datagen.TPCHRulesText,
+		datagen.TFACCRulesText,
+		`phi: Customers(a) ^ Customers(b) ^ a.name = "say \"hi\" \\ \t" ^ jaccard05(a[name,addr], b[name,addr]) -> a.id = b.id`,
+		"r: A(a), A(b) && a.x = -1.5\n   && a.y = \"two\nlines \xff\" -> M(a.x, b.x) # comment",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		rules, err := rule.Parse(src)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			text := r.String()
+			again, err := rule.Parse(text)
+			if err != nil {
+				t.Fatalf("%q prints as %q, which does not parse: %v", src, text, err)
+			}
+			if len(again) != 1 || again[0].String() != text {
+				t.Fatalf("%q prints as %q, which parses into %d rules printing %v", src, text, len(again), again)
+			}
+		}
+	})
 }
 
 func TestClassify(t *testing.T) {

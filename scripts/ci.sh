@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and static analysis, build, the short test
-# suite, the race-enabled run of the concurrent packages, a one-shot
-# bench smoke, the telemetry/causal-trace/health smoke, a cmd/doctor
-# probe of a held live process, the bench-regression gate of `go test
-# -bench` against BENCH_GATE.txt, and the nested benchmark module's own vet
-# and tests.
-# The concurrent first pass of Deduce and the batched parallel drain
-# (internal/chase), the DMatch master loop with its per-worker link
-# goroutines (internal/dmatch), the justification log written from
-# concurrent drains (internal/provenance), the TCP links' sender and
-# reader goroutines over the shared wire stats (internal/wire), the
-# lock-free hash memo the HyPart scan shards fill concurrently
+# suite, the race-enabled run of the concurrent packages, Γ and the
+# partition at three widths, two fuzz smokes, a one-shot bench smoke, the
+# telemetry/causal-trace/health smoke, a cmd/doctor probe of a held live
+# process, the bench-regression gate of `go test -bench` against
+# BENCH_GATE.txt, and the nested benchmark module's own vet and tests.
+# The task pool that runs Deduce's first pass and the fanned-out drain
+# batches on GOMAXPROCS goroutines (internal/chase), the DMatch master loop
+# with its per-worker link goroutines (internal/dmatch), the justification
+# log written from concurrent drains (internal/provenance), the TCP links'
+# sender and reader goroutines over the shared wire stats (internal/wire),
+# the lock-free hash memo the HyPart scan shards fill concurrently
 # (internal/mqo), and the CAS-published feature store every enumeration
 # goroutine probes (internal/mlpred) make the race detector mandatory for
 # those packages.
@@ -39,12 +39,15 @@ go test -short ./...
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
 
+echo "== width independence (GOMAXPROCS is the only width of the chase pool and the HyPart scan: golden Gamma and partition digests, parallel-vs-sequential Deduce, drain and Partition, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence' ./internal/chase
+go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
+
 echo "== provenance equivalence (proof replay vs the reference verifier: sequential and default engine + DMatch w>=2, then the forced batched drain)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 go test -short -run 'TestProofReplaysUnderBatchedDrain' ./internal/chase
 
-echo "== distribution equivalence guards (parallel Partition byte-identity + golden partition digests + dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, engine options through wire and worker, protocol version refusal)"
-go test -short -count=1 -run 'TestPartitionParallelEquivalence|TestPartitionGoldenDigest' ./internal/hypart
+echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, engine options through wire and worker, protocol version refusal)"
 go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestEngineOptsRoundTrip|TestDistributedVersionMismatch' ./internal/dmatch
 
 echo "== one DMatch: non-blank non-test lines of internal/dmatch, then of the root module"
@@ -88,6 +91,9 @@ go test -race -short -count=1 -run 'TestSimJoin' ./internal/chase
 # -fuzzminimizetime bounds the minimizer: left at its default of 60 s, the
 # first interesting input it finds eats the rest of the smoke.
 go test -run=NONE -fuzz=FuzzSimDecide -fuzztime=10s -fuzzminimizetime=100x ./internal/mlpred
+
+echo "== MRL round trip (10 s fuzz: Parse never panics, and every rule it accepts re-parses from its String to the same String)"
+go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x ./internal/rule
 
 echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, dependency recording per chunk not per dependency, HyPart per-block not per-tuple)"
 go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestDepRecordAllocs|TestPartitionAllocs' \
