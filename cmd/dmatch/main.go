@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dmatch -data ./data -rules rules.mrl [-workers 8] [-v]
-//	       [-out matches.csv] [-explain "Rel:id1,Rel:id2"]
+//	       [-out matches.csv]
 //	       [-telemetry :9090] [-traceout trace.json] [-health dir]
 //	       [-timeline] [-log debug]
 //
@@ -24,11 +24,10 @@
 // Each data/<name>.csv becomes relation <name>; the header row is typed
 // ("attr:type", with "!id" marking the designated id attribute). The rule
 // file uses the MRL DSL (see the rule package docs). Output is one line
-// per resolved entity class listing the member tuples. With -explain, the
-// proof of one specific match is printed instead, extracted from the
-// production engine's justification log (with -workers > 1, from the
-// stitched cross-worker log of the parallel run). See also cmd/explain
-// for batch proof extraction and audit sampling.
+// per resolved entity class listing the member tuples. To see why two
+// tuples match, run cmd/explain -pair over the same inputs: it prints the
+// proof from the production engine's justification log (with -workers >
+// 1, from the stitched cross-worker log of the parallel run).
 package main
 
 import (
@@ -41,7 +40,6 @@ import (
 	"os/exec"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"dcer"
@@ -92,7 +90,6 @@ func main() {
 	rulesFile := flag.String("rules", "", "MRL rule file")
 	workers := flag.Int("workers", 1, "number of BSP workers (1 = sequential Match)")
 	verbose := flag.Bool("v", false, "print engine statistics")
-	explain := flag.String("explain", "", `explain one match: "Rel:idvalue,Rel:idvalue"`)
 	outFile := flag.String("out", "", "also write the matches as CSV (relation,id,entity columns)")
 	timeline := flag.Bool("timeline", false, "print the BSP superstep Gantt chart after a parallel run")
 	distributed := flag.Bool("distributed", false, "run the BSP workers as separate OS processes over TCP (master mode; needs -workers >= 2)")
@@ -113,7 +110,7 @@ func main() {
 		Distributed: *distributed, Worker: *workerMode,
 		Listen: *listen, Connect: *connect, WorkerID: *workerID,
 		CrashAfter: *crashAfter, CrashWorker: *crashWorker,
-		Explain: *explain, Out: *outFile,
+		Out: *outFile,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -154,36 +151,11 @@ func main() {
 		return
 	}
 
-	if *explain != "" {
-		a, b, err := parseExplainTarget(d, *explain)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var ex *dcer.Explanation
-		if *workers <= 1 {
-			ex, err = dcer.Explain(d, rules, reg, a, b)
-		} else {
-			ex, err = dcer.ExplainParallel(d, rules, reg,
-				dcer.ParallelOptions{Workers: *workers, Metrics: obs.Registry()}, a, b)
-		}
-		if errors.Is(err, dcer.ErrNoMatch) {
-			fmt.Println("no match: the pair is not entailed by the rules")
-			return
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(ex.Render(d))
-		return
-	}
-
 	var classes [][]dcer.TID
 	if *workers <= 1 {
 		eng, err := dcer.NewEngine(d, rules, reg, dcer.EngineOptions{
 			ShareIndexes: true,
 			Metrics:      obs.Registry(),
-			Log:          logg,
-			Health:       obs.Health(),
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -199,8 +171,6 @@ func main() {
 		popts := dcer.ParallelOptions{
 			Workers: *workers,
 			Metrics: obs.Registry(),
-			Log:     logg,
-			Health:  obs.Health(),
 		}
 		var res *dcer.ParallelResult
 		var err error
@@ -277,35 +247,4 @@ func writeMatches(path string, d *dcer.Dataset, classes [][]dcer.TID) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseExplainTarget resolves "Rel:idvalue,Rel:idvalue" to two tuple ids.
-func parseExplainTarget(d *dcer.Dataset, spec string) (dcer.TID, dcer.TID, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf(`-explain wants "Rel:idvalue,Rel:idvalue", got %q`, spec)
-	}
-	var out [2]dcer.TID
-	for i, part := range parts {
-		relName, idVal, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return 0, 0, fmt.Errorf("bad tuple reference %q", part)
-		}
-		rel := d.Relation(relName)
-		if rel == nil {
-			return 0, 0, fmt.Errorf("no relation %q", relName)
-		}
-		found := false
-		for _, t := range rel.Tuples {
-			if t.ID(rel.Schema).String() == idVal {
-				out[i] = t.GID
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, 0, fmt.Errorf("no tuple %s in %s", idVal, relName)
-		}
-	}
-	return out[0], out[1], nil
 }

@@ -20,7 +20,6 @@ type modeConfig struct {
 	WorkerID           int
 	CrashAfter         int
 	CrashWorker        int
-	Explain            string
 	Out                string
 }
 
@@ -52,8 +51,8 @@ func validateModes(c modeConfig) error {
 		if c.CrashWorker >= 0 {
 			return errors.New("-crash-worker is the master's flag; fault-inject a worker with -crash-after")
 		}
-		if c.Explain != "" || c.Out != "" {
-			return errors.New("-out and -explain belong on the master; a -worker produces no output")
+		if c.Out != "" {
+			return errors.New("-out belongs on the master; a -worker produces no output")
 		}
 		return nil
 	}
@@ -85,9 +84,6 @@ func validateModes(c modeConfig) error {
 	}
 	if c.CrashWorker >= c.Workers {
 		return fmt.Errorf("-crash-worker %d out of range: only %d workers", c.CrashWorker, c.Workers)
-	}
-	if c.Explain != "" {
-		return errors.New("-explain is not supported with -distributed (provenance capture stays in-process)")
 	}
 	return nil
 }

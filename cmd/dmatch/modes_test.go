@@ -54,10 +54,6 @@ func TestValidateModes(t *testing.T) {
 			c.Distributed = true
 			c.CrashWorker = 4
 		}, "out of range"},
-		{"distributed explain", func(c *modeConfig) {
-			c.Distributed = true
-			c.Explain = "a:1,b:2"
-		}, "-explain is not supported"},
 
 		{"worker ok", func(c *modeConfig) {
 			c.Worker = true
@@ -106,12 +102,6 @@ func TestValidateModes(t *testing.T) {
 			c.Connect = "127.0.0.1:4000"
 			c.WorkerID = 0
 			c.Out = "m.csv"
-		}, "produces no output"},
-		{"worker with explain", func(c *modeConfig) {
-			c.Worker = true
-			c.Connect = "127.0.0.1:4000"
-			c.WorkerID = 0
-			c.Explain = "a:1,b:2"
 		}, "produces no output"},
 
 		{"connect without worker", func(c *modeConfig) { c.Connect = "127.0.0.1:4000" }, "only applies to -worker"},

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"os"
 	"time"
@@ -28,16 +27,26 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("doctor: ")
-	addr := flag.String("addr", "", "address of a live process's telemetry endpoint (host:port)")
-	bundle := flag.String("bundle", "", "path of a flight-recorder bundle directory")
-	timeout := flag.Duration("timeout", 10*time.Second, "scrape timeout for -addr")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams explicit; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("doctor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "", "address of a live process's telemetry endpoint (host:port)")
+	bundle := fs.String("bundle", "", "path of a flight-recorder bundle directory")
+	timeout := fs.Duration("timeout", 10*time.Second, "scrape timeout for -addr")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if (*addr == "") == (*bundle == "") {
-		fmt.Fprintln(os.Stderr, "doctor: exactly one of -addr or -bundle is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "doctor: exactly one of -addr or -bundle is required")
+		fs.Usage()
+		return 2
 	}
 
 	var rep health.Report
@@ -45,36 +54,37 @@ func main() {
 	case *addr != "":
 		r, err := scrape(*addr, *timeout)
 		if err != nil {
-			log.Printf("%v", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "doctor: %v\n", err)
+			return 2
 		}
 		rep = r
-		fmt.Printf("health report scraped from %s\n", *addr)
+		fmt.Fprintf(stdout, "health report scraped from %s\n", *addr)
 	default:
 		b, err := health.LoadBundle(*bundle)
 		if err != nil {
-			log.Printf("%v", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "doctor: %v\n", err)
+			return 2
 		}
 		rep = b.Report
-		fmt.Printf("flight-recorder bundle %s (reason: %s, captured %s)\n",
+		fmt.Fprintf(stdout, "flight-recorder bundle %s (reason: %s, captured %s)\n",
 			b.Dir, b.Manifest.Reason, time.Unix(0, b.Manifest.CapturedNs).UTC().Format(time.RFC3339))
 		for _, miss := range b.Missing {
-			fmt.Printf("WARN bundle incomplete: missing %s\n", miss)
+			fmt.Fprintf(stdout, "WARN bundle incomplete: missing %s\n", miss)
 		}
 	}
 
 	d := health.Diagnose(rep)
-	fmt.Println(d.String())
+	fmt.Fprintln(stdout, d.String())
 	switch {
 	case d.Failures > 0:
-		fmt.Printf("UNHEALTHY: %d failure(s), %d warning(s)\n", d.Failures, d.Warnings)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "UNHEALTHY: %d failure(s), %d warning(s)\n", d.Failures, d.Warnings)
+		return 1
 	case d.Warnings > 0:
-		fmt.Printf("healthy with %d warning(s)\n", d.Warnings)
+		fmt.Fprintf(stdout, "healthy with %d warning(s)\n", d.Warnings)
 	default:
-		fmt.Println("healthy")
+		fmt.Fprintln(stdout, "healthy")
 	}
+	return 0
 }
 
 // scrape fetches and decodes /debug/health from a live process.

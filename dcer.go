@@ -213,17 +213,22 @@ func MatchWorker(addr string, d *Dataset, rules []*Rule, reg *ClassifierRegistry
 
 // Observability (the telemetry layer): a dependency-free metrics
 // registry (counters, gauges, log-scale histograms), a bounded span
-// tracer, and an opt-in HTTP exposition endpoint. Attach a registry via
-// EngineOptions.Metrics or ParallelOptions.Metrics; a nil registry makes
-// every instrument a no-op.
+// tracer, and an opt-in HTTP exposition endpoint. The registry is the one
+// observability handle: attach it via EngineOptions.Metrics or
+// ParallelOptions.Metrics and the engines also take from it the tracer,
+// the wide-event logger (TelemetryRegistry.SetLogger) and the health
+// monitor built on it. A nil registry makes every instrument a no-op.
 type (
-	// TelemetryRegistry names, stores, and exposes metric series.
+	// TelemetryRegistry names, stores, and exposes metric series, and
+	// carries the tracer, logger and health monitor of the engines
+	// attached to it.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetryServer is the live /metrics + /debug/dcer + pprof endpoint.
 	TelemetryServer = telemetry.Server
 	// TelemetryLabel is one key=value dimension of a series.
 	TelemetryLabel = telemetry.Label
-	// Logger is the leveled stderr logger of the command-line tools.
+	// Logger is the leveled logger of the command-line tools; set on a
+	// registry at debug level it receives the engines' wide events.
 	Logger = telemetry.Logger
 	// SuperstepTimeline is the BSP execution profile of a DMatch run
 	// (ParallelResult.Timeline): per-worker busy/idle time, routing

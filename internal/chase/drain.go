@@ -18,7 +18,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"time"
 
 	"dcer/internal/rule"
 	"dcer/internal/telemetry"
@@ -94,9 +93,6 @@ func (e *Engine) drain() {
 		events := len(e.queue)
 		if len(e.queue) > 0 {
 			progressed = true
-			if e.tel != nil {
-				e.tel.queueDepth.Observe(uint64(len(e.queue)))
-			}
 			q := e.queue
 			e.queue = nil
 			e.processEvents(q)
@@ -195,13 +191,6 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 func (e *Engine) runJobs(jobs []drainJob) {
 	if len(jobs) == 0 {
 		return
-	}
-	if e.tel != nil {
-		t0 := time.Now()
-		defer func() {
-			e.tel.drainBatchNs.ObserveDuration(time.Since(t0))
-			e.tel.drainBatchJobs.Observe(uint64(len(jobs)))
-		}()
 	}
 	if e.curTC.Enabled() {
 		defer e.curTC.Start("chase.drain.batch",

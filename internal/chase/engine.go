@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"dcer/internal/health"
 	"dcer/internal/mlpred"
 	"dcer/internal/provenance"
 	"dcer/internal/relation"
@@ -39,11 +38,17 @@ type Options struct {
 	// sequential mode exists for deterministic debugging and undistorted
 	// single-thread timings.
 	SequentialDeduce bool
-	// Metrics attaches the engine to a telemetry registry: per-rule
-	// enumeration and merge timings, drain batch histograms, queue
-	// depths, and gauge views over the Stats counters (so /metrics and
-	// Stats() expose the same numbers). nil disables all instrumentation;
-	// the disabled overhead is one branch per timed region.
+	// Metrics attaches the engine to a telemetry registry, its one
+	// observability handle: per-rule enumeration histograms and gauge
+	// views over the Stats counters (so /metrics and Stats() agree);
+	// causal spans on the registry's tracer (Deduce / IncDeduce roots,
+	// enumerate, merge, drain round and batch spans, plan re-sorts,
+	// slow classifier calls); at debug level of the registry's logger, one
+	// wide event per drain round with the engine's knob state; and, when a
+	// health monitor is attached to the registry (health.Of), a drain
+	// heartbeat plus sampled invariant auditors at quiesced round
+	// boundaries and the live accuracy observatory. nil disables all of
+	// it at one branch per instrumented site.
 	Metrics *telemetry.Registry
 	// MetricsLabels is attached to every series the engine registers
 	// (the parallel engine labels each worker's engine with its id).
@@ -55,29 +60,6 @@ type Options struct {
 	// branch per applied fact, nothing on the valuation hot path. The
 	// parallel engine passes each worker a log stamped with its id.
 	Provenance *provenance.Log
-	// Trace threads causal span attribution through the engine: Deduce /
-	// IncDeduce roots, per-rule enumerate and merge spans, per-round
-	// drain and batch spans, plan re-sort events (stamped with the
-	// before/after predicate order and the pass/fail counts that
-	// triggered them), and cache-miss classifier calls above a duration
-	// floor. The zero value disables capture; when Metrics is set and
-	// Trace is not, a root is derived from the registry's tracer so a
-	// -telemetry run always yields a causal trace. The disabled cost is
-	// one branch per instrumented site.
-	Trace telemetry.TraceContext
-	// Log, when non-nil and at debug level, receives one wide event per
-	// drain round: a single JSON line carrying the round's progress and
-	// the engine's knob state (plan resort count, memory budget +
-	// evictions). nil disables emission; the disabled cost is one level
-	// comparison per round.
-	Log *telemetry.Logger
-	// Health attaches the engine to a health monitor: a drain heartbeat
-	// for the stall watchdog plus sampled invariant auditors (union-find
-	// chains, Γ/provenance consistency, H byte accounting, plan order)
-	// run at quiesced round boundaries, and — when the monitor carries
-	// ground truth — the live accuracy observatory. nil disables the
-	// layer; the disabled cost is one branch per drain round.
-	Health *health.Monitor
 	// MemBudgetBytes caps the engine's accounted memory: the dataset's
 	// arenas, the Γ fact log, and the dependency store H. When the live
 	// estimate exceeds the budget the engine spills H oldest-first
@@ -295,21 +277,20 @@ type Engine struct {
 
 	gamma Gamma
 	cnt   engineCounters
-	// health is the engine's health-observatory wiring (Options.Health);
-	// nil disables auditors and heartbeats at one branch per drain round.
+	// tel is Options.Metrics; nil disables every observer below (every
+	// instrumented site nil-checks before reading the clock).
+	tel *telemetry.Registry
+	// health is the engine's wiring to the monitor attached to tel; nil
+	// disables auditors and heartbeats at one branch per drain round.
 	health *engineHealth
-	// tel is the engine's telemetry wiring; nil when Options.Metrics is
-	// unset (every instrumented site nil-checks before reading the clock).
-	tel *chaseMetrics
-
-	// tc is the engine's root trace context (Options.Trace, or derived
-	// from the metrics registry); the zero value disables span capture.
-	// curTC is the in-flight Deduce/IncDeduce call's child context —
-	// written only while the engine is quiescent (never while the pool
-	// runs), so the pool's tasks read a stable value.
+	// tc is the engine's root trace context, on tel's tracer; the zero
+	// value disables span capture. curTC is the in-flight
+	// Deduce/IncDeduce call's child context — written only while the
+	// engine is quiescent (never while the pool runs), so the pool's tasks
+	// read a stable value.
 	tc    telemetry.TraceContext
 	curTC telemetry.TraceContext
-	// log receives the per-round wide events (Options.Log).
+	// log receives the per-round wide events: tel's logger.
 	log *telemetry.Logger
 
 	// queue of unprocessed events driving the update-driven path.
@@ -376,13 +357,7 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 	e.prov = opts.Provenance
 	e.provOrigin = provenance.OriginIDDup
 	if opts.Metrics != nil {
-		e.initMetrics(opts.Metrics, opts.MetricsLabels)
-	}
-	e.log = opts.Log
-	e.initHealth(opts.Health)
-	e.tc = opts.Trace
-	if !e.tc.Enabled() && opts.Metrics != nil {
-		e.tc = opts.Metrics.Tracer().NewTrace(telemetry.PIDChase, 0)
+		e.initMetrics(opts.Metrics)
 	}
 	for _, r := range rules {
 		if r.Head.Kind == rule.PredML {
@@ -463,7 +438,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		br.headCl, br.headModel = cl, internModel(r.Head.Model)
 	}
 	if e.tel != nil {
-		br.enumHist = e.tel.ruleHist(r.Name)
+		br.enumHist = e.ruleHist(r.Name)
 	}
 	if e.opts.ShareIndexes {
 		ix, ok := e.ixSets[scope]

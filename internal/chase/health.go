@@ -5,8 +5,8 @@ package chase
 // run at quiesced drain-round boundaries — the same point where plans
 // re-sort and budgets recompute, so no enumeration is in flight and the
 // engine's single-goroutine state (union-find, Γ, H) is stable without
-// locks. Disabled (Options.Health nil) the whole layer costs one nil
-// check per drain round.
+// locks. Disabled (no monitor attached to Options.Metrics) the whole layer
+// costs one nil check per drain round.
 
 import (
 	"dcer/internal/health"

@@ -13,19 +13,19 @@ import (
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
+	"dcer/internal/telemetry"
 )
 
-// paperEngine builds a paper-example engine attached to a fresh monitor
-// whose sample size covers every id, so planted corruption is always
-// sampled.
-func paperEngine(t *testing.T, mon *health.Monitor) *Engine {
+// paperEngine builds a paper-example engine attached to reg, and so to the
+// monitor built on it.
+func paperEngine(t *testing.T, reg *telemetry.Registry) *Engine {
 	t.Helper()
 	d, _ := datagen.PaperExample()
 	rules, err := datagen.PaperRules(d.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Health: mon})
+	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +33,13 @@ func paperEngine(t *testing.T, mon *health.Monitor) *Engine {
 }
 
 func TestAuditorsPassOnHealthyRun(t *testing.T) {
-	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
+	reg := telemetry.NewRegistry()
+	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
 	defer mon.Stop()
-	eng := paperEngine(t, mon)
+	eng := paperEngine(t, reg)
+	if eng.health == nil {
+		t.Fatal("the engine did not pick up the monitor attached to its registry")
+	}
 	eng.Deduce()
 	for _, name := range []string{"unionfind_roots", "gamma_provenance", "depstore_bytes", "plan_order"} {
 		c := mon.Check(name)
@@ -53,9 +57,10 @@ func TestAuditorsPassOnHealthyRun(t *testing.T) {
 // after a clean run and asserts the auditor flips unionfind_roots to fail
 // — the forced-corruption drill of the acceptance criteria.
 func TestAuditorDetectsUnionFindCorruption(t *testing.T) {
-	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
+	reg := telemetry.NewRegistry()
+	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
 	defer mon.Stop()
-	eng := paperEngine(t, mon)
+	eng := paperEngine(t, reg)
 	eng.Deduce()
 
 	eng.uf.SetParent(0, 1)
@@ -74,9 +79,10 @@ func TestAuditorDetectsUnionFindCorruption(t *testing.T) {
 // TestAuditorDetectsMalformedGamma appends a non-canonical match fact to
 // Γ and asserts the gamma auditor rejects it.
 func TestAuditorDetectsMalformedGamma(t *testing.T) {
-	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
+	reg := telemetry.NewRegistry()
+	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
 	defer mon.Stop()
-	eng := paperEngine(t, mon)
+	eng := paperEngine(t, reg)
 	eng.Deduce()
 
 	// A > B breaks the canonical symmetric pair form MatchFact maintains.
@@ -108,9 +114,10 @@ func TestPlanOrderAuditSparesEvidenceNewerThanTheSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
+	reg := telemetry.NewRegistry()
+	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
 	defer mon.Stop()
-	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Health: mon})
+	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +164,10 @@ func TestAuditorDetectsPermutedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules = append(rules, sim...)
-	mon := health.NewMonitor(health.Options{DiagnosisDir: t.TempDir(), SampleSize: 64, Seed: 1})
+	reg := telemetry.NewRegistry()
+	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 64, Seed: 1})
 	defer mon.Stop()
-	eng, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Health: mon})
+	eng, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +219,16 @@ func TestDrainStallCapturesBundle(t *testing.T) {
 	})
 
 	dir := t.TempDir()
+	tel := telemetry.NewRegistry()
 	mon := health.NewMonitor(health.Options{
+		Registry:      tel,
 		DiagnosisDir:  dir,
 		StallDeadline: health.MinStallDeadline,
 	})
 	mon.Start()
 	defer mon.Stop()
 
-	eng, err := New(d, rules, reg, Options{ShareIndexes: true, Health: mon})
+	eng, err := New(d, rules, reg, Options{ShareIndexes: true, Metrics: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,20 +257,21 @@ func TestDrainStallCapturesBundle(t *testing.T) {
 	}
 }
 
-// TestHealthDisabledIsInert: with Options.Health nil the engine must run
-// exactly as before — no health state, no checks, identical classes.
+// TestHealthDisabledIsInert: with no monitor attached to its registry the
+// engine must run exactly as before — no health state, no checks,
+// identical classes.
 func TestHealthDisabledIsInert(t *testing.T) {
 	d, _ := datagen.PaperExample()
 	rules, err := datagen.PaperRules(d.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true})
+	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.health != nil {
-		t.Fatal("nil Options.Health still initialized engine health state")
+		t.Fatal("a registry without a monitor still initialized engine health state")
 	}
 	eng.Deduce()
 }

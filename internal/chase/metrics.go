@@ -3,6 +3,7 @@ package chase
 import (
 	"sync/atomic"
 
+	"dcer/internal/health"
 	"dcer/internal/mlpred"
 	"dcer/internal/telemetry"
 )
@@ -44,22 +45,6 @@ type engineCounters struct {
 	memEvicted atomic.Int64
 }
 
-// chaseMetrics is the engine's telemetry wiring: the per-stage histograms
-// of Deduce and the drain, the tracer, and the registry gauge views over
-// the engine counters. nil when Options.Metrics is unset — every call
-// site guards with a nil check, so the disabled overhead is one branch
-// and no clock reads.
-type chaseMetrics struct {
-	reg    *telemetry.Registry
-	tracer *telemetry.Tracer
-	labels []telemetry.Label
-
-	// drain stage instruments (batch = one runJobs call).
-	drainBatchNs   *telemetry.Histogram
-	drainBatchJobs *telemetry.Histogram
-	queueDepth     *telemetry.Histogram
-}
-
 // cacheSnapshots returns the engine's combined ML accounts, summing the
 // rule-private stores of the noMQO configuration into the shared ones and
 // the engine's own prediction-path counts into both: a feature-scored
@@ -85,15 +70,16 @@ func (e *Engine) cacheSnapshots() (pair, feat mlpred.CacheSnapshot) {
 	return pair, feat
 }
 
-// initMetrics attaches the engine to a registry: creates the stage
-// histograms and registers the gauge views that make /metrics and
+// initMetrics attaches the engine to a registry: it roots the engine's
+// trace on the registry's tracer, takes the registry's logger and health
+// monitor, and registers the gauge views that make /metrics and
 // Engine.Stats two faces of the same counters.
-func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) {
-	m := &chaseMetrics{reg: reg, tracer: reg.Tracer(), labels: labels}
-	m.drainBatchNs = reg.Histogram("dcer_chase_drain_batch_ns", labels...)
-	m.drainBatchJobs = reg.Histogram("dcer_chase_drain_batch_jobs", labels...)
-	m.queueDepth = reg.Histogram("dcer_chase_drain_queue_depth", labels...)
-	e.tel = m
+func (e *Engine) initMetrics(reg *telemetry.Registry) {
+	labels := e.opts.MetricsLabels
+	e.tel = reg
+	e.tc = reg.Tracer().NewTrace(telemetry.PIDChase, 0)
+	e.log = reg.Logger()
+	e.initHealth(health.Of(reg))
 
 	views := []struct {
 		name string
@@ -105,7 +91,6 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 		{"dcer_chase_ml_validated", func() float64 { return float64(e.cnt.mlValidated.Load()) }},
 		{"dcer_chase_deps_recorded", func() float64 { return float64(e.cnt.depsRecorded.Load()) }},
 		{"dcer_chase_deps_fired", func() float64 { return float64(e.cnt.depsFired.Load()) }},
-		{"dcer_chase_deps_visited", func() float64 { return float64(e.cnt.depsVisited.Load()) }},
 		{"dcer_plan_preds_evaluated", func() float64 { return float64(e.cnt.planPreds.Load()) }},
 		{"dcer_plan_batches", func() float64 { return float64(e.cnt.planBatches.Load()) }},
 		{"dcer_plan_reorders", func() float64 { return float64(e.cnt.planReorders.Load()) }},
@@ -141,7 +126,7 @@ func (e *Engine) initMetrics(reg *telemetry.Registry, labels []telemetry.Label) 
 
 // ruleHist resolves a rule's enumeration histogram, once per bound rule at
 // setup.
-func (m *chaseMetrics) ruleHist(ruleName string) *telemetry.Histogram {
-	lbls := append(append([]telemetry.Label(nil), m.labels...), telemetry.L("rule", ruleName))
-	return m.reg.Histogram("dcer_chase_rule_enumerate_ns", lbls...)
+func (e *Engine) ruleHist(ruleName string) *telemetry.Histogram {
+	lbls := append(append([]telemetry.Label(nil), e.opts.MetricsLabels...), telemetry.L("rule", ruleName))
+	return e.tel.Histogram("dcer_chase_rule_enumerate_ns", lbls...)
 }

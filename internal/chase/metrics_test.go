@@ -1,6 +1,9 @@
 package chase_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"dcer/internal/chase"
@@ -77,6 +80,52 @@ func TestEngineMetricsRegistry(t *testing.T) {
 	}
 	if !sawDeduce {
 		t.Error("tracer has no chase.Deduce span")
+	}
+}
+
+// TestWideRoundMemory: the deduce_round wide events of an engine whose
+// registry carries a debug logger report the live memory account, not the
+// zeros of mirrors nothing refreshed — the dataset's bytes exactly, and Γ's
+// bytes once anything has merged.
+func TestWideRoundMemory(t *testing.T) {
+	var buf bytes.Buffer
+	reg := telemetry.NewRegistry()
+	reg.SetLogger(telemetry.NewLogger(&buf, "", telemetry.LogDebug))
+	eng, _ := smallEngine(t, chase.Options{ShareIndexes: true, Metrics: reg})
+	eng.Run()
+	ds := eng.Mem().DatasetBytes
+	if ds <= 0 {
+		t.Fatalf("Mem().DatasetBytes = %d, want > 0", ds)
+	}
+	rounds, merged := 0, false
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev struct {
+			Event       string `json:"event"`
+			Round       int    `json:"round"`
+			Matches     int64  `json:"matches"`
+			MLValidated int64  `json:"ml_validated"`
+			MemDataset  int64  `json:"mem_dataset_bytes"`
+			MemGamma    int64  `json:"mem_gamma_bytes"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("wide event %q: %v", line, err)
+		}
+		if ev.Event != "deduce_round" {
+			continue
+		}
+		rounds++
+		if ev.MemDataset != ds {
+			t.Errorf("round %d: mem_dataset_bytes = %d, want %d", ev.Round, ev.MemDataset, ds)
+		}
+		// The account is taken at the top of the round, so a round shows
+		// what earlier rounds (or Deduce's first pass) merged.
+		if merged && ev.MemGamma <= 0 {
+			t.Errorf("round %d: mem_gamma_bytes = %d after facts merged", ev.Round, ev.MemGamma)
+		}
+		merged = merged || ev.Matches+ev.MLValidated > 0
+	}
+	if rounds < 2 || !merged {
+		t.Fatalf("%d deduce_round events, merged=%v: the run exercises nothing", rounds, merged)
 	}
 }
 

@@ -31,19 +31,14 @@ const mlTraceFloor = 200 * time.Microsecond
 // spans always record, so the causal skeleton stays complete.
 const fineSpanFloor = 100 * time.Microsecond
 
-// startRoot opens a top-level engine span (Deduce / IncDeduce) and, when
-// tracing is enabled, re-parents the in-flight context under it so the
-// pass's child spans (enumerations, drain rounds) attach to this call.
+// startRoot opens a top-level engine span (Deduce / IncDeduce) and
+// re-parents the in-flight context under it so the pass's child spans
+// (enumerations, drain rounds) attach to this call. Tracing off, both are
+// the disabled zero values.
 func (e *Engine) startRoot(name string) telemetry.Span {
-	if e.tc.Enabled() {
-		sp := e.tc.Start(name, e.opts.MetricsLabels...)
-		e.curTC = sp.Context()
-		return sp
-	}
-	if e.tel != nil {
-		return e.tel.tracer.Start(name, e.tel.labels...)
-	}
-	return telemetry.Span{}
+	sp := e.tc.Start(name, e.opts.MetricsLabels...)
+	e.curTC = sp.Context()
+	return sp
 }
 
 // endRoot closes a top-level engine span and drops the in-flight

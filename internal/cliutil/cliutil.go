@@ -62,7 +62,8 @@ func Register() *Flags {
 }
 
 // Init resolves the flags after flag.Parse: it builds the binary's stderr
-// logger, when -telemetry was given starts the exposition server over
+// logger and makes it telemetry.Default's wide-event logger, when
+// -telemetry was given starts the exposition server over
 // telemetry.Default, and when -health was given starts a health monitor
 // (with its stall watchdog) over the same registry. When -traceout was
 // given the returned stop function writes the retained span ring as
@@ -76,6 +77,10 @@ func (f *Flags) Init(prefix string) (*telemetry.Logger, func(), error) {
 		}
 	}
 	logg := telemetry.NewLogger(os.Stderr, prefix, lvl)
+	// Engines find their wide-event logger on the registry, so a debug
+	// level alone attaches them to it.
+	telemetry.Default.SetLogger(logg)
+	f.on = lvl <= telemetry.LogDebug
 	stopServe := func() {}
 	if *f.addr != "" {
 		srv, err := telemetry.Serve(*f.addr, telemetry.Default)
@@ -94,12 +99,12 @@ func (f *Flags) Init(prefix string) (*telemetry.Logger, func(), error) {
 	}
 	if *f.healthDir != "" {
 		// The monitor rides telemetry.Default so /debug/health and the
-		// dcer_health_* series appear wherever -telemetry serves, and
-		// engines attach it via Health().
+		// dcer_health_* series appear wherever -telemetry serves, engines
+		// attached via Registry() find it there, and its flight-recorder
+		// bundles carry the logger's wide-event tail.
 		f.on = true
 		f.mon = health.NewMonitor(health.Options{
 			Registry:      telemetry.Default,
-			Log:           logg,
 			DiagnosisDir:  *f.healthDir,
 			StallDeadline: *f.stallDl,
 		})
@@ -138,18 +143,13 @@ func writeTrace(path string) error {
 	return nil
 }
 
-// Registry returns the registry engines should publish to:
-// telemetry.Default when -telemetry, -traceout or -health is live, nil
+// Registry returns the registry engines should attach to, and with it the
+// tracer, logger and health monitor it carries: telemetry.Default when
+// -telemetry, -traceout or -health is live or the log level is debug, nil
 // (all instruments no-op) otherwise.
 func (f *Flags) Registry() *telemetry.Registry {
 	if f.on {
 		return telemetry.Default
 	}
 	return nil
-}
-
-// Health returns the monitor engines should attach to: the -health
-// monitor when the flag is live, nil (the disabled mode) otherwise.
-func (f *Flags) Health() *health.Monitor {
-	return f.mon
 }

@@ -9,7 +9,6 @@ import (
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
-	"dcer/internal/telemetry"
 	"dcer/internal/wire"
 )
 
@@ -101,7 +100,7 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 
 	// Handshake: accept n connections and validate each Hello against the
 	// master's own view of the inputs.
-	connect := func(ms *masterState, _ telemetry.TraceContext) error {
+	connect := func(ms *masterState) error {
 		ln.(*net.TCPListener).SetDeadline(time.Now().Add(acceptTO))
 		for got := 0; got < n; got++ {
 			conn, err := ln.Accept()

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"dcer/internal/chase"
-	"dcer/internal/health"
 	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
 	"dcer/internal/provenance"
@@ -50,8 +49,8 @@ import (
 
 // Options configures a DMatch run. Every field means the same under Run
 // and RunDistributed, with two exceptions: Provenance is rejected by
-// RunDistributed, and the engine-level hooks of Metrics, Log and Health
-// (the per-worker chase series, round events and engine auditors) reach
+// RunDistributed, and the engine-level observers Metrics carries (the
+// per-worker chase series, spans, round events and engine auditors) reach
 // only workers in the master's process.
 type Options struct {
 	// Workers is the number n of workers; 0 means GOMAXPROCS.
@@ -79,37 +78,23 @@ type Options struct {
 	// or more. 0 means the default (1.5); negative disables adaptive
 	// rebalancing.
 	RebalanceSkew float64
-	// Metrics, when non-nil, receives live instrumentation: per-superstep
-	// makespan/skew gauges, routing counters, per-worker busy histograms,
-	// the partition-size histograms of HyPart, and every in-process worker
-	// engine's chase series (labeled worker=i). The in-progress superstep
-	// timeline is exposed as the "dmatch_timeline" debug provider and the
-	// adaptive migrations as "dmatch_rebalance" (/debug/dcer).
+	// Metrics is the run's one observability handle, which every
+	// in-process worker engine attaches to as well (chase.Options.Metrics,
+	// labeled worker=i). From it the run takes: live instrumentation
+	// (per-superstep makespan/skew gauges, routing counters, per-worker
+	// busy and HyPart partition-size histograms, the "dmatch_timeline" and
+	// "dmatch_rebalance" debug providers); causal spans on its tracer (a
+	// dmatch.Run root, one dmatch.superstep span per BSP step with each
+	// in-process worker's Deduce/IncDeduce on the worker's lane, the route
+	// and per-destination inbox spans, one reassign span per migration or
+	// recovery); at debug level of its logger, one wide event per
+	// superstep; and, when a health monitor is attached to it (health.Of),
+	// a superstep heartbeat, a sampled auditor over the master's global
+	// union-find in the quiescent fold phase, a "dist_workers" check that
+	// fails when a worker dies, and — with ground truth — the accuracy
+	// observatory fed from the globally folded matches. nil disables all
+	// of it.
 	Metrics *telemetry.Registry
-	// Trace parents the run's causal spans: a dmatch.Run root, one
-	// dmatch.superstep span per BSP step with each worker's
-	// Deduce/IncDeduce as children on the worker's lane (in-process
-	// workers only), the master's route span with per-destination inbox
-	// builds, and a reassign span per migration or recovery. The zero value
-	// disables capture; when Metrics is set and Trace is not, a root is
-	// derived from the registry's tracer so a -telemetry run always
-	// yields a causal trace (/debug/trace).
-	Trace telemetry.TraceContext
-	// Log, when non-nil and at debug level, receives wide events: one
-	// JSON line per superstep (makespan, skew, routed/deduped counts,
-	// rebalance and knob state) plus the per-round lines of every worker
-	// engine.
-	Log *telemetry.Logger
-	// Health attaches the run to a health monitor: a superstep heartbeat
-	// for the stall watchdog, a sampled auditor over the master's global
-	// union-find (run in the sequential fold phase, where it is
-	// quiescent), a "dist_workers" check that fails when a worker dies, and
-	// the same monitor threaded into every in-process worker engine (see
-	// chase.Options.Health). When the monitor carries ground truth,
-	// the master feeds the accuracy observatory from the globally folded
-	// matches — the authoritative estimate, since workers only see their
-	// fragments. nil disables the layer.
-	Health *health.Monitor
 	// Provenance enables justification capture: every worker engine
 	// records its derivations into a per-worker log stamped with the
 	// worker id and the current superstep, and the logs are stitched into
@@ -240,15 +225,12 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 			provLogs[i].SetWorker(i)
 		}
 	}
-	res, err := run(d, rules, opts, n, provLogs, func(ms *masterState, rtc telemetry.TraceContext) error {
+	res, err := run(d, rules, opts, n, provLogs, func(ms *masterState) error {
 		building := new(sync.WaitGroup)
 		for i := range ms.links {
 			hooks := chase.Options{
 				Metrics:       opts.Metrics,
 				MetricsLabels: []telemetry.Label{telemetry.L("worker", strconv.Itoa(i))},
-				Trace:         rtc.Lane(telemetry.PIDDMatch, int32(i+1)),
-				Log:           opts.Log,
-				Health:        opts.Health,
 			}
 			if provLogs != nil {
 				hooks.Provenance = provLogs[i]
@@ -267,11 +249,8 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 // supersteps to the fixpoint, collect the workers' stats. Run and
 // RunDistributed differ only in the links connect puts into ms.links.
 func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs []*provenance.Log,
-	connect func(ms *masterState, rtc telemetry.TraceContext) error) (*Result, error) {
-	tc := opts.Trace
-	if !tc.Enabled() && opts.Metrics != nil {
-		tc = opts.Metrics.Tracer().NewTrace(telemetry.PIDDMatch, 0)
-	}
+	connect func(ms *masterState) error) (*Result, error) {
+	tc := opts.Metrics.Tracer().NewTrace(telemetry.PIDDMatch, 0)
 	runSpan := tc.Start("dmatch.Run", telemetry.L("workers", strconv.Itoa(n)))
 	defer runSpan.End()
 	rtc := runSpan.Context()
@@ -295,7 +274,7 @@ func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs 
 			ms.drop(w)
 		}
 	}()
-	if err := connect(ms, rtc); err != nil {
+	if err := connect(ms); err != nil {
 		return nil, err
 	}
 	t1 := time.Now()

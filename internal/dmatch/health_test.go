@@ -7,6 +7,7 @@ import (
 	"dcer/internal/dmatch"
 	"dcer/internal/eval"
 	"dcer/internal/health"
+	"dcer/internal/telemetry"
 )
 
 // TestDMatchHealthObservatory runs a parallel match over a TPC-H dataset
@@ -24,7 +25,9 @@ func TestDMatchHealthObservatory(t *testing.T) {
 			if inProcess {
 				checks = append(checks, "unionfind_roots", "gamma_provenance", "depstore_bytes", "plan_order")
 			}
+			reg := telemetry.NewRegistry()
 			mon := health.NewMonitor(health.Options{
+				Registry:     reg,
 				DiagnosisDir: t.TempDir(),
 				Truth:        eval.NewTruth(datagen.TPCH(tpch).Truth),
 				SampleSize:   1 << 20,
@@ -34,7 +37,7 @@ func TestDMatchHealthObservatory(t *testing.T) {
 			defer mon.Stop()
 
 			res, err := lk.run(t, tpchLoader(tpch),
-				dmatch.Options{Workers: 2, Provenance: inProcess, Health: mon}, nil)
+				dmatch.Options{Workers: 2, Provenance: inProcess, Metrics: reg}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,6 +95,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	tl.Workers = n
 	var tlMu sync.Mutex
 	mreg := opts.Metrics
+	logg := mreg.Logger()
 	makespanGauge := mreg.Gauge("dcer_dmatch_step_makespan_ns")
 	skewGauge := mreg.Gauge("dcer_dmatch_step_skew")
 	routedCtr := mreg.Counter("dcer_dmatch_messages_routed")
@@ -121,8 +122,9 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	// Health wiring: the superstep heartbeat brackets the whole loop, and
 	// the master's sequential fold phase audits the global union-find and
 	// feeds the accuracy observatory (nil-safe no-ops without a monitor).
-	dhb := opts.Health.Heartbeat("dmatch_superstep")
-	gufCheck := opts.Health.Check("global_unionfind")
+	mon := health.Of(mreg)
+	dhb := mon.Heartbeat("dmatch_superstep")
+	gufCheck := mon.Check("global_unionfind")
 	dhb.Enter()
 	defer dhb.Exit()
 	accSeen := 0
@@ -153,7 +155,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 				continue
 			case ev.err != nil:
 				ms.drop(ev.w)
-				opts.Health.Check("dist_workers").Fail(1, "worker %d died: %v", ev.w, ev.err)
+				mon.Check("dist_workers").Fail(1, "worker %d died: %v", ev.w, ev.err)
 				if ms.live == 0 {
 					return fmt.Errorf("dmatch: all %d workers died (last: worker %d: %w)", n, ev.w, ev.err)
 				}
@@ -232,17 +234,17 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 			ms.foldDelta(w, delta, res)
 		}
 		res.FactsProduced += stepFacts
-		if opts.Health != nil {
+		if mon != nil {
 			// Still in the sequential master phase: guf is quiescent, so
 			// the sampled chain audit needs no locks; Find's path
 			// compression is the master's own mutation, as in the fold.
-			sample := health.SampleIDs(ms.guf.Len(), opts.Health.SampleSize(), opts.Health.Seed()+int64(step))
+			sample := health.SampleIDs(ms.guf.Len(), mon.SampleSize(), mon.Seed()+int64(step))
 			if err := health.AuditUnionFind(ms.guf, sample); err != nil {
 				gufCheck.Fail(len(sample), "superstep %d: %v", step, err)
 			} else {
 				gufCheck.Pass(len(sample))
 			}
-			if acc := opts.Health.Accuracy(); acc != nil {
+			if acc := mon.Accuracy(); acc != nil {
 				accSeen = observeMasterAccuracy(acc, res.Matches, accSeen, provLogs, ms.guf)
 			}
 		}
@@ -292,8 +294,8 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 		}
 		tlMu.Unlock()
 		skewGauge.Set(skew)
-		if opts.Log.Level() <= telemetry.LogDebug {
-			opts.Log.Wide(telemetry.LogDebug, "dmatch_superstep",
+		if logg.Level() <= telemetry.LogDebug {
+			logg.Wide(telemetry.LogDebug, "dmatch_superstep",
 				telemetry.F{K: "step", V: step},
 				telemetry.F{K: "workers", V: ms.live},
 				telemetry.F{K: "makespan_ns", V: int64(stepMax)},

@@ -15,16 +15,19 @@ import (
 // (simplicity-review, Options) — is edited:
 //
 //   - chase.Options: MaxDeps, ShareIndexes, IDSpace, SequentialDeduce,
-//     MemBudgetBytes, and the six observability hooks (Metrics,
-//     MetricsLabels, Provenance, Trace, Log, Health).
+//     MemBudgetBytes, and three observability hooks: Metrics, the one
+//     handle whose registry also carries the tracer, the wide-event logger
+//     and the health monitor; MetricsLabels, which a lone engine leaves
+//     empty and a DMatch worker sets to worker=i; and Provenance, the log
+//     the caller reads proofs back from.
 //   - dmatch.Options: Workers, NoMQO, MaxDeps, ReplicationCap,
-//     MaxSupersteps, Sequential, RebalanceSkew, the four observability
-//     hooks and the two provenance settings.
+//     MaxSupersteps, Sequential, RebalanceSkew, Metrics and the two
+//     provenance settings.
 //   - wire.EngineOpts: what of the above changes the engine a worker
 //     builds — NoMQO, SequentialDeduce, MaxDeps.
 const (
-	chaseOptionsFields   = 11
-	dmatchOptionsFields  = 13
+	chaseOptionsFields   = 8
+	dmatchOptionsFields  = 10
 	wireEngineOptsFields = 3
 )
 

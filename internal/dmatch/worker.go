@@ -29,8 +29,8 @@ type worker struct {
 	reg     *mlpred.Registry
 	idSpace int
 	// hooks carries the observability options (Metrics, MetricsLabels,
-	// Trace, Log, Health, Provenance) every engine of this slot is built
-	// with. They never change Γ; a worker process has none.
+	// Provenance) every engine of this slot is built with. They never
+	// change Γ; a worker process has none.
 	hooks chase.Options
 
 	eng *chase.Engine

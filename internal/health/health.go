@@ -166,13 +166,14 @@ func (c *Check) report() CheckReport {
 type Options struct {
 	// Registry receives the health metric series
 	// (dcer_health_check_status, dcer_health_check_violations,
-	// dcer_health_stalls, accuracy gauges) and the /debug/health provider,
-	// and is snapshotted into flight-recorder bundles. Nil disables metric
-	// export but the monitor still works.
+	// dcer_health_stalls, accuracy gauges), and the monitor attaches itself
+	// to it: /debug/health serves its report and the engines attached to
+	// the registry find it there (Of). It is snapshotted into
+	// flight-recorder bundles, and its logger, when set, gets a bounded
+	// wide-event tail attached so stall bundles carry the rounds leading
+	// up to the wedge. Nil disables all of that, but the monitor still
+	// works.
 	Registry *telemetry.Registry
-	// Log, when set, gets a bounded wide-event tail attached so stall
-	// bundles carry the rounds leading up to the wedge.
-	Log *telemetry.Logger
 	// StallDeadline is how long a started heartbeat may go without a beat
 	// before the watchdog declares a stall. 0 means DefaultStallDeadline
 	// (generous, so slow CI hosts never false-positive); positive values
@@ -253,9 +254,9 @@ func NewMonitor(opts Options) *Monitor {
 	}
 	m.stallC = m.reg.Counter("dcer_health_stalls")
 	m.stallCheck = m.Check("stall_watchdog")
-	if opts.Log != nil {
+	if log := m.reg.Logger(); log != nil {
 		m.tail = telemetry.NewWideTail(opts.WideTailCap)
-		opts.Log.AttachWideTail(m.tail)
+		log.AttachWideTail(m.tail)
 	}
 	if opts.Truth != nil {
 		m.acc = newAccuracy(opts.Truth, opts.SampleSize, opts.Seed, m.reg)
@@ -263,9 +264,19 @@ func NewMonitor(opts Options) *Monitor {
 	if opts.Classifiers != nil {
 		m.calib = opts.Classifiers.EnableCalibration()
 	}
-	m.reg.SetHealth(func() any { return m.Report() })
+	m.reg.SetHealth(m)
 	return m
 }
+
+// Of returns the monitor attached to reg (NewMonitor attaches it, Stop
+// detaches it), or nil — the disabled mode — when none is.
+func Of(reg *telemetry.Registry) *Monitor {
+	m, _ := reg.Health().(*Monitor)
+	return m
+}
+
+// HealthDoc returns the /debug/health document, the monitor's Report.
+func (m *Monitor) HealthDoc() any { return m.Report() }
 
 // Check returns the named check, registering it on first use. Checks get
 // a dcer_health_check_status gauge (0 pass / 1 warn / 2 fail) and a

@@ -146,8 +146,8 @@ func (m *Monitor) Stop() {
 		<-done
 	}
 	m.reg.SetHealth(nil)
-	if m.opts.Log != nil {
-		m.opts.Log.AttachWideTail(nil)
+	if m.tail != nil {
+		m.reg.Logger().AttachWideTail(nil)
 	}
 }
 

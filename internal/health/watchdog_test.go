@@ -1,9 +1,15 @@
 package health
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dcer/internal/telemetry"
 )
 
 // TestResolveDeadlineProperties property-tests the deadline knob: any
@@ -185,5 +191,36 @@ func TestWatchdogLive(t *testing.T) {
 	m.Stop() // idempotent
 	if got := m.Report().Stalls; got == 0 {
 		t.Fatal("live watchdog never detected the wedged heartbeat")
+	}
+}
+
+// TestMonitorRidesRegistry: a monitor built on a registry is what Of finds
+// there, and it tees the registry's logger into the wide-event tail its
+// bundles carry; Stop detaches both.
+func TestMonitorRidesRegistry(t *testing.T) {
+	var out bytes.Buffer
+	reg := telemetry.NewRegistry()
+	log := telemetry.NewLogger(&out, "", telemetry.LogDebug)
+	reg.SetLogger(log)
+	if Of(reg) != nil || Of(nil) != nil {
+		t.Fatal("Of found a monitor before one was built")
+	}
+	m := NewMonitor(Options{Registry: reg, DiagnosisDir: t.TempDir()})
+	if Of(reg) != m {
+		t.Fatal("Of does not return the monitor built on the registry")
+	}
+	log.Wide(telemetry.LogDebug, "deduce_round", telemetry.F{K: "round", V: 7})
+	dir, err := m.CaptureBundle("manual")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, bundleWideTail))
+	if err != nil || !strings.Contains(string(tail), `"event":"deduce_round","round":7`) {
+		t.Errorf("bundle wide-event tail %q (%v) lacks the logged event", tail, err)
+	}
+	m.Stop()
+	log.Wide(telemetry.LogDebug, "deduce_round", telemetry.F{K: "round", V: 8})
+	if Of(reg) != nil || m.tail.Total() != 1 {
+		t.Errorf("after Stop: Of = %v, tail holds %d events, want nil and 1", Of(reg), m.tail.Total())
 	}
 }

@@ -67,9 +67,9 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	})
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		doc := reg.HealthDoc()
-		if doc == nil {
-			doc = map[string]any{"attached": false}
+		var doc any = map[string]any{"attached": false}
+		if h := reg.Health(); h != nil {
+			doc = h.HealthDoc()
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

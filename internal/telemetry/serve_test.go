@@ -110,9 +110,14 @@ func TestServeContentTypes(t *testing.T) {
 	}
 }
 
+// healthStub is a HealthReporter serving a fixed document.
+type healthStub map[string]any
+
+func (h healthStub) HealthDoc() any { return map[string]any(h) }
+
 // TestServeHealthEndpoint covers both sides of /debug/health: without a
-// monitor it reports {"attached": false}; with a provider attached via
-// SetHealth it serves whatever report the provider returns, and the
+// monitor it reports {"attached": false}; with a reporter attached via
+// SetHealth it serves whatever document the reporter returns, and the
 // /debug/dcer endpoint index advertises the route.
 func TestServeHealthEndpoint(t *testing.T) {
 	reg := NewRegistry()
@@ -132,9 +137,7 @@ func TestServeHealthEndpoint(t *testing.T) {
 		t.Fatal("/debug/health reports attached with no monitor")
 	}
 
-	reg.SetHealth(func() any {
-		return map[string]any{"attached": true, "stalls": 7}
-	})
+	reg.SetHealth(healthStub{"attached": true, "stalls": 7})
 	var attached struct {
 		Attached bool `json:"attached"`
 		Stalls   int  `json:"stalls"`

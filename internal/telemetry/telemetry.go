@@ -259,7 +259,9 @@ type family struct {
 // getters are get-or-create and idempotent: the same (name, labels) always
 // returns the same instrument, so hot layers resolve pointers once at
 // setup and never touch the registry lock again. A nil *Registry returns
-// nil instruments, whose operations are no-ops — the disabled mode.
+// nil instruments, whose operations are no-ops — the disabled mode. It is
+// the engines' one observability handle: they also take its span tracer,
+// wide-event logger (SetLogger) and health monitor (SetHealth).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -267,10 +269,17 @@ type Registry struct {
 
 	debug   map[string]func() any
 	debugMu sync.Mutex
-	health  func() any
+	health  HealthReporter
 
 	tracer *Tracer
+	logger atomic.Pointer[Logger]
 }
+
+// HealthReporter is the health monitor (internal/health) as SetHealth
+// sees it, so telemetry never imports health. HealthDoc returns the
+// /debug/health document; it is called at request time, must be safe for
+// concurrent use, and its result is JSON-marshaled.
+type HealthReporter interface{ HealthDoc() any }
 
 // NewRegistry creates an empty registry with a trace ring of the default
 // capacity.
@@ -394,6 +403,25 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
+// SetLogger makes l the registry's wide-event logger: the engines attached
+// to the registry emit their per-round events into it, and a health
+// monitor built on the registry tees its tail. Detach with nil.
+func (r *Registry) SetLogger(l *Logger) {
+	if r == nil {
+		return
+	}
+	r.logger.Store(l)
+}
+
+// Logger returns the registry's wide-event logger (nil on a nil registry
+// or when none is set; a nil *Logger drops everything).
+func (r *Registry) Logger() *Logger {
+	if r == nil {
+		return nil
+	}
+	return r.logger.Load()
+}
+
 // SetDebug registers a named provider surfaced in the /debug/dcer JSON
 // document (e.g. the DMatch superstep timeline). fn is called at request
 // time and must be safe for concurrent use; its result is JSON-marshaled.
@@ -406,32 +434,26 @@ func (r *Registry) SetDebug(name string, fn func() any) {
 	r.debugMu.Unlock()
 }
 
-// SetHealth registers the health-report provider served at /debug/health.
-// The health monitor (internal/health) registers itself here so telemetry
-// never imports it; fn is called at request time, must be safe for
-// concurrent use, and its result is JSON-marshaled. Detach with nil.
-func (r *Registry) SetHealth(fn func() any) {
+// SetHealth attaches the health monitor served at /debug/health and
+// picked up by the engines attached to the registry. The monitor
+// (internal/health) attaches itself here; detach with nil.
+func (r *Registry) SetHealth(h HealthReporter) {
 	if r == nil {
 		return
 	}
 	r.debugMu.Lock()
-	r.health = fn
+	r.health = h
 	r.debugMu.Unlock()
 }
 
-// HealthDoc returns the attached health provider's current report, or nil
-// when no monitor is attached.
-func (r *Registry) HealthDoc() any {
+// Health returns the attached health monitor, or nil when none is.
+func (r *Registry) Health() HealthReporter {
 	if r == nil {
 		return nil
 	}
 	r.debugMu.Lock()
-	fn := r.health
-	r.debugMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
+	defer r.debugMu.Unlock()
+	return r.health
 }
 
 func (r *Registry) debugSnapshot() map[string]any {

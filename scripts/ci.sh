@@ -2,9 +2,10 @@
 # CI entry point: formatting and static analysis, build, the short test
 # suite, the race-enabled run of the concurrent packages, Γ and the
 # partition at three widths, two fuzz smokes, a one-shot bench smoke, the
-# telemetry/causal-trace/health smoke, a cmd/doctor probe of a held live
-# process, the bench-regression gate of `go test -bench` against
-# BENCH_GATE.txt, and the nested benchmark module's own vet and tests.
+# causal-trace race guard (with the live telemetry/health endpoint test
+# and the cmd/doctor scrape of a live endpoint), the bench-regression gate
+# of `go test -bench` against BENCH_GATE.txt, and the nested benchmark
+# module's own vet and tests.
 # The task pool that runs Deduce's first pass and the fanned-out drain
 # batches on GOMAXPROCS goroutines (internal/chase), the DMatch master loop
 # with its per-worker link goroutines (internal/dmatch), the justification
@@ -110,38 +111,10 @@ grep -q '^BenchmarkIncDeduce/default' /tmp/dcer_ci_smoke.txt
 echo "== storage bench smoke (ingest arm at scale 20, single iteration)"
 go test -run=NONE -bench 'Storage/ingest' -benchtime=1x .
 
-echo "== telemetry smoke (ephemeral /metrics + provenance + /debug/trace + /debug/health scrape over a live DMatch run)"
-go run ./scripts/telemetrysmoke
-
-echo "== doctor probe (cmd/doctor diagnosing a held telemetrysmoke process over /debug/health)"
-go build -o /tmp/dcer_ci_smoke ./scripts/telemetrysmoke
-smoke_addrfile=/tmp/dcer_ci_smoke_addr
-rm -f "$smoke_addrfile"
-/tmp/dcer_ci_smoke -hold -addrfile "$smoke_addrfile" &
-smoke_pid=$!
-# The smoke publishes its address only after its own assertions pass.
-for _ in $(seq 1 300); do
-    [[ -s "$smoke_addrfile" ]] && break
-    if ! kill -0 "$smoke_pid" 2>/dev/null; then
-        echo "held telemetrysmoke exited before publishing its address" >&2
-        wait "$smoke_pid" || true
-        exit 1
-    fi
-    sleep 0.1
-done
-if [[ ! -s "$smoke_addrfile" ]]; then
-    echo "held telemetrysmoke never published its address" >&2
-    kill "$smoke_pid" 2>/dev/null || true
-    exit 1
-fi
-go run ./cmd/doctor -addr "$(cat "$smoke_addrfile")"
-kill "$smoke_pid"
-wait "$smoke_pid" || true
-
-echo "== causal-trace race guard (trace model, wide events, DMatch lane attribution under the race detector)"
+echo "== causal-trace race guard (trace model, wide events, DMatch lane attribution, the live /metrics + /debug/dcer + /debug/trace + /debug/health scrape of a monitored DMatch run, and cmd/doctor scraping a live endpoint, under the race detector)"
 go test -race -short -count=1 \
-    -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide' \
-    ./internal/telemetry ./internal/dmatch
+    -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide|TestLiveTelemetryEndpoints|TestDoctorScrapesLiveEndpoint' \
+    ./internal/telemetry ./internal/dmatch ./cmd/doctor
 
 echo "== bench-regression gate (fresh DeduceParallel/IncDeduce vs BENCH_GATE.txt, min of 3, threshold 25%)"
 # Measure the gated benchmarks fresh (the min over -count 3 suppresses
