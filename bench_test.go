@@ -8,12 +8,13 @@
 //	go test -run=NONE -bench 'DeduceParallel|IncDeduce' -count 3 -cpu 1,2
 //	go test -run=NONE -bench DeduceParallel -cpuprofile cpu.prof -memprofile mem.prof
 //
-// scripts/ci.sh gates BenchmarkDeduceParallel and BenchmarkIncDeduce against
-// BENCH_GATE.txt (scripts/benchgate). BenchmarkStorage is heavy — about
-// 400 MiB at scale 20, 770 MiB for budget1M's million tuples — so select it
-// by name. End-to-end numbers are the repository benchmark's
-// (benchmark/); the per-experiment drivers live in internal/experiments and
-// are shared with cmd/experiments, which prints the full tables.
+// scripts/ci.sh gates BenchmarkDeduceParallel, BenchmarkIncDeduce and
+// BenchmarkInsertTuples against BENCH_GATE.txt (scripts/benchgate).
+// BenchmarkStorage is heavy — about 400 MiB at scale 20, 770 MiB for
+// budget1M's million tuples — so select it by name. End-to-end numbers are
+// the repository benchmark's (benchmark/); the per-experiment drivers live
+// in internal/experiments and are shared with cmd/experiments, which prints
+// the full tables.
 package dcer_test
 
 import (
@@ -106,7 +107,7 @@ func tpchFixture(b *testing.B, scale float64) (*datagen.Generated, []*dcer.Rule)
 	return g, rules
 }
 
-// gateFixture is the fixture of the two benchmarks scripts/ci.sh gates
+// gateFixture is the fixture of the three benchmarks scripts/ci.sh gates
 // against BENCH_GATE.txt: TPCH scale 2.0 (57 336 tuples, 6 rules), Dup 0.3,
 // Seed 1. Under -short it shrinks to scale 0.2, so that CI's one-iteration
 // bench smoke still runs their bodies and class-identity asserts.
@@ -186,6 +187,79 @@ func BenchmarkIncDeduce(b *testing.B) {
 			b.StopTimer()
 			if got := dcer.CanonicalClasses(last.Classes()); got != want {
 				b.Fatal("IncDeduce classes diverge from the full chase")
+			}
+		})
+	}
+}
+
+// BenchmarkInsertTuples measures the ΔD path: three quarters of gateFixture
+// (every tuple but each fourth) are resolved with Run outside the timer,
+// then the held-back quarter is appended and handed to InsertTuples in 16
+// batches, under the default and the sequential engine. Both must reach
+// the full chase's equivalence classes.
+func BenchmarkInsertTuples(b *testing.B) {
+	g, rules := gateFixture(b)
+	reg := mlpred.DefaultRegistry()
+	base, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.Run()
+	want := dcer.CanonicalClasses(base.Classes())
+	var kept, held []*dcer.Tuple
+	for i, t := range g.D.Tuples() {
+		if i%4 == 3 {
+			held = append(held, t)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	const batches = 16
+	for _, mode := range []struct {
+		name string
+		opts chase.Options
+	}{
+		{"default", chase.Options{ShareIndexes: true}},
+		{"sequential", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			var last *chase.Engine
+			var src []dcer.TID // the fixture's GID of each tuple of the last dataset
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := dcer.NewDataset(g.D.DB)
+				src = src[:0]
+				for _, t := range kept {
+					d.MustAppend(g.D.SchemaOf(t).Name, t.Values()...)
+					src = append(src, t.GID)
+				}
+				eng, err := chase.New(d, rules, reg, mode.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Run()
+				b.StartTimer()
+				for k := range batches {
+					batch := make([]*dcer.Tuple, 0, len(held)/batches+1)
+					for _, t := range held[k*len(held)/batches : (k+1)*len(held)/batches] {
+						batch = append(batch, d.MustAppend(g.D.SchemaOf(t).Name, t.Values()...))
+						src = append(src, t.GID)
+					}
+					if _, err := eng.InsertTuples(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				last = eng
+			}
+			b.StopTimer()
+			classes := last.Classes()
+			for _, c := range classes {
+				for k, id := range c {
+					c[k] = src[id]
+				}
+			}
+			if dcer.CanonicalClasses(classes) != want {
+				b.Fatal("InsertTuples classes diverge from the full chase")
 			}
 		})
 	}

@@ -80,7 +80,7 @@ func TestDepRecordAllocs(t *testing.T) {
 			ctx.recordDep(body[:1+i%2], matchLit(i, i+7), nil)
 		}
 		e.H = NewDepStore(-1, e.H.sat)
-		e.mergeDeps(ctx)
+		e.mergeDeps(&ctx.taskOut)
 		if e.H.Len() != n {
 			t.Fatalf("stored %d of %d dependencies", e.H.Len(), n)
 		}

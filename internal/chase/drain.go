@@ -217,40 +217,40 @@ func (e *Engine) runJobs(jobs []drainJob) {
 		for k := i * chunk; k < min((i+1)*chunk, len(jobs)); k++ {
 			c.runSeed(&jobs[k])
 		}
-	}, nil, func(_ int, c *evalCtx) { e.mergeCtx(c) })
+	}, nil, func(_ int, o *taskOut) { e.mergeCtx(o) })
 }
 
-// mergeCtx applies a buffered context's facts and whatever dependencies
+// mergeCtx applies a task's buffered facts and whatever dependencies
 // mergeDeps has not recorded yet. Duplicate facts (deduced by several
-// rules or chunks against the same snapshot) coalesce in applyFact.
-func (e *Engine) mergeCtx(ctx *evalCtx) {
-	e.flushCtxCounters(ctx)
-	for i, l := range ctx.facts {
+// tasks against the same snapshot) coalesce in applyFact.
+func (e *Engine) mergeCtx(o *taskOut) {
+	e.flushCounters(o)
+	for i, l := range o.facts {
 		var j *justification
-		if i < len(ctx.justs) {
-			j = ctx.justs[i]
+		if i < len(o.justs) {
+			j = o.justs[i]
 		}
 		e.applyFactJ(literalFact(l), j)
 	}
-	e.mergeDeps(ctx)
+	e.mergeDeps(o)
 }
 
-// mergeDeps records a buffered context's dependencies in H, which copies
-// each record into its own arena, and empties the context's buffer.
-func (e *Engine) mergeDeps(ctx *evalCtx) {
+// mergeDeps records a task's buffered dependencies in H, which copies each
+// record into its own arena, and empties the task's buffer.
+func (e *Engine) mergeDeps(o *taskOut) {
 	var recorded int64
 	words := 0
-	for _, chunk := range ctx.deps {
+	for _, chunk := range o.deps {
 		words += len(chunk)
 	}
 	e.H.reserve(words / (depBodyOff + depLitWords)) // at most: a record has a body literal
 	k := 0
-	for _, chunk := range ctx.deps {
+	for _, chunk := range o.deps {
 		for off := 0; off < len(chunk); k++ {
 			rec := chunk[off:]
 			var j *justification
-			if k < len(ctx.depJusts) {
-				j = ctx.depJusts[k]
+			if k < len(o.depJusts) {
+				j = o.depJusts[k]
 			}
 			if e.H.add(rec, j) {
 				recorded++
@@ -259,5 +259,5 @@ func (e *Engine) mergeDeps(ctx *evalCtx) {
 		}
 	}
 	e.cnt.depsRecorded.Add(recorded)
-	ctx.deps, ctx.depJusts = nil, nil
+	o.deps, o.depJusts = nil, nil
 }

@@ -242,6 +242,11 @@ type Engine struct {
 	// (one typed id column), so no canonical key strings are built.
 	idIndex []map[uint64]relation.TID
 
+	// held counts the tuples of d the engine has taken in: those present at
+	// New and every InsertTuples batch since. The dataset's later tuples
+	// are the next batch.
+	held int
+
 	dynamicModels map[string]bool
 
 	// anyIDs records whether any rule carries an id body predicate: when
@@ -252,6 +257,8 @@ type Engine struct {
 	// plans has been materialized (required before the pool runs, whose
 	// tasks must not mutate the lazy index cache).
 	prebuilt bool
+	// roots is the pool's frozen union-find snapshot (frozenRoots).
+	roots []int32
 
 	// ctx is the reusable evaluation context of the sequential paths
 	// (seeded re-enumerations and SequentialDeduce).
@@ -263,9 +270,12 @@ type Engine struct {
 	// fixed batch-size threshold. Neither is an option: the interpreter is
 	// the equivalence oracle of the plans, the threshold is how the Γ
 	// oracles reach both drains on any host, and only this package's tests
-	// set them (export_test.go).
+	// set them (export_test.go). Nor is seedHook, which sees every
+	// valuation InsertTuples' seed pass emits, from the goroutine that
+	// emits it.
 	interpret bool
 	drainMin  int
+	seedHook  func(br *boundRule, binding []*relation.Tuple)
 
 	// prov is the justification log (Options.Provenance); nil disables
 	// capture. provOrigin labels facts applied without a rule
@@ -342,6 +352,7 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 	}
 	e := &Engine{
 		d:             d,
+		held:          d.Size(),
 		reg:           reg,
 		opts:          opts,
 		uf:            unionfind.New(idSpace),
@@ -689,8 +700,9 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 
 // enumerateRule runs one seeded (or full, seed == nil) enumeration of br
 // on context c: the engine's own, which applies facts directly, or a pool
-// task's buffered one. The histogram and the trace absorb concurrent
-// observations, and the counters land in atomics.
+// worker's buffered one. The histogram and the trace absorb concurrent
+// observations; the work counters stay in c's output for the caller's
+// merge point.
 func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, seed []*relation.Tuple) {
 	var t0 time.Time
 	if e.tel != nil || e.curTC.Enabled() {
@@ -704,22 +716,27 @@ func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, seed []*relation.Tuple
 	if e.tel != nil {
 		br.enumHist.ObserveDuration(time.Since(t0))
 	}
-	e.flushCtxCounters(c)
 }
 
-// flushCtxCounters lands a context's plain work counters in the engine
-// atomics (the merge-point discipline that keeps the hot loops free of
-// atomic traffic).
+// flushCtxCounters lands the live context's access-path and work counters
+// in the plans and the engine atomics.
 func (e *Engine) flushCtxCounters(c *evalCtx) {
 	c.flushAccess()
-	e.cnt.valuations.Add(c.valuations)
-	e.cnt.extensions.Add(c.extensions)
-	e.cnt.planPreds.Add(c.planEvals)
-	e.cnt.planBatches.Add(c.planBatches)
-	e.cnt.featHits.Add(c.featHits)
-	e.cnt.mlCalls.Add(c.mlCalls)
-	c.valuations, c.extensions, c.planEvals, c.planBatches = 0, 0, 0, 0
-	c.featHits, c.mlCalls = 0, 0
+	e.flushCounters(&c.taskOut)
+}
+
+// flushCounters lands an output's plain work counters in the engine
+// atomics (the merge-point discipline that keeps the hot loops free of
+// atomic traffic).
+func (e *Engine) flushCounters(o *taskOut) {
+	e.cnt.valuations.Add(o.valuations)
+	e.cnt.extensions.Add(o.extensions)
+	e.cnt.planPreds.Add(o.planEvals)
+	e.cnt.planBatches.Add(o.planBatches)
+	e.cnt.featHits.Add(o.featHits)
+	e.cnt.mlCalls.Add(o.mlCalls)
+	o.valuations, o.extensions, o.planEvals, o.planBatches = 0, 0, 0, 0
+	o.featHits, o.mlCalls = 0, 0
 }
 
 // Deduce runs the first full chase pass over all rules (procedure Deduce
@@ -745,28 +762,30 @@ func (e *Engine) Deduce() []Fact {
 	if e.opts.SequentialDeduce || len(e.rules) <= 1 {
 		for _, br := range e.rules {
 			e.enumerateRule(&e.ctx, br, nil)
+			e.flushCtxCounters(&e.ctx)
 		}
 	} else {
+		ruleOf := func(i int) *boundRule { return e.rules[i] }
 		e.pool(len(e.rules), func(i int, c *evalCtx) {
 			e.enumerateRule(c, e.rules[i], nil)
-		}, e.timedMerge(e.mergeDeps), e.timedMerge(e.mergeCtx))
+		}, e.timedMerge(ruleOf, e.mergeDeps), e.timedMerge(ruleOf, e.mergeCtx))
 	}
 	e.drain()
 	return append([]Fact(nil), e.delta...)
 }
 
-// timedMerge wraps a merge of rule i's buffered context in a chase.merge
-// span above the span floor.
-func (e *Engine) timedMerge(merge func(*evalCtx)) func(int, *evalCtx) {
-	return func(i int, c *evalCtx) {
+// timedMerge wraps a merge of task i's output in a chase.merge span,
+// labelled with the task's rule, above the span floor.
+func (e *Engine) timedMerge(ruleOf func(int) *boundRule, merge func(*taskOut)) func(int, *taskOut) {
+	return func(i int, o *taskOut) {
 		tc := e.curTC
 		var t0 time.Time
 		if tc.Enabled() {
 			t0 = time.Now()
 		}
-		merge(c)
+		merge(o)
 		if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
-			tc.Record("chase.merge", t0, telemetry.L("rule", e.rules[i].r.Name))
+			tc.Record("chase.merge", t0, telemetry.L("rule", ruleOf(i).r.Name))
 		}
 	}
 }

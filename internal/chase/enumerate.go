@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"sort"
 	"time"
 
 	"dcer/internal/mlpred"
@@ -9,32 +10,17 @@ import (
 	"dcer/internal/telemetry"
 )
 
-// evalCtx carries the mutable state of one rule enumeration: the scratch
-// buffers reused across valuations and, in a pool task (pool.go), the
-// task's result buffers and the frozen view of Γ.
-//
-// The sequential path reuses a single context owned by the engine and
-// applies facts directly; the pool gives each task its own context so the
-// enumerations share no mutable state (the engine structures they read —
-// validated set, indexes, scopes — are frozen while the pool runs) and are
-// merged deterministically afterwards.
-type evalCtx struct {
-	e  *Engine
-	br *boundRule
-
-	// roots freezes the id-equivalence relation: when non-nil, Same is
-	// answered from this snapshot instead of the engine's union-find
-	// (whose Find path-compresses and must not run under concurrent
-	// readers).
-	roots []int32
-
-	// buffered redirects emitted facts and dependencies into the context
-	// instead of applying them to the engine, for the post-pass merge.
-	buffered bool
-	facts    []Literal
+// taskOut is what enumerations leave for the engine: the facts and
+// dependency records a buffered context held back, their justifications,
+// and the plain work counters, which land in the engine atomics at the merge
+// points (flushCounters). A pool task's output moves out of its worker's
+// scratch context when the task ends (pool.go).
+type taskOut struct {
+	facts []Literal
 	// deps holds the buffered dependencies as packed records (deps.go),
-	// back to back in fixed-size chunks so growth never copies; the direct
-	// path packs each record here too and hands it straight to H.
+	// back to back in chunks that start at depFirstWords and double up to
+	// depChunkWords, so growth never copies; the direct path packs each
+	// record here too and hands it straight to H.
 	deps [][]uint32
 	// justs carries the justification of each buffered fact and depJusts
 	// of each buffered dependency (aligned with facts and with the records
@@ -45,20 +31,54 @@ type evalCtx struct {
 	extensions int64
 
 	// featHits counts feature-store probes served warm and mlCalls the
-	// classifier invocations over feature bundles; plain integers, landing
-	// in the engine counters at the same merge points as valuations.
+	// classifier invocations over feature bundles.
 	featHits int64
 	mlCalls  int64
 
-	// plans mirrors !Engine.interpret (latched by reset so the hot
-	// path reads a local flag); planBufs are the per-recursion-depth
-	// candidate scratch buffers of the compiled path, and planEvals /
-	// planBatches accumulate its work account, landing in the engine
-	// counters at the same merge points as valuations and extensions.
-	plans       bool
-	planBufs    [][]*relation.Tuple
+	// planEvals / planBatches are the compiled path's work account.
 	planEvals   int64
 	planBatches int64
+}
+
+// evalCtx carries the mutable state of rule enumerations: the scratch
+// buffers reused across valuations, their output (taskOut) and, on a pool
+// worker (pool.go), the frozen view of Γ.
+//
+// The sequential path reuses a single context owned by the engine and
+// applies facts directly; each pool worker keeps its own buffered context
+// across its tasks, so the enumerations share no mutable state (the engine
+// structures they read — validated set, indexes, scopes — are frozen while
+// the pool runs) and are merged deterministically afterwards.
+type evalCtx struct {
+	e  *Engine
+	br *boundRule
+
+	// roots freezes the id-equivalence relation: when non-nil, Same is
+	// answered from this snapshot instead of the engine's union-find
+	// (whose Find path-compresses and must not run under concurrent
+	// readers).
+	roots []int32
+
+	// buffered redirects emitted facts and dependencies into the context's
+	// output instead of applying them to the engine, for the merge.
+	buffered bool
+	taskOut
+
+	// cut and epoch are the epoch cut of InsertTuples' seed pass: every
+	// variable before cut ranges only over tuples older than epoch, so a
+	// valuation is enumerated once, from its first new tuple. Zero cut
+	// restricts nothing.
+	cut   int
+	epoch relation.TID
+	// seeded, when set, sees every valuation the seed pass emits (the
+	// engine's seedHook, which only this package's tests set).
+	seeded func(br *boundRule, binding []*relation.Tuple)
+
+	// plans mirrors !Engine.interpret (latched by reset so the hot
+	// path reads a local flag); planBufs are the per-recursion-depth
+	// candidate scratch buffers of the compiled path.
+	plans    bool
+	planBufs [][]*relation.Tuple
 
 	// access counts, per variable of br and access path, the times chosen
 	// and the candidates returned; flushAccess lands them in the plan when
@@ -155,15 +175,25 @@ func (c *evalCtx) apply(l Literal, j *justification) {
 	c.e.applyFactJ(literalFact(l), j)
 }
 
+// depFirstWords is the capacity of a context's first dependency chunk;
+// each later chunk doubles the last, up to depChunkWords, and is never
+// smaller than the record it is opened for. A pool task that records a
+// handful of dependencies keeps 1 KiB, not 64.
+const depFirstWords = 1 << 8
+
 // recordDep packs dependency body → head into the context's record
 // buffer, where the buffered path leaves it for the merge and the direct
 // path hands it to H (which copies it) and takes it back. The justification
 // holds the evidence already satisfied at emit time, completed by the body
 // when the dependency fires.
 func (c *evalCtx) recordDep(body []Literal, head Literal, j *justification) {
-	n := len(c.deps) - 1
-	if n < 0 || len(c.deps[n])+depBodyOff+depLitWords*len(body) > cap(c.deps[n]) {
-		c.deps = append(c.deps, make([]uint32, 0, depChunkWords))
+	n, size := len(c.deps)-1, depBodyOff+depLitWords*len(body)
+	if n < 0 || len(c.deps[n])+size > cap(c.deps[n]) {
+		words := depFirstWords
+		if n >= 0 {
+			words = min(2*cap(c.deps[n]), depChunkWords)
+		}
+		c.deps = append(c.deps, make([]uint32, 0, max(words, size)))
 		n++
 	}
 	lo := len(c.deps[n])
@@ -273,6 +303,11 @@ func (c *evalCtx) extend(nbound, last int) {
 			c.br.plan.vars[bestVar].access[apSim].scored.Add(scored)
 		}
 	}
+	if bestVar < c.cut {
+		if bestCands = olderThan(bestCands, c.epoch); len(bestCands) == 0 {
+			return
+		}
+	}
 	c.access[bestVar][path][0]++
 	c.access[bestVar][path][1] += int64(len(bestCands))
 	if c.plans {
@@ -347,6 +382,19 @@ func (c *evalCtx) refineCandidates(cs candList, v, last int) candList {
 		}
 	}
 	return cs
+}
+
+// olderThan returns the prefix of candidate list ts that is older than
+// epoch. Every access path lists the tuples older than an insert batch
+// ahead of the batch's own — postings are appended in place, scans and
+// similarity joins follow the relation's order — so the prefix is found by
+// binary search, after a look at the last tuple: most lists hold no new
+// one.
+func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
+	if len(ts) == 0 || ts[len(ts)-1].GID < epoch {
+		return ts
+	}
+	return ts[:sort.Search(len(ts), func(k int) bool { return ts[k].GID >= epoch })]
 }
 
 // checkNewBinding verifies every static predicate that becomes fully bound
@@ -536,6 +584,9 @@ func gatherInto(buf []relation.Value, t *relation.Tuple, attrs []int) []relation
 func (c *evalCtx) emit() {
 	c.valuations++
 	br, binding := c.br, c.binding
+	if c.seeded != nil {
+		c.seeded(br, binding)
+	}
 	h := &br.r.Head
 	var headLit Literal
 	if h.Kind == rule.PredID {

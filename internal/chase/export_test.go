@@ -1,6 +1,10 @@
 package chase
 
-import "math"
+import (
+	"math"
+
+	"dcer/internal/relation"
+)
 
 // Switches only this package's tests may flip, all before the engine's
 // first deduction.
@@ -28,3 +32,16 @@ func (e *Engine) SetDrainParallelMin(n int) { e.drainMin = n }
 // NeverFanOut is the SetDrainParallelMin value that keeps every drain
 // batch on the engine's live context.
 const NeverFanOut = math.MaxInt
+
+// SetSeedHook has f called with the rule and the bound GIDs, in variable
+// order, of every valuation InsertTuples' seed pass emits — concurrently,
+// from the pool's goroutines, unless the engine is sequential.
+func (e *Engine) SetSeedHook(f func(rule string, gids []relation.TID)) {
+	e.seedHook = func(br *boundRule, binding []*relation.Tuple) {
+		gids := make([]relation.TID, len(binding))
+		for i, t := range binding {
+			gids[i] = t.GID
+		}
+		f(br.r.Name, gids)
+	}
+}

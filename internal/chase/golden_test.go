@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"dcer"
 	"dcer/internal/chase"
 	"dcer/internal/datagen"
 	"dcer/internal/mlpred"
@@ -43,7 +44,13 @@ func gammaDigest(g *chase.Gamma) string {
 // batch fanned out, or none, on any GOMAXPROCS), so the digests do not
 // depend on the host. "seqdeduce" — sequential Deduce over the forced
 // batched drain — pinned a combination the engine no longer has: its one
-// switch keeps the whole engine on the calling goroutine.
+// switch keeps the whole engine on the calling goroutine. "insert/conc" and
+// "insert/live-drain" were re-recorded when InsertTuples' seed pass moved
+// from the live context onto the task pool: its tasks buffer against one
+// snapshot and merge in task order, so heads the live loop applied at once
+// now land through the merge and the drain. Their class sets are
+// goldenInsertSets', recorded before the move; "insert/seq" runs the same
+// seed list on the live context and kept its digest.
 var goldenGammas = map[string]string{
 	"tpch0.5/seq":                   "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
 	"tpch0.5/conc":                  "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
@@ -51,16 +58,16 @@ var goldenGammas = map[string]string{
 	"tpch0.5/unbounded":             "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
 	"tpch0.5/unbounded/live-drain":  "c27b703e37682aa78ac7066e48aa3d5bd0fd55d1ed8d9ba6bc775b9d905dd76a",
 	"tpch0.5/insert/seq":            "de9de54788bc160d452918b41e49dd34cf9404eccda401cd2e5399f30521b763",
-	"tpch0.5/insert/conc":           "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
-	"tpch0.5/insert/live-drain":     "699d7a03edc3f72e4434a9ac60827439f9eb0372f4c94889b9d77ba13b527556",
+	"tpch0.5/insert/conc":           "c725c5b6cd088cdf7d6d6ee0438970808f285fb512730997fc529b84ba1265f6",
+	"tpch0.5/insert/live-drain":     "c725c5b6cd088cdf7d6d6ee0438970808f285fb512730997fc529b84ba1265f6",
 	"tfacc0.2/seq":                  "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
 	"tfacc0.2/conc":                 "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
 	"tfacc0.2/seqdrain":             "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
 	"tfacc0.2/unbounded":            "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
 	"tfacc0.2/unbounded/live-drain": "5e76416f27f036d0d0a5c6c1cea7f869920e628332f456a1a527b4ba3fef24c4",
 	"tfacc0.2/insert/seq":           "9c012bb13ba8369ddaf2e0fb315dc2ade262f2ca144603290c626c90a44e6ac6",
-	"tfacc0.2/insert/conc":          "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
-	"tfacc0.2/insert/live-drain":    "cd8dd56037f465fd75f025c0434eb0c4b66636cd06cc4c3b079c28709280f938",
+	"tfacc0.2/insert/conc":          "eac855000d6f5bdb926c4f1370d35d415dee0d3f34086be09913d82e2b9984ed",
+	"tfacc0.2/insert/live-drain":    "eac855000d6f5bdb926c4f1370d35d415dee0d3f34086be09913d82e2b9984ed",
 }
 
 // TestGammaGoldenDigest pins Γ's fact sequence byte for byte in every
@@ -106,9 +113,37 @@ func TestGammaGoldenDigest(t *testing.T) {
 		}
 		// ΔD: the IncDeduce drain with H already populated.
 		for _, m := range []engineMode{modes[0], modes[1], modeLive.as("live-drain")} {
-			check(gn.name+"/insert/"+m.name, insertRun(t, g, m).Gamma())
+			key := gn.name + "/insert/" + m.name
+			eng := insertRun(t, g, m)
+			check(key, eng.Gamma())
+			if got := classSetDigest(eng); got != goldenInsertSets[key] {
+				t.Errorf("%s: class-set digest %s, golden %q", key, got, goldenInsertSets[key])
+			}
 		}
 	}
+}
+
+// goldenInsertSets pins what each insert mode of TestGammaGoldenDigest
+// reaches, whatever order its facts land in: the class set and the
+// validated set, recorded from commit 245983c, whose seed pass still ran
+// serially on the live context.
+var goldenInsertSets = map[string]string{
+	"tpch0.5/insert/seq":         "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tpch0.5/insert/conc":        "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tpch0.5/insert/live-drain":  "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tfacc0.2/insert/seq":        "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+	"tfacc0.2/insert/conc":       "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+	"tfacc0.2/insert/live-drain": "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+}
+
+// classSetDigest is a sha256 over the engine's canonical equivalence
+// classes and its canonical validated set.
+func classSetDigest(eng *chase.Engine) string {
+	h := sha256.New()
+	h.Write([]byte(dcer.CanonicalClasses(eng.Classes())))
+	h.Write([]byte{0})
+	h.Write([]byte(canonValidated(eng.Gamma().Validated)))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // insertRun resolves three quarters of g's tuples, then appends the rest

@@ -2,6 +2,7 @@ package chase_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"dcer/internal/chase"
@@ -151,7 +152,9 @@ func TestInsertTuplesDupID(t *testing.T) {
 	}
 }
 
-// TestInsertTuplesErrors checks the guard rails.
+// TestInsertTuplesErrors checks the guard rails: a batch is exactly the
+// tuples appended since New or the previous call, each once, in any order.
+// Every other batch is refused before any state changes.
 func TestInsertTuplesErrors(t *testing.T) {
 	d, _ := datagen.PaperExample()
 	rules, err := datagen.PaperRules(d.DB)
@@ -162,8 +165,101 @@ func TestInsertTuplesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.Run()
+	before := eng.Stats()
+	orders := d.Relation("Orders").Tuples
+	a := d.MustAppend("Orders", orders[0].Values()...)
+	b := d.MustAppend("Orders", orders[1].Values()...)
 	other, _ := datagen.PaperExample()
-	if _, err := eng.InsertTuples(other.Tuples()[:1]); err == nil {
-		t.Error("foreign tuple accepted")
+	for _, c := range []struct {
+		name  string
+		batch []*relation.Tuple
+	}{
+		{"foreign tuple", other.Tuples()[:1]},
+		{"tuple loaded before New", []*relation.Tuple{d.Tuples()[0], a, b}},
+		{"tuple listed twice", []*relation.Tuple{a, b, a}},
+		{"appended tuple withheld", []*relation.Tuple{b}},
+	} {
+		if _, err := eng.InsertTuples(c.batch); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	if got := eng.Stats(); got != before {
+		t.Errorf("refused batches changed the engine: stats %+v, were %+v", got, before)
+	}
+	if _, err := eng.InsertTuples([]*relation.Tuple{b, a}); err != nil {
+		t.Fatalf("the appended tuples in another order: %v", err)
+	}
+	if _, err := eng.InsertTuples([]*relation.Tuple{a}); err == nil {
+		t.Error("tuple of an earlier batch accepted")
+	}
+}
+
+// TestInsertSeedsEnumerateOnce checks the epoch cut of InsertTuples' seed
+// pass: within a batch no valuation is emitted twice — one holding several
+// new tuples is seeded at the first of them only — in every mode, over
+// three batches, on random instances where such valuations occur.
+func TestInsertSeedsEnumerateOnce(t *testing.T) {
+	reg := mlpred.DefaultRegistry()
+	multi := 0
+	for seed := int64(500); seed < 508; seed++ {
+		d, rules, err := datagen.RandomInstance(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, m := range []engineMode{modeSeq, modeDefault, modeBatched} {
+			d2 := relation.NewDataset(d.DB)
+			var held []*relation.Tuple
+			for i, tt := range d.Tuples() {
+				if i%3 == 1 {
+					held = append(held, tt)
+					continue
+				}
+				d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+			}
+			eng := m.engine(t, d2, rules, reg)
+			eng.Run()
+			var mu sync.Mutex
+			var epoch relation.TID
+			emitted := make(map[string]bool)
+			var repeats []string
+			eng.SetSeedHook(func(rule string, gids []relation.TID) {
+				key := fmt.Sprint(rule, gids)
+				fresh := 0
+				for _, g := range gids {
+					if g >= epoch {
+						fresh++
+					}
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if emitted[key] {
+					repeats = append(repeats, key)
+				}
+				emitted[key] = true
+				if fresh > 1 {
+					multi++
+				}
+			})
+			step := (len(held) + 2) / 3
+			for lo := 0; lo < len(held); lo += step {
+				epoch = relation.TID(d2.Size())
+				clear(emitted)
+				var batch []*relation.Tuple
+				for _, tt := range held[lo:min(lo+step, len(held))] {
+					batch = append(batch, d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...))
+				}
+				if _, err := eng.InsertTuples(batch); err != nil {
+					t.Fatalf("seed %d mode %s: %v", seed, m, err)
+				}
+				if len(repeats) > 0 {
+					t.Fatalf("seed %d mode %s: %d valuations seeded twice in one batch, first %s\nrules:\n%s",
+						seed, m, len(repeats), repeats[0], rulesOf(rules))
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no seeded valuation held two new tuples: the instances test nothing")
 	}
 }

@@ -1,6 +1,8 @@
 package chase_test
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,9 +119,10 @@ func TestDrainParallelEquivalence(t *testing.T) {
 
 // TestInsertTuplesRandomSplitEquivalence is the property test for the
 // incremental ΔD path: withholding a random slice of a random instance and
-// inserting it later must reach exactly the Γ of a full chase over the
-// whole dataset, under the sequential engine, the default and the forced
-// batched drain.
+// inserting it later — in one batch, or in two or five batches of random
+// sizes, one of them a single tuple — must reach exactly the Γ of a full
+// chase over the whole dataset, under the sequential engine, the default
+// and the forced batched drain.
 func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(25)
@@ -136,50 +139,77 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		scratch.Run()
-
+		rng := rand.New(rand.NewSource(seed))
 		for _, opts := range []engineMode{modeSeq, modeDefault, modeBatched} {
-			// Rebuild withholding every k-th tuple, chase, then insert them.
-			k := 3 + int(seed%4)
-			d2 := relation.NewDataset(d.DB)
-			gidMap := make(map[relation.TID]relation.TID) // src gid -> new gid
-			var heldSrc []*relation.Tuple
-			for i, tt := range d.Tuples() {
-				if i%k == 1 {
-					heldSrc = append(heldSrc, tt)
-					continue
+			for _, batches := range []int{1, 2, 5} {
+				// Rebuild withholding every k-th tuple, chase, then insert them.
+				k := 3 + int(seed%4)
+				d2 := relation.NewDataset(d.DB)
+				gidMap := make(map[relation.TID]relation.TID) // src gid -> new gid
+				var heldSrc []*relation.Tuple
+				for i, tt := range d.Tuples() {
+					if i%k == 1 {
+						heldSrc = append(heldSrc, tt)
+						continue
+					}
+					nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+					gidMap[tt.GID] = nt.GID
 				}
-				nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
-				gidMap[tt.GID] = nt.GID
-			}
-			eng := opts.engine(t, d2, rules, reg)
-			eng.Run()
-			var held []*relation.Tuple
-			for _, tt := range heldSrc {
-				nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
-				gidMap[tt.GID] = nt.GID
-				held = append(held, nt)
-			}
-			if _, err := eng.InsertTuples(held); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for i := 0; i < d.Size(); i++ {
-				for j := i + 1; j < d.Size(); j++ {
-					a, b := relation.TID(i), relation.TID(j)
-					if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
-						t.Fatalf("seed %d mode %s: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
-							seed, opts, i, j, rulesOf(rules))
+				eng := opts.engine(t, d2, rules, reg)
+				eng.Run()
+				for _, n := range batchSizes(rng, len(heldSrc), batches) {
+					var batch []*relation.Tuple
+					for _, tt := range heldSrc[:n] {
+						nt := d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+						gidMap[tt.GID] = nt.GID
+						batch = append(batch, nt)
+					}
+					heldSrc = heldSrc[n:]
+					if _, err := eng.InsertTuples(batch); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
 					}
 				}
-			}
-			want := make([]chase.Fact, 0, len(scratch.Gamma().Validated))
-			for _, f := range scratch.Gamma().Validated {
-				want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
-			}
-			if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
-				t.Fatalf("seed %d mode %s: validated sets differ:\nscratch:\n%s\nincremental:\n%s", seed, opts, wv, gv)
+				for i := 0; i < d.Size(); i++ {
+					for j := i + 1; j < d.Size(); j++ {
+						a, b := relation.TID(i), relation.TID(j)
+						if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
+							t.Fatalf("seed %d mode %s, %d batches: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
+								seed, opts, batches, i, j, rulesOf(rules))
+						}
+					}
+				}
+				want := make([]chase.Fact, 0, len(scratch.Gamma().Validated))
+				for _, f := range scratch.Gamma().Validated {
+					want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
+				}
+				if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
+					t.Fatalf("seed %d mode %s, %d batches: validated sets differ:\nscratch:\n%s\nincremental:\n%s",
+						seed, opts, batches, wv, gv)
+				}
 			}
 		}
 	}
+}
+
+// batchSizes cuts n tuples into k batches of random sizes (n batches when n
+// < k), one of them a single tuple when there are several.
+func batchSizes(rng *rand.Rand, n, k int) []int {
+	if k = min(k, n); k <= 1 {
+		return []int{n}
+	}
+	// k−2 distinct cut points split the other n−1 tuples into k−1 batches.
+	cuts := rng.Perm(n - 2)[:k-2]
+	for i := range cuts {
+		cuts[i]++
+	}
+	sort.Ints(cuts)
+	sizes := make([]int, 0, k)
+	prev := 0
+	for _, c := range append(cuts, n-1) {
+		sizes = append(sizes, c-prev)
+		prev = c
+	}
+	return slices.Insert(sizes, rng.Intn(k), 1)
 }
 
 // TestDMatchModesEquivalence is the property test for the dmatch execution

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dcer/internal/relation"
 	"dcer/internal/unionfind"
 )
 
@@ -46,7 +47,7 @@ func TestPoolFollowsGOMAXPROCS(t *testing.T) {
 				// Hold the task long enough for one started beyond the
 				// width to be counted.
 				time.Sleep(time.Millisecond)
-			}, nil, func(int, *evalCtx) {})
+			}, nil, func(int, *taskOut) {})
 			cancel()
 			if got := int(peak.Load()); got != width {
 				t.Errorf("GOMAXPROCS %d (%d at init), %d tasks: at most %d ran at once, want %d",
@@ -61,36 +62,50 @@ func TestPoolFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// tagFact is the one fact the pool tests' task i buffers, so a callback can
+// tell whose output it was handed.
+func tagFact(i int) Literal { return matchLit(relation.TID(i), relation.TID(i+1)) }
+
+// ownOutput reports whether o is exactly what task i buffered.
+func ownOutput(i int, o *taskOut) bool {
+	return len(o.facts) == 1 && o.facts[0] == tagFact(i)
+}
+
 // TestPoolMergesInIndexOrder makes the tasks of one pool call finish in
 // reverse order (task i sleeps n−i ms) and checks that both merge callbacks
-// still see the tasks in index order, each on its own buffered context:
-// ready(i) only once tasks 0..i have finished, merge(i) only once all have.
+// still see the tasks in index order, each task its own output: ready(i)
+// only once tasks 0..i have finished, merge(i) only once all have.
 func TestPoolMergesInIndexOrder(t *testing.T) {
 	const n = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	e := &Engine{uf: unionfind.New(0)}
 	var finished [n]atomic.Bool
-	ctxs := make([]*evalCtx, n)
 	var ready, merged []int
 	e.pool(n, func(i int, c *evalCtx) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
-		ctxs[i] = c
+		if !c.buffered || c.roots == nil {
+			t.Errorf("task %d ran on an unbuffered or unfrozen context", i)
+		}
+		c.facts = append(c.facts, tagFact(i))
 		finished[i].Store(true)
-	}, func(i int, c *evalCtx) {
+	}, func(i int, o *taskOut) {
 		for k := 0; k <= i; k++ {
 			if !finished[k].Load() {
 				t.Errorf("ready(%d) called before task %d finished", i, k)
 			}
 		}
+		if !ownOutput(i, o) {
+			t.Errorf("ready(%d) got facts %v, not the task's own output", i, o.facts)
+		}
 		ready = append(ready, i)
-	}, func(i int, c *evalCtx) {
+	}, func(i int, o *taskOut) {
 		for k := range finished {
 			if !finished[k].Load() {
 				t.Errorf("merge(%d) called before task %d finished", i, k)
 			}
 		}
-		if c != ctxs[i] || !c.buffered || c.roots == nil {
-			t.Errorf("merge(%d) got another task's context, or an unbuffered one", i)
+		if !ownOutput(i, o) {
+			t.Errorf("merge(%d) got facts %v, not the task's own output", i, o.facts)
 		}
 		merged = append(merged, i)
 	})
@@ -103,5 +118,44 @@ func TestPoolMergesInIndexOrder(t *testing.T) {
 				t.Fatalf("callbacks ran in order %v, want 0..%d", got, n-1)
 			}
 		}
+	}
+}
+
+// TestPoolScratchPerWorker runs 1 000 tiny tasks at width 2 and checks that
+// they share exactly two scratch contexts, one per worker goroutine, while
+// every task still hands the merge its own output. The first task waits
+// until the second worker has run a task, so both take part.
+func TestPoolScratchPerWorker(t *testing.T) {
+	const n = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := &Engine{uf: unionfind.New(0)}
+	var mu sync.Mutex
+	scratch := make(map[*evalCtx]bool)
+	both := make(chan struct{})
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	e.pool(n, func(i int, c *evalCtx) {
+		mu.Lock()
+		if !scratch[c] {
+			scratch[c] = true
+			if len(scratch) == 2 {
+				close(both)
+			}
+		}
+		mu.Unlock()
+		if i == 0 {
+			select {
+			case <-both:
+			case <-deadline.Done():
+			}
+		}
+		c.facts = append(c.facts, tagFact(i))
+	}, nil, func(i int, o *taskOut) {
+		if !ownOutput(i, o) {
+			t.Errorf("merge(%d) got facts %v, not the task's own output", i, o.facts)
+		}
+	})
+	if len(scratch) != 2 {
+		t.Errorf("%d tasks at width 2 ran on %d scratch contexts, want 2", n, len(scratch))
 	}
 }
