@@ -8,8 +8,9 @@
 //	go test -run=NONE -bench 'DeduceParallel|IncDeduce' -count 3 -cpu 1,2
 //	go test -run=NONE -bench DeduceParallel -cpuprofile cpu.prof -memprofile mem.prof
 //
-// scripts/ci.sh gates BenchmarkDeduceParallel, BenchmarkIncDeduce and
-// BenchmarkInsertTuples against BENCH_GATE.txt (scripts/benchgate).
+// scripts/ci.sh gates BenchmarkDeduceParallel, BenchmarkIncDeduce,
+// BenchmarkInsertTuples and BenchmarkLoadDir against BENCH_GATE.txt
+// (scripts/benchgate).
 // BenchmarkStorage is heavy — about 400 MiB at scale 20, 770 MiB for
 // budget1M's million tuples — so select it by name. End-to-end numbers are
 // the repository benchmark's (benchmark/); the per-experiment drivers live
@@ -107,7 +108,7 @@ func tpchFixture(b *testing.B, scale float64) (*datagen.Generated, []*dcer.Rule)
 	return g, rules
 }
 
-// gateFixture is the fixture of the three benchmarks scripts/ci.sh gates
+// gateFixture is the fixture of the four benchmarks scripts/ci.sh gates
 // against BENCH_GATE.txt: TPCH scale 2.0 (57 336 tuples, 6 rules), Dup 0.3,
 // Seed 1. Under -short it shrinks to scale 0.2, so that CI's one-iteration
 // bench smoke still runs their bodies and class-identity asserts.
@@ -262,6 +263,29 @@ func BenchmarkInsertTuples(b *testing.B) {
 				b.Fatal("InsertTuples classes diverge from the full chase")
 			}
 		})
+	}
+}
+
+// BenchmarkLoadDir measures CSV ingest: gateFixture's dataset is written
+// once as a CSV directory, then loaded back whole per iteration, parse,
+// intern and tuple handles included. Every load must reproduce the
+// fixture's tuple count and symbol count.
+func BenchmarkLoadDir(b *testing.B) {
+	g, _ := gateFixture(b)
+	dir := b.TempDir()
+	if err := dcer.SaveDir(g.D, dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := dcer.LoadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.Size() != g.D.Size() || d.Syms().Len() != g.D.Syms().Len() {
+			b.Fatalf("loaded %d tuples, %d symbols; want %d, %d", d.Size(), d.Syms().Len(), g.D.Size(), g.D.Syms().Len())
+		}
 	}
 }
 

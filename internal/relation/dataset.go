@@ -210,7 +210,6 @@ func (d *Dataset) AppendUnchecked(ri int, values ...Value) *Tuple {
 // attribute type) and hands out a slab-allocated tuple handle.
 func (d *Dataset) appendPacked(ri int, values []Value) *Tuple {
 	r := d.Relations[ri]
-	row := int32(len(r.Tuples))
 	for i, v := range values {
 		var w uint64
 		if r.Schema.Attrs[i].Type == TypeString {
@@ -220,6 +219,13 @@ func (d *Dataset) appendPacked(ri int, values []Value) *Tuple {
 		}
 		r.cols[i] = append(r.cols[i], w)
 	}
+	return d.handOut(ri)
+}
+
+// handOut hands out a slab-allocated tuple for relation ri's next row.
+func (d *Dataset) handOut(ri int) *Tuple {
+	r := d.Relations[ri]
+	row := int32(len(r.Tuples))
 	if len(d.slab) == cap(d.slab) {
 		d.slab = make([]Tuple, 0, tupleSlab)
 	}

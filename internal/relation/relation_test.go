@@ -73,6 +73,14 @@ func TestParseValue(t *testing.T) {
 	if err != nil || v.Int() != 0 {
 		t.Errorf("empty int cell should parse to 0, got %v %v", v, err)
 	}
+	// 2^53+1 has no float64 payload: it would round to 2^53 and equal it.
+	if v, err := relation.ParseValue("9007199254740993", relation.TypeInt); err == nil {
+		t.Errorf("ParseValue accepted 2^53+1 as %v", v)
+	}
+	v, err = relation.ParseValue("9007199254740992", relation.TypeInt)
+	if err != nil || v.Int() != 1<<53 {
+		t.Errorf("ParseValue 2^53: %v %v", v, err)
+	}
 }
 
 func TestSchemaValidation(t *testing.T) {
@@ -251,12 +259,24 @@ func TestLoadDirErrors(t *testing.T) {
 	if _, err := relation.LoadDir(t.TempDir()); err == nil {
 		t.Error("empty dir accepted")
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.csv"), []byte("a:string!id\n1,2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := relation.LoadDir(dir); err == nil {
-		t.Error("ragged CSV accepted")
+	for _, c := range []struct{ what, csv, want string }{
+		{"ragged CSV", "a:string!id\n1,2\n", "relation: bad row 2: 2 columns, want 1"},
+		{"two id columns", "a:string!id,b:string!id\nx,y\n", "two id columns"},
+		{"bad float", "a:string!id,b:float\nx,1\ny,z\n", "relation: bad row 3: parse float"},
+		{"int beyond 2^53", "a:int!id\n9007199254740993\n9007199254740992\n", "relation: bad row 2: parse int"},
+		{"bare quote", "a:string!id\nx\ny\"\n", "relation: bad row 3: "},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "bad.csv"), []byte(c.csv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := relation.LoadDir(dir)
+		switch {
+		case err == nil:
+			t.Errorf("%s accepted", c.what)
+		case !strings.Contains(err.Error(), c.want) || strings.Count(err.Error(), "relation:") != 1:
+			t.Errorf("%s: error %q, want one %q", c.what, err, c.want)
+		}
 	}
 }
 

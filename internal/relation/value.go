@@ -134,17 +134,6 @@ const QNaNWord = 0x7FF8000000000000
 // unpackNum is the inverse of PackNum.
 func unpackNum(w uint64) float64 { return math.Float64frombits(w) }
 
-// InternValue packs v into a storage word under the symbol table,
-// interning string payloads. The word is comparable with any other word
-// packed for the same attribute type (within one typed column sym and
-// numeric words cannot collide — the schema fixes the kind).
-func (st *SymTab) InternValue(v Value) uint64 {
-	if v.Kind == TypeString {
-		return uint64(st.Intern(v.Str))
-	}
-	return PackNum(v.Num)
-}
-
 // PackValue packs v into a probe word without interning: an unknown
 // string payload reports ok=false (it cannot equal any stored value).
 // NaN probes also report false, preserving NaN ≠ NaN on probe paths.
@@ -173,26 +162,35 @@ func (v Value) String() string {
 
 // ParseValue parses the CSV text s as a value of type t.
 func ParseValue(s string, t Type) (Value, error) {
-	switch t {
-	case TypeString:
+	if t == TypeString {
 		return S(s), nil
-	case TypeInt:
-		if s == "" {
-			return I(0), nil
-		}
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("relation: parse int %q: %w", s, err)
-		}
-		return I(i), nil
-	default:
-		if s == "" {
-			return F(0), nil
-		}
+	}
+	f, err := parseNum(s, t)
+	if err != nil {
+		return Value{}, fmt.Errorf("relation: %w", err)
+	}
+	return Value{Kind: t, Num: f}, nil
+}
+
+// parseNum parses a numeric cell; an empty cell is 0. An int must fit the
+// float64 payload exactly, or two distinct ids beyond ±2^53 share a word.
+func parseNum(s string, t Type) (float64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	if t != TypeInt {
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("relation: parse float %q: %w", s, err)
+			return 0, fmt.Errorf("parse float %q: %w", s, err)
 		}
-		return F(f), nil
+		return f, nil
 	}
+	i, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("parse int %q: %w", s, err)
+	}
+	if f := float64(i); f >= 1<<63 || int64(f) != i {
+		return 0, fmt.Errorf("parse int %q: beyond ±2^53 and not exact as a float64", s)
+	}
+	return float64(i), nil
 }

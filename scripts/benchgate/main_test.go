@@ -81,15 +81,15 @@ BenchmarkIncDeduce/default-1          45   28000000 ns/op
 
 // TestGateRepoBaseline runs the gate the way scripts/ci.sh self-tests it,
 // over the committed BENCH_GATE.txt: against itself it passes, against a
-// copy with every ns/op halved it fails on all six gated benchmarks.
+// copy with every ns/op halved it fails on all seven gated benchmarks.
 func TestGateRepoBaseline(t *testing.T) {
 	repo := filepath.Join("..", "..", "BENCH_GATE.txt")
 	min, names, err := readMin(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 6 {
-		t.Fatalf("BENCH_GATE.txt gates %v, want the two arms each of DeduceParallel, IncDeduce and InsertTuples", names)
+	if len(names) != 7 {
+		t.Fatalf("BENCH_GATE.txt gates %v, want the two arms each of DeduceParallel, IncDeduce and InsertTuples, and LoadDir", names)
 	}
 	var out strings.Builder
 	if ok, err := gate(&out, repo, repo); err != nil || !ok {
@@ -101,7 +101,7 @@ func TestGateRepoBaseline(t *testing.T) {
 	}
 	out.Reset()
 	ok, err := gate(&out, write(t, "halved.txt", halved.String()), repo)
-	if err != nil || ok || strings.Count(out.String(), "FAIL") != 6 {
-		t.Fatalf("halved baseline: gate = %v, %v, want six failures:\n%s", ok, err, out.String())
+	if err != nil || ok || strings.Count(out.String(), "FAIL") != 7 {
+		t.Fatalf("halved baseline: gate = %v, %v, want seven failures:\n%s", ok, err, out.String())
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and static analysis, build, the short test
-# suite, the race-enabled run of the concurrent packages, Γ and the
-# partition at three widths, two fuzz smokes, a one-shot bench smoke, the
+# suite, the race-enabled run of the concurrent packages, Γ, the partition
+# and the CSV load at three widths, three fuzz smokes, a one-shot bench smoke, the
 # causal-trace race guard (with the live telemetry/health endpoint test
 # and the cmd/doctor scrape of a live endpoint), the bench-regression gate
 # of `go test -bench` against BENCH_GATE.txt, and the nested benchmark
@@ -12,9 +12,11 @@
 # (internal/dmatch), the justification log written from concurrent drains
 # (internal/provenance), the TCP links' sender and reader goroutines over
 # the shared wire stats (internal/wire), the lock-free hash memo the HyPart
-# scan shards fill concurrently (internal/mqo), and the CAS-published
-# feature store every enumeration goroutine probes (internal/mlpred) make
-# the race detector mandatory for those packages.
+# scan shards fill concurrently (internal/mqo), the CAS-published
+# feature store every enumeration goroutine probes (internal/mlpred), and
+# the CSV ingest's parse goroutines writing disjoint rows of shared columns
+# beside the symbol table's lock-free readers (internal/relation) make the
+# race detector mandatory for those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -37,12 +39,16 @@ go build ./...
 echo "== go test -short ./..."
 go test -short ./...
 
-echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire"
-go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire
+echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
+go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool and the HyPart scan: golden Gamma and partition digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
+
+echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
+go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
 
 echo "== provenance equivalence (proof replay vs the reference verifier: sequential and default engine + DMatch w>=2, then the forced batched drain)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
@@ -117,7 +123,7 @@ go test -race -short -count=1 \
     -run 'TestParallelTraceCausality|TestSpanLabelCopy|TestTraceContextCausality|TestWriteChromeTrace|TestServeDebugTrace|TestLoggerWide|TestLiveTelemetryEndpoints|TestDoctorScrapesLiveEndpoint' \
     ./internal/telemetry ./internal/dmatch ./cmd/doctor
 
-echo "== bench-regression gate (fresh DeduceParallel/IncDeduce/InsertTuples vs BENCH_GATE.txt, min of 3, threshold 25%)"
+echo "== bench-regression gate (fresh DeduceParallel/IncDeduce/InsertTuples/LoadDir vs BENCH_GATE.txt, min of 3, threshold 25%)"
 # Measure the gated benchmarks fresh (the min over -count 3 suppresses
 # scheduler noise on the shared host; -cpu 2 is the width BENCH_GATE.txt
 # was taken at) and fail when any slowed past the threshold vs the
@@ -137,8 +143,11 @@ echo "== bench-regression gate (fresh DeduceParallel/IncDeduce/InsertTuples vs B
 # (GOMAXPROCS >= 2). The InsertTuples lines were taken the same way on the
 # tree before InsertTuples' seed pass moved onto the task pool (seven runs:
 # default 79.3-82.9 ms, median 81.3; sequential 78.3-128.1, median 80.8),
-# so the gate fails above 102 / 101 ms.
-go test -run=NONE -bench '^Benchmark(DeduceParallel|IncDeduce|InsertTuples)$' -count 3 -cpu 2 . | tee /tmp/dcer_ci_gate.txt
+# so the gate fails above 102 / 101 ms. The LoadDir line was taken the same
+# way on the tree before the chunk-parallel CSV ingest (seven runs:
+# 128.3-148.3 ms, median 138.8), so it fails above 174 ms; the ingest
+# itself reads about 60 ms.
+go test -run=NONE -bench '^Benchmark(DeduceParallel|IncDeduce|InsertTuples|LoadDir)$' -count 3 -cpu 2 . | tee /tmp/dcer_ci_gate.txt
 # The gate gates: the fresh output passes against itself, and fails against
 # a baseline that claims every benchmark once ran twice as fast.
 go run ./scripts/benchgate /tmp/dcer_ci_gate.txt /tmp/dcer_ci_gate.txt > /dev/null
