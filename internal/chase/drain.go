@@ -66,12 +66,9 @@ func (e *Engine) drain() {
 		}
 		progressed := false
 		e.rebudget()
-		// Round boundary: every enumeration of the previous round has
-		// joined, so plans may re-sort without a batch observing a
-		// mid-flight order change.
-		e.maybeResortPlans()
 		if e.health != nil {
-			// The same quiesced boundary serves the health layer: one
+			// Round boundary: every enumeration of the previous round has
+			// joined, so the health layer sees a quiesced engine: one
 			// heartbeat per round for the stall watchdog, and a periodic
 			// sampled audit of the engine's invariants.
 			e.health.hb.Beat()

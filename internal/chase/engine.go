@@ -33,8 +33,8 @@ type Options struct {
 	IDSpace int
 	// SequentialDeduce keeps the engine on the calling goroutine: rules
 	// enumerate strictly one after another in the first pass of Deduce
-	// instead of concurrently, and no drain batch fans out (drain.go). The
-	// final Γ is identical either way (the chase is Church-Rosser);
+	// and in the seed pass of InsertTuples instead of on the pool, and no
+	// drain batch fans out (drain.go). The final Γ is identical either way (the chase is Church-Rosser);
 	// sequential mode exists for deterministic debugging and undistorted
 	// single-thread timings.
 	SequentialDeduce bool
@@ -42,7 +42,7 @@ type Options struct {
 	// observability handle: per-rule enumeration histograms and gauge
 	// views over the Stats counters (so /metrics and Stats() agree);
 	// causal spans on the registry's tracer (Deduce / IncDeduce roots,
-	// enumerate, merge, drain round and batch spans, plan re-sorts,
+	// enumerate, merge, drain round and batch spans,
 	// slow classifier calls); at debug level of the registry's logger, one
 	// wide event per drain round with the engine's knob state; and, when a
 	// health monitor is attached to the registry (health.Of), a drain
@@ -86,7 +86,6 @@ type Stats struct {
 	Extensions   int64 // partial-binding extension steps
 	PlanPreds    int64 // compiled-plan predicate evaluations (per candidate per step)
 	PlanBatches  int64 // compiled-plan candidate batches filtered
-	PlanReorders int64 // adaptive plan re-sorts that changed an order
 	MatchesFound int64 // non-trivial id matches deduced
 	MLValidated  int64 // ML predictions validated by rule heads
 	DepsRecorded int64
@@ -116,7 +115,6 @@ func (s *Stats) Add(o Stats) {
 	s.Extensions += o.Extensions
 	s.PlanPreds += o.PlanPreds
 	s.PlanBatches += o.PlanBatches
-	s.PlanReorders += o.PlanReorders
 	s.MatchesFound += o.MatchesFound
 	s.MLValidated += o.MLValidated
 	s.DepsRecorded += o.DepsRecorded
@@ -175,7 +173,7 @@ type boundRule struct {
 	eqIx [][2]*relation.Index
 
 	// plan is the compiled predicate program (plan.go): per-variable
-	// selectivity-ordered word/ML steps plus the resolved constant probe
+	// word/ML steps, in a fixed order, with the resolved constant probe
 	// words. Compiled even for the interpreter (Engine.interpret) —
 	// candidatesFor and checkNewBinding read it in both modes.
 	plan *rulePlan
@@ -490,7 +488,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		})
 	}
 	br.bindSimJoins()
-	br.plan = compilePlan(e, br)
+	br.plan = compilePlan(br)
 	return br, nil
 }
 
@@ -758,7 +756,6 @@ func (e *Engine) Deduce() []Fact {
 		defer h.hb.Exit()
 	}
 	e.delta = e.delta[:0]
-	e.maybeResortPlans() // quiesced: no enumeration in flight between calls
 	if e.opts.SequentialDeduce || len(e.rules) <= 1 {
 		for _, br := range e.rules {
 			e.enumerateRule(&e.ctx, br, nil)
@@ -869,7 +866,6 @@ func (e *Engine) Stats() Stats {
 		Extensions:   e.cnt.extensions.Load(),
 		PlanPreds:    e.cnt.planPreds.Load(),
 		PlanBatches:  e.cnt.planBatches.Load(),
-		PlanReorders: e.cnt.planReorders.Load(),
 		MatchesFound: e.cnt.matches.Load(),
 		MLValidated:  e.cnt.mlValidated.Load(),
 		DepsRecorded: e.cnt.depsRecorded.Load(),

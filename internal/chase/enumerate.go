@@ -346,7 +346,7 @@ func (c *evalCtx) candidatesFor(v int) candList {
 			consider(br.eqIx[i][1].LookupTuple(binding[p.V1], p.A1), apEq)
 		}
 	}
-	for _, w := range br.plan.consts[v] {
+	for _, w := range br.plan.vars[v].consts {
 		if !w.constOK {
 			// Unresolvable probe (string not interned, or NaN): the
 			// constant matches nothing, so v has no candidates at all.
@@ -363,9 +363,9 @@ func (c *evalCtx) candidatesFor(v int) candList {
 
 // refineCandidates tightens v's memoized candidate list with the index
 // probes that binding variable `last` just made available: the equality
-// predicates joining v and last, walked in rule order (the same stable
-// order candidatesFor uses, so adaptive plan re-sorts never influence
-// which of two equal-length postings is kept).
+// predicates joining v and last, walked in rule order (the order
+// candidatesFor uses, which decides which of two equal-length postings is
+// kept).
 func (c *evalCtx) refineCandidates(cs candList, v, last int) candList {
 	br, binding := c.br, c.binding
 	for i, p := range br.eqs {
@@ -406,8 +406,6 @@ func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
 // batched path) instead of boxing Values: packed words already collapse
 // -0/+0 and canonicalize NaN payloads, so word equality equals Value
 // equality except for NaN = NaN, which the isFloat guard restores.
-// Conjunct order cannot change the conjunction's outcome, so the
-// adaptive reordering of the program is invisible here.
 func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 	br, binding := c.br, c.binding
 	if o := br.plan.vars[v].order; o != nil {
@@ -415,7 +413,7 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 			return false
 		}
 	}
-	for _, w := range *br.plan.vars[v].words.Load() {
+	for _, w := range br.plan.vars[v].words {
 		switch w.kind {
 		case wpConst:
 			if !w.constOK || t.Word(w.attr) != w.constW {

@@ -14,15 +14,6 @@ import (
 // oracle: Γ is byte-identical either way (DESIGN.md §13).
 func (e *Engine) SetInterpretRules(on bool) { e.interpret = on }
 
-// SetPlanResortMinEvals overrides the number of predicate evaluations
-// every plan accumulates between adaptive re-sorts (planResortMinEvals);
-// n ≤ 0 disables reordering.
-func (e *Engine) SetPlanResortMinEvals(n int64) {
-	for _, br := range e.rules {
-		br.plan.sortMin = n
-	}
-}
-
 // SetDrainParallelMin fixes the batch size from which a drain batch fans
 // out across goroutines, whatever the engine's options and GOMAXPROCS say
 // (runJobs): 1 sends every batch through the buffered fan-out, NeverFanOut

@@ -114,7 +114,7 @@ func TestGammaGoldenDigest(t *testing.T) {
 		// ΔD: the IncDeduce drain with H already populated.
 		for _, m := range []engineMode{modes[0], modes[1], modeLive.as("live-drain")} {
 			key := gn.name + "/insert/" + m.name
-			eng := insertRun(t, g, m)
+			eng := insertRun(t, g, m, 4, nil)
 			check(key, eng.Gamma())
 			if got := classSetDigest(eng); got != goldenInsertSets[key] {
 				t.Errorf("%s: class-set digest %s, golden %q", key, got, goldenInsertSets[key])
@@ -147,8 +147,9 @@ func classSetDigest(eng *chase.Engine) string {
 }
 
 // insertRun resolves three quarters of g's tuples, then appends the rest
-// through InsertTuples in four batches.
-func insertRun(t *testing.T, g *datagen.Generated, mode engineMode) *chase.Engine {
+// through InsertTuples in the given number of batches. atNew, when not
+// nil, sees the engine before its first deduction.
+func insertRun(t *testing.T, g *datagen.Generated, mode engineMode, batches int, atNew func(*chase.Engine)) *chase.Engine {
 	t.Helper()
 	d := relation.NewDataset(g.D.DB)
 	var held []*relation.Tuple
@@ -164,9 +165,13 @@ func insertRun(t *testing.T, g *datagen.Generated, mode engineMode) *chase.Engin
 		t.Fatal(err)
 	}
 	eng := mode.engine(t, d, rules, mlpred.DefaultRegistry())
+	if atNew != nil {
+		atNew(eng)
+	}
 	eng.Run()
-	for lo := 0; lo < len(held); lo += (len(held) + 3) / 4 {
-		hi := min(lo+(len(held)+3)/4, len(held))
+	size := (len(held) + batches - 1) / batches
+	for lo := 0; lo < len(held); lo += size {
+		hi := min(lo+size, len(held))
 		var batch []*relation.Tuple
 		for _, tt := range held[lo:hi] {
 			batch = append(batch, d.MustAppend(g.D.DB.Schemas[tt.Rel].Name, tt.Values()...))

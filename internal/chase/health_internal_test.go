@@ -11,7 +11,6 @@ import (
 	"dcer/internal/datagen"
 	"dcer/internal/health"
 	"dcer/internal/mlpred"
-	"dcer/internal/relation"
 	"dcer/internal/rule"
 	"dcer/internal/telemetry"
 )
@@ -95,65 +94,14 @@ func TestAuditorDetectsMalformedGamma(t *testing.T) {
 	}
 }
 
-// TestPlanOrderAuditSparesEvidenceNewerThanTheSort builds the state a
-// replayed fragment leaves behind: a word program whose counters show a
-// strong inversion (first step never fails, last fails 74 %) made of
-// evaluations that arrived after the plan's last re-sort and have not yet
-// added up to the next one. That is reordering's to fix when it falls due,
-// so the auditor must pass; the same counters with all but a sliver of
-// them older than the last re-sort are an inversion the re-sort left, and
-// must warn.
-func TestPlanOrderAuditSparesEvidenceNewerThanTheSort(t *testing.T) {
-	str := relation.TypeString
-	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
-	db := relation.MustDatabase(relation.MustSchema("P", "pk", a("pk"), a("x"), a("y")))
-	d := relation.NewDataset(db)
-	d.MustAppend("P", relation.S("p0"), relation.S("u"), relation.S("u"))
-	rules, err := rule.ParseResolved(
-		"r: P(a) ^ P(b) ^ a.x = \"u\" ^ a.x = a.y ^ a.y = b.y -> a.id = b.id\n", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	mon := health.NewMonitor(health.Options{Registry: reg, DiagnosisDir: t.TempDir(), SampleSize: 1 << 20, Seed: 1})
-	defer mon.Stop()
-	eng, err := New(d, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := eng.rules[0].plan
-	words := *plan.vars[0].words.Load()
-	if len(words) < 2 {
-		t.Fatalf("variable a compiled to %d word steps, want at least 2", len(words))
-	}
-	first, last := words[0], words[len(words)-1]
-	first.evals.Store(1000)
-	last.evals.Store(1000)
-	last.fails.Store(740)
-
-	plan.sinceSort.Store(2000) // all of it newer than the last re-sort, the next one not due
-	eng.auditPlans()
-	if c := mon.Check("plan_order"); c.Status() != health.StatusPass {
-		t.Errorf("program still awaiting its re-sort: plan_order is %v (%s), want pass", c.Status(), c.Detail())
-	}
-
-	plan.sinceSort.Store(1000 / planOrderDriftDiv) // the last re-sort saw 7/8 of each and left the order
-	eng.auditPlans()
-	if c := mon.Check("plan_order"); c.Status() != health.StatusWarn {
-		t.Errorf("inversion left by a re-sort: plan_order is %v, want warn", c.Status())
-	}
-}
-
-// TestAuditorDetectsPermutedPlan is the drill on a live engine: TPCH runs
-// to its fixpoint with plan_order passing (so the audit there judged what
-// the engine's own re-sorts left), then every word program is reversed
-// behind reordering's back — what a re-sort that does not sort would
-// leave — and the next audit must warn. It also pins that a live fixpoint
-// is a state the auditor judges at all, not only a hand-stamped one. One
-// rule more than TPCH's own binds a variable through its similarity join:
-// its ML step is never evaluated, reports what it was satisfied for, and
-// the healthy audit must not read that as a fault.
-func TestAuditorDetectsPermutedPlan(t *testing.T) {
+// TestAuditorDetectsBrokenPlanCounters is the drill on a live engine:
+// TPCH runs to its fixpoint with plan_order passing, then one step's
+// counters are made to claim more failures than evaluations — counters
+// that ran backwards — and the next audit must fail. One rule more than
+// TPCH's own binds a variable through its similarity join: its ML step is
+// never evaluated, reports what it was satisfied for, and the healthy
+// audit must not read that as a fault.
+func TestAuditorDetectsBrokenPlanCounters(t *testing.T) {
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
 	rules, err := g.Rules()
 	if err != nil {
@@ -181,18 +129,54 @@ func TestAuditorDetectsPermutedPlan(t *testing.T) {
 		len(m.Preds) == 0 || m.Preds[len(m.Preds)-1].Satisfied == 0 || m.Preds[len(m.Preds)-1].Evals != 0 {
 		t.Errorf("rule tsim, variable m: want every binding through the similarity join and the ML step satisfied, never evaluated; report %+v", m)
 	}
+	w := eng.rules[0].plan.vars[0].words[0]
+	w.fails.Store(w.evals.Load() + 1)
+	eng.auditPlans()
+	if c := mon.Check("plan_order"); c.Status() != health.StatusFail {
+		t.Errorf("a step with more fails than evals: plan_order is %v, want fail", c.Status())
+	}
+}
+
+// TestPlanReportLoadsFailsFirst races PlanReport against a writer that
+// updates one step's counters the way every plan step does, evals before
+// fails, as fast as it can: a snapshot that loaded evals first would catch
+// a whole update between its two loads and show fails > evals.
+func TestPlanReportLoadsFailsFirst(t *testing.T) {
+	eng := paperEngine(t, telemetry.NewRegistry())
+	var w *wordPred
 	for _, br := range eng.rules {
 		for v := range br.plan.vars {
-			words := append([]*wordPred(nil), *br.plan.vars[v].words.Load()...)
-			for i, j := 0, len(words)-1; i < j; i, j = i+1, j-1 {
-				words[i], words[j] = words[j], words[i]
+			if ws := br.plan.vars[v].words; w == nil && len(ws) > 0 {
+				w = ws[0]
 			}
-			br.plan.vars[v].words.Store(&words)
 		}
 	}
-	eng.auditPlans()
-	if c := mon.Check("plan_order"); c.Status() != health.StatusWarn {
-		t.Errorf("every word program reversed: plan_order is %v, want warn", c.Status())
+	if w == nil {
+		t.Fatal("no word step in the paper rules' plans")
+	}
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				w.evals.Add(1)
+				w.fails.Add(1)
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		for _, rr := range eng.PlanReport().Rules {
+			for _, v := range rr.Vars {
+				for _, p := range v.Preds {
+					if p.Fails > p.Evals {
+						t.Fatalf("snapshot %d: rule %s var %s step %q: fails %d > evals %d", i, rr.Rule, v.Var, p.Pred, p.Fails, p.Evals)
+					}
+				}
+			}
+		}
 	}
 }
 

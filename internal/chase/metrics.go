@@ -24,11 +24,9 @@ type engineCounters struct {
 	rounds       atomic.Int64
 
 	// Compiled-plan work account (plan.go): predicate evaluations and
-	// candidate batches land here at the context merge points; reorders
-	// are counted directly by maybeResortPlans on the engine goroutine.
-	planPreds    atomic.Int64
-	planBatches  atomic.Int64
-	planReorders atomic.Int64
+	// candidate batches land here at the context merge points.
+	planPreds   atomic.Int64
+	planBatches atomic.Int64
 
 	// ML work account: warm feature-store probes and feature-scored
 	// classifier invocations, counted per context on the prediction path
@@ -93,7 +91,6 @@ func (e *Engine) initMetrics(reg *telemetry.Registry) {
 		{"dcer_chase_deps_fired", func() float64 { return float64(e.cnt.depsFired.Load()) }},
 		{"dcer_plan_preds_evaluated", func() float64 { return float64(e.cnt.planPreds.Load()) }},
 		{"dcer_plan_batches", func() float64 { return float64(e.cnt.planBatches.Load()) }},
-		{"dcer_plan_reorders", func() float64 { return float64(e.cnt.planReorders.Load()) }},
 		{"dcer_chase_mlcache_entries", func() float64 { p, _ := e.cacheSnapshots(); return float64(p.Entries) }},
 		{"dcer_mem_dataset_bytes", func() float64 { return float64(e.cnt.memDataset.Load()) }},
 		{"dcer_mem_gamma_bytes", func() float64 { return float64(e.cnt.memGamma.Load()) }},

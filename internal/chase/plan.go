@@ -1,44 +1,29 @@
 package chase
 
 // Compiled predicate plans: every bound rule's static body predicates are
-// compiled into one flat program per variable — constant checks, then
-// intra-tuple and cross-variable equalities on packed words, then cheap
-// similarity classifiers, heavier ML predicates last — and the enumeration
-// inner loop evaluates whole candidate batches against the program with
-// tight compaction loops over the columnar arenas (the CPU analog of
-// HyperBlocker's rule execution-plan DAGs).
+// compiled once, at bind time, into one flat program per variable — the
+// symmetry order step, constant checks, intra-tuple and cross-variable
+// equalities on packed words, then cheap similarity classifiers, heavier
+// ML predicates last — and the enumeration inner loop evaluates whole
+// candidate batches against the program with tight compaction loops over
+// the columnar arenas (the CPU analog of HyperBlocker's rule execution
+// plans, which are likewise fixed before execution).
 //
-// Ordering is seeded statically (const → intra → index-backed equalities →
-// sim → ML) and re-sorted adaptively from observed pass/fail counters,
-// warm-started from the PR-3 per-rule enumeration histograms. Re-sorting
-// happens only between drain rounds, never mid-batch, and reordering the
-// conjuncts of a conjunction cannot change its survivor set, so Γ is
-// byte-identical to the interpreter (Engine.interpret, the plans'
-// equivalence oracle) under every drain mode. A rule that is its own
-// mirror image additionally carries a fixed first step on its head
-// variables, the GID order test of the symmetry reduction (orderStep),
-// which both paths apply alike.
+// A program never changes after compilation. Conjunct order cannot change
+// a conjunction's survivor set, so Γ is byte-identical to the interpreter
+// (Engine.interpret, the plans' equivalence oracle) under every drain
+// mode; the per-step pass/fail counters only report selectivity
+// (PlanReport, the plans debug provider). A rule that is its own mirror
+// image carries a first step on its head variables, the GID order test of
+// the symmetry reduction (orderStep), which both paths apply alike.
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
-	"dcer/internal/telemetry"
 )
-
-// planResortMinEvals is the number of predicate evaluations a rule plan
-// accumulates before its program order is re-sorted by observed
-// selectivity, always between drain rounds, never mid-batch.
-const planResortMinEvals = 4096
-
-// warmResortDiv divides the resort threshold for rules whose telemetry
-// histograms already carry observations from an earlier engine on the
-// same registry: their first batches refine an order that prior runs
-// began calibrating, so they may re-rank sooner.
-const warmResortDiv = 8
 
 // wordPredKind discriminates the packed-word predicate forms.
 type wordPredKind uint8
@@ -89,8 +74,6 @@ type wordPred struct {
 	// attribute), probed by candidatesFor; nil on non-const steps.
 	ix *relation.Index
 
-	rank int // static seed position; adaptive tie-break
-
 	// Observed selectivity, accumulated once per batch by the compiled
 	// path (atomically: parallel drain chunks share the rule's plan).
 	evals atomic.Int64
@@ -108,9 +91,8 @@ func (w *wordPred) resolveConst() {
 // mlStep is one compiled ML predicate check; mi indexes the rule's
 // boundMLPred (which owns the classifier, cache ids and dynamic flag).
 type mlStep struct {
-	mi   int
-	p    *rule.Pred
-	rank int
+	mi int
+	p  *rule.Pred
 
 	evals atomic.Int64
 	fails atomic.Int64
@@ -142,8 +124,8 @@ type accessStats struct {
 // body is its own mirror image, rule.Symmetry): of each valuation h and
 // its twin h∘σ only the one with h(head.V1).GID < h(head.V2).GID is
 // enumerated. It sits on both head variables and applies to whichever is
-// bound later — one GID compare, ahead of every other step, outside the
-// adaptive re-sort: no word or ML step can be cheaper.
+// bound later — one GID compare, ahead of every other step: no word or ML
+// step can be cheaper.
 type orderStep struct {
 	other int  // the other head variable
 	below bool // the plan variable is head.V1: keep GIDs below the other's
@@ -161,48 +143,34 @@ func (s *orderStep) keeps(t, o relation.TID) bool {
 	return t > o
 }
 
-// varPlan is the compiled program for binding one rule variable. The
-// slices are published through atomic pointers so the /debug/dcer plans
-// provider can walk a plan while a drain is running: a reader sees either
-// the pre- or post-resort order, never a partially sorted slice. The
-// enumeration goroutines themselves only observe resorts between drain
-// rounds (maybeResortPlans runs on the engine goroutine at round
-// boundaries, after the workers have joined).
+// varPlan is the compiled program for binding one rule variable. Only its
+// counters change while enumerations run (constant probe words are
+// re-resolved while quiesced), so enumeration goroutines and the
+// /debug/dcer plans provider read it without synchronisation.
 type varPlan struct {
-	order  *orderStep // nil unless the rule is reduced and this is a head variable
-	words  atomic.Pointer[[]*wordPred]
-	mls    atomic.Pointer[[]*mlStep]
+	order *orderStep // nil unless the rule is reduced and this is a head variable
+	words []*wordPred
+	mls   []*mlStep
+	// consts is the constant-check prefix of words, whose resolved probe
+	// words candidatesFor uses to pick a posting list.
+	consts []*wordPred
 	access [numAccessPaths]accessStats
 }
 
 // rulePlan is the compiled predicate program of one bound rule.
 type rulePlan struct {
 	vars []varPlan
-
-	// consts keeps the per-variable constant checks in rule order for
-	// candidatesFor: posting-list selection wants the resolved probe words
-	// regardless of the adaptive order.
-	consts [][]*wordPred
-
-	// sortMin gates adaptive reordering: once sinceSort accumulates this
-	// many predicate evaluations the next round boundary re-sorts the
-	// programs. Non-positive disables reordering (tests only).
-	sortMin   int64
-	sinceSort atomic.Int64
-	reorders  atomic.Int64
 }
 
-// compilePlan builds the predicate program of br. Plans are compiled even
-// for the interpreter: candidatesFor uses the resolved constant words in
-// both modes, and the interpreter's checkNewBinding walks the same word
-// list (in whatever order it currently holds — conjunct order cannot
-// change the outcome).
-func compilePlan(e *Engine, br *boundRule) *rulePlan {
+// compilePlan builds the predicate program of br, in the one order it
+// keeps: constants, intra-tuple equalities, equalities to other variables,
+// similarity classifiers, then the other ML predicates (the order step,
+// when there is one, runs ahead of them all). Plans are compiled even for
+// the interpreter: candidatesFor uses the resolved constant words in both
+// modes, and the interpreter's checkNewBinding walks the same word list.
+func compilePlan(br *boundRule) *rulePlan {
 	r := br.r
-	p := &rulePlan{
-		vars:   make([]varPlan, len(r.Vars)),
-		consts: make([][]*wordPred, len(r.Vars)),
-	}
+	p := &rulePlan{vars: make([]varPlan, len(r.Vars))}
 	if br.reduced {
 		h := &r.Head
 		p.vars[h.V1].order = &orderStep{other: h.V2, below: true}
@@ -213,45 +181,37 @@ func compilePlan(e *Engine, br *boundRule) *rulePlan {
 		return br.scope.Relations[r.Vars[v].RelIdx].Schema.Attrs[a].Type
 	}
 	for v := range r.Vars {
-		var words []*wordPred
-		rank := 0
+		vp := &p.vars[v]
 		for _, pr := range br.consts[v] {
 			w := &wordPred{
-				kind: wpConst, p: pr, attr: pr.A1, syms: syms, rank: rank,
+				kind: wpConst, p: pr, attr: pr.A1, syms: syms,
 				ix: br.ix.For(r.Vars[v].RelIdx, pr.A1),
 			}
 			w.resolveConst()
-			rank++
-			words = append(words, w)
-			p.consts[v] = append(p.consts[v], w)
+			vp.words = append(vp.words, w)
 		}
+		vp.consts = vp.words[:len(vp.words):len(vp.words)]
 		for _, pr := range br.intra[v] {
-			words = append(words, &wordPred{
+			vp.words = append(vp.words, &wordPred{
 				kind: wpIntra, p: pr, attr: pr.A1, attr2: pr.A2,
 				isFloat: attrType(v, pr.A1) == relation.TypeFloat,
-				rank:    100 + rank,
 			})
-			rank++
 		}
 		for _, pr := range br.eqs {
 			switch {
 			case pr.V1 == v && pr.V2 != v:
-				words = append(words, &wordPred{
+				vp.words = append(vp.words, &wordPred{
 					kind: wpEq, p: pr, attr: pr.A1, other: pr.V2, otherAttr: pr.A2,
 					isFloat: attrType(v, pr.A1) == relation.TypeFloat,
-					rank:    200 + rank,
 				})
-				rank++
 			case pr.V2 == v && pr.V1 != v:
-				words = append(words, &wordPred{
+				vp.words = append(vp.words, &wordPred{
 					kind: wpEq, p: pr, attr: pr.A2, other: pr.V1, otherAttr: pr.A1,
 					isFloat: attrType(v, pr.A2) == relation.TypeFloat,
-					rank:    200 + rank,
 				})
-				rank++
 			}
 		}
-		var mls []*mlStep
+		var heavy []*mlStep
 		for i := range br.mls {
 			m := &br.mls[i]
 			if m.dynamic {
@@ -260,18 +220,14 @@ func compilePlan(e *Engine, br *boundRule) *rulePlan {
 			if m.pred.V1 != v && m.pred.V2 != v {
 				continue
 			}
-			mrank := 400 + i
+			s := &mlStep{mi: i, p: m.pred}
 			if _, sim := m.cl.(*mlpred.SimClassifier); sim {
-				mrank = 300 + i // cheap similarity classifiers before heavier models
+				vp.mls = append(vp.mls, s) // cheap similarity classifiers before heavier models
+			} else {
+				heavy = append(heavy, s)
 			}
-			mls = append(mls, &mlStep{mi: i, p: m.pred, rank: mrank})
 		}
-		p.vars[v].words.Store(&words)
-		p.vars[v].mls.Store(&mls)
-	}
-	p.sortMin = planResortMinEvals
-	if br.enumHist != nil && br.enumHist.Snapshot().Count > 0 {
-		p.sortMin /= warmResortDiv
+		vp.mls = append(vp.mls, heavy...)
 	}
 	return p
 }
@@ -281,109 +237,14 @@ func compilePlan(e *Engine, br *boundRule) *rulePlan {
 // time. Must run quiesced (no enumeration in flight).
 func (e *Engine) refreshPlanConsts() {
 	for _, br := range e.rules {
-		for _, ws := range br.plan.consts {
-			for _, w := range ws {
+		for v := range br.plan.vars {
+			for _, w := range br.plan.vars[v].consts {
 				if !w.constOK {
 					w.resolveConst()
 				}
 			}
 		}
 	}
-}
-
-// maybeResortPlans re-sorts the predicate programs of rules whose
-// observation budget is due. Called only at quiesced points — the top of
-// a drain round, after every worker of the previous batch has joined —
-// so a batch never observes a mid-flight reorder and Γ stays
-// deterministic (conjunct order cannot change a conjunction's survivors;
-// determinism only needs the order to be stable within a batch).
-func (e *Engine) maybeResortPlans() {
-	if e.interpret {
-		return
-	}
-	traced := e.curTC.Enabled()
-	for _, br := range e.rules {
-		p := br.plan
-		if p == nil || p.sortMin <= 0 || p.sinceSort.Load() < p.sortMin {
-			continue
-		}
-		p.sinceSort.Store(0)
-		var before string
-		if traced {
-			before = planOrderDesc(br)
-		}
-		if p.resort() {
-			e.cnt.planReorders.Add(1)
-			if traced {
-				// Stamp the re-sort with the order it replaced and the
-				// pass/fail counts that triggered it (the "after" string
-				// carries the same counters in the new order).
-				e.curTC.Event("chase.plan.resort",
-					telemetry.L("rule", br.r.Name),
-					telemetry.L("before", before),
-					telemetry.L("after", planOrderDesc(br)))
-			}
-		}
-	}
-}
-
-// resort stably re-sorts every variable program by observed fail rate
-// (most selective first), breaking ties — and ordering steps that have
-// not been exercised yet — by static rank. Reports whether any program's
-// order actually changed.
-func (p *rulePlan) resort() bool {
-	changed := false
-	for v := range p.vars {
-		vp := &p.vars[v]
-		if resortSteps(&vp.words, func(w *wordPred) (int64, int64, int) {
-			return w.evals.Load(), w.fails.Load(), w.rank
-		}) {
-			changed = true
-		}
-		if resortSteps(&vp.mls, func(m *mlStep) (int64, int64, int) {
-			return m.evals.Load(), m.fails.Load(), m.rank
-		}) {
-			changed = true
-		}
-	}
-	if changed {
-		p.reorders.Add(1)
-	}
-	return changed
-}
-
-// resortSteps sorts one program slice through its atomic pointer,
-// publishing a freshly sorted copy so concurrent readers never see a
-// partial permutation. stats returns (evals, fails, static rank).
-func resortSteps[T comparable](ptr *atomic.Pointer[[]T], stats func(T) (int64, int64, int)) bool {
-	old := *ptr.Load()
-	if len(old) < 2 {
-		return false
-	}
-	failRate := func(s T) float64 {
-		evals, fails, _ := stats(s)
-		if evals == 0 {
-			return -1 // unexercised: keep behind every observed step
-		}
-		return float64(fails) / float64(evals)
-	}
-	next := append([]T(nil), old...)
-	sort.SliceStable(next, func(i, j int) bool {
-		fi, fj := failRate(next[i]), failRate(next[j])
-		if fi != fj {
-			return fi > fj
-		}
-		_, _, ri := stats(next[i])
-		_, _, rj := stats(next[j])
-		return ri < rj
-	})
-	for i := range next {
-		if next[i] != old[i] {
-			ptr.Store(&next)
-			return true
-		}
-	}
-	return false
 }
 
 // planBuf returns the reusable candidate scratch for recursion depth d,
@@ -440,7 +301,7 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfie
 		src = buf
 	}
 
-	for _, w := range *vp.words.Load() {
+	for _, w := range vp.words {
 		if n == 0 {
 			break
 		}
@@ -501,7 +362,7 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfie
 		n, src = c.pruneHead(v, buf, src, n)
 	}
 
-	for _, m := range *vp.mls.Load() {
+	for _, m := range vp.mls {
 		if n == 0 {
 			break
 		}
@@ -549,7 +410,6 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfie
 
 	c.planEvals += evals
 	c.planBatches++
-	br.plan.sinceSort.Add(evals)
 
 	for i := 0; i < n; i++ {
 		binding[v] = src[i]
@@ -650,9 +510,9 @@ type PlanAccess struct {
 	Candidates int64  `json:"candidates"`
 }
 
-// PlanVarReport is the compiled program of one rule variable, in current
-// (possibly adaptively re-sorted) execution order, and the access paths
-// its candidates came from ("scan", "eq", "const", "sim"; used ones only).
+// PlanVarReport is the compiled program of one rule variable, in
+// execution order, and the access paths its candidates came from ("scan",
+// "eq", "const", "sim"; used ones only).
 type PlanVarReport struct {
 	Var    string       `json:"var"`
 	Preds  []PlanPred   `json:"preds"`
@@ -661,20 +521,17 @@ type PlanVarReport struct {
 
 // RulePlanReport describes one rule's compiled plan.
 type RulePlanReport struct {
-	Rule     string          `json:"rule"`
-	Reorders int64           `json:"reorders"`
-	Vars     []PlanVarReport `json:"vars"`
+	Rule string          `json:"rule"`
+	Vars []PlanVarReport `json:"vars"`
 }
 
 // PlanReport is a point-in-time snapshot of the engine's compiled plans
 // and their observed selectivities. Safe to call while a deduction is in
-// flight: program slices are read through their atomic pointers and the
-// counters are atomics.
+// flight: programs never change after New and the counters are atomics.
 type PlanReport struct {
 	Interpreted    bool             `json:"interpreted"`
 	PredsEvaluated int64            `json:"preds_evaluated"`
 	Batches        int64            `json:"batches"`
-	Reorders       int64            `json:"reorders"`
 	Rules          []RulePlanReport `json:"rules"`
 }
 
@@ -684,10 +541,9 @@ func (e *Engine) PlanReport() PlanReport {
 		Interpreted:    e.interpret,
 		PredsEvaluated: e.cnt.planPreds.Load(),
 		Batches:        e.cnt.planBatches.Load(),
-		Reorders:       e.cnt.planReorders.Load(),
 	}
 	for _, br := range e.rules {
-		rr := RulePlanReport{Rule: br.r.Name, Reorders: br.plan.reorders.Load()}
+		rr := RulePlanReport{Rule: br.r.Name}
 		for v := range br.plan.vars {
 			vp := &br.plan.vars[v]
 			pv := PlanVarReport{Var: br.r.Vars[v].Name}
@@ -696,13 +552,13 @@ func (e *Engine) PlanReport() PlanReport {
 				if !o.below {
 					lo, hi = hi, lo
 				}
-				pv.Preds = append(pv.Preds, planPred(lo+".gid < "+hi+".gid", "order", o.evals.Load(), o.fails.Load()))
+				pv.Preds = append(pv.Preds, planPred(lo+".gid < "+hi+".gid", "order", &o.evals, &o.fails))
 			}
-			for _, w := range *vp.words.Load() {
-				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), w.evals.Load(), w.fails.Load()))
+			for _, w := range vp.words {
+				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), &w.evals, &w.fails))
 			}
-			for _, m := range *vp.mls.Load() {
-				pp := planPred(m.p.String(), "ml", m.evals.Load(), m.fails.Load())
+			for _, m := range vp.mls {
+				pp := planPred(m.p.String(), "ml", &m.evals, &m.fails)
 				pp.Satisfied = m.satisfied.Load()
 				pv.Preds = append(pv.Preds, pp)
 			}
@@ -721,10 +577,14 @@ func (e *Engine) PlanReport() PlanReport {
 	return rep
 }
 
-func planPred(pred, kind string, evals, fails int64) PlanPred {
-	pp := PlanPred{Pred: pred, Kind: kind, Evals: evals, Fails: fails}
-	if evals > 0 {
-		pp.FailRate = float64(fails) / float64(evals)
+// planPred snapshots one step's counters. fails is loaded before evals:
+// every writer adds evals first, so a batch that lands between the two
+// loads shows in evals only, and no snapshot reads fails > evals.
+func planPred(pred, kind string, evals, fails *atomic.Int64) PlanPred {
+	pp := PlanPred{Pred: pred, Kind: kind, Fails: fails.Load()}
+	pp.Evals = evals.Load()
+	if pp.Evals > 0 {
+		pp.FailRate = float64(pp.Fails) / float64(pp.Evals)
 	}
 	return pp
 }

@@ -13,11 +13,9 @@ import (
 )
 
 // The test-only engine switches (export_test.go): the rule interpreter in
-// place of the compiled plans, an adaptive re-sort at every round
-// boundary, and the drain forced through the buffered fan-out on every
-// batch or on none, whatever GOMAXPROCS is.
+// place of the compiled plans, and the drain forced through the buffered
+// fan-out on every batch or on none, whatever GOMAXPROCS is.
 func interpreted(e *chase.Engine)  { e.SetInterpretRules(true) }
-func eagerResort(e *chase.Engine)  { e.SetPlanResortMinEvals(1) }
 func batchedDrain(e *chase.Engine) { e.SetDrainParallelMin(1) }
 func liveDrain(e *chase.Engine)    { e.SetDrainParallelMin(chase.NeverFanOut) }
 
@@ -66,9 +64,8 @@ var (
 // TestPlanGammaEquivalence is the compiled-plan determinism property: on
 // random rules and datasets, Γ — the exact fact log, not just the final
 // equivalence classes — must be byte-identical between the interpreter
-// and the compiled plans, under the sequential engine, the default and
-// the forced batched drain, with and without aggressive adaptive
-// reordering (a re-sort at every round boundary).
+// and the compiled plans, under the sequential engine, the live and the
+// forced batched drain, and the batched drain without shared indexes.
 func TestPlanGammaEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(40)
@@ -88,10 +85,6 @@ func TestPlanGammaEquivalence(t *testing.T) {
 			want := m.with("interpreter", interpreted).engine(t, d, rules, reg).Run()
 			if got := m.engine(t, d, rules, reg).Run(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d mode %s: Γ differs between interpreter and compiled plans\nrules:\n%s",
-					seed, m.name, rulesOf(rules))
-			}
-			if got := m.with("eager-resort", eagerResort).engine(t, d, rules, reg).Run(); !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d mode %s: Γ differs under per-round adaptive reordering\nrules:\n%s",
 					seed, m.name, rulesOf(rules))
 			}
 		}
@@ -129,50 +122,114 @@ func TestPlanDMatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanAdaptiveReorderEquivalence forces an adaptive reorder: the
-// static seed order (const before intra) is maximally anti-selective —
-// the constant never fails, the intra-tuple equality almost always does —
-// so the first round boundary must re-sort the program, and Γ must still
-// equal the interpreter's.
-func TestPlanAdaptiveReorderEquivalence(t *testing.T) {
-	str := relation.TypeString
-	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
-	db := relation.MustDatabase(relation.MustSchema("P", "pk", a("pk"), a("x"), a("y")))
-	build := func() *relation.Dataset {
-		d := relation.NewDataset(db)
-		ys := []string{"u", "a1", "a2", "a3", "a4", "a5", "a6", "a7"}
-		for i := 0; i < 64; i++ {
-			y := ys[i%len(ys)] // every 8th tuple has y = "u"
-			d.MustAppend("P", relation.S(string(rune('A'+i/26))+string(rune('a'+i%26))), relation.S("u"), relation.S(y))
-		}
-		return d
+// TestPlanProgramOrder pins the static program: over the TPCH and TFACC
+// rule sets every variable's program reads the order step, constants,
+// intra-tuple equalities, equalities to other variables, similarity
+// classifiers, then the other ML predicates — and it still reads the same
+// after a Run and sixteen InsertTuples batches.
+func TestPlanProgramOrder(t *testing.T) {
+	reg := mlpred.DefaultRegistry()
+	gens := []*datagen.Generated{
+		datagen.TPCH(datagen.TPCHOptions{Scale: 0.2, Dup: 0.3, Seed: 1}),
+		datagen.TFACC(datagen.TFACCOptions{Scale: 0.1, Dup: 0.3, Seed: 1}),
 	}
-	rules, err := rule.ParseResolved(
-		"anti: P(a) ^ P(b) ^ a.x = \"u\" ^ a.x = a.y ^ a.y = b.y -> a.id = b.id\n", db)
+	for _, g := range gens {
+		rules, err := g.Rules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// step of each ML predicate's text: similarity classifiers first.
+		mlStep := map[string]int{}
+		for _, r := range rules {
+			for i := range r.Body {
+				if p := &r.Body[i]; p.Kind == rule.PredML {
+					cl, err := reg.Get(p.Model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mlStep[p.String()] = 5
+					if _, sim := cl.(*mlpred.SimClassifier); sim {
+						mlStep[p.String()] = 4
+					}
+				}
+			}
+		}
+		kindStep := map[string]int{"order": 0, "const": 1, "intra": 2, "eq": 3}
+		var atNew []string
+		eng := insertRun(t, g, modeDefault, 16, func(e *chase.Engine) {
+			atNew = planPrograms(e.PlanReport())
+			for _, rr := range e.PlanReport().Rules {
+				for _, v := range rr.Vars {
+					last := -1
+					for _, p := range v.Preds {
+						step, ok := kindStep[p.Kind]
+						if p.Kind == "ml" {
+							step, ok = mlStep[p.Pred]
+						}
+						if !ok || step < last {
+							t.Errorf("rule %s var %s: step %s %q out of the static order in %+v", rr.Rule, v.Var, p.Kind, p.Pred, v.Preds)
+						}
+						last = step
+					}
+				}
+			}
+		})
+		if got := planPrograms(eng.PlanReport()); !reflect.DeepEqual(got, atNew) {
+			t.Errorf("programs after Run and 16 inserts:\n%q\nright after New:\n%q", got, atNew)
+		}
+	}
+}
+
+// planPrograms lists every step of rep as rule/var/kind/pred, in program
+// order.
+func planPrograms(rep chase.PlanReport) []string {
+	var out []string
+	for _, rr := range rep.Rules {
+		for _, v := range rr.Vars {
+			for _, p := range v.Preds {
+				out = append(out, rr.Rule+"/"+v.Var+"/"+p.Kind+"/"+p.Pred)
+			}
+		}
+	}
+	return out
+}
+
+// TestPlanReportNeverShowsMoreFailsThanEvals polls PlanReport while every
+// drain batch fans out across the pool, so snapshots race the writers'
+// counter updates: no snapshot may show a step with more fails than
+// evaluations. Run it under -race.
+func TestPlanReportNeverShowsMoreFailsThanEvals(t *testing.T) {
+	g := datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
+	rules, err := g.Rules()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := mlpred.DefaultRegistry()
-
-	interp := modeDefault.with("interpreter", interpreted).engine(t, build(), rules, reg)
-	want := interp.Run()
-
-	eng := modeDefault.with("eager-resort", eagerResort).engine(t, build(), rules, reg)
-	got := eng.Run()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("Γ differs between interpreter and compiled plans under forced reorder")
-	}
-	if n := eng.Stats().PlanReorders; n < 1 {
-		t.Fatalf("PlanReorders = %d, want >= 1 (anti-selective static order must trigger a re-sort)", n)
-	}
-	// The re-sorted program must rank the near-always-failing intra check
-	// before the never-failing constant.
-	rep := eng.PlanReport()
-	preds := rep.Rules[0].Vars[0].Preds
-	if len(preds) < 2 || preds[0].Kind != "intra" {
-		t.Fatalf("re-sorted program does not lead with the intra check: %+v", preds)
-	}
-	if interp.Stats().PlanReorders != 0 {
-		t.Fatalf("interpreter mode must never reorder")
-	}
+	eng := modeBatched.engine(t, g.D, rules, mlpred.DefaultRegistry())
+	done := make(chan struct{})
+	snapshots := make(chan int)
+	go func() {
+		n := 0
+		defer func() { snapshots <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, rr := range eng.PlanReport().Rules {
+				for _, v := range rr.Vars {
+					for _, p := range v.Preds {
+						if p.Fails > p.Evals || p.FailRate > 1 {
+							t.Errorf("snapshot %d: rule %s var %s step %q: fails %d > evals %d", n, rr.Rule, v.Var, p.Pred, p.Fails, p.Evals)
+							return
+						}
+					}
+				}
+			}
+			n++
+		}
+	}()
+	eng.Run()
+	close(done)
+	t.Logf("%d snapshots during the run", <-snapshots)
 }

@@ -3,16 +3,14 @@ package chase
 // Causal tracing and wide events of the engine. Spans follow the call
 // tree: Deduce/IncDeduce roots parent the per-rule enumerate/merge spans
 // of the first pass and the per-round drain spans, which in turn parent
-// the drain batches, the plan re-sort events, and the cache-miss
-// classifier calls of the ML predicate layer. Everything is gated on
+// the drain batches and the cache-miss classifier calls of the ML
+// predicate layer. Everything is gated on
 // TraceContext.Enabled() (one branch per site when tracing is off) and
 // records into the bounded ring of the registry's tracer, so a live run
 // can be exported as a Perfetto-loadable Chrome trace at any time
 // (/debug/trace, cmd -traceout).
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"dcer/internal/telemetry"
@@ -54,43 +52,6 @@ func (e *Engine) endRoot(sp telemetry.Span) {
 // engine is quiescent (no deduction in flight).
 func (e *Engine) SetTraceContext(tc telemetry.TraceContext) { e.tc = tc }
 
-// planOrderDesc renders the current execution order of a rule's compiled
-// plan with each step's observed pass/fail account — the payload the
-// re-sort events stamp so a Perfetto view shows why the order changed.
-func planOrderDesc(br *boundRule) string {
-	var sb strings.Builder
-	for v := range br.plan.vars {
-		vp := &br.plan.vars[v]
-		if v > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(br.r.Vars[v].Name)
-		sb.WriteByte(':')
-		sb.WriteByte('[')
-		first := true
-		step := func(pred string, evals, fails int64) {
-			if !first {
-				sb.WriteByte(' ')
-			}
-			first = false
-			sb.WriteString(pred)
-			sb.WriteByte('(')
-			sb.WriteString(strconv.FormatInt(evals-fails, 10))
-			sb.WriteByte('/')
-			sb.WriteString(strconv.FormatInt(fails, 10))
-			sb.WriteByte(')')
-		}
-		for _, w := range *vp.words.Load() {
-			step(w.p.String(), w.evals.Load(), w.fails.Load())
-		}
-		for _, m := range *vp.mls.Load() {
-			step(m.p.String(), m.evals.Load(), m.fails.Load())
-		}
-		sb.WriteByte(']')
-	}
-	return sb.String()
-}
-
 // wideRound emits the per-drain-round wide event: one JSON line carrying
 // the round's progress and the knob state of the engine, so a long
 // run is post-hoc debuggable from a grep. Callers gate on the logger's
@@ -106,7 +67,6 @@ func (e *Engine) wideRound(round, fired, events int) {
 		telemetry.F{K: "events", V: events},
 		telemetry.F{K: "matches", V: e.cnt.matches.Load()},
 		telemetry.F{K: "ml_validated", V: e.cnt.mlValidated.Load()},
-		telemetry.F{K: "plan_resorts", V: e.cnt.planReorders.Load()},
 		telemetry.F{K: "mem_budget_bytes", V: e.opts.MemBudgetBytes},
 		telemetry.F{K: "mem_dataset_bytes", V: e.cnt.memDataset.Load()},
 		telemetry.F{K: "mem_gamma_bytes", V: e.cnt.memGamma.Load()},

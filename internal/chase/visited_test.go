@@ -31,7 +31,7 @@ func TestDepsVisitedProportionalToNewFacts(t *testing.T) {
 			for _, insert := range []bool{false, true} {
 				var eng *chase.Engine
 				if insert {
-					eng = insertRun(t, g.gen, mode)
+					eng = insertRun(t, g.gen, mode, 4, nil)
 				} else {
 					eng = mode.engine(t, g.gen.D, rules, mlpred.DefaultRegistry())
 					eng.Run()

@@ -30,8 +30,7 @@ type Status int32
 const (
 	// StatusPass: the latest audit found no violations.
 	StatusPass Status = iota
-	// StatusWarn: suspicious but not provably wrong (e.g. an extrapolated
-	// byte account off by more than tolerance, an inverted predicate order).
+	// StatusWarn: suspicious but not provably wrong.
 	StatusWarn
 	// StatusFail: an invariant is provably violated on the sampled subset.
 	StatusFail

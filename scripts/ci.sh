@@ -85,9 +85,9 @@ if ! grep -q "recoveries=1" /tmp/dcer_ci_crash.log; then
     exit 1
 fi
 
-echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch, adaptive reorders; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path)"
+echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path and PlanReport snapshots)"
 go test -short -count=1 -run 'TestSymmetry' ./internal/rule
-go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanAdaptiveReorderEquivalence|TestSymmetry' ./internal/chase
+go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry' ./internal/chase
 
 echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence in every mode, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
