@@ -166,10 +166,8 @@ type boundRule struct {
 
 	// eqIx pre-resolves, aligned with eqs, the two indexes each equality
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
-	// (V2's relation, A2). Candidate selection probes an index for every
-	// enumeration node, so the IndexSet map lookup is paid once at bind
-	// time instead of per probe. The pointers stay valid across
-	// incremental insertions — IndexSet.Add mutates each Index in place.
+	// (V2's relation, A2). The pointers stay valid across incremental
+	// insertions — IndexSet.Add mutates each Index in place.
 	eqIx [][2]*relation.Index
 
 	// plan is the compiled predicate program (plan.go): per-variable
@@ -177,6 +175,9 @@ type boundRule struct {
 	// words. Compiled even for the interpreter (Engine.interpret) —
 	// candidatesFor and checkNewBinding read it in both modes.
 	plan *rulePlan
+	// orders holds the join order of each seed pattern (order.go), the
+	// empty pattern first; both modes enumerate along them.
+	orders []joinOrder
 
 	// reduced marks a rule that is its own mirror image (rule.Symmetry):
 	// its enumerations keep only valuations with
@@ -412,6 +413,9 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	if !r.Resolved() {
 		return nil, fmt.Errorf("chase: rule %s is not resolved", r.Name)
 	}
+	if len(r.Vars) > maxRuleVars {
+		return nil, fmt.Errorf("chase: rule %s has %d variables, more than %d", r.Name, len(r.Vars), maxRuleVars)
+	}
 	br := &boundRule{
 		r:      r,
 		scope:  scope,
@@ -489,6 +493,7 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	}
 	br.bindSimJoins()
 	br.plan = compilePlan(br)
+	br.planOrders()
 	return br, nil
 }
 

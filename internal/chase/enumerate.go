@@ -90,11 +90,8 @@ type evalCtx struct {
 	// amortized allocations instead of a handful.
 	arena justArena
 
-	// candRows memoizes, per recursion depth and unbound variable, the
-	// tightest candidate posting list found so far, so each depth probes
-	// only the equalities opened by the variable it just bound instead of
-	// re-probing every index for every unbound variable (see extend).
-	candRows [][]candList
+	// order is the join order of the enumeration in flight.
+	order *joinOrder
 
 	// scratch buffers, reused across valuations to keep the hot path
 	// allocation-free.
@@ -123,16 +120,6 @@ func (c *evalCtx) reset(br *boundRule) {
 	c.binding = c.binding[:n]
 	for i := range c.binding {
 		c.binding[i] = nil
-	}
-	if cap(c.candRows) < n {
-		c.candRows = make([][]candList, n)
-	}
-	c.candRows = c.candRows[:n]
-	for i := range c.candRows {
-		if cap(c.candRows[i]) < n {
-			c.candRows[i] = make([]candList, n)
-		}
-		c.candRows[i] = c.candRows[i][:n]
 	}
 }
 
@@ -216,172 +203,72 @@ func (c *evalCtx) recordDep(body []Literal, head Literal, j *justification) {
 // predicates it calls emit, which derives the head or records a
 // dependency in H.
 func (c *evalCtx) enumerate(seed []*relation.Tuple) {
-	nbound := 0
-	if seed != nil {
-		for v, t := range seed {
-			if t == nil {
-				continue
-			}
-			if !c.checkNewBinding(v, t) {
-				return
-			}
-			c.binding[v] = t
-			nbound++
+	var bound uint64
+	for v, t := range seed {
+		if t != nil {
+			bound |= 1 << v
 		}
 	}
-	c.extend(nbound, -1)
+	c.enumerateIn(c.br.orderFor(bound), seed)
 }
 
-// candList is one memoized candidate set: the tightest posting list seen
-// for a variable so far, and the access path that produced it (apScan
-// means the list is the fallback full relation scan, which any index probe
-// beats regardless of length).
-type candList struct {
-	list []*relation.Tuple
-	path accessPath
+// enumerateIn is enumerate along join order o, planned for seed's pattern.
+func (c *evalCtx) enumerateIn(o *joinOrder, seed []*relation.Tuple) {
+	c.order = o
+	for v, t := range seed {
+		if t == nil {
+			continue
+		}
+		if !c.checkNewBinding(v, t) {
+			return
+		}
+		c.binding[v] = t
+	}
+	c.extend(0)
 }
 
-// refineSkipLen is the candidate-list length below which extend reuses
-// the parent depth's memoized list instead of probing the indexes again:
-// scanning a handful of tuples through the word filters is cheaper than
-// a hash probe per joining equality.
-const refineSkipLen = 8
-
-// extend recursively binds the remaining variables, greedily choosing the
-// unbound variable with the fewest index-backed candidates (the per-rule
-// "query plan" of Section V-A built on the shared inverted indexes).
-//
-// Candidate lists are maintained incrementally: binding a variable can
-// only tighten another variable's candidates through the equality
-// predicates that join the two, so each depth refines the parent depth's
-// memoized lists with probes for the last-bound variable alone (last < 0
-// recomputes from scratch — the entry point, where seeds may have bound
-// several variables at once). This turns the per-node index work from
-// O(eqs × unbound vars) map probes into O(eqs touching the new binding).
-func (c *evalCtx) extend(nbound, last int) {
-	binding := c.binding
-	if nbound == len(binding) {
+// extend binds the variables of the context's join order from step depth
+// on, one access per node: the step's candidates, filtered by the
+// variable's program, each bound in turn before the next step.
+func (c *evalCtx) extend(depth int) {
+	if depth == len(c.order.steps) {
 		c.emit()
 		return
 	}
-	row := c.candRows[nbound]
-	var prev []candList
-	if last >= 0 {
-		prev = c.candRows[nbound-1]
-	}
-	bestVar := -1
-	var bestCands []*relation.Tuple
-	for v := range binding {
-		if binding[v] != nil {
-			continue
-		}
-		var cs candList
-		if last < 0 {
-			cs = c.candidatesFor(v)
-		} else if cs = prev[v]; cs.path == apScan || len(cs.list) > refineSkipLen {
-			// Refining an already-tiny list costs more in index probes
-			// than the batch filters save: below the threshold the parent
-			// list is reused as-is (the predicate programs still check
-			// every equality, so a looser candidate list never changes
-			// the survivor set — only the constant work per node).
-			cs = c.refineCandidates(cs, v, last)
-		}
-		row[v] = cs
-		if bestVar < 0 || len(cs.list) < len(bestCands) {
-			bestVar, bestCands = v, cs.list
-		}
-		if len(bestCands) == 0 {
-			return
-		}
-	}
-	// The variable is chosen; only now may its scan be traded for the
-	// similarity join (the interpreter, the plans' oracle, keeps scanning).
-	path, satisfied := row[bestVar].path, -1
+	st := &c.order.steps[depth]
+	v := st.v
+	cands, path := c.candidatesFor(st)
+	// A scan may be traded for the similarity join (the interpreter, the
+	// plans' oracle, keeps scanning).
+	satisfied := -1
 	if path == apScan && c.plans {
-		if cands, mi, scored := c.simAccess(bestVar); mi >= 0 {
-			bestCands, path, satisfied = cands, apSim, mi
-			c.br.plan.vars[bestVar].access[apSim].scored.Add(scored)
+		if sims, mi, scored := c.simAccess(v); mi >= 0 {
+			cands, path, satisfied = sims, apSim, mi
+			c.br.plan.vars[v].access[apSim].scored.Add(scored)
 		}
 	}
-	if bestVar < c.cut {
-		if bestCands = olderThan(bestCands, c.epoch); len(bestCands) == 0 {
-			return
-		}
+	if v < c.cut {
+		cands = olderThan(cands, c.epoch)
 	}
-	c.access[bestVar][path][0]++
-	c.access[bestVar][path][1] += int64(len(bestCands))
-	if c.plans {
-		c.extendPlanned(bestVar, bestCands, nbound, satisfied)
+	c.access[v][path][0]++
+	c.access[v][path][1] += int64(len(cands))
+	if len(cands) == 0 {
 		return
 	}
-	for _, t := range bestCands {
+	if c.plans {
+		c.extendPlanned(st, cands, depth, satisfied)
+		return
+	}
+	binding := c.binding
+	for _, t := range cands {
 		c.extensions++
-		if !c.checkNewBinding(bestVar, t) {
+		if !c.checkNewBinding(v, t) {
 			continue
 		}
-		binding[bestVar] = t
-		c.extend(nbound+1, bestVar)
-		binding[bestVar] = nil
+		binding[v] = t
+		c.extend(depth + 1)
+		binding[v] = nil
 	}
-}
-
-// candidatesFor computes from scratch the smallest available candidate
-// list for binding variable v: the tightest inverted-index posting list
-// reachable through an equality predicate to an already-bound variable,
-// else a constant predicate's posting list, else a full scan of v's
-// relation.
-func (c *evalCtx) candidatesFor(v int) candList {
-	br, binding := c.br, c.binding
-	relIdx := br.r.Vars[v].RelIdx
-	var cs candList
-	consider := func(lst []*relation.Tuple, path accessPath) {
-		if cs.path == apScan || len(lst) < len(cs.list) {
-			cs = candList{list: lst, path: path}
-		}
-	}
-	for i, p := range br.eqs {
-		if p.V1 == v && binding[p.V2] != nil {
-			consider(br.eqIx[i][0].LookupTuple(binding[p.V2], p.A2), apEq)
-		} else if p.V2 == v && binding[p.V1] != nil {
-			consider(br.eqIx[i][1].LookupTuple(binding[p.V1], p.A1), apEq)
-		}
-	}
-	for _, w := range br.plan.vars[v].consts {
-		if !w.constOK {
-			// Unresolvable probe (string not interned, or NaN): the
-			// constant matches nothing, so v has no candidates at all.
-			consider(nil, apConst)
-			continue
-		}
-		consider(w.ix.LookupWord(w.constW), apConst)
-	}
-	if cs.path == apScan {
-		cs.list = br.scope.Relations[relIdx].Tuples
-	}
-	return cs
-}
-
-// refineCandidates tightens v's memoized candidate list with the index
-// probes that binding variable `last` just made available: the equality
-// predicates joining v and last, walked in rule order (the order
-// candidatesFor uses, which decides which of two equal-length postings is
-// kept).
-func (c *evalCtx) refineCandidates(cs candList, v, last int) candList {
-	br, binding := c.br, c.binding
-	for i, p := range br.eqs {
-		var lst []*relation.Tuple
-		if p.V1 == v && p.V2 == last {
-			lst = br.eqIx[i][0].LookupTuple(binding[last], p.A2)
-		} else if p.V2 == v && p.V1 == last {
-			lst = br.eqIx[i][1].LookupTuple(binding[last], p.A1)
-		} else {
-			continue
-		}
-		if cs.path == apScan || len(lst) < len(cs.list) {
-			cs = candList{list: lst, path: apEq}
-		}
-	}
-	return cs
 }
 
 // olderThan returns the prefix of candidate list ts that is older than

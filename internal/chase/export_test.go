@@ -36,3 +36,74 @@ func (e *Engine) SetSeedHook(f func(rule string, gids []relation.TID)) {
 		f(br.r.Name, gids)
 	}
 }
+
+// SeedPatterns lists the seed patterns rule ri has a planned join order
+// for, each as its bound variables in ascending order.
+func (e *Engine) SeedPatterns(ri int) [][]int {
+	var out [][]int
+	for _, o := range e.rules[ri].orders {
+		vars := []int{}
+		for v := range e.rules[ri].r.Vars {
+			if o.bound&(1<<v) != 0 {
+				vars = append(vars, v)
+			}
+		}
+		out = append(out, vars)
+	}
+	return out
+}
+
+// EnumerateOrder enumerates rule ri from seed (a tuple per variable, nil
+// where free), binding the free variables in the sequence seq — nil is the
+// greedy plan — with key maps on or off, and calls f with the GIDs, in
+// variable order, of every valuation it emits. The enumeration buffers
+// what it deduces and drops it: Γ does not change.
+func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMaps bool, f func(gids []relation.TID)) {
+	br := e.rules[ri]
+	var bound uint64
+	for v, t := range seed {
+		if t != nil {
+			bound |= 1 << v
+		}
+	}
+	o := br.planOrder(bound, seq)
+	if !keyMaps {
+		for i := range o.steps {
+			o.steps[i].km = nil
+		}
+	}
+	c := &evalCtx{e: e, buffered: true}
+	c.seeded = func(_ *boundRule, binding []*relation.Tuple) {
+		gids := make([]relation.TID, len(binding))
+		for i, t := range binding {
+			gids[i] = t.GID
+		}
+		f(gids)
+	}
+	c.reset(br)
+	s := c.seedFor(len(br.r.Vars))
+	copy(s, seed)
+	c.enumerateIn(&o, s)
+}
+
+// LiveKeyMaps counts the key maps the engine's join orders read that still
+// answer their probes.
+func (e *Engine) LiveKeyMaps() int {
+	live := map[*relation.KeyMap]bool{}
+	for _, br := range e.rules {
+		for _, o := range br.orders {
+			for _, st := range o.steps {
+				if st.km != nil {
+					live[st.km] = st.km.Live()
+				}
+			}
+		}
+	}
+	n := 0
+	for _, ok := range live {
+		if ok {
+			n++
+		}
+	}
+	return n
+}

@@ -1,0 +1,223 @@
+package chase
+
+// Join orders: every bound rule carries one static variable order per way
+// an enumeration of it can start (its seed pattern), planned once at bind
+// time from index statistics, each step with the one access it makes per
+// enumeration node (Section V-A's per-rule query plan over the shared
+// inverted indexes; HyperBlocker likewise fixes its plans before
+// execution). Candidate lists stay in TID order on every access path, so
+// the order changes the sequence in which a rule emits its valuations,
+// never their set.
+
+import (
+	"math/bits"
+	"slices"
+
+	"dcer/internal/relation"
+	"dcer/internal/rule"
+)
+
+// joinStep binds one variable through one access path.
+type joinStep struct {
+	v    int
+	path accessPath // apScan, apEq or apConst
+	// pred is the equality or constant the access answers; the variable's
+	// program skips it, since every candidate satisfies it by construction.
+	pred *rule.Pred
+
+	// apEq: ix indexes (v's relation, the equality's attribute of v) and is
+	// probed with bound variable from's attribute fromAttr; km, when the
+	// index keys each tuple uniquely, answers the probe from an array
+	// instead (relation.KeyMap). float marks a float key, whose NaN words
+	// find nothing.
+	from, fromAttr int
+	ix             *relation.Index
+	km             *relation.KeyMap
+	float          bool
+
+	konst *wordPred // apConst: the constant's step, with its probe word and index
+}
+
+// joinOrder is the planned order for the rule variables left unbound by
+// the seed pattern bound (a bit per variable).
+type joinOrder struct {
+	bound uint64
+	steps []joinStep
+}
+
+// maxRuleVars bounds a rule's variables by the width of a seed pattern.
+const maxRuleVars = 64
+
+// planOrders plans br's join orders for every seed pattern its
+// enumerations start from: none (Deduce's first pass), each single
+// variable (InsertTuples' seeds) and the two variables of each id and
+// dynamic ML predicate (the drain's seeded re-enumerations).
+func (br *boundRule) planOrders() {
+	patterns := []uint64{0}
+	add := func(m uint64) {
+		if !slices.Contains(patterns, m) {
+			patterns = append(patterns, m)
+		}
+	}
+	for v := range br.r.Vars {
+		add(1 << v)
+	}
+	for _, p := range br.ids {
+		add(1<<p.V1 | 1<<p.V2)
+	}
+	for i := range br.mls {
+		if m := &br.mls[i]; m.dynamic {
+			add(1<<m.pred.V1 | 1<<m.pred.V2)
+		}
+	}
+	br.orders = make([]joinOrder, len(patterns))
+	for i, m := range patterns {
+		br.orders[i] = br.planOrder(m, nil)
+	}
+}
+
+// orderFor returns the join order planned for seed pattern bound.
+func (br *boundRule) orderFor(bound uint64) *joinOrder {
+	for i := range br.orders {
+		if br.orders[i].bound == bound {
+			return &br.orders[i]
+		}
+	}
+	panic("chase: no join order planned for an enumeration's seed pattern")
+}
+
+// planOrder plans the order of the variables outside bound. With seq nil
+// it is greedy, cheapest estimate first within the first non-empty class
+// of:
+//  1. variables an equality joins to a bound one, or that carry a
+//     constant: the estimate is v's relation size over the probed index's
+//     distinct keys, or the constant's exact posting length;
+//  2. variables a similarity join reaches from a bound one;
+//  3. the rest, by relation size (a scan);
+//
+// ties going to the lower variable index. seq forces the sequence instead
+// (tests); each step still takes its cheapest access. An equality into a
+// unique index reads its key map.
+func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
+	n := len(br.r.Vars)
+	o := joinOrder{bound: bound, steps: make([]joinStep, 0, n-bits.OnesCount64(bound))}
+	for len(o.steps) < cap(o.steps) {
+		var best joinStep
+		bestClass, bestEst := 4, 0.0
+		for v := 0; v < n; v++ {
+			if bound&(1<<v) != 0 {
+				continue
+			}
+			if seq != nil && v != seq[len(o.steps)] {
+				continue
+			}
+			st, class, est := br.bestAccess(v, bound)
+			if class < bestClass || class == bestClass && est < bestEst {
+				best, bestClass, bestEst = st, class, est
+			}
+		}
+		if best.path == apEq {
+			best.km = br.ix.KeyMap(br.r.Vars[best.from].RelIdx, best.fromAttr, best.ix.Rel, best.ix.Attr)
+		}
+		o.steps = append(o.steps, best)
+		bound |= 1 << best.v
+	}
+	return o
+}
+
+// bestAccess returns v's cheapest access given the bound variables, its
+// planning class and its estimated candidate count (see planOrder).
+func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
+	rel := br.r.Vars[v].RelIdx
+	size := float64(len(br.scope.Relations[rel].Tuples))
+	best, class, est := joinStep{v: v, path: apScan}, 3, size
+	consider := func(st joinStep, e float64) {
+		if class > 1 || e < est {
+			best, class, est = st, 1, e
+		}
+	}
+	for i, p := range br.eqs {
+		side, from, fromAttr, attr := 0, p.V2, p.A2, p.A1
+		if p.V2 == v {
+			side, from, fromAttr, attr = 1, p.V1, p.A1, p.A2
+		}
+		if p.V1 != v && p.V2 != v || bound&(1<<from) == 0 {
+			continue
+		}
+		ix := br.eqIx[i][side]
+		e := 0.0
+		if d := ix.Distinct(); d > 0 {
+			e = size / float64(d)
+		}
+		consider(joinStep{
+			v: v, path: apEq, pred: p, from: from, fromAttr: fromAttr, ix: ix,
+			float: br.scope.Relations[rel].Schema.Attrs[attr].Type == relation.TypeFloat,
+		}, e)
+	}
+	for _, w := range br.plan.vars[v].consts {
+		e := 0.0
+		if w.constOK {
+			e = float64(len(w.ix.LookupWord(w.constW)))
+		}
+		consider(joinStep{v: v, path: apConst, pred: w.p, konst: w}, e)
+	}
+	if class == 3 && br.simReaches(v, bound) {
+		class = 2
+	}
+	return best, class, est
+}
+
+// simReaches reports whether a similarity join binds v from a bound
+// variable.
+func (br *boundRule) simReaches(v int, bound uint64) bool {
+	for i := range br.mls {
+		m := &br.mls[i]
+		for s, j := range m.sim {
+			vs, vo := m.pred.V1, m.pred.V2
+			if s == 1 {
+				vs, vo = vo, vs
+			}
+			if j != nil && vs == v && bound&(1<<vo) != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// candidatesFor makes step st's one access: the key map or posting list of
+// its equality, its constant's posting list, or its relation's scan, each
+// in TID order. It returns the path taken.
+func (c *evalCtx) candidatesFor(st *joinStep) ([]*relation.Tuple, accessPath) {
+	switch st.path {
+	case apEq:
+		t := c.binding[st.from]
+		if km := st.km; km != nil && km.Live() {
+			return km.Lookup(t), apKey
+		}
+		if st.float && t.Word(st.fromAttr) == relation.QNaNWord {
+			return nil, apEq // NaN equals nothing
+		}
+		return st.ix.LookupTuple(t, st.fromAttr), apEq
+	case apConst:
+		if w := st.konst; w.constOK {
+			return w.ix.LookupWord(w.constW), apConst
+		}
+		return nil, apConst // unresolvable: an unknown string or NaN matches nothing
+	}
+	return c.br.scope.Relations[c.br.r.Vars[st.v].RelIdx].Tuples, apScan
+}
+
+// describe renders step st for PlanReport: the variable, the access path
+// planned for it, and the predicate that access answers. It reads only
+// what bind time fixed, so PlanReport stays safe beside InsertTuples.
+func (br *boundRule) describe(st *joinStep) PlanStep {
+	ps := PlanStep{Var: br.r.Vars[st.v].Name, Path: accessPathNames[st.path]}
+	if st.km != nil {
+		ps.Path = accessPathNames[apKey]
+	}
+	if st.pred != nil {
+		ps.Via = st.pred.String()
+	}
+	return ps
+}

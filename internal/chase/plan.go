@@ -71,7 +71,7 @@ type wordPred struct {
 	constOK bool
 	syms    *relation.SymTab
 	// ix is the pre-resolved index over the constant's (relation,
-	// attribute), probed by candidatesFor; nil on non-const steps.
+	// attribute), probed by a constant access step; nil on non-const steps.
 	ix *relation.Index
 
 	// Observed selectivity, accumulated once per batch by the compiled
@@ -101,7 +101,7 @@ type mlStep struct {
 	satisfied atomic.Int64
 }
 
-// accessPath says where a chosen variable's candidates came from.
+// accessPath says where a bound variable's candidates came from.
 type accessPath uint8
 
 const (
@@ -109,10 +109,11 @@ const (
 	apEq                      // the posting list of an equality to a bound variable
 	apConst                   // the posting list of a constant predicate
 	apSim                     // the similarity join of an ML predicate (simjoin.go)
+	apKey                     // the key map of an equality into a unique index
 	numAccessPaths
 )
 
-var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim"}
+var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim", "key"}
 
 // accessStats is the account of one access path of one variable: times
 // chosen, candidates returned and, for apSim, distinct values scored.
@@ -152,7 +153,7 @@ type varPlan struct {
 	words []*wordPred
 	mls   []*mlStep
 	// consts is the constant-check prefix of words, whose resolved probe
-	// words candidatesFor uses to pick a posting list.
+	// words a constant access step (order.go) looks its postings up with.
 	consts []*wordPred
 	access [numAccessPaths]accessStats
 }
@@ -262,26 +263,27 @@ func (c *evalCtx) planBuf(d, n int) []*relation.Tuple {
 }
 
 // extendPlanned is the compiled counterpart of extend's candidate loop:
-// the candidate batch for variable v is gathered into the depth's scratch
-// and each applicable program step runs as one tight loop over the packed
-// columns, compacting survivors in place. Candidate order is preserved,
-// the variable choice was already made by extend, and the surviving set
-// equals the interpreter's (each step is one conjunct of the same
-// conjunction), so the recursion — and therefore Γ — is reached in the
-// exact same order as the per-candidate interpreter. satisfied is the index
-// in br.mls of the ML predicate the candidates' access path already implies
-// (their similarity join's), -1 when there is none: its step is skipped.
-func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfied int) {
+// each applicable program step of step st's variable runs as one tight
+// loop over the packed columns, compacting the survivors of the candidate
+// batch into the depth's scratch. The step that is st's own access
+// predicate is skipped: every candidate satisfies it. Candidate order is
+// preserved, and the surviving set equals the interpreter's (each step is
+// one conjunct of the same conjunction), so the recursion — and therefore
+// Γ — is reached in the exact same order as the per-candidate interpreter.
+// satisfied is the index in br.mls of the ML predicate the candidates'
+// access path already implies (their similarity join's), -1 when there is
+// none: its step is skipped too.
+func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, satisfied int) {
 	c.extensions += int64(len(cands))
-	br, binding := c.br, c.binding
+	br, binding, v := c.br, c.binding, st.v
 	vp := &br.plan.vars[v]
 	// src is read-only until the first filtering step, which writes its
 	// survivors into the depth's scratch buffer; from then on the steps
-	// compact buf in place. Reading the candidate posting list directly
-	// spares the up-front batch copy (and skips it entirely on nodes
-	// where no step applies).
+	// compact buf in place. Reading the candidate list directly spares the
+	// up-front batch copy (and skips it entirely on nodes where no step
+	// applies).
 	src := cands
-	buf := c.planBuf(nbound, len(cands))
+	buf := c.planBuf(depth, len(cands))
 	n := len(src)
 	var evals int64
 
@@ -304,6 +306,9 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfie
 	for _, w := range vp.words {
 		if n == 0 {
 			break
+		}
+		if w.p == st.pred {
+			continue // the access predicate: holds by construction
 		}
 		switch w.kind {
 		case wpConst:
@@ -413,7 +418,7 @@ func (c *evalCtx) extendPlanned(v int, cands []*relation.Tuple, nbound, satisfie
 
 	for i := 0; i < n; i++ {
 		binding[v] = src[i]
-		c.extend(nbound+1, v)
+		c.extend(depth + 1)
 	}
 	binding[v] = nil
 }
@@ -512,17 +517,29 @@ type PlanAccess struct {
 
 // PlanVarReport is the compiled program of one rule variable, in
 // execution order, and the access paths its candidates came from ("scan",
-// "eq", "const", "sim"; used ones only).
+// "eq", "const", "sim", "key"; used ones only).
 type PlanVarReport struct {
 	Var    string       `json:"var"`
 	Preds  []PlanPred   `json:"preds"`
 	Access []PlanAccess `json:"access,omitempty"`
 }
 
-// RulePlanReport describes one rule's compiled plan.
+// PlanStep is one step of a rule's planned join order: the variable bound,
+// the access path planned for it ("scan", "eq", "key", "const") and the
+// predicate that access answers. A "key" step whose map retired probes the
+// index instead, and its variable's Access counts it as "eq".
+type PlanStep struct {
+	Var  string `json:"var"`
+	Path string `json:"path"`
+	Via  string `json:"via,omitempty"`
+}
+
+// RulePlanReport describes one rule's compiled plan: its join order for an
+// enumeration from scratch, and each variable's program.
 type RulePlanReport struct {
-	Rule string          `json:"rule"`
-	Vars []PlanVarReport `json:"vars"`
+	Rule  string          `json:"rule"`
+	Order []PlanStep      `json:"order"`
+	Vars  []PlanVarReport `json:"vars"`
 }
 
 // PlanReport is a point-in-time snapshot of the engine's compiled plans
@@ -544,6 +561,9 @@ func (e *Engine) PlanReport() PlanReport {
 	}
 	for _, br := range e.rules {
 		rr := RulePlanReport{Rule: br.r.Name}
+		for i := range br.orders[0].steps {
+			rr.Order = append(rr.Order, br.describe(&br.orders[0].steps[i]))
+		}
 		for v := range br.plan.vars {
 			vp := &br.plan.vars[v]
 			pv := PlanVarReport{Var: br.r.Vars[v].Name}

@@ -78,11 +78,10 @@ func (br *boundRule) bindSimJoins() {
 }
 
 // simAccess resolves the similarity join, if there is one, of variable v,
-// which extend has just chosen off a full scan: the candidates, the index
-// in br.mls of the predicate they satisfy (-1: none, keep the scan) and the
-// number of values scored to answer. Never called while candidates are only
-// being estimated: a probe for a variable then not chosen is pure cost. A
-// classifier recording a Calibration wants every pair, so it keeps the scan.
+// whose join-order step is a full scan: the candidates, the index in
+// br.mls of the predicate they satisfy (-1: none, keep the scan) and the
+// number of values scored to answer. A classifier recording a Calibration
+// wants every pair, so it keeps the scan.
 func (c *evalCtx) simAccess(v int) (cands []*relation.Tuple, mi int, scored int64) {
 	for i := range c.br.mls {
 		m := &c.br.mls[i]

@@ -279,28 +279,113 @@ func (ix *Index) MemBytes() int64 {
 	return posted*8 + int64(len(ix.pm.keys))*32
 }
 
+// KeyMap answers an equality probe into a unique attribute from an array:
+// for each root row of a probing relation, the one tuple of the target
+// index whose key equals the row's probe attribute, or nil. It stands in
+// for Index.LookupTuple when the target index has no repeated key (every
+// posting list one long), so a key-to-key join costs one array read per
+// probe instead of a hash probe. A float probe word that is NaN finds
+// nothing, as NaN equals nothing.
+//
+// IndexSet.Add keeps a map current; a key that starts to repeat retires
+// it for good (Live turns false), and its users fall back to the index.
+type KeyMap struct {
+	probe, target *Index // (probing relation, attribute) and the unique target
+	float         bool   // the key column is a float column: NaN words find nothing
+	byRow         []*Tuple
+}
+
+func newKeyMap(d *Dataset, probe, target *Index) *KeyMap {
+	probers := d.Relations[probe.Rel].Tuples
+	rows := 0
+	for _, p := range probers {
+		rows = max(rows, int(p.Row)+1)
+	}
+	km := &KeyMap{probe: probe, target: target, float: target.typ == TypeFloat, byRow: make([]*Tuple, rows)}
+	for _, p := range probers {
+		km.addProbe(p)
+	}
+	return km
+}
+
+// Live reports whether the map still answers its probes: false once a key
+// of the target repeated.
+func (km *KeyMap) Live() bool { return km.byRow != nil }
+
+// Lookup returns, as a one-tuple view, the target tuple whose key equals
+// probing tuple p's attribute, or nil when there is none. The map must be
+// live.
+func (km *KeyMap) Lookup(p *Tuple) []*Tuple {
+	if r := int(p.Row); r < len(km.byRow) && km.byRow[r] != nil {
+		return km.byRow[r : r+1]
+	}
+	return nil
+}
+
+// set records t as the tuple probing row r finds, growing the array over
+// rows appended since it was sized.
+func (km *KeyMap) set(r int32, t *Tuple) {
+	if int(r) >= len(km.byRow) {
+		km.byRow = append(km.byRow, make([]*Tuple, int(r)+1-len(km.byRow))...)
+	}
+	km.byRow[r] = t
+}
+
+// addProbe gives probing tuple p its entry.
+func (km *KeyMap) addProbe(p *Tuple) {
+	w := p.Word(km.probe.Attr)
+	if km.float && w == QNaNWord {
+		return
+	}
+	if post := km.target.LookupWord(w); len(post) == 1 {
+		km.set(p.Row, post[0])
+	}
+}
+
+// addTarget follows a tuple appended to the target index: a repeated key
+// retires the map, a new one fills in the probing rows that carry it.
+func (km *KeyMap) addTarget(t *Tuple) {
+	w := t.Word(km.target.Attr)
+	if len(km.target.LookupWord(w)) > 1 {
+		km.byRow = nil
+		return
+	}
+	if km.float && w == QNaNWord {
+		return
+	}
+	for _, p := range km.probe.LookupWord(w) {
+		km.set(p.Row, t)
+	}
+}
+
 // IndexSet caches the indexes of a dataset, built lazily per
-// (relation, attribute). For is safe for concurrent use (enumerations
-// build a similarity join's index on its first probe); Add and MemBytes
-// need them quiesced. The parallel engine gives each worker its own
-// IndexSet over its fragment. Built alone is safe to read at any time (it
-// backs the engine's mid-run stats snapshots): the count is an atomic.
+// (relation, attribute), and the key maps over them. For and KeyMap are
+// safe for concurrent use (enumerations build a similarity join's index on
+// its first probe); Add and MemBytes need them quiesced. The parallel
+// engine gives each worker its own IndexSet over its fragment. Built alone
+// is safe to read at any time (it backs the engine's mid-run stats
+// snapshots): the count is an atomic.
 type IndexSet struct {
 	d       *Dataset
-	mu      sync.Mutex // guards indexes in For
+	mu      sync.Mutex // guards indexes and keyMaps
 	indexes map[[2]int]*Index
+	keyMaps map[[4]int]*KeyMap
 	built   atomic.Int64
 }
 
 // NewIndexSet creates an empty index cache over d.
 func NewIndexSet(d *Dataset) *IndexSet {
-	return &IndexSet{d: d, indexes: make(map[[2]int]*Index)}
+	return &IndexSet{d: d, indexes: make(map[[2]int]*Index), keyMaps: make(map[[4]int]*KeyMap)}
 }
 
 // For returns the index for (relation, attribute), building it on first use.
 func (s *IndexSet) For(rel, attr int) *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.forLocked(rel, attr)
+}
+
+func (s *IndexSet) forLocked(rel, attr int) *Index {
 	key := [2]int{rel, attr}
 	if ix, ok := s.indexes[key]; ok {
 		return ix
@@ -311,29 +396,67 @@ func (s *IndexSet) For(rel, attr int) *Index {
 	return ix
 }
 
+// KeyMap returns the key map that answers probes from attribute
+// probeAttr of relation probeRel into attribute attr of relation rel,
+// building it (and the two indexes) on first use. It is nil when the
+// target index repeats a key or the two attributes differ in type, and
+// then the probe stays with the index.
+func (s *IndexSet) KeyMap(probeRel, probeAttr, rel, attr int) *KeyMap {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := [4]int{probeRel, probeAttr, rel, attr}
+	if km, ok := s.keyMaps[key]; ok {
+		return km
+	}
+	target := s.forLocked(rel, attr)
+	var km *KeyMap
+	if target.typ == s.d.Relations[probeRel].Schema.Attrs[probeAttr].Type && target.MaxBucket() <= 1 {
+		km = newKeyMap(s.d, s.forLocked(probeRel, probeAttr), target)
+	}
+	s.keyMaps[key] = km
+	return km
+}
+
 // Built returns how many indexes have been materialized. Safe to call
 // while another goroutine is lazily building (it reads only the atomic
 // count, never the cache map).
 func (s *IndexSet) Built() int { return int(s.built.Load()) }
 
-// MemBytes estimates the combined footprint of the materialized indexes.
-// Like For, it is only safe against concurrent mutation from the owning
-// goroutine.
+// MemBytes estimates the combined footprint of the materialized indexes
+// and key maps. Like For, it is only safe against concurrent mutation from
+// the owning goroutine.
 func (s *IndexSet) MemBytes() int64 {
 	var n int64
 	for _, ix := range s.indexes {
 		n += ix.MemBytes()
 	}
+	for _, km := range s.keyMaps {
+		if km != nil {
+			n += int64(cap(km.byRow)) * 8
+		}
+	}
 	return n
 }
 
 // Add registers a newly appended tuple in every materialized index of its
-// relation (incremental ΔD maintenance). The tuple must already be part
-// of the underlying dataset.
+// relation and in every live key map it probes from or keys into
+// (incremental ΔD maintenance). The tuple must already be part of the
+// underlying dataset.
 func (s *IndexSet) Add(t *Tuple) {
 	for key, ix := range s.indexes {
 		if key[0] == t.Rel {
 			ix.Add(t)
+		}
+	}
+	for _, km := range s.keyMaps {
+		if km == nil || !km.Live() {
+			continue
+		}
+		if km.target.Rel == t.Rel {
+			km.addTarget(t)
+		}
+		if km.probe.Rel == t.Rel && km.Live() {
+			km.addProbe(t)
 		}
 	}
 }

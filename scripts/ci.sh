@@ -42,8 +42,8 @@ go test -short ./...
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, the load against its encoding/csv oracle, at 1, 2 and 4)"
-go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool' ./internal/chase
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance, key maps under inserts and the TPCH join orders, the load against its encoding/csv oracle, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
 
@@ -85,10 +85,10 @@ if ! grep -q "recoveries=1" /tmp/dcer_ci_crash.log; then
     exit 1
 fi
 
-echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path and PlanReport snapshots)"
+echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path, the join orders, the key maps and PlanReport snapshots)"
 go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
-go test -race -short -count=1 -run 'TestPlan|TestSymmetry' ./internal/chase
+go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 
 echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence in every mode, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
 go test -short -count=1 -run 'TestSimJoinEqualsScan|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
@@ -128,25 +128,18 @@ echo "== bench-regression gate (fresh DeduceParallel/IncDeduce/InsertTuples/Load
 # scheduler noise on the shared host; -cpu 2 is the width BENCH_GATE.txt
 # was taken at) and fail when any slowed past the threshold vs the
 # committed baseline. BENCH_GATE.txt holds, per gated benchmark, the median
-# of seven such min-of-3 runs of one tree (PR 18), which read
-# DeduceParallel/sequential 201-258 ms (median 205.7), /concurrent 149-230
-# (159.8), IncDeduce/sequential 27.5-44.7 (30.4) and IncDeduce/default
-# 26.6-49.6 (28.6); a faster phase of the same host read
-# DeduceParallel/sequential 150-186 ms hours earlier. 25 % over the medians
-# — the bound BENCHMARK.json puts on its timing metrics for the same reason
-# — fails above 257 / 200 / 38 / 36 ms: all but the slowest of the seven
-# readings of each pass, a 10 % threshold would have failed one or two of
-# seven on an unchanged tree. A burst of the host can still exceed it (one
-# run of this script on that tree read 280 / 200 / 37 / 49 ms and failed,
-# the next 209 / 156 / 30 / 28): re-run before believing a failure.
-# IncDeduce/default is the one that times the batched drain's fan-out
-# (GOMAXPROCS >= 2). The InsertTuples lines were taken the same way on the
-# tree before InsertTuples' seed pass moved onto the task pool (seven runs:
-# default 79.3-82.9 ms, median 81.3; sequential 78.3-128.1, median 80.8),
-# so the gate fails above 102 / 101 ms. The LoadDir line was taken the same
-# way on the tree before the chunk-parallel CSV ingest (seven runs:
-# 128.3-148.3 ms, median 138.8), so it fails above 174 ms; the ingest
-# itself reads about 60 ms.
+# of seven such min-of-3 runs of one tree: the tree before each rule's join
+# order was planned statically, whose own lines (taken before the task
+# pool and the chunk-parallel ingest, on a faster host) it failed by up to
+# 4x. Its seven runs read DeduceParallel/sequential 287-376 ms (median
+# 348.3), /concurrent 197-254 (220.3), IncDeduce/sequential 40.9-53.3
+# (46.4), IncDeduce/default 38.9-54.5 (42.3), InsertTuples/default
+# 278-348 (321.9), /sequential 295-463 (382.7) and LoadDir 53-116 (58.2).
+# 25 % over the medians — the bound BENCHMARK.json puts on its timing
+# metrics for the same reason — fails above 435 / 275 / 58 / 53 / 402 /
+# 478 / 73 ms. The host swings that wide between runs of one tree: re-run
+# before believing a failure. IncDeduce/default is the one that times the
+# batched drain's fan-out (GOMAXPROCS >= 2).
 go test -run=NONE -bench '^Benchmark(DeduceParallel|IncDeduce|InsertTuples|LoadDir)$' -count 3 -cpu 2 . | tee /tmp/dcer_ci_gate.txt
 # The gate gates: the fresh output passes against itself, and fails against
 # a baseline that claims every benchmark once ran twice as fast.
