@@ -1,8 +1,8 @@
 // The repo's one kernel harness, driven by Go's own benchmark runner:
 // benchmarks regenerating every table and figure of the paper's evaluation
 // (Section VI), the chase and partitioner kernels, ablation benches for the
-// design choices called out in DESIGN.md (MQO sharing, dependency-store
-// capacity, replication cap) and the storage arms. Run with:
+// design choices called out in DESIGN.md (MQO sharing, replication cap)
+// and the storage arms. Run with:
 //
 //	go test -run=NONE -bench=. -benchmem
 //	go test -run=NONE -bench 'DeduceParallel|IncDeduce' -count 3 -cpu 1,2
@@ -366,46 +366,6 @@ func BenchmarkHyPart(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDepStore sweeps the dependency-store capacity K: K=1
-// forces the update-driven re-scan path everywhere, K=-1 never drops. The
-// store has to pay for itself — K=-1 within 1.15× of K=1 — both where few
-// dependencies are recorded per valuation (TPCH) and where nearly every
-// valuation records one and 99 % of them never fire (TFACC).
-func BenchmarkAblationDepStore(b *testing.B) {
-	tpch, tpchRules := tpchFixture(b, 0.1)
-	fixtures := []struct {
-		name  string
-		g     *datagen.Generated
-		rules []*dcer.Rule
-	}{{"tpch0.1", tpch, tpchRules}}
-	if !testing.Short() {
-		tfacc := datagen.TFACC(datagen.TFACCOptions{Scale: 0.7, Dup: 0.3, Seed: 1})
-		rules, err := tfacc.Rules()
-		if err != nil {
-			b.Fatal(err)
-		}
-		fixtures = append(fixtures, struct {
-			name  string
-			g     *datagen.Generated
-			rules []*dcer.Rule
-		}{"tfacc0.7", tfacc, rules})
-	}
-	for _, f := range fixtures {
-		for _, k := range []int{-1, 1, 1024, 1 << 20} {
-			b.Run(f.name+"/K="+itoa(k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng, err := chase.New(f.g.D, f.rules, mlpred.DefaultRegistry(),
-						chase.Options{ShareIndexes: true, MaxDeps: k})
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng.Run()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationReplicationCap sweeps HyPart's replication cap: higher
 // caps spread wide rules over more blocks at the price of more copies.
 func BenchmarkAblationReplicationCap(b *testing.B) {
@@ -493,21 +453,9 @@ func BenchmarkSimKernels(b *testing.B) {
 
 // BenchmarkStorage measures what the columnar storage layer is judged on —
 // memory, not time: bulk ingest and a full Deduce at TPCH scale 20
-// (573 552 tuples), and a ~1M-tuple ingest plus chase (scale 35) held under
-// a 1.5 GiB budget, as chase.Options.MemBudgetBytes and as the runtime's
-// soft limit, so GC headroom stays inside the same envelope. Each arm
-// reports the bytes it left live per tuple, the live heap after a forced
-// GC, and the process peak RSS.
+// (573 552 tuples). Each arm reports the bytes it left live per tuple, the
+// live heap after a forced GC, and the process peak RSS.
 func BenchmarkStorage(b *testing.B) {
-	reg := mlpred.DefaultRegistry()
-	deduce := func(b *testing.B, g *datagen.Generated, rules []*dcer.Rule, budget int64) (int, any) {
-		eng, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true, MemBudgetBytes: budget})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.Deduce()
-		return g.D.Size(), eng
-	}
 	b.Run("ingest", func(b *testing.B) {
 		storageArm(b, func() (int, any) {
 			g, _ := tpchFixture(b, 20)
@@ -516,14 +464,13 @@ func BenchmarkStorage(b *testing.B) {
 	})
 	b.Run("deduce", func(b *testing.B) {
 		g, rules := tpchFixture(b, 20)
-		storageArm(b, func() (int, any) { return deduce(b, g, rules, 0) })
-	})
-	b.Run("budget1M", func(b *testing.B) {
-		const budget = 1536 << 20
-		defer debug.SetMemoryLimit(debug.SetMemoryLimit(budget))
 		storageArm(b, func() (int, any) {
-			g, rules := tpchFixture(b, 35)
-			return deduce(b, g, rules, budget)
+			eng, err := chase.New(g.D, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Deduce()
+			return g.D.Size(), eng
 		})
 	})
 }

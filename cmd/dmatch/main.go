@@ -164,8 +164,8 @@ func main() {
 		classes = eng.Classes()
 		if *verbose {
 			st := eng.Stats()
-			logg.Infof("valuations=%d matches=%d validated=%d deps=%d rounds=%d",
-				st.Valuations, st.MatchesFound, st.MLValidated, st.DepsRecorded, st.Rounds)
+			logg.Infof("valuations=%d matches=%d validated=%d rounds=%d",
+				st.Valuations, st.MatchesFound, st.MLValidated, st.Rounds)
 		}
 	} else {
 		popts := dcer.ParallelOptions{

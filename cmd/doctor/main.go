@@ -2,14 +2,14 @@
 // accurate?": it scrapes the /debug/health endpoint of a live dcer
 // process (one started with -telemetry and -health) or reads a
 // flight-recorder bundle written by the stall watchdog, and prints a
-// human-readable pass/warn/fail diagnosis.
+// human-readable pass/fail diagnosis.
 //
 // Usage:
 //
 //	doctor -addr 127.0.0.1:9090          # scrape a live process
 //	doctor -bundle dcer-health/bundle-1-… # read a captured bundle
 //
-// The exit status is 0 when every check passes (warnings allowed), 1 when
+// The exit status is 0 when every check passes, 1 when
 // any check fails, has recorded violations, or no monitor is attached,
 // and 2 on usage or I/O errors.
 package main
@@ -75,15 +75,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	d := health.Diagnose(rep)
 	fmt.Fprintln(stdout, d.String())
-	switch {
-	case d.Failures > 0:
-		fmt.Fprintf(stdout, "UNHEALTHY: %d failure(s), %d warning(s)\n", d.Failures, d.Warnings)
+	if d.Failures > 0 {
+		fmt.Fprintf(stdout, "UNHEALTHY: %d failure(s)\n", d.Failures)
 		return 1
-	case d.Warnings > 0:
-		fmt.Fprintf(stdout, "healthy with %d warning(s)\n", d.Warnings)
-	default:
-		fmt.Fprintln(stdout, "healthy")
 	}
+	fmt.Fprintln(stdout, "healthy")
 	return 0
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"dcer/internal/datagen"
 	"dcer/internal/mlpred"
-	"dcer/internal/relation"
 )
 
 // TestEnumerationAllocs is the allocation-regression guard for the
@@ -61,33 +60,5 @@ func TestEnumerationAllocs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDepRecordAllocs is the allocation guard of the dependency store:
-// recording 100 k dependencies — packed by a buffered enumeration context,
-// then merged into H — allocates per 64 KiB chunk (plus the doublings of
-// the table, the watch heads and the chunk lists), never per dependency.
-func TestDepRecordAllocs(t *testing.T) {
-	const n = 100_000
-	e := &Engine{}
-	e.H = NewDepStore(-1, func(Literal) bool { return false })
-	avg := testing.AllocsPerRun(3, func() {
-		ctx := &evalCtx{e: e, buffered: true}
-		body := make([]Literal, 0, 2)
-		for i := relation.TID(0); i < n; i++ {
-			body = append(body[:0], matchLit(i%9973, i%9973+1+i/9973), matchLit(i, i+1))
-			ctx.recordDep(body[:1+i%2], matchLit(i, i+7), nil)
-		}
-		e.H = NewDepStore(-1, e.H.sat)
-		e.mergeDeps(&ctx.taskOut)
-		if e.H.Len() != n {
-			t.Fatalf("stored %d of %d dependencies", e.H.Len(), n)
-		}
-	})
-	chunks := float64(len(e.H.chunks))
-	t.Logf("%.0f allocations for %d dependencies in %.0f chunks", avg, n, chunks)
-	if avg > 4*chunks+64 {
-		t.Errorf("%.0f allocations to record %d dependencies in %.0f chunks: allocating per dependency, not per chunk", avg, n, chunks)
 	}
 }

@@ -1,8 +1,10 @@
 package chase
 
-// The update-driven drain loop of algorithm Match: every drain round fires
-// the satisfied dependencies of H and re-inspects the valuations involving
-// the round's new facts. This file batches each round's event queue into
+// The update-driven drain loop of algorithm Match: every drain round
+// re-inspects the valuations involving the round's new facts. It subsumes
+// the paper's dependency store H: a valuation the first pass dropped for an
+// id or ML literal not yet in Γ is one the fact that validates the literal
+// re-seeds. This file batches each round's event queue into
 // explicit re-enumeration jobs and runs a batch either on the engine's live
 // context or, split into contiguous chunks, as tasks of the engine's pool
 // (pool.go), the same one the first pass of Deduce runs on. The final Γ is
@@ -51,11 +53,10 @@ type drainJob struct {
 	tx, ty *relation.Tuple
 }
 
-// drain alternates dependency firing and update-driven re-evaluation until
-// no new facts appear (the while-loop of algorithm Match). Each round is
-// traced as a child span of the in-flight Deduce/IncDeduce root and —
-// at debug level — emits one wide event carrying the engine's full knob
-// state.
+// drain re-evaluates what the new facts touch until no new facts appear
+// (the while-loop of algorithm Match). Each round is traced as a child
+// span of the in-flight Deduce/IncDeduce root and — at debug level — emits
+// one wide event carrying the engine's full knob state.
 func (e *Engine) drain() {
 	outer := e.curTC
 	for round := 0; ; round++ {
@@ -64,8 +65,9 @@ func (e *Engine) drain() {
 			rsp = outer.Start("chase.drain.round", telemetry.L("round", strconv.Itoa(round)))
 			e.curTC = rsp.Context()
 		}
-		progressed := false
-		e.rebudget()
+		if e.tel != nil {
+			e.sampleMem()
+		}
 		if e.health != nil {
 			// Round boundary: every enumeration of the previous round has
 			// joined, so the health layer sees a quiesced engine: one
@@ -76,29 +78,19 @@ func (e *Engine) drain() {
 				e.auditHealth()
 			}
 		}
-		// Lines 2-3 of IncDeduce: fire the dependencies whose bodies became
-		// fully valid since the last round. No scan: applyFactJ woke the
-		// watchers of every new fact as it entered Γ.
-		fired := e.H.fireReady(e.prov != nil, func(head Literal, j *justification) {
-			e.cnt.depsFired.Add(1)
-			if e.applyFactJ(literalFact(head), j) {
-				progressed = true
-			}
-		})
-		// Lines 4-7: update-driven re-evaluation of valuations that
-		// involve a new match or validated prediction.
+		// Lines 4-7 of IncDeduce: update-driven re-evaluation of valuations
+		// that involve a new match or validated prediction.
 		events := len(e.queue)
-		if len(e.queue) > 0 {
-			progressed = true
+		if events > 0 {
 			q := e.queue
 			e.queue = nil
 			e.processEvents(q)
 		}
 		if e.log.Level() <= telemetry.LogDebug {
-			e.wideRound(round, fired, events)
+			e.wideRound(round, events)
 		}
 		rsp.End()
-		if !progressed {
+		if events == 0 {
 			if e.health != nil {
 				// Fixpoint reached: audit unconditionally, so every
 				// deduction ends with a fresh invariant pass even when it
@@ -179,12 +171,11 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 // processor pays for with nothing to show — or when the batch is small.
 //
 // Otherwise the batch is split into contiguous chunks, at most one per
-// processor, each a pool task; the chunks merge in batch order, facts then
-// dependencies. A chunk may buffer a dependency where the sequential drain
-// (seeing an earlier chunk's fact) would have emitted the head directly;
-// the merged facts queue their own events, so the update-driven path
-// re-derives such heads in the next round even if H drops the dependency —
-// the same invariant the bounded store relies on everywhere.
+// processor, each a pool task; the chunks merge in batch order. A chunk may
+// drop a valuation whose literal an earlier chunk's fact validates, where
+// the sequential drain would have emitted the head; the merged facts queue
+// their own events, so the update-driven path re-derives such heads in the
+// next round — the invariant every dropped valuation relies on.
 func (e *Engine) runJobs(jobs []drainJob) {
 	if len(jobs) == 0 {
 		return
@@ -214,12 +205,11 @@ func (e *Engine) runJobs(jobs []drainJob) {
 		for k := i * chunk; k < min((i+1)*chunk, len(jobs)); k++ {
 			c.runSeed(&jobs[k])
 		}
-	}, nil, func(_ int, o *taskOut) { e.mergeCtx(o) })
+	}, func(_ int, o *taskOut) { e.mergeCtx(o) })
 }
 
-// mergeCtx applies a task's buffered facts and whatever dependencies
-// mergeDeps has not recorded yet. Duplicate facts (deduced by several
-// tasks against the same snapshot) coalesce in applyFact.
+// mergeCtx applies a task's buffered facts. Duplicate facts (deduced by
+// several tasks against the same snapshot) coalesce in applyFact.
 func (e *Engine) mergeCtx(o *taskOut) {
 	e.flushCounters(o)
 	for i, l := range o.facts {
@@ -229,32 +219,4 @@ func (e *Engine) mergeCtx(o *taskOut) {
 		}
 		e.applyFactJ(literalFact(l), j)
 	}
-	e.mergeDeps(o)
-}
-
-// mergeDeps records a task's buffered dependencies in H, which copies each
-// record into its own arena, and empties the task's buffer.
-func (e *Engine) mergeDeps(o *taskOut) {
-	var recorded int64
-	words := 0
-	for _, chunk := range o.deps {
-		words += len(chunk)
-	}
-	e.H.reserve(words / (depBodyOff + depLitWords)) // at most: a record has a body literal
-	k := 0
-	for _, chunk := range o.deps {
-		for off := 0; off < len(chunk); k++ {
-			rec := chunk[off:]
-			var j *justification
-			if k < len(o.depJusts) {
-				j = o.depJusts[k]
-			}
-			if e.H.add(rec, j) {
-				recorded++
-			}
-			off += depSize(rec[0])
-		}
-	}
-	e.cnt.depsRecorded.Add(recorded)
-	o.deps, o.depJusts = nil, nil
 }

@@ -15,11 +15,6 @@ import (
 
 // Options configures the engine.
 type Options struct {
-	// MaxDeps is the capacity K of the dependency store H (Section V-A);
-	// 0 means DefaultMaxDeps, negative means unbounded. When H is full,
-	// new dependencies are dropped and the update-driven re-evaluation
-	// path of IncDeduce preserves correctness.
-	MaxDeps int
 	// ShareIndexes enables MQO-style sharing of inverted indexes and the
 	// ML stores (feature bundles, memoized opaque answers) across rules.
 	// Disabling it reproduces the DMatch_noMQO ablation: every rule
@@ -60,18 +55,7 @@ type Options struct {
 	// branch per applied fact, nothing on the valuation hot path. The
 	// parallel engine passes each worker a log stamped with its id.
 	Provenance *provenance.Log
-	// MemBudgetBytes caps the engine's accounted memory: the dataset's
-	// arenas, the Γ fact log, and the dependency store H. When the live
-	// estimate exceeds the budget the engine spills H oldest-first
-	// (spill-to-regeneration: a dropped dependency is re-derived by the
-	// update-driven path on demand, the same invariant that makes the
-	// MaxDeps drop path safe), so a chase over a dataset that fits the
-	// budget completes without Γ/H pushing it over. 0 means unbounded.
-	MemBudgetBytes int64
 }
-
-// DefaultMaxDeps is the default capacity of the dependency store.
-const DefaultMaxDeps = 1 << 20
 
 // Stats is a point-in-time snapshot of the engine's work counters, for
 // the efficiency experiments. The counters live in atomics, so a snapshot
@@ -88,10 +72,13 @@ type Stats struct {
 	PlanBatches  int64 // compiled-plan candidate batches filtered
 	MatchesFound int64 // non-trivial id matches deduced
 	MLValidated  int64 // ML predictions validated by rule heads
+	// DepsRecorded, DepsFired and DepsDropped counted the dependencies of
+	// the paper's store H. They read 0 since H was retired: the
+	// update-driven drain re-inspects every valuation a new fact touches,
+	// so no valuation is parked. They stay for readers of old reports.
 	DepsRecorded int64
 	DepsFired    int64
 	DepsDropped  int64
-	DepsVisited  int64 // stored dependencies examined because a new fact touched the tuple they watch
 	Rounds       int64 // internal incremental rounds
 	IndexBuilds  int   // inverted indexes materialized
 	// SymmetricRules counts the rules enumerated under symmetry reduction:
@@ -117,10 +104,6 @@ func (s *Stats) Add(o Stats) {
 	s.PlanBatches += o.PlanBatches
 	s.MatchesFound += o.MatchesFound
 	s.MLValidated += o.MLValidated
-	s.DepsRecorded += o.DepsRecorded
-	s.DepsFired += o.DepsFired
-	s.DepsDropped += o.DepsDropped
-	s.DepsVisited += o.DepsVisited
 	s.Rounds += o.Rounds
 	s.IndexBuilds += o.IndexBuilds
 	s.MLCacheHits += o.MLCacheHits
@@ -133,7 +116,7 @@ func (s *Stats) Add(o Stats) {
 type boundMLPred struct {
 	pred    *rule.Pred
 	cl      mlpred.Classifier
-	model   uint16 // pred.Model interned (deps.go), as literals carry it
+	model   uint16 // pred.Model interned (fact.go), as literals carry it
 	dynamic bool   // the model appears in some rule head, so validation can flip it
 
 	// fc is cl's feature-scoring interface; when set the predicate is
@@ -209,9 +192,9 @@ type boundRule struct {
 
 // Engine is the sequential Match engine of Section V-A. It owns the
 // deduced set Γ (an id-equivalence relation plus validated ML
-// predictions), the bounded dependency store H, and the inverted indexes,
-// and exposes Deduce / IncDeduce so the parallel engine can drive it as
-// the partial-evaluation and incremental algorithms A and A_Δ.
+// predictions) and the inverted indexes, and exposes Deduce / IncDeduce
+// so the parallel engine can drive it as the partial-evaluation and
+// incremental algorithms A and A_Δ.
 type Engine struct {
 	d     *relation.Dataset
 	rules []*boundRule
@@ -219,17 +202,17 @@ type Engine struct {
 	opts  Options
 
 	uf *unionfind.UnionFind
-	// members maps a class root to the hosted members of the class.
+	// members maps a class root to the hosted members of the class, in GID
+	// order (union), which a class access step lists as its candidates.
 	// Singleton classes are implicit: a root with no entry is the class
 	// {root} when the engine hosts that tuple (and empty otherwise), so
 	// the map only materializes classes an actual merge touched — at
 	// million-tuple scale that is the difference between |D| seeded
 	// slices and |matches| merged ones.
 	members map[int][]relation.TID
-	// validated holds the ML predictions of Γ, keyed by the literal form
-	// dependencies carry (model interned), so no probe hashes a string.
+	// validated holds the ML predictions of Γ, keyed by literal (model
+	// interned), so no probe hashes a string.
 	validated map[Literal]bool
-	H         *DepStore
 	ixSets    map[*relation.Dataset]*relation.IndexSet // shared per scope
 	pairCache *mlpred.PairCache
 	feats     *mlpred.FeatureStore
@@ -338,9 +321,6 @@ func New(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 // parallel engine passes each worker's per-rule block unions, so rules do
 // not re-scan tuples that other rules' blocks brought to the worker.
 func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Dataset, reg *mlpred.Registry, opts Options) (*Engine, error) {
-	if opts.MaxDeps == 0 {
-		opts.MaxDeps = DefaultMaxDeps
-	}
 	idSpace := opts.IDSpace
 	if idSpace == 0 {
 		for _, t := range d.Tuples() {
@@ -362,7 +342,6 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		feats:         mlpred.NewFeatureStore(0),
 		dynamicModels: make(map[string]bool),
 	}
-	e.H = NewDepStore(opts.MaxDeps, e.satisfied)
 	e.ctx.e = e
 	e.prov = opts.Provenance
 	e.provOrigin = provenance.OriginIDDup
@@ -388,7 +367,6 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 			e.anyIDs = true
 		}
 	}
-	e.rebudget()
 	// Tuples sharing a literal id value within a relation denote the same
 	// entity by definition; pre-merge them (these trivial matches are not
 	// reported in Γ). The id index is retained so InsertTuples can find
@@ -531,30 +509,21 @@ func (e *Engine) symmetricModel(model string) bool {
 	return ok && fc.Symmetric()
 }
 
-// MemUsage is the engine's accounted memory estimate under
-// Options.MemBudgetBytes: the dataset's columnar arenas (packed columns,
-// symbol table, tuple handles), the deduced set Γ (fact logs, class
-// members, validated predictions, pending events), and the dependency
-// store H. Inverted indexes and ML caches are not part of the account —
-// the budget governs the structures that grow with the chase itself.
+// MemUsage is the engine's accounted memory estimate: the dataset's
+// columnar arenas (packed columns, symbol table, tuple handles) and the
+// deduced set Γ (fact logs, class members, validated predictions, pending
+// events). Inverted indexes and ML caches are not part of the account.
 type MemUsage struct {
 	DatasetBytes int64
 	GammaBytes   int64
-	DepsBytes    int64
-	BudgetBytes  int64
 }
 
 // Total sums the accounted components.
-func (m MemUsage) Total() int64 { return m.DatasetBytes + m.GammaBytes + m.DepsBytes }
+func (m MemUsage) Total() int64 { return m.DatasetBytes + m.GammaBytes }
 
 // Mem returns the engine's current accounted memory estimate.
 func (e *Engine) Mem() MemUsage {
-	return MemUsage{
-		DatasetBytes: e.d.MemBytes(),
-		GammaBytes:   e.gammaBytes(),
-		DepsBytes:    e.H.MemBytes(),
-		BudgetBytes:  e.opts.MemBudgetBytes,
-	}
+	return MemUsage{DatasetBytes: e.d.MemBytes(), GammaBytes: e.gammaBytes()}
 }
 
 // gammaBytes estimates Γ's resident footprint: the match and validated
@@ -571,31 +540,12 @@ func (e *Engine) gammaBytes() int64 {
 	return n
 }
 
-// rebudget refreshes H's byte bound from the live estimate: H may keep
-// whatever Options.MemBudgetBytes leaves after the dataset and Γ, and
-// sheds oldest-first when Γ's growth squeezes it (spill-to-regeneration —
-// an evicted dependency is re-derived by the update-driven path when its
-// head still matters, the invariant the MaxDeps drop path already relies
-// on). Called at setup and once per drain round; Γ only grows, so between
-// calls H can overshoot by at most one round's Γ growth.
-func (e *Engine) rebudget() {
-	b := e.opts.MemBudgetBytes
-	if b <= 0 && e.tel == nil {
-		return
-	}
-	ds, gb := e.d.MemBytes(), e.gammaBytes()
-	e.cnt.memDataset.Store(ds)
-	e.cnt.memGamma.Store(gb)
-	e.cnt.memDeps.Store(e.H.MemBytes())
-	e.cnt.memEvicted.Store(int64(e.H.Evicted()))
-	if b <= 0 {
-		return
-	}
-	rem := b - ds - gb
-	if rem < 1 {
-		rem = 1 // keep the bound active: every insert sheds immediately
-	}
-	e.H.SetByteBudget(rem)
+// sampleMem refreshes the memory-account mirrors the metrics read, once
+// per drain round on the engine goroutine, so the /metrics scrape
+// goroutine never walks the live maps.
+func (e *Engine) sampleMem() {
+	e.cnt.memDataset.Store(e.d.MemBytes())
+	e.cnt.memGamma.Store(e.gammaBytes())
 }
 
 // Same reports whether two tuples are currently matched (t.id = s.id ∈ Γ).
@@ -626,19 +576,38 @@ func (e *Engine) membersOf(r int) []relation.TID {
 // unionInternal merges two classes without reporting a fact; used for
 // literal id-value duplicates at setup.
 func (e *Engine) unionInternal(a, b relation.TID) {
-	ra, rb := e.uf.Find(int(a)), e.uf.Find(int(b))
-	if ra == rb {
-		return
+	if ra, rb := e.uf.Find(int(a)), e.uf.Find(int(b)); ra != rb {
+		e.union(ra, rb)
 	}
-	ma, mb := e.membersOf(ra), e.membersOf(rb)
+}
+
+// union merges the distinct classes rooted at ra and rb and returns their
+// member lists. The merged list is built fresh, so the old ones stay
+// intact for the event that references them, by a linear merge of the two
+// GID-sorted lists: every class list stays in GID order, as a class access
+// step's candidates must (olderThan's epoch cut reads them by binary
+// search).
+func (e *Engine) union(ra, rb int) (ma, mb []relation.TID) {
+	ma, mb = e.membersOf(ra), e.membersOf(rb)
 	e.uf.Union(ra, rb)
-	root := e.uf.Find(ra)
-	merged := append(append(make([]relation.TID, 0, len(ma)+len(mb)), ma...), mb...)
+	merged := make([]relation.TID, 0, len(ma)+len(mb))
+	i, j := 0, 0
+	for i < len(ma) && j < len(mb) {
+		if ma[i] < mb[j] {
+			merged = append(merged, ma[i])
+			i++
+		} else {
+			merged = append(merged, mb[j])
+			j++
+		}
+	}
+	merged = append(append(merged, ma[i:]...), mb[j:]...)
 	delete(e.members, ra)
 	delete(e.members, rb)
 	if len(merged) > 0 {
-		e.members[root] = merged
+		e.members[e.uf.Find(ra)] = merged
 	}
+	return ma, mb
 }
 
 // applyFact integrates a fact into Γ without a rule justification (the
@@ -659,15 +628,7 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 		if ra == rb {
 			return false
 		}
-		ma, mb := e.membersOf(ra), e.membersOf(rb)
-		e.uf.Union(ra, rb)
-		root := e.uf.Find(ra)
-		merged := append(append(make([]relation.TID, 0, len(ma)+len(mb)), ma...), mb...)
-		delete(e.members, ra)
-		delete(e.members, rb)
-		if len(merged) > 0 {
-			e.members[root] = merged
-		}
+		ma, mb := e.union(ra, rb)
 		e.gamma.Matches = append(e.gamma.Matches, f)
 		e.delta = append(e.delta, f)
 		e.cnt.matches.Add(1)
@@ -678,9 +639,6 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 		// so the event can reference them without copying.
 		if e.anyIDs && len(ma) > 0 && len(mb) > 0 {
 			e.queue = append(e.queue, event{kind: FactMatch, ma: ma, mb: mb})
-			// The same member lists are what H waits on: a match literal
-			// turns valid exactly when the classes of its tuples merge.
-			e.cnt.depsVisited.Add(e.H.wake(ma...) + e.H.wake(mb...))
 		}
 		return true
 	default:
@@ -696,7 +654,6 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 			e.recordProvenance(f, j)
 		}
 		e.queue = append(e.queue, event{kind: FactML, model: f.Model, a: f.A, b: f.B})
-		e.cnt.depsVisited.Add(e.H.wake(f.A))
 		return true
 	}
 }
@@ -748,11 +705,6 @@ func (e *Engine) flushCounters(o *taskOut) {
 // rule against a frozen snapshot of Γ; either way the final Γ is the same,
 // by the Church-Rosser property of the chase. It returns the facts deduced
 // during the call.
-//
-// The pool merges each rule's dependencies as soon as it and its
-// predecessors are done — recording reads Γ and writes only H, the engine
-// goroutine's own, so it overlaps the enumerations still running — and the
-// facts when all have joined, where they wake what waits on them.
 func (e *Engine) Deduce() []Fact {
 	sp := e.startRoot("chase.Deduce")
 	defer e.endRoot(sp)
@@ -770,7 +722,7 @@ func (e *Engine) Deduce() []Fact {
 		ruleOf := func(i int) *boundRule { return e.rules[i] }
 		e.pool(len(e.rules), func(i int, c *evalCtx) {
 			e.enumerateRule(c, e.rules[i], nil)
-		}, e.timedMerge(ruleOf, e.mergeDeps), e.timedMerge(ruleOf, e.mergeCtx))
+		}, e.timedMerge(ruleOf, e.mergeCtx))
 	}
 	e.drain()
 	return append([]Fact(nil), e.delta...)
@@ -826,14 +778,6 @@ func literalFact(l Literal) Fact {
 	return MLFact(l.ModelName(), l.A, l.B)
 }
 
-// satisfied reports whether a dependency literal currently holds in Γ.
-func (e *Engine) satisfied(l Literal) bool {
-	if l.Kind == FactMatch {
-		return e.Same(l.A, l.B)
-	}
-	return e.validated[l]
-}
-
 // Run executes the full sequential algorithm Match and returns Γ.
 func (e *Engine) Run() *Gamma {
 	e.Deduce()
@@ -863,8 +807,7 @@ func (e *Engine) Classes() [][]relation.TID {
 
 // Stats returns a snapshot of the engine counters. Everything is read
 // from atomics or under the pair cache's shard locks, so Stats is safe to
-// call while a deduction is in flight on other goroutines. DepsDropped
-// reflects the engine goroutine's view of H.
+// call while a deduction is in flight on other goroutines.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Valuations:   e.cnt.valuations.Load(),
@@ -873,11 +816,7 @@ func (e *Engine) Stats() Stats {
 		PlanBatches:  e.cnt.planBatches.Load(),
 		MatchesFound: e.cnt.matches.Load(),
 		MLValidated:  e.cnt.mlValidated.Load(),
-		DepsRecorded: e.cnt.depsRecorded.Load(),
-		DepsFired:    e.cnt.depsFired.Load(),
-		DepsVisited:  e.cnt.depsVisited.Load(),
 		Rounds:       e.cnt.rounds.Load(),
-		DepsDropped:  int64(e.H.Dropped()),
 	}
 	counted := make(map[*relation.IndexSet]bool)
 	for _, br := range e.rules {

@@ -10,22 +10,16 @@ import (
 	"dcer/internal/telemetry"
 )
 
-// taskOut is what enumerations leave for the engine: the facts and
-// dependency records a buffered context held back, their justifications,
-// and the plain work counters, which land in the engine atomics at the merge
-// points (flushCounters). A pool task's output moves out of its worker's
-// scratch context when the task ends (pool.go).
+// taskOut is what enumerations leave for the engine: the facts a buffered
+// context held back, their justifications, and the plain work counters,
+// which land in the engine atomics at the merge points (flushCounters). A
+// pool task's output moves out of its worker's scratch context when the
+// task ends (pool.go).
 type taskOut struct {
 	facts []Literal
-	// deps holds the buffered dependencies as packed records (deps.go),
-	// back to back in chunks that start at depFirstWords and double up to
-	// depChunkWords, so growth never copies; the direct path packs each
-	// record here too and hands it straight to H.
-	deps [][]uint32
-	// justs carries the justification of each buffered fact and depJusts
-	// of each buffered dependency (aligned with facts and with the records
-	// of deps); empty when provenance capture is off.
-	justs, depJusts []*justification
+	// justs carries the justification of each buffered fact (aligned with
+	// facts); empty when provenance capture is off.
+	justs []*justification
 
 	valuations int64
 	extensions int64
@@ -59,8 +53,8 @@ type evalCtx struct {
 	// readers).
 	roots []int32
 
-	// buffered redirects emitted facts and dependencies into the context's
-	// output instead of applying them to the engine, for the merge.
+	// buffered redirects emitted facts into the context's output instead of
+	// applying them to the engine, for the merge.
 	buffered bool
 	taskOut
 
@@ -79,6 +73,8 @@ type evalCtx struct {
 	// candidate scratch buffers of the compiled path.
 	plans    bool
 	planBufs [][]*relation.Tuple
+	// classBufs are the per-depth lists of class access steps (classOf).
+	classBufs [][]*relation.Tuple
 
 	// access counts, per variable of br and access path, the times chosen
 	// and the candidates returned; flushAccess lands them in the plan when
@@ -98,7 +94,6 @@ type evalCtx struct {
 	binding []*relation.Tuple
 	lvals   []relation.Value
 	rvals   []relation.Value
-	unsat   []Literal
 	seedBuf []*relation.Tuple
 }
 
@@ -137,16 +132,18 @@ func (c *evalCtx) flushAccess() {
 	}
 }
 
-// same answers t.id = s.id ∈ Γ from the frozen snapshot if present, else
-// from the live union-find.
-func (c *evalCtx) same(a, b relation.TID) bool {
-	if a == b {
-		return true
-	}
+// root returns the root of a's E_id class from the frozen snapshot if
+// present, else from the live union-find.
+func (c *evalCtx) root(a relation.TID) int {
 	if c.roots != nil {
-		return c.roots[a] == c.roots[b]
+		return int(c.roots[a])
 	}
-	return c.e.uf.Same(int(a), int(b))
+	return c.e.uf.Find(int(a))
+}
+
+// same answers t.id = s.id ∈ Γ.
+func (c *evalCtx) same(a, b relation.TID) bool {
+	return a == b || c.root(a) == c.root(b)
 }
 
 // apply hands a deduced head literal and its justification to the engine
@@ -162,46 +159,11 @@ func (c *evalCtx) apply(l Literal, j *justification) {
 	c.e.applyFactJ(literalFact(l), j)
 }
 
-// depFirstWords is the capacity of a context's first dependency chunk;
-// each later chunk doubles the last, up to depChunkWords, and is never
-// smaller than the record it is opened for. A pool task that records a
-// handful of dependencies keeps 1 KiB, not 64.
-const depFirstWords = 1 << 8
-
-// recordDep packs dependency body → head into the context's record
-// buffer, where the buffered path leaves it for the merge and the direct
-// path hands it to H (which copies it) and takes it back. The justification
-// holds the evidence already satisfied at emit time, completed by the body
-// when the dependency fires.
-func (c *evalCtx) recordDep(body []Literal, head Literal, j *justification) {
-	n, size := len(c.deps)-1, depBodyOff+depLitWords*len(body)
-	if n < 0 || len(c.deps[n])+size > cap(c.deps[n]) {
-		words := depFirstWords
-		if n >= 0 {
-			words = min(2*cap(c.deps[n]), depChunkWords)
-		}
-		c.deps = append(c.deps, make([]uint32, 0, max(words, size)))
-		n++
-	}
-	lo := len(c.deps[n])
-	c.deps[n] = appendDep(c.deps[n], body, head)
-	if c.buffered {
-		if j != nil {
-			c.depJusts = append(c.depJusts, j)
-		}
-		return
-	}
-	if c.e.H.add(c.deps[n][lo:], j) {
-		c.e.cnt.depsRecorded.Add(1)
-	}
-	c.deps[n] = c.deps[n][:lo]
-}
-
 // enumerate walks the valuations of the context's rule, starting from an
 // optional partial binding seed (nil-padded, indexed by variable
-// position). For every complete valuation that satisfies all static
-// predicates it calls emit, which derives the head or records a
-// dependency in H.
+// position). For every complete valuation that satisfies its static and
+// id predicates it calls emit, which derives the head when the dynamic ML
+// predicates hold too.
 func (c *evalCtx) enumerate(seed []*relation.Tuple) {
 	var bound uint64
 	for v, t := range seed {
@@ -237,7 +199,7 @@ func (c *evalCtx) extend(depth int) {
 	}
 	st := &c.order.steps[depth]
 	v := st.v
-	cands, path := c.candidatesFor(st)
+	cands, path := c.candidatesFor(st, depth)
 	// A scan may be traded for the similarity join (the interpreter, the
 	// plans' oracle, keeps scanning).
 	satisfied := -1
@@ -274,7 +236,8 @@ func (c *evalCtx) extend(depth int) {
 // olderThan returns the prefix of candidate list ts that is older than
 // epoch. Every access path lists the tuples older than an insert batch
 // ahead of the batch's own — postings are appended in place, scans and
-// similarity joins follow the relation's order — so the prefix is found by
+// similarity joins follow the relation's order, class lists are kept in
+// GID order — so the prefix is found by
 // binary search, after a look at the last tuple: most lists hold no new
 // one.
 func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
@@ -284,10 +247,10 @@ func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
 	return ts[:sort.Search(len(ts), func(k int) bool { return ts[k].GID >= epoch })]
 }
 
-// checkNewBinding verifies every static predicate that becomes fully bound
-// when variable v is set to tuple t, and prunes valuations whose head is
-// already known. Dynamic predicates (id, and ML predicates whose model can
-// be validated by some rule head) are deferred to emit.
+// checkNewBinding verifies every static and id predicate that becomes
+// fully bound when variable v is set to tuple t, and prunes valuations
+// whose head is already known. Dynamic ML predicates (whose model some
+// rule head can validate) are deferred to emit.
 //
 // The word checks walk the compiled plan's program (shared with the
 // batched path) instead of boxing Values: packed words already collapse
@@ -320,6 +283,11 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 			if wa != o.Word(w.otherAttr) || (w.isFloat && wa == relation.QNaNWord) {
 				return false
 			}
+		}
+	}
+	for _, s := range br.plan.vars[v].ids {
+		if o := binding[s.other]; o != nil && !c.same(t.GID, o.GID) {
+			return false
 		}
 	}
 	for i := range br.mls {
@@ -463,9 +431,14 @@ func gatherInto(buf []relation.Value, t *relation.Tuple, attrs []int) []relation
 	return buf
 }
 
-// emit processes one complete valuation: if all dynamic predicates hold,
-// the head fact is derived; otherwise a dependency "unsatisfied literals →
-// head" is recorded in H (procedure Deduce of Section V-A).
+// emit processes one complete valuation, whose static and id predicates
+// hold: if every dynamic ML predicate holds too — validated in Γ, or
+// predicted by its classifier — the head fact is derived (procedure
+// Deduce of Section V-A). Otherwise the valuation is dropped: when the
+// prediction is validated later, its FactML event re-seeds the
+// predicate's variables (processEvents), and the update-driven path
+// inspects the valuation again, as it does every valuation a new id match
+// touches.
 func (c *evalCtx) emit() {
 	c.valuations++
 	br, binding := c.br, c.binding
@@ -473,9 +446,9 @@ func (c *evalCtx) emit() {
 		c.seeded(br, binding)
 	}
 	h := &br.r.Head
+	a, b := binding[h.V1], binding[h.V2]
 	var headLit Literal
 	if h.Kind == rule.PredID {
-		a, b := binding[h.V1], binding[h.V2]
 		if a == b || c.same(a.GID, b.GID) {
 			return // already enforced
 		}
@@ -485,59 +458,24 @@ func (c *evalCtx) emit() {
 		}
 		headLit = matchLit(x, y)
 	} else {
-		a, b := binding[h.V1], binding[h.V2]
 		headLit = mlLit(br.headModel, a.GID, b.GID)
 		if a == b || c.e.validated[headLit] {
 			return // trivial self prediction, or already validated
 		}
-	}
-
-	unsat := c.unsat[:0]
-	for _, p := range br.ids {
-		a, b := binding[p.V1], binding[p.V2]
-		if a == b || c.same(a.GID, b.GID) {
-			continue
-		}
-		x, y := a.GID, b.GID
-		if y < x {
-			x, y = y, x
-		}
-		unsat = append(unsat, matchLit(x, y))
 	}
 	for i := range br.mls {
 		m := &br.mls[i]
 		if !m.dynamic {
 			continue // already checked during binding
 		}
-		a, b := binding[m.pred.V1], binding[m.pred.V2]
-		l := mlLit(m.model, a.GID, b.GID)
-		if c.e.validated[l] || c.predict(m, a, b) {
-			continue
+		x, y := binding[m.pred.V1], binding[m.pred.V2]
+		if !c.e.validated[mlLit(m.model, x.GID, y.GID)] && !c.predict(m, x, y) {
+			return
 		}
-		unsat = append(unsat, l)
 	}
-	c.unsat = unsat
-
 	var j *justification
 	if c.e.prov != nil {
 		j = c.buildJust()
 	}
-	if len(unsat) == 0 {
-		c.apply(headLit, j)
-		return
-	}
-	if len(unsat) > maxDepBody {
-		return // not encodable in H; the update-driven path covers it like any drop
-	}
-	sortLiterals(unsat)
-	c.recordDep(unsat, headLit, j)
-}
-
-func sortLiterals(ls []Literal) {
-	// Insertion sort by key: dependency bodies are tiny.
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j].less(ls[j-1]); j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
+	c.apply(headLit, j)
 }

@@ -146,22 +146,6 @@ func TestPaperExampleNoMQO(t *testing.T) {
 	}
 }
 
-// TestPaperExampleTinyDepStore forces the H-capacity fallback: with room
-// for a single dependency the update-driven path must still reach the same
-// fixpoint (correctness does not rely on H).
-func TestPaperExampleTinyDepStore(t *testing.T) {
-	eng, l := runPaperExample(t, chase.Options{ShareIndexes: true, MaxDeps: 1})
-	if !eng.Same(l["t1"].GID, l["t3"].GID) {
-		t.Error("deep match (t1,t3) lost with MaxDeps=1")
-	}
-	if !eng.Same(l["t1"].GID, l["t2"].GID) {
-		t.Error("transitive match (t1,t2) lost with MaxDeps=1")
-	}
-	if len(eng.Classes()) != 3 {
-		t.Errorf("got %d classes with MaxDeps=1, want 3", len(eng.Classes()))
-	}
-}
-
 // TestChurchRosserRuleOrder checks Corollary 1 on the running example: any
 // rule application order converges to the same Γ (same equivalence classes
 // and same set of validated predictions).

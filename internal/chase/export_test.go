@@ -55,10 +55,12 @@ func (e *Engine) SeedPatterns(ri int) [][]int {
 
 // EnumerateOrder enumerates rule ri from seed (a tuple per variable, nil
 // where free), binding the free variables in the sequence seq — nil is the
-// greedy plan — with key maps on or off, and calls f with the GIDs, in
-// variable order, of every valuation it emits. The enumeration buffers
-// what it deduces and drops it: Γ does not change.
-func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMaps bool, f func(gids []relation.TID)) {
+// greedy plan — with key maps on or off, under InsertTuples' epoch cut
+// (the free variables before cut range over tuples older than epoch; cut 0
+// restricts nothing), and calls f with the GIDs, in variable order, of
+// every valuation it emits. The enumeration buffers what it deduces and
+// drops it: Γ does not change.
+func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMaps bool, cut int, epoch relation.TID, f func(gids []relation.TID)) {
 	br := e.rules[ri]
 	var bound uint64
 	for v, t := range seed {
@@ -72,7 +74,7 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 			o.steps[i].km = nil
 		}
 	}
-	c := &evalCtx{e: e, buffered: true}
+	c := &evalCtx{e: e, buffered: true, cut: cut, epoch: epoch}
 	c.seeded = func(_ *boundRule, binding []*relation.Tuple) {
 		gids := make([]relation.TID, len(binding))
 		for i, t := range binding {
@@ -84,6 +86,19 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 	s := c.seedFor(len(br.r.Vars))
 	copy(s, seed)
 	c.enumerateIn(&o, s)
+}
+
+// PlannedOrders describes rule ri's join order for each seed pattern, in
+// the order of SeedPatterns.
+func (e *Engine) PlannedOrders(ri int) [][]PlanStep {
+	br := e.rules[ri]
+	out := make([][]PlanStep, len(br.orders))
+	for i := range br.orders {
+		for j := range br.orders[i].steps {
+			out[i] = append(out[i], br.describe(&br.orders[i].steps[j]))
+		}
+	}
+	return out
 }
 
 // LiveKeyMaps counts the key maps the engine's join orders read that still

@@ -2,12 +2,17 @@
 // Match of Section V-A: chasing a dataset with a set Σ of MRLs to a
 // fixpoint Γ of matches and validated ML predictions, via one full
 // deduction pass (Deduce) followed by update-driven incremental passes
-// (IncDeduce) using a bounded dependency store H and the id-equivalence
-// relation E_id.
+// (IncDeduce) over the id-equivalence relation E_id. The pass binds id
+// predicates through E_id's classes, so a valuation reaches the head only
+// when its id literals hold; the update-driven passes re-inspect the
+// valuations a new fact touches, which subsumes the paper's dependency
+// store H.
 package chase
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"dcer/internal/relation"
 )
@@ -65,3 +70,61 @@ type Gamma struct {
 
 // Size returns |Γ| excluding the implicit reflexive matches.
 func (g *Gamma) Size() int { return len(g.Matches) + len(g.Validated) }
+
+// Literal is one id or ML literal: the key of Γ's validated set and the
+// prerequisite-fact form of a justification. The classifier name of an ML
+// literal is held as an index into the process-wide model table, so the
+// validated set keys on it without hashing a string.
+type Literal struct {
+	A, B  relation.TID
+	model uint16
+	Kind  FactKind
+}
+
+// mlLit builds an ML-prediction literal over an interned model name.
+func mlLit(model uint16, a, b relation.TID) Literal {
+	return Literal{Kind: FactML, A: a, B: b, model: model}
+}
+
+// matchLit builds an id-match literal.
+func matchLit(a, b relation.TID) Literal {
+	return Literal{Kind: FactMatch, A: a, B: b}
+}
+
+// ModelName resolves the classifier name of an ML literal ("" for a
+// match literal).
+func (l Literal) ModelName() string { return modelName(l.model) }
+
+// modelTab interns ML model names process-wide. A ruleset references a
+// handful of classifiers, so the table stays tiny and is never pruned.
+// Names are interned at the boundaries (rule binding, facts entering Γ);
+// resolving one reads an atomically published slice, never the lock.
+var modelTab = struct {
+	mu    sync.Mutex
+	idx   map[string]uint16
+	names atomic.Pointer[[]string]
+}{idx: map[string]uint16{"": 0}}
+
+func init() {
+	names := []string{""}
+	modelTab.names.Store(&names)
+}
+
+func internModel(s string) uint16 {
+	if s == "" {
+		return 0
+	}
+	modelTab.mu.Lock()
+	defer modelTab.mu.Unlock()
+	if i, ok := modelTab.idx[s]; ok {
+		return i
+	}
+	old := *modelTab.names.Load()
+	i := uint16(len(old))
+	modelTab.idx[s] = i
+	next := append(append(make([]string, 0, len(old)+1), old...), s)
+	modelTab.names.Store(&next)
+	return i
+}
+
+func modelName(i uint16) string { return (*modelTab.names.Load())[i] }

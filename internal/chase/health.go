@@ -2,10 +2,10 @@ package chase
 
 // The engine's side of the health observatory (internal/health): a
 // heartbeat bracketing every deduction, and sampled invariant auditors
-// run at quiesced drain-round boundaries — the same point where budgets
-// recompute, so no enumeration is in flight and the engine's
-// single-goroutine state (union-find, Γ, H) is stable without locks. Disabled (no monitor attached to Options.Metrics) the whole layer
-// costs one nil check per drain round.
+// run at quiesced drain-round boundaries, where no enumeration is in
+// flight and the engine's single-goroutine state (union-find, Γ) is
+// stable without locks. Disabled (no monitor attached to Options.Metrics)
+// the whole layer costs one nil check per drain round.
 
 import (
 	"dcer/internal/health"
@@ -24,7 +24,6 @@ type engineHealth struct {
 	hb    *health.Heartbeat
 	uf    *health.Check
 	gamma *health.Check
-	deps  *health.Check
 	plan  *health.Check
 
 	sampleN int
@@ -44,7 +43,6 @@ func (e *Engine) initHealth(m *health.Monitor) {
 		hb:      m.Heartbeat("chase_drain"),
 		uf:      m.Check("unionfind_roots"),
 		gamma:   m.Check("gamma_provenance"),
-		deps:    m.Check("depstore_bytes"),
 		plan:    m.Check("plan_order"),
 		sampleN: m.SampleSize(),
 		seed:    m.Seed(),
@@ -65,7 +63,6 @@ func (e *Engine) auditHealth() {
 	if ufOK {
 		e.auditGamma(seed)
 	}
-	e.auditDeps()
 	e.auditPlans()
 	if ufOK {
 		e.observeAccuracy()
@@ -121,19 +118,6 @@ func (e *Engine) auditGamma(seed int64) {
 		}
 	}
 	h.gamma.Pass(len(idx))
-}
-
-// auditDeps recounts the dependency store from its chunks and tables:
-// the byte account and the live count it maintains incrementally must
-// equal what is actually resident.
-func (e *Engine) auditDeps() {
-	h := e.health
-	bytes, live := e.H.recount()
-	if acct, n := e.H.MemBytes(), e.H.Len(); bytes != acct || live != n {
-		h.deps.Fail(live, "H accounts %d bytes / %d deps but a recount gives %d / %d", acct, n, bytes, live)
-		return
-	}
-	h.deps.Pass(live)
 }
 
 // auditPlans checks the compiled plans' counters: no step has failed more

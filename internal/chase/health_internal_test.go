@@ -40,7 +40,7 @@ func TestAuditorsPassOnHealthyRun(t *testing.T) {
 		t.Fatal("the engine did not pick up the monitor attached to its registry")
 	}
 	eng.Deduce()
-	for _, name := range []string{"unionfind_roots", "gamma_provenance", "depstore_bytes", "plan_order"} {
+	for _, name := range []string{"unionfind_roots", "gamma_provenance", "plan_order"} {
 		c := mon.Check(name)
 		if c.Status() != health.StatusPass || c.Violations() != 0 {
 			t.Errorf("check %s after a healthy Deduce: status %v, %d violation(s): %s",

@@ -89,7 +89,7 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	} else {
 		ruleOf := func(i int) *boundRule { return tasks[i].br }
 		e.pool(len(tasks), func(i int, c *evalCtx) { run(c, &tasks[i]) },
-			e.timedMerge(ruleOf, e.mergeDeps), e.timedMerge(ruleOf, e.mergeCtx))
+			e.timedMerge(ruleOf, e.mergeCtx))
 	}
 	e.drain()
 	return append([]Fact(nil), e.delta...), nil

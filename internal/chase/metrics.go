@@ -14,14 +14,11 @@ import (
 // goroutines merge results; the hot enumeration loops still accumulate
 // into per-context plain counters and only land here at merge points.
 type engineCounters struct {
-	valuations   atomic.Int64
-	extensions   atomic.Int64
-	matches      atomic.Int64
-	mlValidated  atomic.Int64
-	depsRecorded atomic.Int64
-	depsFired    atomic.Int64
-	depsVisited  atomic.Int64
-	rounds       atomic.Int64
+	valuations  atomic.Int64
+	extensions  atomic.Int64
+	matches     atomic.Int64
+	mlValidated atomic.Int64
+	rounds      atomic.Int64
 
 	// Compiled-plan work account (plan.go): predicate evaluations and
 	// candidate batches land here at the context merge points.
@@ -34,13 +31,11 @@ type engineCounters struct {
 	featHits atomic.Int64
 	mlCalls  atomic.Int64
 
-	// Memory-account mirrors, refreshed by rebudget on the engine
+	// Memory-account mirrors, refreshed by sampleMem on the engine
 	// goroutine once per drain round so the /metrics scrape goroutine
 	// never walks the live maps.
 	memDataset atomic.Int64
 	memGamma   atomic.Int64
-	memDeps    atomic.Int64
-	memEvicted atomic.Int64
 }
 
 // cacheSnapshots returns the engine's combined ML accounts, summing the
@@ -87,19 +82,12 @@ func (e *Engine) initMetrics(reg *telemetry.Registry) {
 		{"dcer_chase_extensions", func() float64 { return float64(e.cnt.extensions.Load()) }},
 		{"dcer_chase_matches", func() float64 { return float64(e.cnt.matches.Load()) }},
 		{"dcer_chase_ml_validated", func() float64 { return float64(e.cnt.mlValidated.Load()) }},
-		{"dcer_chase_deps_recorded", func() float64 { return float64(e.cnt.depsRecorded.Load()) }},
-		{"dcer_chase_deps_fired", func() float64 { return float64(e.cnt.depsFired.Load()) }},
 		{"dcer_plan_preds_evaluated", func() float64 { return float64(e.cnt.planPreds.Load()) }},
 		{"dcer_plan_batches", func() float64 { return float64(e.cnt.planBatches.Load()) }},
 		{"dcer_chase_mlcache_entries", func() float64 { p, _ := e.cacheSnapshots(); return float64(p.Entries) }},
 		{"dcer_mem_dataset_bytes", func() float64 { return float64(e.cnt.memDataset.Load()) }},
 		{"dcer_mem_gamma_bytes", func() float64 { return float64(e.cnt.memGamma.Load()) }},
-		{"dcer_mem_deps_bytes", func() float64 { return float64(e.cnt.memDeps.Load()) }},
-		{"dcer_mem_total_bytes", func() float64 {
-			return float64(e.cnt.memDataset.Load() + e.cnt.memGamma.Load() + e.cnt.memDeps.Load())
-		}},
-		{"dcer_mem_budget_bytes", func() float64 { return float64(e.opts.MemBudgetBytes) }},
-		{"dcer_mem_deps_evicted", func() float64 { return float64(e.cnt.memEvicted.Load()) }},
+		{"dcer_mem_total_bytes", func() float64 { return float64(e.cnt.memDataset.Load() + e.cnt.memGamma.Load()) }},
 	}
 	for _, v := range views {
 		reg.GaugeFunc(v.name, v.fn, labels...)

@@ -50,8 +50,6 @@ func TestEngineMetricsRegistry(t *testing.T) {
 		{"dcer_chase_extensions", st.Extensions},
 		{"dcer_chase_matches", st.MatchesFound},
 		{"dcer_chase_ml_validated", st.MLValidated},
-		{"dcer_chase_deps_recorded", st.DepsRecorded},
-		{"dcer_chase_deps_fired", st.DepsFired},
 	}
 	for _, c := range checks {
 		got, ok := vals[c.name]

@@ -5,9 +5,12 @@ package chase
 // time from index statistics, each step with the one access it makes per
 // enumeration node (Section V-A's per-rule query plan over the shared
 // inverted indexes; HyperBlocker likewise fixes its plans before
-// execution). Candidate lists stay in TID order on every access path, so
-// the order changes the sequence in which a rule emits its valuations,
-// never their set.
+// execution). An id predicate with one side bound binds the other side
+// from the bound tuple's E_id class, so a valuation reaches emit only when
+// its id literals hold. Candidate lists stay in TID order on every access
+// path — class member lists are kept GID-sorted (Engine.union) — so the
+// order changes the sequence in which a rule emits its valuations, never
+// their set.
 
 import (
 	"math/bits"
@@ -20,11 +23,14 @@ import (
 // joinStep binds one variable through one access path.
 type joinStep struct {
 	v    int
-	path accessPath // apScan, apEq or apConst
-	// pred is the equality or constant the access answers; the variable's
-	// program skips it, since every candidate satisfies it by construction.
+	path accessPath // apScan, apEq, apConst or apClass
+	// pred is the equality, constant or id predicate the access answers;
+	// the variable's program skips it, since every candidate satisfies it
+	// by construction.
 	pred *rule.Pred
 
+	// apClass: from is the bound side of the id predicate, whose class
+	// the candidates are.
 	// apEq: ix indexes (v's relation, the equality's attribute of v) and is
 	// probed with bound variable from's attribute fromAttr; km, when the
 	// index keys each tuple uniquely, answers the probe from an array
@@ -89,9 +95,10 @@ func (br *boundRule) orderFor(bound uint64) *joinOrder {
 // planOrder plans the order of the variables outside bound. With seq nil
 // it is greedy, cheapest estimate first within the first non-empty class
 // of:
-//  1. variables an equality joins to a bound one, or that carry a
-//     constant: the estimate is v's relation size over the probed index's
-//     distinct keys, or the constant's exact posting length;
+//  1. variables an id predicate, an equality or a constant reaches from a
+//     bound one: the estimate is 1 for the E_id class (classes are
+//     near-singletons when the plan is made), v's relation size over the
+//     probed index's distinct keys, or the constant's exact posting length;
 //  2. variables a similarity join reaches from a bound one;
 //  3. the rest, by relation size (a scan);
 //
@@ -126,7 +133,8 @@ func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 }
 
 // bestAccess returns v's cheapest access given the bound variables, its
-// planning class and its estimated candidate count (see planOrder).
+// planning class and its estimated candidate count (see planOrder). A
+// class access wins ties.
 func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
 	rel := br.r.Vars[v].RelIdx
 	size := float64(len(br.scope.Relations[rel].Tuples))
@@ -134,6 +142,17 @@ func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
 	consider := func(st joinStep, e float64) {
 		if class > 1 || e < est {
 			best, class, est = st, 1, e
+		}
+	}
+	for _, p := range br.ids {
+		from := p.V1
+		if p.V1 == v {
+			from = p.V2
+		} else if p.V2 != v {
+			continue
+		}
+		if from != v && bound&(1<<from) != 0 {
+			consider(joinStep{v: v, path: apClass, pred: p, from: from}, 1)
 		}
 	}
 	for i, p := range br.eqs {
@@ -185,11 +204,14 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 	return false
 }
 
-// candidatesFor makes step st's one access: the key map or posting list of
+// candidatesFor makes step st's one access, at recursion depth depth: the
+// class of its id predicate's bound side, the key map or posting list of
 // its equality, its constant's posting list, or its relation's scan, each
 // in TID order. It returns the path taken.
-func (c *evalCtx) candidatesFor(st *joinStep) ([]*relation.Tuple, accessPath) {
+func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, accessPath) {
 	switch st.path {
+	case apClass:
+		return c.classOf(st, depth), apClass
 	case apEq:
 		t := c.binding[st.from]
 		if km := st.km; km != nil && km.Live() {
@@ -206,6 +228,32 @@ func (c *evalCtx) candidatesFor(st *joinStep) ([]*relation.Tuple, accessPath) {
 		return nil, apConst // unresolvable: an unknown string or NaN matches nothing
 	}
 	return c.br.scope.Relations[c.br.r.Vars[st.v].RelIdx].Tuples, apScan
+}
+
+// classOf lists the members of the E_id class of st's bound side that lie
+// in v's relation inside the rule's scope, in GID order. A singleton class
+// answers with the bound tuple itself, out of the binding, without a copy.
+func (c *evalCtx) classOf(st *joinStep, depth int) []*relation.Tuple {
+	t := c.binding[st.from]
+	rel := c.br.r.Vars[st.v].RelIdx
+	ms, ok := c.e.members[c.root(t.GID)]
+	if !ok {
+		if t.Rel != rel {
+			return nil
+		}
+		return c.binding[st.from : st.from+1]
+	}
+	for len(c.classBufs) <= depth {
+		c.classBufs = append(c.classBufs, nil)
+	}
+	out := c.classBufs[depth][:0]
+	for _, g := range ms {
+		if m := c.br.scope.Tuple(g); m != nil && m.Rel == rel {
+			out = append(out, m)
+		}
+	}
+	c.classBufs[depth] = out
+	return out
 }
 
 // describe renders step st for PlanReport: the variable, the access path

@@ -1,13 +1,14 @@
 package chase
 
-// Compiled predicate plans: every bound rule's static body predicates are
-// compiled once, at bind time, into one flat program per variable — the
-// symmetry order step, constant checks, intra-tuple and cross-variable
-// equalities on packed words, then cheap similarity classifiers, heavier
-// ML predicates last — and the enumeration inner loop evaluates whole
-// candidate batches against the program with tight compaction loops over
-// the columnar arenas (the CPU analog of HyperBlocker's rule execution
-// plans, which are likewise fixed before execution).
+// Compiled predicate plans: every bound rule's body predicates but its
+// dynamic ML ones are compiled once, at bind time, into one flat program
+// per variable — the symmetry order step, constant checks, intra-tuple and
+// cross-variable equalities on packed words, id predicates against E_id,
+// then cheap similarity classifiers, heavier ML predicates last — and the
+// enumeration inner loop evaluates whole candidate batches against the
+// program with tight compaction loops over the columnar arenas (the CPU
+// analog of HyperBlocker's rule execution plans, which are likewise fixed
+// before execution).
 //
 // A program never changes after compilation. Conjunct order cannot change
 // a conjunction's survivor set, so Γ is byte-identical to the interpreter
@@ -88,6 +89,18 @@ func (w *wordPred) resolveConst() {
 	w.constW, w.constOK = w.syms.PackValue(w.p.Const)
 }
 
+// idStep is one id predicate x.id = y.id of a variable's program, checked
+// against E_id (the pool's frozen roots, or the live union-find) once the
+// other side is bound — unless it is the class access that bound the
+// variable, which holds by construction.
+type idStep struct {
+	p     *rule.Pred
+	other int
+
+	evals atomic.Int64
+	fails atomic.Int64
+}
+
 // mlStep is one compiled ML predicate check; mi indexes the rule's
 // boundMLPred (which owns the classifier, cache ids and dynamic flag).
 type mlStep struct {
@@ -110,10 +123,11 @@ const (
 	apConst                   // the posting list of a constant predicate
 	apSim                     // the similarity join of an ML predicate (simjoin.go)
 	apKey                     // the key map of an equality into a unique index
+	apClass                   // the E_id class of an id predicate's bound side
 	numAccessPaths
 )
 
-var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim", "key"}
+var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim", "key", "class"}
 
 // accessStats is the account of one access path of one variable: times
 // chosen, candidates returned and, for apSim, distinct values scored.
@@ -151,6 +165,7 @@ func (s *orderStep) keeps(t, o relation.TID) bool {
 type varPlan struct {
 	order *orderStep // nil unless the rule is reduced and this is a head variable
 	words []*wordPred
+	ids   []*idStep
 	mls   []*mlStep
 	// consts is the constant-check prefix of words, whose resolved probe
 	// words a constant access step (order.go) looks its postings up with.
@@ -165,10 +180,11 @@ type rulePlan struct {
 
 // compilePlan builds the predicate program of br, in the one order it
 // keeps: constants, intra-tuple equalities, equalities to other variables,
-// similarity classifiers, then the other ML predicates (the order step,
-// when there is one, runs ahead of them all). Plans are compiled even for
-// the interpreter: candidatesFor uses the resolved constant words in both
-// modes, and the interpreter's checkNewBinding walks the same word list.
+// id predicates, similarity classifiers, then the other ML predicates (the
+// order step, when there is one, runs ahead of them all). Plans are
+// compiled even for the interpreter: candidatesFor uses the resolved
+// constant words in both modes, and the interpreter's checkNewBinding
+// walks the same word and id lists.
 func compilePlan(br *boundRule) *rulePlan {
 	r := br.r
 	p := &rulePlan{vars: make([]varPlan, len(r.Vars))}
@@ -212,11 +228,19 @@ func compilePlan(br *boundRule) *rulePlan {
 				})
 			}
 		}
+		for _, pr := range br.ids {
+			switch {
+			case pr.V1 == v && pr.V2 != v:
+				vp.ids = append(vp.ids, &idStep{p: pr, other: pr.V2})
+			case pr.V2 == v && pr.V1 != v:
+				vp.ids = append(vp.ids, &idStep{p: pr, other: pr.V1})
+			}
+		}
 		var heavy []*mlStep
 		for i := range br.mls {
 			m := &br.mls[i]
 			if m.dynamic {
-				continue // deferred to emit, like the interpreter
+				continue // checked by emit, like the interpreter
 			}
 			if m.pred.V1 != v && m.pred.V2 != v {
 				continue
@@ -266,10 +290,11 @@ func (c *evalCtx) planBuf(d, n int) []*relation.Tuple {
 // each applicable program step of step st's variable runs as one tight
 // loop over the packed columns, compacting the survivors of the candidate
 // batch into the depth's scratch. The step that is st's own access
-// predicate is skipped: every candidate satisfies it. Candidate order is
-// preserved, and the surviving set equals the interpreter's (each step is
-// one conjunct of the same conjunction), so the recursion — and therefore
-// Γ — is reached in the exact same order as the per-candidate interpreter.
+// predicate (equality, constant or id) is skipped: every candidate
+// satisfies it. Candidate order is preserved, and the surviving set equals
+// the interpreter's (each step is one conjunct of the same conjunction),
+// so the recursion — and therefore Γ — is reached in the exact same order
+// as the per-candidate interpreter.
 // satisfied is the index in br.mls of the ML predicate the candidates'
 // access path already implies (their similarity join's), -1 when there is
 // none: its step is skipped too.
@@ -357,6 +382,30 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 				src = buf
 			}
 		}
+	}
+
+	for _, s := range vp.ids {
+		if n == 0 {
+			break
+		}
+		o := binding[s.other]
+		if o == nil || s.p == st.pred {
+			continue // not applicable yet, or the class access: holds by construction
+		}
+		ro := c.root(o.GID)
+		k := 0
+		for i := 0; i < n; i++ {
+			t := src[i]
+			if c.root(t.GID) == ro {
+				buf[k] = t
+				k++
+			}
+		}
+		s.evals.Add(int64(n))
+		s.fails.Add(int64(n - k))
+		evals += int64(n)
+		n = k
+		src = buf
 	}
 
 	// Head pruning runs before the ML steps: dropping a candidate whose
@@ -517,7 +566,7 @@ type PlanAccess struct {
 
 // PlanVarReport is the compiled program of one rule variable, in
 // execution order, and the access paths its candidates came from ("scan",
-// "eq", "const", "sim", "key"; used ones only).
+// "eq", "const", "sim", "key", "class"; used ones only).
 type PlanVarReport struct {
 	Var    string       `json:"var"`
 	Preds  []PlanPred   `json:"preds"`
@@ -525,9 +574,9 @@ type PlanVarReport struct {
 }
 
 // PlanStep is one step of a rule's planned join order: the variable bound,
-// the access path planned for it ("scan", "eq", "key", "const") and the
-// predicate that access answers. A "key" step whose map retired probes the
-// index instead, and its variable's Access counts it as "eq".
+// the access path planned for it ("scan", "eq", "key", "const", "class")
+// and the predicate that access answers. A "key" step whose map retired
+// probes the index instead, and its variable's Access counts it as "eq".
 type PlanStep struct {
 	Var  string `json:"var"`
 	Path string `json:"path"`
@@ -576,6 +625,9 @@ func (e *Engine) PlanReport() PlanReport {
 			}
 			for _, w := range vp.words {
 				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), &w.evals, &w.fails))
+			}
+			for _, s := range vp.ids {
+				pv.Preds = append(pv.Preds, planPred(s.p.String(), "id", &s.evals, &s.fails))
 			}
 			for _, m := range vp.mls {
 				pp := planPred(m.p.String(), "ml", &m.evals, &m.fails)

@@ -124,9 +124,9 @@ func TestPlanDMatchEquivalence(t *testing.T) {
 
 // TestPlanProgramOrder pins the static program: over the TPCH and TFACC
 // rule sets every variable's program reads the order step, constants,
-// intra-tuple equalities, equalities to other variables, similarity
-// classifiers, then the other ML predicates — and it still reads the same
-// after a Run and sixteen InsertTuples batches.
+// intra-tuple equalities, equalities to other variables, id predicates,
+// similarity classifiers, then the other ML predicates — and it still
+// reads the same after a Run and sixteen InsertTuples batches.
 func TestPlanProgramOrder(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	gens := []*datagen.Generated{
@@ -147,14 +147,14 @@ func TestPlanProgramOrder(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					mlStep[p.String()] = 5
+					mlStep[p.String()] = 6
 					if _, sim := cl.(*mlpred.SimClassifier); sim {
-						mlStep[p.String()] = 4
+						mlStep[p.String()] = 5
 					}
 				}
 			}
 		}
-		kindStep := map[string]int{"order": 0, "const": 1, "intra": 2, "eq": 3}
+		kindStep := map[string]int{"order": 0, "const": 1, "intra": 2, "eq": 3, "id": 4}
 		var atNew []string
 		eng := insertRun(t, g, modeDefault, 16, func(e *chase.Engine) {
 			atNew = planPrograms(e.PlanReport())

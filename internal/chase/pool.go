@@ -17,25 +17,21 @@ import (
 // copied — is taken once. min(n, GOMAXPROCS) goroutines take task indexes
 // from one atomic counter, so tasks start in index order; each goroutine
 // keeps one buffered scratch context across its tasks, and when a task ends
-// its facts, dependency records, justifications and counters move out of
-// that context into the task's own output. So the tasks share no mutable
-// state, the buffers sized to candidate lists are paid once per goroutine,
-// not per task, and a long list of small tasks holds no more than its
-// outputs. The width is read per call, not fixed anywhere: engines running
-// side by side (the in-process DMatch workers) share the cores through Go's
-// scheduler.
+// its facts, justifications and counters move out of that context into the
+// task's own output. So the tasks share no mutable state, the buffers sized
+// to candidate lists are paid once per goroutine, not per task, and a long
+// list of small tasks holds no more than its outputs. The width is read per
+// call, not fixed anywhere: engines running side by side (the in-process
+// DMatch workers) share the cores through Go's scheduler.
 //
-// ready, when non-nil, is called on each task's output as soon as it and
-// every task before it have finished, while later tasks still run; merge is
-// called on each once all have finished. Both run in index order on the
-// calling goroutine, which keeps the engine deterministic whatever order the
-// tasks finish in.
-func (e *Engine) pool(n int, run func(i int, c *evalCtx), ready, merge func(i int, o *taskOut)) {
+// merge is called on each task's output once all have finished, in index
+// order on the calling goroutine, which keeps the engine deterministic
+// whatever order the tasks finish in.
+func (e *Engine) pool(n int, run func(i int, c *evalCtx), merge func(i int, o *taskOut)) {
 	e.prebuildIndexes()
 	roots := e.frozenRoots()
 	outs := make([]taskOut, n)
 	var next atomic.Int64
-	finished := make(chan int, n) // one send per task: no worker ever blocks
 	var wg sync.WaitGroup
 	for range min(n, runtime.GOMAXPROCS(0)) {
 		wg.Add(1)
@@ -45,19 +41,9 @@ func (e *Engine) pool(n int, run func(i int, c *evalCtx), ready, merge func(i in
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				run(i, c)
 				outs[i], c.taskOut = c.taskOut, taskOut{}
-				finished <- i
 			}
 			c.flushAccess()
 		}()
-	}
-	done := make([]bool, n)
-	for k, i := 0, 0; k < n; k++ {
-		done[<-finished] = true
-		for ; i < n && done[i]; i++ {
-			if ready != nil {
-				ready(i, &outs[i])
-			}
-		}
 	}
 	wg.Wait()
 	for i := range outs {

@@ -47,7 +47,7 @@ func TestPoolFollowsGOMAXPROCS(t *testing.T) {
 				// Hold the task long enough for one started beyond the
 				// width to be counted.
 				time.Sleep(time.Millisecond)
-			}, nil, func(int, *taskOut) {})
+			}, func(int, *taskOut) {})
 			cancel()
 			if got := int(peak.Load()); got != width {
 				t.Errorf("GOMAXPROCS %d (%d at init), %d tasks: at most %d ran at once, want %d",
@@ -72,15 +72,15 @@ func ownOutput(i int, o *taskOut) bool {
 }
 
 // TestPoolMergesInIndexOrder makes the tasks of one pool call finish in
-// reverse order (task i sleeps n−i ms) and checks that both merge callbacks
-// still see the tasks in index order, each task its own output: ready(i)
-// only once tasks 0..i have finished, merge(i) only once all have.
+// reverse order (task i sleeps n−i ms) and checks that the merge callback
+// still sees the tasks in index order, each task its own output, and only
+// once all have finished.
 func TestPoolMergesInIndexOrder(t *testing.T) {
 	const n = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	e := &Engine{uf: unionfind.New(0)}
 	var finished [n]atomic.Bool
-	var ready, merged []int
+	var merged []int
 	e.pool(n, func(i int, c *evalCtx) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
 		if !c.buffered || c.roots == nil {
@@ -88,16 +88,6 @@ func TestPoolMergesInIndexOrder(t *testing.T) {
 		}
 		c.facts = append(c.facts, tagFact(i))
 		finished[i].Store(true)
-	}, func(i int, o *taskOut) {
-		for k := 0; k <= i; k++ {
-			if !finished[k].Load() {
-				t.Errorf("ready(%d) called before task %d finished", i, k)
-			}
-		}
-		if !ownOutput(i, o) {
-			t.Errorf("ready(%d) got facts %v, not the task's own output", i, o.facts)
-		}
-		ready = append(ready, i)
 	}, func(i int, o *taskOut) {
 		for k := range finished {
 			if !finished[k].Load() {
@@ -109,14 +99,12 @@ func TestPoolMergesInIndexOrder(t *testing.T) {
 		}
 		merged = append(merged, i)
 	})
-	for _, got := range [][]int{ready, merged} {
-		if len(got) != n {
-			t.Fatalf("callbacks ran on tasks %v, want 0..%d", got, n-1)
-		}
-		for i := range got {
-			if got[i] != i {
-				t.Fatalf("callbacks ran in order %v, want 0..%d", got, n-1)
-			}
+	if len(merged) != n {
+		t.Fatalf("merge ran on tasks %v, want 0..%d", merged, n-1)
+	}
+	for i := range merged {
+		if merged[i] != i {
+			t.Fatalf("merge ran in order %v, want 0..%d", merged, n-1)
 		}
 	}
 }
@@ -150,7 +138,7 @@ func TestPoolScratchPerWorker(t *testing.T) {
 			}
 		}
 		c.facts = append(c.facts, tagFact(i))
-	}, nil, func(i int, o *taskOut) {
+	}, func(i int, o *taskOut) {
 		if !ownOutput(i, o) {
 			t.Errorf("merge(%d) got facts %v, not the task's own output", i, o.facts)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dcer/internal/chase"
 	"dcer/internal/complexity"
 	"dcer/internal/datagen"
 	"dcer/internal/mlpred"
@@ -14,26 +13,20 @@ import (
 
 // TestProofReplaysUnderBatchedDrain is the justification oracle of the
 // drain fan-out: with every drain batch forced through buffered chunks —
-// whose facts, dependencies and justifications (ctx.justs / ctx.depJusts)
-// are merged in chunk order afterwards — each pair the brute-force
+// whose facts and justifications (ctx.facts / ctx.justs) are merged in
+// chunk order afterwards — each pair the brute-force
 // NaiveChase matches gets a proof from the log that complexity.VerifyProof,
 // the independent verifier of Theorem 2(1), accepts, and every other pair
 // gets ErrNotEntailed. provenance's TestProofReplaysAgainstVerifier checks
 // the same for the sequential and the default engine, but cannot reach the
-// switch that makes small batches (and a one-processor host) fan out; the
-// tight and unbounded dependency stores ride along because they decide
-// whether a buffered dependency or the re-derivation justifies a head.
+// switch that makes small batches (and a one-processor host) fan out.
 func TestProofReplaysUnderBatchedDrain(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(20)
 	if testing.Short() {
 		seeds = 6
 	}
-	modes := []engineMode{
-		modeBatched,
-		{"batched-drain/maxdeps=1", chase.Options{ShareIndexes: true, MaxDeps: 1}, modeBatched.switches},
-		{"batched-drain/unbounded", chase.Options{ShareIndexes: true, MaxDeps: -1}, modeBatched.switches},
-	}
+	modes := []engineMode{modeBatched}
 	for seed := int64(0); seed < seeds; seed++ {
 		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {

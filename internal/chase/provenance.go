@@ -3,9 +3,7 @@ package chase
 // Provenance capture inside the production chase. Every fact enters Γ
 // through applyFactJ (engine.go); when Options.Provenance is set, the
 // justification carried alongside the fact — built at emit time from the
-// satisfied body predicates of the deriving valuation, or reconstructed
-// at dependency-fire time from the stored record (DepStore.fire) — is
-// converted to a
+// satisfied body predicates of the deriving valuation — is converted to a
 // provenance.Entry and recorded. When capture is off every justification
 // pointer is nil and the valuation hot path allocates nothing.
 
@@ -18,9 +16,7 @@ import (
 // justification is the chase-internal evidence of one rule application:
 // which rule fired on which valuation, which facts of Γ satisfied its
 // dynamic body predicates (deps), and which ML predicate outcomes it
-// consumed directly from the classifiers (checks). For a valuation parked
-// in H it holds the evidence satisfied at emit time; the dependency's
-// body supplies the rest when it fires.
+// consumed directly from the classifiers (checks).
 type justification struct {
 	origin    provenance.Origin
 	rule      string
@@ -30,15 +26,14 @@ type justification struct {
 }
 
 // justArena batch-allocates justifications and their evidence slices.
-// Dependencies vastly outnumber derived facts and every dependency
-// carries a justification, so per-justification heap allocation is the
-// dominant capture cost; the arena amortizes it to one slab allocation
+// Per-justification heap allocation is the dominant capture cost; the
+// arena amortizes it to one slab allocation
 // per justSlabSize justifications plus the doubling growth of the three
 // shared evidence buffers. Evidence sub-slices are taken with full-slice
 // expressions, so when an arena buffer grows, justifications built
 // earlier keep the previous backing array alive and are never aliased
 // by later appends. The arena retains all evidence for the life of its
-// context — including justifications of dependencies later discarded —
+// context — including justifications of facts a merge finds duplicated —
 // which a provenance-enabled run accepts: the log it feeds retains
 // comparable state anyway, and a disabled run never touches the arena.
 type justArena struct {
@@ -68,7 +63,7 @@ func factID(f Fact) provenance.FactID {
 	return provenance.MLID(f.Model, f.A, f.B)
 }
 
-// literalID converts a dependency literal to its provenance identity.
+// literalID converts a literal to its provenance identity.
 func literalID(l Literal) provenance.FactID {
 	if l.Kind == FactMatch {
 		return provenance.MatchID(l.A, l.B)
@@ -100,30 +95,16 @@ func (e *Engine) recordProvenance(f Fact, j *justification) {
 	e.prov.Record(en)
 }
 
-// litIn reports whether l is one of the literals in ls. Dependency
-// bodies hold at most a handful of literals, so a linear scan wins.
-func litIn(ls []Literal, l Literal) bool {
-	for _, x := range ls {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // buildJust captures the evidence of the current complete valuation: the
 // rule, the bound tuple ids, the dynamic body predicates satisfied
 // through Γ (deps), and the ML outcomes consumed from the classifiers
-// (checks). It runs inside emit, after the unsatisfied literals of the
-// valuation were collected into c.unsat, and re-derives nothing: a
-// static ML predicate is positive by construction of the binding
-// (checkNewBinding enforced it), and a dynamic id or ML predicate is
-// satisfied exactly when its literal is absent from c.unsat — so
-// capture costs no union-find or pair-cache probes. Unsatisfied
-// predicates contribute nothing; they form the body of the dependency
-// parked in H and join the justification when it fires.
+// (checks). It runs inside emit, once every predicate of the valuation
+// is known to hold, and re-derives nothing: an id predicate held when its
+// variable was bound, a static ML predicate is positive by construction
+// of the binding, and a dynamic one not validated in Γ was just predicted
+// positive — so capture costs no union-find or classifier calls.
 func (c *evalCtx) buildJust() *justification {
-	br, binding, ar, unsat := c.br, c.binding, &c.arena, c.unsat
+	br, binding, ar := c.br, c.binding, &c.arena
 	j := ar.alloc()
 	j.origin = provenance.OriginRule
 	j.rule = br.r.Name
@@ -142,11 +123,7 @@ func (c *evalCtx) buildJust() *justification {
 		if y < x {
 			x, y = y, x
 		}
-		l := matchLit(x, y)
-		if litIn(unsat, l) {
-			continue
-		}
-		ar.deps = append(ar.deps, l)
+		ar.deps = append(ar.deps, matchLit(x, y))
 	}
 	cstart := len(ar.checks)
 	for i := range br.mls {
@@ -154,12 +131,8 @@ func (c *evalCtx) buildJust() *justification {
 		p := m.pred
 		ta, tb := binding[p.V1], binding[p.V2]
 		if m.dynamic {
-			l := mlLit(m.model, ta.GID, tb.GID)
-			if c.e.validated[l] {
+			if l := mlLit(m.model, ta.GID, tb.GID); c.e.validated[l] {
 				ar.deps = append(ar.deps, l)
-				continue
-			}
-			if litIn(unsat, l) {
 				continue
 			}
 		}

@@ -36,11 +36,8 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		for _, mode := range []engineMode{
 			modeDefault,
 			{"noMQO", chase.Options{ShareIndexes: false}, nil},
-			{"maxdeps=1", chase.Options{ShareIndexes: true, MaxDeps: 1}, nil},
-			{"unbounded", chase.Options{ShareIndexes: true, MaxDeps: -1}, nil},
 			modeSeq,
 			modeBatched,
-			{"batched-drain/maxdeps=1", chase.Options{ShareIndexes: true, MaxDeps: 1}, modeBatched.switches},
 			modeDefault.with("interpreter", interpreted),
 		} {
 			eng := mode.engine(t, d, rules, reg)

@@ -56,22 +56,18 @@ func (e *Engine) SetTraceContext(tc telemetry.TraceContext) { e.tc = tc }
 // the round's progress and the knob state of the engine, so a long
 // run is post-hoc debuggable from a grep. Callers gate on the logger's
 // level before computing any of the arguments.
-func (e *Engine) wideRound(round, fired, events int) {
-	fields := make([]telemetry.F, 0, 16+len(e.opts.MetricsLabels))
+func (e *Engine) wideRound(round, events int) {
+	fields := make([]telemetry.F, 0, 6+len(e.opts.MetricsLabels))
 	for _, l := range e.opts.MetricsLabels {
 		fields = append(fields, telemetry.F{K: l.Key, V: l.Value})
 	}
 	fields = append(fields,
 		telemetry.F{K: "round", V: round},
-		telemetry.F{K: "deps_fired", V: fired},
 		telemetry.F{K: "events", V: events},
 		telemetry.F{K: "matches", V: e.cnt.matches.Load()},
 		telemetry.F{K: "ml_validated", V: e.cnt.mlValidated.Load()},
-		telemetry.F{K: "mem_budget_bytes", V: e.opts.MemBudgetBytes},
 		telemetry.F{K: "mem_dataset_bytes", V: e.cnt.memDataset.Load()},
 		telemetry.F{K: "mem_gamma_bytes", V: e.cnt.memGamma.Load()},
-		telemetry.F{K: "mem_deps_bytes", V: e.cnt.memDeps.Load()},
-		telemetry.F{K: "deps_evicted", V: e.cnt.memEvicted.Load()},
 	)
 	e.log.Wide(telemetry.LogDebug, "deduce_round", fields...)
 }

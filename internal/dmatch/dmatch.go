@@ -58,8 +58,6 @@ type Options struct {
 	// NoMQO disables hash-function sharing in HyPart and index/ML-cache
 	// sharing in the per-worker engines (the DMatch_noMQO ablation).
 	NoMQO bool
-	// MaxDeps is the per-worker dependency-store capacity K (see chase).
-	MaxDeps int
 	// ReplicationCap bounds HyPart's per-tuple copy factor (see hypart).
 	ReplicationCap int
 	// MaxSupersteps bounds the BSP loop as a safety net; 0 means 1 << 20.
@@ -112,7 +110,6 @@ func wireEngineOpts(opts Options) wire.EngineOpts {
 	return wire.EngineOpts{
 		NoMQO:            opts.NoMQO,
 		SequentialDeduce: opts.Sequential,
-		MaxDeps:          opts.MaxDeps,
 	}
 }
 

@@ -23,7 +23,7 @@ func TestDMatchHealthObservatory(t *testing.T) {
 			inProcess := lk.name == "loopback"
 			checks := []string{"global_unionfind"}
 			if inProcess {
-				checks = append(checks, "unionfind_roots", "gamma_provenance", "depstore_bytes", "plan_order")
+				checks = append(checks, "unionfind_roots", "gamma_provenance", "plan_order")
 			}
 			reg := telemetry.NewRegistry()
 			mon := health.NewMonitor(health.Options{

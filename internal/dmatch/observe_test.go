@@ -144,7 +144,7 @@ func TestLiveTelemetryEndpoints(t *testing.T) {
 	for _, c := range rep.Checks {
 		checks[c.Name] = c
 	}
-	for _, name := range []string{"unionfind_roots", "gamma_provenance", "depstore_bytes", "plan_order", "global_unionfind", "stall_watchdog"} {
+	for _, name := range []string{"unionfind_roots", "gamma_provenance", "plan_order", "global_unionfind", "stall_watchdog"} {
 		c, ok := checks[name]
 		switch {
 		case !ok:

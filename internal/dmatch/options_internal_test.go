@@ -14,21 +14,20 @@ import (
 // and this comment, with the two callers that need different values of it
 // (simplicity-review, Options) — is edited:
 //
-//   - chase.Options: MaxDeps, ShareIndexes, IDSpace, SequentialDeduce,
-//     MemBudgetBytes, and three observability hooks: Metrics, the one
+//   - chase.Options: ShareIndexes, IDSpace, SequentialDeduce, and three
+//     observability hooks: Metrics, the one
 //     handle whose registry also carries the tracer, the wide-event logger
 //     and the health monitor; MetricsLabels, which a lone engine leaves
 //     empty and a DMatch worker sets to worker=i; and Provenance, the log
 //     the caller reads proofs back from.
-//   - dmatch.Options: Workers, NoMQO, MaxDeps, ReplicationCap,
-//     MaxSupersteps, Sequential, RebalanceSkew, Metrics and the two
-//     provenance settings.
+//   - dmatch.Options: Workers, NoMQO, ReplicationCap, MaxSupersteps,
+//     Sequential, RebalanceSkew, Metrics and the two provenance settings.
 //   - wire.EngineOpts: what of the above changes the engine a worker
-//     builds — NoMQO, SequentialDeduce, MaxDeps.
+//     builds — NoMQO, SequentialDeduce.
 const (
-	chaseOptionsFields   = 8
-	dmatchOptionsFields  = 10
-	wireEngineOptsFields = 3
+	chaseOptionsFields   = 6
+	dmatchOptionsFields  = 9
+	wireEngineOptsFields = 2
 )
 
 func TestOptionsSurface(t *testing.T) {
@@ -66,7 +65,6 @@ func TestEngineOptsRoundTrip(t *testing.T) {
 	fromOptions := map[string]Options{
 		"NoMQO":            {NoMQO: true},
 		"SequentialDeduce": {Sequential: true},
-		"MaxDeps":          {MaxDeps: -7},
 	}
 	baseline := chaseOptsFromWire(wire.EngineOpts{}, 0, chase.Options{})
 	typ := reflect.TypeOf(wire.EngineOpts{})

@@ -102,7 +102,6 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 // chaseOptsFromWire is the inverse of wireEngineOpts: the engine options
 // of an Assign laid over the slot's observability hooks.
 func chaseOptsFromWire(o wire.EngineOpts, idSpace int, hooks chase.Options) chase.Options {
-	hooks.MaxDeps = o.MaxDeps
 	hooks.ShareIndexes = !o.NoMQO
 	hooks.IDSpace = idSpace
 	hooks.SequentialDeduce = o.SequentialDeduce

@@ -86,7 +86,7 @@ func TestMonitorReportRoundTrip(t *testing.T) {
 	defer m.Stop()
 	c := m.Check("roundtrip_check")
 	c.Pass(10)
-	c.Warn(3, "a %s warning", "sample")
+	c.Fail(3, "a %s failure", "sample")
 	m.Heartbeat("roundtrip_hb").Beat()
 
 	rep := m.Report()
@@ -105,7 +105,7 @@ func TestMonitorReportRoundTrip(t *testing.T) {
 	for _, cr := range back.Checks {
 		if cr.Name == "roundtrip_check" {
 			found = true
-			if cr.Status != health.StatusWarn.String() || cr.Samples != 13 {
+			if cr.Status != health.StatusFail.String() || cr.Samples != 13 || cr.Violations != 1 {
 				t.Errorf("check round-trip: %+v", cr)
 			}
 		}

@@ -7,12 +7,11 @@ import (
 )
 
 // Diagnosis is the human-readable reading of a health report: one line
-// per finding plus failure/warning totals. cmd/doctor prints it and exits
+// per finding plus the failure total. cmd/doctor prints it and exits
 // nonzero when Healthy() is false.
 type Diagnosis struct {
 	Lines    []string
 	Failures int
-	Warnings int
 }
 
 // Healthy reports whether the diagnosis found no failures.
@@ -45,9 +44,6 @@ func Diagnose(rep Report) Diagnosis {
 			}
 			add("FAIL %-20s %d violation(s) over %d sampled in %d run(s): %s",
 				c.Name, c.Violations, c.Samples, c.Runs, detail)
-		case c.Status == StatusWarn.String():
-			d.Warnings++
-			add("WARN %-20s %s", c.Name, c.Detail)
 		default:
 			add("ok   %-20s %d run(s), %d sampled", c.Name, c.Runs, c.Samples)
 		}

@@ -30,8 +30,6 @@ type Status int32
 const (
 	// StatusPass: the latest audit found no violations.
 	StatusPass Status = iota
-	// StatusWarn: suspicious but not provably wrong.
-	StatusWarn
 	// StatusFail: an invariant is provably violated on the sampled subset.
 	StatusFail
 )
@@ -40,8 +38,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusPass:
 		return "pass"
-	case StatusWarn:
-		return "warn"
 	case StatusFail:
 		return "fail"
 	default:
@@ -49,21 +45,8 @@ func (s Status) String() string {
 	}
 }
 
-// ParseStatus is the inverse of Status.String.
-func ParseStatus(s string) (Status, error) {
-	switch s {
-	case "pass":
-		return StatusPass, nil
-	case "warn":
-		return StatusWarn, nil
-	case "fail":
-		return StatusFail, nil
-	}
-	return StatusFail, fmt.Errorf("health: unknown status %q", s)
-}
-
 // Check is one named invariant auditor's state: the latest status, the
-// cumulative violation count, and the most recent warn/fail detail (kept
+// cumulative violation count, and the most recent fail detail (kept
 // after the status recovers, so a transient violation stays diagnosable).
 // All update methods are safe for concurrent use and nil-safe.
 type Check struct {
@@ -108,35 +91,24 @@ func (c *Check) Pass(n int) {
 	c.status.Store(int32(StatusPass))
 }
 
-// Warn records a suspicious audit over n sampled items with a detail line.
-func (c *Check) Warn(n int, format string, args ...any) {
-	c.bad(StatusWarn, n, format, args...)
-}
-
 // Fail records a violated invariant over n sampled items with a detail
 // line, incrementing the violation counters.
 func (c *Check) Fail(n int, format string, args ...any) {
-	c.bad(StatusFail, n, format, args...)
-}
-
-func (c *Check) bad(s Status, n int, format string, args ...any) {
 	if c == nil {
 		return
 	}
 	c.runs.Add(1)
 	c.samples.Add(int64(n))
-	c.status.Store(int32(s))
-	if s == StatusFail {
-		c.violations.Add(1)
-		c.violationC.Inc()
-	}
+	c.status.Store(int32(StatusFail))
+	c.violations.Add(1)
+	c.violationC.Inc()
 	c.mu.Lock()
 	c.detail = fmt.Sprintf(format, args...)
 	c.lastBadNs = time.Now().UnixNano()
 	c.mu.Unlock()
 }
 
-// Detail returns the most recent warn/fail detail ("" if always clean).
+// Detail returns the most recent fail detail ("" if always clean).
 func (c *Check) Detail() string {
 	if c == nil {
 		return ""
@@ -278,7 +250,7 @@ func Of(reg *telemetry.Registry) *Monitor {
 func (m *Monitor) HealthDoc() any { return m.Report() }
 
 // Check returns the named check, registering it on first use. Checks get
-// a dcer_health_check_status gauge (0 pass / 1 warn / 2 fail) and a
+// a dcer_health_check_status gauge (0 pass / 1 fail) and a
 // dcer_health_check_violations counter on the registry.
 func (m *Monitor) Check(name string) *Check {
 	if m == nil {

@@ -85,9 +85,11 @@ const (
 	// OriginRule is a direct rule application: every dynamic body literal
 	// already held when the valuation was inspected.
 	OriginRule Origin = iota
-	// OriginDep is a fired dependency of H: the valuation was inspected
-	// earlier with some body literals unsatisfied, and a later fact
-	// completed the body.
+	// OriginDep was a fired dependency of the store H: a valuation
+	// inspected earlier with some body literals unsatisfied, whose body a
+	// later fact completed. The chase no longer produces it — it
+	// re-inspects such a valuation when the fact arrives, an OriginRule
+	// entry — and keeps it, and its number, so old logs still decode.
 	OriginDep
 	// OriginExternal is a fact applied from outside the engine — in
 	// DMatch, a fact routed from another worker. Merge prefers the

@@ -27,7 +27,6 @@ type Hello struct {
 type EngineOpts struct {
 	NoMQO            bool
 	SequentialDeduce bool
-	MaxDeps          int
 }
 
 // Assign carries a worker's (re)assignment: engine options, the fragment
@@ -152,7 +151,6 @@ func (e *Encoder) Assign(a Assign) error {
 		flags |= 2
 	}
 	fw.uvarint(flags)
-	fw.varint(int64(a.Opts.MaxDeps))
 	fw.buf = hypart.AppendFragment(fw.buf, a.Frag, a.RuleFrags)
 	e.writeFacts(a.Replay)
 	return fw.flush()
@@ -327,9 +325,6 @@ func (d *Decoder) Next() (Msg, error) {
 		}
 		m.Assign.Opts.NoMQO = flags&1 != 0
 		m.Assign.Opts.SequentialDeduce = flags&2 != 0
-		if m.Assign.Opts.MaxDeps, err = p.varintInt("max deps"); err != nil {
-			return Msg{}, err
-		}
 		frag, ruleFrags, rest, err := hypart.ReadFragment(p.b[p.off:])
 		if err != nil {
 			return Msg{}, err
@@ -378,11 +373,6 @@ func (d *Decoder) Next() (Msg, error) {
 	return m, nil
 }
 
-// varint writes a zigzag-encoded signed word.
-func (fw *frameWriter) varint(x int64) {
-	fw.uvarint(uint64(x<<1) ^ uint64(x>>63))
-}
-
 // intField reads a uvarint bounded to the int range.
 func (p *payload) intField(what string) (int, error) {
 	x, err := p.uvarint()
@@ -390,19 +380,6 @@ func (p *payload) intField(what string) (int, error) {
 		return 0, err
 	}
 	if x > math.MaxInt32 {
-		return 0, fmt.Errorf("wire: %s %d out of range", what, x)
-	}
-	return int(x), nil
-}
-
-// varintInt reads a zigzag-encoded signed word bounded to int32.
-func (p *payload) varintInt(what string) (int, error) {
-	u, err := p.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	x := int64(u>>1) ^ -int64(u&1)
-	if x > math.MaxInt32 || x < math.MinInt32 {
 		return 0, fmt.Errorf("wire: %s %d out of range", what, x)
 	}
 	return int(x), nil

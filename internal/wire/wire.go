@@ -41,8 +41,9 @@ import (
 
 // Version is the protocol version carried in Hello; mismatches abort the
 // handshake rather than misdecoding frames. Version 2 shrank Assign's
-// engine options to one flag word and one varint.
-const Version = 2
+// engine options to one flag word and one varint; version 3 dropped the
+// varint with the dependency store it sized, leaving the flag word.
+const Version = 3
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest

@@ -57,7 +57,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, IDSpace: 67890, Rules: 7}
 	assign := Assign{
 		Worker: 2, Workers: 4,
-		Opts:      EngineOpts{NoMQO: true, SequentialDeduce: true, MaxDeps: -1},
+		Opts:      EngineOpts{NoMQO: true, SequentialDeduce: true},
 		Frag:      []relation.TID{1, 5, 9, 10, 11, 400},
 		RuleFrags: [][]relation.TID{{1, 5}, nil, {9, 10, 11, 400}},
 		Replay:    randFacts(rng, 40),

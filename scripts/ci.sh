@@ -42,7 +42,7 @@ go test -short ./...
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance, key maps under inserts and the TPCH join orders, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
@@ -85,7 +85,7 @@ if ! grep -q "recoveries=1" /tmp/dcer_ci_crash.log; then
     exit 1
 fi
 
-echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path, the join orders, the key maps and PlanReport snapshots)"
+echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity across drain modes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path, the join orders with their class steps, the key maps and PlanReport snapshots)"
 go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
@@ -102,12 +102,12 @@ go test -run=NONE -fuzz=FuzzSimDecide -fuzztime=10s -fuzzminimizetime=100x ./int
 echo "== MRL round trip (10 s fuzz: Parse never panics, and every rule it accepts re-parses from its String to the same String)"
 go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x ./internal/rule
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, dependency recording per chunk not per dependency, HyPart per-block not per-tuple)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestDepRecordAllocs|TestPartitionAllocs' \
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
-echo "== storage equivalence guards (columnar parity + memory-bounded chase Gamma equality + golden Gamma fact sequences in every Deduce/drain mode + the packed dependency store against the map-and-full-scan model + DepsVisited far below a scan per round)"
-go test -short -count=1 -run 'TestStorageParity|TestMemBudgetGammaEquivalence|TestDepStoreByteBudget|TestGammaGoldenDigest|TestDepStoreDifferential|TestDepsVisitedProportionalToNewFacts' \
+echo "== storage equivalence guards (columnar parity + golden Gamma fact sequences and class sets in every Deduce/drain mode)"
+go test -short -count=1 -run 'TestStorageParity|TestGammaGoldenDigest' \
     ./internal/relation ./internal/chase
 
 echo "== bench smoke (IncDeduce and InsertTuples at the -short scale incl. their full-chase asserts + HyPart incl. the Partition equivalence assert, 1 iteration)"
