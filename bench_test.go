@@ -120,23 +120,31 @@ func gateFixture(b *testing.B) (*datagen.Generated, []*dcer.Rule) {
 	return tpchFixture(b, 2.0)
 }
 
+// sequentialArm runs a benchmark's "sequential" arm at GOMAXPROCS 1 —
+// one pool goroutine, every drain batch live: the schedule of a one-core
+// host — and returns the restore of the old width, to defer.
+func sequentialArm(b *testing.B) func() {
+	old := runtime.GOMAXPROCS(1)
+	b.ResetTimer()
+	return func() { runtime.GOMAXPROCS(old) }
+}
+
 // BenchmarkDeduceParallel measures the first-pass Deduce hot path on a
-// multi-rule workload (gateFixture), sequential rule enumeration vs the
-// concurrent snapshot-enumerate-merge pass, and asserts both reach the
-// identical equivalence relation.
+// multi-rule workload (gateFixture), the pool at width 1 vs the
+// concurrent snapshot-enumerate-merge pass at the benchmark's width, and
+// asserts both reach the identical equivalence relation.
 func BenchmarkDeduceParallel(b *testing.B) {
 	g, rules := gateFixture(b)
 	reg := mlpred.DefaultRegistry()
 	classes := make(map[string]string)
-	for _, mode := range []struct {
-		name string
-		seq  bool
-	}{{"sequential", true}, {"concurrent", false}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"sequential", "concurrent"} {
+		b.Run(mode, func(b *testing.B) {
+			if mode == "sequential" {
+				defer sequentialArm(b)()
+			}
 			var last *chase.Engine
 			for i := 0; i < b.N; i++ {
-				eng, err := chase.New(g.D, rules, reg,
-					chase.Options{ShareIndexes: true, SequentialDeduce: mode.seq})
+				eng, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,7 +152,7 @@ func BenchmarkDeduceParallel(b *testing.B) {
 				last = eng
 			}
 			b.StopTimer()
-			classes[mode.name] = dcer.CanonicalClasses(last.Classes())
+			classes[mode] = dcer.CanonicalClasses(last.Classes())
 		})
 	}
 	if a, c := classes["sequential"], classes["concurrent"]; a != "" && c != "" && a != c {
@@ -157,8 +165,8 @@ func BenchmarkDeduceParallel(b *testing.B) {
 // exercises the update-driven drain that dominates the Fig. 6 drivers —
 // under the default engine, whose drain fans batches out only where there
 // is a second processor (run with -cpu 2 or more to time that path; at
-// -cpu 1 both arms run the live drain), and under the sequential engine.
-// Both must converge to the full chase's equivalence classes.
+// -cpu 1 both arms run the live drain), and at width 1. Both must converge
+// to the full chase's equivalence classes.
 func BenchmarkIncDeduce(b *testing.B) {
 	g, rules := gateFixture(b)
 	reg := mlpred.DefaultRegistry()
@@ -168,17 +176,14 @@ func BenchmarkIncDeduce(b *testing.B) {
 	}
 	facts := base.Deduce()
 	want := dcer.CanonicalClasses(base.Classes())
-	for _, mode := range []struct {
-		name string
-		opts chase.Options
-	}{
-		{"default", chase.Options{ShareIndexes: true}},
-		{"sequential", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"default", "sequential"} {
+		b.Run(mode, func(b *testing.B) {
+			if mode == "sequential" {
+				defer sequentialArm(b)()
+			}
 			var last *chase.Engine
 			for i := 0; i < b.N; i++ {
-				eng, err := chase.New(g.D, rules, reg, mode.opts)
+				eng, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,8 +201,8 @@ func BenchmarkIncDeduce(b *testing.B) {
 // BenchmarkInsertTuples measures the ΔD path: three quarters of gateFixture
 // (every tuple but each fourth) are resolved with Run outside the timer,
 // then the held-back quarter is appended and handed to InsertTuples in 16
-// batches, under the default and the sequential engine. Both must reach
-// the full chase's equivalence classes.
+// batches, at the benchmark's width and at width 1. Both must reach the
+// full chase's equivalence classes.
 func BenchmarkInsertTuples(b *testing.B) {
 	g, rules := gateFixture(b)
 	reg := mlpred.DefaultRegistry()
@@ -216,14 +221,11 @@ func BenchmarkInsertTuples(b *testing.B) {
 		}
 	}
 	const batches = 16
-	for _, mode := range []struct {
-		name string
-		opts chase.Options
-	}{
-		{"default", chase.Options{ShareIndexes: true}},
-		{"sequential", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"default", "sequential"} {
+		b.Run(mode, func(b *testing.B) {
+			if mode == "sequential" {
+				defer sequentialArm(b)()
+			}
 			var last *chase.Engine
 			var src []dcer.TID // the fixture's GID of each tuple of the last dataset
 			for i := 0; i < b.N; i++ {
@@ -234,7 +236,7 @@ func BenchmarkInsertTuples(b *testing.B) {
 					d.MustAppend(g.D.SchemaOf(t).Name, t.Values()...)
 					src = append(src, t.GID)
 				}
-				eng, err := chase.New(d, rules, reg, mode.opts)
+				eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -366,15 +368,16 @@ func BenchmarkHyPart(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReplicationCap sweeps HyPart's replication cap: higher
-// caps spread wide rules over more blocks at the price of more copies.
+// BenchmarkAblationReplicationCap sweeps HyPart's replication cap over 8
+// workers: higher caps spread wide rules over more blocks at the price of
+// more copies. DMatch itself always runs HyPart's default cap.
 func BenchmarkAblationReplicationCap(b *testing.B) {
 	g, rules := tpchFixture(b, 0.1)
 	for _, rc := range []int{1, 2, 4, 8} {
 		b.Run(itoa(rc), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(),
-					dmatch.Options{Workers: 8, ReplicationCap: rc}); err != nil {
+				if _, err := hypart.Partition(g.D, rules, 8,
+					hypart.Options{Share: true, ReplicationCap: rc}); err != nil {
 					b.Fatal(err)
 				}
 			}

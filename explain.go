@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"dcer/internal/chase"
-	"dcer/internal/complexity"
 	"dcer/internal/provenance"
 	"dcer/internal/relation"
 )
@@ -14,8 +13,8 @@ import (
 // ErrNoMatch reports that the queried pair is not matched under the rules
 // — there is no proof to extract. It is distinct from
 // ErrProvenanceIncomplete ("the pair may match, but no derivation was
-// recorded"), which Explain resolves internally by falling back to the
-// reference chase.
+// recorded"), which Explain and ExplainParallel cannot return: they
+// capture into unbounded logs.
 var ErrNoMatch = errors.New("dcer: tuples do not match under the rules")
 
 // ErrProvenanceIncomplete reports that a justification log cannot supply
@@ -40,7 +39,7 @@ type ExplanationStep struct {
 	A, B      TID
 	Valuation []TID
 	// Origin says how the fact entered Γ ("rule", "dep", "external",
-	// "id-dup"); empty for proofs extracted by the reference chase.
+	// "id-dup").
 	Origin string
 	// Checks are the ML predicate outcomes the step consumed directly
 	// from the classifiers.
@@ -52,21 +51,17 @@ type ExplanationStep struct {
 }
 
 // Explain derives why tuples a and b match under the rules by running the
-// production chase with justification capture and extracting the minimal
-// proof from the recorded log. It returns ErrNoMatch when the pair does
-// not match. Only if the bounded log overflows (so the proof has holes)
-// does it fall back to the brute-force reference chase.
+// production chase with justification capture into an unbounded log and
+// extracting the minimal proof from it. It returns ErrNoMatch when the
+// pair does not match.
 func Explain(d *Dataset, rules []*Rule, reg *ClassifierRegistry, a, b TID) (*Explanation, error) {
-	log := provenance.NewLog(0)
+	log := provenance.NewLog(-1)
 	eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true, Provenance: log})
 	if err != nil {
 		return nil, err
 	}
 	eng.Run()
 	ex, err := explainFromProof(log.Proof([2]relation.TID{a, b}, eng.BaseEquivalence()))
-	if errors.Is(err, provenance.ErrIncomplete) {
-		return explainNaive(d, rules, reg, a, b)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -77,17 +72,15 @@ func Explain(d *Dataset, rules []*Rule, reg *ClassifierRegistry, a, b TID) (*Exp
 // ExplainParallel answers the same question from a parallel run: it
 // executes DMatch with per-worker justification capture and extracts the
 // proof — including derivation chains that cross workers — from the
-// stitched global log. opts.Provenance is forced on.
+// stitched global log. opts.Provenance is forced on and every worker's
+// log is unbounded.
 func ExplainParallel(d *Dataset, rules []*Rule, reg *ClassifierRegistry, opts ParallelOptions, a, b TID) (*Explanation, error) {
-	opts.Provenance = true
+	opts.Provenance, opts.ProvenanceLimit = true, -1
 	res, err := MatchParallel(d, rules, reg, opts)
 	if err != nil {
 		return nil, err
 	}
 	ex, err := explainFromProof(res.Proof(a, b))
-	if errors.Is(err, provenance.ErrIncomplete) {
-		return explainNaive(d, rules, reg, a, b)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -131,33 +124,6 @@ func explainFromProof(proof []provenance.Entry, err error) (*Explanation, error)
 			Checks:    en.Checks,
 			Worker:    en.Worker,
 			Superstep: en.Step,
-		})
-	}
-	return ex, nil
-}
-
-// explainNaive is the reference-chase fallback: brute-force enumeration
-// with justification tracking (complexity.NaiveChase), usable when the
-// production log is unavailable or overflowed. Meant for moderate data.
-func explainNaive(d *Dataset, rules []*Rule, reg *ClassifierRegistry, a, b TID) (*Explanation, error) {
-	res, err := complexity.NaiveChase(d, rules, reg)
-	if err != nil {
-		return nil, err
-	}
-	proof := complexity.ProofOf(res, [2]relation.TID{a, b})
-	if proof == nil {
-		return nil, ErrNoMatch
-	}
-	ex := &Explanation{Target: [2]TID{a, b}}
-	for _, f := range proof {
-		ex.Steps = append(ex.Steps, ExplanationStep{
-			Rule:      f.Rule,
-			IsMatch:   f.IsMatch,
-			Model:     f.Model,
-			A:         f.A,
-			B:         f.B,
-			Valuation: f.Valuation,
-			Worker:    -1,
 		})
 	}
 	return ex, nil

@@ -59,12 +59,11 @@ func TestExplainParallelDeepMatch(t *testing.T) {
 	if !strings.Contains(text, "Customers(c1) = Customers(c3)") {
 		t.Errorf("parallel explanation missing the target match:\n%s", text)
 	}
-	// Steps extracted from the production log carry their origin; the
-	// NaiveChase fallback leaves it empty. The proof must not have come
-	// from the fallback.
+	// Every step of a proof extracted from the production log carries
+	// its origin.
 	for _, st := range ex.Steps {
 		if st.Origin == "" {
-			t.Fatalf("step without origin — proof fell back to the reference chase:\n%s", text)
+			t.Fatalf("step without origin:\n%s", text)
 		}
 	}
 	_, err = dcer.ExplainParallel(d, rules, dcer.DefaultClassifiers(),

@@ -28,10 +28,7 @@ func TestEnumerationAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{
-				ShareIndexes:     true,
-				SequentialDeduce: true,
-			})
+			e, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,10 +164,9 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 	return append(jobs, drainJob{br: br, p: p, tx: tx, ty: ty})
 }
 
-// runJobs executes one batch: on the engine's live context when the engine
-// is sequential (Options.SequentialDeduce), when there is no second
-// processor to fan out to — a buffered chunk cannot see the facts of
-// earlier jobs in its own batch and re-derives them, which a lone
+// runJobs executes one batch: on the engine's live context when there is
+// no second processor to fan out to — a buffered chunk cannot see the
+// facts of earlier jobs in its own batch and re-derives them, which a lone
 // processor pays for with nothing to show — or when the batch is small.
 //
 // Otherwise the batch is split into contiguous chunks, at most one per
@@ -186,7 +185,7 @@ func (e *Engine) runJobs(jobs []drainJob) {
 	}
 	fanMin := e.drainMin
 	if fanMin == 0 {
-		if e.opts.SequentialDeduce || runtime.GOMAXPROCS(0) <= 1 {
+		if runtime.GOMAXPROCS(0) <= 1 {
 			fanMin = math.MaxInt
 		} else {
 			fanMin = drainParallelMin

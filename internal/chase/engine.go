@@ -21,18 +21,6 @@ type Options struct {
 	// rebuilds its own indexes and ML stores, so no intermediate results
 	// are shared.
 	ShareIndexes bool
-	// IDSpace overrides the size of the global tuple-id space; fragments
-	// of a larger dataset must pass the parent's size so the
-	// id-equivalence relation can host remote ids. 0 means the dataset's
-	// own size.
-	IDSpace int
-	// SequentialDeduce keeps the engine on the calling goroutine: rules
-	// enumerate strictly one after another in the first pass of Deduce
-	// and in the seed pass of InsertTuples instead of on the pool, and no
-	// drain batch fans out (drain.go). The final Γ is identical either way (the chase is Church-Rosser);
-	// sequential mode exists for deterministic debugging and undistorted
-	// single-thread timings.
-	SequentialDeduce bool
 	// Metrics attaches the engine to a telemetry registry, its one
 	// observability handle: per-rule enumeration histograms and gauge
 	// views over the Stats counters (so /metrics and Stats() agree);
@@ -242,8 +230,8 @@ type Engine struct {
 	// roots is the pool's frozen union-find snapshot (frozenRoots).
 	roots []int32
 
-	// ctx is the reusable evaluation context of the sequential paths
-	// (seeded re-enumerations and SequentialDeduce).
+	// ctx is the reusable evaluation context of the paths that run on the
+	// calling goroutine (a one-rule Deduce and the drain's live batches).
 	ctx evalCtx
 
 	// interpret switches enumeration from the compiled plans to the
@@ -319,22 +307,16 @@ func New(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 // NewScoped prepares an engine whose rule i enumerates only over
 // scopes[i] (nil entries and a nil slice mean the whole dataset). The
 // parallel engine passes each worker's per-rule block unions, so rules do
-// not re-scan tuples that other rules' blocks brought to the worker.
+// not re-scan tuples that other rules' blocks brought to the worker. The
+// id-equivalence relation spans d.IDSpace(), so an engine over a fragment
+// takes facts naming any tuple of the parent dataset.
 func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Dataset, reg *mlpred.Registry, opts Options) (*Engine, error) {
-	idSpace := opts.IDSpace
-	if idSpace == 0 {
-		for _, t := range d.Tuples() {
-			if int(t.GID)+1 > idSpace {
-				idSpace = int(t.GID) + 1
-			}
-		}
-	}
 	e := &Engine{
 		d:             d,
 		held:          d.Size(),
 		reg:           reg,
 		opts:          opts,
-		uf:            unionfind.New(idSpace),
+		uf:            unionfind.New(d.IDSpace()),
 		members:       make(map[int][]relation.TID),
 		validated:     make(map[Literal]bool),
 		ixSets:        make(map[*relation.Dataset]*relation.IndexSet),
@@ -701,9 +683,10 @@ func (e *Engine) flushCounters(o *taskOut) {
 
 // Deduce runs the first full chase pass over all rules (procedure Deduce
 // of Section V-A) and then drains the internal update-driven fixpoint.
-// Unless Options.SequentialDeduce is set, the pass is one pool task per
-// rule against a frozen snapshot of Γ; either way the final Γ is the same,
-// by the Church-Rosser property of the chase. It returns the facts deduced
+// With more than one rule the pass is one pool task per rule against a
+// frozen snapshot of Γ, merged in rule order; the pool's width is
+// GOMAXPROCS, and at any width the final Γ is the same, by the
+// Church-Rosser property of the chase. It returns the facts deduced
 // during the call.
 func (e *Engine) Deduce() []Fact {
 	sp := e.startRoot("chase.Deduce")
@@ -713,7 +696,7 @@ func (e *Engine) Deduce() []Fact {
 		defer h.hb.Exit()
 	}
 	e.delta = e.delta[:0]
-	if e.opts.SequentialDeduce || len(e.rules) <= 1 {
+	if len(e.rules) <= 1 {
 		for _, br := range e.rules {
 			e.enumerateRule(&e.ctx, br, nil)
 			e.flushCtxCounters(&e.ctx)

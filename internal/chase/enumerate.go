@@ -147,7 +147,7 @@ func (c *evalCtx) same(a, b relation.TID) bool {
 }
 
 // apply hands a deduced head literal and its justification to the engine
-// (sequential mode) or buffers both for the merge step (concurrent mode).
+// (the live context) or buffers both for the merge step (a pool task).
 func (c *evalCtx) apply(l Literal, j *justification) {
 	if c.buffered {
 		c.facts = append(c.facts, l)

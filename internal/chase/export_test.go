@@ -26,7 +26,7 @@ const NeverFanOut = math.MaxInt
 
 // SetSeedHook has f called with the rule and the bound GIDs, in variable
 // order, of every valuation InsertTuples' seed pass emits — concurrently,
-// from the pool's goroutines, unless the engine is sequential.
+// from the pool's goroutines.
 func (e *Engine) SetSeedHook(f func(rule string, gids []relation.TID)) {
 	e.seedHook = func(br *boundRule, binding []*relation.Tuple) {
 		gids := make([]relation.TID, len(binding))

@@ -38,47 +38,42 @@ func gammaDigest(g *chase.Gamma) string {
 
 // goldenGammas were recorded from the engine of commit fcbfa76 (map-backed
 // DepStore with the full-scan, sort-the-survivors Fire), before the packed
-// watched-literal store replaced it; "unbounded/live-drain" and
-// "insert/live-drain" from commit 68ad08b with its sequential-drain option
-// set. Key: dataset/mode. The modes force their drains explicitly (every
-// batch fanned out, or none, on any GOMAXPROCS), so the digests do not
-// depend on the host. "seqdeduce" — sequential Deduce over the forced
-// batched drain — pinned a combination the engine no longer has: its one
-// switch keeps the whole engine on the calling goroutine. "insert/conc" and
-// "insert/live-drain" were re-recorded when InsertTuples' seed pass moved
-// from the live context onto the task pool: its tasks buffer against one
-// snapshot and merge in task order, so heads the live loop applied at once
-// now land through the merge and the drain; "insert/seq" runs the same
-// seed list on the live context and kept its digest. Every mode but "seq"
-// and "insert/seq" was re-recorded again when each rule's join order was
-// planned once, statically, instead of chosen per enumeration node: a rule
-// now emits its valuations in its planned order, so a buffered task's
-// facts and dependencies reach the merge in another order. Every mode but
-// "seq", on both datasets, was re-recorded a third time when id predicates
-// became access paths and the dependency store H was retired: valuations
-// reach the drain in another order (a class step binds a variable that a
-// key or a scan bound before), class member lists are merged in GID order
-// instead of concatenated, and no dependency fires — a valuation whose
-// literal is not yet in Γ is dropped and re-seeded by the fact that
-// validates it. No mode's class set moved with any of these (goldenSets,
-// each recorded before the move that touched its mode).
+// watched-literal store replaced it; "insert/live-drain" from commit
+// 68ad08b with its sequential-drain option set. Key: dataset/mode. The
+// modes force their drains explicitly (every batch fanned out, or none, on
+// any GOMAXPROCS), so the digests do not depend on the host. "insert/conc"
+// and "insert/live-drain" were re-recorded when InsertTuples' seed pass
+// moved from the live context onto the task pool: its tasks buffer against
+// one snapshot and merge in task order, so heads the live loop applied at
+// once now land through the merge and the drain. Every mode was
+// re-recorded again when each rule's join order was planned once,
+// statically, instead of chosen per enumeration node: a rule now emits its
+// valuations in its planned order, so a buffered task's facts and
+// dependencies reach the merge in another order. Every mode was
+// re-recorded a third time when id predicates became access paths and the
+// dependency store H was retired: valuations reach the drain in another
+// order (a class step binds a variable that a key or a scan bound before),
+// class member lists are merged in GID order instead of concatenated, and
+// no dependency fires — a valuation whose literal is not yet in Γ is
+// dropped and re-seeded by the fact that validates it. No mode's class set
+// moved with any of these (goldenSets, each recorded before the move that
+// touched its mode).
+//
+// Retired keys: "seqdeduce" (sequential Deduce over the forced batched
+// drain) went with the combination; "seq" and "insert/seq" went with the
+// sequential engine option, whose schedule is the default one at
+// GOMAXPROCS 1; "unbounded" and "unbounded/live-drain" ran the options of
+// "conc" and "seqdrain" once the dependency store they sized was retired.
+// Each retired key's class-set digest equals a remaining key's.
 var goldenGammas = map[string]string{
-	"tpch0.5/seq":                   "7777befa0cb3563ae20874e877a6cac1e585c3b0142f0404280908476c515322",
-	"tpch0.5/conc":                  "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/seqdrain":              "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/unbounded":             "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/unbounded/live-drain":  "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/insert/seq":            "b5fea662955a1e5cfd933e9469056898df3d70f9726844ac7fbd41ef6ddcb881",
-	"tpch0.5/insert/conc":           "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
-	"tpch0.5/insert/live-drain":     "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
-	"tfacc0.2/seq":                  "4a0102bcb6f3c81556ca89f32114426ef5ec4fdbeeeab3ebbd6ab3247e8d6156",
-	"tfacc0.2/conc":                 "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/seqdrain":             "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/unbounded":            "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/unbounded/live-drain": "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/insert/seq":           "bf9113b51445f22046f1d10dcf0e70e69a5e1b7fa88986bbddb5583618425d98",
-	"tfacc0.2/insert/conc":          "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
-	"tfacc0.2/insert/live-drain":    "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
+	"tpch0.5/conc":               "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
+	"tpch0.5/seqdrain":           "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
+	"tpch0.5/insert/conc":        "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
+	"tpch0.5/insert/live-drain":  "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
+	"tfacc0.2/conc":              "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
+	"tfacc0.2/seqdrain":          "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
+	"tfacc0.2/insert/conc":       "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
+	"tfacc0.2/insert/live-drain": "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
 }
 
 // TestGammaGoldenDigest pins Γ's fact sequence byte for byte in every
@@ -97,17 +92,8 @@ func TestGammaGoldenDigest(t *testing.T) {
 			return datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
 		}},
 	}
-	// The "unbounded" modes ran with an unbounded dependency store. Since
-	// the store was retired they run with the default options, under their
-	// old names so that their class-set digests stay pinned.
-	unbounded := chase.Options{ShareIndexes: true}
-	modes := []engineMode{
-		modeSeq,
-		modeBatched.as("conc"),
-		modeLive.as("seqdrain"),
-		{"unbounded", unbounded, modeBatched.switches},
-		{"unbounded/live-drain", unbounded, modeLive.switches},
-	}
+	conc := modeBatched.as("conc")
+	modes := []engineMode{conc, modeLive.as("seqdrain")}
 	check := func(key string, eng *chase.Engine) {
 		t.Helper()
 		g := eng.Gamma()
@@ -134,7 +120,7 @@ func TestGammaGoldenDigest(t *testing.T) {
 			check(gn.name+"/"+m.name, eng)
 		}
 		// ΔD: the IncDeduce drain over an already resolved Γ.
-		for _, m := range []engineMode{modes[0], modes[1], modeLive.as("live-drain")} {
+		for _, m := range []engineMode{conc, modeLive.as("live-drain")} {
 			check(gn.name+"/insert/"+m.name, insertRun(t, g, m, 4, nil))
 		}
 	}
@@ -146,22 +132,14 @@ func TestGammaGoldenDigest(t *testing.T) {
 // still ran serially on the live context; the Run modes' from commit
 // 4e39fa6, before each rule's join order was planned statically.
 var goldenSets = map[string]string{
-	"tpch0.5/seq":                   "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/conc":                  "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/seqdrain":              "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/unbounded":             "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/unbounded/live-drain":  "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/insert/seq":            "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
-	"tpch0.5/insert/conc":           "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
-	"tpch0.5/insert/live-drain":     "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
-	"tfacc0.2/seq":                  "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/conc":                 "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/seqdrain":             "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/unbounded":            "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/unbounded/live-drain": "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/insert/seq":           "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
-	"tfacc0.2/insert/conc":          "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
-	"tfacc0.2/insert/live-drain":    "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+	"tpch0.5/conc":               "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
+	"tpch0.5/seqdrain":           "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
+	"tpch0.5/insert/conc":        "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tpch0.5/insert/live-drain":  "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tfacc0.2/conc":              "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
+	"tfacc0.2/seqdrain":          "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
+	"tfacc0.2/insert/conc":       "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+	"tfacc0.2/insert/live-drain": "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
 }
 
 // classSetDigest is a sha256 over the engine's canonical equivalence

@@ -23,8 +23,8 @@ import (
 // rule variable with new tuples and restricts the variables before it to
 // tuples older than the batch, so a valuation whose new tuples sit at the
 // variables S is enumerated once, seeded at the first of S (DESIGN.md §6).
-// Unless Options.SequentialDeduce is set, the tasks run on the pool and
-// merge in task order, as Deduce's first pass does.
+// The tasks run on the pool and merge in task order, as Deduce's first
+// pass does.
 func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	for _, br := range e.rules {
 		if br.scope != e.d {
@@ -81,16 +81,9 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 		}
 		c.cut, c.seeded = 0, nil
 	}
-	if e.opts.SequentialDeduce {
-		for i := range tasks {
-			run(&e.ctx, &tasks[i])
-		}
-		e.flushCtxCounters(&e.ctx)
-	} else {
-		ruleOf := func(i int) *boundRule { return tasks[i].br }
-		e.pool(len(tasks), func(i int, c *evalCtx) { run(c, &tasks[i]) },
-			e.timedMerge(ruleOf, e.mergeCtx))
-	}
+	ruleOf := func(i int) *boundRule { return tasks[i].br }
+	e.pool(len(tasks), func(i int, c *evalCtx) { run(c, &tasks[i]) },
+		e.timedMerge(ruleOf, e.mergeCtx))
 	e.drain()
 	return append([]Fact(nil), e.delta...), nil
 }

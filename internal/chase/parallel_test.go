@@ -2,6 +2,7 @@ package chase_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -45,12 +46,14 @@ func canonValidated(facts []chase.Fact) string {
 	return strings.Join(keys, "\n")
 }
 
-// TestDeduceParallelEquivalence is the property test for the concurrent
-// first pass of Deduce: on randomized datasets and rule sets, the
-// sequential and concurrent passes of the standalone engine must reach
-// byte-identical equivalence classes and validated sets.
+// TestDeduceParallelEquivalence is the property test for the pool's width:
+// on randomized datasets and rule sets, the standalone engine at
+// GOMAXPROCS 1 (one goroutine, every drain batch live) and at the live
+// width must reach byte-identical equivalence classes and validated sets.
 func TestDeduceParallelEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
+	width := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(width)
 	seeds := int64(40)
 	if testing.Short() {
 		seeds = 12
@@ -61,8 +64,9 @@ func TestDeduceParallelEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var classes, validated []string
-		for _, seq := range []bool{true, false} {
-			eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true, SequentialDeduce: seq})
+		for _, w := range []int{1, width} {
+			runtime.GOMAXPROCS(w)
+			eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -71,12 +75,12 @@ func TestDeduceParallelEquivalence(t *testing.T) {
 			validated = append(validated, canonValidated(eng.Gamma().Validated))
 		}
 		if classes[0] != classes[1] {
-			t.Fatalf("seed %d: sequential and concurrent Deduce classes differ:\nseq:\n%s\npar:\n%s",
-				seed, classes[0], classes[1])
+			t.Fatalf("seed %d: Deduce classes differ between width 1 and %d:\nwidth 1:\n%s\nwidth %d:\n%s",
+				seed, width, classes[0], width, classes[1])
 		}
 		if validated[0] != validated[1] {
-			t.Fatalf("seed %d: validated sets differ:\nseq:\n%s\npar:\n%s",
-				seed, validated[0], validated[1])
+			t.Fatalf("seed %d: validated sets differ between width 1 and %d:\nwidth 1:\n%s\nwidth %d:\n%s",
+				seed, width, validated[0], width, validated[1])
 		}
 	}
 }
@@ -121,8 +125,8 @@ func TestDrainParallelEquivalence(t *testing.T) {
 // incremental ΔD path: withholding a random slice of a random instance and
 // inserting it later — in one batch, or in two or five batches of random
 // sizes, one of them a single tuple — must reach exactly the Γ of a full
-// chase over the whole dataset, under the sequential engine, the default
-// and the forced batched drain.
+// chase over the whole dataset, under the default and the forced batched
+// drain.
 func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(25)
@@ -140,7 +144,7 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 		}
 		scratch.Run()
 		rng := rand.New(rand.NewSource(seed))
-		for _, opts := range []engineMode{modeSeq, modeDefault, modeBatched} {
+		for _, opts := range []engineMode{modeDefault, modeBatched} {
 			for _, batches := range []int{1, 2, 5} {
 				// Rebuild withholding every k-th tuple, chase, then insert them.
 				k := 3 + int(seed%4)
@@ -213,8 +217,8 @@ func batchSizes(rng *rand.Rand, n, k int) []int {
 }
 
 // TestDMatchModesEquivalence is the property test for the dmatch execution
-// modes: fully sequential supersteps (one worker at a time, sequential
-// worker engines) and the parallel default must produce the same global
+// modes: sequential supersteps (one worker at a time) and the parallel
+// default must produce the same global
 // equivalence classes and validated set on randomized instances.
 func TestDMatchModesEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()

@@ -50,12 +50,11 @@ func (m engineMode) engine(t testing.TB, d *relation.Dataset, rules []*rule.Rule
 	return eng
 }
 
-// The modes the Γ oracles cover: the sequential engine, concurrent Deduce
-// over the live drain (what a one-processor host and small batches run),
-// and concurrent Deduce with every drain batch fanned out. modeDefault
-// leaves the drain to the engine, so what it covers depends on GOMAXPROCS.
+// The modes the Γ oracles cover: Deduce's first pass on the pool over the
+// live drain (what a one-processor host and small batches run), and over a
+// drain with every batch fanned out. modeDefault leaves the drain to the
+// engine, so what it covers depends on GOMAXPROCS.
 var (
-	modeSeq     = engineMode{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true}, nil}
 	modeLive    = engineMode{"conc/live-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){liveDrain}}
 	modeBatched = engineMode{"conc/batched-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){batchedDrain}}
 	modeDefault = engineMode{"default", chase.Options{ShareIndexes: true}, nil}
@@ -64,8 +63,8 @@ var (
 // TestPlanGammaEquivalence is the compiled-plan determinism property: on
 // random rules and datasets, Γ — the exact fact log, not just the final
 // equivalence classes — must be byte-identical between the interpreter
-// and the compiled plans, under the sequential engine, the live and the
-// forced batched drain, and the batched drain without shared indexes.
+// and the compiled plans, under the live and the forced batched drain, and
+// the batched drain without shared indexes.
 func TestPlanGammaEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(40)
@@ -73,7 +72,7 @@ func TestPlanGammaEquivalence(t *testing.T) {
 		seeds = 10
 	}
 	modes := []engineMode{
-		modeSeq, modeLive, modeBatched,
+		modeLive, modeBatched,
 		{"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches},
 	}
 	for seed := int64(200); seed < 200+seeds; seed++ {

@@ -18,7 +18,7 @@ import (
 // NaiveChase matches gets a proof from the log that complexity.VerifyProof,
 // the independent verifier of Theorem 2(1), accepts, and every other pair
 // gets ErrNotEntailed. provenance's TestProofReplaysAgainstVerifier checks
-// the same for the sequential and the default engine, but cannot reach the
+// the same for the default engine, but cannot reach the
 // switch that makes small batches (and a one-processor host) fan out.
 func TestProofReplaysUnderBatchedDrain(t *testing.T) {
 	reg := mlpred.DefaultRegistry()

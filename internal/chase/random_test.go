@@ -36,7 +36,6 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		for _, mode := range []engineMode{
 			modeDefault,
 			{"noMQO", chase.Options{ShareIndexes: false}, nil},
-			modeSeq,
 			modeBatched,
 			modeDefault.with("interpreter", interpreted),
 		} {

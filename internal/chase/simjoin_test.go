@@ -74,7 +74,7 @@ func TestSimJoinEqualsScan(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	modes := []engineMode{modeSeq, modeLive, modeBatched, {"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches}}
+	modes := []engineMode{modeLive, modeBatched, {"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches}}
 	var probes, scored int64
 	for seed := int64(500); seed < 500+seeds; seed++ {
 		d, rules := simInstance(t, seed)
@@ -120,7 +120,7 @@ func TestSimJoinInsertEqualsRechase(t *testing.T) {
 	var filled int64
 	for seed := int64(600); seed < 600+seeds; seed++ {
 		src, rules := simInstance(t, seed)
-		for _, m := range []engineMode{modeSeq, modeLive, modeBatched} {
+		for _, m := range []engineMode{modeLive, modeBatched} {
 			d := relation.NewDataset(src.DB)
 			var batches [3][][]relation.Value
 			for i, tt := range src.Tuples() {
@@ -170,7 +170,7 @@ func TestSimJoinInsertEqualsRechase(t *testing.T) {
 // with a Calibration attached neither is taken.
 func TestCalibrationSeesEveryPair(t *testing.T) {
 	d, rules := simInstance(t, 500)
-	for _, m := range []engineMode{modeSeq, modeSeq.with("interpreter", interpreted), modeBatched} {
+	for _, m := range []engineMode{modeLive, modeLive.with("interpreter", interpreted), modeBatched} {
 		reg := mlpred.DefaultRegistry()
 		calibs := reg.EnableCalibration()
 		eng := m.engine(t, d, rules, reg)
@@ -195,7 +195,7 @@ func TestCalibrationSeesEveryPair(t *testing.T) {
 func TestSimJoinCountsEveryDecision(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	d, rules := simInstance(t, 503)
-	for _, m := range []engineMode{modeSeq, modeBatched} {
+	for _, m := range []engineMode{modeLive, modeBatched} {
 		var first chase.Stats
 		for run := 0; run < 4; run++ {
 			eng := m.engine(t, d, rules, reg)

@@ -113,7 +113,7 @@ r2: P(a) ^ P(b) ^ a.ref = b.ref ^ lev080(a.y, b.y) -> a.id = b.id
 	if !naive.Same(t0.GID, t1.GID) {
 		t.Fatal("oracle does not match t0 and t1: the instance no longer exercises a directional validation")
 	}
-	for _, mode := range []engineMode{modeDefault, modeSeq, modeDefault.with("interpreter", interpreted)} {
+	for _, mode := range []engineMode{modeDefault, modeLive, modeDefault.with("interpreter", interpreted)} {
 		e := mode.engine(t, d, rules, reg)
 		e.Run()
 		if n := e.Stats().SymmetricRules; n != 0 {
@@ -134,7 +134,7 @@ r2: P(a) ^ P(b) ^ a.ref = b.ref ^ lev080(a.y, b.y) -> a.id = b.id
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := chase.New(d, rules, opaque, chase.Options{ShareIndexes: true, SequentialDeduce: true})
+	e, err := chase.New(d, rules, opaque, chase.Options{ShareIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,9 +122,9 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 				err = fmt.Errorf("worker id %d out of range [0,%d)", h.Worker, n)
 			case ms.links[h.Worker] != nil:
 				err = fmt.Errorf("duplicate worker id %d", h.Worker)
-			case h.DatasetSize != d.Size() || h.IDSpace != ms.idSpace || h.Rules != len(rules):
+			case h.DatasetSize != d.Size() || h.IDSpace != d.IDSpace() || h.Rules != len(rules):
 				err = fmt.Errorf("dataset fingerprint mismatch: worker has (size=%d idspace=%d rules=%d), master has (%d %d %d)",
-					h.DatasetSize, h.IDSpace, h.Rules, d.Size(), ms.idSpace, len(rules))
+					h.DatasetSize, h.IDSpace, h.Rules, d.Size(), d.IDSpace(), len(rules))
 			}
 			if err != nil {
 				conn.Close()

@@ -58,16 +58,12 @@ type Options struct {
 	// NoMQO disables hash-function sharing in HyPart and index/ML-cache
 	// sharing in the per-worker engines (the DMatch_noMQO ablation).
 	NoMQO bool
-	// ReplicationCap bounds HyPart's per-tuple copy factor (see hypart).
-	ReplicationCap int
-	// MaxSupersteps bounds the BSP loop as a safety net; 0 means 1 << 20.
-	MaxSupersteps int
 	// Sequential forces the supersteps to run workers one at a time (the
-	// master waits for each worker's delta before it starts the next), each
-	// worker's engine to stay on its own goroutine
-	// (chase.Options.SequentialDeduce), and the master to build the inboxes
-	// one after another; useful for deterministic debugging and undistorted
-	// per-worker timings.
+	// master waits for each worker's delta before it starts the next) and
+	// the master to build the inboxes one after another, so per-worker busy
+	// times do not overlap (the simulated makespan of internal/experiments
+	// rests on this). Each worker's engine still runs its pool at the full
+	// GOMAXPROCS width while its peers wait.
 	Sequential bool
 	// RebalanceSkew is the per-superstep skew-ratio threshold above which
 	// the scheduler re-runs the LPT assignment over the virtual blocks'
@@ -102,15 +98,6 @@ type Options struct {
 	// ProvenanceLimit bounds each worker's log (0 means
 	// provenance.DefaultLimit, negative means unbounded).
 	ProvenanceLimit int
-}
-
-// wireEngineOpts projects the engine knobs onto the form every Assign
-// carries; Sequential becomes the per-engine SequentialDeduce here.
-func wireEngineOpts(opts Options) wire.EngineOpts {
-	return wire.EngineOpts{
-		NoMQO:            opts.NoMQO,
-		SequentialDeduce: opts.Sequential,
-	}
 }
 
 // Result is the outcome of a parallel run.
@@ -232,7 +219,7 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 			if provLogs != nil {
 				hooks.Provenance = provLogs[i]
 			}
-			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, idSpace: ms.idSpace, hooks: hooks}, building, ms.events)
+			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, hooks: hooks}, building, ms.events)
 		}
 		return nil
 	})
@@ -254,10 +241,9 @@ func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs 
 
 	t0 := time.Now()
 	part, err := hypart.Partition(d, rules, n, hypart.Options{
-		Share:          !opts.NoMQO,
-		ReplicationCap: opts.ReplicationCap,
-		Metrics:        opts.Metrics,
-		Trace:          rtc,
+		Share:   !opts.NoMQO,
+		Metrics: opts.Metrics,
+		Trace:   rtc,
 	})
 	if err != nil {
 		return nil, err
@@ -265,7 +251,7 @@ func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs 
 	res := &Result{PartitionStats: part.Stats, d: d}
 	tb := time.Now()
 	res.PartitionTime = tb.Sub(t0)
-	ms := newMasterState(d, part, len(rules), wireEngineOpts(opts))
+	ms := newMasterState(d, part, len(rules), opts.NoMQO)
 	defer func() { // on the error paths; a finished run has dropped them all
 		for w := range ms.links {
 			ms.drop(w)

@@ -15,3 +15,11 @@ func NoRebalanceMinStep(t testing.TB) {
 	rebalanceMinStep = 0
 	t.Cleanup(func() { rebalanceMinStep = old })
 }
+
+// LimitSupersteps lowers the BSP loop's safety net to n for the rest of
+// the test.
+func LimitSupersteps(t testing.TB, n int) {
+	old := maxSupersteps
+	maxSupersteps = n
+	t.Cleanup(func() { maxSupersteps = old })
+}

@@ -88,26 +88,55 @@ func sequentialClasses(t *testing.T, load loader) string {
 
 var tpchSmall = tpchLoader(datagen.TPCHOptions{Scale: 0.04, Dup: 0.4, Seed: 7})
 
-// TestSuperstepLimit: running out of MaxSupersteps with inboxes still
-// full is an error, not a partial Γ reported as success.
+// TestSuperstepLimit: running out of supersteps with inboxes still full
+// is an error, not a partial Γ reported as success.
 func TestSuperstepLimit(t *testing.T) {
 	for _, lk := range bothLinks {
 		t.Run(lk.name, func(t *testing.T) {
 			// Migrations off: a timing-fired one adds supersteps.
-			opts := dmatch.Options{Workers: 2, RebalanceSkew: -1, MaxSupersteps: 1}
-			res, err := lk.run(t, tpchSmall, opts, nil)
-			if !errors.Is(err, dmatch.ErrSuperstepLimit) {
-				t.Fatalf("MaxSupersteps=1: got (%v, %v), want ErrSuperstepLimit", res, err)
-			}
-			// A limit the run fits in is not an error.
-			opts.MaxSupersteps = 0
+			opts := dmatch.Options{Workers: 2, RebalanceSkew: -1}
 			full, err := lk.run(t, tpchSmall, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.MaxSupersteps = full.Supersteps
+			// A limit the run fits in is not an error.
+			dmatch.LimitSupersteps(t, full.Supersteps)
 			if _, err := lk.run(t, tpchSmall, opts, nil); err != nil {
-				t.Fatalf("MaxSupersteps=%d (what the run takes): %v", full.Supersteps, err)
+				t.Fatalf("limit %d (what the run takes): %v", full.Supersteps, err)
+			}
+			dmatch.LimitSupersteps(t, 1)
+			res, err := lk.run(t, tpchSmall, opts, nil)
+			if !errors.Is(err, dmatch.ErrSuperstepLimit) {
+				t.Fatalf("limit 1: got (%v, %v), want ErrSuperstepLimit", res, err)
+			}
+		})
+	}
+}
+
+// TestNoMQOReachesWorkers: NoMQO crosses to the worker's engine on both
+// links (bit 0 of Assign's flag word over TCP). With one worker, rules
+// over the same relations get the same scope, so the shared engine builds
+// their indexes once and a NoMQO engine once per rule. A link that drops
+// the bit builds the shared engine and fails here.
+func TestNoMQOReachesWorkers(t *testing.T) {
+	indexBuilds := func(res *dmatch.Result) (n int) {
+		for _, st := range res.WorkerStats {
+			n += st.IndexBuilds
+		}
+		return n
+	}
+	for _, lk := range bothLinks {
+		t.Run(lk.name, func(t *testing.T) {
+			shared, err := lk.run(t, paperLoader, dmatch.Options{Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noMQO, err := lk.run(t, paperLoader, dmatch.Options{Workers: 1, NoMQO: true}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, u := indexBuilds(shared), indexBuilds(noMQO); u <= s {
+				t.Errorf("NoMQO run built %d indexes, shared run %d: the worker engine shared indexes", u, s)
 			}
 		})
 	}

@@ -16,10 +16,14 @@ import (
 	"dcer/internal/wire"
 )
 
-// ErrSuperstepLimit is returned when Options.MaxSupersteps ran out with
-// work still pending: the Γ folded so far is a strict subset of the
-// fixpoint, so no Result is returned with it.
+// ErrSuperstepLimit is returned when maxSupersteps ran out with work still
+// pending: the Γ folded so far is a strict subset of the fixpoint, so no
+// Result is returned with it.
 var ErrSuperstepLimit = errors.New("dmatch: superstep limit reached before the fixpoint")
+
+// maxSupersteps bounds the BSP loop as a safety net. A variable, not a
+// constant, only so that this package's tests can lower it.
+var maxSupersteps = 1 << 20
 
 func (ms *masterState) alive(w int) bool { return ms.links[w] != nil }
 
@@ -67,7 +71,7 @@ func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 		// The replay supersedes any inbox already built for w.
 		replay := ms.replayFor(w, res)
 		ms.inboxes[w] = nil
-		ms.pending[w] = &wire.Assign{Worker: w, Workers: ms.n, Opts: ms.eopts,
+		ms.pending[w] = &wire.Assign{Worker: w, Workers: ms.n, NoMQO: ms.noMQO,
 			Frag: frags[w], RuleFrags: ruleFrags[w], Replay: replay}
 		rebuilt++
 	}
@@ -82,10 +86,6 @@ func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 // died or the step was skewed.
 func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *Result, provLogs []*provenance.Log) error {
 	n := ms.n
-	maxSteps := opts.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 20
-	}
 
 	// BSP instruments. Every instrument is a no-op when opts.Metrics is
 	// nil (nil-safe telemetry handles), so the loop below reads the same
@@ -173,7 +173,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 		return nil
 	}
 
-	for step := 0; step < maxSteps; step++ {
+	for step := 0; step < maxSupersteps; step++ {
 		dhb.Beat()
 		stepWall := time.Now()
 		wireBase := ms.wire.BytesOut.Load() + ms.wire.BytesIn.Load()
@@ -349,7 +349,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 			return nil
 		}
 	}
-	return fmt.Errorf("%w (MaxSupersteps = %d)", ErrSuperstepLimit, maxSteps)
+	return fmt.Errorf("%w (%d supersteps)", ErrSuperstepLimit, maxSupersteps)
 }
 
 // shutdown sends Done to every live worker and collects each one's final

@@ -18,10 +18,9 @@ import (
 // independently, suppressing re-deliveries. Nothing here knows whether a
 // worker is a goroutine or a process.
 type masterState struct {
-	n       int // worker count (fixed; dead workers keep their slot)
-	words   int // host-bitset words, (n+63)/64
-	idSpace int
-	d       *relation.Dataset
+	n     int // worker count (fixed; dead workers keep their slot)
+	words int // host-bitset words, (n+63)/64
+	d     *relation.Dataset
 
 	guf *unionfind.UnionFind
 	// Host bitsets, flat and `words` wide per entry: hosts[gid*words:] is
@@ -52,38 +51,24 @@ type masterState struct {
 	wire   *wire.Stats // wire tallies of the TCP links; stays zero in-process
 
 	// The schedule: the virtual blocks, their current block→worker
-	// assignment, the engine options every Assign carries, and per worker
+	// assignment, the NoMQO bit every Assign carries, and per worker
 	// the Assign awaiting dispatch (non-nil: the worker is fresh and must
 	// run Deduce on its next Step) and the inbox for the next superstep.
 	blocks  []hypart.Block
 	assign  []int
 	nRules  int
-	eopts   wire.EngineOpts
+	noMQO   bool
 	pending []*wire.Assign
 	inboxes [][]chase.Fact
 }
 
-// datasetIDSpace is the dense id-space bound of a dataset (max GID + 1).
-// The master and the worker processes must derive the same value from the
-// same dataset — it sizes every union-find and scoping structure.
-func datasetIDSpace(d *relation.Dataset) int {
-	idSpace := 0
-	for _, t := range d.Tuples() {
-		if int(t.GID)+1 > idSpace {
-			idSpace = int(t.GID) + 1
-		}
-	}
-	return idSpace
-}
-
 // newMasterState builds the master view over dataset d partitioned as
 // part, with every worker's initial Assign pending and no links yet.
-func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, eopts wire.EngineOpts) *masterState {
+func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO bool) *masterState {
 	n := len(part.Fragments)
 	ms := &masterState{
 		n:       n,
 		words:   (n + 63) / 64,
-		idSpace: datasetIDSpace(d),
 		d:       d,
 		guf:     chase.BuildEquivalence(d, nil),
 		seenML:  make(map[chase.Fact]bool),
@@ -95,7 +80,7 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, eopts 
 		blocks:  part.Blocks,
 		assign:  make([]int, len(part.Blocks)),
 		nRules:  nRules,
-		eopts:   eopts,
+		noMQO:   noMQO,
 		pending: make([]*wire.Assign, n),
 		inboxes: make([][]chase.Fact, n),
 	}
@@ -105,7 +90,7 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, eopts 
 	ms.setHosts(part.Fragments)
 	for w := range ms.pending {
 		ms.seen[w] = make(map[chase.Fact]struct{})
-		ms.pending[w] = &wire.Assign{Worker: w, Workers: n, Opts: eopts,
+		ms.pending[w] = &wire.Assign{Worker: w, Workers: n, NoMQO: noMQO,
 			Frag: part.Fragments[w], RuleFrags: part.RuleFragments[w]}
 	}
 	return ms
@@ -122,13 +107,13 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, eopts 
 // union a bitset merge.
 func (ms *masterState) setHosts(frags [][]relation.TID) {
 	words := ms.words
-	ms.hosts = make([]uint64, ms.idSpace*words)
+	ms.hosts = make([]uint64, ms.d.IDSpace()*words)
 	for i, frag := range frags {
 		for _, gid := range frag {
 			ms.hosts[int(gid)*words+i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	ms.classHosts = make([]uint64, ms.idSpace*words)
+	ms.classHosts = make([]uint64, ms.d.IDSpace()*words)
 	for _, t := range ms.d.Tuples() {
 		root, gid := ms.guf.Find(int(t.GID)), int(t.GID)
 		for i := 0; i < words; i++ {

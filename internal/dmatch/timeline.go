@@ -87,11 +87,11 @@ func (tl *Timeline) record(step int, elapsed []time.Duration, factsOut, msgsIn [
 // Makespan is the BSP makespan: per superstep, the maximum compute time
 // over the workers, summed over supersteps. On a machine with fewer cores
 // than workers this — not wall-clock ERTime — is the faithful stand-in for
-// the runtime on a real n-machine cluster (use Options.Sequential for
-// undistorted per-worker timings). The parallel-scalability experiments
-// report it. It leaves out engine construction, routing and the wire in
-// both modes; the measured time is the per-superstep WallNs (and
-// BytesOnWire for the wire).
+// the runtime on a real n-machine cluster (Options.Sequential keeps the
+// workers from sharing cores while they are timed). The
+// parallel-scalability experiments report it. It leaves out engine
+// construction, routing and the wire in both modes; the measured time is
+// the per-superstep WallNs (and BytesOnWire for the wire).
 func (tl *Timeline) Makespan() time.Duration {
 	var ns int64
 	for _, ss := range tl.Steps {

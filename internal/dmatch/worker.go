@@ -23,14 +23,14 @@ import (
 // process behind RunWorker's connection. It holds one chase engine over
 // the slot's current fragment.
 type worker struct {
-	id      int
-	d       *relation.Dataset
-	rules   []*rule.Rule
-	reg     *mlpred.Registry
-	idSpace int
+	id    int
+	d     *relation.Dataset
+	rules []*rule.Rule
+	reg   *mlpred.Registry
 	// hooks carries the observability options (Metrics, MetricsLabels,
 	// Provenance) every engine of this slot is built with. They never
-	// change Γ; a worker process has none.
+	// change Γ; a worker process has none. Each Assign sets ShareIndexes
+	// from its NoMQO bit.
 	hooks chase.Options
 
 	eng *chase.Engine
@@ -54,8 +54,8 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 			w.retired.Add(w.eng.Stats())
 		}
 		a := m.Assign
-		eng, err := buildWorkerEngine(w.d, w.rules, w.reg, w.id, a.Frag, a.RuleFrags,
-			chaseOptsFromWire(a.Opts, w.idSpace, w.hooks))
+		w.hooks.ShareIndexes = !a.NoMQO
+		eng, err := buildWorkerEngine(w.d, w.rules, w.reg, w.id, a.Frag, a.RuleFrags, w.hooks)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -97,15 +97,6 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 		return nil, nil, fmt.Errorf("dmatch: worker %d: unexpected %d frame", w.id, m.Type)
 	}
 	return nil, nil, nil
-}
-
-// chaseOptsFromWire is the inverse of wireEngineOpts: the engine options
-// of an Assign laid over the slot's observability hooks.
-func chaseOptsFromWire(o wire.EngineOpts, idSpace int, hooks chase.Options) chase.Options {
-	hooks.ShareIndexes = !o.NoMQO
-	hooks.IDSpace = idSpace
-	hooks.SequentialDeduce = o.SequentialDeduce
-	return hooks
 }
 
 // scopeKey fingerprints a sorted id list for scope deduplication with
@@ -209,10 +200,10 @@ func RunWorker(addr string, d *relation.Dataset, rules []*rule.Rule, reg *mlpred
 	defer conn.Close()
 	enc := wire.NewEncoder(conn, wopts.Stats)
 	dec := wire.NewDecoder(conn, wopts.Stats)
-	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg, idSpace: datasetIDSpace(d)}
+	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg}
 	err = enc.Hello(wire.Hello{
 		Version: wire.Version, Worker: w.id,
-		DatasetSize: d.Size(), IDSpace: w.idSpace, Rules: len(rules),
+		DatasetSize: d.Size(), IDSpace: d.IDSpace(), Rules: len(rules),
 	})
 	if err != nil {
 		return fmt.Errorf("dmatch: worker %d: hello: %w", w.id, err)

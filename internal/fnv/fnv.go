@@ -9,11 +9,6 @@ const Offset64 = 14695981039346656037
 // prime64 is the FNV-1a 64-bit prime.
 const prime64 = 1099511628211
 
-// Byte folds one byte into h.
-func Byte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * prime64
-}
-
 // Uint64 folds the eight bytes of x into h, little-endian.
 func Uint64(h uint64, x uint64) uint64 {
 	for i := 0; i < 8; i++ {

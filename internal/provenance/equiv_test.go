@@ -4,8 +4,8 @@ package provenance_test
 // extracted from the production justification log must replay through
 // complexity.VerifyProof — the independent polynomial verifier of
 // Theorem 2(1) — and the log must entail exactly the pairs the
-// brute-force NaiveChase matches. Checked under the sequential engine, the
-// default engine and the BSP engine with w ≥ 2; the drain forced through
+// brute-force NaiveChase matches. Checked under the default engine and the
+// BSP engine with w ≥ 2; the drain forced through
 // its buffered fan-out on every batch is a test-only switch of
 // internal/chase and has the same check there
 // (TestProofReplaysUnderBatchedDrain).
@@ -61,21 +61,14 @@ func replayProof(t *testing.T, tag string, d *relation.Dataset, rules []*rule.Ru
 	}
 }
 
-// TestProofReplaysAgainstVerifier is the single-engine property: in both
-// engine modes, each matched pair gets a proof from the log that the
-// independent verifier accepts, and unmatched pairs get ErrNotEntailed.
+// TestProofReplaysAgainstVerifier is the single-engine property: each
+// matched pair gets a proof from the log that the independent verifier
+// accepts, and unmatched pairs get ErrNotEntailed.
 func TestProofReplaysAgainstVerifier(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(20)
 	if testing.Short() {
 		seeds = 6
-	}
-	modes := []struct {
-		tag  string
-		opts chase.Options
-	}{
-		{"seq", chase.Options{ShareIndexes: true, SequentialDeduce: true}},
-		{"default", chase.Options{ShareIndexes: true}},
 	}
 	for seed := int64(0); seed < seeds; seed++ {
 		d, rules, err := datagen.RandomInstance(seed)
@@ -86,34 +79,30 @@ func TestProofReplaysAgainstVerifier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: naive: %v", seed, err)
 		}
-		for _, m := range modes {
-			opts := m.opts
-			log := provenance.NewLog(0)
-			opts.Provenance = log
-			eng, err := chase.New(d, rules, reg, opts)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, m.tag, err)
-			}
-			eng.Run()
-			tag := fmt.Sprintf("seed %d %s", seed, m.tag)
-			if !log.Complete() {
-				t.Fatalf("%s: log dropped %d entries", tag, log.Dropped())
-			}
-			for i := 0; i < d.Size(); i++ {
-				for j := i + 1; j < d.Size(); j++ {
-					a, b := relation.TID(i), relation.TID(j)
-					proof, err := eng.Proof(a, b)
-					if !naive.Same(a, b) {
-						if err != provenance.ErrNotEntailed {
-							t.Fatalf("%s: unmatched (%d,%d): err = %v, want ErrNotEntailed", tag, a, b, err)
-						}
-						continue
+		log := provenance.NewLog(0)
+		eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true, Provenance: log})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		eng.Run()
+		tag := fmt.Sprintf("seed %d", seed)
+		if !log.Complete() {
+			t.Fatalf("%s: log dropped %d entries", tag, log.Dropped())
+		}
+		for i := 0; i < d.Size(); i++ {
+			for j := i + 1; j < d.Size(); j++ {
+				a, b := relation.TID(i), relation.TID(j)
+				proof, err := eng.Proof(a, b)
+				if !naive.Same(a, b) {
+					if err != provenance.ErrNotEntailed {
+						t.Fatalf("%s: unmatched (%d,%d): err = %v, want ErrNotEntailed", tag, a, b, err)
 					}
-					if err != nil {
-						t.Fatalf("%s: matched (%d,%d) has no proof: %v", tag, a, b, err)
-					}
-					replayProof(t, tag, d, rules, reg, proof, a, b)
+					continue
 				}
+				if err != nil {
+					t.Fatalf("%s: matched (%d,%d) has no proof: %v", tag, a, b, err)
+				}
+				replayProof(t, tag, d, rules, reg, proof, a, b)
 			}
 		}
 	}

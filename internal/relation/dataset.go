@@ -285,6 +285,17 @@ func (d *Dataset) Relation(name string) *Relation {
 // SchemaOf returns the schema of the given tuple.
 func (d *Dataset) SchemaOf(t *Tuple) *Schema { return d.DB.Schemas[t.Rel] }
 
+// IDSpace is the bound of the GIDs the dataset's tuples can name: a
+// fragment's parent's tuple count, which it inherits, else the dataset's
+// own, since a root dataset's GIDs are positions. Everything indexed by
+// GID across fragments (a union-find, host bitsets) is sized by it.
+func (d *Dataset) IDSpace() int {
+	if d.idSpace != 0 {
+		return d.idSpace
+	}
+	return len(d.tuples)
+}
+
 // Tuples iterates all tuples in GID order.
 func (d *Dataset) Tuples() []*Tuple { return d.tuples }
 
@@ -321,10 +332,7 @@ func (d *Dataset) MemBytes() int64 {
 // array so the per-lookup cost is an array load; sparse ones fall back
 // to a map.
 func (d *Dataset) Fragment(ids []TID) *Dataset {
-	space := d.idSpace
-	if space == 0 {
-		space = len(d.tuples)
-	}
+	space := d.IDSpace()
 	f := &Dataset{
 		DB:        d.DB,
 		Relations: make([]*Relation, len(d.DB.Schemas)),

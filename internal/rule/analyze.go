@@ -37,25 +37,15 @@ type DistinctVar struct {
 	Const bool
 }
 
-// attrOf returns the attribute of the class belonging to tuple variable v,
-// or -1 when the class has no member on v.
-func (d *DistinctVar) attrOf(v int) int {
-	for _, m := range d.Members {
-		if m.Var == v {
-			return m.Attr
-		}
-	}
-	return -1
-}
-
-// HasVar reports whether the class has a member on tuple variable v.
-func (d *DistinctVar) HasVar(v int) bool { return d.attrOf(v) >= 0 }
-
 // AttrOf returns the attribute index of the class member on variable v and
 // whether one exists.
 func (d *DistinctVar) AttrOf(v int) (int, bool) {
-	a := d.attrOf(v)
-	return a, a >= 0
+	for _, m := range d.Members {
+		if m.Var == v {
+			return m.Attr, true
+		}
+	}
+	return -1, false
 }
 
 // DistinctVars computes the distinct variables of a resolved rule,

@@ -22,23 +22,19 @@ type Hello struct {
 	Rules       int
 }
 
-// EngineOpts is the subset of dmatch.Options a worker needs to construct
-// its chase engine; every worker, in process or not, gets it in Assign.
-type EngineOpts struct {
-	NoMQO            bool
-	SequentialDeduce bool
-}
-
-// Assign carries a worker's (re)assignment: engine options, the fragment
-// and per-rule scopes (delta-varint packed via hypart), and the fact
-// history to replay through A_Δ after the rebuild (empty on the initial
-// assignment, the full routed history after a recovery or migration).
+// Assign carries a worker's (re)assignment: the one engine option that
+// crosses the wire, the fragment and per-rule scopes (delta-varint packed
+// via hypart), and the fact history to replay through A_Δ after the
+// rebuild (empty on the initial assignment, the full routed history after
+// a recovery or migration).
 type Assign struct {
 	Worker, Workers int
-	Opts            EngineOpts
-	Frag            []relation.TID
-	RuleFrags       [][]relation.TID
-	Replay          []chase.Fact
+	// NoMQO is dmatch.Options.NoMQO: the worker's engine shares no
+	// indexes or ML stores across rules. Bit 0 of the frame's flag word.
+	NoMQO     bool
+	Frag      []relation.TID
+	RuleFrags [][]relation.TID
+	Replay    []chase.Fact
 }
 
 // Step is one superstep's inbox.
@@ -144,11 +140,8 @@ func (e *Encoder) Assign(a Assign) error {
 	fw.uvarint(uint64(a.Worker))
 	fw.uvarint(uint64(a.Workers))
 	var flags uint64
-	if a.Opts.NoMQO {
+	if a.NoMQO {
 		flags |= 1
-	}
-	if a.Opts.SequentialDeduce {
-		flags |= 2
 	}
 	fw.uvarint(flags)
 	fw.buf = hypart.AppendFragment(fw.buf, a.Frag, a.RuleFrags)
@@ -323,8 +316,7 @@ func (d *Decoder) Next() (Msg, error) {
 		if err != nil {
 			return Msg{}, err
 		}
-		m.Assign.Opts.NoMQO = flags&1 != 0
-		m.Assign.Opts.SequentialDeduce = flags&2 != 0
+		m.Assign.NoMQO = flags&1 != 0
 		frag, ruleFrags, rest, err := hypart.ReadFragment(p.b[p.off:])
 		if err != nil {
 			return Msg{}, err

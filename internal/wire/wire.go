@@ -42,8 +42,10 @@ import (
 // Version is the protocol version carried in Hello; mismatches abort the
 // handshake rather than misdecoding frames. Version 2 shrank Assign's
 // engine options to one flag word and one varint; version 3 dropped the
-// varint with the dependency store it sized, leaving the flag word.
-const Version = 3
+// varint with the dependency store it sized, leaving the flag word;
+// version 4 retired the flag word's bit 1 (the worker engine's sequential
+// schedule), leaving bit 0, NoMQO.
+const Version = 4
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest
@@ -55,7 +57,7 @@ const (
 	// MsgHello is the worker's handshake: version, worker slot, and a
 	// dataset fingerprint the master validates against its own load.
 	MsgHello byte = 1 + iota
-	// MsgAssign carries a worker's fragment: the engine options, the
+	// MsgAssign carries a worker's fragment: the NoMQO flag, the
 	// fragment tuple ids, the per-rule scope ids, and the fact history to
 	// replay (non-empty when a rebuild follows a recovery or migration).
 	MsgAssign

@@ -57,7 +57,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, IDSpace: 67890, Rules: 7}
 	assign := Assign{
 		Worker: 2, Workers: 4,
-		Opts:      EngineOpts{NoMQO: true, SequentialDeduce: true},
+		NoMQO:     true,
 		Frag:      []relation.TID{1, 5, 9, 10, 11, 400},
 		RuleFrags: [][]relation.TID{{1, 5}, nil, {9, 10, 11, 400}},
 		Replay:    randFacts(rng, 40),
@@ -84,7 +84,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 	if err != nil || m.Type != MsgAssign {
 		t.Fatalf("assign round trip: %v", err)
 	}
-	if m.Assign.Worker != assign.Worker || m.Assign.Workers != assign.Workers || m.Assign.Opts != assign.Opts {
+	if m.Assign.Worker != assign.Worker || m.Assign.Workers != assign.Workers || m.Assign.NoMQO != assign.NoMQO {
 		t.Fatalf("assign fields: got %+v", m.Assign)
 	}
 	if fmt.Sprint(m.Assign.Frag) != fmt.Sprint(assign.Frag) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and static analysis, build, the short test
-# suite, the race-enabled run of the concurrent packages, Γ, the partition
+# suite, the five examples/ programs, the race-enabled run of the concurrent packages, Γ, the partition
 # and the CSV load at three widths, three fuzz smokes, a one-shot bench smoke, the
 # causal-trace race guard (with the live telemetry/health endpoint test
 # and the cmd/doctor scrape of a live endpoint), the bench-regression gate
@@ -39,10 +39,15 @@ go build ./...
 echo "== go test -short ./..."
 go test -short ./...
 
+echo "== examples (each examples/ program runs to completion; softmatching goes through Explain)"
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, parallel-vs-sequential Deduce, drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
@@ -50,18 +55,18 @@ go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqua
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
 go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
 
-echo "== provenance equivalence (proof replay vs the reference verifier: sequential and default engine + DMatch w>=2, then the forced batched drain)"
+echo "== provenance equivalence (proof replay vs the reference verifier: default engine + DMatch w>=2, then the forced batched drain)"
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 go test -short -run 'TestProofReplaysUnderBatchedDrain' ./internal/chase
 
-echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, engine options through wire and worker, protocol version refusal)"
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestEngineOptsRoundTrip|TestDistributedVersionMismatch' ./internal/dmatch
+echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, NoMQO through both links, protocol version refusal)"
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestNoMQOReachesWorkers|TestDistributedVersionMismatch' ./internal/dmatch
 
 echo "== one DMatch: non-blank non-test lines of internal/dmatch, then of the root module"
 ls internal/dmatch/*.go | grep -v _test | xargs cat | grep -cv '^\s*$'
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | grep -cv '^\s*$'
 
-echo "== option surface (exported fields of chase.Options, dmatch.Options, wire.EngineOpts; a new knob edits TestOptionsSurface)"
+echo "== option surface (exported fields of chase.Options and dmatch.Options; a new knob edits TestOptionsSurface)"
 go test -count=1 -v -run 'TestOptionsSurface' ./internal/dmatch | grep -E 'exported fields|^(ok|FAIL|---)'
 
 echo "== distributed process smoke (2 real worker processes over TCP: -out CSV byte-identity vs in-process, then kill-one-worker recovery)"
