@@ -152,7 +152,7 @@ type boundRule struct {
 
 	// reduced marks a rule that is its own mirror image (rule.Symmetry):
 	// its enumerations keep only valuations with
-	// h(head.V1).GID < h(head.V2).GID (the plan's orderStep).
+	// h(head.V1).GID < h(head.V2).GID (evalCtx.window).
 	reduced bool
 
 	headCl    mlpred.Classifier // classifier of an ML head, if any
@@ -567,8 +567,7 @@ func (e *Engine) unionInternal(a, b relation.TID) {
 // member lists. The merged list is built fresh, so the old ones stay
 // intact for the event that references them, by a linear merge of the two
 // GID-sorted lists: every class list stays in GID order, as a class access
-// step's candidates must (olderThan's epoch cut reads them by binary
-// search).
+// step's candidates must (gidWindow reads them by binary search).
 func (e *Engine) union(ra, rb int) (ma, mb []relation.TID) {
 	ma, mb = e.membersOf(ra), e.membersOf(rb)
 	e.uf.Union(ra, rb)

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -177,6 +178,13 @@ func (c *evalCtx) enumerate(seed []*relation.Tuple) {
 // enumerateIn is enumerate along join order o, planned for seed's pattern.
 func (c *evalCtx) enumerateIn(o *joinOrder, seed []*relation.Tuple) {
 	c.order = o
+	// Seeds skip extend's GID window: a drain job that seeds both head
+	// variables of a reduced rule is held to the symmetry order here.
+	if h := &c.br.r.Head; c.br.reduced && seed != nil {
+		if a, b := seed[h.V1], seed[h.V2]; a != nil && b != nil && a.GID >= b.GID {
+			return
+		}
+	}
 	for v, t := range seed {
 		if t == nil {
 			continue
@@ -209,9 +217,8 @@ func (c *evalCtx) extend(depth int) {
 			c.br.plan.vars[v].access[apSim].scored.Add(scored)
 		}
 	}
-	if v < c.cut {
-		cands = olderThan(cands, c.epoch)
-	}
+	lo, hi := c.window(v)
+	cands = gidWindow(cands, lo, hi)
 	c.access[v][path][0]++
 	c.access[v][path][1] += int64(len(cands))
 	if len(cands) == 0 {
@@ -233,18 +240,38 @@ func (c *evalCtx) extend(depth int) {
 	}
 }
 
-// olderThan returns the prefix of candidate list ts that is older than
-// epoch. Every access path lists the tuples older than an insert batch
-// ahead of the batch's own — postings are appended in place, scans and
-// similarity joins follow the relation's order, class lists are kept in
-// GID order — so the prefix is found by
-// binary search, after a look at the last tuple: most lists hold no new
-// one.
-func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
-	if len(ts) == 0 || ts[len(ts)-1].GID < epoch {
+// window returns the GID range [lo, hi) that variable v's candidates are
+// cut to: below the epoch when v comes before InsertTuples' cut, and, in a
+// reduced rule, on v's side of the other head variable once that is bound
+// — of each valuation and its mirror twin only the one with
+// h(head.V1).GID < h(head.V2).GID is enumerated.
+func (c *evalCtx) window(v int) (lo, hi relation.TID) {
+	lo, hi = 0, math.MaxInt32
+	if v < c.cut {
+		hi = c.epoch
+	}
+	if h := &c.br.r.Head; c.br.reduced {
+		switch {
+		case v == h.V1 && c.binding[h.V2] != nil:
+			hi = min(hi, c.binding[h.V2].GID)
+		case v == h.V2 && c.binding[h.V1] != nil:
+			lo = c.binding[h.V1].GID + 1
+		}
+	}
+	return lo, hi
+}
+
+// gidWindow returns the part of candidate list ts whose GIDs lie in
+// [lo, hi), by two binary searches: every access path lists its candidates
+// in strictly ascending GID order (candidatesFor). A list already inside
+// the window comes back as it is, after a look at its ends.
+func gidWindow(ts []*relation.Tuple, lo, hi relation.TID) []*relation.Tuple {
+	if len(ts) == 0 || ts[0].GID >= lo && ts[len(ts)-1].GID < hi {
 		return ts
 	}
-	return ts[:sort.Search(len(ts), func(k int) bool { return ts[k].GID >= epoch })]
+	i := sort.Search(len(ts), func(k int) bool { return ts[k].GID >= lo })
+	ts = ts[i:]
+	return ts[:sort.Search(len(ts), func(k int) bool { return ts[k].GID >= hi })]
 }
 
 // checkNewBinding verifies every static and id predicate that becomes
@@ -258,11 +285,6 @@ func olderThan(ts []*relation.Tuple, epoch relation.TID) []*relation.Tuple {
 // equality except for NaN = NaN, which the isFloat guard restores.
 func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 	br, binding := c.br, c.binding
-	if o := br.plan.vars[v].order; o != nil {
-		if ob := binding[o.other]; ob != nil && !o.keeps(t.GID, ob.GID) {
-			return false
-		}
-	}
 	for _, w := range br.plan.vars[v].words {
 		switch w.kind {
 		case wpConst:

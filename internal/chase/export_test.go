@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"fmt"
 	"math"
 
 	"dcer/internal/relation"
@@ -95,7 +96,7 @@ func (e *Engine) PlannedOrders(ri int) [][]PlanStep {
 	out := make([][]PlanStep, len(br.orders))
 	for i := range br.orders {
 		for j := range br.orders[i].steps {
-			out[i] = append(out[i], br.describe(&br.orders[i].steps[j]))
+			out[i] = append(out[i], br.describe(&br.orders[i], j))
 		}
 	}
 	return out
@@ -121,4 +122,69 @@ func (e *Engine) LiveKeyMaps() int {
 		}
 	}
 	return n
+}
+
+// CheckCandidateOrder draws every candidate list e's join orders can draw
+// and returns an error naming the first that is not strictly
+// GID-ascending: for every rule, seed pattern and step, the step's access
+// (candidatesFor, with classOf behind a class step) from each tuple its
+// source variable ranges over, and every similarity join (simAccess)
+// probed from each tuple of its other side. The lists are drawn unwindowed,
+// with e quiesced; a similarity join's probes fill its memo as a
+// deduction's would.
+func (e *Engine) CheckCandidateOrder() error {
+	c := &evalCtx{e: e}
+	descent := func(ts []*relation.Tuple) error {
+		for i := 1; i < len(ts); i++ {
+			if ts[i-1].GID >= ts[i].GID {
+				return fmt.Errorf("GID %d at %d follows GID %d", ts[i].GID, i, ts[i-1].GID)
+			}
+		}
+		return nil
+	}
+	tuplesOf := func(br *boundRule, v int) []*relation.Tuple {
+		return br.scope.Relations[br.r.Vars[v].RelIdx].Tuples
+	}
+	for _, br := range e.rules {
+		for oi := range br.orders {
+			for si := range br.orders[oi].steps {
+				st := &br.orders[oi].steps[si]
+				froms := []*relation.Tuple{nil} // scan and constant steps read no binding
+				if st.path == apEq || st.path == apClass {
+					froms = tuplesOf(br, st.from)
+				}
+				for _, t := range froms {
+					c.reset(br)
+					if t != nil {
+						c.binding[st.from] = t
+					}
+					cands, path := c.candidatesFor(st, 0)
+					if err := descent(cands); err != nil {
+						return fmt.Errorf("rule %s, order %d, step %d (%s): %w", br.r.Name, oi, si, accessPathNames[path], err)
+					}
+				}
+			}
+		}
+		for i := range br.mls {
+			m := &br.mls[i]
+			for s, j := range m.sim {
+				if j == nil {
+					continue
+				}
+				vs, vo := m.pred.V1, m.pred.V2
+				if s == 1 {
+					vs, vo = vo, vs
+				}
+				for _, t := range tuplesOf(br, vo) {
+					c.reset(br)
+					c.binding[vo] = t
+					cands, _, _ := c.simAccess(vs)
+					if err := descent(cands); err != nil {
+						return fmt.Errorf("rule %s, similarity join of %s: %w", br.r.Name, m.pred, err)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -121,7 +121,7 @@ func TestGammaGoldenDigest(t *testing.T) {
 		}
 		// ΔD: the IncDeduce drain over an already resolved Γ.
 		for _, m := range []engineMode{conc, modeLive.as("live-drain")} {
-			check(gn.name+"/insert/"+m.name, insertRun(t, g, m, 4, nil))
+			check(gn.name+"/insert/"+m.name, insertRun(t, g, m, 4, nil, nil))
 		}
 	}
 }
@@ -154,8 +154,9 @@ func classSetDigest(eng *chase.Engine) string {
 
 // insertRun resolves three quarters of g's tuples, then appends the rest
 // through InsertTuples in the given number of batches. atNew, when not
-// nil, sees the engine before its first deduction.
-func insertRun(t *testing.T, g *datagen.Generated, mode engineMode, batches int, atNew func(*chase.Engine)) *chase.Engine {
+// nil, sees the engine before its first deduction, and afterBatch after
+// each batch.
+func insertRun(t *testing.T, g *datagen.Generated, mode engineMode, batches int, atNew, afterBatch func(*chase.Engine)) *chase.Engine {
 	t.Helper()
 	d := relation.NewDataset(g.D.DB)
 	var held []*relation.Tuple
@@ -184,6 +185,9 @@ func insertRun(t *testing.T, g *datagen.Generated, mode engineMode, batches int,
 		}
 		if _, err := eng.InsertTuples(batch); err != nil {
 			t.Fatal(err)
+		}
+		if afterBatch != nil {
+			afterBatch(eng)
 		}
 	}
 	return eng

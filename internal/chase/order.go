@@ -7,10 +7,8 @@ package chase
 // inverted indexes; HyperBlocker likewise fixes its plans before
 // execution). An id predicate with one side bound binds the other side
 // from the bound tuple's E_id class, so a valuation reaches emit only when
-// its id literals hold. Candidate lists stay in TID order on every access
-// path — class member lists are kept GID-sorted (Engine.union) — so the
-// order changes the sequence in which a rule emits its valuations, never
-// their set.
+// its id literals hold. The order changes the sequence in which a rule
+// emits its valuations, never their set.
 
 import (
 	"math/bits"
@@ -206,8 +204,16 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 
 // candidatesFor makes step st's one access, at recursion depth depth: the
 // class of its id predicate's bound side, the key map or posting list of
-// its equality, its constant's posting list, or its relation's scan, each
-// in TID order. It returns the path taken.
+// its equality, its constant's posting list, or its relation's scan. It
+// returns the path taken.
+//
+// Every candidate list, on every access path, is strictly GID-ascending,
+// which extend's GID window (gidWindow) reads by binary search: a scope's
+// relations list their tuples in GID order (Dataset.Fragment takes its ids
+// ascending), and so does a similarity join, which follows the relation;
+// postings are appended in place as tuples arrive, in GID order; a key map
+// returns at most one tuple; and Engine.union keeps class member lists
+// sorted.
 func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, accessPath) {
 	switch st.path {
 	case apClass:
@@ -256,16 +262,26 @@ func (c *evalCtx) classOf(st *joinStep, depth int) []*relation.Tuple {
 	return out
 }
 
-// describe renders step st for PlanReport: the variable, the access path
-// planned for it, and the predicate that access answers. It reads only
-// what bind time fixed, so PlanReport stays safe beside InsertTuples.
-func (br *boundRule) describe(st *joinStep) PlanStep {
+// describe renders step i of join order o for PlanReport: the variable,
+// the access path planned for it, the predicate that access answers, and
+// the symmetry reduction's GID bound when the step binds a reduced rule's
+// head variable after the other one. It reads only what bind time fixed,
+// so PlanReport stays safe beside InsertTuples.
+func (br *boundRule) describe(o *joinOrder, i int) PlanStep {
+	st := &o.steps[i]
 	ps := PlanStep{Var: br.r.Vars[st.v].Name, Path: accessPathNames[st.path]}
 	if st.km != nil {
 		ps.Path = accessPathNames[apKey]
 	}
 	if st.pred != nil {
 		ps.Via = st.pred.String()
+	}
+	bound := o.bound
+	for _, s := range o.steps[:i] {
+		bound |= 1 << s.v
+	}
+	if h := &br.r.Head; br.reduced && (st.v == h.V1 && bound&(1<<h.V2) != 0 || st.v == h.V2 && bound&(1<<h.V1) != 0) {
+		ps.Bound = br.r.Vars[h.V1].Name + ".gid < " + br.r.Vars[h.V2].Name + ".gid"
 	}
 	return ps
 }

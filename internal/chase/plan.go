@@ -2,9 +2,9 @@ package chase
 
 // Compiled predicate plans: every bound rule's body predicates but its
 // dynamic ML ones are compiled once, at bind time, into one flat program
-// per variable — the symmetry order step, constant checks, intra-tuple and
-// cross-variable equalities on packed words, id predicates against E_id,
-// then cheap similarity classifiers, heavier ML predicates last — and the
+// per variable — constant checks, intra-tuple and cross-variable
+// equalities on packed words, id predicates against E_id, then cheap
+// similarity classifiers, heavier ML predicates last — and the
 // enumeration inner loop evaluates whole candidate batches against the
 // program with tight compaction loops over the columnar arenas (the CPU
 // analog of HyperBlocker's rule execution plans, which are likewise fixed
@@ -14,9 +14,10 @@ package chase
 // a conjunction's survivor set, so Γ is byte-identical to the interpreter
 // (Engine.interpret, the plans' equivalence oracle) under every drain
 // mode; the per-step pass/fail counters only report selectivity
-// (PlanReport, the plans debug provider). A rule that is its own mirror
-// image carries a first step on its head variables, the GID order test of
-// the symmetry reduction (orderStep), which both paths apply alike.
+// (PlanReport, the plans debug provider). The symmetry reduction of a rule
+// that is its own mirror image is no program step: it is a GID window on
+// the candidates of the head variable bound later (evalCtx.window), which
+// both paths apply alike.
 
 import (
 	"sync/atomic"
@@ -135,35 +136,11 @@ type accessStats struct {
 	probes, cands, scored atomic.Int64
 }
 
-// orderStep is the symmetry-reduction filter of a reduced rule (one whose
-// body is its own mirror image, rule.Symmetry): of each valuation h and
-// its twin h∘σ only the one with h(head.V1).GID < h(head.V2).GID is
-// enumerated. It sits on both head variables and applies to whichever is
-// bound later — one GID compare, ahead of every other step: no word or ML
-// step can be cheaper.
-type orderStep struct {
-	other int  // the other head variable
-	below bool // the plan variable is head.V1: keep GIDs below the other's
-
-	evals atomic.Int64
-	fails atomic.Int64
-}
-
-// keeps reports whether binding the plan variable to tuple t survives,
-// given the other head variable's tuple o.
-func (s *orderStep) keeps(t, o relation.TID) bool {
-	if s.below {
-		return t < o
-	}
-	return t > o
-}
-
 // varPlan is the compiled program for binding one rule variable. Only its
 // counters change while enumerations run (constant probe words are
 // re-resolved while quiesced), so enumeration goroutines and the
 // /debug/dcer plans provider read it without synchronisation.
 type varPlan struct {
-	order *orderStep // nil unless the rule is reduced and this is a head variable
 	words []*wordPred
 	ids   []*idStep
 	mls   []*mlStep
@@ -180,19 +157,13 @@ type rulePlan struct {
 
 // compilePlan builds the predicate program of br, in the one order it
 // keeps: constants, intra-tuple equalities, equalities to other variables,
-// id predicates, similarity classifiers, then the other ML predicates (the
-// order step, when there is one, runs ahead of them all). Plans are
-// compiled even for the interpreter: candidatesFor uses the resolved
-// constant words in both modes, and the interpreter's checkNewBinding
-// walks the same word and id lists.
+// id predicates, similarity classifiers, then the other ML predicates.
+// Plans are compiled even for the interpreter: candidatesFor uses the
+// resolved constant words in both modes, and the interpreter's
+// checkNewBinding walks the same word and id lists.
 func compilePlan(br *boundRule) *rulePlan {
 	r := br.r
 	p := &rulePlan{vars: make([]varPlan, len(r.Vars))}
-	if br.reduced {
-		h := &r.Head
-		p.vars[h.V1].order = &orderStep{other: h.V2, below: true}
-		p.vars[h.V2].order = &orderStep{other: h.V1}
-	}
 	syms := br.scope.Syms()
 	attrType := func(v, a int) relation.Type {
 		return br.scope.Relations[r.Vars[v].RelIdx].Schema.Attrs[a].Type
@@ -311,22 +282,6 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 	buf := c.planBuf(depth, len(cands))
 	n := len(src)
 	var evals int64
-
-	if o := vp.order; o != nil && binding[o.other] != nil {
-		og := binding[o.other].GID
-		k := 0
-		for _, t := range src[:n] {
-			if o.keeps(t.GID, og) {
-				buf[k] = t
-				k++
-			}
-		}
-		o.evals.Add(int64(n))
-		o.fails.Add(int64(n - k))
-		evals += int64(n)
-		n = k
-		src = buf
-	}
 
 	for _, w := range vp.words {
 		if n == 0 {
@@ -574,13 +529,17 @@ type PlanVarReport struct {
 }
 
 // PlanStep is one step of a rule's planned join order: the variable bound,
-// the access path planned for it ("scan", "eq", "key", "const", "class")
-// and the predicate that access answers. A "key" step whose map retired
-// probes the index instead, and its variable's Access counts it as "eq".
+// the access path planned for it ("scan", "eq", "key", "const", "class"),
+// the predicate that access answers and, on the step that binds a reduced
+// rule's later head variable, the symmetry reduction's GID bound (say
+// "l.gid < k.gid") its candidates are cut to. A "key" step whose map
+// retired probes the index instead, and its variable's Access counts it as
+// "eq".
 type PlanStep struct {
-	Var  string `json:"var"`
-	Path string `json:"path"`
-	Via  string `json:"via,omitempty"`
+	Var   string `json:"var"`
+	Path  string `json:"path"`
+	Via   string `json:"via,omitempty"`
+	Bound string `json:"bound,omitempty"`
 }
 
 // RulePlanReport describes one rule's compiled plan: its join order for an
@@ -611,18 +570,11 @@ func (e *Engine) PlanReport() PlanReport {
 	for _, br := range e.rules {
 		rr := RulePlanReport{Rule: br.r.Name}
 		for i := range br.orders[0].steps {
-			rr.Order = append(rr.Order, br.describe(&br.orders[0].steps[i]))
+			rr.Order = append(rr.Order, br.describe(&br.orders[0], i))
 		}
 		for v := range br.plan.vars {
 			vp := &br.plan.vars[v]
 			pv := PlanVarReport{Var: br.r.Vars[v].Name}
-			if o := vp.order; o != nil {
-				lo, hi := br.r.Vars[v].Name, br.r.Vars[o.other].Name
-				if !o.below {
-					lo, hi = hi, lo
-				}
-				pv.Preds = append(pv.Preds, planPred(lo+".gid < "+hi+".gid", "order", &o.evals, &o.fails))
-			}
 			for _, w := range vp.words {
 				pv.Preds = append(pv.Preds, planPred(w.p.String(), w.kind.String(), &w.evals, &w.fails))
 			}

@@ -122,8 +122,8 @@ func TestPlanDMatchEquivalence(t *testing.T) {
 }
 
 // TestPlanProgramOrder pins the static program: over the TPCH and TFACC
-// rule sets every variable's program reads the order step, constants,
-// intra-tuple equalities, equalities to other variables, id predicates,
+// rule sets every variable's program reads constants, intra-tuple
+// equalities, equalities to other variables, id predicates,
 // similarity classifiers, then the other ML predicates — and it still
 // reads the same after a Run and sixteen InsertTuples batches.
 func TestPlanProgramOrder(t *testing.T) {
@@ -153,7 +153,7 @@ func TestPlanProgramOrder(t *testing.T) {
 				}
 			}
 		}
-		kindStep := map[string]int{"order": 0, "const": 1, "intra": 2, "eq": 3, "id": 4}
+		kindStep := map[string]int{"const": 1, "intra": 2, "eq": 3, "id": 4}
 		var atNew []string
 		eng := insertRun(t, g, modeDefault, 16, func(e *chase.Engine) {
 			atNew = planPrograms(e.PlanReport())
@@ -172,7 +172,7 @@ func TestPlanProgramOrder(t *testing.T) {
 					}
 				}
 			}
-		})
+		}, nil)
 		if got := planPrograms(eng.PlanReport()); !reflect.DeepEqual(got, atNew) {
 			t.Errorf("programs after Run and 16 inserts:\n%q\nright after New:\n%q", got, atNew)
 		}

@@ -44,27 +44,17 @@ func TestSymmetryReductionHalvesTPCH(t *testing.T) {
 		t.Errorf("classes digest = %s, want %s (Γ moved)", got, classesDigest)
 	}
 
-	// The order step leads the program of both head variables of every
-	// rule, and its counters account for the pruned half.
+	// The reduction is a GID window on the head variable bound later: the
+	// planned order of every rule names its bound on exactly that one step.
 	for _, rr := range e.PlanReport().Rules {
-		steps, evals := 0, int64(0)
-		for _, v := range rr.Vars {
-			for i, p := range v.Preds {
-				if p.Kind != "order" {
-					continue
-				}
-				if i != 0 {
-					t.Errorf("rule %s var %s: order step at position %d, want first", rr.Rule, v.Var, i)
-				}
-				if p.Fails > p.Evals {
-					t.Errorf("rule %s var %s: order step fails %d > evals %d", rr.Rule, v.Var, p.Fails, p.Evals)
-				}
-				steps++
-				evals += p.Evals
+		var bounded []string
+		for _, st := range rr.Order {
+			if st.Bound != "" {
+				bounded = append(bounded, st.Var+": "+st.Bound)
 			}
 		}
-		if steps != 2 || evals == 0 {
-			t.Errorf("rule %s: %d order steps with %d evaluations, want 2 steps that ran", rr.Rule, steps, evals)
+		if len(bounded) != 1 {
+			t.Errorf("rule %s: GID bound on steps %q, want exactly one step", rr.Rule, bounded)
 		}
 	}
 

@@ -24,7 +24,8 @@
 // the union-find, so recipients are two bitword ORs, not a member-list
 // walk), then per-destination builders — one goroutine per worker — scan
 // the route list and assemble each inbox, suppressing any fact the
-// destination already received or itself produced (Result.MessagesDeduped).
+// destination itself produced in the same superstep
+// (Result.MessagesDeduped).
 // When a superstep's skew ratio exceeds Options.RebalanceSkew, or a worker
 // dies, the master reassigns virtual blocks and the workers whose block
 // sets changed rebuild and replay the fact history (masterState.reassign).
@@ -111,9 +112,10 @@ type Result struct {
 
 	Supersteps     int
 	MessagesRouted int64 // facts delivered worker->worker via the master
-	// MessagesDeduped counts the deliveries the routing seen-sets
-	// suppressed: a fact bound for a worker that already received it in
-	// an earlier superstep or produced it itself in this one.
+	// MessagesDeduped counts the deliveries the routing suppressed: a
+	// fact bound for a worker that produced it itself in the same
+	// superstep. A fact is routed at most once in a run, so no worker is
+	// sent one it already received.
 	MessagesDeduped int64
 	FactsProduced   int64 // facts reported by workers incl. duplicates
 	PartitionStats  hypart.Stats

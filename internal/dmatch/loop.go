@@ -250,9 +250,9 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 		}
 		// Master, phase 2: per-destination inbox builders, concurrent
 		// unless Sequential or there is nothing to route. Each builder
-		// owns its destination's inbox, seen-set, and counters, so the
-		// fan-out is race-free and the built batches are identical to a
-		// sequential build. Dead workers get no inbox.
+		// owns its destination's inbox and counters, so the fan-out is
+		// race-free and the built batches are identical to a sequential
+		// build. Dead workers get no inbox.
 		var routedStep, dedupedStep atomic.Int64
 		var wg sync.WaitGroup
 		buildDest := func(h int) {

@@ -10,12 +10,12 @@ import (
 
 // masterState is the master P₀ of a DMatch run: the global id-equivalence
 // relation E_id with per-class host bitsets, the tuple→worker host
-// bitsets, the per-destination delivery records (seen-sets), the route
-// scratch the per-superstep fold reuses, and — under all of it — one link
-// per worker slot. Routing is two-phase: phase 1 folds every new fact into
-// Γ sequentially and computes its recipient bitset (two bitword ORs off
-// the class roots); phase 2 builds each destination's inbox
-// independently, suppressing re-deliveries. Nothing here knows whether a
+// bitsets, the route scratch the per-superstep fold reuses, and — under
+// all of it — one link per worker slot. Routing is two-phase: phase 1
+// folds every new fact into Γ sequentially and computes its recipient
+// bitset (two bitword ORs off the class roots); phase 2 builds each
+// destination's inbox independently, suppressing the facts the
+// destination produced itself. Nothing here knows whether a
 // worker is a goroutine or a process.
 type masterState struct {
 	n     int // worker count (fixed; dead workers keep their slot)
@@ -30,11 +30,6 @@ type masterState struct {
 	hosts      []uint64
 	classHosts []uint64
 	seenML     map[chase.Fact]bool
-	// seen[w] is worker w's delivery record: every fact routed to w plus
-	// every fact w produced itself. The per-destination builders consult
-	// it so a fact is never re-sent (Result.MessagesDeduped counts the
-	// suppressions); a reassignment resets it.
-	seen []map[chase.Fact]struct{}
 
 	// Route scratch, reused across supersteps: the fact list and the
 	// recipient-bitset arena the per-destination builders read.
@@ -72,7 +67,6 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 		d:       d,
 		guf:     chase.BuildEquivalence(d, nil),
 		seenML:  make(map[chase.Fact]bool),
-		seen:    make([]map[chase.Fact]struct{}, n),
 		links:   make([]link, n),
 		events:  make(chan linkEvent, 4*n),
 		live:    n,
@@ -89,7 +83,6 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 	}
 	ms.setHosts(part.Fragments)
 	for w := range ms.pending {
-		ms.seen[w] = make(map[chase.Fact]struct{})
 		ms.pending[w] = &wire.Assign{Worker: w, Workers: n, NoMQO: noMQO,
 			Frag: part.Fragments[w], RuleFrags: part.RuleFragments[w]}
 	}
@@ -166,24 +159,26 @@ func (ms *masterState) foldDelta(w int, delta []chase.Fact, res *Result) {
 }
 
 // buildDest assembles destination h's inbox from the folded routes
-// (phase 2). selfDelta is the delta h itself produced this superstep; it
-// joins h's delivery record first so self-produced facts are suppressed.
-// Each destination owns its inbox, seen-set, and counters, so the fan-out
-// is race-free and the built batches are identical to a sequential build.
+// (phase 2), leaving out what h produced itself this superstep
+// (selfDelta). Nothing else can repeat: a match is folded only while its
+// classes differ and a prediction only while seenML lacks it, so every
+// fact is routed at most once in a run, and never equals a fact a rebuilt
+// worker replays. Each destination owns its inbox and counters, so the
+// fan-out is race-free and the built batches are identical to a
+// sequential build.
 func (ms *masterState) buildDest(h int, selfDelta []chase.Fact) (out []chase.Fact, routed, deduped int64) {
-	sh := ms.seen[h]
+	own := make(map[chase.Fact]struct{}, len(selfDelta))
 	for _, f := range selfDelta {
-		sh[f] = struct{}{}
+		own[f] = struct{}{}
 	}
 	for _, r := range ms.routes {
 		if r.from == h || ms.arena[r.off+(h>>6)]&(1<<(uint(h)&63)) == 0 {
 			continue
 		}
-		if _, dup := sh[r.f]; dup {
+		if _, dup := own[r.f]; dup {
 			deduped++
 			continue
 		}
-		sh[r.f] = struct{}{}
 		out = append(out, r.f)
 		routed++
 	}
@@ -192,18 +187,14 @@ func (ms *masterState) buildDest(h int, selfDelta []chase.Fact) (out []chase.Fac
 
 // replayFor builds the fact history a rebuilt worker w must replay: every
 // match fact (bridging facts may concern tuples it doesn't host) and the
-// validated predictions over tuples it now hosts. The history becomes w's
-// delivery record — a rebuilt worker starts from it, nothing else.
+// validated predictions over tuples it now hosts — a rebuilt worker starts
+// from it, nothing else.
 func (ms *masterState) replayFor(w int, res *Result) []chase.Fact {
 	replay := append([]chase.Fact(nil), res.Matches...)
 	for _, f := range res.Validated {
 		if ms.hosted(f.A, w) || ms.hosted(f.B, w) {
 			replay = append(replay, f)
 		}
-	}
-	ms.seen[w] = make(map[chase.Fact]struct{}, len(replay))
-	for _, f := range replay {
-		ms.seen[w][f] = struct{}{}
 	}
 	return replay
 }

@@ -32,8 +32,8 @@ type Superstep struct {
 	BytesOnWire    int64   `json:"bytes_on_wire"`
 	SkewRatio      float64 `json:"skew_ratio"` // makespan / mean busy of active workers
 	MessagesRouted int64   `json:"messages_routed"`
-	// MessagesDeduped counts deliveries the per-destination seen-sets
-	// suppressed this step (already delivered or locally produced).
+	// MessagesDeduped counts deliveries suppressed this step: facts their
+	// destination produced itself.
 	MessagesDeduped int64        `json:"messages_deduped"`
 	Workers         []WorkerStep `json:"workers"`
 }

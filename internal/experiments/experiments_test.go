@@ -90,14 +90,6 @@ func TestPartitioningShape(t *testing.T) {
 // TestCaseStudyShape checks the Exp-4 driver reports one row per rule and
 // at least one derivation deeper than two levels (genuine recursion).
 func TestCaseStudyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment driver (CaseStudy) is minutes-long; run without -short")
-	}
-	// CaseStudy runs the brute-force NaiveChase oracle, which is
-	// exponential in a rule's tuple variables — the scale must stay far
-	// below the other drivers' or the enumeration takes hours. Scale
-	// 0.025 (≈220 tuples) is the smallest workload that still derives a
-	// chain deeper than two levels.
 	tb := experiments.CaseStudy(experiments.Config{Scale: 0.025, Workers: 4, Seed: 1})
 	if len(tb.Rows) < 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))

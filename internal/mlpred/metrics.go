@@ -328,8 +328,7 @@ func Jaccard(a, b string) float64 {
 }
 
 // CosineTokens computes the cosine similarity of the token-frequency
-// vectors of a and b (a cheap TF cosine; IDF weighting is provided by the
-// Corpus type for callers that have a corpus).
+// vectors of a and b (a cheap TF cosine).
 func CosineTokens(a, b string) float64 {
 	fa := termFreq(Tokenize(a))
 	fb := termFreq(Tokenize(b))
@@ -416,43 +415,4 @@ func SurnameSim(a, b string) float64 {
 		}
 	}
 	return float64(inter) / float64(len(sa)+len(sb)-inter)
-}
-
-// Corpus accumulates document frequencies for IDF-weighted cosine.
-type Corpus struct {
-	docs int
-	df   map[string]int
-}
-
-// NewCorpus creates an empty corpus.
-func NewCorpus() *Corpus { return &Corpus{df: make(map[string]int)} }
-
-// Add registers one document's text.
-func (c *Corpus) Add(text string) {
-	c.docs++
-	seen := make(map[string]bool)
-	for _, t := range Tokenize(text) {
-		if !seen[t] {
-			seen[t] = true
-			c.df[t]++
-		}
-	}
-}
-
-// IDF returns the smoothed inverse document frequency of token t.
-func (c *Corpus) IDF(t string) float64 {
-	return math.Log(float64(c.docs+1)/float64(c.df[t]+1)) + 1
-}
-
-// TFIDFCosine computes the IDF-weighted cosine similarity of two texts.
-func (c *Corpus) TFIDFCosine(a, b string) float64 {
-	fa := termFreq(Tokenize(a))
-	fb := termFreq(Tokenize(b))
-	for t := range fa {
-		fa[t] *= c.IDF(t)
-	}
-	for t := range fb {
-		fb[t] *= c.IDF(t)
-	}
-	return cosineMaps(fa, fb)
 }

@@ -162,22 +162,6 @@ func TestEmbeddingProperties(t *testing.T) {
 	}
 }
 
-func TestTFIDFCosine(t *testing.T) {
-	c := mlpred.NewCorpus()
-	c.Add("the quick brown fox")
-	c.Add("the lazy dog")
-	c.Add("the brown dog")
-	if got := c.TFIDFCosine("brown fox", "brown fox"); math.Abs(got-1) > 1e-9 {
-		t.Errorf("self cosine = %v", got)
-	}
-	// "the" is common, "fox" is rare: sharing "fox" must beat sharing "the".
-	foxy := c.TFIDFCosine("fox a", "fox b")
-	they := c.TFIDFCosine("the a", "the b")
-	if foxy <= they {
-		t.Errorf("IDF weighting missing: fox=%v the=%v", foxy, they)
-	}
-}
-
 func TestLogisticModelLearns(t *testing.T) {
 	var examples []mlpred.Example
 	names := []string{"Alpha Corp", "Bravo Industries", "Charlie Ltd", "Delta GmbH", "Echo SA", "Foxtrot Inc"}

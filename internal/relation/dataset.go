@@ -330,7 +330,9 @@ func (d *Dataset) MemBytes() int64 {
 // relies on this to exchange matches between fragments by GID alone.
 // Dense fragments (most of the parallel partitions) index by a flat slot
 // array so the per-lookup cost is an array load; sparse ones fall back
-// to a map.
+// to a map. ids must be ascending, as hypart.BuildFragments' bitset drain
+// produces them: the fragment's relations list their tuples in ids' order,
+// and the chase reads every candidate list as GID-ascending.
 func (d *Dataset) Fragment(ids []TID) *Dataset {
 	space := d.IDSpace()
 	f := &Dataset{

@@ -1,7 +1,5 @@
 package rule
 
-import "sort"
-
 // IsAcyclic tests the hypergraph acyclicity of a resolved rule's
 // precondition (Theorem 3 of the paper): attributes — more precisely, the
 // distinct-variable classes — are the vertices, and each tuple variable is
@@ -161,9 +159,4 @@ func subset(a, b map[int]bool) bool {
 		}
 	}
 	return true
-}
-
-// SortByName orders rules by name for deterministic iteration.
-func SortByName(rules []*Rule) {
-	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })
 }

@@ -395,17 +395,6 @@ func TestNumPredicates(t *testing.T) {
 	}
 }
 
-func TestSortByName(t *testing.T) {
-	rules := rule.MustParse(`
-b: A(a) ^ A(c) ^ a.x = c.x -> a.id = c.id
-a: A(a) ^ A(c) ^ a.x = c.x -> a.id = c.id
-`)
-	rule.SortByName(rules)
-	if rules[0].Name != "a" {
-		t.Error("SortByName did not sort")
-	}
-}
-
 func TestParseRejectsGarbageGracefully(t *testing.T) {
 	if _, err := rule.Parse(strings.Repeat("@", 10)); err == nil {
 		t.Error("garbage accepted")

@@ -47,8 +47,8 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, the load against its encoding/csv oracle, at 1, 2 and 4)"
-go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, GID-ascending candidate lists (root, DMatch worker and inserted engines), the load against its encoding/csv oracle, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
 
