@@ -94,7 +94,7 @@ func ExplainParallel(d *Dataset, rules []*Rule, reg *ClassifierRegistry, opts Pa
 // ErrNoMatch for unmatched pairs and ErrProvenanceIncomplete when the log
 // cannot supply the full derivation.
 func ExplainFromLog(log *ProvenanceLog, d *Dataset, a, b TID) (*Explanation, error) {
-	ex, err := explainFromProof(log.Proof([2]relation.TID{a, b}, chase.BuildEquivalence(d, nil)))
+	ex, err := explainFromProof(log.Proof([2]relation.TID{a, b}, chase.BuildEquivalence(d)))
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,7 @@ type boundRule struct {
 	// eqIx pre-resolves, aligned with eqs, the two indexes each equality
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
 	// (V2's relation, A2). The pointers stay valid across incremental
-	// insertions — IndexSet.Add mutates each Index in place.
+	// insertions — IndexSet.AddBatch mutates each Index in place.
 	eqIx [][2]*relation.Index
 
 	// plan is the compiled predicate program (plan.go): per-variable
@@ -190,14 +190,14 @@ type Engine struct {
 	opts  Options
 
 	uf *unionfind.UnionFind
-	// members maps a class root to the hosted members of the class, in GID
-	// order (union), which a class access step lists as its candidates.
-	// Singleton classes are implicit: a root with no entry is the class
-	// {root} when the engine hosts that tuple (and empty otherwise), so
-	// the map only materializes classes an actual merge touched — at
-	// million-tuple scale that is the difference between |D| seeded
-	// slices and |matches| merged ones.
-	members map[int][]relation.TID
+	// classSlot and classLists hold the hosted members of each class a
+	// merge touched, in GID order (union), which a class access step lists
+	// as its candidates: classSlot[r] is 0 for a root with no list, else 1 +
+	// its list's position in classLists. A root with no list is the class
+	// {r} when the engine hosts that tuple (and empty otherwise), so the
+	// table costs 4 bytes per id and at most one list per merge, not |D|.
+	classSlot  []int32
+	classLists [][]relation.TID
 	// validated holds the ML predictions of Γ, keyed by literal (model
 	// interned), so no probe hashes a string.
 	validated map[Literal]bool
@@ -227,8 +227,6 @@ type Engine struct {
 	// plans has been materialized (required before the pool runs, whose
 	// tasks must not mutate the lazy index cache).
 	prebuilt bool
-	// roots is the pool's frozen union-find snapshot (frozenRoots).
-	roots []int32
 
 	// ctx is the reusable evaluation context of the paths that run on the
 	// calling goroutine (a one-rule Deduce and the drain's live batches).
@@ -317,7 +315,7 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		reg:           reg,
 		opts:          opts,
 		uf:            unionfind.New(d.IDSpace()),
-		members:       make(map[int][]relation.TID),
+		classSlot:     make([]int32, d.IDSpace()),
 		validated:     make(map[Literal]bool),
 		ixSets:        make(map[*relation.Dataset]*relation.IndexSet),
 		pairCache:     mlpred.NewPairCache(),
@@ -514,8 +512,8 @@ func (e *Engine) Mem() MemUsage {
 func (e *Engine) gammaBytes() int64 {
 	n := int64(cap(e.gamma.Matches)+cap(e.gamma.Validated)+cap(e.delta)) * 32
 	n += int64(len(e.validated)) * 64
-	n += int64(len(e.members)) * 48
-	for _, ms := range e.members {
+	n += int64(len(e.classSlot))*4 + int64(cap(e.classLists))*24
+	for _, ms := range e.classLists {
 		n += int64(cap(ms)) * 4
 	}
 	n += int64(cap(e.queue)) * 64
@@ -540,13 +538,21 @@ func (e *Engine) Validated(model string, a, b relation.TID) bool {
 	return e.validated[mlLit(internModel(model), a, b)]
 }
 
+// classList returns the stored member list of the class rooted at r, or nil.
+// Only call with current roots: a stale root's absence reads as a singleton.
+func (e *Engine) classList(r int) []relation.TID {
+	if s := e.classSlot[r]; s != 0 {
+		return e.classLists[s-1]
+	}
+	return nil
+}
+
 // membersOf returns the hosted members of the class rooted at r. A root
-// with no stored entry is an implicit singleton: {r} when the engine
+// with no stored list is an implicit singleton: {r} when the engine
 // hosts tuple r, empty otherwise (remote ids merged in from other
-// workers). Only call with current roots — a stale root's absence would
-// read as a singleton.
+// workers).
 func (e *Engine) membersOf(r int) []relation.TID {
-	if ms, ok := e.members[r]; ok {
+	if ms := e.classList(r); ms != nil {
 		return ms
 	}
 	if e.d.Has(relation.TID(r)) {
@@ -583,10 +589,20 @@ func (e *Engine) union(ra, rb int) (ma, mb []relation.TID) {
 		}
 	}
 	merged = append(append(merged, ma[i:]...), mb[j:]...)
-	delete(e.members, ra)
-	delete(e.members, rb)
+	// Stored lists are never empty, so an empty merge had neither slot.
+	sa, sb := e.classSlot[ra], e.classSlot[rb]
+	e.classSlot[ra], e.classSlot[rb] = 0, 0
 	if len(merged) > 0 {
-		e.members[e.uf.Find(ra)] = merged
+		s := max(sa, sb) // keep one of the two slots; the other stays empty
+		if f := min(sa, sb); f != 0 {
+			e.classLists[f-1] = nil
+		}
+		if s == 0 {
+			e.classLists = append(e.classLists, nil)
+			s = int32(len(e.classLists))
+		}
+		e.classLists[s-1] = merged
+		e.classSlot[e.uf.Find(ra)] = s
 	}
 	return ma, mb
 }
@@ -682,8 +698,8 @@ func (e *Engine) flushCounters(o *taskOut) {
 
 // Deduce runs the first full chase pass over all rules (procedure Deduce
 // of Section V-A) and then drains the internal update-driven fixpoint.
-// With more than one rule the pass is one pool task per rule against a
-// frozen snapshot of Γ, merged in rule order; the pool's width is
+// With more than one rule the pass is one pool task per rule against an
+// unchanging Γ, merged in rule order; the pool's width is
 // GOMAXPROCS, and at any width the final Γ is the same, by the
 // Church-Rosser property of the chase. It returns the facts deduced
 // during the call.
@@ -779,7 +795,7 @@ func (e *Engine) Gamma() *Gamma {
 // tuples, i.e. the resolved entities.
 func (e *Engine) Classes() [][]relation.TID {
 	var out [][]relation.TID
-	for _, ms := range e.members {
+	for _, ms := range e.classLists {
 		if len(ms) > 1 {
 			out = append(out, append([]relation.TID(nil), ms...))
 		}

@@ -36,23 +36,17 @@ type taskOut struct {
 }
 
 // evalCtx carries the mutable state of rule enumerations: the scratch
-// buffers reused across valuations, their output (taskOut) and, on a pool
-// worker (pool.go), the frozen view of Γ.
+// buffers reused across valuations and their output (taskOut).
 //
 // The sequential path reuses a single context owned by the engine and
 // applies facts directly; each pool worker keeps its own buffered context
 // across its tasks, so the enumerations share no mutable state (the engine
-// structures they read — validated set, indexes, scopes — are frozen while
-// the pool runs) and are merged deterministically afterwards.
+// structures they read — E_id, the class lists, the validated set,
+// indexes, scopes — do not change while the pool runs) and are merged
+// deterministically afterwards.
 type evalCtx struct {
 	e  *Engine
 	br *boundRule
-
-	// roots freezes the id-equivalence relation: when non-nil, Same is
-	// answered from this snapshot instead of the engine's union-find
-	// (whose Find path-compresses and must not run under concurrent
-	// readers).
-	roots []int32
 
 	// buffered redirects emitted facts into the context's output instead of
 	// applying them to the engine, for the merge.
@@ -133,11 +127,12 @@ func (c *evalCtx) flushAccess() {
 	}
 }
 
-// root returns the root of a's E_id class from the frozen snapshot if
-// present, else from the live union-find.
+// root returns the root of a's E_id class. Pool tasks (buffered contexts)
+// read the forest side by side while nothing writes it, so they must not
+// compress it (UnionFind.Root); only the engine goroutine's Find does.
 func (c *evalCtx) root(a relation.TID) int {
-	if c.roots != nil {
-		return int(c.roots[a])
+	if c.buffered {
+		return c.e.uf.Root(int(a))
 	}
 	return c.e.uf.Find(int(a))
 }

@@ -5,33 +5,22 @@ import (
 	"dcer/internal/unionfind"
 )
 
-// BuildEquivalence materializes the id-equivalence relation E_id induced
-// by a set of match facts over dataset d, including the implicit merges of
-// tuples sharing a literal id value within a relation (the same
-// initialization New performs). The parallel engine uses it to assemble
-// the global Γ from the workers' deltas.
-func BuildEquivalence(d *relation.Dataset, facts []Fact) *unionfind.UnionFind {
-	size := 0
-	for _, t := range d.Tuples() {
-		if int(t.GID)+1 > size {
-			size = int(t.GID) + 1
-		}
-	}
-	uf := unionfind.New(size)
+// BuildEquivalence materializes the id-equivalence relation E_id that
+// holds before any rule applies: tuples sharing a literal id value within a
+// relation are merged, as New merges them, keyed like it by the packed id
+// word. Provenance proofs start from it, and the DMatch master grows the
+// global Γ on it from the workers' deltas.
+func BuildEquivalence(d *relation.Dataset) *unionfind.UnionFind {
+	uf := unionfind.New(d.IDSpace())
 	for _, rel := range d.Relations {
-		byID := make(map[string]relation.TID)
+		byID := make(map[uint64]relation.TID, len(rel.Tuples))
 		for _, t := range rel.Tuples {
-			k := t.Val(rel.Schema.IDAttr).Key()
-			if first, ok := byID[k]; ok {
+			w := t.IDWord()
+			if first, ok := byID[w]; ok {
 				uf.Union(int(first), int(t.GID))
 			} else {
-				byID[k] = t.GID
+				byID[w] = t.GID
 			}
-		}
-	}
-	for _, f := range facts {
-		if f.Kind == FactMatch {
-			uf.Union(int(f.A), int(f.B))
 		}
 	}
 	return uf

@@ -3,6 +3,7 @@ package chase
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"dcer/internal/relation"
 )
@@ -187,4 +188,63 @@ func (e *Engine) CheckCandidateOrder() error {
 		}
 	}
 	return nil
+}
+
+// ParentLinks returns the raw parent link of every id of e's E_id forest.
+func (e *Engine) ParentLinks() []int {
+	out := make([]int, e.uf.Len())
+	for i := range out {
+		out[i] = e.uf.Parent(i)
+	}
+	return out
+}
+
+// PoolReadEid runs one pool call over e whose tasks read E_id as a
+// deduction's do. One task per class access step of e's join orders lists
+// the step's class (classOf) from each tuple its source variable ranges
+// over, and asks same of the tuple and each member; one task per run of
+// 4096 ids asks same of each id and the next. It returns how many of the
+// listed classes had more than one member, and how many members same
+// denied belong to their class.
+func (e *Engine) PoolReadEid() (multi, denied int64) {
+	type classTask struct {
+		br *boundRule
+		st *joinStep
+	}
+	var tasks []classTask
+	for _, br := range e.rules {
+		for oi := range br.orders {
+			for si := range br.orders[oi].steps {
+				if st := &br.orders[oi].steps[si]; st.path == apClass {
+					tasks = append(tasks, classTask{br, st})
+				}
+			}
+		}
+	}
+	const idRun = 4096
+	n := e.uf.Len()
+	var nMulti, nDenied atomic.Int64
+	e.pool(len(tasks)+(n+idRun-1)/idRun, func(i int, c *evalCtx) {
+		if i >= len(tasks) {
+			for a := (i - len(tasks)) * idRun; a < min(n-1, (i-len(tasks)+1)*idRun); a++ {
+				c.same(relation.TID(a), relation.TID(a+1))
+			}
+			return
+		}
+		tk := tasks[i]
+		for _, t := range tk.br.scope.Relations[tk.br.r.Vars[tk.st.from].RelIdx].Tuples {
+			c.reset(tk.br)
+			c.binding[tk.st.from] = t
+			ms := c.classOf(tk.st, 0)
+			if len(ms) > 1 {
+				nMulti.Add(1)
+			}
+			for _, m := range ms {
+				if !c.same(t.GID, m.GID) {
+					nDenied.Add(1)
+				}
+			}
+		}
+	}, func(int, *taskOut) {})
+	return nMulti.Load(), nDenied.Load()
 }

@@ -36,18 +36,16 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	}
 	epoch := relation.TID(e.held)
 	e.held = e.d.Size()
-	// Singleton classes are implicit in the members map (membersOf), so
-	// growing the union-find is the only per-tuple bookkeeping needed.
+	// Singleton classes are implicit in the class table (membersOf), so
+	// growing it and the union-find is the only per-tuple bookkeeping.
 	e.uf.Grow(e.held)
+	e.classSlot = append(e.classSlot, make([]int32, e.held-len(e.classSlot))...)
 	// Maintain every materialized index (shared and rule-private).
 	seenIx := make(map[*relation.IndexSet]bool)
 	for _, br := range e.rules {
-		if seenIx[br.ix] {
-			continue
-		}
-		seenIx[br.ix] = true
-		for _, t := range tuples {
-			br.ix.Add(t)
+		if !seenIx[br.ix] {
+			seenIx[br.ix] = true
+			br.ix.AddBatch(tuples)
 		}
 	}
 	e.resetSimJoins(tuples)

@@ -242,8 +242,8 @@ func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, acc
 func (c *evalCtx) classOf(st *joinStep, depth int) []*relation.Tuple {
 	t := c.binding[st.from]
 	rel := c.br.r.Vars[st.v].RelIdx
-	ms, ok := c.e.members[c.root(t.GID)]
-	if !ok {
+	ms := c.e.classList(c.root(t.GID))
+	if ms == nil {
 		if t.Rel != rel {
 			return nil
 		}

@@ -91,9 +91,9 @@ func (w *wordPred) resolveConst() {
 }
 
 // idStep is one id predicate x.id = y.id of a variable's program, checked
-// against E_id (the pool's frozen roots, or the live union-find) once the
-// other side is bound — unless it is the class access that bound the
-// variable, which holds by construction.
+// against E_id (read in place, compressed only on the engine goroutine,
+// evalCtx.root) once the other side is bound — unless it is the class
+// access that bound the variable, which holds by construction.
 type idStep struct {
 	p     *rule.Pred
 	other int

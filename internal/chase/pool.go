@@ -6,15 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// pool runs n enumeration tasks against one frozen snapshot of Γ and
-// merges what they buffered on the calling goroutine. It is the engine's
+// pool runs n enumeration tasks against an unchanging Γ and merges what
+// they buffered on the calling goroutine. It is the engine's
 // only source of parallelism: the first pass of Deduce hands it one task per
 // rule, InsertTuples' seed pass one task per (rule, seeded variable, run of
 // new tuples), a fanned-out drain batch one task per contiguous chunk of
 // jobs.
 //
-// The snapshot — every index a plan can reach built, the union-find roots
-// copied — is taken once. min(n, GOMAXPROCS) goroutines take task indexes
+// Every index a plan can reach is built first; after that nothing the
+// tasks read changes until all have finished, so they read it in place —
+// E_id without compressing its paths (evalCtx.root) — and copy nothing.
+// min(n, GOMAXPROCS) goroutines take task indexes
 // from one atomic counter, so tasks start in index order; each goroutine
 // keeps one buffered scratch context across its tasks, and when a task ends
 // its facts, justifications and counters move out of that context into the
@@ -29,7 +31,6 @@ import (
 // whatever order the tasks finish in.
 func (e *Engine) pool(n int, run func(i int, c *evalCtx), merge func(i int, o *taskOut)) {
 	e.prebuildIndexes()
-	roots := e.frozenRoots()
 	outs := make([]taskOut, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -37,7 +38,7 @@ func (e *Engine) pool(n int, run func(i int, c *evalCtx), merge func(i int, o *t
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := &evalCtx{e: e, roots: roots, buffered: true}
+			c := &evalCtx{e: e, buffered: true}
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				run(i, c)
 				outs[i], c.taskOut = c.taskOut, taskOut{}
@@ -73,21 +74,4 @@ func (e *Engine) prebuildIndexes() {
 			}
 		}
 	}
-}
-
-// frozenRoots snapshots the union-find roots so the pool's tasks can
-// answer Same without path-compressing shared state. The snapshot lives in
-// one buffer the engine reuses across pool calls, which never overlap: they
-// come once per insert batch and per fanned-out drain batch, and a fresh
-// copy of the id space each time outweighs what their tasks allocate.
-func (e *Engine) frozenRoots() []int32 {
-	n := e.uf.Len()
-	if e.roots == nil || cap(e.roots) < n {
-		e.roots = make([]int32, n, n+n/4) // headroom for the ids inserts add
-	}
-	e.roots = e.roots[:n]
-	for i := range e.roots {
-		e.roots[i] = int32(e.uf.Find(i))
-	}
-	return e.roots
 }

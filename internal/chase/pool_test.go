@@ -8,8 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"dcer/internal/datagen"
+	"dcer/internal/mlpred"
 	"dcer/internal/relation"
-	"dcer/internal/unionfind"
 )
 
 // TestPoolFollowsGOMAXPROCS changes GOMAXPROCS after package init — as `go
@@ -19,7 +20,7 @@ import (
 // GOMAXPROCS (the deadline below ends the wait) and would oversubscribe a
 // lowered one.
 func TestPoolFollowsGOMAXPROCS(t *testing.T) {
-	e := &Engine{uf: unionfind.New(0)}
+	e := &Engine{}
 	initial := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(initial)
 	for _, procs := range []int{initial + 2, 1} {
@@ -78,13 +79,13 @@ func ownOutput(i int, o *taskOut) bool {
 func TestPoolMergesInIndexOrder(t *testing.T) {
 	const n = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-	e := &Engine{uf: unionfind.New(0)}
+	e := &Engine{}
 	var finished [n]atomic.Bool
 	var merged []int
 	e.pool(n, func(i int, c *evalCtx) {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
-		if !c.buffered || c.roots == nil {
-			t.Errorf("task %d ran on an unbuffered or unfrozen context", i)
+		if !c.buffered {
+			t.Errorf("task %d ran on an unbuffered context", i)
 		}
 		c.facts = append(c.facts, tagFact(i))
 		finished[i].Store(true)
@@ -116,7 +117,7 @@ func TestPoolMergesInIndexOrder(t *testing.T) {
 func TestPoolScratchPerWorker(t *testing.T) {
 	const n = 1000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	e := &Engine{uf: unionfind.New(0)}
+	e := &Engine{}
 	var mu sync.Mutex
 	scratch := make(map[*evalCtx]bool)
 	both := make(chan struct{})
@@ -145,5 +146,63 @@ func TestPoolScratchPerWorker(t *testing.T) {
 	})
 	if len(scratch) != 2 {
 		t.Errorf("%d tasks at width 2 ran on %d scratch contexts, want 2", n, len(scratch))
+	}
+}
+
+// TestPoolReadsEidInPlace checks that pool tasks read E_id without
+// writing it: one pool call whose tasks list classes and ask same across
+// the whole id space must leave the union-find's parent links exactly as
+// they were, and every listed member must be in its tuple's class.
+//
+// Run alone leaves TPCH 0.2 with a flat forest (classes of two, every
+// path already compressed by the drain's Finds), where a compressing read
+// would change nothing. So the test then joins the fixpoint's classes
+// eight at a time through IncDeduce, as facts from other workers arrive:
+// union by rank leaves ids up to three links below their root.
+func TestPoolReadsEidInPlace(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(g.D, rules, mlpred.DefaultRegistry(), Options{ShareIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	classes := eng.Classes()
+	var joins []Fact
+	for step := 1; step < 8; step *= 2 {
+		for i := 0; i+step < len(classes); i += 2 * step {
+			joins = append(joins, MatchFact(classes[i][0], classes[i+step][0]))
+		}
+	}
+	eng.IncDeduce(joins)
+	before := eng.ParentLinks()
+	deep := 0
+	for _, p := range before {
+		if before[p] != p {
+			deep++
+		}
+	}
+	if deep == 0 {
+		t.Fatal("no id sits two links below its root: a compressing read would change nothing")
+	}
+	multi, denied := eng.PoolReadEid()
+	if multi == 0 {
+		t.Fatal("no pool task listed a multi-member class")
+	}
+	if denied != 0 {
+		t.Errorf("same denied %d listed members their class", denied)
+	}
+	after := eng.ParentLinks()
+	changed := 0
+	for i := range before {
+		if before[i] != after[i] {
+			changed++
+		}
+	}
+	if changed != 0 {
+		t.Errorf("a pool call that only reads E_id rewrote %d of %d parent links (%d ids sat deeper than one link)", changed, len(before), deep)
 	}
 }

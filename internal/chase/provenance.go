@@ -155,7 +155,7 @@ func (e *Engine) Provenance() *provenance.Log { return e.prov }
 // dataset — literal id-value duplicates merged, no deduced matches — the
 // base a proof extraction replays recorded entries on top of.
 func (e *Engine) BaseEquivalence() *unionfind.UnionFind {
-	return BuildEquivalence(e.d, nil)
+	return BuildEquivalence(e.d)
 }
 
 // Proof extracts a justification of the pair (a, b) from the engine's

@@ -152,7 +152,7 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound *relation.Tup
 
 // resetSimJoins forgets what the joins over the relations of the inserted
 // tuples memoized: those lengthen postings and bring values no entry was
-// scored against. The indexes themselves follow the insert (IndexSet.Add);
+// scored against. The indexes themselves follow the insert (IndexSet.AddBatch);
 // the next probe of a value re-scores it, at the cost of one scan of old.
 func (e *Engine) resetSimJoins(inserted []*relation.Tuple) {
 	for _, br := range e.rules {

@@ -2,6 +2,7 @@ package chase_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dcer/internal/chase"
@@ -17,8 +18,9 @@ import (
 // postings, key maps, E_id classes and similarity joins — is strictly
 // GID-ascending, so the insert epoch and the symmetry order are answered
 // by binary search. It is checked on a root engine over TPCH and TFACC,
-// on the worker engines of a DMatch run with 2 and 3 workers, and after
-// each of 16 InsertTuples batches.
+// on the worker engines of a DMatch run with 2 and 3 workers, after each
+// of 16 InsertTuples batches, and after each of 4 batches handed over in
+// reverse GID order.
 func TestCandidateListsAscending(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	tpchScale, tfaccScale := 0.3, 0.2
@@ -86,5 +88,24 @@ func TestCandidateListsAscending(t *testing.T) {
 			batch++
 			check(fmt.Sprintf("%s after InsertTuples batch %d", name, batch), e)
 		})
+
+		// InsertTuples takes a batch in any order: each of four handed over
+		// in reverse, into an engine that started empty, must still leave
+		// every list ascending.
+		d := relation.NewDataset(g.D.DB)
+		e = modeDefault.engine(t, d, rules, reg)
+		e.Run()
+		all := g.D.Tuples()
+		for b := range 4 {
+			var batch []*relation.Tuple
+			for _, tt := range all[b*len(all)/4 : (b+1)*len(all)/4] {
+				batch = append(batch, d.MustAppend(g.D.DB.Schemas[tt.Rel].Name, tt.Values()...))
+			}
+			slices.Reverse(batch)
+			if _, err := e.InsertTuples(batch); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s after reversed InsertTuples batch %d", name, b+1), e)
+		}
 	}
 }

@@ -159,7 +159,7 @@ func (r *Result) Provenance() *provenance.Log { return r.prov }
 // provenance.ErrNotEntailed for unmatched pairs and
 // provenance.ErrIncomplete when capture was off or a log overflowed.
 func (r *Result) Proof(a, b relation.TID) ([]provenance.Entry, error) {
-	return r.prov.Proof([2]relation.TID{a, b}, chase.BuildEquivalence(r.d, nil))
+	return r.prov.Proof([2]relation.TID{a, b}, chase.BuildEquivalence(r.d))
 }
 
 // Timeline returns the BSP superstep profile of the run: per-worker
@@ -172,17 +172,28 @@ func (r *Result) Same(a, b relation.TID) bool {
 	return a == b || r.Eq.Same(int(a), int(b))
 }
 
-// Classes returns the non-singleton global equivalence classes.
+// Classes returns the non-singleton global equivalence classes, ordered
+// by root, each listing its tuples in dataset order: a count per root,
+// then each multi-member class cut from one backing array and filled.
 func (r *Result) Classes() [][]relation.TID {
-	groups := make(map[int][]relation.TID)
-	for _, t := range r.d.Tuples() {
-		root := r.Eq.Find(int(t.GID))
-		groups[root] = append(groups[root], t.GID)
+	ts := r.d.Tuples()
+	at := make([]int32, r.Eq.Len()) // per root: its size, then 1 + its class's index
+	for _, t := range ts {
+		at[r.Eq.Find(int(t.GID))]++
 	}
 	var out [][]relation.TID
-	for _, g := range groups {
-		if len(g) > 1 {
-			out = append(out, g)
+	flat := make([]relation.TID, len(ts))
+	for root, n := range at {
+		at[root] = 0
+		if n > 1 {
+			out = append(out, flat[:0:n])
+			flat = flat[n:]
+			at[root] = int32(len(out))
+		}
+	}
+	for _, t := range ts {
+		if c := at[r.Eq.Find(int(t.GID))]; c != 0 {
+			out[c-1] = append(out[c-1], t.GID)
 		}
 	}
 	return out

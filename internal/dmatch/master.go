@@ -65,7 +65,7 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 		n:       n,
 		words:   (n + 63) / 64,
 		d:       d,
-		guf:     chase.BuildEquivalence(d, nil),
+		guf:     chase.BuildEquivalence(d),
 		seenML:  make(map[chase.Fact]bool),
 		links:   make([]link, n),
 		events:  make(chan linkEvent, 4*n),

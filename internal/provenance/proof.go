@@ -21,7 +21,7 @@ var ErrIncomplete = errors.New("provenance: log incomplete, derivation missing")
 // the recorded entries, in record order (a valid derivation order), whose
 // facts suffice to match the pair. base is the pre-chase id equivalence of
 // the dataset — literal id-value duplicates merged at setup, which need no
-// recorded derivation (chase.BuildEquivalence(d, nil) supplies it).
+// recorded derivation (chase.BuildEquivalence(d) supplies it).
 //
 // The extraction mirrors complexity.ProofOf: seed the need-set with every
 // recorded match inside the target's final equivalence class (the sound

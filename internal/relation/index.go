@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -82,26 +84,32 @@ func (pm *postMap) get(w uint64) []*Tuple {
 	}
 }
 
-// put inserts or replaces the posting list for w. lst must be non-empty
-// (empty slots are recognized by a nil list).
-func (pm *postMap) put(w uint64, lst []*Tuple) {
+// slot returns the slot of w, claiming an empty one for it (growing the
+// table first when full). The caller must then store a non-empty list
+// there: empty slots are recognized by a nil list.
+func (pm *postMap) slot(w uint64) uint64 {
 	if pm.n+1 > len(pm.keys)-len(pm.keys)>>2 {
 		pm.grow()
 	}
 	i := (w * fibMul) >> pm.shift
-	for {
-		if pm.vals[i] == nil {
-			pm.keys[i] = w
-			pm.vals[i] = lst
-			pm.n++
-			return
-		}
+	for pm.vals[i] != nil {
 		if pm.keys[i] == w {
-			pm.vals[i] = lst
-			return
+			return i
 		}
 		i = (i + 1) & pm.mask
 	}
+	pm.keys[i] = w
+	pm.n++
+	return i
+}
+
+// put inserts or replaces the posting list for w; lst must be non-empty.
+func (pm *postMap) put(w uint64, lst []*Tuple) { pm.vals[pm.slot(w)] = lst }
+
+// appendTo appends t to the posting list of w: one probe per posting.
+func (pm *postMap) appendTo(w uint64, t *Tuple) {
+	i := pm.slot(w)
+	pm.vals[i] = append(pm.vals[i], t)
 }
 
 // grow doubles the table and reinserts every occupied slot.
@@ -164,8 +172,8 @@ func BuildIndex(relIdx int, rel *Relation, attr int) *Index {
 	// Lay every posting list out in one arena: ends[s] walks from the
 	// list's start to one past its end while filling, so afterwards the
 	// view for slot s is arena[ends[s]-counts[s] : ends[s]]. The views are
-	// capacity-clipped so an incremental Add reallocates instead of
-	// clobbering its neighbor.
+	// capacity-clipped so IndexSet.AddBatch's appends reallocate instead of
+	// clobbering a neighbor.
 	arena := make([]*Tuple, n)
 	ends := make([]int32, len(keys))
 	off := int32(0)
@@ -237,12 +245,6 @@ func (ix *Index) WordFor(v Value) (uint64, bool) {
 	return PackNum(v.Num), true
 }
 
-// Add registers a newly appended tuple (incremental ΔD maintenance).
-func (ix *Index) Add(t *Tuple) {
-	w := t.Word(ix.Attr)
-	ix.pm.put(w, append(ix.pm.get(w), t))
-}
-
 // Distinct returns the number of distinct values in the index.
 func (ix *Index) Distinct() int { return ix.pm.n }
 
@@ -287,8 +289,9 @@ func (ix *Index) MemBytes() int64 {
 // probe instead of a hash probe. A float probe word that is NaN finds
 // nothing, as NaN equals nothing.
 //
-// IndexSet.Add keeps a map current; a key that starts to repeat retires
-// it for good (Live turns false), and its users fall back to the index.
+// IndexSet.AddBatch keeps a map current; a key that starts to repeat
+// retires it for good (Live turns false), and its users fall back to the
+// index.
 type KeyMap struct {
 	probe, target *Index // (probing relation, attribute) and the unique target
 	float         bool   // the key column is a float column: NaN words find nothing
@@ -342,26 +345,31 @@ func (km *KeyMap) addProbe(p *Tuple) {
 	}
 }
 
-// addTarget follows a tuple appended to the target index: a repeated key
-// retires the map, a new one fills in the probing rows that carry it.
-func (km *KeyMap) addTarget(t *Tuple) {
-	w := t.Word(km.target.Attr)
-	if len(km.target.LookupWord(w)) > 1 {
-		km.byRow = nil
-		return
+// addTargets follows the tuples ts appended to the target index, whose
+// postings already hold them: a key that now repeats retires the map, a
+// new one fills in the probing rows that carry it.
+func (km *KeyMap) addTargets(ts []*Tuple) {
+	for _, t := range ts {
+		if len(km.target.LookupWord(t.Word(km.target.Attr))) > 1 {
+			km.byRow = nil
+			return
+		}
 	}
-	if km.float && w == QNaNWord {
-		return
-	}
-	for _, p := range km.probe.LookupWord(w) {
-		km.set(p.Row, t)
+	for _, t := range ts {
+		w := t.Word(km.target.Attr)
+		if km.float && w == QNaNWord {
+			continue
+		}
+		for _, p := range km.probe.LookupWord(w) {
+			km.set(p.Row, t)
+		}
 	}
 }
 
 // IndexSet caches the indexes of a dataset, built lazily per
 // (relation, attribute), and the key maps over them. For and KeyMap are
 // safe for concurrent use (enumerations build a similarity join's index on
-// its first probe); Add and MemBytes need them quiesced. The parallel
+// its first probe); AddBatch and MemBytes need them quiesced. The parallel
 // engine gives each worker its own IndexSet over its fragment. Built alone
 // is safe to read at any time (it backs the engine's mid-run stats
 // snapshots): the count is an atomic.
@@ -438,25 +446,34 @@ func (s *IndexSet) MemBytes() int64 {
 	return n
 }
 
-// Add registers a newly appended tuple in every materialized index of its
-// relation and in every live key map it probes from or keys into
-// (incremental ΔD maintenance). The tuple must already be part of the
-// underlying dataset.
-func (s *IndexSet) Add(t *Tuple) {
+// AddBatch registers newly appended tuples, GIDs above every tuple the set
+// has seen, in every materialized index of their relations and every live
+// key map they probe from or key into (incremental ΔD maintenance). Each
+// relation's share is appended to its indexes in GID order, so postings
+// stay GID-ascending and end as BuildIndex's over the grown dataset; then
+// the key maps follow, and a map retires iff some target key now repeats.
+func (s *IndexSet) AddBatch(ts []*Tuple) {
+	byRel := make([][]*Tuple, len(s.d.Relations))
+	for _, t := range ts {
+		byRel[t.Rel] = append(byRel[t.Rel], t)
+	}
+	for _, rts := range byRel {
+		slices.SortFunc(rts, func(a, b *Tuple) int { return cmp.Compare(a.GID, b.GID) })
+	}
 	for key, ix := range s.indexes {
-		if key[0] == t.Rel {
-			ix.Add(t)
+		for _, t := range byRel[key[0]] {
+			ix.pm.appendTo(t.Word(ix.Attr), t)
 		}
 	}
 	for _, km := range s.keyMaps {
 		if km == nil || !km.Live() {
 			continue
 		}
-		if km.target.Rel == t.Rel {
-			km.addTarget(t)
-		}
-		if km.probe.Rel == t.Rel && km.Live() {
-			km.addProbe(t)
+		km.addTargets(byRel[km.target.Rel])
+		if km.Live() {
+			for _, p := range byRel[km.probe.Rel] {
+				km.addProbe(p)
+			}
 		}
 	}
 }

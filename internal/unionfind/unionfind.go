@@ -12,12 +12,11 @@ package unionfind
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // New creates a union-find over n singleton sets.
 func New(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 	}
@@ -27,15 +26,11 @@ func New(n int) *UnionFind {
 // Len returns the size of the id space.
 func (u *UnionFind) Len() int { return len(u.parent) }
 
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
-
 // Grow extends the id space to at least n ids, adding singletons.
 func (u *UnionFind) Grow(n int) {
 	for len(u.parent) < n {
 		u.parent = append(u.parent, int32(len(u.parent)))
 		u.rank = append(u.rank, 0)
-		u.sets++
 	}
 }
 
@@ -44,10 +39,10 @@ func (u *UnionFind) Grow(n int) {
 // sampled parent chains on a quiesced structure without perturbing it.
 func (u *UnionFind) Parent(x int) int { return int(u.parent[x]) }
 
-// SetParent overwrites the raw parent link of x, bypassing union-by-rank
-// and the set count. It exists for corruption drills: tests plant a cycle
-// or an out-of-range link and assert the invariant auditors catch it. Any
-// other use leaves the structure inconsistent.
+// SetParent overwrites the raw parent link of x, bypassing union by rank.
+// It exists for corruption drills: tests plant a cycle or an out-of-range
+// link and assert the invariant auditors catch it. Any other use leaves
+// the structure inconsistent.
 func (u *UnionFind) SetParent(x, p int) { u.parent[x] = int32(p) }
 
 // Find returns the canonical representative of x's set.
@@ -61,6 +56,16 @@ func (u *UnionFind) Find(x int) int {
 		x, u.parent[x] = int(u.parent[x]), int32(root)
 	}
 	return root
+}
+
+// Root returns the representative of x's set like Find, but without path
+// compression: it writes nothing, so any number of goroutines may call it
+// at once while no goroutine calls Find, Union or Grow.
+func (u *UnionFind) Root(x int) int {
+	for p := int(u.parent[x]); p != x; p = int(u.parent[x]) {
+		x = p
+	}
+	return x
 }
 
 // Union merges the sets of a and b and reports whether a merge happened
@@ -77,36 +82,17 @@ func (u *UnionFind) Union(a, b int) bool {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.sets--
 	return true
 }
 
 // Same reports whether a and b are in the same set.
 func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 
-// Classes materializes all non-singleton equivalence classes, each sorted
-// by insertion order of ids. Singletons are omitted.
-func (u *UnionFind) Classes() [][]int {
-	groups := make(map[int][]int)
-	for i := range u.parent {
-		r := u.Find(i)
-		groups[r] = append(groups[r], i)
-	}
-	var out [][]int
-	for _, g := range groups {
-		if len(g) > 1 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the structure.
 func (u *UnionFind) Clone() *UnionFind {
 	c := &UnionFind{
 		parent: append([]int32(nil), u.parent...),
 		rank:   append([]int8(nil), u.rank...),
-		sets:   u.sets,
 	}
 	return c
 }

@@ -2,16 +2,28 @@ package unionfind_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dcer/internal/unionfind"
 )
 
+// sets counts the disjoint sets of u: the ids that are their own root.
+func sets(u *unionfind.UnionFind) int {
+	n := 0
+	for i := range u.Len() {
+		if u.Root(i) == i {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBasics(t *testing.T) {
 	u := unionfind.New(5)
-	if u.Len() != 5 || u.Sets() != 5 {
-		t.Fatalf("fresh: Len=%d Sets=%d", u.Len(), u.Sets())
+	if u.Len() != 5 || sets(u) != 5 {
+		t.Fatalf("fresh: Len=%d sets=%d", u.Len(), sets(u))
 	}
 	if !u.Union(0, 1) {
 		t.Error("first union reported no-op")
@@ -27,20 +39,16 @@ func TestBasics(t *testing.T) {
 	if !u.Same(0, 2) {
 		t.Error("transitivity broken")
 	}
-	if u.Sets() != 2 { // {0,1,2,3}, {4}
-		t.Errorf("Sets = %d, want 2", u.Sets())
-	}
-	classes := u.Classes()
-	if len(classes) != 1 || len(classes[0]) != 4 {
-		t.Errorf("Classes = %v", classes)
+	if sets(u) != 2 { // {0,1,2,3}, {4}
+		t.Errorf("sets = %d, want 2", sets(u))
 	}
 }
 
 func TestGrow(t *testing.T) {
 	u := unionfind.New(2)
 	u.Grow(5)
-	if u.Len() != 5 || u.Sets() != 5 {
-		t.Errorf("after Grow: Len=%d Sets=%d", u.Len(), u.Sets())
+	if u.Len() != 5 || sets(u) != 5 {
+		t.Errorf("after Grow: Len=%d sets=%d", u.Len(), sets(u))
 	}
 	u.Union(0, 4)
 	if !u.Same(0, 4) {
@@ -67,7 +75,7 @@ func TestClone(t *testing.T) {
 
 // TestParentSetParent covers the raw-link accessors the health auditors
 // walk: Parent never compresses paths, and SetParent plants arbitrary
-// links (the corruption-drill hook) without touching the set count.
+// links (the corruption-drill hook) without touching any other link.
 func TestParentSetParent(t *testing.T) {
 	u := unionfind.New(6)
 	for i := 0; i < 6; i++ {
@@ -100,19 +108,54 @@ func TestParentSetParent(t *testing.T) {
 		}
 	}
 
-	// SetParent bypasses union bookkeeping entirely.
-	sets := u.Sets()
+	// SetParent writes x's link and nothing else.
 	u.SetParent(4, 5)
 	if u.Parent(4) != 5 {
 		t.Fatalf("SetParent(4,5) then Parent(4) = %d", u.Parent(4))
 	}
-	if u.Sets() != sets {
-		t.Errorf("SetParent changed Sets: %d -> %d", sets, u.Sets())
+	if u.Parent(5) != 5 {
+		t.Errorf("SetParent(4,5) moved Parent(5) to %d", u.Parent(5))
 	}
 	// An out-of-range plant is stored verbatim for the auditors to find.
 	u.SetParent(3, 17)
 	if u.Parent(3) != 17 {
 		t.Errorf("out-of-range SetParent(3,17) then Parent(3) = %d", u.Parent(3))
+	}
+}
+
+// TestRootDoesNotCompress builds a deep chain by union by rank and checks
+// that Root answers what Find answers on every id while it leaves every
+// parent link as it was, which Find then shortens.
+func TestRootDoesNotCompress(t *testing.T) {
+	const n = 16
+	u := unionfind.New(n)
+	for step := 1; step < n; step *= 2 {
+		for i := 0; i+step < n; i += 2 * step {
+			u.Union(i, i+step)
+		}
+	}
+	links := func() []int {
+		ps := make([]int, n)
+		for i := range ps {
+			ps[i] = u.Parent(i)
+		}
+		return ps
+	}
+	before := links()
+	clone := u.Clone()
+	for i := range n {
+		if got, want := u.Root(i), clone.Find(i); got != want {
+			t.Errorf("Root(%d) = %d, Find says %d", i, got, want)
+		}
+	}
+	if !slices.Equal(links(), before) {
+		t.Fatalf("Root rewrote parent links: %v -> %v", before, links())
+	}
+	for i := range n {
+		u.Find(i)
+	}
+	if slices.Equal(links(), before) {
+		t.Errorf("a chain of %d unions left Find nothing to compress: the check above proves nothing", n-1)
 	}
 }
 
@@ -149,12 +192,12 @@ func TestEquivalenceProperties(t *testing.T) {
 				}
 			}
 		}
-		// Sets() must equal the number of distinct labels.
+		// The roots must be as many as the distinct labels.
 		labels := map[int]bool{}
 		for _, l := range ref {
 			labels[l] = true
 		}
-		return u.Sets() == len(labels)
+		return sets(u) == len(labels)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -47,10 +47,10 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, GID-ascending candidate lists (root, DMatch worker and inserted engines), the load against its encoding/csv oracle, at 1, 2 and 4)"
-go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending' ./internal/chase
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, GID-ascending candidate lists (root, DMatch worker and inserted engines), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestPoolReadsEidInPlace' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
-go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild' ./internal/relation
 
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
 go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
