@@ -36,7 +36,7 @@ func TestEnumerationAllocs(t *testing.T) {
 			e.Deduce()
 			for _, br := range e.rules {
 				br := br
-				avg := testing.AllocsPerRun(3, func() { e.enumerateRule(&e.ctx, br, nil) })
+				avg := testing.AllocsPerRun(3, func() { e.enumerateRule(&e.ctx, br, &br.orders[0]) })
 				// The budget tolerates incidental growth (a map bucket split,
 				// a posting append) but catches any per-valuation allocation:
 				// these rules inspect hundreds to thousands of valuations per

@@ -2,13 +2,14 @@ package chase
 
 // The update-driven drain loop of algorithm Match: every drain round
 // re-inspects the valuations involving the round's new facts. It subsumes
-// the paper's dependency store H: a valuation the first pass dropped for an
+// the paper's dependency store H: a valuation the seed pass dropped for an
 // id or ML literal not yet in Γ is one the fact that validates the literal
 // re-seeds. This file batches each round's event queue into
 // explicit re-enumeration jobs and runs a batch either on the engine's live
 // context or, split into contiguous chunks, as tasks of the engine's pool
-// (pool.go), the same one the first pass of Deduce runs on. The final Γ is
-// identical to the sequential drain by the Church-Rosser property.
+// (pool.go), the same one the seed pass of Deduce and InsertTuples runs
+// on. The final Γ is identical to the sequential drain by the
+// Church-Rosser property.
 //
 // Which of the two a batch takes is the engine's to work out (runJobs), not
 // an option: measured on the repository benchmark the fan-out is worth
@@ -195,7 +196,8 @@ func (e *Engine) runJobs(jobs []drainJob) {
 		for i := range jobs {
 			e.ctx.runSeed(&jobs[i])
 		}
-		e.flushCtxCounters(&e.ctx)
+		e.ctx.flushAccess()
+		e.flushCounters(&e.ctx.taskOut)
 		return
 	}
 	nw := min((len(jobs)+minDrainJobsPerWorker-1)/minDrainJobsPerWorker, runtime.GOMAXPROCS(0))

@@ -147,8 +147,9 @@ type boundRule struct {
 	// candidatesFor and checkNewBinding read it in both modes.
 	plan *rulePlan
 	// orders holds the join order of each seed pattern (order.go), the
-	// empty pattern first; both modes enumerate along them.
-	orders []joinOrder
+	// empty pattern first; both modes enumerate along them. seeds[r] is
+	// the seed pass's order for the variable orders[0] binds r-th.
+	orders, seeds []joinOrder
 
 	// reduced marks a rule that is its own mirror image (rule.Symmetry):
 	// its enumerations keep only valuations with
@@ -214,8 +215,9 @@ type Engine struct {
 
 	// held counts the tuples of d the engine has taken in: those present at
 	// New and every InsertTuples batch since. The dataset's later tuples
-	// are the next batch.
-	held int
+	// are the next batch. seeded is held as of the last seed pass, 0 until
+	// the first: the next InsertTuples seeds every tuple from it on.
+	held, seeded int
 
 	dynamicModels map[string]bool
 
@@ -228,8 +230,8 @@ type Engine struct {
 	// tasks must not mutate the lazy index cache).
 	prebuilt bool
 
-	// ctx is the reusable evaluation context of the paths that run on the
-	// calling goroutine (a one-rule Deduce and the drain's live batches).
+	// ctx is the reusable evaluation context of the drain's live batches,
+	// which run on the calling goroutine.
 	ctx evalCtx
 
 	// interpret switches enumeration from the compiled plans to the
@@ -239,8 +241,7 @@ type Engine struct {
 	// the equivalence oracle of the plans, the threshold is how the Γ
 	// oracles reach both drains on any host, and only this package's tests
 	// set them (export_test.go). Nor is seedHook, which sees every
-	// valuation InsertTuples' seed pass emits, from the goroutine that
-	// emits it.
+	// valuation a seed pass emits, from the goroutine that emits it.
 	interpret bool
 	drainMin  int
 	seedHook  func(br *boundRule, binding []*relation.Tuple)
@@ -655,31 +656,24 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 	}
 }
 
-// enumerateRule runs one seeded (or full, seed == nil) enumeration of br
-// on context c: the engine's own, which applies facts directly, or a pool
-// worker's buffered one. The histogram and the trace absorb concurrent
+// enumerateRule runs one enumeration of br, with nothing bound, along join
+// order o on context c: a pool worker's buffered one, or the engine's own,
+// which applies facts directly. The histogram and the trace absorb concurrent
 // observations; the work counters stay in c's output for the caller's
 // merge point.
-func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, seed []*relation.Tuple) {
+func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, o *joinOrder) {
 	var t0 time.Time
 	if e.tel != nil || e.curTC.Enabled() {
 		t0 = time.Now()
 	}
 	c.reset(br)
-	c.enumerate(seed)
+	c.enumerateIn(o, nil)
 	if e.curTC.Enabled() && time.Since(t0) >= fineSpanFloor {
 		e.curTC.Record("chase.enumerate", t0, telemetry.L("rule", br.r.Name))
 	}
 	if e.tel != nil {
 		br.enumHist.ObserveDuration(time.Since(t0))
 	}
-}
-
-// flushCtxCounters lands the live context's access-path and work counters
-// in the plans and the engine atomics.
-func (e *Engine) flushCtxCounters(c *evalCtx) {
-	c.flushAccess()
-	e.flushCounters(&c.taskOut)
 }
 
 // flushCounters lands an output's plain work counters in the engine
@@ -696,13 +690,15 @@ func (e *Engine) flushCounters(o *taskOut) {
 	o.featHits, o.mlCalls = 0, 0
 }
 
-// Deduce runs the first full chase pass over all rules (procedure Deduce
-// of Section V-A) and then drains the internal update-driven fixpoint.
-// With more than one rule the pass is one pool task per rule against an
-// unchanging Γ, merged in rule order; the pool's width is
-// GOMAXPROCS, and at any width the final Γ is the same, by the
-// Church-Rosser property of the chase. It returns the facts deduced
-// during the call.
+// Deduce runs the full chase pass over all rules (procedure Deduce of
+// Section V-A) and then drains the internal update-driven fixpoint. The
+// pass is the seed pass at epoch 0 (seedPass), the one InsertTuples runs
+// from its batch's epoch: every tuple is new, so each rule is enumerated
+// whole along its join order for the empty seed pattern, in GID morsels
+// of its first variable's list, as pool tasks against an unchanging Γ, merged in task
+// order; the pool's width is GOMAXPROCS, and at any width the final Γ is
+// the same, by the Church-Rosser property of the chase. It returns the
+// facts deduced during the call.
 func (e *Engine) Deduce() []Fact {
 	sp := e.startRoot("chase.Deduce")
 	defer e.endRoot(sp)
@@ -711,34 +707,22 @@ func (e *Engine) Deduce() []Fact {
 		defer h.hb.Exit()
 	}
 	e.delta = e.delta[:0]
-	if len(e.rules) <= 1 {
-		for _, br := range e.rules {
-			e.enumerateRule(&e.ctx, br, nil)
-			e.flushCtxCounters(&e.ctx)
-		}
-	} else {
-		ruleOf := func(i int) *boundRule { return e.rules[i] }
-		e.pool(len(e.rules), func(i int, c *evalCtx) {
-			e.enumerateRule(c, e.rules[i], nil)
-		}, e.timedMerge(ruleOf, e.mergeCtx))
-	}
+	e.seedPass(0)
 	e.drain()
 	return append([]Fact(nil), e.delta...)
 }
 
-// timedMerge wraps a merge of task i's output in a chase.merge span,
-// labelled with the task's rule, above the span floor.
-func (e *Engine) timedMerge(ruleOf func(int) *boundRule, merge func(*taskOut)) func(int, *taskOut) {
-	return func(i int, o *taskOut) {
-		tc := e.curTC
-		var t0 time.Time
-		if tc.Enabled() {
-			t0 = time.Now()
-		}
-		merge(o)
-		if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
-			tc.Record("chase.merge", t0, telemetry.L("rule", ruleOf(i).r.Name))
-		}
+// timedMerge merges the output of a task of rule br, in a chase.merge
+// span above the span floor.
+func (e *Engine) timedMerge(br *boundRule, o *taskOut) {
+	tc := e.curTC
+	var t0 time.Time
+	if tc.Enabled() {
+		t0 = time.Now()
+	}
+	e.mergeCtx(o)
+	if tc.Enabled() && time.Since(t0) >= fineSpanFloor {
+		tc.Record("chase.merge", t0, telemetry.L("rule", br.r.Name))
 	}
 }
 

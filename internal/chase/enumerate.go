@@ -53,12 +53,9 @@ type evalCtx struct {
 	buffered bool
 	taskOut
 
-	// cut and epoch are the epoch cut of InsertTuples' seed pass: every
-	// variable before cut ranges only over tuples older than epoch, so a
-	// valuation is enumerated once, from its first new tuple. Zero cut
-	// restricts nothing.
-	cut   int
-	epoch relation.TID
+	// task is the seed-pass task in flight (window reads its cuts); nil
+	// elsewhere, where the window cuts nothing but the symmetry order.
+	task *seedTask
 	// seeded, when set, sees every valuation the seed pass emits (the
 	// engine's seedHook, which only this package's tests set).
 	seeded func(br *boundRule, binding []*relation.Tuple)
@@ -155,22 +152,12 @@ func (c *evalCtx) apply(l Literal, j *justification) {
 	c.e.applyFactJ(literalFact(l), j)
 }
 
-// enumerate walks the valuations of the context's rule, starting from an
-// optional partial binding seed (nil-padded, indexed by variable
-// position). For every complete valuation that satisfies its static and
-// id predicates it calls emit, which derives the head when the dynamic ML
-// predicates hold too.
-func (c *evalCtx) enumerate(seed []*relation.Tuple) {
-	var bound uint64
-	for v, t := range seed {
-		if t != nil {
-			bound |= 1 << v
-		}
-	}
-	c.enumerateIn(c.br.orderFor(bound), seed)
-}
-
-// enumerateIn is enumerate along join order o, planned for seed's pattern.
+// enumerateIn walks the valuations of the context's rule along join order
+// o, starting from the partial binding seed (nil-padded, indexed by
+// variable position; nil for none) whose pattern o was planned for. For
+// every complete valuation that satisfies its static and id predicates it
+// calls emit, which derives the head when the dynamic ML predicates hold
+// too.
 func (c *evalCtx) enumerateIn(o *joinOrder, seed []*relation.Tuple) {
 	c.order = o
 	// Seeds skip extend's GID window: a drain job that seeds both head
@@ -236,21 +223,27 @@ func (c *evalCtx) extend(depth int) {
 }
 
 // window returns the GID range [lo, hi) that variable v's candidates are
-// cut to: below the epoch when v comes before InsertTuples' cut, and, in a
+// cut to: in a seed-pass task, the task's morsel for the variable it binds
+// first and below the epoch for the variables ranked before it; and, in a
 // reduced rule, on v's side of the other head variable once that is bound
 // — of each valuation and its mirror twin only the one with
 // h(head.V1).GID < h(head.V2).GID is enumerated.
 func (c *evalCtx) window(v int) (lo, hi relation.TID) {
 	lo, hi = 0, math.MaxInt32
-	if v < c.cut {
-		hi = c.epoch
+	if tk := c.task; tk != nil {
+		switch {
+		case v == tk.v:
+			lo, hi = tk.lo, tk.hi
+		case tk.older&(1<<v) != 0:
+			hi = tk.epoch
+		}
 	}
 	if h := &c.br.r.Head; c.br.reduced {
 		switch {
 		case v == h.V1 && c.binding[h.V2] != nil:
 			hi = min(hi, c.binding[h.V2].GID)
 		case v == h.V2 && c.binding[h.V1] != nil:
-			lo = c.binding[h.V1].GID + 1
+			lo = max(lo, c.binding[h.V1].GID+1)
 		}
 	}
 	return lo, hi
@@ -431,11 +424,8 @@ func (c *evalCtx) seedFor(n int) []*relation.Tuple {
 func (c *evalCtx) runSeed(j *drainJob) {
 	c.reset(j.br)
 	seed := c.seedFor(len(j.br.r.Vars))
-	seed[j.p.V1] = j.tx
-	if j.p.V1 != j.p.V2 {
-		seed[j.p.V2] = j.ty
-	}
-	c.enumerate(seed)
+	seed[j.p.V1], seed[j.p.V2] = j.tx, j.ty // one tuple when V1 = V2 (addJob)
+	c.enumerateIn(j.br.orderFor(1<<j.p.V1|1<<j.p.V2), seed)
 }
 
 // gatherInto collects an ML predicate's attribute-value vector from a

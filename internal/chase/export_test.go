@@ -3,6 +3,7 @@ package chase
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 
 	"dcer/internal/relation"
@@ -27,8 +28,8 @@ func (e *Engine) SetDrainParallelMin(n int) { e.drainMin = n }
 const NeverFanOut = math.MaxInt
 
 // SetSeedHook has f called with the rule and the bound GIDs, in variable
-// order, of every valuation InsertTuples' seed pass emits — concurrently,
-// from the pool's goroutines.
+// order, of every valuation a seed pass emits — Deduce's at epoch 0 and
+// each InsertTuples batch's — concurrently, from the pool's goroutines.
 func (e *Engine) SetSeedHook(f func(rule string, gids []relation.TID)) {
 	e.seedHook = func(br *boundRule, binding []*relation.Tuple) {
 		gids := make([]relation.TID, len(binding))
@@ -57,7 +58,7 @@ func (e *Engine) SeedPatterns(ri int) [][]int {
 
 // EnumerateOrder enumerates rule ri from seed (a tuple per variable, nil
 // where free), binding the free variables in the sequence seq — nil is the
-// greedy plan — with key maps on or off, under InsertTuples' epoch cut
+// greedy plan — with key maps on or off, under a seed pass's epoch cut
 // (the free variables before cut range over tuples older than epoch; cut 0
 // restricts nothing), and calls f with the GIDs, in variable order, of
 // every valuation it emits. The enumeration buffers what it deduces and
@@ -76,7 +77,7 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 			o.steps[i].km = nil
 		}
 	}
-	c := &evalCtx{e: e, buffered: true, cut: cut, epoch: epoch}
+	c := &evalCtx{e: e, buffered: true, task: &seedTask{v: -1, older: 1<<cut - 1, epoch: epoch}}
 	c.seeded = func(_ *boundRule, binding []*relation.Tuple) {
 		gids := make([]relation.TID, len(binding))
 		for i, t := range binding {
@@ -88,6 +89,17 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 	s := c.seedFor(len(br.r.Vars))
 	copy(s, seed)
 	c.enumerateIn(&o, s)
+}
+
+// EmptyOrderSplits reports whether rule ri's join order for the empty seed
+// pattern is its first variable's root access followed by that variable's
+// single-variable order: the planner fact that makes the seed pass at
+// epoch 0 walk that order whole.
+func (e *Engine) EmptyOrderSplits(ri int) bool {
+	br := e.rules[ri]
+	steps := br.orders[0].steps
+	root, _, _ := br.bestAccess(steps[0].v, 0)
+	return reflect.DeepEqual(steps, append([]joinStep{root}, br.orderFor(1<<steps[0].v).steps...))
 }
 
 // PlannedOrders describes rule ri's join order for each seed pattern, in

@@ -55,7 +55,14 @@ func gammaDigest(g *chase.Gamma) string {
 // order (a class step binds a variable that a key or a scan bound before),
 // class member lists are merged in GID order instead of concatenated, and
 // no dependency fires — a valuation whose literal is not yet in Γ is
-// dropped and re-seeded by the fact that validates it. No mode's class set
+// dropped and re-seeded by the fact that validates it. "tpch0.5/insert/*"
+// were re-recorded once more (from 30a5cbdefd24…) when Deduce's pass and
+// InsertTuples' seed pass became one seed pass: a batch's tasks now cut
+// the variables ranked before the seeded one in the rule's join order for
+// the empty seed pattern (not those of lower index) to old tuples, and bind the seeded
+// variable from its root access in GID order (not each new tuple in batch
+// order), so the pass's facts reach the merge in another order; the Run
+// modes and the TFACC inserts kept their digests. No mode's class set
 // moved with any of these (goldenSets, each recorded before the move that
 // touched its mode).
 //
@@ -68,8 +75,8 @@ func gammaDigest(g *chase.Gamma) string {
 var goldenGammas = map[string]string{
 	"tpch0.5/conc":               "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
 	"tpch0.5/seqdrain":           "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/insert/conc":        "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
-	"tpch0.5/insert/live-drain":  "30a5cbdefd2458c370c6677b267f776f64bd18e1bde43a6b6cefcc0dda0840be",
+	"tpch0.5/insert/conc":        "4ad335233a745360f1d177b66e98ff37e99d07f7d960e795fcbb0335d5f7f82c",
+	"tpch0.5/insert/live-drain":  "4ad335233a745360f1d177b66e98ff37e99d07f7d960e795fcbb0335d5f7f82c",
 	"tfacc0.2/conc":              "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
 	"tfacc0.2/seqdrain":          "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
 	"tfacc0.2/insert/conc":       "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",

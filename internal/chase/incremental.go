@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"math"
 
 	"dcer/internal/relation"
 )
@@ -19,12 +20,9 @@ import (
 // dataset) support incremental updates. The returned facts are the newly
 // deduced matches and validated predictions.
 //
-// The seed pass is semi-naive over the insertion epoch: a task seeds one
-// rule variable with new tuples and restricts the variables before it to
-// tuples older than the batch, so a valuation whose new tuples sit at the
-// variables S is enumerated once, seeded at the first of S (DESIGN.md §6).
-// The tasks run on the pool and merge in task order, as Deduce's first
-// pass does.
+// After the bookkeeping, the batch is one seed pass from the tuples no
+// seed pass has seen (seedPass): the batch itself after Run or an earlier
+// batch, the whole dataset when the engine never deduced.
 func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	for _, br := range e.rules {
 		if br.scope != e.d {
@@ -34,7 +32,6 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	if err := e.checkBatch(tuples); err != nil {
 		return nil, err
 	}
-	epoch := relation.TID(e.held)
 	e.held = e.d.Size()
 	// Singleton classes are implicit in the class table (membersOf), so
 	// growing it and the union-find is the only per-tuple bookkeeping.
@@ -68,22 +65,64 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 			e.idIndex[t.Rel][w] = t.GID
 		}
 	}
-	// Update-driven pass: only valuations involving a new tuple are new.
-	tasks := e.insertTasks(tuples)
-	run := func(c *evalCtx, tk *insertTask) {
-		c.cut, c.epoch, c.seeded = tk.v, epoch, e.seedHook
-		for _, t := range tk.run {
-			seed := c.seedFor(len(tk.br.r.Vars))
-			seed[tk.v] = t
-			e.enumerateRule(c, tk.br, seed)
-		}
-		c.cut, c.seeded = 0, nil
-	}
-	ruleOf := func(i int) *boundRule { return tasks[i].br }
-	e.pool(len(tasks), func(i int, c *evalCtx) { run(c, &tasks[i]) },
-		e.timedMerge(ruleOf, e.mergeCtx))
+	e.seedPass(relation.TID(e.seeded))
 	e.drain()
 	return append([]Fact(nil), e.delta...), nil
+}
+
+// seedTask is one task of a seed pass: rule br along order o, whose first
+// step binds variable v to the tuples of its root access in the GID morsel
+// [lo, hi), with every variable of older cut to GIDs below epoch.
+type seedTask struct {
+	br            *boundRule
+	o             *joinOrder
+	v             int
+	older         uint64
+	lo, hi, epoch relation.TID
+}
+
+// seedMorsel caps the tuples of one seed task's morsel.
+const seedMorsel = 256
+
+// seedPass enumerates, once each, the valuations that bind a tuple of GID
+// ≥ epoch, semi-naively over the rank order in which orders[0] binds the
+// variables: the tasks of the variable ranked r (seeds[r]) bind it from
+// its root access cut to GIDs ≥ epoch and cut the variables ranked before
+// it to GIDs < epoch (window), so a valuation whose new tuples sit at the
+// variables S is enumerated by the tasks of the first of S alone
+// (DESIGN.md §6). Past a variable whose relation holds no tuple older than
+// epoch there is nothing to enumerate: at epoch 0 only the first variable
+// has tasks, which walk orders[0] whole. A list of k tuples is cut
+// into GID morsels of min(seedMorsel, ⌈k/8⌉), one task each: by the list
+// alone, never by GOMAXPROCS, so the merged fact sequence is the same at
+// every width.
+func (e *Engine) seedPass(epoch relation.TID) {
+	var tasks []seedTask
+	for _, br := range e.rules {
+		var older uint64
+		for r := range br.seeds {
+			o := &br.seeds[r]
+			v := o.steps[0].v
+			ts := gidWindow(br.rootCands(&o.steps[0]), epoch, math.MaxInt32)
+			size := min(seedMorsel, max(1, (len(ts)+7)/8))
+			for i := 0; i < len(ts); i += size {
+				tk := seedTask{br: br, o: o, v: v, older: older, lo: ts[i].GID, hi: math.MaxInt32, epoch: epoch}
+				if i+size < len(ts) {
+					tk.hi = ts[i+size].GID
+				}
+				tasks = append(tasks, tk)
+			}
+			if rel := br.scope.Relations[br.r.Vars[v].RelIdx].Tuples; len(rel) == 0 || rel[0].GID >= epoch {
+				break
+			}
+			older |= 1 << v
+		}
+	}
+	e.seeded = e.held
+	e.pool(len(tasks), func(i int, c *evalCtx) {
+		c.task, c.seeded = &tasks[i], e.seedHook
+		e.enumerateRule(c, tasks[i].br, tasks[i].o)
+	}, func(i int, o *taskOut) { e.timedMerge(tasks[i].br, o) })
 }
 
 // checkBatch holds a batch to InsertTuples' contract: exactly the tuples
@@ -109,40 +148,4 @@ func (e *Engine) checkBatch(tuples []*relation.Tuple) error {
 		}
 	}
 	return nil
-}
-
-// insertTask is one task of InsertTuples' seed pass: rule br with variable
-// v bound to each tuple of run in turn.
-type insertTask struct {
-	br  *boundRule
-	v   int
-	run []*relation.Tuple
-}
-
-// maxInsertRun caps the new tuples of one insert task.
-const maxInsertRun = 64
-
-// insertTasks lists the seed pass of a batch: for each rule and variable,
-// the batch's tuples of the variable's relation in batch order, cut into
-// runs of min(maxInsertRun, ⌈k/8⌉) of their k tuples, so that a dozen new
-// rows of a small relation that joins with everything become a dozen tasks
-// instead of one that outlasts the rest. The cut depends on the batch
-// alone, never on GOMAXPROCS, so the merged fact sequence is the same at
-// every width; in order, the list is the sequential seed loop.
-func (e *Engine) insertTasks(tuples []*relation.Tuple) []insertTask {
-	byRel := make([][]*relation.Tuple, len(e.d.Relations))
-	for _, t := range tuples {
-		byRel[t.Rel] = append(byRel[t.Rel], t)
-	}
-	var tasks []insertTask
-	for _, br := range e.rules {
-		for v, rv := range br.r.Vars {
-			ts := byRel[rv.RelIdx]
-			size := min(maxInsertRun, max(1, (len(ts)+7)/8))
-			for lo := 0; lo < len(ts); lo += size {
-				tasks = append(tasks, insertTask{br: br, v: v, run: ts[lo:min(lo+size, len(ts))]})
-			}
-		}
-	}
-	return tasks
 }

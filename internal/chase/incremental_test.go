@@ -2,6 +2,7 @@ package chase_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -195,13 +196,15 @@ func TestInsertTuplesErrors(t *testing.T) {
 	}
 }
 
-// TestInsertSeedsEnumerateOnce checks the epoch cut of InsertTuples' seed
-// pass: within a batch no valuation is emitted twice — one holding several
-// new tuples is seeded at the first of them only — in every mode, over
-// three batches, on random instances where such valuations occur.
+// TestInsertSeedsEnumerateOnce checks the epoch cut of the seed pass: no
+// valuation is emitted twice across Run's pass and three InsertTuples
+// batches — one holding several new tuples is seeded at the first of them
+// in rank order only, and one a batch's pass emits is one no earlier pass
+// could — in every mode, on random instances where valuations with several
+// new tuples occur.
 func TestInsertSeedsEnumerateOnce(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
-	multi := 0
+	multi, fromRun := 0, 0
 	for seed := int64(500); seed < 508; seed++ {
 		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
@@ -218,9 +221,8 @@ func TestInsertSeedsEnumerateOnce(t *testing.T) {
 				d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
 			}
 			eng := m.engine(t, d2, rules, reg)
-			eng.Run()
 			var mu sync.Mutex
-			var epoch relation.TID
+			epoch := relation.TID(math.MaxInt32) // Run's tuples count as old
 			emitted := make(map[string]bool)
 			var repeats []string
 			eng.SetSeedHook(func(rule string, gids []relation.TID) {
@@ -241,10 +243,11 @@ func TestInsertSeedsEnumerateOnce(t *testing.T) {
 					multi++
 				}
 			})
+			eng.Run()
+			fromRun += len(emitted)
 			step := (len(held) + 2) / 3
 			for lo := 0; lo < len(held); lo += step {
 				epoch = relation.TID(d2.Size())
-				clear(emitted)
 				var batch []*relation.Tuple
 				for _, tt := range held[lo:min(lo+step, len(held))] {
 					batch = append(batch, d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...))
@@ -253,14 +256,14 @@ func TestInsertSeedsEnumerateOnce(t *testing.T) {
 					t.Fatalf("seed %d mode %s: %v", seed, m, err)
 				}
 				if len(repeats) > 0 {
-					t.Fatalf("seed %d mode %s: %d valuations seeded twice in one batch, first %s\nrules:\n%s",
+					t.Fatalf("seed %d mode %s: %d valuations seeded twice, first %s\nrules:\n%s",
 						seed, m, len(repeats), repeats[0], rulesOf(rules))
 				}
 			}
 		}
 	}
-	if multi == 0 {
-		t.Fatal("no seeded valuation held two new tuples: the instances test nothing")
+	if multi == 0 || fromRun == 0 {
+		t.Fatalf("%d seeded valuations held two new tuples, %d came from Run: the instances test nothing", multi, fromRun)
 	}
 }
 

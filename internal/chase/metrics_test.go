@@ -116,7 +116,7 @@ func TestWideRoundMemory(t *testing.T) {
 			t.Errorf("round %d: mem_dataset_bytes = %d, want %d", ev.Round, ev.MemDataset, ds)
 		}
 		// The account is taken at the top of the round, so a round shows
-		// what earlier rounds (or Deduce's first pass) merged.
+		// what earlier rounds (or Deduce's seed pass) merged.
 		if merged && ev.MemGamma <= 0 {
 			t.Errorf("round %d: mem_gamma_bytes = %d after facts merged", ev.Round, ev.MemGamma)
 		}

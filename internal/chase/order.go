@@ -53,9 +53,15 @@ type joinOrder struct {
 const maxRuleVars = 64
 
 // planOrders plans br's join orders for every seed pattern its
-// enumerations start from: none (Deduce's first pass), each single
-// variable (InsertTuples' seeds) and the two variables of each id and
-// dynamic ML predicate (the drain's seeded re-enumerations).
+// enumerations start from — none (the order that ranks the variables for
+// the seed pass and that PlanReport shows), each single variable, and the
+// two variables of each id and dynamic ML predicate (the drain's seeded
+// re-enumerations) — and the seed pass's orders: for the variable ranked
+// r, seeds[r] binds it through its root access (the step it takes with
+// nothing bound: a constant's posting or a scan), then follows its
+// single-variable order. The planner is greedy over the bound set alone,
+// so seeds[0] is orders[0], and the seed pass at epoch 0 walks exactly
+// orders[0].
 func (br *boundRule) planOrders() {
 	patterns := []uint64{0}
 	add := func(m uint64) {
@@ -77,6 +83,11 @@ func (br *boundRule) planOrders() {
 	br.orders = make([]joinOrder, len(patterns))
 	for i, m := range patterns {
 		br.orders[i] = br.planOrder(m, nil)
+	}
+	br.seeds = make([]joinOrder, len(br.r.Vars))
+	for r, st := range br.orders[0].steps {
+		root, _, _ := br.bestAccess(st.v, 0)
+		br.seeds[r].steps = append([]joinStep{root}, br.orderFor(1<<st.v).steps...)
 	}
 }
 
@@ -227,13 +238,20 @@ func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, acc
 			return nil, apEq // NaN equals nothing
 		}
 		return st.ix.LookupTuple(t, st.fromAttr), apEq
-	case apConst:
-		if w := st.konst; w.constOK {
-			return w.ix.LookupWord(w.constW), apConst
-		}
-		return nil, apConst // unresolvable: an unknown string or NaN matches nothing
 	}
-	return c.br.scope.Relations[c.br.r.Vars[st.v].RelIdx].Tuples, apScan
+	return c.br.rootCands(st), st.path
+}
+
+// rootCands lists the candidates of a step that reads no binding: its
+// constant's posting list, or its relation's scan.
+func (br *boundRule) rootCands(st *joinStep) []*relation.Tuple {
+	if st.path == apConst {
+		if w := st.konst; w.constOK {
+			return w.ix.LookupWord(w.constW)
+		}
+		return nil // unresolvable: an unknown string or NaN matches nothing
+	}
+	return br.scope.Relations[br.r.Vars[st.v].RelIdx].Tuples
 }
 
 // classOf lists the members of the E_id class of st's bound side that lie

@@ -446,7 +446,10 @@ v: P(p) ^ P(q) ^ p.name = "none" -> lev080(p.pk, q.pk)`
 // scan while an id predicate, an equality or a constant reaches another,
 // and that in every planned order, from every seed pattern, each id
 // predicate is answered once one side is bound: by the class step that
-// binds the other side, or by the id step of that side's program.
+// binds the other side, or by the id step of that side's program. Every
+// rule's order for the empty seed pattern must also be its first
+// variable's root access followed by that variable's single-variable
+// order, which the seed pass at epoch 0 relies on to walk it whole.
 func TestJoinOrderTPCH(t *testing.T) {
 	pins := map[string]string{"tc": "n m c d", "to": "c d o l w k"}
 	for _, g := range []*datagen.Generated{
@@ -464,6 +467,9 @@ func TestJoinOrderTPCH(t *testing.T) {
 		rep := eng.PlanReport()
 		for ri, rr := range rep.Rules {
 			r := rules[ri]
+			if !eng.EmptyOrderSplits(ri) {
+				t.Errorf("rule %s: the empty pattern's order %v is not its first variable's root access and single-variable order", r.Name, rr.Order)
+			}
 			var names []string
 			bound := map[string]bool{}
 			for _, st := range rr.Order {

@@ -126,7 +126,8 @@ func TestDrainParallelEquivalence(t *testing.T) {
 // inserting it later — in one batch, or in two or five batches of random
 // sizes, one of them a single tuple — must reach exactly the Γ of a full
 // chase over the whole dataset, under the default and the forced batched
-// drain.
+// drain, whether or not the rest was resolved with Run first: without it,
+// the first batch's seed pass must take in the tuples New found too.
 func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(25)
@@ -145,7 +146,11 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 		scratch.Run()
 		rng := rand.New(rand.NewSource(seed))
 		for _, opts := range []engineMode{modeDefault, modeBatched} {
-			for _, batches := range []int{1, 2, 5} {
+			for _, arm := range []struct {
+				batches int
+				run     bool
+			}{{1, true}, {2, true}, {5, true}, {1, false}, {5, false}} {
+				batches := arm.batches
 				// Rebuild withholding every k-th tuple, chase, then insert them.
 				k := 3 + int(seed%4)
 				d2 := relation.NewDataset(d.DB)
@@ -160,7 +165,9 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 					gidMap[tt.GID] = nt.GID
 				}
 				eng := opts.engine(t, d2, rules, reg)
-				eng.Run()
+				if arm.run {
+					eng.Run()
+				}
 				for _, n := range batchSizes(rng, len(heldSrc), batches) {
 					var batch []*relation.Tuple
 					for _, tt := range heldSrc[:n] {
@@ -177,8 +184,8 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 					for j := i + 1; j < d.Size(); j++ {
 						a, b := relation.TID(i), relation.TID(j)
 						if scratch.Same(a, b) != eng.Same(gidMap[a], gidMap[b]) {
-							t.Fatalf("seed %d mode %s, %d batches: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
-								seed, opts, batches, i, j, rulesOf(rules))
+							t.Fatalf("seed %d mode %s, %d batches, Run first %v: scratch and incremental disagree on (%d,%d)\nrules:\n%s",
+								seed, opts, batches, arm.run, i, j, rulesOf(rules))
 						}
 					}
 				}
@@ -187,8 +194,8 @@ func TestInsertTuplesRandomSplitEquivalence(t *testing.T) {
 					want = append(want, chase.MLFact(f.Model, gidMap[f.A], gidMap[f.B]))
 				}
 				if wv, gv := canonValidated(want), canonValidated(eng.Gamma().Validated); wv != gv {
-					t.Fatalf("seed %d mode %s, %d batches: validated sets differ:\nscratch:\n%s\nincremental:\n%s",
-						seed, opts, batches, wv, gv)
+					t.Fatalf("seed %d mode %s, %d batches, Run first %v: validated sets differ:\nscratch:\n%s\nincremental:\n%s",
+						seed, opts, batches, arm.run, wv, gv)
 				}
 			}
 		}

@@ -50,7 +50,7 @@ func (m engineMode) engine(t testing.TB, d *relation.Dataset, rules []*rule.Rule
 	return eng
 }
 
-// The modes the Γ oracles cover: Deduce's first pass on the pool over the
+// The modes the Γ oracles cover: Deduce's seed pass on the pool over the
 // live drain (what a one-processor host and small batches run), and over a
 // drain with every batch fanned out. modeDefault leaves the drain to the
 // engine, so what it covers depends on GOMAXPROCS.

@@ -8,10 +8,10 @@ import (
 
 // pool runs n enumeration tasks against an unchanging Γ and merges what
 // they buffered on the calling goroutine. It is the engine's
-// only source of parallelism: the first pass of Deduce hands it one task per
-// rule, InsertTuples' seed pass one task per (rule, seeded variable, run of
-// new tuples), a fanned-out drain batch one task per contiguous chunk of
-// jobs.
+// only source of parallelism: the seed pass (Deduce's at epoch 0, each
+// InsertTuples batch's from the batch's epoch) hands it one task per GID
+// morsel of a seeded variable's first-step list, a fanned-out drain batch
+// one task per contiguous chunk of jobs.
 //
 // Every index a plan can reach is built first; after that nothing the
 // tasks read changes until all have finished, so they read it in place —

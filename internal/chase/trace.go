@@ -1,8 +1,8 @@
 package chase
 
 // Causal tracing and wide events of the engine. Spans follow the call
-// tree: Deduce/IncDeduce roots parent the per-rule enumerate/merge spans
-// of the first pass and the per-round drain spans, which in turn parent
+// tree: Deduce/IncDeduce roots parent the per-task enumerate/merge spans
+// of the seed pass and the per-round drain spans, which in turn parent
 // the drain batches and the cache-miss classifier calls of the ML
 // predicate layer. Everything is gated on
 // TraceContext.Enabled() (one branch per site when tracing is off) and

@@ -6,8 +6,9 @@
 # and the cmd/doctor scrape of a live endpoint), the bench-regression gate
 # of `go test -bench` against BENCH_GATE.txt, and the nested benchmark
 # module's own vet and tests.
-# The task pool that runs Deduce's first pass, InsertTuples' seed pass and
-# the fanned-out drain batches on GOMAXPROCS goroutines (internal/chase),
+# The task pool that runs the one seed pass (Deduce's at epoch 0 and each
+# InsertTuples batch's) and the fanned-out drain batches on GOMAXPROCS
+# goroutines (internal/chase),
 # the DMatch master loop with its per-worker link goroutines
 # (internal/dmatch), the justification log written from concurrent drains
 # (internal/provenance), the TCP links' sender and reader goroutines over
@@ -47,7 +48,7 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, InsertTuples' seed pass and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps, GID-ascending candidate lists (root, DMatch worker and inserted engines), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Deduce at width 1 vs the live width, parallel-vs-sequential drain, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestPoolReadsEidInPlace' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild' ./internal/relation
