@@ -47,8 +47,8 @@ func TestEnumerationAllocs(t *testing.T) {
 				}
 				for i := range br.mls {
 					m := &br.mls[i]
-					ts := g.D.Relations[br.r.Vars[m.pred.V1].RelIdx].Tuples
-					ta, tb := ts[0], ts[len(ts)-1]
+					as, bs := br.rels[m.pred.V1].TIDs(), br.rels[m.pred.V2].TIDs()
+					ta, tb := as[0], bs[len(bs)-1]
 					e.ctx.reset(br)
 					e.ctx.predict(m, ta, tb) // build the two bundles
 					if avg := testing.AllocsPerRun(100, func() { e.ctx.predict(m, ta, tb) }); avg != 0 {

@@ -51,7 +51,7 @@ const drainBatchCap = 1 << 15
 type drainJob struct {
 	br     *boundRule
 	p      *rule.Pred
-	tx, ty *relation.Tuple
+	tx, ty relation.TID
 }
 
 // drain re-evaluates what the new facts touch until no new facts appear
@@ -152,17 +152,16 @@ func (e *Engine) processEvents(q []event) {
 // rule's scope, on the predicate's relations, and not a self pair under a
 // single-variable predicate.
 func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relation.TID) []drainJob {
-	tx, ty := br.scope.Tuple(x), br.scope.Tuple(y)
-	if tx == nil || ty == nil {
+	if !br.scope.Has(x) || !br.scope.Has(y) {
 		return jobs
 	}
-	if tx.Rel != br.r.Vars[p.V1].RelIdx || ty.Rel != br.r.Vars[p.V2].RelIdx {
+	if br.scope.RelOf(x) != br.r.Vars[p.V1].RelIdx || br.scope.RelOf(y) != br.r.Vars[p.V2].RelIdx {
 		return jobs
 	}
 	if p.V1 == p.V2 && x != y {
 		return jobs
 	}
-	return append(jobs, drainJob{br: br, p: p, tx: tx, ty: ty})
+	return append(jobs, drainJob{br: br, p: p, tx: x, ty: y})
 }
 
 // runJobs executes one batch: on the engine's live context when there is

@@ -163,7 +163,10 @@ type boundRule struct {
 	// sequential engine it is the whole dataset; in the parallel engine
 	// it is the union of the worker's virtual blocks generated for this
 	// rule (hypercube semantics evaluate each rule within its blocks).
+	// rels[v] is variable v's relation in scope: its scan list and, shared
+	// with the root, its columns.
 	scope *relation.Dataset
+	rels  []*relation.Relation
 	// ix indexes the rule's scope. With MQO sharing, rules with the same
 	// scope share one index set; without, every rule gets its own.
 	ix *relation.IndexSet
@@ -244,7 +247,7 @@ type Engine struct {
 	// valuation a seed pass emits, from the goroutine that emits it.
 	interpret bool
 	drainMin  int
-	seedHook  func(br *boundRule, binding []*relation.Tuple)
+	seedHook  func(br *boundRule, binding []relation.TID)
 
 	// prov is the justification log (Options.Provenance); nil disables
 	// capture. provOrigin labels facts applied without a rule
@@ -354,13 +357,13 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 	// later duplicates without re-scanning the relation.
 	e.idIndex = make([]map[uint64]relation.TID, len(d.Relations))
 	for ri, rel := range d.Relations {
-		byID := make(map[uint64]relation.TID, len(rel.Tuples))
-		for _, t := range rel.Tuples {
-			w := t.IDWord()
+		byID := make(map[uint64]relation.TID, len(rel.TIDs()))
+		for _, t := range rel.TIDs() {
+			w := rel.Word(t, rel.Schema.IDAttr)
 			if first, ok := byID[w]; ok {
-				e.unionInternal(first, t.GID)
+				e.unionInternal(first, t)
 			} else {
-				byID[w] = t.GID
+				byID[w] = t
 			}
 		}
 		e.idIndex[ri] = byID
@@ -380,6 +383,9 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 		scope:  scope,
 		consts: make([][]*rule.Pred, len(r.Vars)),
 		intra:  make([][]*rule.Pred, len(r.Vars)),
+	}
+	for _, v := range r.Vars {
+		br.rels = append(br.rels, scope.Relations[v.RelIdx])
 	}
 	for i := range r.Body {
 		p := &r.Body[i]

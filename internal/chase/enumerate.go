@@ -2,7 +2,7 @@ package chase
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"dcer/internal/mlpred"
@@ -58,15 +58,20 @@ type evalCtx struct {
 	task *seedTask
 	// seeded, when set, sees every valuation the seed pass emits (the
 	// engine's seedHook, which only this package's tests set).
-	seeded func(br *boundRule, binding []*relation.Tuple)
+	seeded func(br *boundRule, binding []relation.TID)
 
 	// plans mirrors !Engine.interpret (latched by reset so the hot
 	// path reads a local flag); planBufs are the per-recursion-depth
 	// candidate scratch buffers of the compiled path.
 	plans    bool
-	planBufs [][]*relation.Tuple
+	planBufs [][]relation.TID
 	// classBufs are the per-depth lists of class access steps (classOf).
-	classBufs [][]*relation.Tuple
+	classBufs [][]relation.TID
+
+	// rows is the dataset's row table (relation.Dataset.Rows), latched by
+	// reset: a bound variable's tuple t reads attribute a as
+	// br.rels[v].Col(a)[rows[t]].
+	rows []int32
 
 	// access counts, per variable of br and access path, the times chosen
 	// and the candidates returned; flushAccess lands them in the plan when
@@ -82,12 +87,16 @@ type evalCtx struct {
 	order *joinOrder
 
 	// scratch buffers, reused across valuations to keep the hot path
-	// allocation-free.
-	binding []*relation.Tuple
+	// allocation-free. binding holds each variable's tuple, unbound where
+	// it is free.
+	binding []relation.TID
 	lvals   []relation.Value
 	rvals   []relation.Value
-	seedBuf []*relation.Tuple
+	seedBuf []relation.TID
 }
+
+// unbound marks a free variable in a binding or a seed.
+const unbound relation.TID = -1
 
 // reset points the context at rule br and clears the binding scratch.
 func (c *evalCtx) reset(br *boundRule) {
@@ -101,13 +110,20 @@ func (c *evalCtx) reset(br *boundRule) {
 	}
 	c.br = br
 	c.plans = !c.e.interpret
+	c.rows = c.e.d.Rows()
 	if cap(c.binding) < n {
-		c.binding = make([]*relation.Tuple, n)
+		c.binding = make([]relation.TID, n)
 	}
 	c.binding = c.binding[:n]
 	for i := range c.binding {
-		c.binding[i] = nil
+		c.binding[i] = unbound
 	}
+}
+
+// word reads attribute a of tuple t, bound to (or a candidate of)
+// variable v.
+func (c *evalCtx) word(v int, t relation.TID, a int) uint64 {
+	return c.br.rels[v].Col(a)[c.rows[t]]
 }
 
 // flushAccess lands the context's access-path counts in br's plan.
@@ -153,22 +169,22 @@ func (c *evalCtx) apply(l Literal, j *justification) {
 }
 
 // enumerateIn walks the valuations of the context's rule along join order
-// o, starting from the partial binding seed (nil-padded, indexed by
+// o, starting from the partial binding seed (unbound-padded, indexed by
 // variable position; nil for none) whose pattern o was planned for. For
 // every complete valuation that satisfies its static and id predicates it
 // calls emit, which derives the head when the dynamic ML predicates hold
 // too.
-func (c *evalCtx) enumerateIn(o *joinOrder, seed []*relation.Tuple) {
+func (c *evalCtx) enumerateIn(o *joinOrder, seed []relation.TID) {
 	c.order = o
 	// Seeds skip extend's GID window: a drain job that seeds both head
 	// variables of a reduced rule is held to the symmetry order here.
 	if h := &c.br.r.Head; c.br.reduced && seed != nil {
-		if a, b := seed[h.V1], seed[h.V2]; a != nil && b != nil && a.GID >= b.GID {
+		if a, b := seed[h.V1], seed[h.V2]; a != unbound && b != unbound && a >= b {
 			return
 		}
 	}
 	for v, t := range seed {
-		if t == nil {
+		if t == unbound {
 			continue
 		}
 		if !c.checkNewBinding(v, t) {
@@ -218,7 +234,7 @@ func (c *evalCtx) extend(depth int) {
 		}
 		binding[v] = t
 		c.extend(depth + 1)
-		binding[v] = nil
+		binding[v] = unbound
 	}
 }
 
@@ -240,10 +256,10 @@ func (c *evalCtx) window(v int) (lo, hi relation.TID) {
 	}
 	if h := &c.br.r.Head; c.br.reduced {
 		switch {
-		case v == h.V1 && c.binding[h.V2] != nil:
-			hi = min(hi, c.binding[h.V2].GID)
-		case v == h.V2 && c.binding[h.V1] != nil:
-			lo = max(lo, c.binding[h.V1].GID+1)
+		case v == h.V1 && c.binding[h.V2] != unbound:
+			hi = min(hi, c.binding[h.V2])
+		case v == h.V2 && c.binding[h.V1] != unbound:
+			lo = max(lo, c.binding[h.V1]+1)
 		}
 	}
 	return lo, hi
@@ -251,15 +267,16 @@ func (c *evalCtx) window(v int) (lo, hi relation.TID) {
 
 // gidWindow returns the part of candidate list ts whose GIDs lie in
 // [lo, hi), by two binary searches: every access path lists its candidates
-// in strictly ascending GID order (candidatesFor). A list already inside
-// the window comes back as it is, after a look at its ends.
-func gidWindow(ts []*relation.Tuple, lo, hi relation.TID) []*relation.Tuple {
-	if len(ts) == 0 || ts[0].GID >= lo && ts[len(ts)-1].GID < hi {
+// in strictly ascending GID order (candidatesFor). The open window, and a
+// list already inside the window, come back as they are.
+func gidWindow(ts []relation.TID, lo, hi relation.TID) []relation.TID {
+	if lo <= 0 && hi == math.MaxInt32 || len(ts) == 0 || ts[0] >= lo && ts[len(ts)-1] < hi {
 		return ts
 	}
-	i := sort.Search(len(ts), func(k int) bool { return ts[k].GID >= lo })
+	i, _ := slices.BinarySearch(ts, lo)
 	ts = ts[i:]
-	return ts[:sort.Search(len(ts), func(k int) bool { return ts[k].GID >= hi })]
+	j, _ := slices.BinarySearch(ts, hi)
+	return ts[:j]
 }
 
 // checkNewBinding verifies every static and id predicate that becomes
@@ -271,32 +288,32 @@ func gidWindow(ts []*relation.Tuple, lo, hi relation.TID) []*relation.Tuple {
 // batched path) instead of boxing Values: packed words already collapse
 // -0/+0 and canonicalize NaN payloads, so word equality equals Value
 // equality except for NaN = NaN, which the isFloat guard restores.
-func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
+func (c *evalCtx) checkNewBinding(v int, t relation.TID) bool {
 	br, binding := c.br, c.binding
 	for _, w := range br.plan.vars[v].words {
 		switch w.kind {
 		case wpConst:
-			if !w.constOK || t.Word(w.attr) != w.constW {
+			if !w.constOK || c.word(v, t, w.attr) != w.constW {
 				return false
 			}
 		case wpIntra:
-			wa := t.Word(w.attr)
-			if wa != t.Word(w.attr2) || (w.isFloat && wa == relation.QNaNWord) {
+			wa := c.word(v, t, w.attr)
+			if wa != c.word(v, t, w.attr2) || (w.isFloat && wa == relation.QNaNWord) {
 				return false
 			}
 		case wpEq:
 			o := binding[w.other]
-			if o == nil {
+			if o == unbound {
 				continue
 			}
-			wa := t.Word(w.attr)
-			if wa != o.Word(w.otherAttr) || (w.isFloat && wa == relation.QNaNWord) {
+			wa := c.word(v, t, w.attr)
+			if wa != c.word(w.other, o, w.otherAttr) || (w.isFloat && wa == relation.QNaNWord) {
 				return false
 			}
 		}
 	}
 	for _, s := range br.plan.vars[v].ids {
-		if o := binding[s.other]; o != nil && !c.same(t.GID, o.GID) {
+		if o := binding[s.other]; o != unbound && !c.same(t, o) {
 			return false
 		}
 	}
@@ -305,53 +322,39 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 		if m.dynamic {
 			continue
 		}
-		p := m.pred
-		var ta, tb *relation.Tuple
-		switch {
-		case p.V1 == v && p.V2 == v:
-			ta, tb = t, t
-		case p.V1 == v && binding[p.V2] != nil:
-			ta, tb = t, binding[p.V2]
-		case p.V2 == v && binding[p.V1] != nil:
-			ta, tb = binding[p.V1], t
-		default:
-			continue
-		}
-		if !c.predict(m, ta, tb) {
+		if ta, tb, ok := c.pairWith(m.pred.V1, m.pred.V2, v, t); ok && !c.predict(m, ta, tb) {
 			return false
 		}
 	}
 	// Prune subtrees whose head is already enforced.
 	h := &br.r.Head
-	switch h.Kind {
-	case rule.PredID:
-		var ta, tb *relation.Tuple
-		switch {
-		case h.V1 == v && h.V2 == v:
-			ta, tb = t, t
-		case h.V1 == v && binding[h.V2] != nil:
-			ta, tb = t, binding[h.V2]
-		case h.V2 == v && binding[h.V1] != nil:
-			ta, tb = binding[h.V1], t
-		}
-		if ta != nil && (ta == tb || c.same(ta.GID, tb.GID)) {
-			return false
-		}
-	case rule.PredML:
-		var ta, tb *relation.Tuple
-		switch {
-		case h.V1 == v && h.V2 == v:
-			ta, tb = t, t
-		case h.V1 == v && binding[h.V2] != nil:
-			ta, tb = t, binding[h.V2]
-		case h.V2 == v && binding[h.V1] != nil:
-			ta, tb = binding[h.V1], t
-		}
-		if ta != nil && c.e.validated[mlLit(br.headModel, ta.GID, tb.GID)] {
-			return false
+	if ta, tb, ok := c.pairWith(h.V1, h.V2, v, t); ok {
+		switch h.Kind {
+		case rule.PredID:
+			if c.same(ta, tb) {
+				return false
+			}
+		case rule.PredML:
+			if c.e.validated[mlLit(br.headModel, ta, tb)] {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// pairWith returns the tuples of the predicate over variables (v1, v2)
+// once variable v is set to t, and whether both sides are then bound.
+func (c *evalCtx) pairWith(v1, v2, v int, t relation.TID) (ta, tb relation.TID, ok bool) {
+	switch {
+	case v1 == v && v2 == v:
+		return t, t, true
+	case v1 == v && c.binding[v2] != unbound:
+		return t, c.binding[v2], true
+	case v2 == v && c.binding[v1] != unbound:
+		return c.binding[v1], t, true
+	}
+	return 0, 0, false
 }
 
 // predict answers ML predicate m over tuples ta, tb. A feature-scoring
@@ -362,9 +365,11 @@ func (c *evalCtx) checkNewBinding(v int, t *relation.Tuple) bool {
 // through the id-keyed pair cache. The attribute vectors are gathered into
 // the context's scratch buffers only when a bundle or an opaque answer is
 // missing (the stores never retain them).
-func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
+//
+// ta is bound to the predicate's first variable, tb to its second.
+func (c *evalCtx) predict(m *boundMLPred, ta, tb relation.TID) bool {
 	if m.fc == nil {
-		if ans, ok := m.cache.Lookup(m.clID, ta.GID, tb.GID); ok {
+		if ans, ok := m.cache.Lookup(m.clID, ta, tb); ok {
 			return ans
 		}
 	}
@@ -380,10 +385,10 @@ func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
 		c.mlCalls++
 		ans = m.fc.PredictFeatures(c.bundle(m, ta, 0), c.bundle(m, tb, 1))
 	} else {
-		c.lvals = gatherInto(c.lvals, ta, m.pred.A1Vec)
-		c.rvals = gatherInto(c.rvals, tb, m.pred.A2Vec)
+		c.lvals = gatherInto(c.lvals, c.br.rels[m.pred.V1], ta, m.pred.A1Vec)
+		c.rvals = gatherInto(c.rvals, c.br.rels[m.pred.V2], tb, m.pred.A2Vec)
 		ans = m.cl.Predict(c.lvals, c.rvals)
-		m.cache.Store(m.clID, ta.GID, tb.GID, ans)
+		m.cache.Store(m.clID, ta, tb, ans)
 	}
 	if !mt0.IsZero() && time.Since(mt0) >= mlTraceFloor {
 		tc := c.e.curTC
@@ -393,29 +398,32 @@ func (c *evalCtx) predict(m *boundMLPred, ta, tb *relation.Tuple) bool {
 	return ans
 }
 
-// bundle returns t's feature bundle under side s of m (0: A1Vec, 1: A2Vec),
-// probing the store first so warm lookups never rehydrate Values.
-func (c *evalCtx) bundle(m *boundMLPred, t *relation.Tuple, s int) *mlpred.Features {
-	id, attrs := m.aID, m.pred.A1Vec
+// bundle returns t's feature bundle under side s of m (0: A1Vec over the
+// first variable's tuple, 1: A2Vec over the second's), probing the store
+// first so warm lookups never rehydrate Values.
+func (c *evalCtx) bundle(m *boundMLPred, t relation.TID, s int) *mlpred.Features {
+	id, attrs, v := m.aID, m.pred.A1Vec, m.pred.V1
 	if s == 1 {
-		id, attrs = m.bID, m.pred.A2Vec
+		id, attrs, v = m.bID, m.pred.A2Vec, m.pred.V2
 	}
-	if f, ok := m.feats.Cached(t.GID, id); ok {
+	if f, ok := m.feats.Cached(t, id); ok {
 		c.featHits++
 		return f
 	}
-	c.lvals = gatherInto(c.lvals, t, attrs)
-	return m.feats.Get(t.GID, id, c.lvals)
+	c.lvals = gatherInto(c.lvals, c.br.rels[v], t, attrs)
+	return m.feats.Get(t, id, c.lvals)
 }
 
-// seedFor returns the context's reusable seed slice, cleared, for a rule
-// of n variables.
-func (c *evalCtx) seedFor(n int) []*relation.Tuple {
+// seedFor returns the context's reusable seed slice, every variable
+// unbound, for a rule of n variables.
+func (c *evalCtx) seedFor(n int) []relation.TID {
 	if cap(c.seedBuf) < n {
-		c.seedBuf = make([]*relation.Tuple, n)
+		c.seedBuf = make([]relation.TID, n)
 	}
 	seed := c.seedBuf[:n]
-	clear(seed)
+	for i := range seed {
+		seed[i] = unbound
+	}
 	return seed
 }
 
@@ -428,12 +436,12 @@ func (c *evalCtx) runSeed(j *drainJob) {
 	c.enumerateIn(j.br.orderFor(1<<j.p.V1|1<<j.p.V2), seed)
 }
 
-// gatherInto collects an ML predicate's attribute-value vector from a
-// tuple into a reused buffer.
-func gatherInto(buf []relation.Value, t *relation.Tuple, attrs []int) []relation.Value {
+// gatherInto collects an ML predicate's attribute-value vector from tuple
+// t of relation rel into a reused buffer.
+func gatherInto(buf []relation.Value, rel *relation.Relation, t relation.TID, attrs []int) []relation.Value {
 	buf = buf[:0]
 	for _, a := range attrs {
-		buf = append(buf, t.Val(a))
+		buf = append(buf, rel.Val(t, a))
 	}
 	return buf
 }
@@ -456,16 +464,12 @@ func (c *evalCtx) emit() {
 	a, b := binding[h.V1], binding[h.V2]
 	var headLit Literal
 	if h.Kind == rule.PredID {
-		if a == b || c.same(a.GID, b.GID) {
+		if c.same(a, b) {
 			return // already enforced
 		}
-		x, y := a.GID, b.GID
-		if y < x {
-			x, y = y, x
-		}
-		headLit = matchLit(x, y)
+		headLit = matchLit(min(a, b), max(a, b))
 	} else {
-		headLit = mlLit(br.headModel, a.GID, b.GID)
+		headLit = mlLit(br.headModel, a, b)
 		if a == b || c.e.validated[headLit] {
 			return // trivial self prediction, or already validated
 		}
@@ -476,7 +480,7 @@ func (c *evalCtx) emit() {
 			continue // already checked during binding
 		}
 		x, y := binding[m.pred.V1], binding[m.pred.V2]
-		if !c.e.validated[mlLit(m.model, x.GID, y.GID)] && !c.predict(m, x, y) {
+		if !c.e.validated[mlLit(m.model, x, y)] && !c.predict(m, x, y) {
 			return
 		}
 	}

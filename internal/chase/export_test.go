@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 
 	"dcer/internal/relation"
@@ -31,12 +32,8 @@ const NeverFanOut = math.MaxInt
 // order, of every valuation a seed pass emits — Deduce's at epoch 0 and
 // each InsertTuples batch's — concurrently, from the pool's goroutines.
 func (e *Engine) SetSeedHook(f func(rule string, gids []relation.TID)) {
-	e.seedHook = func(br *boundRule, binding []*relation.Tuple) {
-		gids := make([]relation.TID, len(binding))
-		for i, t := range binding {
-			gids[i] = t.GID
-		}
-		f(br.r.Name, gids)
+	e.seedHook = func(br *boundRule, binding []relation.TID) {
+		f(br.r.Name, slices.Clone(binding))
 	}
 }
 
@@ -78,16 +75,16 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 		}
 	}
 	c := &evalCtx{e: e, buffered: true, task: &seedTask{v: -1, older: 1<<cut - 1, epoch: epoch}}
-	c.seeded = func(_ *boundRule, binding []*relation.Tuple) {
-		gids := make([]relation.TID, len(binding))
-		for i, t := range binding {
-			gids[i] = t.GID
-		}
-		f(gids)
+	c.seeded = func(_ *boundRule, binding []relation.TID) {
+		f(slices.Clone(binding))
 	}
 	c.reset(br)
 	s := c.seedFor(len(br.r.Vars))
-	copy(s, seed)
+	for v, t := range seed {
+		if t != nil {
+			s[v] = t.GID
+		}
+	}
 	c.enumerateIn(&o, s)
 }
 
@@ -147,30 +144,25 @@ func (e *Engine) LiveKeyMaps() int {
 // deduction's would.
 func (e *Engine) CheckCandidateOrder() error {
 	c := &evalCtx{e: e}
-	descent := func(ts []*relation.Tuple) error {
+	descent := func(ts []relation.TID) error {
 		for i := 1; i < len(ts); i++ {
-			if ts[i-1].GID >= ts[i].GID {
-				return fmt.Errorf("GID %d at %d follows GID %d", ts[i].GID, i, ts[i-1].GID)
+			if ts[i-1] >= ts[i] {
+				return fmt.Errorf("GID %d at %d follows GID %d", ts[i], i, ts[i-1])
 			}
 		}
 		return nil
-	}
-	tuplesOf := func(br *boundRule, v int) []*relation.Tuple {
-		return br.scope.Relations[br.r.Vars[v].RelIdx].Tuples
 	}
 	for _, br := range e.rules {
 		for oi := range br.orders {
 			for si := range br.orders[oi].steps {
 				st := &br.orders[oi].steps[si]
-				froms := []*relation.Tuple{nil} // scan and constant steps read no binding
+				froms := []relation.TID{unbound} // scan and constant steps read no binding
 				if st.path == apEq || st.path == apClass {
-					froms = tuplesOf(br, st.from)
+					froms = br.rels[st.from].TIDs()
 				}
 				for _, t := range froms {
 					c.reset(br)
-					if t != nil {
-						c.binding[st.from] = t
-					}
+					c.binding[st.from] = t
 					cands, path := c.candidatesFor(st, 0)
 					if err := descent(cands); err != nil {
 						return fmt.Errorf("rule %s, order %d, step %d (%s): %w", br.r.Name, oi, si, accessPathNames[path], err)
@@ -188,7 +180,7 @@ func (e *Engine) CheckCandidateOrder() error {
 				if s == 1 {
 					vs, vo = vo, vs
 				}
-				for _, t := range tuplesOf(br, vo) {
+				for _, t := range br.rels[vo].TIDs() {
 					c.reset(br)
 					c.binding[vo] = t
 					cands, _, _ := c.simAccess(vs)
@@ -201,6 +193,12 @@ func (e *Engine) CheckCandidateOrder() error {
 	}
 	return nil
 }
+
+// GIDWindow is gidWindow, and OpenWindowHi the upper bound of the window
+// that cuts nothing.
+var GIDWindow = gidWindow
+
+const OpenWindowHi = relation.TID(math.MaxInt32)
 
 // ParentLinks returns the raw parent link of every id of e's E_id forest.
 func (e *Engine) ParentLinks() []int {
@@ -244,7 +242,7 @@ func (e *Engine) PoolReadEid() (multi, denied int64) {
 			return
 		}
 		tk := tasks[i]
-		for _, t := range tk.br.scope.Relations[tk.br.r.Vars[tk.st.from].RelIdx].Tuples {
+		for _, t := range tk.br.rels[tk.st.from].TIDs() {
 			c.reset(tk.br)
 			c.binding[tk.st.from] = t
 			ms := c.classOf(tk.st, 0)
@@ -252,7 +250,7 @@ func (e *Engine) PoolReadEid() (multi, denied int64) {
 				nMulti.Add(1)
 			}
 			for _, m := range ms {
-				if !c.same(t.GID, m.GID) {
+				if !c.same(t, m) {
 					nDenied.Add(1)
 				}
 			}

@@ -14,8 +14,10 @@ import (
 //
 // A batch is exactly the tuples appended to the engine's dataset (via
 // Dataset.Append) since New or the previous call, each listed once, in any
-// order. A tuple the engine already holds, one listed twice and one
-// appended but left out are errors, reported before any state changes.
+// order. A nil entry, a tuple of another dataset, a tuple the engine
+// already holds, one listed twice and one appended but left out are
+// errors, reported before any state changes. Past this check the engine
+// works on the batch's GIDs.
 // Only unscoped engines (built with New, rules ranging over the whole
 // dataset) support incremental updates. The returned facts are the newly
 // deduced matches and validated predictions.
@@ -29,7 +31,17 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 			return nil, fmt.Errorf("chase: InsertTuples requires an unscoped engine")
 		}
 	}
-	if err := e.checkBatch(tuples); err != nil {
+	ids := make([]relation.TID, len(tuples))
+	for i, t := range tuples {
+		if t == nil {
+			return nil, fmt.Errorf("chase: batch entry %d is nil", i)
+		}
+		if e.d.Tuple(t.GID) != t {
+			return nil, fmt.Errorf("chase: tuple %d is not part of this engine's dataset", t.GID)
+		}
+		ids[i] = t.GID
+	}
+	if err := e.checkBatch(ids); err != nil {
 		return nil, err
 	}
 	e.held = e.d.Size()
@@ -42,10 +54,10 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	for _, br := range e.rules {
 		if !seenIx[br.ix] {
 			seenIx[br.ix] = true
-			br.ix.AddBatch(tuples)
+			br.ix.AddBatch(ids)
 		}
 	}
-	e.resetSimJoins(tuples)
+	e.resetSimJoins(ids)
 	// Appending the tuples may have interned string payloads that a
 	// constant predicate could not resolve at compile time; retry those
 	// probe words now, while no enumeration is in flight.
@@ -55,14 +67,15 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	// valuations are re-inspected. The engine's id index answers the
 	// duplicate probe in O(1) per tuple instead of scanning the relation.
 	e.delta = e.delta[:0]
-	for _, t := range tuples {
-		w := t.IDWord()
-		if first, ok := e.idIndex[t.Rel][w]; ok {
-			if first != t.GID {
-				e.applyFact(MatchFact(first, t.GID))
+	for _, t := range ids {
+		ri := e.d.RelOf(t)
+		w := e.d.Relations[ri].Word(t, e.d.DB.Schemas[ri].IDAttr)
+		if first, ok := e.idIndex[ri][w]; ok {
+			if first != t {
+				e.applyFact(MatchFact(first, t))
 			}
 		} else {
-			e.idIndex[t.Rel][w] = t.GID
+			e.idIndex[ri][w] = t
 		}
 	}
 	e.seedPass(relation.TID(e.seeded))
@@ -106,13 +119,13 @@ func (e *Engine) seedPass(epoch relation.TID) {
 			ts := gidWindow(br.rootCands(&o.steps[0]), epoch, math.MaxInt32)
 			size := min(seedMorsel, max(1, (len(ts)+7)/8))
 			for i := 0; i < len(ts); i += size {
-				tk := seedTask{br: br, o: o, v: v, older: older, lo: ts[i].GID, hi: math.MaxInt32, epoch: epoch}
+				tk := seedTask{br: br, o: o, v: v, older: older, lo: ts[i], hi: math.MaxInt32, epoch: epoch}
 				if i+size < len(ts) {
-					tk.hi = ts[i+size].GID
+					tk.hi = ts[i+size]
 				}
 				tasks = append(tasks, tk)
 			}
-			if rel := br.scope.Relations[br.r.Vars[v].RelIdx].Tuples; len(rel) == 0 || rel[0].GID >= epoch {
+			if rel := br.rels[v].TIDs(); len(rel) == 0 || rel[0] >= epoch {
 				break
 			}
 			older |= 1 << v
@@ -125,20 +138,19 @@ func (e *Engine) seedPass(epoch relation.TID) {
 	}, func(i int, o *taskOut) { e.timedMerge(tasks[i].br, o) })
 }
 
-// checkBatch holds a batch to InsertTuples' contract: exactly the tuples
-// appended since the engine last took tuples in, each once. A root
-// dataset's GIDs are positions, so those are the GIDs from held on.
-func (e *Engine) checkBatch(tuples []*relation.Tuple) error {
+// checkBatch holds a batch, the GIDs of tuples of the engine's dataset, to
+// InsertTuples' contract: exactly the tuples appended since the engine
+// last took tuples in, each once. A root dataset's GIDs are positions, so
+// those are the GIDs from held on.
+func (e *Engine) checkBatch(ids []relation.TID) error {
 	listed := make([]bool, e.d.Size()-e.held)
-	for _, t := range tuples {
-		k := int(t.GID) - e.held
+	for _, t := range ids {
+		k := int(t) - e.held
 		switch {
-		case e.d.Tuple(t.GID) != t || k >= len(listed):
-			return fmt.Errorf("chase: tuple %d is not part of this engine's dataset", t.GID)
 		case k < 0:
-			return fmt.Errorf("chase: tuple %d is already held by the engine", t.GID)
+			return fmt.Errorf("chase: tuple %d is already held by the engine", t)
 		case listed[k]:
-			return fmt.Errorf("chase: tuple %d is listed twice", t.GID)
+			return fmt.Errorf("chase: tuple %d is listed twice", t)
 		}
 		listed[k] = true
 	}

@@ -177,6 +177,7 @@ func TestInsertTuplesErrors(t *testing.T) {
 		batch []*relation.Tuple
 	}{
 		{"foreign tuple", other.Tuples()[:1]},
+		{"nil entry", []*relation.Tuple{a, nil, b}},
 		{"tuple loaded before New", []*relation.Tuple{d.Tuples()[0], a, b}},
 		{"tuple listed twice", []*relation.Tuple{a, b, a}},
 		{"appended tuple withheld", []*relation.Tuple{b}},

@@ -146,7 +146,7 @@ func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 // class access wins ties.
 func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
 	rel := br.r.Vars[v].RelIdx
-	size := float64(len(br.scope.Relations[rel].Tuples))
+	size := float64(len(br.rels[v].TIDs()))
 	best, class, est := joinStep{v: v, path: apScan}, 3, size
 	consider := func(st joinStep, e float64) {
 		if class > 1 || e < est {
@@ -216,16 +216,17 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 // candidatesFor makes step st's one access, at recursion depth depth: the
 // class of its id predicate's bound side, the key map or posting list of
 // its equality, its constant's posting list, or its relation's scan. It
-// returns the path taken.
+// returns the path taken. Every candidate is a GID of v's relation, and
+// the equality's probe word is the bound tuple's, read through the row
+// table; rule resolution gives both sides of an equality one type.
 //
 // Every candidate list, on every access path, is strictly GID-ascending,
 // which extend's GID window (gidWindow) reads by binary search: a scope's
-// relations list their tuples in GID order (Dataset.Fragment takes its ids
-// ascending), and so does a similarity join, which follows the relation;
-// postings are appended in place as tuples arrive, in GID order; a key map
-// returns at most one tuple; and Engine.union keeps class member lists
-// sorted.
-func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, accessPath) {
+// relations list their tuples in GID order (Dataset.Fragment sorts its
+// ids), and so does a similarity join, which follows the relation;
+// postings are appended as tuples arrive, in GID order; a key map returns
+// at most one tuple; and Engine.union keeps class member lists sorted.
+func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]relation.TID, accessPath) {
 	switch st.path {
 	case apClass:
 		return c.classOf(st, depth), apClass
@@ -234,35 +235,36 @@ func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]*relation.Tuple, acc
 		if km := st.km; km != nil && km.Live() {
 			return km.Lookup(t), apKey
 		}
-		if st.float && t.Word(st.fromAttr) == relation.QNaNWord {
+		w := c.word(st.from, t, st.fromAttr)
+		if st.float && w == relation.QNaNWord {
 			return nil, apEq // NaN equals nothing
 		}
-		return st.ix.LookupTuple(t, st.fromAttr), apEq
+		return st.ix.LookupWord(w), apEq
 	}
 	return c.br.rootCands(st), st.path
 }
 
 // rootCands lists the candidates of a step that reads no binding: its
 // constant's posting list, or its relation's scan.
-func (br *boundRule) rootCands(st *joinStep) []*relation.Tuple {
+func (br *boundRule) rootCands(st *joinStep) []relation.TID {
 	if st.path == apConst {
 		if w := st.konst; w.constOK {
 			return w.ix.LookupWord(w.constW)
 		}
 		return nil // unresolvable: an unknown string or NaN matches nothing
 	}
-	return br.scope.Relations[br.r.Vars[st.v].RelIdx].Tuples
+	return br.rels[st.v].TIDs()
 }
 
 // classOf lists the members of the E_id class of st's bound side that lie
 // in v's relation inside the rule's scope, in GID order. A singleton class
 // answers with the bound tuple itself, out of the binding, without a copy.
-func (c *evalCtx) classOf(st *joinStep, depth int) []*relation.Tuple {
+func (c *evalCtx) classOf(st *joinStep, depth int) []relation.TID {
 	t := c.binding[st.from]
 	rel := c.br.r.Vars[st.v].RelIdx
-	ms := c.e.classList(c.root(t.GID))
+	ms := c.e.classList(c.root(t))
 	if ms == nil {
-		if t.Rel != rel {
+		if c.br.r.Vars[st.from].RelIdx != rel {
 			return nil
 		}
 		return c.binding[st.from : st.from+1]
@@ -271,9 +273,10 @@ func (c *evalCtx) classOf(st *joinStep, depth int) []*relation.Tuple {
 		c.classBufs = append(c.classBufs, nil)
 	}
 	out := c.classBufs[depth][:0]
+	scope := c.br.scope
 	for _, g := range ms {
-		if m := c.br.scope.Tuple(g); m != nil && m.Rel == rel {
-			out = append(out, m)
+		if scope.Has(g) && scope.RelOf(g) == rel {
+			out = append(out, g)
 		}
 	}
 	c.classBufs[depth] = out

@@ -246,12 +246,12 @@ func (e *Engine) refreshPlanConsts() {
 // planBuf returns the reusable candidate scratch for recursion depth d,
 // sized for n tuples. One buffer per depth keeps the whole batched
 // enumeration allocation-free after warm-up.
-func (c *evalCtx) planBuf(d, n int) []*relation.Tuple {
+func (c *evalCtx) planBuf(d, n int) []relation.TID {
 	for len(c.planBufs) <= d {
 		c.planBufs = append(c.planBufs, nil)
 	}
 	if cap(c.planBufs[d]) < n {
-		c.planBufs[d] = make([]*relation.Tuple, n)
+		c.planBufs[d] = make([]relation.TID, n)
 	}
 	c.planBufs[d] = c.planBufs[d][:n]
 	return c.planBufs[d]
@@ -269,10 +269,10 @@ func (c *evalCtx) planBuf(d, n int) []*relation.Tuple {
 // satisfied is the index in br.mls of the ML predicate the candidates'
 // access path already implies (their similarity join's), -1 when there is
 // none: its step is skipped too.
-func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, satisfied int) {
+func (c *evalCtx) extendPlanned(st *joinStep, cands []relation.TID, depth, satisfied int) {
 	c.extensions += int64(len(cands))
-	br, binding, v := c.br, c.binding, st.v
-	vp := &br.plan.vars[v]
+	br, binding, v, rows := c.br, c.binding, st.v, c.rows
+	vp, rel := &br.plan.vars[v], br.rels[v]
 	// src is read-only until the first filtering step, which writes its
 	// survivors into the depth's scratch buffer; from then on the steps
 	// compact buf in place. Reading the candidate list directly spares the
@@ -300,16 +300,16 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 				evals += int64(n)
 				n = 0
 			} else {
-				n = filterWord(buf, src, n, w, w.constW, &evals)
+				n = filterWord(buf, src, n, rel.Col(w.attr), rows, w, w.constW, &evals)
 				src = buf
 			}
 		case wpIntra:
-			colA, colB := src[0].Col(w.attr), src[0].Col(w.attr2)
+			colA, colB := rel.Col(w.attr), rel.Col(w.attr2)
 			k := 0
 			for i := 0; i < n; i++ {
 				t := src[i]
-				wa := colA[t.Row]
-				if wa == colB[t.Row] && !(w.isFloat && wa == relation.QNaNWord) {
+				wa := colA[rows[t]]
+				if wa == colB[rows[t]] && !(w.isFloat && wa == relation.QNaNWord) {
 					buf[k] = t
 					k++
 				}
@@ -321,10 +321,10 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 			src = buf
 		case wpEq:
 			o := binding[w.other]
-			if o == nil {
+			if o == unbound {
 				continue // not applicable yet at this depth
 			}
-			key := o.Word(w.otherAttr)
+			key := c.word(w.other, o, w.otherAttr)
 			if w.isFloat && key == relation.QNaNWord {
 				// NaN equals nothing, and the stored words canonicalize
 				// every NaN payload to this one word.
@@ -333,7 +333,7 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 				evals += int64(n)
 				n = 0
 			} else {
-				n = filterWord(buf, src, n, w, key, &evals)
+				n = filterWord(buf, src, n, rel.Col(w.attr), rows, w, key, &evals)
 				src = buf
 			}
 		}
@@ -344,14 +344,14 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 			break
 		}
 		o := binding[s.other]
-		if o == nil || s.p == st.pred {
+		if o == unbound || s.p == st.pred {
 			continue // not applicable yet, or the class access: holds by construction
 		}
-		ro := c.root(o.GID)
+		ro := c.root(o)
 		k := 0
 		for i := 0; i < n; i++ {
 			t := src[i]
-			if c.root(t.GID) == ro {
+			if c.root(t) == ro {
 				buf[k] = t
 				k++
 			}
@@ -382,7 +382,7 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 		bm := &br.mls[m.mi]
 		p := m.p
 		self := p.V1 == v && p.V2 == v
-		var other *relation.Tuple
+		other := unbound
 		vIsLeft := false
 		if !self {
 			if p.V1 == v {
@@ -390,7 +390,7 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 			} else {
 				other = binding[p.V1]
 			}
-			if other == nil {
+			if other == unbound {
 				continue
 			}
 		}
@@ -424,21 +424,19 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []*relation.Tuple, depth, sa
 		binding[v] = src[i]
 		c.extend(depth + 1)
 	}
-	binding[v] = nil
+	binding[v] = unbound
 }
 
 // filterWord writes into buf the candidates of src[:n] whose packed word
-// of w.attr equals key. All candidates of a variable share one root
-// relation (fragments share root tuples), so the column slice is hoisted
-// once and the loop touches only packed words. buf == src is the in-place
+// of w.attr, col (the candidates' relation's column, hoisted by the
+// caller), equals key; rows is the row table. buf == src is the in-place
 // compaction of every step after the first. Callers guarantee key is
 // never the canonical NaN word, so col[row] == key implies Value equality.
-func filterWord(buf, src []*relation.Tuple, n int, w *wordPred, key uint64, evals *int64) int {
-	col := src[0].Col(w.attr)
+func filterWord(buf, src []relation.TID, n int, col []uint64, rows []int32, w *wordPred, key uint64, evals *int64) int {
 	k := 0
 	for i := 0; i < n; i++ {
 		t := src[i]
-		if col[t.Row] == key {
+		if col[rows[t]] == key {
 			buf[k] = t
 			k++
 		}
@@ -454,11 +452,11 @@ func filterWord(buf, src []*relation.Tuple, n int, w *wordPred, key uint64, eval
 // checkNewBinding batch-wise; it returns the surviving count and the
 // slice holding the survivors (src untouched when the head does not
 // apply at this depth, buf otherwise; buf == src compacts in place).
-func (c *evalCtx) pruneHead(v int, buf, src []*relation.Tuple, n int) (int, []*relation.Tuple) {
+func (c *evalCtx) pruneHead(v int, buf, src []relation.TID, n int) (int, []relation.TID) {
 	br, binding := c.br, c.binding
 	h := &br.r.Head
 	self := h.V1 == v && h.V2 == v
-	var other *relation.Tuple
+	other := unbound
 	if !self {
 		switch {
 		case h.V1 == v:
@@ -468,7 +466,7 @@ func (c *evalCtx) pruneHead(v int, buf, src []*relation.Tuple, n int) (int, []*r
 		default:
 			return n, src
 		}
-		if other == nil {
+		if other == unbound {
 			return n, src
 		}
 	}
@@ -484,10 +482,10 @@ func (c *evalCtx) pruneHead(v int, buf, src []*relation.Tuple, n int) (int, []*r
 			}
 		}
 		if h.Kind == rule.PredID {
-			if ta == tb || c.same(ta.GID, tb.GID) {
+			if c.same(ta, tb) {
 				continue
 			}
-		} else if c.e.validated[mlLit(c.br.headModel, ta.GID, tb.GID)] {
+		} else if c.e.validated[mlLit(c.br.headModel, ta, tb)] {
 			continue
 		}
 		buf[k] = t

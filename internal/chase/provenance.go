@@ -109,9 +109,7 @@ func (c *evalCtx) buildJust() *justification {
 	j.origin = provenance.OriginRule
 	j.rule = br.r.Name
 	vstart := len(ar.vals)
-	for _, t := range binding {
-		ar.vals = append(ar.vals, t.GID)
-	}
+	ar.vals = append(ar.vals, binding...)
 	j.valuation = ar.vals[vstart:len(ar.vals):len(ar.vals)]
 	dstart := len(ar.deps)
 	for _, p := range br.ids {
@@ -119,11 +117,7 @@ func (c *evalCtx) buildJust() *justification {
 		if ta == tb {
 			continue
 		}
-		x, y := ta.GID, tb.GID
-		if y < x {
-			x, y = y, x
-		}
-		ar.deps = append(ar.deps, matchLit(x, y))
+		ar.deps = append(ar.deps, matchLit(min(ta, tb), max(ta, tb)))
 	}
 	cstart := len(ar.checks)
 	for i := range br.mls {
@@ -131,12 +125,12 @@ func (c *evalCtx) buildJust() *justification {
 		p := m.pred
 		ta, tb := binding[p.V1], binding[p.V2]
 		if m.dynamic {
-			if l := mlLit(m.model, ta.GID, tb.GID); c.e.validated[l] {
+			if l := mlLit(m.model, ta, tb); c.e.validated[l] {
 				ar.deps = append(ar.deps, l)
 				continue
 			}
 		}
-		ar.checks = append(ar.checks, provenance.MLCheck{Model: p.Model, A: ta.GID, B: tb.GID, Positive: true})
+		ar.checks = append(ar.checks, provenance.MLCheck{Model: p.Model, A: ta, B: tb, Positive: true})
 	}
 	if dstart < len(ar.deps) {
 		j.deps = ar.deps[dstart:len(ar.deps):len(ar.deps)]

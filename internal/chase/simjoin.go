@@ -37,7 +37,7 @@ type simJoin struct {
 // their tuples in scan order. Read-only once published in the memo.
 type simEntry struct {
 	keys []uint64
-	list []*relation.Tuple
+	list []relation.TID
 }
 
 func (en *simEntry) has(w uint64) bool {
@@ -82,7 +82,7 @@ func (br *boundRule) bindSimJoins() {
 // br.mls of the predicate they satisfy (-1: none, keep the scan) and the
 // number of values scored to answer. A classifier recording a Calibration
 // wants every pair, so it keeps the scan.
-func (c *evalCtx) simAccess(v int) (cands []*relation.Tuple, mi int, scored int64) {
+func (c *evalCtx) simAccess(v int) (cands []relation.TID, mi int, scored int64) {
 	for i := range c.br.mls {
 		m := &c.br.mls[i]
 		for s, j := range m.sim {
@@ -91,10 +91,10 @@ func (c *evalCtx) simAccess(v int) (cands []*relation.Tuple, mi int, scored int6
 				vs, vo = vo, vs
 			}
 			bound := c.binding[vo]
-			if j == nil || vs != v || bound == nil || mlpred.CalibrationOf(m.cl) != nil {
+			if j == nil || vs != v || bound == unbound || mlpred.CalibrationOf(m.cl) != nil {
 				continue
 			}
-			w := bound.Word(j.from)
+			w := c.word(vo, bound, j.from)
 			j.mu.RLock()
 			en := j.memo[w]
 			j.mu.RUnlock()
@@ -111,7 +111,7 @@ func (c *evalCtx) simAccess(v int) (cands []*relation.Tuple, mi int, scored int6
 // column and publishes what it accepts, under the lock throughout: a second
 // goroutine probing w waits for the entry instead of scoring it again, so
 // the invocation count (one per classifier decision) repeats run over run.
-func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound *relation.Tuple, w uint64) (*simEntry, int64) {
+func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID, w uint64) (*simEntry, int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if en := j.memo[w]; en != nil {
@@ -120,7 +120,7 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound *relation.Tup
 	en := &simEntry{}
 	fb := c.bundle(m, bound, 1-s)
 	calls := c.mlCalls
-	j.ixs.For(j.rel, j.attr).Each(func(key uint64, post []*relation.Tuple) {
+	j.ixs.For(j.rel, j.attr).Each(func(key uint64, post []relation.TID) {
 		var ok bool
 		var o *simEntry
 		if j.both { // the memo's keys are values of this column too
@@ -141,8 +141,8 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound *relation.Tup
 		}
 	})
 	slices.Sort(en.keys)
-	for _, t := range j.scan.Tuples {
-		if en.has(t.Word(j.attr)) {
+	for _, t := range j.scan.TIDs() {
+		if en.has(j.scan.Word(t, j.attr)) {
 			en.list = append(en.list, t)
 		}
 	}
@@ -154,11 +154,11 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound *relation.Tup
 // tuples memoized: those lengthen postings and bring values no entry was
 // scored against. The indexes themselves follow the insert (IndexSet.AddBatch);
 // the next probe of a value re-scores it, at the cost of one scan of old.
-func (e *Engine) resetSimJoins(inserted []*relation.Tuple) {
+func (e *Engine) resetSimJoins(inserted []relation.TID) {
 	for _, br := range e.rules {
 		for i := range br.mls {
 			for _, j := range br.mls[i].sim {
-				if j != nil && slices.ContainsFunc(inserted, func(t *relation.Tuple) bool { return t.Rel == j.rel }) {
+				if j != nil && slices.ContainsFunc(inserted, func(t relation.TID) bool { return e.d.RelOf(t) == j.rel }) {
 					clear(j.memo)
 				}
 			}

@@ -2,6 +2,7 @@ package chase_test
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -106,6 +107,92 @@ func TestCandidateListsAscending(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("%s after reversed InsertTuples batch %d", name, b+1), e)
+		}
+	}
+}
+
+// TestFragmentShuffledIDs hands Dataset.Fragment a worker's ids shuffled
+// and with repeats, as a malformed peer's TID list could arrive, and
+// checks that the fragment lists exactly what the ascending ids give it
+// and that an engine over it deduces the same Γ, fact for fact: the
+// fragment sorts its ids itself, so no candidate list loses its
+// GID-ascending order.
+func TestFragmentShuffledIDs(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.1, Dup: 0.3, Seed: 1})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := mlpred.DefaultRegistry()
+	part, err := hypart.Partition(g.D, rules, 2, hypart.Options{Share: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for w, ids := range part.Fragments {
+		shuffled := append(slices.Clone(ids), ids[:len(ids)/10]...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		kept := slices.Clone(shuffled)
+		sorted, mixed := g.D.Fragment(ids), g.D.Fragment(shuffled)
+		if !slices.Equal(shuffled, kept) {
+			t.Fatalf("worker %d: Fragment reordered its caller's ids", w)
+		}
+		if mixed.Size() != sorted.Size() {
+			t.Fatalf("worker %d: shuffled ids give %d tuples, ascending ones %d", w, mixed.Size(), sorted.Size())
+		}
+		for ri := range sorted.Relations {
+			if a, b := mixed.Relations[ri].TIDs(), sorted.Relations[ri].TIDs(); !slices.Equal(a, b) {
+				t.Fatalf("worker %d, relation %d: shuffled ids list %d GIDs, ascending ones %d (or another order)", w, ri, len(a), len(b))
+			}
+		}
+		var digests [2]string
+		for i, fd := range []*relation.Dataset{sorted, mixed} {
+			e, err := chase.New(fd, rules, reg, chase.Options{ShareIndexes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[i] = gammaDigest(e.Run())
+			if err := e.CheckCandidateOrder(); err != nil {
+				t.Errorf("worker %d, fragment %d: %v", w, i, err)
+			}
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("worker %d: Γ over the shuffled ids %s, over the ascending ones %s", w, digests[1], digests[0])
+		}
+	}
+}
+
+// TestGIDWindow holds gidWindow to a linear filter over random ascending
+// lists, the empty list included, for the open window, windows inside,
+// across and past either end of the list, and empty windows.
+func TestGIDWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 2000 {
+		var ts []relation.TID
+		for g := relation.TID(rng.Intn(4)); len(ts) < rng.Intn(40); g += relation.TID(1 + rng.Intn(5)) {
+			ts = append(ts, g)
+		}
+		top := relation.TID(200)
+		if len(ts) > 0 {
+			top = ts[len(ts)-1] + 5
+		}
+		lo, hi := relation.TID(rng.Intn(int(top))), relation.TID(rng.Intn(int(top)))
+		switch trial % 5 {
+		case 0:
+			lo, hi = 0, chase.OpenWindowHi
+		case 1:
+			hi = chase.OpenWindowHi // past the top end
+		case 2:
+			lo = 0 // below the bottom end
+		}
+		var want []relation.TID
+		for _, g := range ts {
+			if g >= lo && g < hi {
+				want = append(want, g)
+			}
+		}
+		if got := chase.GIDWindow(ts, lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("window [%d, %d) of %v: got %v, want %v", lo, hi, ts, got, want)
 		}
 	}
 }

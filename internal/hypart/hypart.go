@@ -288,7 +288,7 @@ func (sa *shardAcc) scan(u unit, hasher *mqo.DenseHasher, ruleWords int) {
 	}
 	for hi, di := range sc.hashed {
 		dm, attr := &sc.cube.dims[di], sc.attrs[hi]
-		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, tuples[0].Col(attr), tuples, hash)
+		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), tuples, hash)
 		if size, stride := uint32(dm.size), sc.cube.stride[di]; size > 1 {
 			for i, h := range hash {
 				cell[i] += int32(h%size) * stride

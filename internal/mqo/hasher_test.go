@@ -51,7 +51,7 @@ func TestDenseHasherConcurrent(t *testing.T) {
 				tuples := rel.Tuples[lo : lo+len(out)]
 				for fn := 0; fn < fns; fn++ {
 					for attr, a := range rel.Schema.Attrs {
-						dense.HashColumn(fn, a.Type, tuples[0].Col(attr), tuples, out)
+						dense.HashColumn(fn, a.Type, rel.Col(attr), tuples, out)
 						for i, tu := range tuples {
 							if want := fnvHashValue(fn, tu.Val(attr)); out[i] != want {
 								t.Errorf("fn %d attr %s row %d: hash %#x, fnvHashValue %#x", fn, a.Name, tu.Row, out[i], want)

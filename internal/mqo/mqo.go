@@ -388,7 +388,7 @@ func NewDenseHasher(numFns int, syms *relation.SymTab) *DenseHasher {
 }
 
 // HashColumn evaluates hash function fn on one attribute of every tuple:
-// col is the attribute's packed storage column (Tuple.Col) of type typ,
+// col is the attribute's packed storage column (Relation.Col) of type typ,
 // and out[i] receives the hash of tuples[i]'s value.
 func (h *DenseHasher) HashColumn(fn int, typ relation.Type, col []uint64, tuples []*relation.Tuple, out []uint32) {
 	h.lookups.Add(int64(len(tuples)))

@@ -2,24 +2,26 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 )
 
 // TID is a global tuple identifier, unique across an entire Dataset.
 // The chase engine keys its id-equivalence relation on TIDs.
 type TID int32
 
-// Tuple is one row of a relation. It is a fixed-size handle into the
-// owning relation's columnar storage: the attribute payloads live in
-// per-attribute word columns (interned Syms for strings, bit-packed
-// numerics), addressed by Row. GID is assigned by the owning Dataset
-// when the tuple is appended and is unique dataset-wide. Tuples are
-// slab-allocated by the dataset, so taking *Tuple pointers stays cheap
-// and stable while the boxed per-tuple Values slice of the seed layout
-// is gone entirely.
+// Tuple is one row of a relation: the public view of a tuple. Inside
+// the engine a tuple is its GID alone, and a column word is read through
+// the dataset's row table (Relation.Word); a Tuple is that GID together
+// with its relation and row, for callers outside the engine. The
+// attribute payloads live in per-attribute word columns (interned Syms for
+// strings, bit-packed numerics), addressed by Row. GID is assigned by the
+// owning Dataset when the tuple is appended and is unique dataset-wide.
+// Tuples are slab-allocated by the dataset, so taking *Tuple pointers
+// stays cheap and stable.
 type Tuple struct {
 	GID TID
-	Rel int   // index of the relation within the dataset
 	Row int32 // row within the owning relation's columns
+	Rel int   // index of the relation within the dataset
 	rel *Relation
 }
 
@@ -32,27 +34,10 @@ func (t *Tuple) Arity() int { return len(t.rel.cols) }
 // equal iff the boxed values do, except NaN (see PackNum).
 func (t *Tuple) Word(i int) uint64 { return t.rel.cols[i][t.Row] }
 
-// Col returns the packed storage column of attribute i of the tuple's
-// owning root relation, indexed by Row. Fragments share root tuples, so
-// every tuple of one (fragment or root) relation reaches the same slice —
-// the chase's compiled predicate plans hoist it once per candidate batch
-// and run their filter loops directly over the words.
-func (t *Tuple) Col(i int) []uint64 { return t.rel.cols[i] }
-
 // Val unboxes attribute i into a Value. String payloads are the interned
 // arena-backed strings, so two equal Vals from the same dataset compare
 // by pointer before falling back to byte comparison.
-func (t *Tuple) Val(i int) Value {
-	w := t.rel.cols[i][t.Row]
-	switch t.rel.Schema.Attrs[i].Type {
-	case TypeString:
-		return Value{Kind: TypeString, Str: t.rel.syms.Str(Sym(w))}
-	case TypeInt:
-		return Value{Kind: TypeInt, Num: unpackNum(w)}
-	default:
-		return Value{Kind: TypeFloat, Num: unpackNum(w)}
-	}
-}
+func (t *Tuple) Val(i int) Value { return t.rel.val(t.Row, i) }
 
 // Values materializes the full attribute vector. Compatibility shim for
 // cold paths (CSV output, debug rendering, tests); it allocates, so hot
@@ -71,19 +56,64 @@ func (t *Tuple) ID(s *Schema) Value { return t.Val(s.IDAttr) }
 // IDWord returns the packed word of the tuple's designated id attribute.
 func (t *Tuple) IDWord() uint64 { return t.Word(t.rel.Schema.IDAttr) }
 
-// Relation is an instance D_i of a relation schema. Fragments share the
-// parent's tuples (and therefore its columns, reached through each
-// tuple's owner); only a root relation owns cols.
+// Relation is an instance D_i of a relation schema. A fragment's
+// relation shares its root's columns (the outer column array is aliased,
+// so the root's growth shows through) and row table; it lists its own
+// tuples.
 type Relation struct {
 	Schema *Schema
 	Tuples []*Tuple
 
 	syms *SymTab
 	cols [][]uint64 // one packed column per attribute; row = Tuple.Row
+	tids []TID      // the GIDs of Tuples, in the same order: the scan list
+	loc  *rowTable  // the root dataset's GID -> (relation, row) table
 }
 
 // Syms returns the symbol table backing this relation's string columns.
 func (r *Relation) Syms() *SymTab { return r.syms }
+
+// TIDs lists the GIDs of the relation's tuples, in the order of Tuples
+// (GID-ascending).
+func (r *Relation) TIDs() []TID { return r.tids }
+
+// Col returns the packed storage column of attribute i, indexed by row.
+// Fragments share their root's columns, so every relation of one schema
+// position reaches the same slice; the chase's compiled predicate plans
+// hoist it once per candidate batch and run their filter loops directly
+// over the words, reading each candidate's row from Dataset.Rows.
+func (r *Relation) Col(i int) []uint64 { return r.cols[i] }
+
+// Word returns the packed storage word of attribute i of the tuple with
+// GID id, which must be one of the relation's (or of its root's) tuples:
+// the Sym for string attributes, PackNum(payload) for numerics. Words of
+// the same attribute (or any equality-joined attribute of the same type)
+// compare equal iff the boxed values do, except NaN (see PackNum).
+func (r *Relation) Word(id TID, i int) uint64 { return r.cols[i][r.loc.row[id]] }
+
+// Val unboxes attribute i of the tuple with GID id (see Word) into a
+// Value.
+func (r *Relation) Val(id TID, i int) Value { return r.val(r.loc.row[id], i) }
+
+func (r *Relation) val(row int32, i int) Value {
+	w := r.cols[i][row]
+	switch r.Schema.Attrs[i].Type {
+	case TypeString:
+		return Value{Kind: TypeString, Str: r.syms.Str(Sym(w))}
+	case TypeInt:
+		return Value{Kind: TypeInt, Num: unpackNum(w)}
+	default:
+		return Value{Kind: TypeFloat, Num: unpackNum(w)}
+	}
+}
+
+// rowTable maps every GID of a root dataset to its tuple's relation and
+// row. Fragments share their root's table, so it is read by GID from any
+// dataset over the same root.
+type rowTable struct {
+	rel []int32
+	row []int32
+}
 
 // tupleSlab is how many Tuple handles one slab chunk holds (96KiB per
 // chunk at 24 bytes per handle).
@@ -113,6 +143,9 @@ type Dataset struct {
 	byGID  map[TID]*Tuple
 	slots  []int32 // GID -> index into tuples, -1 when absent
 
+	// loc is the root's row table, shared by every fragment of it.
+	loc *rowTable
+
 	// idSpace is the GID space fragments inherit (the parent's tuple
 	// count at fragmentation time); 0 for root datasets.
 	idSpace int
@@ -127,9 +160,10 @@ func NewDataset(db *Database) *Dataset {
 		DB:        db,
 		Relations: make([]*Relation, len(db.Schemas)),
 		syms:      NewSymTab(),
+		loc:       &rowTable{},
 	}
 	for i, s := range db.Schemas {
-		d.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: make([][]uint64, s.Arity())}
+		d.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: make([][]uint64, s.Arity()), loc: d.loc}
 	}
 	return d
 }
@@ -137,8 +171,8 @@ func NewDataset(db *Database) *Dataset {
 // Syms returns the dataset's symbol table.
 func (d *Dataset) Syms() *SymTab { return d.syms }
 
-// Reserve pre-sizes the named relation's columns and tuple list for n
-// additional rows, so bulk loaders avoid growth copies.
+// Reserve pre-sizes the named relation's columns and tuple lists, and the
+// row table, for n additional rows, so bulk loaders avoid growth copies.
 func (d *Dataset) Reserve(rel string, n int) {
 	ri := d.DB.SchemaIndex(rel)
 	if ri < 0 || n <= 0 {
@@ -146,17 +180,25 @@ func (d *Dataset) Reserve(rel string, n int) {
 	}
 	r := d.Relations[ri]
 	for i := range r.cols {
-		if free := cap(r.cols[i]) - len(r.cols[i]); free < n {
-			grown := make([]uint64, len(r.cols[i]), len(r.cols[i])+n)
-			copy(grown, r.cols[i])
-			r.cols[i] = grown
-		}
+		r.cols[i] = reserve(r.cols[i], n)
 	}
-	if free := cap(r.Tuples) - len(r.Tuples); free < n {
-		grown := make([]*Tuple, len(r.Tuples), len(r.Tuples)+n)
-		copy(grown, r.Tuples)
-		r.Tuples = grown
+	r.Tuples = reserve(r.Tuples, n)
+	r.tids = reserve(r.tids, n)
+	// The row table serves every relation: add n to the room earlier
+	// reservations made instead of sharing that room.
+	d.loc.rel = reserve(d.loc.rel, cap(d.loc.rel)-len(d.loc.rel)+n)
+	d.loc.row = reserve(d.loc.row, cap(d.loc.row)-len(d.loc.row)+n)
+}
+
+// reserve returns s with room for exactly n more elements, unless it has
+// that room already.
+func reserve[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
 	}
+	grown := make([]E, len(s), len(s)+n)
+	copy(grown, s)
+	return grown
 }
 
 // Append adds a tuple with the given values to the named relation and
@@ -222,17 +264,22 @@ func (d *Dataset) appendPacked(ri int, values []Value) *Tuple {
 	return d.handOut(ri)
 }
 
-// handOut hands out a slab-allocated tuple for relation ri's next row.
+// handOut hands out a slab-allocated tuple for relation ri's next row and
+// enters it in the relation's scan list and the row table.
 func (d *Dataset) handOut(ri int) *Tuple {
 	r := d.Relations[ri]
 	row := int32(len(r.Tuples))
 	if len(d.slab) == cap(d.slab) {
 		d.slab = make([]Tuple, 0, tupleSlab)
 	}
-	d.slab = append(d.slab, Tuple{GID: TID(len(d.tuples)), Rel: ri, Row: row, rel: r})
+	gid := TID(len(d.tuples))
+	d.slab = append(d.slab, Tuple{GID: gid, Row: row, Rel: ri, rel: r})
 	t := &d.slab[len(d.slab)-1]
 	d.tuples = append(d.tuples, t)
 	r.Tuples = append(r.Tuples, t)
+	r.tids = append(r.tids, gid)
+	d.loc.rel = append(d.loc.rel, int32(ri))
+	d.loc.row = append(d.loc.row, row)
 	return t
 }
 
@@ -268,7 +315,27 @@ func (d *Dataset) Tuple(id TID) *Tuple {
 }
 
 // Has reports whether the dataset hosts the tuple with the given GID.
-func (d *Dataset) Has(id TID) bool { return d.Tuple(id) != nil }
+func (d *Dataset) Has(id TID) bool {
+	switch {
+	case d.slots != nil:
+		return id >= 0 && int(id) < len(d.slots) && d.slots[id] >= 0
+	case d.byGID != nil:
+		_, ok := d.byGID[id]
+		return ok
+	}
+	return id >= 0 && int(id) < len(d.tuples)
+}
+
+// Rows is the root's row table: the row of every GID of the root dataset
+// in its relation's columns, indexed by GID. Fragments share it, so
+// Relation.Col(a)[Rows()[id]] is attribute a of tuple id in any dataset
+// over the root. Appending to the root may move it: read it afresh after
+// an Append.
+func (d *Dataset) Rows() []int32 { return d.loc.row }
+
+// RelOf returns the relation index of the tuple with GID id, a GID of the
+// root dataset (d or the root it is a fragment of).
+func (d *Dataset) RelOf(id TID) int { return int(d.loc.rel[id]) }
 
 // Size returns |D|, the total number of tuples.
 func (d *Dataset) Size() int { return len(d.tuples) }
@@ -304,18 +371,19 @@ func (d *Dataset) Tuples() []*Tuple { return d.tuples }
 // lookup structure. Fragments do not recount the shared columns/arena.
 func (d *Dataset) MemBytes() int64 {
 	var n int64
-	if d.idSpace == 0 { // root: owns columns, slabs, and the symbol table
+	if d.idSpace == 0 { // root: owns columns, slabs, row table and the symbol table
 		for _, r := range d.Relations {
 			for _, c := range r.cols {
 				n += int64(cap(c)) * 8
 			}
-			n += int64(cap(r.Tuples)) * 8
+			n += int64(cap(r.Tuples))*8 + int64(cap(r.tids))*4
 		}
 		n += int64(len(d.tuples)) * (8 + 24) // handle pointer + slab entry
+		n += int64(cap(d.loc.rel)+cap(d.loc.row)) * 4
 		n += d.syms.Bytes()
 	} else {
 		for _, r := range d.Relations {
-			n += int64(cap(r.Tuples)) * 8
+			n += int64(cap(r.Tuples))*8 + int64(cap(r.tids))*4
 		}
 		n += int64(cap(d.tuples)) * 8
 		n += int64(cap(d.slots)) * 4
@@ -327,22 +395,33 @@ func (d *Dataset) MemBytes() int64 {
 // Fragment builds a sub-dataset over the same database schema containing
 // exactly the tuples whose GIDs appear in ids. The tuples are shared (not
 // copied) so their GIDs remain globally meaningful: the parallel engine
-// relies on this to exchange matches between fragments by GID alone.
-// Dense fragments (most of the parallel partitions) index by a flat slot
-// array so the per-lookup cost is an array load; sparse ones fall back
-// to a map. ids must be ascending, as hypart.BuildFragments' bitset drain
-// produces them: the fragment's relations list their tuples in ids' order,
-// and the chase reads every candidate list as GID-ascending.
+// relies on this to exchange matches between fragments by GID alone. The
+// fragment's relations share the root's columns and row table and list
+// their tuples GID-ascending, as the chase reads every candidate list:
+// ids come in any order, with repeats, and are sorted and deduplicated
+// here when they are not strictly ascending already (a copy; ids itself
+// is not touched). Dense fragments (most of the parallel partitions) index
+// by a flat slot array so the per-lookup cost is an array load; sparse
+// ones fall back to a map.
 func (d *Dataset) Fragment(ids []TID) *Dataset {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			ids = slices.Clone(ids)
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
+			break
+		}
+	}
 	space := d.IDSpace()
 	f := &Dataset{
 		DB:        d.DB,
 		Relations: make([]*Relation, len(d.DB.Schemas)),
 		syms:      d.syms,
 		idSpace:   space,
+		loc:       d.loc,
 	}
 	for i, s := range d.DB.Schemas {
-		f.Relations[i] = &Relation{Schema: s, syms: d.syms}
+		f.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: d.Relations[i].cols, loc: d.loc}
 	}
 	dense := space <= fragSlotsMaxWaste*len(ids)
 	if dense {
@@ -354,9 +433,6 @@ func (d *Dataset) Fragment(ids []TID) *Dataset {
 		f.byGID = make(map[TID]*Tuple, len(ids))
 	}
 	for _, id := range ids {
-		if f.Has(id) {
-			continue
-		}
 		t := d.Tuple(id)
 		if t == nil {
 			continue
@@ -366,7 +442,9 @@ func (d *Dataset) Fragment(ids []TID) *Dataset {
 		} else {
 			f.byGID[id] = t
 		}
-		f.Relations[t.Rel].Tuples = append(f.Relations[t.Rel].Tuples, t)
+		r := f.Relations[t.Rel]
+		r.Tuples = append(r.Tuples, t)
+		r.tids = append(r.tids, id)
 		f.tuples = append(f.tuples, t)
 	}
 	return f

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 	"sync"
@@ -9,19 +8,18 @@ import (
 )
 
 // Index is an inverted index over one attribute of one relation: it maps
-// each value to the tuples carrying that value. The chase engine builds
-// one Index per attribute participating in an equality predicate
-// (Section V-A, data structure (1)).
+// each value to the GIDs of the tuples carrying that value. The chase
+// engine builds one Index per attribute participating in an equality
+// predicate (Section V-A, data structure (1)).
 //
 // Postings are keyed by the packed storage word (interned Sym for
 // strings, PackNum bits for numerics), so the hot path — LookupWord fed
-// straight from a bound tuple's Word — is one integer-keyed probe with no
+// straight from a bound tuple's word — is one integer-keyed probe with no
 // Value boxing. Within one index every stored word comes from a single
 // typed column, so words cannot collide across kinds; boxed-Value probes
 // go through the symbol table (Lookup) and miss cleanly on strings the
-// dataset never interned. The posting lists are views into one shared
-// arena built in two passes, so an index allocates O(distinct values)
-// table slots instead of O(tuples) slice growth steps.
+// dataset never interned. The posting lists are GID-ascending runs of one
+// TID arena, which holds no pointers, so the collector never scans it.
 //
 // The word → postings step is a postMap — an open-addressed table with a
 // multiplicative hash — rather than a Go map: enumeration fires millions
@@ -33,20 +31,34 @@ type Index struct {
 
 	typ  Type
 	syms *SymTab
+	rel  *Relation // the indexed relation, whose words AddBatch reads
 	pm   postMap
 }
 
+// postSlot is one slot of a postMap: a key and where its posting list
+// lies in the arena. n == 0 marks an empty slot.
+type postSlot struct {
+	key uint64
+	off int32
+	n   int32
+}
+
 // postMap is a linear-probed open-addressed hash table from packed words
-// to posting lists. Capacity is a power of two; the probe sequence starts
-// at a Fibonacci multiplicative hash of the word (one multiply and shift
-// — words are already high-entropy Sym or PackNum bits, they only need
-// spreading). An occupied slot always holds a non-empty posting list, so
-// vals[i] == nil marks an empty slot; the key-0 collision with that
-// sentinel is benign because a present key is always found along the
-// probe chain before any empty slot.
+// to posting lists in one arena, so a probe touches one 16-byte slot and
+// then the list. Capacity is a power of two; the probe sequence starts at
+// a Fibonacci multiplicative hash of the word (one multiply and shift —
+// words are already high-entropy Sym or PackNum bits, they only need
+// spreading). An occupied slot always holds a non-empty list, so an empty
+// slot is recognized by its length whatever its key.
+//
+// BuildIndex lays the lists out back to back, each exactly full. The
+// first append (IndexSet.AddBatch) gives every slot a capacity in caps;
+// a list that is full moves to the arena's end with twice its room, so
+// appends cost amortized O(1) and the moved-from runs are left as slack.
 type postMap struct {
-	keys  []uint64
-	vals  [][]*Tuple
+	slots []postSlot
+	arena []TID
+	caps  []int32 // per slot, the room of its list; nil while every list is full
 	mask  uint64
 	shift uint
 	n     int
@@ -63,64 +75,91 @@ func newPostMap(capacity int) postMap {
 	b := bits.Len(uint(capacity - 1))
 	size := 1 << b
 	return postMap{
-		keys:  make([]uint64, size),
-		vals:  make([][]*Tuple, size),
+		slots: make([]postSlot, size),
 		mask:  uint64(size - 1),
 		shift: uint(64 - b),
 	}
 }
 
 // get returns the posting list for w, or nil.
-func (pm *postMap) get(w uint64) []*Tuple {
+func (pm *postMap) get(w uint64) []TID {
 	i := (w * fibMul) >> pm.shift
 	for {
-		if pm.keys[i] == w {
-			return pm.vals[i] // nil when the slot is empty and w == 0
-		}
-		if pm.vals[i] == nil {
+		s := &pm.slots[i]
+		if s.n == 0 {
 			return nil
+		}
+		if s.key == w {
+			return pm.arena[s.off : s.off+s.n : s.off+s.n]
 		}
 		i = (i + 1) & pm.mask
 	}
 }
 
 // slot returns the slot of w, claiming an empty one for it (growing the
-// table first when full). The caller must then store a non-empty list
-// there: empty slots are recognized by a nil list.
+// table first when full). The caller must then give a claimed slot a
+// non-empty list: empty slots are recognized by their length.
 func (pm *postMap) slot(w uint64) uint64 {
-	if pm.n+1 > len(pm.keys)-len(pm.keys)>>2 {
+	if pm.n+1 > len(pm.slots)-len(pm.slots)>>2 {
 		pm.grow()
 	}
 	i := (w * fibMul) >> pm.shift
-	for pm.vals[i] != nil {
-		if pm.keys[i] == w {
+	for pm.slots[i].n != 0 {
+		if pm.slots[i].key == w {
 			return i
 		}
 		i = (i + 1) & pm.mask
 	}
-	pm.keys[i] = w
+	pm.slots[i].key = w
 	pm.n++
 	return i
 }
 
-// put inserts or replaces the posting list for w; lst must be non-empty.
-func (pm *postMap) put(w uint64, lst []*Tuple) { pm.vals[pm.slot(w)] = lst }
-
 // appendTo appends t to the posting list of w: one probe per posting.
-func (pm *postMap) appendTo(w uint64, t *Tuple) {
-	i := pm.slot(w)
-	pm.vals[i] = append(pm.vals[i], t)
-}
-
-// grow doubles the table and reinserts every occupied slot.
-func (pm *postMap) grow() {
-	old := *pm
-	next := newPostMap(len(old.keys) * 2)
-	for i, lst := range old.vals {
-		if lst != nil {
-			next.put(old.keys[i], lst)
+func (pm *postMap) appendTo(w uint64, t TID) {
+	if pm.caps == nil {
+		pm.caps = make([]int32, len(pm.slots))
+		for i := range pm.slots {
+			pm.caps[i] = pm.slots[i].n
 		}
 	}
+	i := pm.slot(w)
+	s := &pm.slots[i]
+	if s.n == pm.caps[i] {
+		room := max(2*s.n, 1)
+		if end := int(s.off + s.n); s.n == 0 || end != len(pm.arena) {
+			off := int32(len(pm.arena))
+			pm.arena = append(pm.arena, pm.arena[s.off:end]...)
+			s.off = off
+		}
+		pm.arena = slices.Grow(pm.arena, int(room-s.n))[:int(s.off+room)]
+		pm.caps[i] = room
+	}
+	pm.arena[s.off+s.n] = t
+	s.n++
+}
+
+// grow doubles the table and reinserts every occupied slot, with its room.
+func (pm *postMap) grow() {
+	old := *pm
+	next := newPostMap(len(old.slots) * 2)
+	if old.caps != nil {
+		next.caps = make([]int32, len(next.slots))
+	}
+	for i, s := range old.slots {
+		if s.n == 0 {
+			continue
+		}
+		j := (s.key * fibMul) >> next.shift
+		for next.slots[j].n != 0 {
+			j = (j + 1) & next.mask
+		}
+		next.slots[j] = s
+		if old.caps != nil {
+			next.caps[j] = old.caps[i]
+		}
+	}
+	next.arena, next.n = old.arena, old.n
 	*pm = next
 }
 
@@ -131,8 +170,10 @@ func BuildIndex(relIdx int, rel *Relation, attr int) *Index {
 		Attr: attr,
 		typ:  rel.Schema.Attrs[attr].Type,
 		syms: rel.syms,
+		rel:  rel,
 	}
-	n := len(rel.Tuples)
+	tids, col, rows := rel.tids, rel.cols[attr], rel.loc.row
+	n := len(tids)
 	// Count into a transient key table sized at 2n so it never grows
 	// (distinct ≤ n keeps its load factor under one half and slot indexes
 	// stable across the passes). Only keys and counts live here — the
@@ -162,8 +203,8 @@ func BuildIndex(relIdx int, rel *Relation, attr int) *Index {
 			i = (i + 1) & tmpMask
 		}
 	}
-	for _, t := range rel.Tuples {
-		s := slotOf(t.Word(attr))
+	for _, id := range tids {
+		s := slotOf(col[rows[id]])
 		if counts[s] == 0 {
 			distinct++
 		}
@@ -171,10 +212,8 @@ func BuildIndex(relIdx int, rel *Relation, attr int) *Index {
 	}
 	// Lay every posting list out in one arena: ends[s] walks from the
 	// list's start to one past its end while filling, so afterwards the
-	// view for slot s is arena[ends[s]-counts[s] : ends[s]]. The views are
-	// capacity-clipped so IndexSet.AddBatch's appends reallocate instead of
-	// clobbering a neighbor.
-	arena := make([]*Tuple, n)
+	// list of slot s is arena[ends[s]-counts[s] : ends[s]].
+	arena := make([]TID, n)
 	ends := make([]int32, len(keys))
 	off := int32(0)
 	for s, c := range counts {
@@ -183,45 +222,36 @@ func BuildIndex(relIdx int, rel *Relation, attr int) *Index {
 			off += c
 		}
 	}
-	for _, t := range rel.Tuples {
-		s := slotOf(t.Word(attr))
+	for _, id := range tids {
+		s := slotOf(col[rows[id]])
 		o := ends[s]
-		arena[o] = t
+		arena[o] = id
 		ends[s] = o + 1
 	}
 	// Sized at twice the distinct count the resident table never grows
 	// during these inserts (load factor one half).
 	pm := newPostMap(2 * distinct)
+	pm.arena = arena
 	for s, c := range counts {
 		if c > 0 {
-			end := ends[s]
-			pm.put(keys[s], arena[end-c:end:end])
+			i := pm.slot(keys[s])
+			pm.slots[i].off, pm.slots[i].n = ends[s]-c, c
 		}
 	}
 	ix.pm = pm
 	return ix
 }
 
-// LookupWord returns all tuples whose indexed attribute packs to w. This
-// is the enumeration hot path: w comes from a bound tuple's Word (same
-// type by rule well-formedness), so no boxing or symbol probe happens.
-func (ix *Index) LookupWord(w uint64) []*Tuple { return ix.pm.get(w) }
+// LookupWord returns the GIDs of all tuples whose indexed attribute packs
+// to w, ascending. This is the enumeration hot path: w comes from a bound
+// tuple's word (same type by rule well-formedness), so no boxing or
+// symbol probe happens. The list is a view into the index: read only.
+func (ix *Index) LookupWord(w uint64) []TID { return ix.pm.get(w) }
 
-// LookupTuple probes the index with the packed word of t's attribute
-// attr — the enumeration fast path for t.A = s.B predicates, no boxing.
-// If the probing attribute's type differs from the indexed column's, the
-// probe misses, mirroring Value.Equal cross-kind semantics.
-func (ix *Index) LookupTuple(t *Tuple, attr int) []*Tuple {
-	if t.rel.Schema.Attrs[attr].Type != ix.typ {
-		return nil
-	}
-	return ix.pm.get(t.Word(attr))
-}
-
-// Lookup returns all tuples whose indexed attribute equals v. Boxed
-// compatibility probe: kind mismatches, never-interned strings, and NaN
-// all miss, matching Value.Equal semantics.
-func (ix *Index) Lookup(v Value) []*Tuple {
+// Lookup returns the GIDs of all tuples whose indexed attribute equals v.
+// Boxed compatibility probe: kind mismatches, never-interned strings, and
+// NaN all miss, matching Value.Equal semantics.
+func (ix *Index) Lookup(v Value) []TID {
 	w, ok := ix.WordFor(v)
 	if !ok {
 		return nil
@@ -250,10 +280,10 @@ func (ix *Index) Distinct() int { return ix.pm.n }
 
 // Each calls fn once per distinct value of the indexed attribute, with its
 // packed word and posting list, in table order.
-func (ix *Index) Each(fn func(w uint64, post []*Tuple)) {
-	for i, post := range ix.pm.vals {
-		if post != nil {
-			fn(ix.pm.keys[i], post)
+func (ix *Index) Each(fn func(w uint64, post []TID)) {
+	for _, s := range ix.pm.slots {
+		if s.n != 0 {
+			fn(s.key, ix.pm.arena[s.off:s.off+s.n:s.off+s.n])
 		}
 	}
 }
@@ -261,33 +291,30 @@ func (ix *Index) Each(fn func(w uint64, post []*Tuple)) {
 // MaxBucket returns the size of the largest posting list (a skew measure).
 func (ix *Index) MaxBucket() int {
 	max := 0
-	for _, ts := range ix.pm.vals {
-		if len(ts) > max {
-			max = len(ts)
+	for _, s := range ix.pm.slots {
+		if int(s.n) > max {
+			max = int(s.n)
 		}
 	}
 	return max
 }
 
-// MemBytes estimates the index's footprint: the posting arena plus table
-// overhead per slot (key word + posting-list header).
+// MemBytes estimates the index's footprint: the posting arena (slack
+// included) plus the table's slots and capacities.
 func (ix *Index) MemBytes() int64 {
-	var posted int64
-	for _, ts := range ix.pm.vals {
-		if ts != nil {
-			posted += int64(cap(ts))
-		}
-	}
-	return posted*8 + int64(len(ix.pm.keys))*32
+	return int64(cap(ix.pm.arena))*4 + int64(len(ix.pm.slots))*16 + int64(len(ix.pm.caps))*4
 }
 
+// noTID marks a key-map row that finds nothing.
+const noTID TID = -1
+
 // KeyMap answers an equality probe into a unique attribute from an array:
-// for each root row of a probing relation, the one tuple of the target
-// index whose key equals the row's probe attribute, or nil. It stands in
-// for Index.LookupTuple when the target index has no repeated key (every
-// posting list one long), so a key-to-key join costs one array read per
-// probe instead of a hash probe. A float probe word that is NaN finds
-// nothing, as NaN equals nothing.
+// for each root row of a probing relation, the GID of the one tuple of the
+// target index whose key equals the row's probe attribute, or noTID. It
+// stands in for a word probe of the index when the target index has no
+// repeated key (every posting list one long), so a key-to-key join costs
+// one array read per probe instead of a hash probe. A float probe word
+// that is NaN finds nothing, as NaN equals nothing.
 //
 // IndexSet.AddBatch keeps a map current; a key that starts to repeat
 // retires it for good (Live turns false), and its users fall back to the
@@ -295,16 +322,19 @@ func (ix *Index) MemBytes() int64 {
 type KeyMap struct {
 	probe, target *Index // (probing relation, attribute) and the unique target
 	float         bool   // the key column is a float column: NaN words find nothing
-	byRow         []*Tuple
+	byRow         []TID
 }
 
-func newKeyMap(d *Dataset, probe, target *Index) *KeyMap {
-	probers := d.Relations[probe.Rel].Tuples
+func newKeyMap(probe, target *Index) *KeyMap {
+	probers := probe.rel.tids
 	rows := 0
 	for _, p := range probers {
-		rows = max(rows, int(p.Row)+1)
+		rows = max(rows, int(probe.rel.loc.row[p])+1)
 	}
-	km := &KeyMap{probe: probe, target: target, float: target.typ == TypeFloat, byRow: make([]*Tuple, rows)}
+	km := &KeyMap{probe: probe, target: target, float: target.typ == TypeFloat, byRow: make([]TID, rows)}
+	for i := range km.byRow {
+		km.byRow[i] = noTID
+	}
 	for _, p := range probers {
 		km.addProbe(p)
 	}
@@ -315,53 +345,54 @@ func newKeyMap(d *Dataset, probe, target *Index) *KeyMap {
 // of the target repeated.
 func (km *KeyMap) Live() bool { return km.byRow != nil }
 
-// Lookup returns, as a one-tuple view, the target tuple whose key equals
-// probing tuple p's attribute, or nil when there is none. The map must be
-// live.
-func (km *KeyMap) Lookup(p *Tuple) []*Tuple {
-	if r := int(p.Row); r < len(km.byRow) && km.byRow[r] != nil {
-		return km.byRow[r : r+1]
+// Lookup returns, as a one-GID view, the target tuple whose key equals
+// the probe attribute of the probing relation's tuple p, or nil when there
+// is none. The map must be live.
+func (km *KeyMap) Lookup(p TID) []TID {
+	if r := int(km.probe.rel.loc.row[p]); r < len(km.byRow) && km.byRow[r] != noTID {
+		return km.byRow[r : r+1 : r+1]
 	}
 	return nil
 }
 
-// set records t as the tuple probing row r finds, growing the array over
+// set records t as the tuple probing tuple p finds, growing the array over
 // rows appended since it was sized.
-func (km *KeyMap) set(r int32, t *Tuple) {
-	if int(r) >= len(km.byRow) {
-		km.byRow = append(km.byRow, make([]*Tuple, int(r)+1-len(km.byRow))...)
+func (km *KeyMap) set(p, t TID) {
+	r := int(km.probe.rel.loc.row[p])
+	for len(km.byRow) <= r {
+		km.byRow = append(km.byRow, noTID)
 	}
 	km.byRow[r] = t
 }
 
 // addProbe gives probing tuple p its entry.
-func (km *KeyMap) addProbe(p *Tuple) {
-	w := p.Word(km.probe.Attr)
+func (km *KeyMap) addProbe(p TID) {
+	w := km.probe.rel.Word(p, km.probe.Attr)
 	if km.float && w == QNaNWord {
 		return
 	}
 	if post := km.target.LookupWord(w); len(post) == 1 {
-		km.set(p.Row, post[0])
+		km.set(p, post[0])
 	}
 }
 
 // addTargets follows the tuples ts appended to the target index, whose
 // postings already hold them: a key that now repeats retires the map, a
 // new one fills in the probing rows that carry it.
-func (km *KeyMap) addTargets(ts []*Tuple) {
+func (km *KeyMap) addTargets(ts []TID) {
 	for _, t := range ts {
-		if len(km.target.LookupWord(t.Word(km.target.Attr))) > 1 {
+		if len(km.target.LookupWord(km.target.rel.Word(t, km.target.Attr))) > 1 {
 			km.byRow = nil
 			return
 		}
 	}
 	for _, t := range ts {
-		w := t.Word(km.target.Attr)
+		w := km.target.rel.Word(t, km.target.Attr)
 		if km.float && w == QNaNWord {
 			continue
 		}
 		for _, p := range km.probe.LookupWord(w) {
-			km.set(p.Row, t)
+			km.set(p, t)
 		}
 	}
 }
@@ -419,7 +450,7 @@ func (s *IndexSet) KeyMap(probeRel, probeAttr, rel, attr int) *KeyMap {
 	target := s.forLocked(rel, attr)
 	var km *KeyMap
 	if target.typ == s.d.Relations[probeRel].Schema.Attrs[probeAttr].Type && target.MaxBucket() <= 1 {
-		km = newKeyMap(s.d, s.forLocked(probeRel, probeAttr), target)
+		km = newKeyMap(s.forLocked(probeRel, probeAttr), target)
 	}
 	s.keyMaps[key] = km
 	return km
@@ -440,29 +471,31 @@ func (s *IndexSet) MemBytes() int64 {
 	}
 	for _, km := range s.keyMaps {
 		if km != nil {
-			n += int64(cap(km.byRow)) * 8
+			n += int64(cap(km.byRow)) * 4
 		}
 	}
 	return n
 }
 
-// AddBatch registers newly appended tuples, GIDs above every tuple the set
-// has seen, in every materialized index of their relations and every live
-// key map they probe from or key into (incremental ΔD maintenance). Each
-// relation's share is appended to its indexes in GID order, so postings
-// stay GID-ascending and end as BuildIndex's over the grown dataset; then
-// the key maps follow, and a map retires iff some target key now repeats.
-func (s *IndexSet) AddBatch(ts []*Tuple) {
-	byRel := make([][]*Tuple, len(s.d.Relations))
-	for _, t := range ts {
-		byRel[t.Rel] = append(byRel[t.Rel], t)
+// AddBatch registers newly appended tuples, by GID, GIDs above every
+// tuple the set has seen, in every materialized index of their relations
+// and every live key map they probe from or key into (incremental ΔD
+// maintenance). Each relation's share is appended to its indexes in GID
+// order, so postings stay GID-ascending and list what BuildIndex's over
+// the grown dataset list; then the key maps follow, and a map retires iff
+// some target key now repeats.
+func (s *IndexSet) AddBatch(ids []TID) {
+	byRel := make([][]TID, len(s.d.Relations))
+	for _, id := range ids {
+		r := s.d.RelOf(id)
+		byRel[r] = append(byRel[r], id)
 	}
-	for _, rts := range byRel {
-		slices.SortFunc(rts, func(a, b *Tuple) int { return cmp.Compare(a.GID, b.GID) })
+	for _, rids := range byRel {
+		slices.Sort(rids)
 	}
 	for key, ix := range s.indexes {
-		for _, t := range byRel[key[0]] {
-			ix.pm.appendTo(t.Word(ix.Attr), t)
+		for _, id := range byRel[key[0]] {
+			ix.pm.appendTo(ix.rel.Word(id, ix.Attr), id)
 		}
 	}
 	for _, km := range s.keyMaps {

@@ -87,9 +87,9 @@ func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 			built[i] = s.KeyMap(m.probeRel, m.probeAttr, m.rel, m.attr)
 		}
 		for batch := range 1 + rng.Intn(8) {
-			ts := make([]*relation.Tuple, rng.Intn(30))
+			ts := make([]relation.TID, rng.Intn(30))
 			for i := range ts {
-				ts[i] = add()
+				ts[i] = add().GID
 			}
 			rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 			s.AddBatch(ts)
@@ -109,12 +109,12 @@ func checkIndexes(t *testing.T, where string, d *relation.Dataset, s *relation.I
 			if got.Distinct() != want.Distinct() {
 				t.Fatalf("%s: %s.%d: %d distinct keys, rebuilt %d", where, r.Schema.Name, a, got.Distinct(), want.Distinct())
 			}
-			want.Each(func(w uint64, post []*relation.Tuple) {
+			want.Each(func(w uint64, post []relation.TID) {
 				if g := got.LookupWord(w); !slices.Equal(g, post) {
-					t.Fatalf("%s: %s.%d key %#x: postings %v, rebuilt %v", where, r.Schema.Name, a, w, gids(g), gids(post))
+					t.Fatalf("%s: %s.%d key %#x: postings %v, rebuilt %v", where, r.Schema.Name, a, w, g, post)
 				}
-				if !slices.IsSortedFunc(post, func(x, y *relation.Tuple) int { return int(x.GID) - int(y.GID) }) {
-					t.Fatalf("%s: %s.%d key %#x: postings %v not GID-ascending", where, r.Schema.Name, a, w, gids(post))
+				if !slices.IsSorted(post) {
+					t.Fatalf("%s: %s.%d key %#x: postings %v not GID-ascending", where, r.Schema.Name, a, w, post)
 				}
 			})
 		}
@@ -137,17 +137,9 @@ func checkKeyMaps(t *testing.T, where string, d *relation.Dataset, maps []keyMap
 			continue
 		}
 		for _, p := range d.Relations[m.probeRel].Tuples {
-			if g, w := got.Lookup(p), want.Lookup(p); !slices.Equal(g, w) {
-				t.Fatalf("%s: key map %v, probing tuple %d: finds %v, a fresh one %v", where, m, p.GID, gids(g), gids(w))
+			if g, w := got.Lookup(p.GID), want.Lookup(p.GID); !slices.Equal(g, w) {
+				t.Fatalf("%s: key map %v, probing tuple %d: finds %v, a fresh one %v", where, m, p.GID, g, w)
 			}
 		}
 	}
-}
-
-func gids(ts []*relation.Tuple) []relation.TID {
-	out := make([]relation.TID, len(ts))
-	for i, t := range ts {
-		out[i] = t.GID
-	}
-	return out
 }

@@ -1,0 +1,69 @@
+package relation
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector would have to scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface,
+		reflect.String, reflect.Slice, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestStorageHoldsNoPointers guards the layout of the enumeration's
+// storage: an index's table and postings (every field of its postMap,
+// slices of pointer-free elements or plain words), a key map's rows and
+// the row table are arrays the collector never scans.
+func TestStorageHoldsNoPointers(t *testing.T) {
+	pm, ok := reflect.TypeOf(Index{}).FieldByName("pm")
+	if !ok {
+		t.Fatal("Index has no field pm")
+	}
+	check := func(owner reflect.Type, names ...string) {
+		t.Helper()
+		for _, name := range names {
+			f, ok := owner.FieldByName(name)
+			if !ok {
+				t.Fatalf("%s has no field %s", owner, name)
+			}
+			ft := f.Type
+			if ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if hasPointers(ft) {
+				t.Errorf("%s.%s (%s) holds pointers", owner, name, f.Type)
+			}
+		}
+	}
+	var fields []string
+	for i := range pm.Type.NumField() {
+		fields = append(fields, pm.Type.Field(i).Name)
+	}
+	check(pm.Type, fields...)
+	check(reflect.TypeOf(KeyMap{}), "byRow")
+	check(reflect.TypeOf(rowTable{}), "rel", "row")
+	check(reflect.TypeOf(Relation{}), "tids")
+}
+
+// TestTupleHandleSize pins the public tuple handle at 24 bytes: the two
+// int32 fields share one word.
+func TestTupleHandleSize(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 24 {
+		t.Errorf("Tuple is %d bytes, want 24", n)
+	}
+}

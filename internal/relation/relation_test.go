@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,6 +179,22 @@ func TestDatasetFragment(t *testing.T) {
 	g := d.Fragment([]relation.TID{99})
 	if g.Size() != 0 {
 		t.Error("fragment invented tuples")
+	}
+	// Ids in any order, with repeats, give the fragment of the ascending
+	// ids: its relations list their tuples GID-ascending, and the caller's
+	// slice is left as it was.
+	ids := []relation.TID{4, 0, 2, 4, 0}
+	h := d.Fragment(ids)
+	if want := []relation.TID{0, 2, 4}; !slices.Equal(h.Relations[0].TIDs(), want) || !slices.Equal(f.Relations[0].TIDs(), want) {
+		t.Errorf("fragment scan lists %v and %v, want %v", h.Relations[0].TIDs(), f.Relations[0].TIDs(), want)
+	}
+	if !slices.Equal(ids, []relation.TID{4, 0, 2, 4, 0}) {
+		t.Errorf("Fragment reordered its caller's ids: %v", ids)
+	}
+	for i, tt := range h.Relations[0].Tuples {
+		if tt.GID != h.Relations[0].TIDs()[i] || h.Relations[0].Word(tt.GID, 1) != tt.Word(1) {
+			t.Errorf("fragment tuple %d: GID %d, scan list %d; words %d, %d", i, tt.GID, h.Relations[0].TIDs()[i], h.Relations[0].Word(tt.GID, 1), tt.Word(1))
+		}
 	}
 }
 

@@ -116,7 +116,8 @@ func TestSymTabConcurrentIntern(t *testing.T) {
 // TestStorageParity is the boxed-vs-packed parity property test: on a
 // randomized dataset, the compat Value API (Val, Values, Index.Lookup)
 // must agree exactly with the packed-word API (Word, IDWord,
-// Index.LookupWord) the hot paths use.
+// Index.LookupWord) and with the by-GID reads through the row table
+// (Relation.Word, Relation.Val) the hot paths use.
 func TestStorageParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := relation.MustDatabase(
@@ -158,27 +159,31 @@ func TestStorageParity(t *testing.T) {
 			if !ok || w != tt.Word(a) {
 				t.Fatalf("tuple %d attr %d: PackValue = %d,%v, Word = %d", i, a, w, ok, tt.Word(a))
 			}
+			if rel.Word(tt.GID, a) != tt.Word(a) || !rel.Val(tt.GID, a).Equal(want[i][a]) {
+				t.Fatalf("tuple %d attr %d: by-GID Word %d / Val %v, tuple Word %d / Val %v",
+					i, a, rel.Word(tt.GID, a), rel.Val(tt.GID, a), tt.Word(a), want[i][a])
+			}
 		}
 		if tt.IDWord() != tt.Word(0) {
 			t.Fatalf("tuple %d: IDWord %d != Word(id) %d", i, tt.IDWord(), tt.Word(0))
 		}
 	}
-	// Per-index: boxed Lookup and packed LookupWord/LookupTuple must
-	// return the same posting lists, and both must equal a brute-force
-	// Equal scan.
+	// Per-index: boxed Lookup and packed LookupWord (fed by the tuple and
+	// by GID) must return the same posting lists, and both must equal a
+	// brute-force Equal scan.
 	for attr := 0; attr < 4; attr++ {
 		ix := relation.BuildIndex(0, rel, attr)
 		for i, tt := range rel.Tuples {
 			v := want[i][attr]
 			byValue := ix.Lookup(v)
 			byWord := ix.LookupWord(tt.Word(attr))
-			byTuple := ix.LookupTuple(tt, attr)
-			if len(byValue) != len(byWord) || len(byValue) != len(byTuple) {
-				t.Fatalf("attr %d value %v: Lookup %d, LookupWord %d, LookupTuple %d entries",
-					attr, v, len(byValue), len(byWord), len(byTuple))
+			byGID := ix.LookupWord(rel.Word(tt.GID, attr))
+			if len(byValue) != len(byWord) || len(byValue) != len(byGID) {
+				t.Fatalf("attr %d value %v: Lookup %d, LookupWord %d, LookupWord by GID %d entries",
+					attr, v, len(byValue), len(byWord), len(byGID))
 			}
 			for j := range byValue {
-				if byValue[j] != byWord[j] || byValue[j] != byTuple[j] {
+				if byValue[j] != byWord[j] || byValue[j] != byGID[j] {
 					t.Fatalf("attr %d value %v: posting %d disagrees across probe APIs", attr, v, j)
 				}
 			}
@@ -276,7 +281,7 @@ func TestIndexProbeAllocs(t *testing.T) {
 	ix := relation.BuildIndex(0, rel, 1)
 	probe := relation.S("cat3")
 	tt := rel.Tuples[3]
-	var sink []*relation.Tuple
+	var sink []relation.TID
 	if avg := testing.AllocsPerRun(200, func() { sink = ix.Lookup(probe) }); avg != 0 {
 		t.Errorf("Index.Lookup allocates %.1f per probe, want 0", avg)
 	}
@@ -284,8 +289,8 @@ func TestIndexProbeAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { sink = ix.LookupWord(w) }); avg != 0 {
 		t.Errorf("Index.LookupWord allocates %.1f per probe, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(200, func() { sink = ix.LookupTuple(tt, 1) }); avg != 0 {
-		t.Errorf("Index.LookupTuple allocates %.1f per probe, want 0", avg)
+	if avg := testing.AllocsPerRun(200, func() { sink = ix.LookupWord(rel.Word(tt.GID, 1)) }); avg != 0 {
+		t.Errorf("Index.LookupWord by GID allocates %.1f per probe, want 0", avg)
 	}
 	_ = sink
 }
