@@ -121,8 +121,8 @@ func gateFixture(b *testing.B) (*datagen.Generated, []*dcer.Rule) {
 }
 
 // sequentialArm runs a benchmark's "sequential" arm at GOMAXPROCS 1 —
-// one pool goroutine, every drain batch live: the schedule of a one-core
-// host — and returns the restore of the old width, to defer.
+// one pool goroutine runs every task: the schedule of a one-core host —
+// and returns the restore of the old width, to defer.
 func sequentialArm(b *testing.B) func() {
 	old := runtime.GOMAXPROCS(1)
 	b.ResetTimer()
@@ -163,10 +163,10 @@ func BenchmarkDeduceParallel(b *testing.B) {
 // BenchmarkIncDeduce measures the incremental algorithm A_Δ: a full
 // chase's facts are replayed through IncDeduce into a fresh engine, which
 // exercises the update-driven drain that dominates the Fig. 6 drivers —
-// under the default engine, whose drain fans batches out only where there
-// is a second processor (run with -cpu 2 or more to time that path; at
-// -cpu 1 both arms run the live drain), and at width 1. Both must converge
-// to the full chase's equivalence classes.
+// at the benchmark's width, whose drain batches fan out over the pool
+// (run with -cpu 2 or more to time that fan-out; at -cpu 1 both arms run
+// one goroutine), and at width 1. Both must converge to the full chase's
+// equivalence classes.
 func BenchmarkIncDeduce(b *testing.B) {
 	g, rules := gateFixture(b)
 	reg := mlpred.DefaultRegistry()

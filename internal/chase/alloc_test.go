@@ -13,7 +13,9 @@ import (
 // predict over warm feature bundles) must be allocation-free. Both the
 // interpreter and the compiled-plan batch path are held to the same
 // budget — the plan path's per-depth candidate scratch must be reused,
-// not regrown. A feature-scored predict on its own is held to zero.
+// not regrown. A feature-scored predict on its own is held to zero. The
+// enumerations run on one context, as a pool worker's runs its tasks; a
+// saturated Γ leaves them nothing to buffer.
 func TestEnumerationAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -34,9 +36,9 @@ func TestEnumerationAllocs(t *testing.T) {
 			}
 			e.interpret = mode.interpret
 			e.Deduce()
+			c := &evalCtx{e: e}
 			for _, br := range e.rules {
-				br := br
-				avg := testing.AllocsPerRun(3, func() { e.enumerateRule(&e.ctx, br, &br.orders[0]) })
+				avg := testing.AllocsPerRun(3, func() { e.enumerateRule(c, br, &br.orders[0]) })
 				// The budget tolerates incidental growth (a map bucket split,
 				// a posting append) but catches any per-valuation allocation:
 				// these rules inspect hundreds to thousands of valuations per
@@ -49,9 +51,9 @@ func TestEnumerationAllocs(t *testing.T) {
 					m := &br.mls[i]
 					as, bs := br.rels[m.pred.V1].TIDs(), br.rels[m.pred.V2].TIDs()
 					ta, tb := as[0], bs[len(bs)-1]
-					e.ctx.reset(br)
-					e.ctx.predict(m, ta, tb) // build the two bundles
-					if avg := testing.AllocsPerRun(100, func() { e.ctx.predict(m, ta, tb) }); avg != 0 {
+					c.reset(br)
+					c.predict(m, ta, tb) // build the two bundles
+					if avg := testing.AllocsPerRun(100, func() { c.predict(m, ta, tb) }); avg != 0 {
 						t.Errorf("rule %s: predict %s allocates %.1f per warm call, want 0", br.r.Name, m.pred.Model, avg)
 					}
 				}

@@ -4,21 +4,15 @@ package chase
 // re-inspects the valuations involving the round's new facts. It subsumes
 // the paper's dependency store H: a valuation the seed pass dropped for an
 // id or ML literal not yet in Γ is one the fact that validates the literal
-// re-seeds. This file batches each round's event queue into
-// explicit re-enumeration jobs and runs a batch either on the engine's live
-// context or, split into contiguous chunks, as tasks of the engine's pool
-// (pool.go), the same one the seed pass of Deduce and InsertTuples runs
-// on. The final Γ is identical to the sequential drain by the
-// Church-Rosser property.
-//
-// Which of the two a batch takes is the engine's to work out (runJobs), not
-// an option: measured on the repository benchmark the fan-out is worth
-// about 7 % of e2e_s to DMatch's in-process workers, which drain while
-// their peers idle at the barrier, and nothing to a lone engine (DESIGN.md
-// §7).
+// re-seeds. This file batches each round's event queue into explicit
+// re-enumeration jobs and runs every batch, split into contiguous chunks,
+// as tasks of the engine's pool (pool.go), the one the seed pass of Deduce
+// and InsertTuples runs on: each job reads the Γ its batch started from,
+// and the chunks' facts merge in job order. So the fact sequence depends
+// on the input alone, not on the chunking or GOMAXPROCS, and the final Γ
+// is the chase's by the Church-Rosser property (Theorem 1).
 
 import (
-	"math"
 	"runtime"
 	"strconv"
 
@@ -28,20 +22,14 @@ import (
 	"dcer/internal/relation"
 )
 
-// drainParallelMin is the smallest batch that fans out over the pool:
-// the fan-out overhead (root snapshot, buffered merge) only pays off on
-// bulk batches like the event floods behind IncDeduce.
-const drainParallelMin = 16
-
 // minDrainJobsPerWorker is the smallest job chunk worth a pool task of its
-// own; batches fan out over at most ceil(jobs/minDrainJobsPerWorker) tasks.
+// own; a batch fans out over at most ceil(jobs/minDrainJobsPerWorker) tasks.
 const minDrainJobsPerWorker = 8
 
 // drainBatchCap bounds how many jobs a drain round materializes at once.
-// Merging two large classes expands |Ca|·|Cb| cross pairs per id predicate;
-// the sequential loop visited them in O(1) space, so the batched path must
-// not hold them all either — it flushes full batches (in event order)
-// before expanding further.
+// Merging two large classes expands |Ca|·|Cb| cross pairs per id predicate,
+// which a round must not hold all at once: it flushes full batches (in
+// event order) before expanding further.
 const drainBatchCap = 1 << 15
 
 // drainJob is one seeded re-enumeration: rule br restarted with the
@@ -164,17 +152,14 @@ func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relat
 	return append(jobs, drainJob{br: br, p: p, tx: x, ty: y})
 }
 
-// runJobs executes one batch: on the engine's live context when there is
-// no second processor to fan out to — a buffered chunk cannot see the
-// facts of earlier jobs in its own batch and re-derives them, which a lone
-// processor pays for with nothing to show — or when the batch is small.
-//
-// Otherwise the batch is split into contiguous chunks, at most one per
-// processor, each a pool task; the chunks merge in batch order. A chunk may
-// drop a valuation whose literal an earlier chunk's fact validates, where
-// the sequential drain would have emitted the head; the merged facts queue
-// their own events, so the update-driven path re-derives such heads in the
-// next round — the invariant every dropped valuation relies on.
+// runJobs executes one batch, split into at most one contiguous chunk per
+// processor (and one per minDrainJobsPerWorker jobs), each a pool task;
+// the chunks merge in batch order. Every job reads the Γ the batch started
+// from, so chunking does not change what is merged. A job may drop a
+// valuation whose literal an earlier job's fact validates; the merged
+// facts queue their own events, so the update-driven path re-derives such
+// heads in the next round — the invariant every dropped valuation relies
+// on.
 func (e *Engine) runJobs(jobs []drainJob) {
 	if len(jobs) == 0 {
 		return
@@ -182,22 +167,6 @@ func (e *Engine) runJobs(jobs []drainJob) {
 	if e.curTC.Enabled() {
 		defer e.curTC.Start("chase.drain.batch",
 			telemetry.L("jobs", strconv.Itoa(len(jobs)))).EndIf(fineSpanFloor)
-	}
-	fanMin := e.drainMin
-	if fanMin == 0 {
-		if runtime.GOMAXPROCS(0) <= 1 {
-			fanMin = math.MaxInt
-		} else {
-			fanMin = drainParallelMin
-		}
-	}
-	if len(jobs) < fanMin {
-		for i := range jobs {
-			e.ctx.runSeed(&jobs[i])
-		}
-		e.ctx.flushAccess()
-		e.flushCounters(&e.ctx.taskOut)
-		return
 	}
 	nw := min((len(jobs)+minDrainJobsPerWorker-1)/minDrainJobsPerWorker, runtime.GOMAXPROCS(0))
 	chunk := (len(jobs) + nw - 1) / nw
@@ -208,7 +177,7 @@ func (e *Engine) runJobs(jobs []drainJob) {
 	}, func(_ int, o *taskOut) { e.mergeCtx(o) })
 }
 
-// mergeCtx applies a task's buffered facts. Duplicate facts (deduced by
+// mergeCtx applies a task's facts. Duplicate facts (deduced by
 // several tasks against the same snapshot) coalesce in applyFact.
 func (e *Engine) mergeCtx(o *taskOut) {
 	e.flushCounters(o)

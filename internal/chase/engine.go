@@ -159,8 +159,8 @@ type boundRule struct {
 	headCl    mlpred.Classifier // classifier of an ML head, if any
 	headModel uint16            // its model name interned
 
-	// scope is the sub-dataset this rule enumerates over. In the
-	// sequential engine it is the whole dataset; in the parallel engine
+	// scope is the sub-dataset this rule enumerates over. In a lone
+	// engine it is the whole dataset; in the parallel engine
 	// it is the union of the worker's virtual blocks generated for this
 	// rule (hypercube semantics evaluate each rule within its blocks).
 	// rels[v] is variable v's relation in scope: its scan list and, shared
@@ -182,11 +182,12 @@ type boundRule struct {
 	enumHist *telemetry.Histogram
 }
 
-// Engine is the sequential Match engine of Section V-A. It owns the
-// deduced set Γ (an id-equivalence relation plus validated ML
-// predictions) and the inverted indexes, and exposes Deduce / IncDeduce
-// so the parallel engine can drive it as the partial-evaluation and
-// incremental algorithms A and A_Δ.
+// Engine is the Match engine of Section V-A, one per dataset or DMatch
+// worker. It owns the deduced set Γ (an id-equivalence relation plus
+// validated ML predictions) and the inverted indexes, runs every
+// enumeration as a task of its pool (pool.go), and exposes Deduce /
+// IncDeduce so the parallel engine can drive it as the partial-evaluation
+// and incremental algorithms A and A_Δ.
 type Engine struct {
 	d     *relation.Dataset
 	rules []*boundRule
@@ -210,10 +211,9 @@ type Engine struct {
 	feats     *mlpred.FeatureStore
 
 	// idIndex maps, per relation, the packed storage word of a literal id
-	// value to the first tuple carrying it, so setup pre-merging and the
-	// ΔD path of InsertTuples find duplicate ids in O(1) instead of
-	// scanning the relation per tuple. Words are exact within a relation
-	// (one typed id column), so no canonical key strings are built.
+	// value to the first tuple carrying it (idDuplicates), so the ΔD path
+	// of InsertTuples finds duplicate ids in O(1) instead of scanning the
+	// relation per tuple.
 	idIndex []map[uint64]relation.TID
 
 	// held counts the tuples of d the engine has taken in: those present at
@@ -228,25 +228,12 @@ type Engine struct {
 	// none does, class-merge events have no consumer and are not queued.
 	anyIDs bool
 
-	// prebuilt marks that every index reachable from the rules' query
-	// plans has been materialized (required before the pool runs, whose
-	// tasks must not mutate the lazy index cache).
-	prebuilt bool
-
-	// ctx is the reusable evaluation context of the drain's live batches,
-	// which run on the calling goroutine.
-	ctx evalCtx
-
 	// interpret switches enumeration from the compiled plans to the
-	// per-candidate rule interpreter, and a non-zero drainMin replaces
-	// runJobs' choice between the sequential and the fanned-out drain by a
-	// fixed batch-size threshold. Neither is an option: the interpreter is
-	// the equivalence oracle of the plans, the threshold is how the Γ
-	// oracles reach both drains on any host, and only this package's tests
-	// set them (export_test.go). Nor is seedHook, which sees every
-	// valuation a seed pass emits, from the goroutine that emits it.
+	// per-candidate rule interpreter. It is not an option: the interpreter
+	// is the equivalence oracle of the plans, and only this package's tests
+	// set it (export_test.go). Nor is seedHook, which sees every valuation a
+	// seed pass emits, from the goroutine that emits it.
 	interpret bool
-	drainMin  int
 	seedHook  func(br *boundRule, binding []relation.TID)
 
 	// prov is the justification log (Options.Provenance); nil disables
@@ -290,7 +277,7 @@ type Engine struct {
 // event is one unprocessed state change: either a class merge newly made
 // by a union, or one newly validated ML prediction. A merge stores the two
 // classes' member slices; the cross pairs are expanded lazily in
-// processEvent, per id predicate in scope, instead of being materialized
+// processEvents, per id predicate in scope, instead of being materialized
 // O(|Ca|·|Cb|) up front for rules that may not need them.
 type event struct {
 	kind   FactKind
@@ -326,7 +313,6 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		feats:         mlpred.NewFeatureStore(0),
 		dynamicModels: make(map[string]bool),
 	}
-	e.ctx.e = e
 	e.prov = opts.Provenance
 	e.provOrigin = provenance.OriginIDDup
 	if opts.Metrics != nil {
@@ -351,22 +337,12 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 			e.anyIDs = true
 		}
 	}
-	// Tuples sharing a literal id value within a relation denote the same
-	// entity by definition; pre-merge them (these trivial matches are not
+	// Pre-merge literal id-value duplicates (these trivial matches are not
 	// reported in Γ). The id index is retained so InsertTuples can find
 	// later duplicates without re-scanning the relation.
 	e.idIndex = make([]map[uint64]relation.TID, len(d.Relations))
 	for ri, rel := range d.Relations {
-		byID := make(map[uint64]relation.TID, len(rel.TIDs()))
-		for _, t := range rel.TIDs() {
-			w := rel.Word(t, rel.Schema.IDAttr)
-			if first, ok := byID[w]; ok {
-				e.unionInternal(first, t)
-			} else {
-				byID[w] = t
-			}
-		}
-		e.idIndex[ri] = byID
+		e.idIndex[ri] = idDuplicates(rel, e.unionInternal)
 	}
 	return e, nil
 }
@@ -663,10 +639,9 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 }
 
 // enumerateRule runs one enumeration of br, with nothing bound, along join
-// order o on context c: a pool worker's buffered one, or the engine's own,
-// which applies facts directly. The histogram and the trace absorb concurrent
-// observations; the work counters stay in c's output for the caller's
-// merge point.
+// order o on a pool worker's context c. The histogram and the trace absorb
+// concurrent observations; the facts and work counters stay in c's output
+// for the caller's merge point.
 func (e *Engine) enumerateRule(c *evalCtx, br *boundRule, o *joinOrder) {
 	var t0 time.Time
 	if e.tel != nil || e.curTC.Enabled() {

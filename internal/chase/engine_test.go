@@ -135,3 +135,51 @@ func TestScopedEngineRestrictsRules(t *testing.T) {
 		t.Error("out-of-scope tuple matched")
 	}
 }
+
+// TestBuildEquivalenceMatchesEngine: the E_id that provenance proofs and
+// the DMatch master start from (BuildEquivalence) is the one a fresh
+// engine pre-merges, on every pair of ids, over a dataset whose relations
+// repeat literal ids — within a relation, where they merge, and across
+// relations, where they do not — and over a fragment of it.
+func TestBuildEquivalenceMatchesEngine(t *testing.T) {
+	str := relation.Attribute{Name: "k", Type: relation.TypeString}
+	num := relation.Attribute{Name: "n", Type: relation.TypeInt}
+	db := relation.MustDatabase(
+		relation.MustSchema("A", "k", str, num),
+		relation.MustSchema("B", "k", str, num),
+	)
+	d := relation.NewDataset(db)
+	for i := range 40 {
+		d.MustAppend("A", relation.S(string(rune('a'+i%7))), relation.I(int64(i)))
+		d.MustAppend("B", relation.S(string(rune('a'+i%5))), relation.I(int64(i%6)))
+	}
+	var odd []relation.TID
+	for g := 1; g < d.Size(); g += 3 {
+		odd = append(odd, relation.TID(g))
+	}
+	for _, c := range []struct {
+		name string
+		d    *relation.Dataset
+	}{{"root", d}, {"fragment", d.Fragment(odd)}} {
+		eng, err := chase.New(c.d, nil, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		uf := chase.BuildEquivalence(c.d)
+		merged := 0
+		for a := range c.d.IDSpace() {
+			for b := a + 1; b < c.d.IDSpace(); b++ {
+				same := uf.Same(a, b)
+				if same != eng.Same(relation.TID(a), relation.TID(b)) {
+					t.Fatalf("%s: BuildEquivalence says %v for (%d,%d), the engine the opposite", c.name, same, a, b)
+				}
+				if same {
+					merged++
+				}
+			}
+		}
+		if merged == 0 {
+			t.Fatalf("%s: no literal id duplicates merged", c.name)
+		}
+	}
+}

@@ -11,15 +11,15 @@ import (
 	"dcer/internal/telemetry"
 )
 
-// taskOut is what enumerations leave for the engine: the facts a buffered
-// context held back, their justifications, and the plain work counters,
-// which land in the engine atomics at the merge points (flushCounters). A
-// pool task's output moves out of its worker's scratch context when the
-// task ends (pool.go).
+// taskOut is what enumerations leave for the engine: the facts a task
+// deduced, their justifications, and the plain work counters, which land
+// in the engine atomics at the merge points (flushCounters). A pool task's
+// output moves out of its worker's scratch context when the task ends
+// (pool.go).
 type taskOut struct {
 	facts []Literal
-	// justs carries the justification of each buffered fact (aligned with
-	// facts); empty when provenance capture is off.
+	// justs carries the justification of each fact (aligned with facts);
+	// empty when provenance capture is off.
 	justs []*justification
 
 	valuations int64
@@ -38,19 +38,13 @@ type taskOut struct {
 // evalCtx carries the mutable state of rule enumerations: the scratch
 // buffers reused across valuations and their output (taskOut).
 //
-// The sequential path reuses a single context owned by the engine and
-// applies facts directly; each pool worker keeps its own buffered context
-// across its tasks, so the enumerations share no mutable state (the engine
-// structures they read — E_id, the class lists, the validated set,
-// indexes, scopes — do not change while the pool runs) and are merged
-// deterministically afterwards.
+// Each pool worker keeps its own context across its tasks, so the
+// enumerations share no mutable state (the engine structures they read —
+// E_id, the class lists, the validated set, indexes, scopes — do not
+// change while the pool runs) and are merged deterministically afterwards.
 type evalCtx struct {
 	e  *Engine
 	br *boundRule
-
-	// buffered redirects emitted facts into the context's output instead of
-	// applying them to the engine, for the merge.
-	buffered bool
 	taskOut
 
 	// task is the seed-pass task in flight (window reads its cuts); nil
@@ -140,14 +134,11 @@ func (c *evalCtx) flushAccess() {
 	}
 }
 
-// root returns the root of a's E_id class. Pool tasks (buffered contexts)
-// read the forest side by side while nothing writes it, so they must not
-// compress it (UnionFind.Root); only the engine goroutine's Find does.
+// root returns the root of a's E_id class. Pool tasks read the forest side
+// by side while nothing writes it, so they must not compress it
+// (UnionFind.Root); only the merge's Find does.
 func (c *evalCtx) root(a relation.TID) int {
-	if c.buffered {
-		return c.e.uf.Root(int(a))
-	}
-	return c.e.uf.Find(int(a))
+	return c.e.uf.Root(int(a))
 }
 
 // same answers t.id = s.id ∈ Γ.
@@ -155,17 +146,13 @@ func (c *evalCtx) same(a, b relation.TID) bool {
 	return a == b || c.root(a) == c.root(b)
 }
 
-// apply hands a deduced head literal and its justification to the engine
-// (the live context) or buffers both for the merge step (a pool task).
+// apply buffers a deduced head literal and its justification for the
+// merge step.
 func (c *evalCtx) apply(l Literal, j *justification) {
-	if c.buffered {
-		c.facts = append(c.facts, l)
-		if c.e.prov != nil {
-			c.justs = append(c.justs, j)
-		}
-		return
+	c.facts = append(c.facts, l)
+	if c.e.prov != nil {
+		c.justs = append(c.justs, j)
 	}
-	c.e.applyFactJ(literalFact(l), j)
 }
 
 // enumerateIn walks the valuations of the context's rule along join order

@@ -18,16 +18,6 @@ import (
 // oracle: Γ is byte-identical either way (DESIGN.md §13).
 func (e *Engine) SetInterpretRules(on bool) { e.interpret = on }
 
-// SetDrainParallelMin fixes the batch size from which a drain batch fans
-// out across goroutines, whatever the engine's options and GOMAXPROCS say
-// (runJobs): 1 sends every batch through the buffered fan-out, NeverFanOut
-// none.
-func (e *Engine) SetDrainParallelMin(n int) { e.drainMin = n }
-
-// NeverFanOut is the SetDrainParallelMin value that keeps every drain
-// batch on the engine's live context.
-const NeverFanOut = math.MaxInt
-
 // SetSeedHook has f called with the rule and the bound GIDs, in variable
 // order, of every valuation a seed pass emits — Deduce's at epoch 0 and
 // each InsertTuples batch's — concurrently, from the pool's goroutines.
@@ -74,7 +64,7 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 			o.steps[i].km = nil
 		}
 	}
-	c := &evalCtx{e: e, buffered: true, task: &seedTask{v: -1, older: 1<<cut - 1, epoch: epoch}}
+	c := &evalCtx{e: e, task: &seedTask{v: -1, older: 1<<cut - 1, epoch: epoch}}
 	c.seeded = func(_ *boundRule, binding []relation.TID) {
 		f(slices.Clone(binding))
 	}

@@ -38,17 +38,16 @@ func gammaDigest(g *chase.Gamma) string {
 
 // goldenGammas were recorded from the engine of commit fcbfa76 (map-backed
 // DepStore with the full-scan, sort-the-survivors Fire), before the packed
-// watched-literal store replaced it; "insert/live-drain" from commit
-// 68ad08b with its sequential-drain option set. Key: dataset/mode. The
-// modes force their drains explicitly (every batch fanned out, or none, on
-// any GOMAXPROCS), so the digests do not depend on the host. "insert/conc"
-// and "insert/live-drain" were re-recorded when InsertTuples' seed pass
+// watched-literal store replaced it. Key: dataset/mode. "conc" was
+// recorded with every drain batch fanned out over the pool, which is now
+// the engine's only drain, so the digests do not depend on the host.
+// "insert/conc" was re-recorded when InsertTuples' seed pass
 // moved from the live context onto the task pool: its tasks buffer against
 // one snapshot and merge in task order, so heads the live loop applied at
 // once now land through the merge and the drain. Every mode was
 // re-recorded again when each rule's join order was planned once,
 // statically, instead of chosen per enumeration node: a rule now emits its
-// valuations in its planned order, so a buffered task's facts and
+// valuations in its planned order, so a pool task's facts and
 // dependencies reach the merge in another order. Every mode was
 // re-recorded a third time when id predicates became access paths and the
 // dependency store H was retired: valuations reach the drain in another
@@ -70,23 +69,23 @@ func gammaDigest(g *chase.Gamma) string {
 // drain) went with the combination; "seq" and "insert/seq" went with the
 // sequential engine option, whose schedule is the default one at
 // GOMAXPROCS 1; "unbounded" and "unbounded/live-drain" ran the options of
-// "conc" and "seqdrain" once the dependency store they sized was retired.
-// Each retired key's class-set digest equals a remaining key's.
+// "conc" and "seqdrain" once the dependency store they sized was retired;
+// "seqdrain" and "insert/live-drain" (every drain batch on the engine's
+// live context, applying facts as they were found) went with the live
+// drain, their sequence and class-set digests equal to "conc"'s and
+// "insert/conc"'s to the last. Each retired key's class-set digest equals
+// a remaining key's.
 var goldenGammas = map[string]string{
-	"tpch0.5/conc":               "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/seqdrain":           "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
-	"tpch0.5/insert/conc":        "4ad335233a745360f1d177b66e98ff37e99d07f7d960e795fcbb0335d5f7f82c",
-	"tpch0.5/insert/live-drain":  "4ad335233a745360f1d177b66e98ff37e99d07f7d960e795fcbb0335d5f7f82c",
-	"tfacc0.2/conc":              "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/seqdrain":          "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
-	"tfacc0.2/insert/conc":       "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
-	"tfacc0.2/insert/live-drain": "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
+	"tpch0.5/conc":         "21c813c4bb30d44f82869224a68e589dab3a33fc8fa1931fd133a962fc8cf84b",
+	"tpch0.5/insert/conc":  "4ad335233a745360f1d177b66e98ff37e99d07f7d960e795fcbb0335d5f7f82c",
+	"tfacc0.2/conc":        "b6f4634a37f5eb1d9b929f1e9cc80c205e2de17458e71763dcb1273882db21e4",
+	"tfacc0.2/insert/conc": "0b454643da01842e87da61ec6d97a17947f657749a7f25f40792e35b06c6b7df",
 }
 
-// TestGammaGoldenDigest pins Γ's fact sequence byte for byte in every
-// Deduce/drain mode: the order valuations reach the merge and the drain
-// decides which of two heads landing in one class becomes the Γ fact, so
-// any change to that order shows here even when the final classes agree.
+// TestGammaGoldenDigest pins Γ's fact sequence byte for byte, for Run and
+// for inserts: the order valuations reach the merge and the drain decides
+// which of two heads landing in one class becomes the Γ fact, so any
+// change to that order shows here even when the final classes agree.
 func TestGammaGoldenDigest(t *testing.T) {
 	gens := []struct {
 		name string
@@ -99,8 +98,6 @@ func TestGammaGoldenDigest(t *testing.T) {
 			return datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
 		}},
 	}
-	conc := modeBatched.as("conc")
-	modes := []engineMode{conc, modeLive.as("seqdrain")}
 	check := func(key string, eng *chase.Engine) {
 		t.Helper()
 		g := eng.Gamma()
@@ -121,32 +118,24 @@ func TestGammaGoldenDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range modes {
-			eng := m.engine(t, g.D, rules, mlpred.DefaultRegistry())
-			eng.Run()
-			check(gn.name+"/"+m.name, eng)
-		}
+		eng := modeDefault.engine(t, g.D, rules, mlpred.DefaultRegistry())
+		eng.Run()
+		check(gn.name+"/conc", eng)
 		// ΔD: the IncDeduce drain over an already resolved Γ.
-		for _, m := range []engineMode{conc, modeLive.as("live-drain")} {
-			check(gn.name+"/insert/"+m.name, insertRun(t, g, m, 4, nil, nil))
-		}
+		check(gn.name+"/insert/conc", insertRun(t, g, modeDefault, 4, nil, nil))
 	}
 }
 
-// goldenSets pins what every mode of TestGammaGoldenDigest reaches,
+// goldenSets pins what every key of TestGammaGoldenDigest reaches,
 // whatever order its facts land in: the class set and the validated set.
 // The insert modes' were recorded from commit 245983c, whose seed pass
 // still ran serially on the live context; the Run modes' from commit
 // 4e39fa6, before each rule's join order was planned statically.
 var goldenSets = map[string]string{
-	"tpch0.5/conc":               "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/seqdrain":           "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
-	"tpch0.5/insert/conc":        "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
-	"tpch0.5/insert/live-drain":  "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
-	"tfacc0.2/conc":              "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/seqdrain":          "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
-	"tfacc0.2/insert/conc":       "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
-	"tfacc0.2/insert/live-drain": "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
+	"tpch0.5/conc":         "3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37",
+	"tpch0.5/insert/conc":  "8d1c4b34a828941770dd7d8e159d41de3c86911bd29b82d73685cf59603b896a",
+	"tfacc0.2/conc":        "fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408",
+	"tfacc0.2/insert/conc": "ed75f7a06dc6605647ab56c5351a70df719b7b0dc88f11414426bf3256bd61ad",
 }
 
 // classSetDigest is a sha256 over the engine's canonical equivalence

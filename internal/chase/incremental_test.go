@@ -201,8 +201,8 @@ func TestInsertTuplesErrors(t *testing.T) {
 // valuation is emitted twice across Run's pass and three InsertTuples
 // batches — one holding several new tuples is seeded at the first of them
 // in rank order only, and one a batch's pass emits is one no earlier pass
-// could — in every mode, on random instances where valuations with several
-// new tuples occur.
+// could — on random instances where valuations with several new tuples
+// occur.
 func TestInsertSeedsEnumerateOnce(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	multi, fromRun := 0, 0
@@ -211,55 +211,53 @@ func TestInsertSeedsEnumerateOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, m := range []engineMode{modeDefault, modeBatched} {
-			d2 := relation.NewDataset(d.DB)
-			var held []*relation.Tuple
-			for i, tt := range d.Tuples() {
-				if i%3 == 1 {
-					held = append(held, tt)
-					continue
-				}
-				d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+		d2 := relation.NewDataset(d.DB)
+		var held []*relation.Tuple
+		for i, tt := range d.Tuples() {
+			if i%3 == 1 {
+				held = append(held, tt)
+				continue
 			}
-			eng := m.engine(t, d2, rules, reg)
-			var mu sync.Mutex
-			epoch := relation.TID(math.MaxInt32) // Run's tuples count as old
-			emitted := make(map[string]bool)
-			var repeats []string
-			eng.SetSeedHook(func(rule string, gids []relation.TID) {
-				key := fmt.Sprint(rule, gids)
-				fresh := 0
-				for _, g := range gids {
-					if g >= epoch {
-						fresh++
-					}
+			d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...)
+		}
+		eng := modeDefault.engine(t, d2, rules, reg)
+		var mu sync.Mutex
+		epoch := relation.TID(math.MaxInt32) // Run's tuples count as old
+		emitted := make(map[string]bool)
+		var repeats []string
+		eng.SetSeedHook(func(rule string, gids []relation.TID) {
+			key := fmt.Sprint(rule, gids)
+			fresh := 0
+			for _, g := range gids {
+				if g >= epoch {
+					fresh++
 				}
-				mu.Lock()
-				defer mu.Unlock()
-				if emitted[key] {
-					repeats = append(repeats, key)
-				}
-				emitted[key] = true
-				if fresh > 1 {
-					multi++
-				}
-			})
-			eng.Run()
-			fromRun += len(emitted)
-			step := (len(held) + 2) / 3
-			for lo := 0; lo < len(held); lo += step {
-				epoch = relation.TID(d2.Size())
-				var batch []*relation.Tuple
-				for _, tt := range held[lo:min(lo+step, len(held))] {
-					batch = append(batch, d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...))
-				}
-				if _, err := eng.InsertTuples(batch); err != nil {
-					t.Fatalf("seed %d mode %s: %v", seed, m, err)
-				}
-				if len(repeats) > 0 {
-					t.Fatalf("seed %d mode %s: %d valuations seeded twice, first %s\nrules:\n%s",
-						seed, m, len(repeats), repeats[0], rulesOf(rules))
-				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if emitted[key] {
+				repeats = append(repeats, key)
+			}
+			emitted[key] = true
+			if fresh > 1 {
+				multi++
+			}
+		})
+		eng.Run()
+		fromRun += len(emitted)
+		step := (len(held) + 2) / 3
+		for lo := 0; lo < len(held); lo += step {
+			epoch = relation.TID(d2.Size())
+			var batch []*relation.Tuple
+			for _, tt := range held[lo:min(lo+step, len(held))] {
+				batch = append(batch, d2.MustAppend(d.DB.Schemas[tt.Rel].Name, tt.Values()...))
+			}
+			if _, err := eng.InsertTuples(batch); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if len(repeats) > 0 {
+				t.Fatalf("seed %d: %d valuations seeded twice, first %s\nrules:\n%s",
+					seed, len(repeats), repeats[0], rulesOf(rules))
 			}
 		}
 	}

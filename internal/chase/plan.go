@@ -12,8 +12,8 @@ package chase
 //
 // A program never changes after compilation. Conjunct order cannot change
 // a conjunction's survivor set, so Γ is byte-identical to the interpreter
-// (Engine.interpret, the plans' equivalence oracle) under every drain
-// mode; the per-step pass/fail counters only report selectivity
+// (Engine.interpret, the plans' equivalence oracle), with or without shared
+// indexes; the per-step pass/fail counters only report selectivity
 // (PlanReport, the plans debug provider). The symmetry reduction of a rule
 // that is its own mirror image is no program step: it is a GID window on
 // the candidates of the head variable bound later (evalCtx.window), which

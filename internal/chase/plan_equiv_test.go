@@ -12,12 +12,9 @@ import (
 	"dcer/internal/rule"
 )
 
-// The test-only engine switches (export_test.go): the rule interpreter in
-// place of the compiled plans, and the drain forced through the buffered
-// fan-out on every batch or on none, whatever GOMAXPROCS is.
-func interpreted(e *chase.Engine)  { e.SetInterpretRules(true) }
-func batchedDrain(e *chase.Engine) { e.SetDrainParallelMin(1) }
-func liveDrain(e *chase.Engine)    { e.SetDrainParallelMin(chase.NeverFanOut) }
+// interpreted is the test-only engine switch (export_test.go) that puts
+// the rule interpreter in place of the compiled plans.
+func interpreted(e *chase.Engine) { e.SetInterpretRules(true) }
 
 // engineMode is one cell of the Γ-identity matrix: the public options plus
 // the test-only switches applied before the engine first runs.
@@ -28,9 +25,6 @@ type engineMode struct {
 }
 
 func (m engineMode) String() string { return m.name }
-
-// as returns the mode under another name.
-func (m engineMode) as(name string) engineMode { m.name = name; return m }
 
 // with returns the mode with more switches applied after its own.
 func (m engineMode) with(name string, sw ...func(*chase.Engine)) engineMode {
@@ -50,31 +44,26 @@ func (m engineMode) engine(t testing.TB, d *relation.Dataset, rules []*rule.Rule
 	return eng
 }
 
-// The modes the Γ oracles cover: Deduce's seed pass on the pool over the
-// live drain (what a one-processor host and small batches run), and over a
-// drain with every batch fanned out. modeDefault leaves the drain to the
-// engine, so what it covers depends on GOMAXPROCS.
+// The modes the Γ oracles cover: the engine every caller builds, and the
+// DMatch_noMQO ablation's, which shares no indexes or ML stores between
+// rules. Each runs every enumeration as a pool task, so neither depends on
+// GOMAXPROCS.
 var (
-	modeLive    = engineMode{"conc/live-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){liveDrain}}
-	modeBatched = engineMode{"conc/batched-drain", chase.Options{ShareIndexes: true}, []func(*chase.Engine){batchedDrain}}
 	modeDefault = engineMode{"default", chase.Options{ShareIndexes: true}, nil}
+	modeNoMQO   = engineMode{"noMQO", chase.Options{ShareIndexes: false}, nil}
 )
 
 // TestPlanGammaEquivalence is the compiled-plan determinism property: on
 // random rules and datasets, Γ — the exact fact log, not just the final
 // equivalence classes — must be byte-identical between the interpreter
-// and the compiled plans, under the live and the forced batched drain, and
-// the batched drain without shared indexes.
+// and the compiled plans, with and without shared indexes.
 func TestPlanGammaEquivalence(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(40)
 	if testing.Short() {
 		seeds = 10
 	}
-	modes := []engineMode{
-		modeLive, modeBatched,
-		{"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches},
-	}
+	modes := []engineMode{modeDefault, modeNoMQO}
 	for seed := int64(200); seed < 200+seeds; seed++ {
 		d, rules, err := datagen.RandomInstance(seed)
 		if err != nil {
@@ -203,7 +192,7 @@ func TestPlanReportNeverShowsMoreFailsThanEvals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := modeBatched.engine(t, g.D, rules, mlpred.DefaultRegistry())
+	eng := modeDefault.engine(t, g.D, rules, mlpred.DefaultRegistry())
 	done := make(chan struct{})
 	snapshots := make(chan int)
 	go func() {

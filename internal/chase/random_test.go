@@ -3,7 +3,6 @@ package chase_test
 import (
 	"testing"
 
-	"dcer/internal/chase"
 	"dcer/internal/complexity"
 	"dcer/internal/datagen"
 	"dcer/internal/dmatch"
@@ -13,8 +12,8 @@ import (
 )
 
 // TestEngineMatchesNaiveOracle cross-validates the optimized engine
-// against the brute-force reference chase on many random instances, under
-// every Deduce and drain mode: the final equivalence relations must be
+// against the brute-force reference chase on many random instances, with
+// and without shared indexes and under the interpreter: the final equivalence relations must be
 // identical. The oracle enumerates every valuation of every rule, so this
 // is also the completeness check of the symmetry reduction (about half of
 // the random rules are mirrored, see datagen.RandomInstance).
@@ -35,8 +34,7 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		}
 		for _, mode := range []engineMode{
 			modeDefault,
-			{"noMQO", chase.Options{ShareIndexes: false}, nil},
-			modeBatched,
+			modeNoMQO,
 			modeDefault.with("interpreter", interpreted),
 		} {
 			eng := mode.engine(t, d, rules, reg)

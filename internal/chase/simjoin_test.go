@@ -64,17 +64,16 @@ func simAccess(e *chase.Engine) (probes, scored, satisfied int64) {
 }
 
 // TestSimJoinEqualsScan: Γ's fact sequence through the similarity join is
-// the interpreter's, which scans, in every engine mode (the forced
-// fanned-out drain has several goroutines probe one memo; CI runs this
-// under the race detector) — and the join did fire, while the oracle never
-// took it.
+// the interpreter's, which scans, with and without shared indexes (the
+// pool's goroutines probe one memo; CI runs this under the race detector)
+// — and the join did fire, while the oracle never took it.
 func TestSimJoinEqualsScan(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(24)
 	if testing.Short() {
 		seeds = 8
 	}
-	modes := []engineMode{modeLive, modeBatched, {"noMQO", chase.Options{ShareIndexes: false}, modeBatched.switches}}
+	modes := []engineMode{modeDefault, modeNoMQO}
 	var probes, scored int64
 	for seed := int64(500); seed < 500+seeds; seed++ {
 		d, rules := simInstance(t, seed)
@@ -120,42 +119,40 @@ func TestSimJoinInsertEqualsRechase(t *testing.T) {
 	var filled int64
 	for seed := int64(600); seed < 600+seeds; seed++ {
 		src, rules := simInstance(t, seed)
-		for _, m := range []engineMode{modeLive, modeBatched} {
-			d := relation.NewDataset(src.DB)
-			var batches [3][][]relation.Value
-			for i, tt := range src.Tuples() {
-				switch {
-				case i%3 != 1:
-					d.MustAppend(src.DB.Schemas[tt.Rel].Name, tt.Values()...)
-				case tt.Rel == 0:
-					batches[0] = append(batches[0], append([]relation.Value{relation.I(int64(tt.Rel))}, tt.Values()...))
-				default:
-					batches[1] = append(batches[1], append([]relation.Value{relation.I(int64(tt.Rel))}, tt.Values()...))
-				}
+		d := relation.NewDataset(src.DB)
+		var batches [3][][]relation.Value
+		for i, tt := range src.Tuples() {
+			switch {
+			case i%3 != 1:
+				d.MustAppend(src.DB.Schemas[tt.Rel].Name, tt.Values()...)
+			case tt.Rel == 0:
+				batches[0] = append(batches[0], append([]relation.Value{relation.I(int64(tt.Rel))}, tt.Values()...))
+			default:
+				batches[1] = append(batches[1], append([]relation.Value{relation.I(int64(tt.Rel))}, tt.Values()...))
 			}
-			d.MustAppend("P", relation.S("P80"), relation.S("u"), relation.S("u"), relation.S("Q0"))
-			for i, xyr := range [][3]string{{"u", "u", "Q0"}, {"w", "u v", "Q0"}, {"zz", "u", "zz"}} {
-				batches[2] = append(batches[2], []relation.Value{relation.I(0),
-					relation.S(fmt.Sprintf("P9%d", i)), relation.S(xyr[0]), relation.S(xyr[1]), relation.S(xyr[2])})
+		}
+		d.MustAppend("P", relation.S("P80"), relation.S("u"), relation.S("u"), relation.S("Q0"))
+		for i, xyr := range [][3]string{{"u", "u", "Q0"}, {"w", "u v", "Q0"}, {"zz", "u", "zz"}} {
+			batches[2] = append(batches[2], []relation.Value{relation.I(0),
+				relation.S(fmt.Sprintf("P9%d", i)), relation.S(xyr[0]), relation.S(xyr[1]), relation.S(xyr[2])})
+		}
+		eng := modeDefault.engine(t, d, rules, reg)
+		eng.Run()
+		_, scored, _ := simAccess(eng)
+		filled += scored
+		for bi, rows := range batches {
+			var batch []*relation.Tuple
+			for _, row := range rows {
+				batch = append(batch, d.MustAppend(src.DB.Schemas[int(row[0].Num)].Name, row[1:]...))
 			}
-			eng := m.engine(t, d, rules, reg)
-			eng.Run()
-			_, scored, _ := simAccess(eng)
-			filled += scored
-			for bi, rows := range batches {
-				var batch []*relation.Tuple
-				for _, row := range rows {
-					batch = append(batch, d.MustAppend(src.DB.Schemas[int(row[0].Num)].Name, row[1:]...))
-				}
-				if _, err := eng.InsertTuples(batch); err != nil {
-					t.Fatal(err)
-				}
-				fresh := m.with("interpreter", interpreted).engine(t, d, rules, reg)
-				fresh.Run()
-				if got, want := canonClasses(eng.Classes()), canonClasses(fresh.Classes()); got != want {
-					t.Fatalf("seed %d mode %s: after batch %d InsertTuples diverges from a re-chase\ngot:\n%s\nwant:\n%s\nrules:\n%s",
-						seed, m, bi, got, want, rulesOf(rules))
-				}
+			if _, err := eng.InsertTuples(batch); err != nil {
+				t.Fatal(err)
+			}
+			fresh := modeDefault.with("interpreter", interpreted).engine(t, d, rules, reg)
+			fresh.Run()
+			if got, want := canonClasses(eng.Classes()), canonClasses(fresh.Classes()); got != want {
+				t.Fatalf("seed %d: after batch %d InsertTuples diverges from a re-chase\ngot:\n%s\nwant:\n%s\nrules:\n%s",
+					seed, bi, got, want, rulesOf(rules))
 			}
 		}
 	}
@@ -170,7 +167,7 @@ func TestSimJoinInsertEqualsRechase(t *testing.T) {
 // with a Calibration attached neither is taken.
 func TestCalibrationSeesEveryPair(t *testing.T) {
 	d, rules := simInstance(t, 500)
-	for _, m := range []engineMode{modeLive, modeLive.with("interpreter", interpreted), modeBatched} {
+	for _, m := range []engineMode{modeDefault, modeDefault.with("interpreter", interpreted)} {
 		reg := mlpred.DefaultRegistry()
 		calibs := reg.EnableCalibration()
 		eng := m.engine(t, d, rules, reg)
@@ -190,27 +187,25 @@ func TestCalibrationSeesEveryPair(t *testing.T) {
 
 // TestSimJoinCountsEveryDecision: with the join, Stats.MLCacheMiss is the
 // classifier decisions actually taken — each representative scored counts
-// one — and it repeats run over run in every mode, the fanned-out drain
-// included: which goroutine fills a memo entry must not change the count.
+// one — and it repeats run over run, every drain batch fanned out over the
+// pool: which goroutine fills a memo entry must not change the count.
 func TestSimJoinCountsEveryDecision(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	d, rules := simInstance(t, 503)
-	for _, m := range []engineMode{modeLive, modeBatched} {
-		var first chase.Stats
-		for run := 0; run < 4; run++ {
-			eng := m.engine(t, d, rules, reg)
-			eng.Run()
-			st := eng.Stats()
-			_, scored, _ := simAccess(eng)
-			if scored == 0 || st.MLCacheMiss < scored {
-				t.Fatalf("mode %s: %d values scored by the join, %d invocations counted", m, scored, st.MLCacheMiss)
-			}
-			if run == 0 {
-				first = st
-			} else if st.MLCacheMiss != first.MLCacheMiss || st.Valuations != first.Valuations || st.Extensions != first.Extensions {
-				t.Fatalf("mode %s run %d: invocations/valuations/extensions %d/%d/%d, first run %d/%d/%d", m, run,
-					st.MLCacheMiss, st.Valuations, st.Extensions, first.MLCacheMiss, first.Valuations, first.Extensions)
-			}
+	var first chase.Stats
+	for run := 0; run < 4; run++ {
+		eng := modeDefault.engine(t, d, rules, reg)
+		eng.Run()
+		st := eng.Stats()
+		_, scored, _ := simAccess(eng)
+		if scored == 0 || st.MLCacheMiss < scored {
+			t.Fatalf("%d values scored by the join, %d invocations counted", scored, st.MLCacheMiss)
+		}
+		if run == 0 {
+			first = st
+		} else if st.MLCacheMiss != first.MLCacheMiss || st.Valuations != first.Valuations || st.Extensions != first.Extensions {
+			t.Fatalf("run %d: invocations/valuations/extensions %d/%d/%d, first run %d/%d/%d", run,
+				st.MLCacheMiss, st.Valuations, st.Extensions, first.MLCacheMiss, first.Valuations, first.Extensions)
 		}
 	}
 }

@@ -4,11 +4,10 @@ package provenance_test
 // extracted from the production justification log must replay through
 // complexity.VerifyProof — the independent polynomial verifier of
 // Theorem 2(1) — and the log must entail exactly the pairs the
-// brute-force NaiveChase matches. Checked under the default engine and the
-// BSP engine with w ≥ 2; the drain forced through
-// its buffered fan-out on every batch is a test-only switch of
-// internal/chase and has the same check there
-// (TestProofReplaysUnderBatchedDrain).
+// brute-force NaiveChase matches. Checked under the default engine, whose
+// every enumeration is a pool task whose facts and justifications merge in
+// task order, at every batch size and GOMAXPROCS, and under the BSP engine
+// with w ≥ 2.
 
 import (
 	"fmt"

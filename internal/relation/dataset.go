@@ -53,9 +53,6 @@ func (t *Tuple) Values() []Value {
 // ID returns the tuple's designated id-attribute value under schema s.
 func (t *Tuple) ID(s *Schema) Value { return t.Val(s.IDAttr) }
 
-// IDWord returns the packed word of the tuple's designated id attribute.
-func (t *Tuple) IDWord() uint64 { return t.Word(t.rel.Schema.IDAttr) }
-
 // Relation is an instance D_i of a relation schema. A fragment's
 // relation shares its root's columns (the outer column array is aliased,
 // so the root's growth shows through) and row table; it lists its own

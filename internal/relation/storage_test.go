@@ -115,9 +115,9 @@ func TestSymTabConcurrentIntern(t *testing.T) {
 
 // TestStorageParity is the boxed-vs-packed parity property test: on a
 // randomized dataset, the compat Value API (Val, Values, Index.Lookup)
-// must agree exactly with the packed-word API (Word, IDWord,
-// Index.LookupWord) and with the by-GID reads through the row table
-// (Relation.Word, Relation.Val) the hot paths use.
+// must agree exactly with the packed-word API (Word, Index.LookupWord) and
+// with the by-GID reads through the row table (Relation.Word,
+// Relation.Val) the hot paths use.
 func TestStorageParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := relation.MustDatabase(
@@ -163,9 +163,6 @@ func TestStorageParity(t *testing.T) {
 				t.Fatalf("tuple %d attr %d: by-GID Word %d / Val %v, tuple Word %d / Val %v",
 					i, a, rel.Word(tt.GID, a), rel.Val(tt.GID, a), tt.Word(a), want[i][a])
 			}
-		}
-		if tt.IDWord() != tt.Word(0) {
-			t.Fatalf("tuple %d: IDWord %d != Word(id) %d", i, tt.IDWord(), tt.Word(0))
 		}
 	}
 	// Per-index: boxed Lookup and packed LookupWord (fed by the tuple and
