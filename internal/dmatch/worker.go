@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"dcer/internal/chase"
-	"dcer/internal/fnv"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -99,65 +99,29 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 	return nil, nil, nil
 }
 
-// scopeKey fingerprints a sorted id list for scope deduplication with
-// 64-bit FNV-1a — no per-id string building. Callers confirm candidate
-// hits with sameIDs, so a hash collision costs a duplicate scope dataset,
-// never a wrong one.
-func scopeKey(ids []relation.TID) uint64 {
-	h := uint64(fnv.Offset64)
-	h = fnv.Uint64(h, uint64(len(ids)))
-	for _, id := range ids {
-		h = fnv.Uint64(h, uint64(id))
-	}
-	return h
-}
-
-// sameIDs reports whether two sorted id lists are identical.
-func sameIDs(a, b []relation.TID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // buildWorkerEngine constructs one chase engine over a fragment, with
 // each rule scoped to the union of the worker's blocks generated for that
 // rule (hypercube semantics: a rule is checked within its own blocks).
-// Identical rule scopes are deduplicated so MQO index sharing applies.
+// Rules with identical scopes share one scope view, so MQO index sharing
+// applies.
 func buildWorkerEngine(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry,
 	i int, frag []relation.TID, ruleFrags [][]relation.TID, copts chase.Options) (*chase.Engine, error) {
 	fd := d.Fragment(frag)
 	scopes := make([]*relation.Dataset, len(rules))
-	type scopeEntry struct {
-		ids []relation.TID
-		sc  *relation.Dataset
-	}
-	byContent := map[uint64][]scopeEntry{}
 	for ri, ids := range ruleFrags {
 		if len(ids) == len(frag) {
 			scopes[ri] = fd
 			continue
 		}
-		key := scopeKey(ids)
-		found := false
-		for _, ent := range byContent[key] {
-			if sameIDs(ent.ids, ids) {
-				scopes[ri] = ent.sc
-				found = true
+		for rj := range ri {
+			if slices.Equal(ruleFrags[rj], ids) {
+				scopes[ri] = scopes[rj]
 				break
 			}
 		}
-		if found {
-			continue
+		if scopes[ri] == nil {
+			scopes[ri] = d.Fragment(ids)
 		}
-		sc := d.Fragment(ids)
-		byContent[key] = append(byContent[key], scopeEntry{ids, sc})
-		scopes[ri] = sc
 	}
 	eng, err := chase.NewScoped(fd, rules, scopes, reg, copts)
 	if err != nil {

@@ -9,55 +9,37 @@ import (
 )
 
 // Fragment serialization: the binary form a worker fragment takes on the
-// distributed DMatch wire. Fragments and per-rule scopes are sorted TID
-// lists (BuildFragments unions sorted block GID lists), so the packing is
-// delta-varint: a leading flag byte (1 = sorted, deltas follow; 0 = raw
-// varints, the defensive fallback), then uvarint(count) and the packed
-// words. At TPCH scale the deltas are small (dense id ranges per block),
-// so most ids cost one byte instead of up to five.
+// distributed DMatch wire. Fragments and per-rule scopes are strictly
+// ascending TID lists (BuildFragments drains them from a bitset), and one
+// form carries every list: uvarint(count), then uvarint deltas, each id
+// minus the one before it (the first id minus -1). At TPCH scale the
+// deltas are small (dense id ranges per block), so most ids cost one byte
+// instead of up to five. A zero delta, or an id past the TID domain, is
+// malformed, so the decoder hands a worker only the ascending lists
+// Dataset.Fragment's scan lists and the chase's GID windows rely on.
 
-// AppendTIDs appends one TID list to buf in the packed form above and
-// returns the extended buffer.
+// AppendTIDs appends one strictly ascending TID list to buf in the packed
+// form above and returns the extended buffer. It panics on a list that is
+// not strictly ascending, which no partition produces.
 func AppendTIDs(buf []byte, ids []relation.TID) []byte {
-	sorted := true
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	prev := uint64(0)
+	prev := int64(-1)
 	for _, id := range ids {
-		w := uint64(uint32(id))
-		if sorted {
-			buf = binary.AppendUvarint(buf, w-prev)
-			prev = w
-		} else {
-			buf = binary.AppendUvarint(buf, w)
+		if int64(id) <= prev {
+			panic(fmt.Sprintf("hypart: TID list not strictly ascending: %d after %d", id, prev))
 		}
+		buf = binary.AppendUvarint(buf, uint64(int64(id)-prev))
+		prev = int64(id)
 	}
 	return buf
 }
 
 // ReadTIDs decodes one packed TID list from b, returning the list and the
 // unconsumed remainder. Malformed input returns an error, never panics:
-// counts are bounded by the remaining bytes and every word is range-
-// checked against the TID domain.
+// counts are bounded by the remaining bytes, a zero delta (a repeated or
+// descending list) is refused and every id is range-checked against the
+// TID domain.
 func ReadTIDs(b []byte) ([]relation.TID, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("hypart: truncated TID list: missing flag")
-	}
-	flag := b[0]
-	if flag > 1 {
-		return nil, nil, fmt.Errorf("hypart: bad TID-list flag %d", flag)
-	}
-	b = b[1:]
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("hypart: truncated TID list: bad count")
@@ -69,21 +51,21 @@ func ReadTIDs(b []byte) ([]relation.TID, []byte, error) {
 		return nil, nil, fmt.Errorf("hypart: TID count %d exceeds %d remaining bytes", n, len(b))
 	}
 	ids := make([]relation.TID, 0, n)
-	prev := uint64(0)
+	prev := int64(-1)
 	for i := uint64(0); i < n; i++ {
-		w, sz := binary.Uvarint(b)
+		delta, sz := binary.Uvarint(b)
 		if sz <= 0 {
 			return nil, nil, fmt.Errorf("hypart: truncated TID list at id %d/%d", i, n)
 		}
 		b = b[sz:]
-		if flag == 1 {
-			w += prev
-			prev = w
+		if delta == 0 {
+			return nil, nil, fmt.Errorf("hypart: TID list not strictly ascending at id %d/%d", i, n)
 		}
-		if w > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("hypart: TID %d out of range", w)
+		if delta > uint64(math.MaxInt32-prev) {
+			return nil, nil, fmt.Errorf("hypart: TID %d+%d out of range", prev, delta)
 		}
-		ids = append(ids, relation.TID(uint32(w)))
+		prev += int64(delta)
+		ids = append(ids, relation.TID(prev))
 	}
 	return ids, b, nil
 }
@@ -110,8 +92,8 @@ func ReadFragment(b []byte) (frag []relation.TID, ruleFrags [][]relation.TID, re
 		return nil, nil, nil, fmt.Errorf("hypart: truncated fragment: bad rule count")
 	}
 	b = b[sz:]
-	// Each rule list costs at least two bytes (flag + count).
-	if nr > uint64(len(b)/2) {
+	// Each rule list costs at least one byte (its count).
+	if nr > uint64(len(b)) {
 		return nil, nil, nil, fmt.Errorf("hypart: rule count %d exceeds %d remaining bytes", nr, len(b))
 	}
 	ruleFrags = make([][]relation.TID, 0, nr)

@@ -15,10 +15,10 @@
 // indexes up front, the (rule, variable) tuple scans are sharded over
 // GOMAXPROCS goroutines that hash packed columns through a Sym-indexed
 // memo and append GIDs to private per-block lists, and the lists are
-// merged, deduplicated and sorted through a |D|-bit bitset in canonical
-// block order — the output is byte-identical for every shard count (the
-// snapshot-enumerate-merge discipline of internal/chase applied to
-// partitioning).
+// merged, deduplicated and sorted through a |D|-bit relation.TIDSet in
+// canonical block order — the output is byte-identical for every shard
+// count (the snapshot-enumerate-merge discipline of internal/chase
+// applied to partitioning).
 package hypart
 
 import (
@@ -307,36 +307,6 @@ func (sa *shardAcc) scan(u unit, hasher *mqo.DenseHasher, ruleWords int) {
 	sa.generated += int64(len(tuples) * len(sc.bcast))
 }
 
-// tidSet is a scratch bitset over the GID space: add marks ids, drain
-// returns the marked ids in ascending order — deduplicated and sorted by
-// one word-by-word scan — and leaves the set empty for reuse.
-type tidSet []uint64
-
-func (s *tidSet) add(ids []relation.TID) {
-	for _, id := range ids {
-		w := int(id) >> 6
-		if w >= len(*s) {
-			*s = append(*s, make([]uint64, w+1-len(*s))...)
-		}
-		(*s)[w] |= 1 << (uint(id) & 63)
-	}
-}
-
-func (s tidSet) drain() []relation.TID {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]relation.TID, 0, n)
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, relation.TID(i<<6+bits.TrailingZeros64(w)))
-		}
-		s[i] = 0
-	}
-	return out
-}
-
 // Partition splits dataset d into n fragments for the rule set Σ.
 func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
 	if n < 1 {
@@ -435,8 +405,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 
 	// Merge: the non-empty blocks in canonical key order — so the result
 	// is independent of the shard count and scheduling — each with the
-	// union of its shards' members, deduplicated and sorted through the
-	// bitset.
+	// union of its shards' members, deduplicated and sorted through one
+	// relation.TIDSet.
 	msp := ptc.Start("hypart.merge", telemetry.L("shards", strconv.Itoa(shards)))
 	var order []int
 	for b := range bx.canon {
@@ -448,7 +418,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return canonLess(bx.canon[order[i]], bx.canon[order[j]]) })
-	var set tidSet
+	var set relation.TIDSet
 	res.Blocks = make([]Block, len(order))
 	for bi, b := range order {
 		var ris []int
@@ -462,9 +432,9 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 			}
 		}
 		for _, sa := range accs {
-			set.add(sa.gids[b])
+			set.Add(sa.gids[b])
 		}
-		res.Blocks[bi] = Block{Canon: bx.canon[b], GIDs: set.drain(), Rules: ris}
+		res.Blocks[bi] = Block{Canon: bx.canon[b], GIDs: set.Drain(), Rules: ris}
 		res.Stats.PlacedTuples += int64(len(res.Blocks[bi].GIDs))
 	}
 	for _, sa := range accs {
@@ -531,7 +501,7 @@ func AssignLPT(costs []float64, n int) []int {
 // scopes implied by an assignment of blocks to workers: Fragments[i] is
 // the sorted union of worker i's blocks, RuleFragments[i][r] the sorted
 // union of its blocks generated for rule r. Unions go through one scratch
-// bitset, so the cost is linear in the block sizes.
+// relation.TIDSet, so the cost is linear in the block sizes.
 func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation.TID, [][][]relation.TID) {
 	own := make([][]int, n)              // blocks per worker
 	ownRule := make([][]int, n*numRules) // blocks per (worker, rule)
@@ -542,12 +512,12 @@ func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation
 			ownRule[w*numRules+ri] = append(ownRule[w*numRules+ri], bi)
 		}
 	}
-	var set tidSet
+	var set relation.TIDSet
 	union := func(bis []int) []relation.TID {
 		for _, bi := range bis {
-			set.add(blocks[bi].GIDs)
+			set.Add(blocks[bi].GIDs)
 		}
-		return set.drain()
+		return set.Drain()
 	}
 	frags := make([][]relation.TID, n)
 	ruleFrags := make([][][]relation.TID, n)

@@ -18,7 +18,8 @@ import (
 
 // WriteCSV writes one relation as CSV with a typed header row of the form
 // name:type (e.g. "cno:string,price:float"). The id attribute is marked
-// with a trailing "!id".
+// with a trailing "!id". The rows are the relation's scan list, so a
+// fragment's relation writes the tuples it hosts.
 func WriteCSV(w io.Writer, rel *Relation) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, rel.Schema.Arity())
@@ -33,9 +34,9 @@ func WriteCSV(w io.Writer, rel *Relation) error {
 		return err
 	}
 	row := make([]string, rel.Schema.Arity())
-	for _, t := range rel.Tuples {
+	for _, id := range rel.tids {
 		for i := range row {
-			row[i] = t.Val(i).String()
+			row[i] = rel.Val(id, i).String()
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -75,7 +76,11 @@ func ReadCSVSchema(name string, header []string) (*Schema, error) {
 
 // LoadCSVInto reads CSV rows (with typed header) into an existing dataset's
 // relation named name. The header must match the relation's schema arity.
+// A fragment takes no rows: loading into one is an error.
 func LoadCSVInto(d *Dataset, name string, r io.Reader) error {
+	if d.in != nil {
+		return errFragmentAppend
+	}
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return err

@@ -1,8 +1,9 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // TID is a global tuple identifier, unique across an entire Dataset.
@@ -55,10 +56,13 @@ func (t *Tuple) ID(s *Schema) Value { return t.Val(s.IDAttr) }
 
 // Relation is an instance D_i of a relation schema. A fragment's
 // relation shares its root's columns (the outer column array is aliased,
-// so the root's growth shows through) and row table; it lists its own
-// tuples.
+// so the root's growth shows through) and row table; it owns only its
+// scan list.
 type Relation struct {
 	Schema *Schema
+	// Tuples lists the handles of a root relation's tuples, in row (and
+	// GID) order. It is root-only: a fragment's relations leave it nil and
+	// are read through TIDs and Dataset.Tuple.
 	Tuples []*Tuple
 
 	syms *SymTab
@@ -70,8 +74,8 @@ type Relation struct {
 // Syms returns the symbol table backing this relation's string columns.
 func (r *Relation) Syms() *SymTab { return r.syms }
 
-// TIDs lists the GIDs of the relation's tuples, in the order of Tuples
-// (GID-ascending).
+// TIDs lists the GIDs of the relation's tuples, GID-ascending: the scan
+// list (at a root, in the order of Tuples).
 func (r *Relation) TIDs() []TID { return r.tids }
 
 // Col returns the packed storage column of attribute i, indexed by row.
@@ -116,12 +120,45 @@ type rowTable struct {
 // chunk at 24 bytes per handle).
 const tupleSlab = 4096
 
-// fragSlotsMaxWaste gates the fragment lookup layout: a fragment whose
-// id space is at most this many times its tuple count gets a flat
-// []int32 slot array (O(1) array lookup, 4 bytes per id-space slot);
-// sparser fragments fall back to a map. 16 is where the array's memory
-// crosses a map's ~50 bytes/entry.
-const fragSlotsMaxWaste = 16
+// TIDSet is a bitset over a GID space: id is a member when bit id&63 of
+// word id>>6 is set. It holds no pointers. A fragment's membership is
+// one; HyPart unions its block lists through one (Add, then Drain).
+type TIDSet []uint64
+
+// Add marks ids, growing the set when an id lies past its end. The ids
+// must be non-negative.
+func (s *TIDSet) Add(ids []TID) {
+	for _, id := range ids {
+		w := int(id) >> 6
+		if w >= len(*s) {
+			*s = append(*s, make([]uint64, w+1-len(*s))...)
+		}
+		(*s)[w] |= 1 << (uint(id) & 63)
+	}
+}
+
+// each calls f on the members in ascending order, walking the set word
+// by word.
+func (s TIDSet) each(f func(TID)) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			f(TID(i<<6 + bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// Drain returns the members in ascending order, deduplicated and sorted
+// by one word-by-word scan, and leaves the set empty for reuse.
+func (s TIDSet) Drain() []TID {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]TID, 0, n)
+	s.each(func(id TID) { out = append(out, id) })
+	clear(s)
+	return out
+}
 
 // Dataset is an instance D = (D_1, ..., D_m) of a database schema.
 type Dataset struct {
@@ -133,19 +170,17 @@ type Dataset struct {
 	// meaningful.
 	syms *SymTab
 
-	// tuples lists all tuples in insertion order. For a root dataset the
-	// position of a tuple equals its GID; fragments share tuples with
-	// their parent and use slots (dense) or byGID (sparse) for lookup.
+	// tuples lists the root's tuples in GID order, so a tuple's position
+	// is its GID. A fragment shares its root's list up to the id space it
+	// was cut from, with the capacity clipped there.
 	tuples []*Tuple
-	byGID  map[TID]*Tuple
-	slots  []int32 // GID -> index into tuples, -1 when absent
+
+	// in is a fragment's membership over the GIDs of tuples; nil at a
+	// root, which hosts every one of them.
+	in TIDSet
 
 	// loc is the root's row table, shared by every fragment of it.
 	loc *rowTable
-
-	// idSpace is the GID space fragments inherit (the parent's tuple
-	// count at fragmentation time); 0 for root datasets.
-	idSpace int
 
 	slab []Tuple // current tuple slab chunk; full chunks are only
 	// reachable through the *Tuple pointers handed out
@@ -170,7 +205,9 @@ func (d *Dataset) Syms() *SymTab { return d.syms }
 
 // Reserve pre-sizes the named relation's columns and tuple lists, and the
 // row table, for n additional rows, so bulk loaders avoid growth copies.
+// It panics on a fragment, which takes no rows.
 func (d *Dataset) Reserve(rel string, n int) {
+	d.mustBeRoot("Reserve")
 	ri := d.DB.SchemaIndex(rel)
 	if ri < 0 || n <= 0 {
 		return
@@ -204,8 +241,12 @@ func reserve[E any](s []E, n int) []E {
 // float do not coerce, so an I(…) value cannot fill a float attribute
 // (nor F(…) an int one); the error names the attribute, the offending
 // value, and the constructor that would fix it. The values slice is not
-// retained: payloads are packed into the relation's columns.
+// retained: payloads are packed into the relation's columns. A fragment
+// takes no rows: Append on one is an error.
 func (d *Dataset) Append(rel string, values ...Value) (*Tuple, error) {
+	if d.in != nil {
+		return nil, errFragmentAppend
+	}
 	ri := d.DB.SchemaIndex(rel)
 	if ri < 0 {
 		return nil, fmt.Errorf("relation: no relation %q", rel)
@@ -240,9 +281,22 @@ func (d *Dataset) Append(rel string, values ...Value) (*Tuple, error) {
 // values are packed by the schema's attribute types, so a kind mismatch
 // silently stores the wrong payload rather than erroring. Used by the
 // synthetic generators and CSV ingest, where the values were just
-// constructed from the schema itself.
+// constructed from the schema itself. It panics on a fragment.
 func (d *Dataset) AppendUnchecked(ri int, values ...Value) *Tuple {
+	d.mustBeRoot("AppendUnchecked")
 	return d.appendPacked(ri, values)
+}
+
+// errFragmentAppend refuses rows to a fragment: its GIDs are its root's,
+// so a row appended there would take a GID that already names a root
+// tuple.
+var errFragmentAppend = errors.New("relation: a fragment takes no rows; append to its root dataset")
+
+// mustBeRoot panics when d is a fragment (see errFragmentAppend).
+func (d *Dataset) mustBeRoot(op string) {
+	if d.in != nil {
+		panic(op + ": " + errFragmentAppend.Error())
+	}
 }
 
 // appendPacked packs values into relation ri's columns (by schema
@@ -289,38 +343,19 @@ func (d *Dataset) MustAppend(rel string, values ...Value) *Tuple {
 	return t
 }
 
-// Tuple returns the tuple with the given global id, or nil. For fragments
-// only tuples hosted by the fragment are found.
+// Tuple returns the hosted tuple with the given GID, or nil: a read of
+// the root's shared list once Has holds.
 func (d *Dataset) Tuple(id TID) *Tuple {
-	if d.slots != nil {
-		if id < 0 || int(id) >= len(d.slots) {
-			return nil
-		}
-		s := d.slots[id]
-		if s < 0 {
-			return nil
-		}
-		return d.tuples[s]
-	}
-	if d.byGID != nil {
-		return d.byGID[id]
-	}
-	if id < 0 || int(id) >= len(d.tuples) {
+	if !d.Has(id) {
 		return nil
 	}
 	return d.tuples[id]
 }
 
-// Has reports whether the dataset hosts the tuple with the given GID.
+// Has reports whether the dataset hosts the tuple with the given GID: a
+// bounds check against the id space, then, in a fragment, one bit test.
 func (d *Dataset) Has(id TID) bool {
-	switch {
-	case d.slots != nil:
-		return id >= 0 && int(id) < len(d.slots) && d.slots[id] >= 0
-	case d.byGID != nil:
-		_, ok := d.byGID[id]
-		return ok
-	}
-	return id >= 0 && int(id) < len(d.tuples)
+	return uint(id) < uint(len(d.tuples)) && (d.in == nil || d.in[id>>6]&(1<<(id&63)) != 0)
 }
 
 // Rows is the root's row table: the row of every GID of the root dataset
@@ -334,8 +369,15 @@ func (d *Dataset) Rows() []int32 { return d.loc.row }
 // root dataset (d or the root it is a fragment of).
 func (d *Dataset) RelOf(id TID) int { return int(d.loc.rel[id]) }
 
-// Size returns |D|, the total number of tuples.
-func (d *Dataset) Size() int { return len(d.tuples) }
+// Size returns |D|, the number of tuples the dataset hosts: the sum of
+// its relations' scan lists.
+func (d *Dataset) Size() int {
+	n := 0
+	for _, r := range d.Relations {
+		n += len(r.tids)
+	}
+	return n
+}
 
 // Relation returns the instance of the named relation, or nil.
 func (d *Dataset) Relation(name string) *Relation {
@@ -349,100 +391,83 @@ func (d *Dataset) Relation(name string) *Relation {
 // SchemaOf returns the schema of the given tuple.
 func (d *Dataset) SchemaOf(t *Tuple) *Schema { return d.DB.Schemas[t.Rel] }
 
-// IDSpace is the bound of the GIDs the dataset's tuples can name: a
-// fragment's parent's tuple count, which it inherits, else the dataset's
-// own, since a root dataset's GIDs are positions. Everything indexed by
-// GID across fragments (a union-find, host bitsets) is sized by it.
-func (d *Dataset) IDSpace() int {
-	if d.idSpace != 0 {
-		return d.idSpace
+// IDSpace is the bound of the GIDs the dataset's tuples can name: the
+// root's tuple count, which a fragment inherits from the dataset it was
+// cut from, since a root dataset's GIDs are positions. Everything indexed
+// by GID across fragments (a union-find, host bitsets) is sized by it.
+func (d *Dataset) IDSpace() int { return len(d.tuples) }
+
+// Tuples lists the hosted tuples in GID order. A root returns its own
+// list, which the caller must not modify; a fragment builds one per call.
+func (d *Dataset) Tuples() []*Tuple {
+	if d.in == nil {
+		return d.tuples
 	}
-	return len(d.tuples)
+	out := make([]*Tuple, 0, d.Size())
+	d.in.each(func(id TID) { out = append(out, d.tuples[id]) })
+	return out
 }
 
-// Tuples iterates all tuples in GID order.
-func (d *Dataset) Tuples() []*Tuple { return d.tuples }
-
-// MemBytes estimates the dataset's storage footprint: packed columns,
-// tuple slabs and handle slices, the symbol arena, and the fragment
-// lookup structure. Fragments do not recount the shared columns/arena.
+// MemBytes estimates the dataset's storage footprint. A root counts its
+// packed columns, tuple slabs and handle slices, row table and symbol
+// arena; a fragment, which shares all of those, counts its scan lists
+// and its membership bitset.
 func (d *Dataset) MemBytes() int64 {
 	var n int64
-	if d.idSpace == 0 { // root: owns columns, slabs, row table and the symbol table
-		for _, r := range d.Relations {
-			for _, c := range r.cols {
-				n += int64(cap(c)) * 8
-			}
-			n += int64(cap(r.Tuples))*8 + int64(cap(r.tids))*4
-		}
-		n += int64(len(d.tuples)) * (8 + 24) // handle pointer + slab entry
-		n += int64(cap(d.loc.rel)+cap(d.loc.row)) * 4
-		n += d.syms.Bytes()
-	} else {
-		for _, r := range d.Relations {
-			n += int64(cap(r.Tuples))*8 + int64(cap(r.tids))*4
-		}
-		n += int64(cap(d.tuples)) * 8
-		n += int64(cap(d.slots)) * 4
-		n += int64(len(d.byGID)) * 50 // map entry estimate
+	for _, r := range d.Relations {
+		n += int64(cap(r.tids)) * 4
 	}
-	return n
+	if d.in != nil {
+		return n + int64(len(d.in))*8
+	}
+	for _, r := range d.Relations {
+		for _, c := range r.cols {
+			n += int64(cap(c)) * 8
+		}
+		n += int64(cap(r.Tuples)) * 8
+	}
+	n += int64(len(d.tuples)) * (8 + 24) // handle pointer + slab entry
+	n += int64(cap(d.loc.rel)+cap(d.loc.row)) * 4
+	return n + d.syms.Bytes()
 }
 
-// Fragment builds a sub-dataset over the same database schema containing
-// exactly the tuples whose GIDs appear in ids. The tuples are shared (not
-// copied) so their GIDs remain globally meaningful: the parallel engine
-// relies on this to exchange matches between fragments by GID alone. The
-// fragment's relations share the root's columns and row table and list
-// their tuples GID-ascending, as the chase reads every candidate list:
-// ids come in any order, with repeats, and are sorted and deduplicated
-// here when they are not strictly ascending already (a copy; ids itself
-// is not touched). Dense fragments (most of the parallel partitions) index
-// by a flat slot array so the per-lookup cost is an array load; sparse
-// ones fall back to a map.
+// Fragment returns a view of d hosting exactly those of d's tuples whose
+// GIDs appear in ids, in any order and with repeats; ids itself is not
+// touched. The view shares the root's tuples, columns, row table and
+// symbol table, so GIDs stay globally meaningful: the parallel engine
+// exchanges matches between fragments by GID alone. It owns a membership
+// bitset over d's id space and one scan list per relation, built by
+// walking the bitset word by word, so every list is GID-ascending, as the
+// chase reads every candidate list. Its relations have no Tuples. A
+// fragment takes no rows (see Append); rows appended to the root later
+// lie outside its id space.
 func (d *Dataset) Fragment(ids []TID) *Dataset {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			ids = slices.Clone(ids)
-			slices.Sort(ids)
-			ids = slices.Compact(ids)
-			break
-		}
-	}
 	space := d.IDSpace()
 	f := &Dataset{
 		DB:        d.DB,
 		Relations: make([]*Relation, len(d.DB.Schemas)),
 		syms:      d.syms,
-		idSpace:   space,
+		tuples:    d.tuples[:space:space],
+		in:        make(TIDSet, (space+63)>>6),
 		loc:       d.loc,
 	}
-	for i, s := range d.DB.Schemas {
-		f.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: d.Relations[i].cols, loc: d.loc}
-	}
-	dense := space <= fragSlotsMaxWaste*len(ids)
-	if dense {
-		f.slots = make([]int32, space)
-		for i := range f.slots {
-			f.slots[i] = -1
-		}
-	} else {
-		f.byGID = make(map[TID]*Tuple, len(ids))
-	}
 	for _, id := range ids {
-		t := d.Tuple(id)
-		if t == nil {
-			continue
+		if d.Has(id) {
+			f.in[id>>6] |= 1 << (id & 63)
 		}
-		if dense {
-			f.slots[id] = int32(len(f.tuples))
-		} else {
-			f.byGID[id] = t
-		}
-		r := f.Relations[t.Rel]
-		r.Tuples = append(r.Tuples, t)
-		r.tids = append(r.tids, id)
-		f.tuples = append(f.tuples, t)
 	}
+	// Count each relation's members, carve the scan lists out of one
+	// array, then fill them in GID order.
+	counts, total := make([]int, len(d.Relations)), 0
+	f.in.each(func(id TID) { counts[d.loc.rel[id]]++; total++ })
+	all := make([]TID, total)
+	for i, s := range d.DB.Schemas {
+		f.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: d.Relations[i].cols, tids: all[:0:counts[i]], loc: d.loc}
+		all = all[counts[i]:]
+	}
+	f.in.each(func(id TID) {
+		r := f.Relations[d.loc.rel[id]]
+		r.tids = append(r.tids, id)
+	})
 	return f
 }

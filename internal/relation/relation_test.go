@@ -191,9 +191,10 @@ func TestDatasetFragment(t *testing.T) {
 	if !slices.Equal(ids, []relation.TID{4, 0, 2, 4, 0}) {
 		t.Errorf("Fragment reordered its caller's ids: %v", ids)
 	}
-	for i, tt := range h.Relations[0].Tuples {
-		if tt.GID != h.Relations[0].TIDs()[i] || h.Relations[0].Word(tt.GID, 1) != tt.Word(1) {
-			t.Errorf("fragment tuple %d: GID %d, scan list %d; words %d, %d", i, tt.GID, h.Relations[0].TIDs()[i], h.Relations[0].Word(tt.GID, 1), tt.Word(1))
+	for _, id := range h.Relations[0].TIDs() {
+		tt := d.Tuple(id)
+		if h.Tuple(id) != tt || tt.GID != id || h.Relations[0].Word(id, 1) != tt.Word(1) {
+			t.Errorf("fragment tuple %d: handle %p of GID %d, root's %p; words %d, %d", id, h.Tuple(id), tt.GID, tt, h.Relations[0].Word(id, 1), tt.Word(1))
 		}
 	}
 }

@@ -39,7 +39,7 @@ func FuzzDecoder(f *testing.F) {
 	seed(func(e *Encoder) error {
 		return e.Assign(Assign{Worker: 0, Workers: 2,
 			NoMQO:     true,
-			Frag:      []relation.TID{3, 1, 2},
+			Frag:      []relation.TID{0, 2, 3},
 			RuleFrags: [][]relation.TID{{1, 2, 3}},
 			Replay:    []chase.Fact{{Kind: chase.FactMatch, A: 8, B: 9}},
 		})
@@ -55,6 +55,9 @@ func FuzzDecoder(f *testing.F) {
 	})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f})
+	for _, frame := range badAssignFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data), nil)

@@ -44,8 +44,10 @@ import (
 // engine options to one flag word and one varint; version 3 dropped the
 // varint with the dependency store it sized, leaving the flag word;
 // version 4 retired the flag word's bit 1 (the worker engine's sequential
-// schedule), leaving bit 0, NoMQO.
-const Version = 4
+// schedule), leaving bit 0, NoMQO; version 5 dropped the TID lists' flag
+// byte and raw-varint form, leaving one form of strictly ascending
+// deltas (hypart.AppendTIDs).
+const Version = 5
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest
@@ -58,8 +60,9 @@ const (
 	// dataset fingerprint the master validates against its own load.
 	MsgHello byte = 1 + iota
 	// MsgAssign carries a worker's fragment: the NoMQO flag, the
-	// fragment tuple ids, the per-rule scope ids, and the fact history to
-	// replay (non-empty when a rebuild follows a recovery or migration).
+	// fragment tuple ids and the per-rule scope ids (strictly ascending
+	// lists), and the fact history to replay (non-empty when a rebuild
+	// follows a recovery or migration).
 	MsgAssign
 	// MsgStep delivers one superstep's inbox to a worker.
 	MsgStep

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -287,5 +289,46 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	dec := NewDecoder(bytes.NewReader(frame), nil)
 	if _, err := dec.Next(); err == nil {
 		t.Fatal("trailing frame bytes decoded without error")
+	}
+}
+
+// assignFrame hand-builds an Assign frame around the given fragment
+// bytes (the fragment list, the rule count and the rule lists): worker 0
+// of 2, no flags, an empty replay.
+func assignFrame(frag ...byte) []byte {
+	payload := append([]byte{MsgAssign, 0, 2, 0}, frag...)
+	payload = append(payload, 0, 0) // no dictionary entries, no facts
+	return append([]byte{byte(len(payload))}, payload...)
+}
+
+// badAssignFrames are Assign frames whose TID lists repeat an id,
+// descend, or leave the TID domain.
+func badAssignFrames() map[string][]byte {
+	wrap := binary.AppendUvarint(nil, math.MaxUint64) // -1 as a delta
+	return map[string][]byte{
+		"repeated id":          assignFrame(2, 4, 0, 0),
+		"descending ids":       assignFrame(append(append([]byte{2, 4}, wrap...), 0)...),
+		"repeated rule id":     assignFrame(0, 1, 2, 1, 0),
+		"id past the domain":   assignFrame(append(append([]byte{1}, binary.AppendUvarint(nil, 1<<31+1)...), 0)...),
+		"first id from a zero": assignFrame(1, 0, 0),
+	}
+}
+
+// TestAssignRejectsUnorderedTIDs: the decoder hands a worker only
+// strictly ascending TID lists. A list that repeats or descends, in the
+// fragment or in a rule scope, is an error, never a panic; the same
+// frame with ascending ids decodes.
+func TestAssignRejectsUnorderedTIDs(t *testing.T) {
+	m, err := NewDecoder(bytes.NewReader(assignFrame(2, 4, 1, 1, 2, 1, 5)), nil).Next()
+	if err != nil {
+		t.Fatalf("ascending lists: %v", err)
+	}
+	if fmt.Sprint(m.Assign.Frag, m.Assign.RuleFrags) != "[3 4] [[0 5]]" {
+		t.Fatalf("ascending lists decoded to %v %v, want [3 4] [[0 5]]", m.Assign.Frag, m.Assign.RuleFrags)
+	}
+	for name, frame := range badAssignFrames() {
+		if _, err := NewDecoder(bytes.NewReader(frame), nil).Next(); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

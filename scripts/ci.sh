@@ -48,10 +48,10 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, fragments over shuffled ids (same fragment, same Gamma), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, fragments over shuffled ids (same fragment, same Gamma), fragment views against a brute-force filter of the root (ids sorted, shuffled and repeated; fragments of fragments; rows refused; SaveDir of a view), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestFragmentShuffledIDs|TestPoolReadsEidInPlace' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
-go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestDatasetFragment' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestDatasetFragment|TestFragmentMatchesRootFilter|TestFragmentRefusesRows|TestSaveDirFragment' ./internal/relation
 
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
 go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
@@ -111,8 +111,8 @@ go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x .
 echo "== doctor bundle loader (10 s fuzz: LoadBundle then Diagnose over fuzzed manifest and health JSON return an error or a diagnosis, never a panic)"
 go test -run=NONE -fuzz=FuzzLoadBundle -fuzztime=10s -fuzzminimizetime=100x ./internal/health
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple; postings, index slots, key maps and the row table hold no pointers, and a Tuple handle is 24 bytes)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize' \
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple; postings, index slots, key maps, the row table and a fragment's bitset hold no pointers, a fragment owns only its scan lists and bitset, and a Tuple handle is 24 bytes)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize|TestFragmentLayout' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
 echo "== storage equivalence guards (columnar parity + golden Gamma fact sequences and class sets of Run and of inserts)"
