@@ -49,11 +49,13 @@ func pair(a, b *relation.Tuple) [2]relation.TID {
 	return [2]relation.TID{x, y}
 }
 
-// tokenBlocks groups a relation's tuples by the tokens of their record
-// text, dropping blocks larger than maxBlock (stop-word-like tokens).
-func tokenBlocks(rel *relation.Relation, maxBlock int) map[string][]*relation.Tuple {
+// tokenBlocks groups the tuples of d's relation ri by the tokens of their
+// record text, dropping blocks larger than maxBlock (stop-word-like
+// tokens).
+func tokenBlocks(d *relation.Dataset, ri, maxBlock int) map[string][]*relation.Tuple {
+	rel := d.Relations[ri]
 	blocks := make(map[string][]*relation.Tuple)
-	for _, t := range rel.Tuples {
+	for _, t := range d.TuplesOf(ri) {
 		seen := make(map[string]bool)
 		for _, tok := range mlpred.Tokenize(recordText(rel.Schema, t)) {
 			if len(tok) < 2 || seen[tok] {
@@ -71,17 +73,18 @@ func tokenBlocks(rel *relation.Relation, maxBlock int) map[string][]*relation.Tu
 	return blocks
 }
 
-// keyBlocks groups a relation's tuples by full attribute values (classic
-// blocking keys), one block family per non-id attribute, dropping blocks
-// larger than maxBlock.
-func keyBlocks(rel *relation.Relation, maxBlock int) [][]*relation.Tuple {
+// keyBlocks groups the tuples of d's relation ri by full attribute values
+// (classic blocking keys), one block family per non-id attribute, dropping
+// blocks larger than maxBlock.
+func keyBlocks(d *relation.Dataset, ri, maxBlock int) [][]*relation.Tuple {
+	rel, tuples := d.Relations[ri], d.TuplesOf(ri)
 	var out [][]*relation.Tuple
 	for ai := range rel.Schema.Attrs {
 		if ai == rel.Schema.IDAttr {
 			continue
 		}
 		groups := make(map[string][]*relation.Tuple)
-		for _, t := range rel.Tuples {
+		for _, t := range tuples {
 			v := t.Val(ai)
 			if v.IsZero() {
 				continue

@@ -80,8 +80,8 @@ func (m *DisDedupLike) Match(d *relation.Dataset) [][2]relation.TID {
 	}
 	var cands [][2]*relation.Tuple
 	schemaOf := make(map[relation.TID]*relation.Schema)
-	for _, rel := range d.Relations {
-		blocks := keyBlocks(rel, maxBlock)
+	for ri, rel := range d.Relations {
+		blocks := keyBlocks(d, ri, maxBlock)
 		sort.Slice(blocks, func(i, j int) bool { return len(blocks[i]) > len(blocks[j]) })
 		cs := candidatesFromBlocks(blocks)
 		for _, c := range cs {

@@ -7,9 +7,10 @@ import (
 
 // metaBlockedCandidates implements meta-blocking (the SparkER/BLAST idea):
 // build token blocks, weight each candidate pair by the number of blocks
-// it co-occurs in, and prune pairs below the average weight.
-func metaBlockedCandidates(rel *relation.Relation, maxBlock int) [][2]*relation.Tuple {
-	blocks := tokenBlocks(rel, maxBlock)
+// it co-occurs in, and prune pairs below the average weight, over d's
+// relation ri.
+func metaBlockedCandidates(d *relation.Dataset, ri, maxBlock int) [][2]*relation.Tuple {
+	blocks := tokenBlocks(d, ri, maxBlock)
 	weight := make(map[[2]relation.TID]int)
 	byPair := make(map[[2]relation.TID][2]*relation.Tuple)
 	for _, blk := range blocks {
@@ -61,8 +62,8 @@ func (m *SparkERLike) Match(d *relation.Dataset) [][2]relation.TID {
 	}
 	var cands [][2]*relation.Tuple
 	schemaOf := make(map[relation.TID]*relation.Schema)
-	for _, rel := range d.Relations {
-		cs := metaBlockedCandidates(rel, maxBlock)
+	for ri, rel := range d.Relations {
+		cs := metaBlockedCandidates(d, ri, maxBlock)
 		for _, c := range cs {
 			schemaOf[c[0].GID] = rel.Schema
 		}

@@ -38,8 +38,8 @@ func (m *MLMatcher) Match(d *relation.Dataset) [][2]relation.TID {
 		aid = fs.AttrsID(nil)
 	}
 	var out [][2]relation.TID
-	for _, rel := range d.Relations {
-		blocks := tokenBlocks(rel, maxBlock)
+	for ri, rel := range d.Relations {
+		blocks := tokenBlocks(d, ri, maxBlock)
 		var bl [][]*relation.Tuple
 		for _, b := range blocks {
 			bl = append(bl, b)

@@ -26,8 +26,8 @@ func (m *DedoopLike) Match(d *relation.Dataset) [][2]relation.TID {
 		th = 0.88
 	}
 	var out [][2]relation.TID
-	for _, rel := range d.Relations {
-		for _, c := range candidatesFromBlocks(keyBlocks(rel, maxBlock)) {
+	for ri, rel := range d.Relations {
+		for _, c := range candidatesFromBlocks(keyBlocks(d, ri, maxBlock)) {
 			if avgSimilarity(rel.Schema, c[0], c[1]) >= th {
 				out = append(out, pair(c[0], c[1]))
 			}
@@ -55,8 +55,8 @@ func (m *ERBloxLike) Match(d *relation.Dataset) [][2]relation.TID {
 		maxBlock = 50
 	}
 	var out [][2]relation.TID
-	for _, rel := range d.Relations {
-		for _, c := range candidatesFromBlocks(keyBlocks(rel, maxBlock)) {
+	for ri, rel := range d.Relations {
+		for _, c := range candidatesFromBlocks(keyBlocks(d, ri, maxBlock)) {
 			a := recordText(rel.Schema, c[0])
 			b := recordText(rel.Schema, c[1])
 			if m.Model.PredictPair(a, b) {
@@ -89,8 +89,8 @@ func (m *JedAILike) Match(d *relation.Dataset) [][2]relation.TID {
 		th = 0.6
 	}
 	var out [][2]relation.TID
-	for _, rel := range d.Relations {
-		for _, c := range metaBlockedCandidates(rel, maxBlock) {
+	for ri, rel := range d.Relations {
+		for _, c := range metaBlockedCandidates(d, ri, maxBlock) {
 			a := recordText(rel.Schema, c[0])
 			b := recordText(rel.Schema, c[1])
 			if mlpred.Jaccard(a, b) >= th {

@@ -27,13 +27,14 @@ func (m *Windowing) Match(d *relation.Dataset) [][2]relation.TID {
 		th = 0.85
 	}
 	var out [][2]relation.TID
-	for _, rel := range d.Relations {
+	for ri, rel := range d.Relations {
 		type keyed struct {
 			key string
 			t   *relation.Tuple
 		}
-		ks := make([]keyed, len(rel.Tuples))
-		for i, t := range rel.Tuples {
+		tuples := d.TuplesOf(ri)
+		ks := make([]keyed, len(tuples))
+		for i, t := range tuples {
 			ks[i] = keyed{recordText(rel.Schema, t), t}
 		}
 		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })

@@ -68,7 +68,11 @@ type Stats struct {
 	DepsFired    int64
 	DepsDropped  int64
 	Rounds       int64 // internal incremental rounds
-	IndexBuilds  int   // inverted indexes materialized
+	// IndexBuilds counts the inverted indexes this engine built. An index
+	// of a set shared across engines (NewScoped) is credited once, to the
+	// engine whose bind or probe built it, so the engines of one process
+	// sum to the indexes built in it.
+	IndexBuilds int
 	// SymmetricRules counts the rules enumerated under symmetry reduction:
 	// each is its own mirror image (rule.Symmetry), so of every valuation
 	// and its mirror twin only one is inspected.
@@ -139,7 +143,10 @@ type boundRule struct {
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
 	// (V2's relation, A2). The pointers stay valid across incremental
 	// insertions — IndexSet.AddBatch mutates each Index in place.
-	eqIx [][2]*relation.Index
+	// eqDistinct[i][s] is the distinct count of eqIx[i][s] over the
+	// rule's scope, which the join-order planner divides by.
+	eqIx       [][2]*relation.Index
+	eqDistinct [][2]int
 
 	// plan is the compiled predicate program (plan.go): per-variable
 	// word/ML steps, in a fixed order, with the resolved constant probe
@@ -167,9 +174,15 @@ type boundRule struct {
 	// with the root, its columns.
 	scope *relation.Dataset
 	rels  []*relation.Relation
-	// ix indexes the rule's scope. With MQO sharing, rules with the same
-	// scope share one index set; without, every rule gets its own.
-	ix *relation.IndexSet
+	// ix is the index set the rule probes. With MQO sharing every rule of
+	// the engine probes one set (the engine's, or its handle on a set
+	// shared across engines) over a dataset its scope is part of; without,
+	// every rule gets its own over its scope. partial has bit v set when
+	// variable v's relation in scope holds fewer tuples than in ix's
+	// dataset: the candidates v draws from ix's postings are then cut to
+	// the scope (joinStep.filter).
+	ix      *relation.IndexSet
+	partial uint64
 	// cache and feats are the rule-private ML answer cache and feature
 	// store used when MQO sharing is off (the noMQO ablation shares no
 	// intermediate results between rules).
@@ -206,7 +219,11 @@ type Engine struct {
 	// validated holds the ML predictions of Γ, keyed by literal (model
 	// interned), so no probe hashes a string.
 	validated map[Literal]bool
-	ixSets    map[*relation.Dataset]*relation.IndexSet // shared per scope
+	// ix is the index set every rule probes under MQO sharing; nil
+	// without. sharedIx marks a handle on a set shared across engines
+	// (NewScoped), which InsertTuples refuses to touch.
+	ix        *relation.IndexSet
+	sharedIx  bool
 	pairCache *mlpred.PairCache
 	feats     *mlpred.FeatureStore
 
@@ -287,19 +304,30 @@ type event struct {
 }
 
 // New prepares an engine over dataset d with resolved rules and the
-// classifier registry. Every rule enumerates over the whole dataset; the
-// parallel engine uses NewScoped instead.
+// classifier registry. Every rule enumerates over the whole dataset, and
+// the engine owns its indexes; the parallel engine uses NewScoped instead.
 func New(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options) (*Engine, error) {
-	return NewScoped(d, rules, nil, reg, opts)
+	return NewScoped(d, rules, nil, nil, reg, opts)
 }
 
 // NewScoped prepares an engine whose rule i enumerates only over
-// scopes[i] (nil entries and a nil slice mean the whole dataset). The
-// parallel engine passes each worker's per-rule block unions, so rules do
-// not re-scan tuples that other rules' blocks brought to the worker. The
-// id-equivalence relation spans d.IDSpace(), so an engine over a fragment
-// takes facts naming any tuple of the parent dataset.
-func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Dataset, reg *mlpred.Registry, opts Options) (*Engine, error) {
+// scopes[i] (nil entries and a nil slice mean the whole dataset), each a
+// part of d. The parallel engine passes each worker's per-rule block
+// unions, so rules do not re-scan tuples that other rules' blocks brought
+// to the worker. The id-equivalence relation spans d.IDSpace(), so an
+// engine over a fragment takes facts naming any tuple of the parent
+// dataset.
+//
+// With MQO sharing (Options.ShareIndexes) the rules probe ix, an index
+// set over a dataset d is part of (the root, in the parallel engine),
+// through a handle of their own (IndexSet.Share), so the engines of one
+// process build each index once between them; the set is read-only from
+// then on. With ix nil they probe a set of the engine's own over d.
+// Without MQO sharing ix is not used: every rule gets its own set over its
+// scope. A scope that holds only part of a relation cuts the candidates
+// its rules draw from the postings to its own tuples.
+func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Dataset, ix *relation.IndexSet,
+	reg *mlpred.Registry, opts Options) (*Engine, error) {
 	e := &Engine{
 		d:             d,
 		held:          d.Size(),
@@ -308,10 +336,16 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		uf:            unionfind.New(d.IDSpace()),
 		classSlot:     make([]int32, d.IDSpace()),
 		validated:     make(map[Literal]bool),
-		ixSets:        make(map[*relation.Dataset]*relation.IndexSet),
 		pairCache:     mlpred.NewPairCache(),
 		feats:         mlpred.NewFeatureStore(0),
 		dynamicModels: make(map[string]bool),
+	}
+	if opts.ShareIndexes {
+		if ix != nil {
+			e.ix, e.sharedIx = ix.Share(), true
+		} else {
+			e.ix = relation.NewIndexSet(d)
+		}
 	}
 	e.prov = opts.Provenance
 	e.provOrigin = provenance.OriginIDDup
@@ -394,13 +428,13 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	if e.tel != nil {
 		br.enumHist = e.ruleHist(r.Name)
 	}
-	if e.opts.ShareIndexes {
-		ix, ok := e.ixSets[scope]
-		if !ok {
-			ix = relation.NewIndexSet(scope)
-			e.ixSets[scope] = ix
+	if e.ix != nil {
+		br.ix = e.ix
+		for v, rv := range r.Vars {
+			if len(br.rels[v].TIDs()) < len(e.ix.Dataset().Relations[rv.RelIdx].TIDs()) {
+				br.partial |= 1 << v
+			}
 		}
-		br.ix = ix
 	} else {
 		br.ix = relation.NewIndexSet(scope)
 		br.cache = mlpred.NewPairCache()
@@ -427,15 +461,24 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	}
 	br.reduced = rule.Symmetry(r, e.symmetricModel) != nil
 	for _, p := range br.eqs {
-		br.eqIx = append(br.eqIx, [2]*relation.Index{
-			br.ix.For(r.Vars[p.V1].RelIdx, p.A1),
-			br.ix.For(r.Vars[p.V2].RelIdx, p.A2),
-		})
+		ixs := [2]*relation.Index{br.ix.For(r.Vars[p.V1].RelIdx, p.A1), br.ix.For(r.Vars[p.V2].RelIdx, p.A2)}
+		br.eqIx = append(br.eqIx, ixs)
+		br.eqDistinct = append(br.eqDistinct, [2]int{br.distinctIn(p.V1, ixs[0]), br.distinctIn(p.V2, ixs[1])})
 	}
 	br.bindSimJoins()
 	br.plan = compilePlan(br)
 	br.planOrders()
 	return br, nil
+}
+
+// distinctIn returns the distinct count of ix, an index on variable v's
+// relation, over br's scope: the index's own when v's relation is whole
+// in the scope.
+func (br *boundRule) distinctIn(v int, ix *relation.Index) int {
+	if br.partial&(1<<v) == 0 {
+		return ix.Distinct()
+	}
+	return ix.DistinctIn(br.scope)
 }
 
 // predSignature identifies an ML predicate for answer sharing: two bound

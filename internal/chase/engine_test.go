@@ -122,7 +122,7 @@ func TestScopedEngineRestrictsRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	scope := d.Fragment([]relation.TID{t0.GID, t1.GID})
-	eng, err := chase.NewScoped(d, rules, []*relation.Dataset{scope},
+	eng, err := chase.NewScoped(d, rules, []*relation.Dataset{scope}, nil,
 		mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
 	if err != nil {
 		t.Fatal(err)

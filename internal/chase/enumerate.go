@@ -59,8 +59,10 @@ type evalCtx struct {
 	// candidate scratch buffers of the compiled path.
 	plans    bool
 	planBufs [][]relation.TID
-	// classBufs are the per-depth lists of class access steps (classOf).
-	classBufs [][]relation.TID
+	// candBufs are the per-depth candidate lists a step builds: a class
+	// access step's members (classOf), a filter step's postings cut to the
+	// scope (hosted).
+	candBufs [][]relation.TID
 
 	// rows is the dataset's row table (relation.Dataset.Rows), latched by
 	// reset: a bound variable's tuple t reads attribute a as
@@ -204,6 +206,9 @@ func (c *evalCtx) extend(depth int) {
 	}
 	lo, hi := c.window(v)
 	cands = gidWindow(cands, lo, hi)
+	if st.filter {
+		cands = c.hosted(cands, depth)
+	}
 	c.access[v][path][0]++
 	c.access[v][path][1] += int64(len(cands))
 	if len(cands) == 0 {

@@ -26,6 +26,9 @@ import (
 // seed pass has seen (seedPass): the batch itself after Run or an earlier
 // batch, the whole dataset when the engine never deduced.
 func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
+	if e.sharedIx {
+		return nil, fmt.Errorf("chase: InsertTuples requires an engine that owns its indexes, not one bound against a shared set")
+	}
 	for _, br := range e.rules {
 		if br.scope != e.d {
 			return nil, fmt.Errorf("chase: InsertTuples requires an unscoped engine")
@@ -49,12 +52,15 @@ func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	// growing it and the union-find is the only per-tuple bookkeeping.
 	e.uf.Grow(e.held)
 	e.classSlot = append(e.classSlot, make([]int32, e.held-len(e.classSlot))...)
-	// Maintain every materialized index (shared and rule-private).
+	// Maintain every materialized index (the engine's and rule-private
+	// ones). None is shared, so none refuses.
 	seenIx := make(map[*relation.IndexSet]bool)
 	for _, br := range e.rules {
 		if !seenIx[br.ix] {
 			seenIx[br.ix] = true
-			br.ix.AddBatch(ids)
+			if err := br.ix.AddBatch(ids); err != nil {
+				panic(err)
+			}
 		}
 	}
 	e.resetSimJoins(ids)
@@ -116,7 +122,7 @@ func (e *Engine) seedPass(epoch relation.TID) {
 		for r := range br.seeds {
 			o := &br.seeds[r]
 			v := o.steps[0].v
-			ts := gidWindow(br.rootCands(&o.steps[0]), epoch, math.MaxInt32)
+			ts := gidWindow(br.scopedRootCands(&o.steps[0]), epoch, math.MaxInt32)
 			size := min(seedMorsel, max(1, (len(ts)+7)/8))
 			for i := 0; i < len(ts); i += size {
 				tk := seedTask{br: br, o: o, v: v, older: older, lo: ts[i], hi: math.MaxInt32, epoch: epoch}

@@ -25,6 +25,11 @@ type simJoin struct {
 	// joins are never probed — and kept current by InsertTuples.
 	ixs  *relation.IndexSet
 	scan *relation.Relation // what the candidates are a subset of, in its order
+	// scope, set when the scan holds only part of the indexed relation,
+	// hosts the tuples a value needs one of to be scored: the index's keys
+	// with no member in it are skipped, so the classifier is called as
+	// often as over an index of the scope.
+	scope *relation.Dataset
 	// both marks a symmetric classifier over one column on either side: one
 	// join serves both variables and scores each unordered value pair once.
 	both bool
@@ -71,6 +76,9 @@ func (br *boundRule) bindSimJoins() {
 				m.sim[s] = &simJoin{
 					rel: rel, attr: attrs[s], from: attrs[1-s], ixs: br.ix,
 					scan: br.scope.Relations[rel], memo: make(map[uint64]*simEntry),
+				}
+				if br.partial&(1<<v) != 0 {
+					m.sim[s].scope = br.scope
 				}
 			}
 		}
@@ -121,6 +129,14 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID,
 	fb := c.bundle(m, bound, 1-s)
 	calls := c.mlCalls
 	j.ixs.For(j.rel, j.attr).Each(func(key uint64, post []relation.TID) {
+		rep := post[0] // the value's representative: its first tuple in scope
+		if j.scope != nil {
+			i := slices.IndexFunc(post, j.scope.Has)
+			if i < 0 {
+				return
+			}
+			rep = post[i]
+		}
 		var ok bool
 		var o *simEntry
 		if j.both { // the memo's keys are values of this column too
@@ -130,7 +146,7 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID,
 			ok = o.has(w) // this pair was scored when key was the probing value
 		} else {
 			c.mlCalls++
-			if fk := c.bundle(m, post[0], s); s == 0 {
+			if fk := c.bundle(m, rep, s); s == 0 {
 				ok = m.fc.PredictFeatures(fk, fb)
 			} else {
 				ok = m.fc.PredictFeatures(fb, fk)

@@ -99,6 +99,57 @@ func TestSimJoinEqualsScan(t *testing.T) {
 	}
 }
 
+// TestScopedFilterEqualsScopeIndexes: rules whose scopes hold part of
+// each relation, probing one index set over the whole dataset and cutting
+// what they draw to their scope, deduce the fact sequence and do the work
+// — valuations, extensions, plan predicate evaluations, classifier
+// decisions — of the same rules probing private indexes over their
+// scopes. Each rule gets its own two thirds of the GIDs, and the
+// similarity joins fire, so a join scores only the values its scope
+// carries.
+func TestScopedFilterEqualsScopeIndexes(t *testing.T) {
+	reg := mlpred.DefaultRegistry()
+	seeds := int64(24)
+	if testing.Short() {
+		seeds = 8
+	}
+	var probes int64
+	for seed := int64(500); seed < 500+seeds; seed++ {
+		d, rules := simInstance(t, seed)
+		scopes := make([]*relation.Dataset, len(rules))
+		for i := range scopes {
+			var ids []relation.TID
+			for g := range d.IDSpace() {
+				if (g+i)%3 != 0 {
+					ids = append(ids, relation.TID(g))
+				}
+			}
+			scopes[i] = d.Fragment(ids)
+		}
+		private, err := chase.NewScoped(d, rules, scopes, nil, reg, chase.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := chase.NewScoped(d, rules, scopes, relation.NewIndexSet(d), reg, chase.Options{ShareIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := private.Run(), shared.Run(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: Γ differs between filtered shared postings and scope indexes", seed)
+		}
+		w, g := private.Stats(), shared.Stats()
+		if w.Valuations != g.Valuations || w.Extensions != g.Extensions || w.PlanPreds != g.PlanPreds || w.MLCacheMiss != g.MLCacheMiss {
+			t.Fatalf("seed %d: valuations/extensions/plan preds/classifier decisions %d/%d/%d/%d, over scope indexes %d/%d/%d/%d",
+				seed, g.Valuations, g.Extensions, g.PlanPreds, g.MLCacheMiss, w.Valuations, w.Extensions, w.PlanPreds, w.MLCacheMiss)
+		}
+		p, _, _ := simAccess(shared)
+		probes += p
+	}
+	if probes == 0 {
+		t.Fatal("no similarity join fired over a partial scope")
+	}
+}
+
 // TestSimJoinInsertEqualsRechase: a memo filled by Run stays right across
 // InsertTuples. Each instance is resolved without every third tuple, then
 // grown in three batches — the withheld tuples of P (they lengthen the

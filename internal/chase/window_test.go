@@ -62,13 +62,14 @@ func TestCandidateListsAscending(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			shared := relation.NewIndexSet(g.D) // the process's one set, as in DMatch
 			for w := range part.Fragments {
 				fd := g.D.Fragment(part.Fragments[w])
 				scopes := make([]*relation.Dataset, len(rules))
 				for ri, ids := range part.RuleFragments[w] {
 					scopes[ri] = g.D.Fragment(ids)
 				}
-				we, err := chase.NewScoped(fd, rules, scopes, reg, chase.Options{ShareIndexes: true})
+				we, err := chase.NewScoped(fd, rules, scopes, shared, reg, chase.Options{ShareIndexes: true})
 				if err != nil {
 					t.Fatal(err)
 				}

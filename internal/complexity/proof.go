@@ -32,9 +32,9 @@ func VerifyProof(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, 
 		}
 	}
 	eq := unionfind.New(size)
-	for _, rel := range d.Relations {
+	for ri, rel := range d.Relations {
 		byID := make(map[string]relation.TID)
-		for _, t := range rel.Tuples {
+		for _, t := range d.TuplesOf(ri) {
 			k := t.Val(rel.Schema.IDAttr).Key()
 			if first, ok := byID[k]; ok {
 				eq.Union(int(first), int(t.GID))

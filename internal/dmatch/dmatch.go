@@ -224,6 +224,7 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 	}
 	res, err := run(d, rules, opts, n, provLogs, func(ms *masterState) error {
 		building := new(sync.WaitGroup)
+		ix := relation.NewIndexSet(d) // one for every worker of the process
 		for i := range ms.links {
 			hooks := chase.Options{
 				Metrics:       opts.Metrics,
@@ -232,7 +233,7 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 			if provLogs != nil {
 				hooks.Provenance = provLogs[i]
 			}
-			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, hooks: hooks}, building, ms.events)
+			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, ix: ix, hooks: hooks}, building, ms.events)
 		}
 		return nil
 	})

@@ -27,6 +27,10 @@ type worker struct {
 	d     *relation.Dataset
 	rules []*rule.Rule
 	reg   *mlpred.Registry
+	// ix is the process's one index set over d, which every engine of
+	// every slot in the process binds against under MQO sharing, rebuilt
+	// engines included.
+	ix *relation.IndexSet
 	// hooks carries the observability options (Metrics, MetricsLabels,
 	// Provenance) every engine of this slot is built with. They never
 	// change Γ; a worker process has none. Each Assign sets ShareIndexes
@@ -55,7 +59,7 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 		}
 		a := m.Assign
 		w.hooks.ShareIndexes = !a.NoMQO
-		eng, err := buildWorkerEngine(w.d, w.rules, w.reg, w.id, a.Frag, a.RuleFrags, w.hooks)
+		eng, err := buildWorkerEngine(w.d, w.ix, w.rules, w.reg, w.id, a.Frag, a.RuleFrags, w.hooks)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -99,12 +103,13 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 	return nil, nil, nil
 }
 
-// buildWorkerEngine constructs one chase engine over a fragment, with
+// buildWorkerEngine constructs one chase engine over a fragment of d, with
 // each rule scoped to the union of the worker's blocks generated for that
 // rule (hypercube semantics: a rule is checked within its own blocks).
-// Rules with identical scopes share one scope view, so MQO index sharing
-// applies.
-func buildWorkerEngine(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry,
+// Under MQO sharing every rule probes ix, the process's index set over d,
+// and its scope filters the candidates; rules with identical scopes share
+// one scope view.
+func buildWorkerEngine(d *relation.Dataset, ix *relation.IndexSet, rules []*rule.Rule, reg *mlpred.Registry,
 	i int, frag []relation.TID, ruleFrags [][]relation.TID, copts chase.Options) (*chase.Engine, error) {
 	fd := d.Fragment(frag)
 	scopes := make([]*relation.Dataset, len(rules))
@@ -123,7 +128,7 @@ func buildWorkerEngine(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Regi
 			scopes[ri] = d.Fragment(ids)
 		}
 	}
-	eng, err := chase.NewScoped(fd, rules, scopes, reg, copts)
+	eng, err := chase.NewScoped(fd, rules, scopes, ix, reg, copts)
 	if err != nil {
 		return nil, fmt.Errorf("dmatch: worker %d: %w", i, err)
 	}
@@ -164,7 +169,7 @@ func RunWorker(addr string, d *relation.Dataset, rules []*rule.Rule, reg *mlpred
 	defer conn.Close()
 	enc := wire.NewEncoder(conn, wopts.Stats)
 	dec := wire.NewDecoder(conn, wopts.Stats)
-	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg}
+	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg, ix: relation.NewIndexSet(d)}
 	err = enc.Hello(wire.Hello{
 		Version: wire.Version, Worker: w.id,
 		DatasetSize: d.Size(), IDSpace: d.IDSpace(), Rules: len(rules),

@@ -275,20 +275,24 @@ type shardAcc struct {
 	generated int64
 	hash      [unitChunk]uint32 // per-unit scratch
 	cell      [unitChunk]int32
+	row       [unitChunk]int32
 }
 
 // scan hashes one unit column by column into cell indexes and appends
-// every tuple to the blocks of its cell's broadcast images.
-func (sa *shardAcc) scan(u unit, hasher *mqo.DenseHasher, ruleWords int) {
+// every tuple to the blocks of its cell's broadcast images. The unit's
+// tuples are a range of its relation's scan list (Relation.TIDs), whose
+// column rows the dataset's row table gives, so a fragment partitions as
+// its root does.
+func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWords int) {
 	sc := u.scan
-	tuples := sc.rel.Tuples[u.lo:u.hi]
-	hash, cell := sa.hash[:len(tuples)], sa.cell[:len(tuples)]
-	for i := range cell {
-		cell[i] = 0
+	tuples := sc.rel.TIDs()[u.lo:u.hi]
+	hash, cell, rows := sa.hash[:len(tuples)], sa.cell[:len(tuples)], sa.row[:len(tuples)]
+	for i, t := range tuples {
+		cell[i], rows[i] = 0, rowOf[t]
 	}
 	for hi, di := range sc.hashed {
 		dm, attr := &sc.cube.dims[di], sc.attrs[hi]
-		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), tuples, hash)
+		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), rows, hash)
 		if size, stride := uint32(dm.size), sc.cube.stride[di]; size > 1 {
 			for i, h := range hash {
 				cell[i] += int32(h%size) * stride
@@ -300,7 +304,7 @@ func (sa *shardAcc) scan(u unit, hasher *mqo.DenseHasher, ruleWords int) {
 	for i, t := range tuples {
 		for _, off := range sc.bcast {
 			b := int(cells[cell[i]+off])
-			sa.gids[b] = append(sa.gids[b], t.GID)
+			sa.gids[b] = append(sa.gids[b], t)
 			sa.rules[b*ruleWords+rword] |= rbit
 		}
 	}
@@ -341,7 +345,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	repCap := effectiveRepCap(opts.ReplicationCap, n)
 	relSizes := make([]int, len(d.Relations))
 	for i, rel := range d.Relations {
-		relSizes[i] = len(rel.Tuples)
+		relSizes[i] = len(rel.TIDs())
 	}
 
 	// Resolve every rule's cube to block indexes, prepare the per-(rule,
@@ -366,12 +370,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 					sc.bcast = images
 				}
 			}
-			for lo := 0; lo < len(sc.rel.Tuples); lo += unitChunk {
-				hi := lo + unitChunk
-				if hi > len(sc.rel.Tuples) {
-					hi = len(sc.rel.Tuples)
-				}
-				units = append(units, unit{sc, lo, hi})
+			for lo := 0; lo < len(sc.rel.TIDs()); lo += unitChunk {
+				units = append(units, unit{sc, lo, min(lo+unitChunk, len(sc.rel.TIDs()))})
 			}
 		}
 	}
@@ -395,7 +395,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 			// Each scan goroutine renders on its own shard lane.
 			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
 			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
-				sa.scan(units[i], hasher, ruleWords)
+				sa.scan(units[i], d.Rows(), hasher, ruleWords)
 			}
 			sp.End()
 		}(s, accs[s])

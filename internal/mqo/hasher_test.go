@@ -49,9 +49,13 @@ func TestDenseHasherConcurrent(t *testing.T) {
 			for c := 0; c < len(rel.Tuples); c += len(out) {
 				lo := (c + g*len(out)) % len(rel.Tuples)
 				tuples := rel.Tuples[lo : lo+len(out)]
+				rows := make([]int32, len(tuples))
+				for i, tu := range tuples {
+					rows[i] = tu.Row
+				}
 				for fn := 0; fn < fns; fn++ {
 					for attr, a := range rel.Schema.Attrs {
-						dense.HashColumn(fn, a.Type, rel.Col(attr), tuples, out)
+						dense.HashColumn(fn, a.Type, rel.Col(attr), rows, out)
 						for i, tu := range tuples {
 							if want := fnvHashValue(fn, tu.Val(attr)); out[i] != want {
 								t.Errorf("fn %d attr %s row %d: hash %#x, fnvHashValue %#x", fn, a.Name, tu.Row, out[i], want)

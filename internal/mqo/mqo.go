@@ -387,16 +387,16 @@ func NewDenseHasher(numFns int, syms *relation.SymTab) *DenseHasher {
 	return h
 }
 
-// HashColumn evaluates hash function fn on one attribute of every tuple:
-// col is the attribute's packed storage column (Relation.Col) of type typ,
-// and out[i] receives the hash of tuples[i]'s value.
-func (h *DenseHasher) HashColumn(fn int, typ relation.Type, col []uint64, tuples []*relation.Tuple, out []uint32) {
-	h.lookups.Add(int64(len(tuples)))
+// HashColumn evaluates hash function fn on one attribute of the tuples in
+// the given rows: col is the attribute's packed storage column
+// (Relation.Col) of type typ, and out[i] receives the hash of col[rows[i]].
+func (h *DenseHasher) HashColumn(fn int, typ relation.Type, col []uint64, rows []int32, out []uint32) {
+	h.lookups.Add(int64(len(rows)))
 	m := &h.fns[fn]
 	var computed int64
 	if typ == relation.TypeString {
-		for i, t := range tuples {
-			w := col[t.Row]
+		for i, row := range rows {
+			w := col[row]
 			slot := &m.strs[w>>memoPageBits]
 			page := slot.Load()
 			if page == nil {
@@ -420,8 +420,8 @@ func (h *DenseHasher) HashColumn(fn int, typ relation.Type, col []uint64, tuples
 			nums = make(map[uint64]uint32)
 			m.nums[typ-relation.TypeInt] = nums
 		}
-		for i, t := range tuples {
-			w := col[t.Row]
+		for i, row := range rows {
+			w := col[row]
 			r, ok := nums[w]
 			if !ok {
 				r = fnvHashValue(fn, relation.Value{Kind: typ, Num: math.Float64frombits(w)})

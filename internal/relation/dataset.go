@@ -358,6 +358,22 @@ func (d *Dataset) Has(id TID) bool {
 	return uint(id) < uint(len(d.tuples)) && (d.in == nil || d.in[id>>6]&(1<<(id&63)) != 0)
 }
 
+// AppendHosted appends to dst the GIDs of ts that d hosts, in their
+// order, and returns it: a candidate list drawn from the root's postings,
+// cut to a fragment.
+func (d *Dataset) AppendHosted(dst, ts []TID) []TID {
+	in, space := d.in, uint(len(d.tuples))
+	if in == nil {
+		return append(dst, ts...)
+	}
+	for _, id := range ts {
+		if uint(id) < space && in[id>>6]&(1<<(id&63)) != 0 {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
 // Rows is the root's row table: the row of every GID of the root dataset
 // in its relation's columns, indexed by GID. Fragments share it, so
 // Relation.Col(a)[Rows()[id]] is attribute a of tuple id in any dataset
@@ -405,6 +421,22 @@ func (d *Dataset) Tuples() []*Tuple {
 	}
 	out := make([]*Tuple, 0, d.Size())
 	d.in.each(func(id TID) { out = append(out, d.tuples[id]) })
+	return out
+}
+
+// TuplesOf lists the hosted tuples of relation rel in GID order. A root
+// returns the relation's own list (Relation.Tuples), which the caller
+// must not modify; a fragment builds one per call from the relation's scan
+// list.
+func (d *Dataset) TuplesOf(rel int) []*Tuple {
+	r := d.Relations[rel]
+	if d.in == nil {
+		return r.Tuples
+	}
+	out := make([]*Tuple, len(r.tids))
+	for i, id := range r.tids {
+		out[i] = d.tuples[id]
+	}
 	return out
 }
 

@@ -7,8 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"dcer/internal/baselines"
+	"dcer/internal/complexity"
 	"dcer/internal/datagen"
+	"dcer/internal/discovery"
+	"dcer/internal/mlpred"
 	"dcer/internal/relation"
+	"dcer/internal/rule"
+	"dcer/internal/soft"
 )
 
 // checkView holds view v, a fragment of root d, to a brute-force filter
@@ -233,6 +239,106 @@ func TestSaveDirFragment(t *testing.T) {
 					t.Fatalf("%s row %d attr %d: %v back, want %v", r.Schema.Name, row, a, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestReadersOnFragment runs every reader of a dataset outside the engine
+// that once walked Relation.Tuples, which a fragment leaves nil, over a
+// root and over the fragment of all its GIDs: each must answer alike, as
+// it does when it lists a relation's tuples through TuplesOf (the scan
+// list) instead.
+func TestReadersOnFragment(t *testing.T) {
+	paper, l := datagen.PaperExample()
+	paperRules, err := datagen.PaperRules(paper.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var softRules []soft.Rule
+	for _, r := range paperRules {
+		if r.Head.Kind == rule.PredID {
+			softRules = append(softRules, soft.Rule{Rule: r, Confidence: 0.9})
+		}
+	}
+	imdb := datagen.IMDBLike(200, 0.25, 11)
+	var pairs []discovery.LabeledPair
+	var train []baselines.TrainingPair
+	for _, p := range imdb.LabeledPairs {
+		pairs = append(pairs, discovery.LabeledPair{A: p.A, B: p.B, Match: p.Match})
+		train = append(train, baselines.TrainingPair{A: p.A, B: p.B, Match: p.Match})
+	}
+	reg := mlpred.DefaultRegistry()
+	whole := func(d *relation.Dataset) *relation.Dataset {
+		ids := make([]relation.TID, d.IDSpace())
+		for i := range ids {
+			ids[i] = relation.TID(i)
+		}
+		return d.Fragment(ids)
+	}
+	readers := []struct {
+		name string
+		root *relation.Dataset
+		run  func(d *relation.Dataset) (string, error)
+	}{
+		{"complexity.NaiveChase", paper, func(d *relation.Dataset) (string, error) {
+			res, err := complexity.NaiveChase(d, paperRules, reg)
+			if err != nil {
+				return "", err
+			}
+			classes := res.Classes() // in map order
+			slices.SortFunc(classes, func(a, b []relation.TID) int { return int(a[0] - b[0]) })
+			return fmt.Sprint(classes, len(res.Facts)), nil
+		}},
+		{"complexity.VerifyProof", paper, func(d *relation.Dataset) (string, error) {
+			res, err := complexity.NaiveChase(paper, paperRules, reg)
+			if err != nil {
+				return "", err
+			}
+			target := [2]relation.TID{l["t1"].GID, l["t3"].GID}
+			ok, err := complexity.VerifyProof(d, paperRules, reg, complexity.ProofOf(res, target), target)
+			return fmt.Sprint(ok), err
+		}},
+		{"soft.Chase", paper, func(d *relation.Dataset) (string, error) {
+			res, err := soft.Chase(d, softRules, reg, 0)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprint(res.Matches(0.5)), nil
+		}},
+		{"discovery.Mine", imdb.D, func(d *relation.Dataset) (string, error) {
+			mined, err := discovery.Mine(d, pairs, reg, discovery.Options{Relation: "movie", MaxRules: 3})
+			var texts []string
+			for _, m := range mined {
+				texts = append(texts, m.Text)
+			}
+			return strings.Join(texts, "\n"), err
+		}},
+	}
+	model := baselines.TrainPairModel(imdb.D, train, 5, 0.5, 1e-4, 1)
+	for _, m := range []baselines.Matcher{
+		&baselines.ERBloxLike{Model: model}, &baselines.JedAILike{}, &baselines.DedoopLike{},
+		&baselines.DisDedupLike{}, &baselines.SparkERLike{}, &baselines.Windowing{}, baselines.DittoLike(0.8),
+	} {
+		readers = append(readers, struct {
+			name string
+			root *relation.Dataset
+			run  func(d *relation.Dataset) (string, error)
+		}{"baselines." + m.Name(), imdb.D, func(d *relation.Dataset) (string, error) { return fmt.Sprint(m.Match(d)), nil }})
+	}
+	for _, rd := range readers {
+		want, err := rd.run(rd.root)
+		if err != nil {
+			t.Fatalf("%s on the root: %v", rd.name, err)
+		}
+		got, err := rd.run(whole(rd.root))
+		if err != nil {
+			t.Fatalf("%s on the whole fragment: %v", rd.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: the whole fragment answers %.200q, the root %.200q", rd.name, got, want)
+		}
+		if want == "" || want == "[]" || want == "false" {
+			t.Errorf("%s: the root's answer %q is empty, so the comparison shows nothing", rd.name, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"math/bits"
 	"slices"
 	"sync"
@@ -278,6 +279,23 @@ func (ix *Index) WordFor(v Value) (uint64, bool) {
 // Distinct returns the number of distinct values in the index.
 func (ix *Index) Distinct() int { return ix.pm.n }
 
+// DistinctIn returns the number of distinct values the tuples of d, the
+// indexed dataset or a fragment of it, carry in the indexed attribute:
+// Distinct as an index built over d would read. It counts the posting
+// lists with a member in d, walking each up to its first one.
+func (ix *Index) DistinctIn(d *Dataset) int {
+	n := 0
+	for _, s := range ix.pm.slots {
+		for _, t := range ix.pm.arena[s.off : s.off+s.n] {
+			if d.Has(t) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // Each calls fn once per distinct value of the indexed attribute, with its
 // packed word and posting list, in table order.
 func (ix *Index) Each(fn func(w uint64, post []TID)) {
@@ -297,12 +315,6 @@ func (ix *Index) MaxBucket() int {
 		}
 	}
 	return max
-}
-
-// MemBytes estimates the index's footprint: the posting arena (slack
-// included) plus the table's slots and capacities.
-func (ix *Index) MemBytes() int64 {
-	return int64(cap(ix.pm.arena))*4 + int64(len(ix.pm.slots))*16 + int64(len(ix.pm.caps))*4
 }
 
 // noTID marks a key-map row that finds nothing.
@@ -399,40 +411,81 @@ func (km *KeyMap) addTargets(ts []TID) {
 
 // IndexSet caches the indexes of a dataset, built lazily per
 // (relation, attribute), and the key maps over them. For and KeyMap are
-// safe for concurrent use (enumerations build a similarity join's index on
-// its first probe); AddBatch and MemBytes need them quiesced. The parallel
-// engine gives each worker its own IndexSet over its fragment. Built alone
-// is safe to read at any time (it backs the engine's mid-run stats
-// snapshots): the count is an atomic.
+// safe for concurrent use: each builds its key once, outside the set-wide
+// lock, so callers asking for different keys build in parallel and a
+// caller asking for a key in the making waits for it. AddBatch needs
+// them quiesced.
+//
+// An IndexSet value is a handle on the cache; Share hands out more. The
+// DMatch workers of one process bind their engines against handles of one
+// set over the root dataset, and a rule scope filters the candidates it
+// draws from the root's postings (Dataset.AppendHosted). A shared set is
+// read-only: AddBatch refuses. Built is safe to read at any time (it backs
+// the engine's mid-run stats snapshots): the count is an atomic.
 type IndexSet struct {
+	c     *indexCache
+	built atomic.Int64 // indexes this handle built
+}
+
+// indexCache is what the handles of one IndexSet share.
+type indexCache struct {
 	d       *Dataset
-	mu      sync.Mutex // guards indexes and keyMaps
-	indexes map[[2]int]*Index
-	keyMaps map[[4]int]*KeyMap
-	built   atomic.Int64
+	mu      sync.Mutex // guards the two maps, not the builds
+	indexes map[[2]int]*indexEntry
+	keyMaps map[[4]int]*keyMapEntry
+	shared  atomic.Bool // Share was called: AddBatch refuses
+}
+
+// indexEntry and keyMapEntry hold one key of the cache, filled once by
+// the first caller to ask for it.
+type indexEntry struct {
+	once sync.Once
+	ix   *Index
+}
+
+type keyMapEntry struct {
+	once sync.Once
+	km   *KeyMap
+}
+
+// entry returns the entry of key in m, one of c's maps, adding an empty
+// one: the only step taken under c.mu.
+func entry[K comparable, E any](c *indexCache, m map[K]*E, key K) *E {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	en := m[key]
+	if en == nil {
+		en = new(E)
+		m[key] = en
+	}
+	return en
 }
 
 // NewIndexSet creates an empty index cache over d.
 func NewIndexSet(d *Dataset) *IndexSet {
-	return &IndexSet{d: d, indexes: make(map[[2]int]*Index), keyMaps: make(map[[4]int]*KeyMap)}
+	return &IndexSet{c: &indexCache{d: d, indexes: make(map[[2]int]*indexEntry), keyMaps: make(map[[4]int]*keyMapEntry)}}
 }
+
+// Share returns a new handle on s's indexes and key maps, for another
+// engine to bind against; its Built counts the builds made through it. It
+// makes the set read-only for every handle: AddBatch refuses from then on.
+func (s *IndexSet) Share() *IndexSet {
+	s.c.shared.Store(true)
+	return &IndexSet{c: s.c}
+}
+
+// Dataset returns the dataset the set indexes.
+func (s *IndexSet) Dataset() *Dataset { return s.c.d }
 
 // For returns the index for (relation, attribute), building it on first use.
 func (s *IndexSet) For(rel, attr int) *Index {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.forLocked(rel, attr)
-}
-
-func (s *IndexSet) forLocked(rel, attr int) *Index {
-	key := [2]int{rel, attr}
-	if ix, ok := s.indexes[key]; ok {
-		return ix
-	}
-	ix := BuildIndex(rel, s.d.Relations[rel], attr)
-	s.indexes[key] = ix
-	s.built.Add(1)
-	return ix
+	c := s.c
+	en := entry(c, c.indexes, [2]int{rel, attr})
+	en.once.Do(func() {
+		en.ix = BuildIndex(rel, c.d.Relations[rel], attr)
+		s.built.Add(1)
+	})
+	return en.ix
 }
 
 // KeyMap returns the key map that answers probes from attribute
@@ -441,41 +494,25 @@ func (s *IndexSet) forLocked(rel, attr int) *Index {
 // target index repeats a key or the two attributes differ in type, and
 // then the probe stays with the index.
 func (s *IndexSet) KeyMap(probeRel, probeAttr, rel, attr int) *KeyMap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := [4]int{probeRel, probeAttr, rel, attr}
-	if km, ok := s.keyMaps[key]; ok {
-		return km
-	}
-	target := s.forLocked(rel, attr)
-	var km *KeyMap
-	if target.typ == s.d.Relations[probeRel].Schema.Attrs[probeAttr].Type && target.MaxBucket() <= 1 {
-		km = newKeyMap(s.forLocked(probeRel, probeAttr), target)
-	}
-	s.keyMaps[key] = km
-	return km
+	c := s.c
+	en := entry(c, c.keyMaps, [4]int{probeRel, probeAttr, rel, attr})
+	en.once.Do(func() {
+		target := s.For(rel, attr)
+		if target.typ == c.d.Relations[probeRel].Schema.Attrs[probeAttr].Type && target.MaxBucket() <= 1 {
+			en.km = newKeyMap(s.For(probeRel, probeAttr), target)
+		}
+	})
+	return en.km
 }
 
-// Built returns how many indexes have been materialized. Safe to call
-// while another goroutine is lazily building (it reads only the atomic
-// count, never the cache map).
+// Built returns how many indexes were materialized through this handle:
+// every one of an unshared set's. Safe to call while another goroutine is
+// building (it reads only the atomic count).
 func (s *IndexSet) Built() int { return int(s.built.Load()) }
 
-// MemBytes estimates the combined footprint of the materialized indexes
-// and key maps. Like For, it is only safe against concurrent mutation from
-// the owning goroutine.
-func (s *IndexSet) MemBytes() int64 {
-	var n int64
-	for _, ix := range s.indexes {
-		n += ix.MemBytes()
-	}
-	for _, km := range s.keyMaps {
-		if km != nil {
-			n += int64(cap(km.byRow)) * 4
-		}
-	}
-	return n
-}
+// errSharedAddBatch refuses appends to a shared set: its handles' engines
+// read the postings while others run.
+var errSharedAddBatch = errors.New("relation: AddBatch on a shared IndexSet: a shared set is read-only")
 
 // AddBatch registers newly appended tuples, by GID, GIDs above every
 // tuple the set has seen, in every materialized index of their relations
@@ -483,22 +520,29 @@ func (s *IndexSet) MemBytes() int64 {
 // maintenance). Each relation's share is appended to its indexes in GID
 // order, so postings stay GID-ascending and list what BuildIndex's over
 // the grown dataset list; then the key maps follow, and a map retires iff
-// some target key now repeats.
-func (s *IndexSet) AddBatch(ids []TID) {
-	byRel := make([][]TID, len(s.d.Relations))
+// some target key now repeats. A shared set (Share) refuses, touching
+// nothing.
+func (s *IndexSet) AddBatch(ids []TID) error {
+	c := s.c
+	if c.shared.Load() {
+		return errSharedAddBatch
+	}
+	byRel := make([][]TID, len(c.d.Relations))
 	for _, id := range ids {
-		r := s.d.RelOf(id)
+		r := c.d.RelOf(id)
 		byRel[r] = append(byRel[r], id)
 	}
 	for _, rids := range byRel {
 		slices.Sort(rids)
 	}
-	for key, ix := range s.indexes {
+	for key, en := range c.indexes {
+		ix := en.ix
 		for _, id := range byRel[key[0]] {
 			ix.pm.appendTo(ix.rel.Word(id, ix.Attr), id)
 		}
 	}
-	for _, km := range s.keyMaps {
+	for _, en := range c.keyMaps {
+		km := en.km
 		if km == nil || !km.Live() {
 			continue
 		}
@@ -509,4 +553,5 @@ func (s *IndexSet) AddBatch(ids []TID) {
 			}
 		}
 	}
+	return nil
 }

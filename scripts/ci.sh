@@ -48,10 +48,11 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, fragments over shuffled ids (same fragment, same Gamma), fragment views against a brute-force filter of the root (ids sorted, shuffled and repeated; fragments of fragments; rows refused; SaveDir of a view), pool tasks reading E_id without compressing it, batched index growth against a rebuild, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, fragments over shuffled ids (same fragment, same Gamma), fragment views against a brute-force filter of the root (ids sorted, shuffled and repeated; fragments of fragments; rows refused; SaveDir of a view), pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines through fragment views (each index built once, postings cut to a fragment against an index of it), HyPart over fragments, DMatch's class set and summed work counters at 2 and 3 workers, the load against its encoding/csv oracle, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestFragmentShuffledIDs|TestPoolReadsEidInPlace' ./internal/chase
-go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence' ./internal/hypart
-go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestDatasetFragment|TestFragmentMatchesRootFilter|TestFragmentRefusesRows|TestSaveDirFragment' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence|TestPartitionFragment' ./internal/hypart
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews|TestDatasetFragment|TestFragmentMatchesRootFilter|TestFragmentRefusesRows|TestSaveDirFragment' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestDMatchGoldenWork' ./internal/dmatch
 
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
 go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
@@ -96,8 +97,8 @@ go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 
-echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
-go test -short -count=1 -run 'TestSimJoinEqualsScan|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
+echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, partial scopes filtering one index set vs private scope indexes (Gamma sequence and work counters), InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
+go test -short -count=1 -run 'TestSimJoinEqualsScan|TestScopedFilterEqualsScopeIndexes|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
 go test -short -count=1 -run 'TestSimilarityJoinThroughDMatch' ./internal/dmatch
 go test -short -count=1 -run 'TestDecidersMatchKernels|TestDecidersSkippedUnderCalibration' ./internal/mlpred
 go test -race -short -count=1 -run 'TestSimJoin' ./internal/chase
