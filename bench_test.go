@@ -338,8 +338,7 @@ func BenchmarkHyPart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Fragments, par.Fragments) ||
-		!reflect.DeepEqual(seq.RuleFragments, par.RuleFragments) {
+	if !reflect.DeepEqual(seq.Blocks, par.Blocks) || !reflect.DeepEqual(seq.Cubes, par.Cubes) {
 		b.Fatal("sharded Partition diverges from the sequential path")
 	}
 	runtime.GOMAXPROCS(procs0)

@@ -55,7 +55,7 @@ func pair(a, b *relation.Tuple) [2]relation.TID {
 func tokenBlocks(d *relation.Dataset, ri, maxBlock int) map[string][]*relation.Tuple {
 	rel := d.Relations[ri]
 	blocks := make(map[string][]*relation.Tuple)
-	for _, t := range d.TuplesOf(ri) {
+	for _, t := range d.Relations[ri].Tuples {
 		seen := make(map[string]bool)
 		for _, tok := range mlpred.Tokenize(recordText(rel.Schema, t)) {
 			if len(tok) < 2 || seen[tok] {
@@ -77,14 +77,14 @@ func tokenBlocks(d *relation.Dataset, ri, maxBlock int) map[string][]*relation.T
 // (classic blocking keys), one block family per non-id attribute, dropping
 // blocks larger than maxBlock.
 func keyBlocks(d *relation.Dataset, ri, maxBlock int) [][]*relation.Tuple {
-	rel, tuples := d.Relations[ri], d.TuplesOf(ri)
+	rel := d.Relations[ri]
 	var out [][]*relation.Tuple
 	for ai := range rel.Schema.Attrs {
 		if ai == rel.Schema.IDAttr {
 			continue
 		}
 		groups := make(map[string][]*relation.Tuple)
-		for _, t := range tuples {
+		for _, t := range rel.Tuples {
 			v := t.Val(ai)
 			if v.IsZero() {
 				continue

@@ -32,7 +32,7 @@ func (m *Windowing) Match(d *relation.Dataset) [][2]relation.TID {
 			key string
 			t   *relation.Tuple
 		}
-		tuples := d.TuplesOf(ri)
+		tuples := d.Relations[ri].Tuples
 		ks := make([]keyed, len(tuples))
 		for i, t := range tuples {
 			ks[i] = keyed{recordText(rel.Schema, t), t}

@@ -33,8 +33,8 @@ const minDrainJobsPerWorker = 8
 const drainBatchCap = 1 << 15
 
 // drainJob is one seeded re-enumeration: rule br restarted with the
-// seeding predicate p's variables bound to tuples tx and ty. Scope and
-// relation compatibility are checked at expansion time, so every
+// seeding predicate p's variables bound to tuples tx and ty. Relation
+// compatibility and cell ownership are checked at expansion time, so every
 // materialized job is real work.
 type drainJob struct {
 	br     *boundRule
@@ -95,8 +95,8 @@ func (e *Engine) drain() {
 
 // processEvents expands a round's events into re-enumeration jobs and runs
 // them batch-wise. Class merges expand their cross pairs here, lazily per
-// id predicate in scope, instead of being materialized O(|Ca|·|Cb|) inside
-// the event.
+// id predicate, instead of being materialized O(|Ca|·|Cb|) inside the
+// event.
 func (e *Engine) processEvents(q []event) {
 	jobs := e.jobBuf[:0]
 	for _, ev := range q {
@@ -136,17 +136,17 @@ func (e *Engine) processEvents(q []event) {
 	e.jobBuf = jobs[:0]
 }
 
-// addJob appends the job (br, p, x, y) if it is viable: both tuples in the
-// rule's scope, on the predicate's relations, and not a self pair under a
-// single-variable predicate.
+// addJob appends the job (br, p, x, y) if it is viable: both tuples on
+// the predicate's relations, not a self pair under a single-variable
+// predicate, and in a worker engine, fitting a cell the engine owns.
 func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relation.TID) []drainJob {
-	if !br.scope.Has(x) || !br.scope.Has(y) {
-		return jobs
-	}
-	if br.scope.RelOf(x) != br.r.Vars[p.V1].RelIdx || br.scope.RelOf(y) != br.r.Vars[p.V2].RelIdx {
+	if e.d.RelOf(x) != br.r.Vars[p.V1].RelIdx || e.d.RelOf(y) != br.r.Vars[p.V2].RelIdx {
 		return jobs
 	}
 	if p.V1 == p.V2 && x != y {
+		return jobs
+	}
+	if !br.ownsSeed(e.d.Rows(), p.V1, p.V2, x, y) {
 		return jobs
 	}
 	return append(jobs, drainJob{br: br, p: p, tx: x, ty: y})

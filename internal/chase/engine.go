@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
 	"dcer/internal/provenance"
 	"dcer/internal/relation"
@@ -143,10 +144,7 @@ type boundRule struct {
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
 	// (V2's relation, A2). The pointers stay valid across incremental
 	// insertions — IndexSet.AddBatch mutates each Index in place.
-	// eqDistinct[i][s] is the distinct count of eqIx[i][s] over the
-	// rule's scope, which the join-order planner divides by.
-	eqIx       [][2]*relation.Index
-	eqDistinct [][2]int
+	eqIx [][2]*relation.Index
 
 	// plan is the compiled predicate program (plan.go): per-variable
 	// word/ML steps, in a fixed order, with the resolved constant probe
@@ -166,23 +164,16 @@ type boundRule struct {
 	headCl    mlpred.Classifier // classifier of an ML head, if any
 	headModel uint16            // its model name interned
 
-	// scope is the sub-dataset this rule enumerates over. In a lone
-	// engine it is the whole dataset; in the parallel engine
-	// it is the union of the worker's virtual blocks generated for this
-	// rule (hypercube semantics evaluate each rule within its blocks).
-	// rels[v] is variable v's relation in scope: its scan list and, shared
-	// with the root, its columns.
-	scope *relation.Dataset
-	rels  []*relation.Relation
+	// rels[v] is variable v's relation: its scan list and its columns.
+	rels []*relation.Relation
+	// cells is a DMatch worker's share of the rule's hypercube (cells.go):
+	// the join steps cut their candidates to the cells it owns. Nil in a
+	// lone engine, which owns every valuation.
+	cells *ruleCells
 	// ix is the index set the rule probes. With MQO sharing every rule of
 	// the engine probes one set (the engine's, or its handle on a set
-	// shared across engines) over a dataset its scope is part of; without,
-	// every rule gets its own over its scope. partial has bit v set when
-	// variable v's relation in scope holds fewer tuples than in ix's
-	// dataset: the candidates v draws from ix's postings are then cut to
-	// the scope (joinStep.filter).
-	ix      *relation.IndexSet
-	partial uint64
+	// shared across engines); without, every rule gets its own.
+	ix *relation.IndexSet
 	// cache and feats are the rule-private ML answer cache and feature
 	// store used when MQO sharing is off (the noMQO ablation shares no
 	// intermediate results between rules).
@@ -208,22 +199,21 @@ type Engine struct {
 	opts  Options
 
 	uf *unionfind.UnionFind
-	// classSlot and classLists hold the hosted members of each class a
-	// merge touched, in GID order (union), which a class access step lists
-	// as its candidates: classSlot[r] is 0 for a root with no list, else 1 +
+	// classSlot and classLists hold the members of each class a merge
+	// touched, in GID order (union), which a class access step lists as
+	// its candidates: classSlot[r] is 0 for a root with no list, else 1 +
 	// its list's position in classLists. A root with no list is the class
-	// {r} when the engine hosts that tuple (and empty otherwise), so the
-	// table costs 4 bytes per id and at most one list per merge, not |D|.
+	// {r}, so the table costs 4 bytes per id and at most one list per
+	// merge, not |D|. A worker engine's lists hold tuples of other workers'
+	// cells too, which its cell cuts drop.
 	classSlot  []int32
 	classLists [][]relation.TID
 	// validated holds the ML predictions of Γ, keyed by literal (model
 	// interned), so no probe hashes a string.
 	validated map[Literal]bool
 	// ix is the index set every rule probes under MQO sharing; nil
-	// without. sharedIx marks a handle on a set shared across engines
-	// (NewScoped), which InsertTuples refuses to touch.
+	// without.
 	ix        *relation.IndexSet
-	sharedIx  bool
 	pairCache *mlpred.PairCache
 	feats     *mlpred.FeatureStore
 
@@ -294,7 +284,7 @@ type Engine struct {
 // event is one unprocessed state change: either a class merge newly made
 // by a union, or one newly validated ML prediction. A merge stores the two
 // classes' member slices; the cross pairs are expanded lazily in
-// processEvents, per id predicate in scope, instead of being materialized
+// processEvents, per id predicate, instead of being materialized
 // O(|Ca|·|Cb|) up front for rules that may not need them.
 type event struct {
 	kind   FactKind
@@ -304,45 +294,53 @@ type event struct {
 }
 
 // New prepares an engine over dataset d with resolved rules and the
-// classifier registry. Every rule enumerates over the whole dataset, and
+// classifier registry. Every valuation of every rule is the engine's, and
 // the engine owns its indexes; the parallel engine uses NewScoped instead.
 func New(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options) (*Engine, error) {
 	return NewScoped(d, rules, nil, nil, reg, opts)
 }
 
-// NewScoped prepares an engine whose rule i enumerates only over
-// scopes[i] (nil entries and a nil slice mean the whole dataset), each a
-// part of d. The parallel engine passes each worker's per-rule block
-// unions, so rules do not re-scan tuples that other rules' blocks brought
-// to the worker. The id-equivalence relation spans d.IDSpace(), so an
-// engine over a fragment takes facts naming any tuple of the parent
-// dataset.
+// Cells is a DMatch worker's share of one rule's hypercube: the cube HyPart
+// resolved for the rule, with its variables' cells columns, and the
+// bitmap of the cells the worker owns (hypart.Cube.Owned).
+type Cells struct {
+	Cube  *hypart.Cube
+	Owned []uint64
+}
+
+// NewScoped prepares an engine over d that enumerates, of rule i's
+// valuations, only those in the cells cells[i] owns (a nil slice: every
+// valuation, as New). HyPart puts each valuation in exactly one cell, and
+// the DMatch workers own disjoint cells, so no valuation is enumerated by
+// two workers; a tuple that passes a worker's cell test lies in a block of
+// the worker's, so the worker hosts every tuple it binds.
 //
-// With MQO sharing (Options.ShareIndexes) the rules probe ix, an index
-// set over a dataset d is part of (the root, in the parallel engine),
-// through a handle of their own (IndexSet.Share), so the engines of one
-// process build each index once between them; the set is read-only from
-// then on. With ix nil they probe a set of the engine's own over d.
-// Without MQO sharing ix is not used: every rule gets its own set over its
-// scope. A scope that holds only part of a relation cuts the candidates
-// its rules draw from the postings to its own tuples.
-func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Dataset, ix *relation.IndexSet,
+// With MQO sharing (Options.ShareIndexes) the rules of a worker engine
+// probe ix, an index set over d, through a handle of their own
+// (IndexSet.Share), so the worker engines of one process build each index
+// once between them; the set is read-only from then on. A lone engine, or
+// ix nil, probes a set of the engine's own over d. Without MQO sharing ix
+// is not used: every rule gets its own set over d.
+func NewScoped(d *relation.Dataset, rules []*rule.Rule, cells []Cells, ix *relation.IndexSet,
 	reg *mlpred.Registry, opts Options) (*Engine, error) {
+	if cells != nil && len(cells) != len(rules) {
+		return nil, fmt.Errorf("chase: cells for %d rules, %d rules", len(cells), len(rules))
+	}
 	e := &Engine{
 		d:             d,
 		held:          d.Size(),
 		reg:           reg,
 		opts:          opts,
-		uf:            unionfind.New(d.IDSpace()),
-		classSlot:     make([]int32, d.IDSpace()),
+		uf:            unionfind.New(d.Size()),
+		classSlot:     make([]int32, d.Size()),
 		validated:     make(map[Literal]bool),
 		pairCache:     mlpred.NewPairCache(),
 		feats:         mlpred.NewFeatureStore(0),
 		dynamicModels: make(map[string]bool),
 	}
 	if opts.ShareIndexes {
-		if ix != nil {
-			e.ix, e.sharedIx = ix.Share(), true
+		if ix != nil && cells != nil {
+			e.ix = ix.Share()
 		} else {
 			e.ix = relation.NewIndexSet(d)
 		}
@@ -358,11 +356,14 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 		}
 	}
 	for i, r := range rules {
-		scope := d
-		if scopes != nil && i < len(scopes) && scopes[i] != nil {
-			scope = scopes[i]
+		var rc *ruleCells
+		if cells != nil {
+			var err error
+			if rc, err = newRuleCells(r, cells[i], d); err != nil {
+				return nil, err
+			}
 		}
-		br, err := e.bindRule(r, scope)
+		br, err := e.bindRule(r, rc)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +382,7 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, scopes []*relation.Datas
 	return e, nil
 }
 
-func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, error) {
+func (e *Engine) bindRule(r *rule.Rule, cells *ruleCells) (*boundRule, error) {
 	if !r.Resolved() {
 		return nil, fmt.Errorf("chase: rule %s is not resolved", r.Name)
 	}
@@ -390,12 +391,12 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	}
 	br := &boundRule{
 		r:      r,
-		scope:  scope,
+		cells:  cells,
 		consts: make([][]*rule.Pred, len(r.Vars)),
 		intra:  make([][]*rule.Pred, len(r.Vars)),
 	}
 	for _, v := range r.Vars {
-		br.rels = append(br.rels, scope.Relations[v.RelIdx])
+		br.rels = append(br.rels, e.d.Relations[v.RelIdx])
 	}
 	for i := range r.Body {
 		p := &r.Body[i]
@@ -430,13 +431,8 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	}
 	if e.ix != nil {
 		br.ix = e.ix
-		for v, rv := range r.Vars {
-			if len(br.rels[v].TIDs()) < len(e.ix.Dataset().Relations[rv.RelIdx].TIDs()) {
-				br.partial |= 1 << v
-			}
-		}
 	} else {
-		br.ix = relation.NewIndexSet(scope)
+		br.ix = relation.NewIndexSet(e.d)
 		br.cache = mlpred.NewPairCache()
 		br.feats = mlpred.NewFeatureStore(0)
 	}
@@ -461,24 +457,13 @@ func (e *Engine) bindRule(r *rule.Rule, scope *relation.Dataset) (*boundRule, er
 	}
 	br.reduced = rule.Symmetry(r, e.symmetricModel) != nil
 	for _, p := range br.eqs {
-		ixs := [2]*relation.Index{br.ix.For(r.Vars[p.V1].RelIdx, p.A1), br.ix.For(r.Vars[p.V2].RelIdx, p.A2)}
-		br.eqIx = append(br.eqIx, ixs)
-		br.eqDistinct = append(br.eqDistinct, [2]int{br.distinctIn(p.V1, ixs[0]), br.distinctIn(p.V2, ixs[1])})
+		br.eqIx = append(br.eqIx, [2]*relation.Index{br.ix.For(r.Vars[p.V1].RelIdx, p.A1), br.ix.For(r.Vars[p.V2].RelIdx, p.A2)})
 	}
 	br.bindSimJoins()
-	br.plan = compilePlan(br)
+	br.plan = compilePlan(br, e.d.Syms())
 	br.planOrders()
+	br.cutOrders()
 	return br, nil
-}
-
-// distinctIn returns the distinct count of ix, an index on variable v's
-// relation, over br's scope: the index's own when v's relation is whole
-// in the scope.
-func (br *boundRule) distinctIn(v int, ix *relation.Index) int {
-	if br.partial&(1<<v) == 0 {
-		return ix.Distinct()
-	}
-	return ix.DistinctIn(br.scope)
 }
 
 // predSignature identifies an ML predicate for answer sharing: two bound
@@ -573,18 +558,13 @@ func (e *Engine) classList(r int) []relation.TID {
 	return nil
 }
 
-// membersOf returns the hosted members of the class rooted at r. A root
-// with no stored list is an implicit singleton: {r} when the engine
-// hosts tuple r, empty otherwise (remote ids merged in from other
-// workers).
+// membersOf returns the members of the class rooted at r. A root with no
+// stored list is the implicit singleton {r}.
 func (e *Engine) membersOf(r int) []relation.TID {
 	if ms := e.classList(r); ms != nil {
 		return ms
 	}
-	if e.d.Has(relation.TID(r)) {
-		return []relation.TID{relation.TID(r)}
-	}
-	return nil
+	return []relation.TID{relation.TID(r)}
 }
 
 // unionInternal merges two classes without reporting a fact; used for
@@ -615,21 +595,18 @@ func (e *Engine) union(ra, rb int) (ma, mb []relation.TID) {
 		}
 	}
 	merged = append(append(merged, ma[i:]...), mb[j:]...)
-	// Stored lists are never empty, so an empty merge had neither slot.
 	sa, sb := e.classSlot[ra], e.classSlot[rb]
 	e.classSlot[ra], e.classSlot[rb] = 0, 0
-	if len(merged) > 0 {
-		s := max(sa, sb) // keep one of the two slots; the other stays empty
-		if f := min(sa, sb); f != 0 {
-			e.classLists[f-1] = nil
-		}
-		if s == 0 {
-			e.classLists = append(e.classLists, nil)
-			s = int32(len(e.classLists))
-		}
-		e.classLists[s-1] = merged
-		e.classSlot[e.uf.Find(ra)] = s
+	s := max(sa, sb) // keep one of the two slots; the other stays empty
+	if f := min(sa, sb); f != 0 {
+		e.classLists[f-1] = nil
 	}
+	if s == 0 {
+		e.classLists = append(e.classLists, nil)
+		s = int32(len(e.classLists))
+	}
+	e.classLists[s-1] = merged
+	e.classSlot[e.uf.Find(ra)] = s
 	return ma, mb
 }
 
@@ -660,7 +637,7 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 		}
 		// The old member slices stay intact (merges build fresh slices),
 		// so the event can reference them without copying.
-		if e.anyIDs && len(ma) > 0 && len(mb) > 0 {
+		if e.anyIDs {
 			e.queue = append(e.queue, event{kind: FactMatch, ma: ma, mb: mb})
 		}
 		return true
@@ -799,8 +776,8 @@ func (e *Engine) Gamma() *Gamma {
 	return g
 }
 
-// Classes returns the non-singleton id-equivalence classes of hosted
-// tuples, i.e. the resolved entities.
+// Classes returns the non-singleton id-equivalence classes, i.e. the
+// resolved entities.
 func (e *Engine) Classes() [][]relation.TID {
 	var out [][]relation.TID
 	for _, ms := range e.classLists {

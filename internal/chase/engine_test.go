@@ -5,6 +5,7 @@ import (
 
 	"dcer/internal/chase"
 	"dcer/internal/datagen"
+	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -106,8 +107,11 @@ func TestIncDeduceExternalFacts(t *testing.T) {
 	}
 }
 
-// TestScopedEngineRestrictsRules checks NewScoped: a rule scoped away from
-// the matching tuples must not fire, while an unscoped one does.
+// TestScopedEngineRestrictsRules checks NewScoped: an engine derives the
+// valuations of the cells it owns and no others. The rule's cube has one
+// dimension of extent 2, hashing the joined attribute x, so the pair
+// agreeing on "same" lies in one cell and the pair agreeing on "other" in
+// the other.
 func TestScopedEngineRestrictsRules(t *testing.T) {
 	str := relation.TypeString
 	db := relation.MustDatabase(relation.MustSchema("A", "k",
@@ -116,23 +120,37 @@ func TestScopedEngineRestrictsRules(t *testing.T) {
 	d := relation.NewDataset(db)
 	t0 := d.MustAppend("A", relation.S("k0"), relation.S("same"))
 	t1 := d.MustAppend("A", relation.S("k1"), relation.S("same"))
-	t2 := d.MustAppend("A", relation.S("k2"), relation.S("same"))
+	t2 := d.MustAppend("A", relation.S("k2"), relation.S("other"))
+	t3 := d.MustAppend("A", relation.S("k3"), relation.S("other"))
 	rules, err := rule.ParseResolved(`r: A(a) ^ A(b) ^ a.x = b.x -> a.id = b.id`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scope := d.Fragment([]relation.TID{t0.GID, t1.GID})
-	eng, err := chase.NewScoped(d, rules, []*relation.Dataset{scope}, nil,
-		mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
-	if err != nil {
-		t.Fatal(err)
+	bucket := []int32{0, 0, 1, 1} // by row: the cell bit the x of each tuple fixes
+	cube := &hypart.Cube{
+		Dims: []hypart.Dim{{Extent: 2, Stride: 1}},
+		Vars: []hypart.VarCells{{Dims: []int{0}, Attrs: []int{1}, Mask: 1, Cells: bucket}, {Dims: []int{0}, Attrs: []int{1}, Mask: 1, Cells: bucket}},
 	}
-	eng.Run()
-	if !eng.Same(t0.GID, t1.GID) {
-		t.Error("in-scope pair not matched")
+	for _, c := range []struct {
+		owned      uint64
+		same, othr bool
+	}{{0b01, true, false}, {0b10, false, true}, {0b11, true, true}, {0, false, false}} {
+		eng, err := chase.NewScoped(d, rules, []chase.Cells{{Cube: cube, Owned: []uint64{c.owned}}}, nil,
+			mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if eng.Same(t0.GID, t1.GID) != c.same || eng.Same(t2.GID, t3.GID) != c.othr {
+			t.Errorf("cells %02b: matched the \"same\" pair %v and the \"other\" pair %v, want %v and %v",
+				c.owned, eng.Same(t0.GID, t1.GID), eng.Same(t2.GID, t3.GID), c.same, c.othr)
+		}
+		if eng.Same(t0.GID, t2.GID) {
+			t.Errorf("cells %02b: matched tuples that disagree on x", c.owned)
+		}
 	}
-	if eng.Same(t0.GID, t2.GID) {
-		t.Error("out-of-scope tuple matched")
+	if _, err := chase.NewScoped(d, rules, []chase.Cells{{Cube: cube, Owned: nil}}, nil, mlpred.DefaultRegistry(), chase.Options{}); err == nil {
+		t.Error("a bitmap narrower than the cube: no error")
 	}
 }
 
@@ -140,7 +158,7 @@ func TestScopedEngineRestrictsRules(t *testing.T) {
 // the DMatch master start from (BuildEquivalence) is the one a fresh
 // engine pre-merges, on every pair of ids, over a dataset whose relations
 // repeat literal ids — within a relation, where they merge, and across
-// relations, where they do not — and over a fragment of it.
+// relations, where they do not.
 func TestBuildEquivalenceMatchesEngine(t *testing.T) {
 	str := relation.Attribute{Name: "k", Type: relation.TypeString}
 	num := relation.Attribute{Name: "n", Type: relation.TypeInt}
@@ -153,33 +171,24 @@ func TestBuildEquivalenceMatchesEngine(t *testing.T) {
 		d.MustAppend("A", relation.S(string(rune('a'+i%7))), relation.I(int64(i)))
 		d.MustAppend("B", relation.S(string(rune('a'+i%5))), relation.I(int64(i%6)))
 	}
-	var odd []relation.TID
-	for g := 1; g < d.Size(); g += 3 {
-		odd = append(odd, relation.TID(g))
+	eng, err := chase.New(d, nil, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		d    *relation.Dataset
-	}{{"root", d}, {"fragment", d.Fragment(odd)}} {
-		eng, err := chase.New(c.d, nil, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		uf := chase.BuildEquivalence(c.d)
-		merged := 0
-		for a := range c.d.IDSpace() {
-			for b := a + 1; b < c.d.IDSpace(); b++ {
-				same := uf.Same(a, b)
-				if same != eng.Same(relation.TID(a), relation.TID(b)) {
-					t.Fatalf("%s: BuildEquivalence says %v for (%d,%d), the engine the opposite", c.name, same, a, b)
-				}
-				if same {
-					merged++
-				}
+	uf := chase.BuildEquivalence(d)
+	merged := 0
+	for a := range d.Size() {
+		for b := a + 1; b < d.Size(); b++ {
+			same := uf.Same(a, b)
+			if same != eng.Same(relation.TID(a), relation.TID(b)) {
+				t.Fatalf("BuildEquivalence says %v for (%d,%d), the engine the opposite", same, a, b)
+			}
+			if same {
+				merged++
 			}
 		}
-		if merged == 0 {
-			t.Fatalf("%s: no literal id duplicates merged", c.name)
-		}
+	}
+	if merged == 0 {
+		t.Fatal("no literal id duplicates merged")
 	}
 }

@@ -40,7 +40,7 @@ type taskOut struct {
 //
 // Each pool worker keeps its own context across its tasks, so the
 // enumerations share no mutable state (the engine structures they read —
-// E_id, the class lists, the validated set, indexes, scopes — do not
+// E_id, the class lists, the validated set, indexes, cells — do not
 // change while the pool runs) and are merged deterministically afterwards.
 type evalCtx struct {
 	e  *Engine
@@ -60,9 +60,12 @@ type evalCtx struct {
 	plans    bool
 	planBufs [][]relation.TID
 	// candBufs are the per-depth candidate lists a step builds: a class
-	// access step's members (classOf), a filter step's postings cut to the
-	// scope (hosted).
+	// access step's members (classOf), a step's candidates cut to the
+	// owned cells (cut).
 	candBufs [][]relation.TID
+	// part is the partial cell index the bound variables fix (cells.go);
+	// 0 in a lone engine.
+	part int32
 
 	// rows is the dataset's row table (relation.Dataset.Rows), latched by
 	// reset: a bound variable's tuple t reads attribute a as
@@ -172,6 +175,7 @@ func (c *evalCtx) enumerateIn(o *joinOrder, seed []relation.TID) {
 			return
 		}
 	}
+	c.part = 0
 	for v, t := range seed {
 		if t == unbound {
 			continue
@@ -180,6 +184,9 @@ func (c *evalCtx) enumerateIn(o *joinOrder, seed []relation.TID) {
 			return
 		}
 		c.binding[v] = t
+		if rc := c.br.cells; rc != nil {
+			c.part |= rc.bits(v, c.rows[t])
+		}
 	}
 	c.extend(0)
 }
@@ -206,8 +213,8 @@ func (c *evalCtx) extend(depth int) {
 	}
 	lo, hi := c.window(v)
 	cands = gidWindow(cands, lo, hi)
-	if st.filter {
-		cands = c.hosted(cands, depth)
+	if st.cell != nil {
+		cands = c.cut(st.cell, cands, depth)
 	}
 	c.access[v][path][0]++
 	c.access[v][path][1] += int64(len(cands))
@@ -218,15 +225,15 @@ func (c *evalCtx) extend(depth int) {
 		c.extendPlanned(st, cands, depth, satisfied)
 		return
 	}
-	binding := c.binding
+	binding, part := c.binding, c.part
 	for _, t := range cands {
 		c.extensions++
 		if !c.checkNewBinding(v, t) {
 			continue
 		}
-		binding[v] = t
+		binding[v], c.part = t, c.bindCell(st, part, t)
 		c.extend(depth + 1)
-		binding[v] = unbound
+		binding[v], c.part = unbound, part
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // (idDuplicates). Provenance proofs start from it, and the DMatch master
 // grows the global Γ on it from the workers' deltas.
 func BuildEquivalence(d *relation.Dataset) *unionfind.UnionFind {
-	uf := unionfind.New(d.IDSpace())
+	uf := unionfind.New(d.Size())
 	for _, rel := range d.Relations {
 		idDuplicates(rel, func(first, t relation.TID) { uf.Union(int(first), int(t)) })
 	}

@@ -18,20 +18,17 @@ import (
 // already holds, one listed twice and one appended but left out are
 // errors, reported before any state changes. Past this check the engine
 // works on the batch's GIDs.
-// Only unscoped engines (built with New, rules ranging over the whole
-// dataset) support incremental updates. The returned facts are the newly
+// Only lone engines (built with New: every cell theirs, indexes their
+// own) support incremental updates. The returned facts are the newly
 // deduced matches and validated predictions.
 //
 // After the bookkeeping, the batch is one seed pass from the tuples no
 // seed pass has seen (seedPass): the batch itself after Run or an earlier
 // batch, the whole dataset when the engine never deduced.
 func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
-	if e.sharedIx {
-		return nil, fmt.Errorf("chase: InsertTuples requires an engine that owns its indexes, not one bound against a shared set")
-	}
 	for _, br := range e.rules {
-		if br.scope != e.d {
-			return nil, fmt.Errorf("chase: InsertTuples requires an unscoped engine")
+		if br.cells != nil {
+			return nil, fmt.Errorf("chase: InsertTuples requires a lone engine, not a worker's bound against a shared index set")
 		}
 	}
 	ids := make([]relation.TID, len(tuples))
@@ -118,11 +115,14 @@ const seedMorsel = 256
 func (e *Engine) seedPass(epoch relation.TID) {
 	var tasks []seedTask
 	for _, br := range e.rules {
+		if rc := br.cells; rc != nil && !fits(rc.fitsFor(0), 0) {
+			continue // a worker engine owning no cell of the rule
+		}
 		var older uint64
 		for r := range br.seeds {
 			o := &br.seeds[r]
 			v := o.steps[0].v
-			ts := gidWindow(br.scopedRootCands(&o.steps[0]), epoch, math.MaxInt32)
+			ts := gidWindow(br.rootCands(&o.steps[0]), epoch, math.MaxInt32)
 			size := min(seedMorsel, max(1, (len(ts)+7)/8))
 			for i := 0; i < len(ts); i += size {
 				tk := seedTask{br: br, o: o, v: v, older: older, lo: ts[i], hi: math.MaxInt32, epoch: epoch}

@@ -265,35 +265,3 @@ func TestInsertSeedsEnumerateOnce(t *testing.T) {
 		t.Fatalf("%d seeded valuations held two new tuples, %d came from Run: the instances test nothing", multi, fromRun)
 	}
 }
-
-// TestIncDeduceOverFragment: an engine built with default options over a
-// fragment — here the lower half of a TPCH dataset — hosts the ids of the
-// whole parent dataset, so a fact routed in from the other half (what a
-// DMatch worker receives) lands in its id-equivalence relation instead of
-// indexing past it.
-func TestIncDeduceOverFragment(t *testing.T) {
-	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.05, Dup: 0.3, Seed: 1})
-	rules, err := g.Rules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.D.Size()
-	lower := make([]relation.TID, n/2)
-	for i := range lower {
-		lower[i] = relation.TID(i)
-	}
-	frag := g.D.Fragment(lower)
-	if frag.IDSpace() != n {
-		t.Fatalf("fragment IDSpace = %d, want the parent's %d", frag.IDSpace(), n)
-	}
-	eng, err := chase.New(frag, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Deduce()
-	a, b := relation.TID(0), relation.TID(n-1)
-	eng.IncDeduce([]chase.Fact{chase.MatchFact(a, b)})
-	if !eng.Same(a, b) {
-		t.Fatalf("the routed match (%d, %d) did not reach the fragment engine's classes", a, b)
-	}
-}

@@ -41,10 +41,10 @@ type joinStep struct {
 
 	konst *wordPred // apConst: the constant's step, with its probe word and index
 
-	// filter marks an apEq or apConst step whose variable's scope holds
-	// only part of the indexed relation (boundRule.partial): its
-	// candidates are cut to the scope's tuples. A lone engine has none.
-	filter bool
+	// cell cuts the candidates to the cells the engine owns (cells.go):
+	// set on the steps of a worker engine whose variable fixes cell bits.
+	// A lone engine has none.
+	cell *cellStep
 }
 
 // joinOrder is the planned order for the rule variables left unbound by
@@ -150,9 +150,7 @@ func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 // planning class and its estimated candidate count (see planOrder). A
 // class access wins ties.
 func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
-	rel := br.r.Vars[v].RelIdx
 	size := float64(len(br.rels[v].TIDs()))
-	filter := br.partial&(1<<v) != 0
 	best, class, est := joinStep{v: v, path: apScan}, 3, size
 	consider := func(st joinStep, e float64) {
 		if class > 1 || e < est {
@@ -179,18 +177,17 @@ func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
 			continue
 		}
 		e := 0.0
-		if d := br.eqDistinct[i][side]; d > 0 {
+		if d := br.eqIx[i][side].Distinct(); d > 0 {
 			e = size / float64(d)
 		}
 		consider(joinStep{
 			v: v, path: apEq, pred: p, from: from, fromAttr: fromAttr, ix: br.eqIx[i][side],
-			float:  br.scope.Relations[rel].Schema.Attrs[attr].Type == relation.TypeFloat,
-			filter: filter,
+			float: br.rels[v].Schema.Attrs[attr].Type == relation.TypeFloat,
 		}, e)
 	}
 	for _, w := range br.plan.vars[v].consts {
-		st := joinStep{v: v, path: apConst, pred: w.p, konst: w, filter: filter}
-		consider(st, float64(len(br.scopedRootCands(&st))))
+		st := joinStep{v: v, path: apConst, pred: w.p, konst: w}
+		consider(st, float64(len(br.rootCands(&st))))
 	}
 	if class == 3 && br.simReaches(v, bound) {
 		class = 2
@@ -221,17 +218,15 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 // its equality, its constant's posting list, or its relation's scan. It
 // returns the path taken. Every candidate is a GID of v's relation, and
 // the equality's probe word is the bound tuple's, read through the row
-// table; rule resolution gives both sides of an equality one type. A key
-// map's or posting list's candidates span the indexed dataset: extend cuts
-// those of a filter step to the scope.
+// table; rule resolution gives both sides of an equality one type. In a
+// worker engine extend then cuts the candidates to the owned cells.
 //
 // Every candidate list, on every access path, is strictly GID-ascending,
-// which extend's GID window (gidWindow) reads by binary search: a scope's
-// relations list their tuples in GID order (Dataset.Fragment sorts its
-// ids), and so does a similarity join, which follows the relation;
-// postings are appended as tuples arrive, in GID order, and cutting them
-// to a scope keeps the order; a key map returns at most one tuple; and
-// Engine.union keeps class member lists sorted.
+// which extend's GID window (gidWindow) reads by binary search: a
+// relation lists its tuples in GID order, and so does a similarity join,
+// which follows the relation; postings are appended as tuples arrive, in
+// GID order; a key map returns at most one tuple; Engine.union keeps class
+// member lists sorted; and the cell cut keeps the order.
 func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]relation.TID, accessPath) {
 	switch st.path {
 	case apClass:
@@ -262,17 +257,9 @@ func (br *boundRule) rootCands(st *joinStep) []relation.TID {
 	return br.rels[st.v].TIDs()
 }
 
-// scopedRootCands is rootCands cut to the scope: a copy when st filters.
-func (br *boundRule) scopedRootCands(st *joinStep) []relation.TID {
-	if st.filter {
-		return br.scope.AppendHosted(nil, br.rootCands(st))
-	}
-	return br.rootCands(st)
-}
-
 // classOf lists the members of the E_id class of st's bound side that lie
-// in v's relation inside the rule's scope, in GID order. A singleton class
-// answers with the bound tuple itself, out of the binding, without a copy.
+// in v's relation, in GID order. A singleton class answers with the bound
+// tuple itself, out of the binding, without a copy.
 func (c *evalCtx) classOf(st *joinStep, depth int) []relation.TID {
 	t := c.binding[st.from]
 	rel := c.br.r.Vars[st.v].RelIdx
@@ -284,20 +271,11 @@ func (c *evalCtx) classOf(st *joinStep, depth int) []relation.TID {
 		return c.binding[st.from : st.from+1]
 	}
 	out := c.candBuf(depth)
-	scope := c.br.scope
 	for _, g := range ms {
-		if scope.Has(g) && scope.RelOf(g) == rel {
+		if c.e.d.RelOf(g) == rel {
 			out = append(out, g)
 		}
 	}
-	c.candBufs[depth] = out
-	return out
-}
-
-// hosted cuts a filter step's candidates ts, drawn from postings over the
-// indexed dataset, to the rule's scope, in the depth's buffer.
-func (c *evalCtx) hosted(ts []relation.TID, depth int) []relation.TID {
-	out := c.br.scope.AppendHosted(c.candBuf(depth), ts)
 	c.candBufs[depth] = out
 	return out
 }

@@ -161,12 +161,11 @@ type rulePlan struct {
 // Plans are compiled even for the interpreter: candidatesFor uses the
 // resolved constant words in both modes, and the interpreter's
 // checkNewBinding walks the same word and id lists.
-func compilePlan(br *boundRule) *rulePlan {
+func compilePlan(br *boundRule, syms *relation.SymTab) *rulePlan {
 	r := br.r
 	p := &rulePlan{vars: make([]varPlan, len(r.Vars))}
-	syms := br.scope.Syms()
 	attrType := func(v, a int) relation.Type {
-		return br.scope.Relations[r.Vars[v].RelIdx].Schema.Attrs[a].Type
+		return br.rels[v].Schema.Attrs[a].Type
 	}
 	for v := range r.Vars {
 		vp := &p.vars[v]
@@ -420,11 +419,12 @@ func (c *evalCtx) extendPlanned(st *joinStep, cands []relation.TID, depth, satis
 	c.planEvals += evals
 	c.planBatches++
 
+	part := c.part
 	for i := 0; i < n; i++ {
-		binding[v] = src[i]
+		binding[v], c.part = src[i], c.bindCell(st, part, src[i])
 		c.extend(depth + 1)
 	}
-	binding[v] = unbound
+	binding[v], c.part = unbound, part
 }
 
 // filterWord writes into buf the candidates of src[:n] whose packed word

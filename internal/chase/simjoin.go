@@ -25,11 +25,6 @@ type simJoin struct {
 	// joins are never probed — and kept current by InsertTuples.
 	ixs  *relation.IndexSet
 	scan *relation.Relation // what the candidates are a subset of, in its order
-	// scope, set when the scan holds only part of the indexed relation,
-	// hosts the tuples a value needs one of to be scored: the index's keys
-	// with no member in it are skipped, so the classifier is called as
-	// often as over an index of the scope.
-	scope *relation.Dataset
 	// both marks a symmetric classifier over one column on either side: one
 	// join serves both variables and scores each unordered value pair once.
 	both bool
@@ -75,10 +70,7 @@ func (br *boundRule) bindSimJoins() {
 			default:
 				m.sim[s] = &simJoin{
 					rel: rel, attr: attrs[s], from: attrs[1-s], ixs: br.ix,
-					scan: br.scope.Relations[rel], memo: make(map[uint64]*simEntry),
-				}
-				if br.partial&(1<<v) != 0 {
-					m.sim[s].scope = br.scope
+					scan: br.rels[v], memo: make(map[uint64]*simEntry),
 				}
 			}
 		}
@@ -129,14 +121,7 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID,
 	fb := c.bundle(m, bound, 1-s)
 	calls := c.mlCalls
 	j.ixs.For(j.rel, j.attr).Each(func(key uint64, post []relation.TID) {
-		rep := post[0] // the value's representative: its first tuple in scope
-		if j.scope != nil {
-			i := slices.IndexFunc(post, j.scope.Has)
-			if i < 0 {
-				return
-			}
-			rep = post[i]
-		}
+		rep := post[0] // the value's representative
 		var ok bool
 		var o *simEntry
 		if j.both { // the memo's keys are values of this column too

@@ -7,6 +7,7 @@ import (
 
 	"dcer/internal/chase"
 	"dcer/internal/datagen"
+	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
@@ -99,14 +100,14 @@ func TestSimJoinEqualsScan(t *testing.T) {
 	}
 }
 
-// TestScopedFilterEqualsScopeIndexes: rules whose scopes hold part of
-// each relation, probing one index set over the whole dataset and cutting
-// what they draw to their scope, deduce the fact sequence and do the work
-// — valuations, extensions, plan predicate evaluations, classifier
-// decisions — of the same rules probing private indexes over their
-// scopes. Each rule gets its own two thirds of the GIDs, and the
-// similarity joins fire, so a join scores only the values its scope
-// carries.
+// TestScopedFilterEqualsScopeIndexes: worker engines owning their cells
+// of a HyPart partition, probing one index set over the dataset and
+// cutting what they draw to their cells, deduce the fact sequence and do
+// the work — valuations, extensions, plan predicate evaluations,
+// classifier decisions — of the same engines probing private per-rule
+// index sets. Every worker of a 3-worker partition is checked, and the
+// similarity joins fire, so a join skips the values its cells cannot bind
+// alike over either set.
 func TestScopedFilterEqualsScopeIndexes(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(24)
@@ -116,37 +117,34 @@ func TestScopedFilterEqualsScopeIndexes(t *testing.T) {
 	var probes int64
 	for seed := int64(500); seed < 500+seeds; seed++ {
 		d, rules := simInstance(t, seed)
-		scopes := make([]*relation.Dataset, len(rules))
-		for i := range scopes {
-			var ids []relation.TID
-			for g := range d.IDSpace() {
-				if (g+i)%3 != 0 {
-					ids = append(ids, relation.TID(g))
-				}
+		part, err := hypart.Partition(d, rules, 3, hypart.Options{Share: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range 3 {
+			cells := workerCells(part, w)
+			private, err := chase.NewScoped(d, rules, cells, nil, reg, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			scopes[i] = d.Fragment(ids)
+			shared, err := chase.NewScoped(d, rules, cells, relation.NewIndexSet(d), reg, chase.Options{ShareIndexes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := private.Run(), shared.Run(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d, worker %d: Γ differs between one shared index set and private per-rule sets", seed, w)
+			}
+			p, g := private.Stats(), shared.Stats()
+			if p.Valuations != g.Valuations || p.Extensions != g.Extensions || p.PlanPreds != g.PlanPreds || p.MLCacheMiss != g.MLCacheMiss {
+				t.Fatalf("seed %d, worker %d: valuations/extensions/plan preds/classifier decisions %d/%d/%d/%d, over private sets %d/%d/%d/%d",
+					seed, w, g.Valuations, g.Extensions, g.PlanPreds, g.MLCacheMiss, p.Valuations, p.Extensions, p.PlanPreds, p.MLCacheMiss)
+			}
+			n, _, _ := simAccess(shared)
+			probes += n
 		}
-		private, err := chase.NewScoped(d, rules, scopes, nil, reg, chase.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared, err := chase.NewScoped(d, rules, scopes, relation.NewIndexSet(d), reg, chase.Options{ShareIndexes: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, got := private.Run(), shared.Run(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: Γ differs between filtered shared postings and scope indexes", seed)
-		}
-		w, g := private.Stats(), shared.Stats()
-		if w.Valuations != g.Valuations || w.Extensions != g.Extensions || w.PlanPreds != g.PlanPreds || w.MLCacheMiss != g.MLCacheMiss {
-			t.Fatalf("seed %d: valuations/extensions/plan preds/classifier decisions %d/%d/%d/%d, over scope indexes %d/%d/%d/%d",
-				seed, g.Valuations, g.Extensions, g.PlanPreds, g.MLCacheMiss, w.Valuations, w.Extensions, w.PlanPreds, w.MLCacheMiss)
-		}
-		p, _, _ := simAccess(shared)
-		probes += p
 	}
 	if probes == 0 {
-		t.Fatal("no similarity join fired over a partial scope")
+		t.Fatal("no similarity join fired in a worker engine")
 	}
 }
 

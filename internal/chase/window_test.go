@@ -49,10 +49,9 @@ func TestCandidateListsAscending(t *testing.T) {
 		e.Run()
 		check(name+" root engine after Run", e)
 
-		// The worker engines a DMatch run builds: each over its fragment,
-		// with every rule scoped to the worker's blocks for it (hypart's
-		// ids), driven to the run's Γ by the facts the master would
-		// replay to it.
+		// The worker engines a DMatch run builds: each over the whole
+		// dataset, owning its cells of every rule's cube, driven to the
+		// run's Γ by the facts the master would replay to it.
 		for _, workers := range []int{2, 3} {
 			res, err := dmatch.Run(g.D, rules, reg, dmatch.Options{Workers: workers})
 			if err != nil {
@@ -63,24 +62,13 @@ func TestCandidateListsAscending(t *testing.T) {
 				t.Fatal(err)
 			}
 			shared := relation.NewIndexSet(g.D) // the process's one set, as in DMatch
-			for w := range part.Fragments {
-				fd := g.D.Fragment(part.Fragments[w])
-				scopes := make([]*relation.Dataset, len(rules))
-				for ri, ids := range part.RuleFragments[w] {
-					scopes[ri] = g.D.Fragment(ids)
-				}
-				we, err := chase.NewScoped(fd, rules, scopes, shared, reg, chase.Options{ShareIndexes: true})
+			for w := range workers {
+				we, err := chase.NewScoped(g.D, rules, workerCells(part, w), shared, reg, chase.Options{ShareIndexes: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				we.Deduce()
-				replay := append([]chase.Fact(nil), res.Matches...)
-				for _, f := range res.Validated {
-					if fd.Has(f.A) || fd.Has(f.B) {
-						replay = append(replay, f)
-					}
-				}
-				we.IncDeduce(replay)
+				we.IncDeduce(append(append([]chase.Fact(nil), res.Matches...), res.Validated...))
 				check(fmt.Sprintf("%s, %d workers: worker %d", name, workers, w), we)
 			}
 		}
@@ -112,55 +100,18 @@ func TestCandidateListsAscending(t *testing.T) {
 	}
 }
 
-// TestFragmentShuffledIDs hands Dataset.Fragment a worker's ids shuffled
-// and with repeats, as a malformed peer's TID list could arrive, and
-// checks that the fragment lists exactly what the ascending ids give it
-// and that an engine over it deduces the same Γ, fact for fact: the
-// fragment sorts its ids itself, so no candidate list loses its
-// GID-ascending order.
-func TestFragmentShuffledIDs(t *testing.T) {
-	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.1, Dup: 0.3, Seed: 1})
-	rules, err := g.Rules()
-	if err != nil {
-		t.Fatal(err)
+// workerCells is worker w's share of part: per rule, the cube and the
+// cells the partition's block assignment gives w.
+func workerCells(part *hypart.Result, w int) []chase.Cells {
+	assign := make([]int, len(part.Blocks))
+	for b := range part.Blocks {
+		assign[b] = part.Blocks[b].Worker
 	}
-	reg := mlpred.DefaultRegistry()
-	part, err := hypart.Partition(g.D, rules, 2, hypart.Options{Share: true})
-	if err != nil {
-		t.Fatal(err)
+	cells := make([]chase.Cells, len(part.Cubes))
+	for r := range part.Cubes {
+		cells[r] = chase.Cells{Cube: &part.Cubes[r], Owned: part.Cubes[r].Owned(assign, w)}
 	}
-	rng := rand.New(rand.NewSource(5))
-	for w, ids := range part.Fragments {
-		shuffled := append(slices.Clone(ids), ids[:len(ids)/10]...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		kept := slices.Clone(shuffled)
-		sorted, mixed := g.D.Fragment(ids), g.D.Fragment(shuffled)
-		if !slices.Equal(shuffled, kept) {
-			t.Fatalf("worker %d: Fragment reordered its caller's ids", w)
-		}
-		if mixed.Size() != sorted.Size() {
-			t.Fatalf("worker %d: shuffled ids give %d tuples, ascending ones %d", w, mixed.Size(), sorted.Size())
-		}
-		for ri := range sorted.Relations {
-			if a, b := mixed.Relations[ri].TIDs(), sorted.Relations[ri].TIDs(); !slices.Equal(a, b) {
-				t.Fatalf("worker %d, relation %d: shuffled ids list %d GIDs, ascending ones %d (or another order)", w, ri, len(a), len(b))
-			}
-		}
-		var digests [2]string
-		for i, fd := range []*relation.Dataset{sorted, mixed} {
-			e, err := chase.New(fd, rules, reg, chase.Options{ShareIndexes: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			digests[i] = gammaDigest(e.Run())
-			if err := e.CheckCandidateOrder(); err != nil {
-				t.Errorf("worker %d, fragment %d: %v", w, i, err)
-			}
-		}
-		if digests[0] != digests[1] {
-			t.Errorf("worker %d: Γ over the shuffled ids %s, over the ascending ones %s", w, digests[1], digests[0])
-		}
-	}
+	return cells
 }
 
 // TestGIDWindow holds gidWindow to a linear filter over random ascending

@@ -99,13 +99,10 @@ func NaiveChase(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry) (
 	for _, t := range d.Tuples() {
 		mat[t.GID] = t.Values()
 	}
-	// Literal id-value duplicates are the same entity by definition. Each
-	// relation's hosted tuples are listed once, for the enumeration too.
-	tuplesOf := make([][]*relation.Tuple, len(d.Relations))
-	for ri, rel := range d.Relations {
+	// Literal id-value duplicates are the same entity by definition.
+	for _, rel := range d.Relations {
 		byID := make(map[string]relation.TID)
-		tuplesOf[ri] = d.TuplesOf(ri)
-		for _, t := range tuplesOf[ri] {
+		for _, t := range rel.Tuples {
 			k := mat[t.GID][rel.Schema.IDAttr].Key()
 			if first, ok := byID[k]; ok {
 				res.Eq.Union(int(first), int(t.GID))
@@ -249,7 +246,7 @@ func NaiveChase(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry) (
 					apply()
 					return
 				}
-				for _, t := range tuplesOf[r.Vars[v].RelIdx] {
+				for _, t := range d.Relations[r.Vars[v].RelIdx].Tuples {
 					binding[v] = t
 					walk(v + 1)
 				}

@@ -34,7 +34,7 @@ func VerifyProof(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, 
 	eq := unionfind.New(size)
 	for ri, rel := range d.Relations {
 		byID := make(map[string]relation.TID)
-		for _, t := range d.TuplesOf(ri) {
+		for _, t := range d.Relations[ri].Tuples {
 			k := t.Val(rel.Schema.IDAttr).Key()
 			if first, ok := byID[k]; ok {
 				eq.Union(int(first), int(t.GID))

@@ -164,7 +164,7 @@ func Mine(d *relation.Dataset, pairs []LabeledPair, reg *mlpred.Registry, opts O
 		if len(posSet) == 0 {
 			return nil, fmt.Errorf("discovery: no positive pairs over relation %q", opts.Relation)
 		}
-		tuples := d.TuplesOf(relIdx)
+		tuples := d.Relations[relIdx].Tuples
 		maxPairs := opts.MaxEvidencePairs
 		if maxPairs <= 0 {
 			maxPairs = 400000

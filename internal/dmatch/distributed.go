@@ -36,7 +36,7 @@ type RecoveryEvent struct {
 	// Worker is the dead worker's slot (retired; slots are never reused).
 	Worker int
 	// BlocksMoved is how many of the dead worker's virtual blocks were
-	// reassigned; WorkersRebuilt is how many survivors got new fragments.
+	// reassigned; WorkersRebuilt is how many survivors got new cells.
 	BlocksMoved    int
 	WorkersRebuilt int
 	// RebuildNs is the master-side cost: reassignment, host-bitset
@@ -122,9 +122,9 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 				err = fmt.Errorf("worker id %d out of range [0,%d)", h.Worker, n)
 			case ms.links[h.Worker] != nil:
 				err = fmt.Errorf("duplicate worker id %d", h.Worker)
-			case h.DatasetSize != d.Size() || h.IDSpace != d.IDSpace() || h.Rules != len(rules):
-				err = fmt.Errorf("dataset fingerprint mismatch: worker has (size=%d idspace=%d rules=%d), master has (%d %d %d)",
-					h.DatasetSize, h.IDSpace, h.Rules, d.Size(), d.IDSpace(), len(rules))
+			case h.DatasetSize != d.Size() || h.Rules != len(rules):
+				err = fmt.Errorf("dataset fingerprint mismatch: worker has (size=%d rules=%d), master has (%d %d)",
+					h.DatasetSize, h.Rules, d.Size(), len(rules))
 			}
 			if err != nil {
 				conn.Close()

@@ -234,41 +234,40 @@ func TestDistributedFingerprintMismatch(t *testing.T) {
 // TestDistributedVersionMismatch: a worker built against another protocol
 // version must be refused at the handshake — the run fails with the
 // "protocol version" error, promptly — instead of being sent an Assign it
-// would misparse.
+// would misparse: version 5, whose Assign carried TID lists, and the next.
 func TestDistributedVersionMismatch(t *testing.T) {
 	g, rules := tpchWorkload(t)
-	spawn := func(worker int, addr string) error {
-		go func() {
-			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-			if err != nil {
-				return // the master already refused the other worker and closed
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(10 * time.Second))
-			hello := wire.Hello{
-				Version: wire.Version + 1, Worker: worker,
-				DatasetSize: g.D.Size(), IDSpace: g.D.Size(), Rules: len(rules),
-			}
-			if wire.NewEncoder(conn, nil).Hello(hello) == nil {
-				io.Copy(io.Discard, conn) // until the master hangs up
-			}
-		}()
-		return nil
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
-			dmatch.Options{Workers: 2},
-			dmatch.DistOptions{Spawn: spawn, AcceptTimeout: 10 * time.Second})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "protocol version") {
-			t.Fatalf("got error %v, want the handshake's protocol version error", err)
+	for _, version := range []uint32{5, wire.Version + 1} {
+		spawn := func(worker int, addr string) error {
+			go func() {
+				conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+				if err != nil {
+					return // the master already refused the other worker and closed
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				hello := wire.Hello{Version: version, Worker: worker, DatasetSize: g.D.Size(), Rules: len(rules)}
+				if wire.NewEncoder(conn, nil).Hello(hello) == nil {
+					io.Copy(io.Discard, conn) // until the master hangs up
+				}
+			}()
+			return nil
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("RunDistributed still running 20s after a worker of another protocol version connected")
+		done := make(chan error, 1)
+		go func() {
+			_, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+				dmatch.Options{Workers: 2},
+				dmatch.DistOptions{Spawn: spawn, AcceptTimeout: 10 * time.Second})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "protocol version") {
+				t.Fatalf("version %d: got error %v, want the handshake's protocol version error", version, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("RunDistributed still running 20s after a worker of protocol version %d connected", version)
+		}
 	}
 }
 

@@ -1,10 +1,16 @@
 // Package dmatch implements the parallel algorithm DMatch of Section V-B:
-// the BSP fixpoint model of Section III-B over fragments produced by
-// HyPart. Each worker runs the sequential chase engine on its fragment —
+// the BSP fixpoint model of Section III-B over a HyPart partition. A
+// worker owns the cells of every rule's hypercube that lie in its virtual
+// blocks, and runs the sequential chase engine over the whole dataset
+// enumerating only the valuations in those cells (chase.NewScoped):
 // partial evaluation A (Deduce) in its first superstep, incremental A_Δ
-// (IncDeduce) afterwards — and a master routes newly deduced matches and
-// validated ML predictions to the workers hosting either tuple. No raw
-// tuples are ever exchanged after partitioning, only facts.
+// (IncDeduce) afterwards. Each valuation lies in exactly one cell, so no
+// two workers enumerate or classify the same one. A master routes newly
+// deduced matches and validated ML predictions to the workers hosting
+// either tuple — holding it in a block — and every tuple a worker binds
+// lies in one of its blocks. No raw tuples are ever exchanged after
+// partitioning, only facts; an Assign carries the cubes' extents and the
+// worker's owned-cell bitmaps.
 //
 // DMatch is parallelly scalable relative to Match (Theorem 7): work is
 // evenly spread by HyPart's virtual blocks + LPT balancing, and the total
@@ -123,10 +129,9 @@ type Result struct {
 	// BuildTime is the master's set-up between partitioning and the first
 	// superstep: the global E_id, the host bitsets and the links —
 	// accepting the worker processes included when distributed. The
-	// workers build their engines (fragment datasets, rule scopes,
-	// compiled plans) when their Assign arrives, concurrently, inside
-	// their first superstep. PartitionTime + BuildTime + ERTime account
-	// for the whole run.
+	// workers build their engines (cell cuts, compiled plans) when their
+	// Assign arrives, concurrently, inside their first superstep.
+	// PartitionTime + BuildTime + ERTime account for the whole run.
 	BuildTime time.Duration
 	ERTime    time.Duration
 	// WorkerStats[w] sums the work counters over every engine slot w ran
@@ -233,7 +238,8 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 			if provLogs != nil {
 				hooks.Provenance = provLogs[i]
 			}
-			ms.links[i] = newLoopLink(&worker{id: i, d: d, rules: rules, reg: reg, ix: ix, hooks: hooks}, building, ms.events)
+			w := &worker{id: i, d: d, rules: rules, reg: reg, ix: ix, cubes: ms.cubes, hooks: hooks}
+			ms.links[i] = newLoopLink(w, building, ms.events)
 		}
 		return nil
 	})
@@ -265,7 +271,7 @@ func run(d *relation.Dataset, rules []*rule.Rule, opts Options, n int, provLogs 
 	res := &Result{PartitionStats: part.Stats, d: d}
 	tb := time.Now()
 	res.PartitionTime = tb.Sub(t0)
-	ms := newMasterState(d, part, len(rules), opts.NoMQO)
+	ms := newMasterState(d, part, n, opts.NoMQO)
 	defer func() { // on the error paths; a finished run has dropped them all
 		for w := range ms.links {
 			ms.drop(w)

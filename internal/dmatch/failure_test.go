@@ -11,7 +11,7 @@ import (
 )
 
 // TestMoreWorkersThanBlocks runs with far more workers than the tiny
-// dataset can fill: some workers get empty fragments and must not wedge
+// dataset can fill: some workers get no block and must not wedge
 // the BSP loop.
 func TestMoreWorkersThanBlocks(t *testing.T) {
 	d, l := datagen.PaperExample()

@@ -20,24 +20,40 @@ import (
 // extensions, plan predicate evaluations, drain rounds and classifier
 // decisions (Stats.MLCacheMiss). The digests
 // are the single engine's (internal/chase's goldenSets "tpch0.5/conc" and
-// "tfacc0.2/conc"): DMatch reaches the sequential Γ (Proposition 8). The
-// counters were recorded with every worker engine owning the indexes of
-// its rule scopes, before the workers of a process came to probe one
-// shared, read-only index set and filter its candidates by scope; that
-// change moves no count.
+// "tfacc0.2/conc"): DMatch reaches the sequential Γ (Proposition 8).
+//
+// The counters were re-recorded when the workers came to own hypercube
+// cells instead of per-rule tuple sets, with every digest unchanged. As a
+// tuple set, a rule scope forgot which variable a tuple was hashed for, so
+// two workers enumerated and classified the same valuation: tp's 450
+// valuations at TPCH 0.5 were enumerated twice at 2 and at 4 workers (the
+// ROADMAP's (m2) table shows the same at scale 6). A cell holds each
+// valuation once, so valuations, plan predicate evaluations and classifier
+// decisions fell (tpch0.5/w2 3715 → 3265 valuations, 2616 → 2166
+// decisions). Two counters rose. Extensions at tpch0.5/w4 rose 108276 →
+// 114566: the worker engines plan over the whole dataset's sizes, so tl
+// binds its broadcast orders first on every worker, where a scope-sized
+// plan had started from the worker's quarter of lineitem. Drain rounds
+// rose on tfacc0.2 (10 → 14 at w2): a valuation found on another worker
+// than before reaches this one as a routed fact, one drain round later.
 var goldenWork = map[string]struct {
 	set                                                string
 	valuations, extensions, planPreds, rounds, mlCalls int64
 }{
-	"tpch0.5/w2":  {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3715, 92360, 32485, 28, 2616},
-	"tpch0.5/w3":  {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3483, 96230, 30191, 21, 2384},
-	"tfacc0.2/w2": {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1362, 39155, 10323, 10, 2506},
-	"tfacc0.2/w3": {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1626, 50906, 12231, 20, 2931},
+	"tpch0.5/w2":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3265, 85042, 30151, 28, 2166},
+	"tpch0.5/w3":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3269, 93739, 30016, 21, 2170},
+	"tpch0.5/w4":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3341, 114566, 28879, 36, 2242},
+	"tpch0.5/w2/nomqo":  {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3245, 84966, 30055, 28, 2146},
+	"tfacc0.2/w2":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1362, 29126, 8353, 14, 2506},
+	"tfacc0.2/w3":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1364, 33828, 8127, 25, 2508},
+	"tfacc0.2/w4":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1353, 39417, 8164, 49, 2497},
+	"tfacc0.2/w2/nomqo": {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1347, 29045, 8605, 28, 2491},
 }
 
 // TestDMatchGoldenWork runs DMatch without rebalancing (whose trigger is a
-// timing) on the inputs of the chase's Γ goldens, at 2 and 3 workers, and
-// holds the class set and the summed work counters to goldenWork.
+// timing) on the inputs of the chase's Γ goldens, at 2, 3 and 4 workers and
+// without MQO sharing at 2, and holds the class set and the summed work
+// counters to goldenWork. At 4 workers a worker hosts only part of TPCH.
 func TestDMatchGoldenWork(t *testing.T) {
 	gens := []struct {
 		name string
@@ -50,15 +66,22 @@ func TestDMatchGoldenWork(t *testing.T) {
 			return datagen.TFACC(datagen.TFACCOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
 		}},
 	}
+	modes := []struct {
+		n     int
+		noMQO bool
+	}{{2, false}, {3, false}, {4, false}, {2, true}}
 	for _, gn := range gens {
-		for _, n := range []int{2, 3} {
-			key := fmt.Sprintf("%s/w%d", gn.name, n)
+		for _, m := range modes {
+			key := fmt.Sprintf("%s/w%d", gn.name, m.n)
+			if m.noMQO {
+				key += "/nomqo"
+			}
 			g := gn.gen()
 			rules, err := g.Rules()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: n, RebalanceSkew: -1})
+			res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: m.n, NoMQO: m.noMQO, RebalanceSkew: -1})
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
@@ -99,4 +122,41 @@ func canonFacts(facts []chase.Fact) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\n")
+}
+
+// TestDMatchRuleAloneWork runs each TPCH rule alone on TPCH 0.5, through
+// one engine and through DMatch at 2 and 4 workers, and holds the workers'
+// summed valuations and classifier decisions to the engine's: HyPart puts
+// each valuation in exactly one hypercube cell, and exactly one worker owns
+// that cell, so no valuation is enumerated or classified twice.
+func TestDMatchRuleAloneWork(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.5, Dup: 0.3, Seed: 1})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := mlpred.DefaultRegistry()
+	for ri, r := range rules {
+		alone := rules[ri : ri+1]
+		eng, err := chase.New(g.D, alone, reg, chase.Options{ShareIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		want := eng.Stats()
+		for _, n := range []int{2, 4} {
+			res, err := dmatch.Run(g.D, alone, reg, dmatch.Options{Workers: n, RebalanceSkew: -1})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", r.Name, n, err)
+			}
+			var sum chase.Stats
+			for _, st := range res.WorkerStats {
+				sum.Add(st)
+			}
+			if sum.Valuations != want.Valuations || sum.MLCacheMiss != want.MLCacheMiss {
+				t.Errorf("%s, %d workers: valuations/classifier decisions %d/%d summed over the workers, one engine %d/%d",
+					r.Name, n, sum.Valuations, sum.MLCacheMiss, want.Valuations, want.MLCacheMiss)
+			}
+		}
+	}
 }

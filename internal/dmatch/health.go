@@ -9,8 +9,8 @@ import (
 )
 
 // observeMasterAccuracy feeds the accuracy observatory from the globally
-// folded matches — the authoritative stream, since workers only see their
-// fragments. The new suffix since the previous superstep is
+// folded matches — the authoritative stream, since workers only see the
+// facts of their cells. The new suffix since the previous superstep is
 // stride-sampled (each fact scored at most once), false positives are
 // attributed by looking the pair up across the per-worker provenance
 // logs, and recall is probed against the global equivalence. Returns the

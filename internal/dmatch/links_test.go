@@ -251,7 +251,7 @@ func TestLoopbackBuildFailure(t *testing.T) {
 
 // TestSimilarityJoinThroughDMatch: TFACC's rule fa joins its advisories by
 // nothing but an ML predicate, so every worker engine binds them through a
-// similarity join whose index it builds over its own fragment scope. Γ is
+// similarity join over its process's index set. Γ is
 // the single engine's over both links, and the workers together take fewer
 // classifier decisions than one scan per advisory would — the join fired.
 func TestSimilarityJoinThroughDMatch(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"dcer/internal/chase"
 	"dcer/internal/health"
-	"dcer/internal/hypart"
 	"dcer/internal/provenance"
 	"dcer/internal/telemetry"
 	"dcer/internal/wire"
@@ -37,7 +36,7 @@ func (ms *masterState) drop(w int) {
 }
 
 // workPending reports whether another superstep is needed: a live worker
-// has an inbox to fold or a fresh fragment to evaluate.
+// has an inbox to fold or a fresh engine to run.
 func (ms *masterState) workPending() bool {
 	for w := range ms.links {
 		if ms.alive(w) && (len(ms.inboxes[w]) > 0 || ms.pending[w] != nil) {
@@ -48,12 +47,12 @@ func (ms *masterState) workPending() bool {
 }
 
 // reassign moves the virtual blocks to the assignment next and leaves
-// every live worker whose block set changed with an Assign pending: its
-// new fragment plus the fact history to replay, its delivery record reset
-// to that history. Rebuilt workers re-run Deduce over their new fragments
-// and replay the history through IncDeduce; facts are idempotent and the
-// fixpoint is unique, so Γ is unchanged — only the schedule moves. Both
-// triggers end here: the rebalancer's skew test and a dead link.
+// every live worker whose block set changed with an Assign pending: the
+// cells it now owns plus the fact history to replay, its delivery record
+// reset to that history. Rebuilt workers re-run Deduce over their new
+// cells and replay the history through IncDeduce; facts are idempotent
+// and the fixpoint is unique, so Γ is unchanged — only the schedule moves.
+// Both triggers end here: the rebalancer's skew test and a dead link.
 func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 	changed := make([]bool, ms.n)
 	for b, w := range next {
@@ -61,18 +60,15 @@ func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 			changed[w], changed[ms.assign[b]] = true, true
 		}
 	}
-	frags, ruleFrags := hypart.BuildFragments(ms.blocks, next, ms.n, ms.nRules)
-	ms.setHosts(frags)
 	ms.assign = next
+	ms.setHosts()
 	for w := range changed {
 		if !changed[w] || !ms.alive(w) {
 			continue
 		}
 		// The replay supersedes any inbox already built for w.
-		replay := ms.replayFor(w, res)
 		ms.inboxes[w] = nil
-		ms.pending[w] = &wire.Assign{Worker: w, Workers: ms.n, NoMQO: ms.noMQO,
-			Frag: frags[w], RuleFrags: ruleFrags[w], Replay: replay}
+		ms.pending[w] = ms.assignFor(w, ms.replayFor(w, res))
 		rebuilt++
 	}
 	return rebuilt

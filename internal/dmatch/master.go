@@ -45,22 +45,23 @@ type masterState struct {
 	live   int         // workers not yet dropped
 	wire   *wire.Stats // wire tallies of the TCP links; stays zero in-process
 
-	// The schedule: the virtual blocks, their current block→worker
-	// assignment, the NoMQO bit every Assign carries, and per worker
-	// the Assign awaiting dispatch (non-nil: the worker is fresh and must
-	// run Deduce on its next Step) and the inbox for the next superstep.
+	// The schedule: the virtual blocks, the rules' cubes over them, the
+	// current block→worker assignment, the NoMQO bit every Assign
+	// carries, and per worker the Assign awaiting dispatch (non-nil: the
+	// worker is fresh and must run Deduce on its next Step) and the inbox
+	// for the next superstep.
 	blocks  []hypart.Block
+	cubes   []hypart.Cube
 	assign  []int
-	nRules  int
 	noMQO   bool
 	pending []*wire.Assign
 	inboxes [][]chase.Fact
 }
 
 // newMasterState builds the master view over dataset d partitioned as
-// part, with every worker's initial Assign pending and no links yet.
-func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO bool) *masterState {
-	n := len(part.Fragments)
+// part for n workers, with every worker's initial Assign pending and no
+// links yet.
+func newMasterState(d *relation.Dataset, part *hypart.Result, n int, noMQO bool) *masterState {
 	ms := &masterState{
 		n:       n,
 		words:   (n + 63) / 64,
@@ -72,8 +73,8 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 		live:    n,
 		wire:    &wire.Stats{},
 		blocks:  part.Blocks,
+		cubes:   part.Cubes,
 		assign:  make([]int, len(part.Blocks)),
-		nRules:  nRules,
 		noMQO:   noMQO,
 		pending: make([]*wire.Assign, n),
 		inboxes: make([][]chase.Fact, n),
@@ -81,16 +82,27 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 	for b := range part.Blocks {
 		ms.assign[b] = part.Blocks[b].Worker
 	}
-	ms.setHosts(part.Fragments)
+	ms.setHosts()
 	for w := range ms.pending {
-		ms.pending[w] = &wire.Assign{Worker: w, Workers: n, NoMQO: noMQO,
-			Frag: part.Fragments[w], RuleFrags: part.RuleFragments[w]}
+		ms.pending[w] = ms.assignFor(w, nil)
 	}
 	return ms
 }
 
-// setHosts rebuilds the host bitsets from the fragments: per tuple, and —
-// folded over the current E_id — per class root. The master tracks, per
+// assignFor builds worker w's Assign under the current assignment: per
+// rule, the cube's extents and the cells w owns, and the facts to replay.
+func (ms *masterState) assignFor(w int, replay []chase.Fact) *wire.Assign {
+	a := &wire.Assign{NoMQO: ms.noMQO, Replay: replay}
+	for r := range ms.cubes {
+		a.Extents = append(a.Extents, ms.cubes[r].Extents())
+		a.Owned = append(a.Owned, ms.cubes[r].Owned(ms.assign, w))
+	}
+	return a
+}
+
+// setHosts rebuilds the host bitsets from the blocks and their current
+// assignment: per tuple, every worker holding a block of it, and — folded
+// over the current E_id — per class root. The master tracks, per
 // class root, the workers hosting *any* member of the class: a match
 // merging classes Ca and Cb must reach every worker hosting any member of
 // either class — a worker hosting x and y needs the bridging fact (a,b)
@@ -98,15 +110,15 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, nRules int, noMQO 
 // remote tuples would be lost. Keeping host bitsets at the roots makes a
 // recipient set two bitword ORs instead of a member-list walk, and class
 // union a bitset merge.
-func (ms *masterState) setHosts(frags [][]relation.TID) {
+func (ms *masterState) setHosts() {
 	words := ms.words
-	ms.hosts = make([]uint64, ms.d.IDSpace()*words)
-	for i, frag := range frags {
-		for _, gid := range frag {
-			ms.hosts[int(gid)*words+i>>6] |= 1 << (uint(i) & 63)
+	ms.hosts = make([]uint64, ms.d.Size()*words)
+	for b, w := range ms.assign {
+		for _, gid := range ms.blocks[b].GIDs {
+			ms.hosts[int(gid)*words+w>>6] |= 1 << (uint(w) & 63)
 		}
 	}
-	ms.classHosts = make([]uint64, ms.d.IDSpace()*words)
+	ms.classHosts = make([]uint64, ms.d.Size()*words)
 	for _, t := range ms.d.Tuples() {
 		root, gid := ms.guf.Find(int(t.GID)), int(t.GID)
 		for i := 0; i < words; i++ {

@@ -20,15 +20,15 @@ type RebalanceEvent struct {
 	Step int
 	// BlocksMoved is how many virtual blocks changed workers.
 	BlocksMoved int
-	// WorkersRebuilt is how many workers got new fragments (≤ 2×moved).
+	// WorkersRebuilt is how many workers got new cells (≤ 2×moved).
 	WorkersRebuilt int
 	// SkewBefore is the skew ratio that triggered the migration;
 	// SkewAfter is the ratio observed on the following superstep (0 until
 	// that superstep completes).
 	SkewBefore float64
 	SkewAfter  float64
-	// RebuildNs is the master-side cost of the migration: fragment
-	// rebuild, engine construction, and fact replay preparation.
+	// RebuildNs is the master-side cost of the migration: the host
+	// bitsets, the owned-cell bitmaps and the fact replay preparation.
 	RebuildNs int64
 }
 

@@ -76,8 +76,8 @@ func TestRoutingDedupGammaEquality(t *testing.T) {
 }
 
 // TestWorkersExceedVirtualBlocks covers the degenerate end of the worker
-// range: more workers than non-empty virtual blocks leaves some fragments
-// empty, and the run must still converge to the sequential Γ with finite
+// range: more workers than non-empty virtual blocks leaves some workers
+// without a block, and the run must still converge to the sequential Γ with finite
 // skew ratios (the zero-busy guard in the timeline).
 func TestWorkersExceedVirtualBlocks(t *testing.T) {
 	str := relation.TypeString
@@ -115,10 +115,10 @@ func TestWorkersExceedVirtualBlocks(t *testing.T) {
 		}
 	}
 	if empty == 0 {
-		t.Error("expected at least one idle worker with an empty fragment")
+		t.Error("expected at least one idle worker without a block")
 	}
 	if got := classSignature(res.Classes()); got != want {
-		t.Errorf("classes diverge with empty fragments present")
+		t.Errorf("classes diverge with blockless workers present")
 	}
 	for _, ss := range res.Timeline().Steps {
 		if math.IsNaN(ss.SkewRatio) || math.IsInf(ss.SkewRatio, 0) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRecordZeroBusyGuard is the regression test for the skew-ratio
-// division hazard: a superstep in which no worker reports busy time (all
-// fragments empty, or every worker skipped on an empty inbox) must record
+// division hazard: a superstep in which no worker reports busy time (no
+// worker owning a cell, or every worker skipped on an empty inbox) must record
 // a zero skew ratio, not NaN/Inf.
 func TestRecordZeroBusyGuard(t *testing.T) {
 	var tl Timeline
@@ -28,7 +28,7 @@ func TestRecordZeroBusyGuard(t *testing.T) {
 		t.Fatalf("zero-busy superstep has makespan %d", ss.MakespanNs)
 	}
 
-	// One empty fragment among busy workers: skew stays finite and only
+	// One idle worker among busy workers: skew stays finite and only
 	// active workers enter the mean.
 	elapsed = []time.Duration{2 * time.Millisecond, 0, 2 * time.Millisecond}
 	tl.record(1, elapsed, facts, msgs, 0, 0, 0, 0, 0)

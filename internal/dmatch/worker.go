@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"dcer/internal/chase"
+	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
+	"dcer/internal/mqo"
 	"dcer/internal/relation"
 	"dcer/internal/rule"
 	"dcer/internal/telemetry"
@@ -21,7 +23,8 @@ import (
 // worker is the worker half of DMatch — one slot P_i of Section V-B, the
 // same whether it runs as a goroutine behind a loopback link or as a
 // process behind RunWorker's connection. It holds one chase engine over
-// the slot's current fragment.
+// the whole dataset that enumerates only the valuations in the cells the
+// slot currently owns.
 type worker struct {
 	id    int
 	d     *relation.Dataset
@@ -31,6 +34,11 @@ type worker struct {
 	// every slot in the process binds against under MQO sharing, rebuilt
 	// engines included.
 	ix *relation.IndexSet
+	// cubes are the rules' hypercubes: the partition's, shared by the
+	// slots of the master's process; a worker process derives its own
+	// from its first Assign (hypart.Cubes). Every Assign's extents must
+	// be theirs.
+	cubes []hypart.Cube
 	// hooks carries the observability options (Metrics, MetricsLabels,
 	// Provenance) every engine of this slot is built with. They never
 	// change Γ; a worker process has none. Each Assign sets ShareIndexes
@@ -46,8 +54,8 @@ type worker struct {
 }
 
 // handle executes one master message and returns the reply it calls for:
-// Assign builds a fresh engine over the fragment (no reply), Step runs the
-// superstep — partial evaluation A over a fresh fragment, then the
+// Assign builds a fresh engine over the cells it grants (no reply), Step
+// runs the superstep — partial evaluation A of a fresh engine, then the
 // replayed history and the inbox through A_Δ — and replies with the delta,
 // Done replies with the slot's final stats. tc is the superstep's trace
 // context when master and worker share a process.
@@ -59,9 +67,9 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 		}
 		a := m.Assign
 		w.hooks.ShareIndexes = !a.NoMQO
-		eng, err := buildWorkerEngine(w.d, w.ix, w.rules, w.reg, w.id, a.Frag, a.RuleFrags, w.hooks)
+		eng, err := w.build(&a)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("dmatch: worker %d: %w", w.id, err)
 		}
 		w.eng, w.replay, w.fresh = eng, a.Replay, true
 	case wire.MsgStep:
@@ -103,36 +111,31 @@ func (w *worker) handle(m wire.Msg, tc telemetry.TraceContext) (*wire.Delta, *ch
 	return nil, nil, nil
 }
 
-// buildWorkerEngine constructs one chase engine over a fragment of d, with
-// each rule scoped to the union of the worker's blocks generated for that
-// rule (hypercube semantics: a rule is checked within its own blocks).
-// Under MQO sharing every rule probes ix, the process's index set over d,
-// and its scope filters the candidates; rules with identical scopes share
-// one scope view.
-func buildWorkerEngine(d *relation.Dataset, ix *relation.IndexSet, rules []*rule.Rule, reg *mlpred.Registry,
-	i int, frag []relation.TID, ruleFrags [][]relation.TID, copts chase.Options) (*chase.Engine, error) {
-	fd := d.Fragment(frag)
-	scopes := make([]*relation.Dataset, len(rules))
-	for ri, ids := range ruleFrags {
-		if len(ids) == len(frag) {
-			scopes[ri] = fd
-			continue
+// build constructs the engine an Assign grants: one over the whole
+// dataset that owns, per rule, the cells the Assign's bitmap marks. Under
+// MQO sharing every rule probes ix, the process's index set. An Assign
+// whose rules or extents are not the worker's cubes' is refused.
+func (w *worker) build(a *wire.Assign) (*chase.Engine, error) {
+	if w.cubes == nil {
+		plan, err := mqo.Build(w.rules, !a.NoMQO)
+		if err != nil {
+			return nil, err
 		}
-		for rj := range ri {
-			if slices.Equal(ruleFrags[rj], ids) {
-				scopes[ri] = scopes[rj]
-				break
-			}
-		}
-		if scopes[ri] == nil {
-			scopes[ri] = d.Fragment(ids)
+		if w.cubes, err = hypart.Cubes(w.d, plan, a.Extents); err != nil {
+			return nil, err
 		}
 	}
-	eng, err := chase.NewScoped(fd, rules, scopes, ix, reg, copts)
-	if err != nil {
-		return nil, fmt.Errorf("dmatch: worker %d: %w", i, err)
+	if len(a.Extents) != len(w.cubes) || len(a.Owned) != len(w.cubes) {
+		return nil, fmt.Errorf("assign for %d rules, the worker has %d", len(a.Extents), len(w.cubes))
 	}
-	return eng, nil
+	cells := make([]chase.Cells, len(w.cubes))
+	for r := range w.cubes {
+		if !slices.Equal(a.Extents[r], w.cubes[r].Extents()) {
+			return nil, fmt.Errorf("rule %s: assign's extents %v, the worker's cube has %v", w.rules[r].Name, a.Extents[r], w.cubes[r].Extents())
+		}
+		cells[r] = chase.Cells{Cube: &w.cubes[r], Owned: a.Owned[r]}
+	}
+	return chase.NewScoped(w.d, w.rules, cells, w.ix, w.reg, w.hooks)
 }
 
 // WorkerOptions configures one worker process (RunWorker).
@@ -170,10 +173,7 @@ func RunWorker(addr string, d *relation.Dataset, rules []*rule.Rule, reg *mlpred
 	enc := wire.NewEncoder(conn, wopts.Stats)
 	dec := wire.NewDecoder(conn, wopts.Stats)
 	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg, ix: relation.NewIndexSet(d)}
-	err = enc.Hello(wire.Hello{
-		Version: wire.Version, Worker: w.id,
-		DatasetSize: d.Size(), IDSpace: d.IDSpace(), Rules: len(rules),
-	})
+	err = enc.Hello(wire.Hello{Version: wire.Version, Worker: w.id, DatasetSize: d.Size(), Rules: len(rules)})
 	if err != nil {
 		return fmt.Errorf("dmatch: worker %d: hello: %w", w.id, err)
 	}

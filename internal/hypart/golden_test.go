@@ -14,11 +14,12 @@ import (
 	"dcer/internal/rule"
 )
 
-// partitionDigest is a sha256 over everything Partition computes: every
-// block (canon, sorted GIDs, rules, worker), every fragment and per-rule
-// scope, and every Stats field. Lengths are written before contents, so
-// no two distinct partitions serialize alike.
-func partitionDigest(res *hypart.Result) string {
+// partitionDigest is a sha256 over what Partition computes: every block
+// (canon, sorted GIDs, rules, worker), every worker's union of blocks and
+// of each rule's blocks (mapBuildFragments), and every Stats field. Lengths
+// are written before contents, so no two distinct partitions serialize
+// alike.
+func partitionDigest(res *hypart.Result, n int) string {
 	h := sha256.New()
 	num := func(v int64) {
 		var b [8]byte
@@ -44,12 +45,17 @@ func partitionDigest(res *hypart.Result) string {
 		}
 		num(int64(b.Worker))
 	}
-	num(int64(len(res.Fragments)))
-	for _, f := range res.Fragments {
+	assign := make([]int, len(res.Blocks))
+	for b := range res.Blocks {
+		assign[b] = res.Blocks[b].Worker
+	}
+	frags, ruleFrags := mapBuildFragments(res.Blocks, assign, n, len(res.Cubes))
+	num(int64(len(frags)))
+	for _, f := range frags {
 		tids(f)
 	}
-	num(int64(len(res.RuleFragments)))
-	for _, rf := range res.RuleFragments {
+	num(int64(len(ruleFrags)))
+	for _, rf := range ruleFrags {
 		num(int64(len(rf)))
 		for _, f := range rf {
 			tids(f)
@@ -129,7 +135,7 @@ func TestPartitionGoldenDigest(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					got := partitionDigest(res)
+					got := partitionDigest(res, n)
 					if got != goldenPartitions[key] {
 						t.Errorf("%s: digest %s, golden %q", key, got, goldenPartitions[key])
 					}

@@ -5,10 +5,11 @@
 // blocks to workers with an LPT minimum-makespan heuristic to balance the
 // load.
 //
-// The partition has the locality property of Lemma 6: every valuation of
-// every rule is fully contained in at least one fragment, so checking
-// D ⊨ Σ (and chasing) can be done locally, with only deduced matches and
-// validated ML predictions exchanged between workers.
+// The partition has the locality property of Lemma 6, in its Hypercube
+// form: every valuation of a rule lies in exactly one owned cell of the
+// rule's cube (Result.Cubes, Cube.Owned), whose block holds all its
+// tuples. So each valuation is checked (and chased) by exactly one worker,
+// with only deduced matches and validated ML predictions exchanged.
 //
 // Partition itself is parallel and runs on the dense id spaces of the
 // storage layer: every rule's coordinate cells are resolved to block
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,8 +54,9 @@ type Options struct {
 	// the default grows with the worker count: max(4, n/2).
 	ReplicationCap int
 	// Metrics, when non-nil, receives the partition shape as the
-	// dcer_hypart_fragment_size histogram (tuples per worker fragment, one
-	// observation per worker). Nil disables with no overhead.
+	// dcer_hypart_fragment_size histogram (tuples per worker: the union of
+	// its blocks, one observation per worker). Nil disables with no
+	// overhead.
 	Metrics *telemetry.Registry
 	// Trace parents the partition's causal spans: a hypart.Partition
 	// root, one hypart.shard.scan span per scan goroutine (each on its
@@ -72,9 +75,11 @@ type Stats struct {
 	Blocks           int   // non-empty virtual blocks
 	HashFns          int   // hash functions used (after sharing)
 	HashFnsBaseline  int   // one-per-distinct-variable baseline
-	MaxFragment      int
-	MinFragment      int
-	Shards           int // goroutines the partition pass actually used
+	// MaxFragment and MinFragment bound the tuples a worker holds: the
+	// union of its blocks.
+	MaxFragment int
+	MinFragment int
+	Shards      int // goroutines the partition pass actually used
 }
 
 // Block is one virtual block of the computed partition: its canonical
@@ -92,27 +97,84 @@ type Block struct {
 
 // Result is the computed partition.
 type Result struct {
-	// Fragments[i] lists the GIDs assigned to worker i (deduplicated):
-	// the union of the virtual blocks placed on the worker.
-	Fragments [][]relation.TID
-	// RuleFragments[i][r] lists the GIDs of worker i's blocks that were
-	// generated for rule r. Hypercube semantics evaluate each rule within
-	// its own blocks; scoping the chase per rule avoids every rule
-	// re-scanning tuples that other rules' blocks brought to the worker.
-	RuleFragments [][][]relation.TID
-	// Blocks lists the non-empty virtual blocks in canonical order (nil
-	// on the n=1 fast path, which has no blocks to balance).
+	// Blocks lists the non-empty virtual blocks in canonical order. The
+	// n=1 fast path has one, holding every tuple, which Stats leaves
+	// uncounted.
 	Blocks []Block
-	Plan   *mqo.Plan
-	Stats  Stats
+	// Cubes[r] is rule r's hypercube, with each cell's block.
+	Cubes []Cube
+	Plan  *mqo.Plan
+	Stats Stats
 }
 
-// dim is one hypercube dimension of a rule: a distinct-variable class with
-// its hash function and extent.
-type dim struct {
-	dv   *rule.DistinctVar
-	fn   int
-	size int
+// Dim is one dimension of a rule's hypercube: its hash function, its
+// extent and its stride, the step one bucket advances the cell index by.
+// Extents are powers of two (buildDims doubles them from 1), and a stride
+// is the product of the extents before it, so a cell index is the bitwise
+// OR of bucket·stride over the dimensions.
+type Dim struct {
+	Fn, Extent, Stride int
+}
+
+// VarCells is what one variable of a rule hashes of the rule's cube.
+type VarCells struct {
+	// Dims lists the dimensions the variable hashes, and Attrs, aligned,
+	// the attribute of its tuples each one hashes.
+	Dims, Attrs []int
+	// Mask has the bits of the cell index that Dims occupy.
+	Mask int32
+	// Cells lists, by row of the variable's relation, the bits of the
+	// cell index a tuple fixes: the OR over Dims of bucket·stride, where
+	// bucket is the tuple's hash modulo the extent. HyPart's scan places
+	// the tuple, for this variable, in every cell agreeing with it on
+	// Mask. Nil when Mask is 0: the variable is broadcast over the cube.
+	Cells []int32
+}
+
+// Cube is one rule's hypercube, as Partition resolved it.
+type Cube struct {
+	// Dims lists the dimensions in the order of the rule's distinct
+	// variables (mqo.RuleAssignment.DVs).
+	Dims []Dim
+	// Vars[v] is what variable v hashes.
+	Vars []VarCells
+	// Blocks[c] is the index in Result.Blocks of the block cell c lies
+	// in, -1 when that block is empty. Nil in a cube built by Cubes.
+	Blocks []int32
+}
+
+// Size returns the number of cells: the product of the extents.
+func (c *Cube) Size() int {
+	n := 1
+	for _, dm := range c.Dims {
+		n *= dm.Extent
+	}
+	return n
+}
+
+// Extents lists the dimensions' extents, in Dims order: with the MQO plan
+// they determine the cube (Cubes).
+func (c *Cube) Extents() []int {
+	out := make([]int, len(c.Dims))
+	for i, dm := range c.Dims {
+		out[i] = dm.Extent
+	}
+	return out
+}
+
+// Owned returns the bitmap of the cells worker w owns under assign, an
+// assignment of Result.Blocks to workers: bit c of word c>>6 is set when
+// cell c lies in a block assign puts on w. Every valuation of the rule
+// lies in one cell, so over the workers the bitmaps partition the cells
+// whose blocks hold a tuple.
+func (c *Cube) Owned(assign []int, w int) []uint64 {
+	out := make([]uint64, (len(c.Blocks)+63)>>6)
+	for cell, b := range c.Blocks {
+		if b >= 0 && assign[b] == w {
+			out[cell>>6] |= 1 << (cell & 63)
+		}
+	}
+	return out
 }
 
 func errWorkers(n int) error {
@@ -131,18 +193,21 @@ func effectiveRepCap(cap, n int) int {
 	return out
 }
 
-// partitionSingle is the n=1 fast path: one fragment holding everything.
-func partitionSingle(d *relation.Dataset, rules []*rule.Rule, res *Result, metrics *telemetry.Registry) *Result {
-	ids := make([]relation.TID, 0, d.Size())
-	for _, t := range d.Tuples() {
-		ids = append(ids, t.GID)
+// partitionSingle is the n=1 fast path: one block holding everything,
+// and every rule's cube a single cell of extent-1 dimensions lying in it.
+func partitionSingle(d *relation.Dataset, res *Result, metrics *telemetry.Registry) *Result {
+	ids := make([]relation.TID, d.Size())
+	for i := range ids {
+		ids[i] = relation.TID(i)
 	}
-	res.Fragments = [][]relation.TID{ids}
-	perRule := make([][]relation.TID, len(rules))
-	for r := range perRule {
-		perRule[r] = ids
+	rules := make([]int, len(res.Plan.Assignments))
+	for r, ra := range res.Plan.Assignments {
+		rules[r] = r
+		cb := newCube(d, ra, buildDims(ra, 1, 1, nil))
+		cb.Blocks = []int32{0}
+		res.Cubes = append(res.Cubes, cb)
 	}
-	res.RuleFragments = [][][]relation.TID{perRule}
+	res.Blocks = []Block{{GIDs: ids, Rules: rules}}
 	res.Stats.MaxFragment, res.Stats.MinFragment = len(ids), len(ids)
 	metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(len(ids)))
 	return res
@@ -181,17 +246,29 @@ func canonLess(a, b []uint64) bool {
 	return false
 }
 
-// cube is one rule's hypercube resolved to block indexes before any tuple
-// is scanned: a coordinate vector is a mixed-radix cell index (dimension
-// di advances it by stride[di] per bucket), and cells maps each of the
-// ≤ n² cells to the virtual block its canonical key names. Block keys
-// embed (fn, extent, bucket) per dimension, so rules sharing all hash
-// functions and extents resolve to the same blocks — the tuple-copy dedup
-// that MQO sharing buys.
-type cube struct {
-	dims   []dim
-	stride []int32
-	cells  []int32
+// newCube lays out the cube of a rule's dimensions, of the given extents:
+// the strides and, per variable, the dimensions it hashes, their mask and,
+// when that is not empty, a cells column for the scan to fill.
+func newCube(d *relation.Dataset, ra *mqo.RuleAssignment, extents []int) Cube {
+	c := Cube{Dims: make([]Dim, len(extents)), Vars: make([]VarCells, len(ra.Rule.Vars))}
+	stride := 1
+	for di, x := range extents {
+		c.Dims[di] = Dim{Fn: ra.HashFn[di], Extent: x, Stride: stride}
+		stride *= x
+	}
+	for v, rv := range ra.Rule.Vars {
+		vc := &c.Vars[v]
+		for di, dv := range ra.DVs {
+			if attr, ok := dv.AttrOf(v); ok {
+				vc.Dims, vc.Attrs = append(vc.Dims, di), append(vc.Attrs, attr)
+				vc.Mask |= int32((c.Dims[di].Extent - 1) * c.Dims[di].Stride)
+			}
+		}
+		if vc.Mask != 0 {
+			vc.Cells = make([]int32, len(d.Relations[rv.RelIdx].TIDs()))
+		}
+	}
+	return c
 }
 
 // blockIndex interns canonical block keys to dense block indexes while
@@ -202,20 +279,19 @@ type blockIndex struct {
 	canon [][]uint64
 }
 
-func (bx *blockIndex) resolve(dims []dim) *cube {
-	c := &cube{dims: dims, stride: make([]int32, len(dims))}
-	total := 1
-	for i := range dims {
-		c.stride[i] = int32(total)
-		total *= dims[i].size
-	}
-	c.cells = make([]int32, total)
-	coord := make([]int, len(dims))
-	key := make([]uint64, len(dims))
-	raw := make([]byte, 8*len(dims))
-	for cell := range c.cells {
-		for i := range dims {
-			key[i] = packDim(dims[i].fn, dims[i].size, coord[i])
+// resolve maps each of cube c's ≤ n² cells (a mixed-radix coordinate
+// vector, dimension 0 fastest) to the virtual block its canonical key
+// names. Block keys embed (fn, extent, bucket) per dimension, so rules
+// sharing all hash functions and extents resolve to the same blocks — the
+// tuple-copy dedup that MQO sharing buys.
+func (bx *blockIndex) resolve(c *Cube) []int32 {
+	cells := make([]int32, c.Size())
+	coord := make([]int, len(c.Dims))
+	key := make([]uint64, len(c.Dims))
+	raw := make([]byte, 8*len(c.Dims))
+	for cell := range cells {
+		for i, dm := range c.Dims {
+			key[i] = packDim(dm.Fn, dm.Extent, coord[i])
 		}
 		// Insertion sort: keys are tiny (one element per rule dimension).
 		for i := 1; i < len(key); i++ {
@@ -232,28 +308,57 @@ func (bx *blockIndex) resolve(dims []dim) *cube {
 			bx.byKey[string(raw)] = b
 			bx.canon = append(bx.canon, append([]uint64(nil), key...))
 		}
-		c.cells[cell] = b
+		cells[cell] = b
 		for i := range coord { // next cell: dimension 0 runs fastest
-			if coord[i]++; coord[i] < dims[i].size {
+			if coord[i]++; coord[i] < c.Dims[i].Extent {
 				break
 			}
 			coord[i] = 0
 		}
 	}
-	return c
+	return cells
 }
 
 // varScan is the per-(rule, variable) scan preparation shared by every
-// shard: the rule's cube, which dimensions hash this variable (and on
-// which attribute), and the cell offsets of every combination of the
-// broadcast dimensions (a single 0 when nothing is broadcast).
+// shard: the rule's cube and the variable's share of it, the candidate
+// block of each cell (nil when the scan only fills the cells column), and
+// the cell offsets of every combination of the broadcast dimensions (a
+// single 0 when nothing is broadcast).
 type varScan struct {
 	ri     int
-	cube   *cube
+	cube   *Cube
+	vc     *VarCells
 	rel    *relation.Relation
-	hashed []int
-	attrs  []int // attribute per hashed dim
+	blocks []int32
 	bcast  []int32
+}
+
+// scans prepares the scans of rule ri's variables over cube c, whose cells
+// lie in the candidate blocks blocks, and appends their units to units.
+// With blocks nil the scans only fill cells columns, and a variable
+// without one is not scanned.
+func scans(units []unit, d *relation.Dataset, ri int, ra *mqo.RuleAssignment, c *Cube, blocks []int32) []unit {
+	for v, rv := range ra.Rule.Vars {
+		sc := &varScan{ri: ri, cube: c, vc: &c.Vars[v], rel: d.Relations[rv.RelIdx], blocks: blocks, bcast: []int32{0}}
+		if blocks == nil && sc.vc.Cells == nil {
+			continue
+		}
+		for di, dm := range c.Dims {
+			if dm.Extent > 1 && !slices.Contains(sc.vc.Dims, di) {
+				images := make([]int32, 0, len(sc.bcast)*dm.Extent)
+				for b := 0; b < dm.Extent; b++ {
+					for _, off := range sc.bcast {
+						images = append(images, off+int32(b*dm.Stride))
+					}
+				}
+				sc.bcast = images
+			}
+		}
+		for lo := 0; lo < len(sc.rel.TIDs()); lo += unitChunk {
+			units = append(units, unit{sc, lo, min(lo+unitChunk, len(sc.rel.TIDs()))})
+		}
+	}
+	return units
 }
 
 // unit is one shard work item: a tuple range of one varScan.
@@ -268,7 +373,8 @@ const unitChunk = 2048
 
 // shardAcc is one goroutine's private accumulator: per block, the members
 // it emitted (duplicates included — the finalisation dedups) and the
-// rules that emitted them.
+// rules that emitted them (none for the scans of Cubes, which place
+// nothing).
 type shardAcc struct {
 	gids      [][]relation.TID
 	rules     []uint64 // ruleWords-wide bitset per block
@@ -278,11 +384,11 @@ type shardAcc struct {
 	row       [unitChunk]int32
 }
 
-// scan hashes one unit column by column into cell indexes and appends
-// every tuple to the blocks of its cell's broadcast images. The unit's
-// tuples are a range of its relation's scan list (Relation.TIDs), whose
-// column rows the dataset's row table gives, so a fragment partitions as
-// its root does.
+// scan hashes one unit column by column into cell indexes, writes them to
+// the variable's cells column and appends every tuple to the blocks of
+// its cell's broadcast images. The unit's tuples are a range of its
+// relation's scan list (Relation.TIDs), whose column rows the dataset's
+// row table gives: the range's own positions.
 func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWords int) {
 	sc := u.scan
 	tuples := sc.rel.TIDs()[u.lo:u.hi]
@@ -290,16 +396,25 @@ func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWor
 	for i, t := range tuples {
 		cell[i], rows[i] = 0, rowOf[t]
 	}
-	for hi, di := range sc.hashed {
-		dm, attr := &sc.cube.dims[di], sc.attrs[hi]
-		hasher.HashColumn(dm.fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), rows, hash)
-		if size, stride := uint32(dm.size), sc.cube.stride[di]; size > 1 {
+	for hi, di := range sc.vc.Dims {
+		dm, attr := &sc.cube.Dims[di], sc.vc.Attrs[hi]
+		if dm.Extent == 1 && sc.blocks == nil {
+			continue // a bucket of 0; only Partition's Stats count its hash
+		}
+		hasher.HashColumn(dm.Fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), rows, hash)
+		if size, stride := uint32(dm.Extent), int32(dm.Stride); size > 1 {
 			for i, h := range hash {
 				cell[i] += int32(h%size) * stride
 			}
 		}
 	}
-	cells := sc.cube.cells
+	if sc.vc.Cells != nil {
+		copy(sc.vc.Cells[u.lo:u.hi], cell)
+	}
+	if sc.blocks == nil {
+		return
+	}
+	cells := sc.blocks
 	rword, rbit := sc.ri>>6, uint64(1)<<(uint(sc.ri)&63)
 	for i, t := range tuples {
 		for _, off := range sc.bcast {
@@ -311,7 +426,28 @@ func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWor
 	sa.generated += int64(len(tuples) * len(sc.bcast))
 }
 
-// Partition splits dataset d into n fragments for the rule set Σ.
+// runUnits scans units on shards goroutines, one accumulator each (accs
+// holds shards of them), handing the units out from one atomic cursor.
+// Each goroutine's scan is a span on its own lane of ptc.
+func runUnits(units []unit, accs []*shardAcc, ptc telemetry.TraceContext, rowOf []int32, hasher *mqo.DenseHasher, ruleWords int) {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for s, sa := range accs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
+			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
+				sa.scan(units[i], rowOf, hasher, ruleWords)
+			}
+			sp.End()
+		}()
+	}
+	wg.Wait()
+}
+
+// Partition splits dataset d into n workers' shares for the rule set Σ:
+// virtual blocks, each on one worker, and every rule's cube over them.
 func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
 	if n < 1 {
 		return nil, errWorkers(n)
@@ -332,7 +468,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	res.Stats.HashFns, res.Stats.HashFnsBaseline = plan.Savings()
 	if n == 1 {
 		res.Stats.Shards = 1
-		return partitionSingle(d, rules, res, opts.Metrics), nil
+		return partitionSingle(d, res, opts.Metrics), nil
 	}
 
 	if n > maxExtent/n { // n² > maxExtent, without overflowing
@@ -352,28 +488,12 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	// variable) scans and chunk them into units.
 	bx := &blockIndex{byKey: make(map[string]int32)}
 	var units []unit
+	res.Cubes = make([]Cube, len(plan.Assignments))
+	cand := make([][]int32, len(plan.Assignments)) // per rule, each cell's candidate block
 	for ri, ra := range plan.Assignments {
-		cb := bx.resolve(buildDims(ra, vb, repCap, relSizes))
-		for vi, v := range ra.Rule.Vars {
-			sc := &varScan{ri: ri, cube: cb, rel: d.Relations[v.RelIdx], bcast: []int32{0}}
-			for di := range cb.dims {
-				if attr, ok := cb.dims[di].dv.AttrOf(vi); ok {
-					sc.hashed = append(sc.hashed, di)
-					sc.attrs = append(sc.attrs, attr)
-				} else if size := cb.dims[di].size; size > 1 {
-					images := make([]int32, 0, len(sc.bcast)*size)
-					for b := 0; b < size; b++ {
-						for _, off := range sc.bcast {
-							images = append(images, off+int32(b)*cb.stride[di])
-						}
-					}
-					sc.bcast = images
-				}
-			}
-			for lo := 0; lo < len(sc.rel.TIDs()); lo += unitChunk {
-				units = append(units, unit{sc, lo, min(lo+unitChunk, len(sc.rel.TIDs()))})
-			}
-		}
+		res.Cubes[ri] = newCube(d, ra, buildDims(ra, vb, repCap, relSizes))
+		cand[ri] = bx.resolve(&res.Cubes[ri])
+		units = scans(units, d, ri, ra, &res.Cubes[ri], cand[ri])
 	}
 
 	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
@@ -382,25 +502,13 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	hasher := mqo.NewDenseHasher(plan.NumHashFns, d.Syms())
 	ruleWords := (len(rules) + 63) / 64
 	accs := make([]*shardAcc, shards)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
 	for s := range accs {
 		accs[s] = &shardAcc{
 			gids:  make([][]relation.TID, len(bx.canon)),
 			rules: make([]uint64, len(bx.canon)*ruleWords),
 		}
-		wg.Add(1)
-		go func(s int, sa *shardAcc) {
-			defer wg.Done()
-			// Each scan goroutine renders on its own shard lane.
-			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
-			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
-				sa.scan(units[i], d.Rows(), hasher, ruleWords)
-			}
-			sp.End()
-		}(s, accs[s])
 	}
-	wg.Wait()
+	runUnits(units, accs, ptc, d.Rows(), hasher, ruleWords)
 	res.Stats.HashComputations, res.Stats.HashLookups = hasher.Counts()
 
 	// Merge: the non-empty blocks in canonical key order — so the result
@@ -418,9 +526,14 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return canonLess(bx.canon[order[i]], bx.canon[order[j]]) })
+	blockOf := make([]int32, len(bx.canon)) // candidate block -> index in res.Blocks, -1 when empty
+	for b := range blockOf {
+		blockOf[b] = -1
+	}
 	var set relation.TIDSet
 	res.Blocks = make([]Block, len(order))
 	for bi, b := range order {
+		blockOf[b] = int32(bi)
 		var ris []int
 		for w := 0; w < ruleWords; w++ {
 			var word uint64
@@ -441,6 +554,12 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		res.Stats.GeneratedTuples += sa.generated
 	}
 	res.Stats.Blocks = len(res.Blocks)
+	for ri, cells := range cand {
+		res.Cubes[ri].Blocks = make([]int32, len(cells))
+		for cell, b := range cells {
+			res.Cubes[ri].Blocks[cell] = blockOf[b]
+		}
+	}
 	msp.End()
 
 	asp := ptc.Start("hypart.assign")
@@ -456,18 +575,65 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for i := range res.Blocks {
 		res.Blocks[i].Worker = assign[i]
 	}
-	res.Fragments, res.RuleFragments = BuildFragments(res.Blocks, assign, n, len(rules))
 	res.Stats.MinFragment = int(^uint(0) >> 1)
-	for i, ids := range res.Fragments {
-		if len(ids) > res.Stats.MaxFragment {
-			res.Stats.MaxFragment = len(ids)
-		}
-		if len(ids) < res.Stats.MinFragment {
-			res.Stats.MinFragment = len(ids)
-		}
-		opts.Metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(len(res.Fragments[i])))
+	for _, size := range WorkerSizes(res.Blocks, assign, n) {
+		res.Stats.MaxFragment = max(res.Stats.MaxFragment, size)
+		res.Stats.MinFragment = min(res.Stats.MinFragment, size)
+		opts.Metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(size))
 	}
 	return res, nil
+}
+
+// WorkerSizes counts, per worker, the distinct tuples of the blocks
+// assign puts on it, through one scratch relation.TIDSet.
+func WorkerSizes(blocks []Block, assign []int, n int) []int {
+	sizes := make([]int, n)
+	var set relation.TIDSet
+	for w := range sizes {
+		for b := range blocks {
+			if assign[b] == w {
+				set.Add(blocks[b].GIDs)
+			}
+		}
+		sizes[w] = len(set.Drain())
+	}
+	return sizes
+}
+
+// Cubes derives the rules' cubes, without blocks, from the MQO plan a
+// partition used and the extents it gave every rule's dimensions
+// (Cube.Extents), hashing d's tuples into each variable's cells column as
+// Partition's scan does: a worker process, which runs no partition,
+// builds its cubes from what an Assign carries. Extents that cannot be
+// the plan's are an error: a rule or dimension count other than the
+// plan's, an extent that is not a power of two, a constant dimension
+// wider than 1, or a cube past the virtual-block bound.
+func Cubes(d *relation.Dataset, plan *mqo.Plan, extents [][]int) ([]Cube, error) {
+	if len(extents) != len(plan.Assignments) {
+		return nil, fmt.Errorf("hypart: extents for %d rules, the plan has %d", len(extents), len(plan.Assignments))
+	}
+	cubes := make([]Cube, len(extents))
+	var units []unit
+	for ri, ra := range plan.Assignments {
+		if len(extents[ri]) != len(ra.DVs) {
+			return nil, fmt.Errorf("hypart: rule %s: %d extents for %d dimensions", ra.Rule.Name, len(extents[ri]), len(ra.DVs))
+		}
+		cells := 1
+		for di, x := range extents[ri] {
+			if x < 1 || x&(x-1) != 0 || x > maxExtent/cells || ra.DVs[di].Const && x > 1 {
+				return nil, fmt.Errorf("hypart: rule %s: extent %d of dimension %d does not fit the plan", ra.Rule.Name, x, di)
+			}
+			cells *= x
+		}
+		cubes[ri] = newCube(d, ra, extents[ri])
+		units = scans(units, d, ri, ra, &cubes[ri], nil)
+	}
+	accs := make([]*shardAcc, max(min(runtime.GOMAXPROCS(0), len(units)), 1))
+	for s := range accs {
+		accs[s] = &shardAcc{}
+	}
+	runUnits(units, accs, telemetry.TraceContext{}, d.Rows(), mqo.NewDenseHasher(plan.NumHashFns, d.Syms()), 0)
+	return cubes, nil
 }
 
 // AssignLPT assigns blocks to n workers with the LPT minimum-makespan
@@ -497,40 +663,6 @@ func AssignLPT(costs []float64, n int) []int {
 	return assign
 }
 
-// BuildFragments materializes the per-worker fragments and per-rule rule
-// scopes implied by an assignment of blocks to workers: Fragments[i] is
-// the sorted union of worker i's blocks, RuleFragments[i][r] the sorted
-// union of its blocks generated for rule r. Unions go through one scratch
-// relation.TIDSet, so the cost is linear in the block sizes.
-func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation.TID, [][][]relation.TID) {
-	own := make([][]int, n)              // blocks per worker
-	ownRule := make([][]int, n*numRules) // blocks per (worker, rule)
-	for bi := range blocks {
-		w := assign[bi]
-		own[w] = append(own[w], bi)
-		for _, ri := range blocks[bi].Rules {
-			ownRule[w*numRules+ri] = append(ownRule[w*numRules+ri], bi)
-		}
-	}
-	var set relation.TIDSet
-	union := func(bis []int) []relation.TID {
-		for _, bi := range bis {
-			set.Add(blocks[bi].GIDs)
-		}
-		return set.Drain()
-	}
-	frags := make([][]relation.TID, n)
-	ruleFrags := make([][][]relation.TID, n)
-	for w := range frags {
-		frags[w] = union(own[w])
-		ruleFrags[w] = make([][]relation.TID, numRules)
-		for ri := range ruleFrags[w] {
-			ruleFrags[w][ri] = union(ownRule[w*numRules+ri])
-		}
-	}
-	return frags, ruleFrags
-}
-
 // buildDims allocates hypercube extents to a rule's dimensions by greedy
 // doubling, the pragmatic stand-in for the Lagrangean allocation of
 // Afrati-Ullman: at each step it doubles the dimension whose member
@@ -538,19 +670,20 @@ func BuildFragments(blocks []Block, assign []int, n, numRules int) ([][]relation
 // shrinks the expected block the most), refusing any doubling that would
 // push some variable's broadcast product beyond repCap or exceed the block
 // budget vb. Constant-pinned dimensions carry one value and keep extent 1.
-func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []dim {
-	dims := make([]dim, len(ra.DVs))
-	for _, di := range ra.DimOrder {
-		dims[di] = dim{dv: ra.DVs[di], fn: ra.HashFn[di], size: 1}
+// It returns the extents in the order of ra.DVs.
+func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []int {
+	size := make([]int, len(ra.DVs))
+	for di := range size {
+		size[di] = 1
 	}
 	nvars := len(ra.Rule.Vars)
 	// replication(v) = product of extents of dimensions without a member
 	// on v — the number of copies each tuple bound to v generates.
 	replication := func(v int) int {
 		r := 1
-		for di := range dims {
-			if _, ok := dims[di].dv.AttrOf(v); !ok {
-				r *= dims[di].size
+		for di, dv := range ra.DVs {
+			if _, ok := dv.AttrOf(v); !ok {
+				r *= size[di]
 			}
 		}
 		return r
@@ -558,9 +691,9 @@ func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []dim {
 	// contribution(v) = expected tuples variable v places in one block.
 	contribution := func(v int) float64 {
 		c := float64(relSizes[ra.Rule.Vars[v].RelIdx])
-		for di := range dims {
-			if _, ok := dims[di].dv.AttrOf(v); ok {
-				c /= float64(dims[di].size)
+		for di, dv := range ra.DVs {
+			if _, ok := dv.AttrOf(v); ok {
+				c /= float64(size[di])
 			}
 		}
 		return c
@@ -568,8 +701,8 @@ func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []dim {
 	product := 1
 	for product*2 <= vb {
 		best, bestGain := -1, 0.0
-		for di := range dims {
-			if dims[di].dv.Const {
+		for di, dv := range ra.DVs {
+			if dv.Const {
 				continue
 			}
 			// Doubling di halves its member variables' block contribution
@@ -578,7 +711,7 @@ func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []dim {
 			ok := true
 			gain := 0.0
 			for v := 0; v < nvars; v++ {
-				if _, member := dims[di].dv.AttrOf(v); member {
+				if _, member := dv.AttrOf(v); member {
 					gain += contribution(v) / 2
 				} else if replication(v)*2 > repCap {
 					ok = false
@@ -595,8 +728,8 @@ func buildDims(ra *mqo.RuleAssignment, vb, repCap int, relSizes []int) []dim {
 		if best < 0 {
 			break
 		}
-		dims[best].size *= 2
+		size[best] *= 2
 		product *= 2
 	}
-	return dims
+	return size
 }

@@ -61,9 +61,9 @@ func bruteValuations(d *relation.Dataset, r *rule.Rule, emit func([]*relation.Tu
 }
 
 // TestLemma6Locality checks HyPart's locality property on the paper's
-// running example: every static-satisfying valuation of every rule is
-// fully contained in at least one fragment, for several worker counts and
-// both MQO settings.
+// running example: every static-satisfying valuation of every rule lies
+// in exactly one owned cell, whose block holds all its tuples, for several
+// worker counts and both MQO settings.
 func TestLemma6Locality(t *testing.T) {
 	d, _ := datagen.PaperExample()
 	rules, err := datagen.PaperRules(d.DB)
@@ -76,42 +76,13 @@ func TestLemma6Locality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("share=%v n=%d: %v", share, n, err)
 			}
-			fragSets := make([]map[relation.TID]bool, n)
-			for i, frag := range res.Fragments {
-				fragSets[i] = make(map[relation.TID]bool, len(frag))
-				for _, gid := range frag {
-					fragSets[i][gid] = true
-				}
-			}
-			for _, r := range rules {
-				violations := 0
-				bruteValuations(d, r, func(binding []*relation.Tuple) {
-					for _, fs := range fragSets {
-						all := true
-						for _, b := range binding {
-							if !fs[b.GID] {
-								all = false
-								break
-							}
-						}
-						if all {
-							return
-						}
-					}
-					violations++
-				})
-				if violations > 0 {
-					t.Errorf("share=%v n=%d rule %s: %d valuations not co-located", share, n, r.Name, violations)
-				}
-			}
+			checkLocality(t, d, rules, res, n)
 		}
 	}
 }
 
 // TestLemma6LocalityRandom repeats the locality check on random datasets
-// and random rule sets (the same generator as the chase oracle tests),
-// asserting per-rule block co-location: every static-satisfying valuation
-// of rule r is contained in some worker's rule-r fragment.
+// and random rule sets (the same generator as the chase oracle tests).
 func TestLemma6LocalityRandom(t *testing.T) {
 	for seed := int64(200); seed < 220; seed++ {
 		d, rules := randomPartitionInstance(t, seed)
@@ -120,35 +91,7 @@ func TestLemma6LocalityRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			for ri, r := range rules {
-				scopeSets := make([]map[relation.TID]bool, n)
-				for w := 0; w < n; w++ {
-					scopeSets[w] = make(map[relation.TID]bool)
-					for _, gid := range res.RuleFragments[w][ri] {
-						scopeSets[w][gid] = true
-					}
-				}
-				violations := 0
-				bruteValuations(d, r, func(binding []*relation.Tuple) {
-					for _, fs := range scopeSets {
-						all := true
-						for _, b := range binding {
-							if !fs[b.GID] {
-								all = false
-								break
-							}
-						}
-						if all {
-							return
-						}
-					}
-					violations++
-				})
-				if violations > 0 {
-					t.Errorf("seed %d n=%d rule %s: %d valuations not co-located in any rule fragment",
-						seed, n, r.Name, violations)
-				}
-			}
+			checkLocality(t, d, rules, res, n)
 		}
 	}
 }
@@ -202,7 +145,7 @@ func randomPartitionInstance(t *testing.T, seed int64) (*relation.Dataset, []*ru
 
 func lower(s string) string { return string(s[0] + 32) }
 
-// TestPartitionShapes sanity-checks fragment accounting.
+// TestPartitionShapes sanity-checks the per-worker accounting.
 func TestPartitionShapes(t *testing.T) {
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.05, Dup: 0.3, Seed: 2})
 	rules, err := g.Rules()
@@ -213,12 +156,13 @@ func TestPartitionShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Fragments) != 8 {
-		t.Fatalf("got %d fragments", len(res.Fragments))
+	assign := make([]int, len(res.Blocks))
+	for b := range res.Blocks {
+		assign[b] = res.Blocks[b].Worker
 	}
 	total := 0
-	for _, f := range res.Fragments {
-		total += len(f)
+	for _, size := range hypart.WorkerSizes(res.Blocks, assign, 8) {
+		total += size
 	}
 	if total == 0 {
 		t.Fatal("empty partition")
@@ -238,7 +182,8 @@ func TestPartitionShapes(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerIsWholeDataset checks the n=1 fast path.
+// TestSingleWorkerIsWholeDataset checks the n=1 fast path: one block
+// holding the dataset, and every rule's cube one cell in it.
 func TestSingleWorkerIsWholeDataset(t *testing.T) {
 	d, _ := datagen.PaperExample()
 	rules, err := datagen.PaperRules(d.DB)
@@ -249,8 +194,12 @@ func TestSingleWorkerIsWholeDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Fragments) != 1 || len(res.Fragments[0]) != d.Size() {
-		t.Errorf("n=1 partition should hold all %d tuples, got %d fragments / %d tuples",
-			d.Size(), len(res.Fragments), len(res.Fragments[0]))
+	if len(res.Blocks) != 1 || len(res.Blocks[0].GIDs) != d.Size() || res.Blocks[0].Worker != 0 {
+		t.Fatalf("n=1 partition should be one block of all %d tuples on worker 0, got %d blocks", d.Size(), len(res.Blocks))
+	}
+	for ri, cb := range res.Cubes {
+		if cb.Size() != 1 || cb.Blocks[0] != 0 || cb.Owned([]int{0}, 0)[0] != 1 {
+			t.Errorf("rule %d: n=1 cube should be one cell, in block 0, owned by worker 0", ri)
+		}
 	}
 }

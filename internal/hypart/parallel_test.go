@@ -3,6 +3,7 @@ package hypart_test
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dcer/internal/datagen"
@@ -28,11 +29,8 @@ func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.R
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if !reflect.DeepEqual(par.Fragments, seq.Fragments) {
-			t.Fatalf("shards=%d: fragments differ from sequential path", shards)
-		}
-		if !reflect.DeepEqual(par.RuleFragments, seq.RuleFragments) {
-			t.Fatalf("shards=%d: rule fragments differ from sequential path", shards)
+		if !reflect.DeepEqual(par.Cubes, seq.Cubes) {
+			t.Fatalf("shards=%d: cubes differ from sequential path", shards)
 		}
 		if !reflect.DeepEqual(par.Blocks, seq.Blocks) {
 			t.Fatalf("shards=%d: virtual blocks differ from sequential path", shards)
@@ -44,7 +42,7 @@ func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.R
 		}
 	}
 	// The reference implementation assigns blocks to workers with a
-	// different LPT tie-break, so fragments may differ; every
+	// different LPT tie-break, so workers' shares may differ; every
 	// assignment-independent quantity must agree exactly.
 	ref, err := hypart.PartitionReference(d, rules, n, hypart.Options{Share: true})
 	if err != nil {
@@ -66,9 +64,6 @@ func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.R
 		t.Errorf("hasher stats diverge: reference %d/%d, rewrite %d/%d",
 			ref.Stats.HashComputations, ref.Stats.HashLookups,
 			seq.Stats.HashComputations, seq.Stats.HashLookups)
-	}
-	if len(ref.Fragments) != len(seq.Fragments) {
-		t.Errorf("reference built %d fragments, rewrite %d", len(ref.Fragments), len(seq.Fragments))
 	}
 }
 
@@ -117,7 +112,7 @@ func TestReplicationCapOne(t *testing.T) {
 			t.Errorf("seed %d: cap=1 generated %d tuples, want exactly %d (no broadcast)",
 				seed, res.Stats.GeneratedTuples, want)
 		}
-		checkLocality(t, d, rules, res)
+		checkLocality(t, d, rules, res, 4)
 	}
 }
 
@@ -150,37 +145,56 @@ func TestReplicationCapBelowBroadcastDims(t *testing.T) {
 			t.Errorf("copy factor %.1f exceeds cap-implied bound %.1f", factor, bound)
 		}
 	}
-	checkLocality(t, d, rules, capped)
+	checkLocality(t, d, rules, capped, 8)
 }
 
-// checkLocality asserts Lemma 6 for a partition result: every valuation of
-// every rule is fully contained in at least one worker's scope for that
-// rule.
-func checkLocality(t *testing.T, d *relation.Dataset, rules []*rule.Rule, res *hypart.Result) {
+// checkLocality asserts Lemma 6 for a partition result, in its Hypercube
+// form: every static-satisfying valuation of every rule (bruteValuations)
+// lies in one cell of the rule's cube — its variables' cells bits agree
+// where their masks meet — whose block holds every tuple of the valuation,
+// and exactly one of the n workers owns that cell.
+func checkLocality(t *testing.T, d *relation.Dataset, rules []*rule.Rule, res *hypart.Result, n int) {
 	t.Helper()
+	assign := make([]int, len(res.Blocks))
+	for b := range res.Blocks {
+		assign[b] = res.Blocks[b].Worker
+	}
 	for ri, r := range rules {
-		scopes := make([]map[relation.TID]bool, len(res.RuleFragments))
-		for w := range res.RuleFragments {
-			set := make(map[relation.TID]bool)
-			for _, gid := range res.RuleFragments[w][ri] {
-				set[gid] = true
-			}
-			scopes[w] = set
+		cb := &res.Cubes[ri]
+		owned := make([][]uint64, n)
+		for w := range owned {
+			owned[w] = cb.Owned(assign, w)
 		}
 		bruteValuations(d, r, func(binding []*relation.Tuple) {
-			for _, scope := range scopes {
-				all := true
-				for _, tu := range binding {
-					if !scope[tu.GID] {
-						all = false
-						break
-					}
-				}
-				if all {
-					return
+			var cell int32
+			for v, tu := range binding {
+				if vc := &cb.Vars[v]; vc.Cells != nil {
+					cell |= vc.Cells[tu.Row]
 				}
 			}
-			t.Fatalf("rule %d: valuation not local to any worker", ri)
+			for v, tu := range binding {
+				if vc := &cb.Vars[v]; vc.Cells != nil && cell&vc.Mask != vc.Cells[tu.Row] {
+					t.Fatalf("rule %s: variable %d's cell bits %b disagree with the valuation's cell %b", r.Name, v, vc.Cells[tu.Row], cell)
+				}
+			}
+			b := cb.Blocks[cell]
+			if b < 0 {
+				t.Fatalf("rule %s: a valuation lies in cell %d, whose block is empty", r.Name, cell)
+			}
+			for _, tu := range binding {
+				if _, ok := slices.BinarySearch(res.Blocks[b].GIDs, tu.GID); !ok {
+					t.Fatalf("rule %s: cell %d's block lacks tuple %d of a valuation in it", r.Name, cell, tu.GID)
+				}
+			}
+			owners := 0
+			for w := range owned {
+				if owned[w][cell>>6]&(1<<(cell&63)) != 0 {
+					owners++
+				}
+			}
+			if owners != 1 {
+				t.Fatalf("rule %s: %d workers own cell %d", r.Name, owners, cell)
+			}
 		})
 	}
 }

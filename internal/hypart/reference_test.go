@@ -16,8 +16,9 @@ import (
 // partitioner must preserve: the same non-empty block count,
 // the same multiset of block sizes, and the same generated/placed tuple
 // totals. The LPT tie-break differs (string vs numeric key order), so
-// fragment contents are compared against Partition's own sequential path
-// instead (see TestPartitionParallelEquivalence).
+// workers' blocks are compared against Partition's own sequential path
+// instead (see TestPartitionParallelEquivalence), and its Result holds
+// no blocks or cubes, only Stats.
 func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
 	if n < 1 {
 		return nil, errWorkers(n)
@@ -29,22 +30,23 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 	res := &Result{Plan: plan}
 	res.Stats.HashFns, res.Stats.HashFnsBaseline = plan.Savings()
 	if n == 1 {
-		return partitionSingle(d, rules, res, nil), nil
+		return partitionSingle(d, res, nil), nil
 	}
 
 	vb := n * n
 	hasher := mqo.NewHasher()
 	blocks := make(map[string]map[relation.TID]bool)
-	blockRules := make(map[string]map[int]bool)
 
 	repCap := effectiveRepCap(opts.ReplicationCap, n)
 	relSizes := make([]int, len(d.Relations))
 	for i, rel := range d.Relations {
 		relSizes[i] = len(rel.Tuples)
 	}
-	for ri, ra := range plan.Assignments {
-		dims := buildDims(ra, vb, repCap, relSizes)
-		ruleKeys := make(map[string]bool)
+	for _, ra := range plan.Assignments {
+		dims := make([]refDim, len(ra.DVs))
+		for di, size := range buildDims(ra, vb, repCap, relSizes) {
+			dims[di] = refDim{dv: ra.DVs[di], fn: ra.HashFn[di], size: size}
+		}
 		for vi, v := range ra.Rule.Vars {
 			rel := d.Relations[v.RelIdx]
 			var hashed []int
@@ -70,16 +72,8 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 					attr, _ := dims[di].dv.AttrOf(vi)
 					coord[di] = int(hasher.Hash(dims[di].fn, t.Val(attr))) % dims[di].size
 				}
-				refEmitBlocks(dims, coord, bcast, 0, t.GID, blocks, ruleKeys, &res.Stats)
+				refEmitBlocks(dims, coord, bcast, 0, t.GID, blocks, &res.Stats)
 			}
-		}
-		for key := range ruleKeys {
-			rs, ok := blockRules[key]
-			if !ok {
-				rs = make(map[int]bool)
-				blockRules[key] = rs
-			}
-			rs[ri] = true
 		}
 	}
 	res.Stats.HashComputations = hasher.Computations
@@ -103,10 +97,8 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 	})
 	load := make([]int, n)
 	fragSets := make([]map[relation.TID]bool, n)
-	ruleSets := make([][]map[relation.TID]bool, n)
 	for i := range fragSets {
 		fragSets[i] = make(map[relation.TID]bool)
-		ruleSets[i] = make([]map[relation.TID]bool, len(rules))
 	}
 	for _, bi := range infos {
 		w := 0
@@ -119,53 +111,30 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 		for gid := range blocks[bi.key] {
 			fragSets[w][gid] = true
 		}
-		for ri := range blockRules[bi.key] {
-			set := ruleSets[w][ri]
-			if set == nil {
-				set = make(map[relation.TID]bool)
-				ruleSets[w][ri] = set
-			}
-			for gid := range blocks[bi.key] {
-				set[gid] = true
-			}
-		}
 	}
-	res.Fragments = make([][]relation.TID, n)
-	res.RuleFragments = make([][][]relation.TID, n)
 	res.Stats.MinFragment = int(^uint(0) >> 1)
-	sortIDs := func(set map[relation.TID]bool) []relation.TID {
-		ids := make([]relation.TID, 0, len(set))
-		for gid := range set {
-			ids = append(ids, gid)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		return ids
-	}
-	for i, set := range fragSets {
-		ids := sortIDs(set)
-		res.Fragments[i] = ids
-		res.RuleFragments[i] = make([][]relation.TID, len(rules))
-		for ri, rset := range ruleSets[i] {
-			res.RuleFragments[i][ri] = sortIDs(rset)
-		}
-		if len(ids) > res.Stats.MaxFragment {
-			res.Stats.MaxFragment = len(ids)
-		}
-		if len(ids) < res.Stats.MinFragment {
-			res.Stats.MinFragment = len(ids)
-		}
+	for _, set := range fragSets {
+		res.Stats.MaxFragment = max(res.Stats.MaxFragment, len(set))
+		res.Stats.MinFragment = min(res.Stats.MinFragment, len(set))
 	}
 	return res, nil
 }
 
+// refDim is one dimension of a rule's hypercube: its distinct-variable
+// class, hash function and extent.
+type refDim struct {
+	dv   *rule.DistinctVar
+	fn   int
+	size int
+}
+
 // refEmitBlocks is the seed-era emitBlocks: broadcast enumeration into the
 // string-keyed block maps.
-func refEmitBlocks(dims []dim, coord []int, bcast []int, bi int, gid relation.TID,
-	blocks map[string]map[relation.TID]bool, ruleKeys map[string]bool, stats *Stats) {
+func refEmitBlocks(dims []refDim, coord []int, bcast []int, bi int, gid relation.TID,
+	blocks map[string]map[relation.TID]bool, stats *Stats) {
 	if bi == len(bcast) {
 		stats.GeneratedTuples++
 		key := refBlockKey(dims, coord)
-		ruleKeys[key] = true
 		set, ok := blocks[key]
 		if !ok {
 			set = make(map[relation.TID]bool)
@@ -180,12 +149,12 @@ func refEmitBlocks(dims []dim, coord []int, bcast []int, bi int, gid relation.TI
 	di := bcast[bi]
 	for b := 0; b < dims[di].size; b++ {
 		coord[di] = b
-		refEmitBlocks(dims, coord, bcast, bi+1, gid, blocks, ruleKeys, stats)
+		refEmitBlocks(dims, coord, bcast, bi+1, gid, blocks, stats)
 	}
 	coord[di] = -1
 }
 
-func refBlockKey(dims []dim, coord []int) string {
+func refBlockKey(dims []refDim, coord []int) string {
 	parts := make([]string, len(dims))
 	for i := range dims {
 		parts[i] = strconv.Itoa(dims[i].fn) + "/" + strconv.Itoa(dims[i].size) + ":" + strconv.Itoa(coord[i])

@@ -18,8 +18,7 @@ import (
 
 // WriteCSV writes one relation as CSV with a typed header row of the form
 // name:type (e.g. "cno:string,price:float"). The id attribute is marked
-// with a trailing "!id". The rows are the relation's scan list, so a
-// fragment's relation writes the tuples it hosts.
+// with a trailing "!id". The rows are the relation's scan list.
 func WriteCSV(w io.Writer, rel *Relation) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, rel.Schema.Arity())
@@ -76,11 +75,7 @@ func ReadCSVSchema(name string, header []string) (*Schema, error) {
 
 // LoadCSVInto reads CSV rows (with typed header) into an existing dataset's
 // relation named name. The header must match the relation's schema arity.
-// A fragment takes no rows: loading into one is an error.
 func LoadCSVInto(d *Dataset, name string, r io.Reader) error {
-	if d.in != nil {
-		return errFragmentAppend
-	}
 	buf, err := io.ReadAll(r)
 	if err != nil {
 		return err

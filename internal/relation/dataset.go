@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -54,15 +53,11 @@ func (t *Tuple) Values() []Value {
 // ID returns the tuple's designated id-attribute value under schema s.
 func (t *Tuple) ID(s *Schema) Value { return t.Val(s.IDAttr) }
 
-// Relation is an instance D_i of a relation schema. A fragment's
-// relation shares its root's columns (the outer column array is aliased,
-// so the root's growth shows through) and row table; it owns only its
-// scan list.
+// Relation is an instance D_i of a relation schema.
 type Relation struct {
 	Schema *Schema
-	// Tuples lists the handles of a root relation's tuples, in row (and
-	// GID) order. It is root-only: a fragment's relations leave it nil and
-	// are read through TIDs and Dataset.Tuple.
+	// Tuples lists the handles of the relation's tuples, in row (and GID)
+	// order.
 	Tuples []*Tuple
 
 	syms *SymTab
@@ -75,18 +70,17 @@ type Relation struct {
 func (r *Relation) Syms() *SymTab { return r.syms }
 
 // TIDs lists the GIDs of the relation's tuples, GID-ascending: the scan
-// list (at a root, in the order of Tuples).
+// list, in the order of Tuples, so the tuple at position i has row i.
 func (r *Relation) TIDs() []TID { return r.tids }
 
 // Col returns the packed storage column of attribute i, indexed by row.
-// Fragments share their root's columns, so every relation of one schema
-// position reaches the same slice; the chase's compiled predicate plans
-// hoist it once per candidate batch and run their filter loops directly
-// over the words, reading each candidate's row from Dataset.Rows.
+// The chase's compiled predicate plans hoist it once per candidate batch
+// and run their filter loops directly over the words, reading each
+// candidate's row from Dataset.Rows.
 func (r *Relation) Col(i int) []uint64 { return r.cols[i] }
 
 // Word returns the packed storage word of attribute i of the tuple with
-// GID id, which must be one of the relation's (or of its root's) tuples:
+// GID id, which must be one of the relation's tuples:
 // the Sym for string attributes, PackNum(payload) for numerics. Words of
 // the same attribute (or any equality-joined attribute of the same type)
 // compare equal iff the boxed values do, except NaN (see PackNum).
@@ -108,9 +102,7 @@ func (r *Relation) val(row int32, i int) Value {
 	}
 }
 
-// rowTable maps every GID of a root dataset to its tuple's relation and
-// row. Fragments share their root's table, so it is read by GID from any
-// dataset over the same root.
+// rowTable maps every GID of a dataset to its tuple's relation and row.
 type rowTable struct {
 	rel []int32
 	row []int32
@@ -121,8 +113,8 @@ type rowTable struct {
 const tupleSlab = 4096
 
 // TIDSet is a bitset over a GID space: id is a member when bit id&63 of
-// word id>>6 is set. It holds no pointers. A fragment's membership is
-// one; HyPart unions its block lists through one (Add, then Drain).
+// word id>>6 is set. It holds no pointers. HyPart unions its block lists
+// through one (Add, then Drain).
 type TIDSet []uint64
 
 // Add marks ids, growing the set when an id lies past its end. The ids
@@ -137,16 +129,6 @@ func (s *TIDSet) Add(ids []TID) {
 	}
 }
 
-// each calls f on the members in ascending order, walking the set word
-// by word.
-func (s TIDSet) each(f func(TID)) {
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			f(TID(i<<6 + bits.TrailingZeros64(w)))
-		}
-	}
-}
-
 // Drain returns the members in ascending order, deduplicated and sorted
 // by one word-by-word scan, and leaves the set empty for reuse.
 func (s TIDSet) Drain() []TID {
@@ -155,7 +137,11 @@ func (s TIDSet) Drain() []TID {
 		n += bits.OnesCount64(w)
 	}
 	out := make([]TID, 0, n)
-	s.each(func(id TID) { out = append(out, id) })
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, TID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
 	clear(s)
 	return out
 }
@@ -165,21 +151,14 @@ type Dataset struct {
 	DB        *Database
 	Relations []*Relation
 
-	// syms interns every string payload in the dataset. Fragments share
-	// the parent's table so Syms (and packed words) stay globally
-	// meaningful.
+	// syms interns every string payload in the dataset.
 	syms *SymTab
 
-	// tuples lists the root's tuples in GID order, so a tuple's position
-	// is its GID. A fragment shares its root's list up to the id space it
-	// was cut from, with the capacity clipped there.
+	// tuples lists the tuples in GID order, so a tuple's position is its
+	// GID.
 	tuples []*Tuple
 
-	// in is a fragment's membership over the GIDs of tuples; nil at a
-	// root, which hosts every one of them.
-	in TIDSet
-
-	// loc is the root's row table, shared by every fragment of it.
+	// loc is the row table, shared by the relations.
 	loc *rowTable
 
 	slab []Tuple // current tuple slab chunk; full chunks are only
@@ -205,9 +184,7 @@ func (d *Dataset) Syms() *SymTab { return d.syms }
 
 // Reserve pre-sizes the named relation's columns and tuple lists, and the
 // row table, for n additional rows, so bulk loaders avoid growth copies.
-// It panics on a fragment, which takes no rows.
 func (d *Dataset) Reserve(rel string, n int) {
-	d.mustBeRoot("Reserve")
 	ri := d.DB.SchemaIndex(rel)
 	if ri < 0 || n <= 0 {
 		return
@@ -241,12 +218,8 @@ func reserve[E any](s []E, n int) []E {
 // float do not coerce, so an I(…) value cannot fill a float attribute
 // (nor F(…) an int one); the error names the attribute, the offending
 // value, and the constructor that would fix it. The values slice is not
-// retained: payloads are packed into the relation's columns. A fragment
-// takes no rows: Append on one is an error.
+// retained: payloads are packed into the relation's columns.
 func (d *Dataset) Append(rel string, values ...Value) (*Tuple, error) {
-	if d.in != nil {
-		return nil, errFragmentAppend
-	}
 	ri := d.DB.SchemaIndex(rel)
 	if ri < 0 {
 		return nil, fmt.Errorf("relation: no relation %q", rel)
@@ -281,22 +254,9 @@ func (d *Dataset) Append(rel string, values ...Value) (*Tuple, error) {
 // values are packed by the schema's attribute types, so a kind mismatch
 // silently stores the wrong payload rather than erroring. Used by the
 // synthetic generators and CSV ingest, where the values were just
-// constructed from the schema itself. It panics on a fragment.
+// constructed from the schema itself.
 func (d *Dataset) AppendUnchecked(ri int, values ...Value) *Tuple {
-	d.mustBeRoot("AppendUnchecked")
 	return d.appendPacked(ri, values)
-}
-
-// errFragmentAppend refuses rows to a fragment: its GIDs are its root's,
-// so a row appended there would take a GID that already names a root
-// tuple.
-var errFragmentAppend = errors.New("relation: a fragment takes no rows; append to its root dataset")
-
-// mustBeRoot panics when d is a fragment (see errFragmentAppend).
-func (d *Dataset) mustBeRoot(op string) {
-	if d.in != nil {
-		panic(op + ": " + errFragmentAppend.Error())
-	}
 }
 
 // appendPacked packs values into relation ri's columns (by schema
@@ -343,57 +303,26 @@ func (d *Dataset) MustAppend(rel string, values ...Value) *Tuple {
 	return t
 }
 
-// Tuple returns the hosted tuple with the given GID, or nil: a read of
-// the root's shared list once Has holds.
+// Tuple returns the tuple with the given GID, or nil when no tuple has it.
 func (d *Dataset) Tuple(id TID) *Tuple {
-	if !d.Has(id) {
+	if uint(id) >= uint(len(d.tuples)) {
 		return nil
 	}
 	return d.tuples[id]
 }
 
-// Has reports whether the dataset hosts the tuple with the given GID: a
-// bounds check against the id space, then, in a fragment, one bit test.
-func (d *Dataset) Has(id TID) bool {
-	return uint(id) < uint(len(d.tuples)) && (d.in == nil || d.in[id>>6]&(1<<(id&63)) != 0)
-}
-
-// AppendHosted appends to dst the GIDs of ts that d hosts, in their
-// order, and returns it: a candidate list drawn from the root's postings,
-// cut to a fragment.
-func (d *Dataset) AppendHosted(dst, ts []TID) []TID {
-	in, space := d.in, uint(len(d.tuples))
-	if in == nil {
-		return append(dst, ts...)
-	}
-	for _, id := range ts {
-		if uint(id) < space && in[id>>6]&(1<<(id&63)) != 0 {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// Rows is the root's row table: the row of every GID of the root dataset
-// in its relation's columns, indexed by GID. Fragments share it, so
-// Relation.Col(a)[Rows()[id]] is attribute a of tuple id in any dataset
-// over the root. Appending to the root may move it: read it afresh after
-// an Append.
+// Rows is the row table: the row of every GID in its relation's columns,
+// indexed by GID, so Relation.Col(a)[Rows()[id]] is attribute a of tuple
+// id. Appending may move it: read it afresh after an Append.
 func (d *Dataset) Rows() []int32 { return d.loc.row }
 
-// RelOf returns the relation index of the tuple with GID id, a GID of the
-// root dataset (d or the root it is a fragment of).
+// RelOf returns the relation index of the tuple with GID id.
 func (d *Dataset) RelOf(id TID) int { return int(d.loc.rel[id]) }
 
-// Size returns |D|, the number of tuples the dataset hosts: the sum of
-// its relations' scan lists.
-func (d *Dataset) Size() int {
-	n := 0
-	for _, r := range d.Relations {
-		n += len(r.tids)
-	}
-	return n
-}
+// Size returns |D|, the number of tuples. GIDs are positions, so it is
+// also the bound of the GIDs: everything indexed by GID (a union-find,
+// host bitsets) is sized by it.
+func (d *Dataset) Size() int { return len(d.tuples) }
 
 // Relation returns the instance of the named relation, or nil.
 func (d *Dataset) Relation(name string) *Relation {
@@ -407,52 +336,16 @@ func (d *Dataset) Relation(name string) *Relation {
 // SchemaOf returns the schema of the given tuple.
 func (d *Dataset) SchemaOf(t *Tuple) *Schema { return d.DB.Schemas[t.Rel] }
 
-// IDSpace is the bound of the GIDs the dataset's tuples can name: the
-// root's tuple count, which a fragment inherits from the dataset it was
-// cut from, since a root dataset's GIDs are positions. Everything indexed
-// by GID across fragments (a union-find, host bitsets) is sized by it.
-func (d *Dataset) IDSpace() int { return len(d.tuples) }
+// Tuples lists the tuples in GID order: the dataset's own list, which
+// the caller must not modify.
+func (d *Dataset) Tuples() []*Tuple { return d.tuples }
 
-// Tuples lists the hosted tuples in GID order. A root returns its own
-// list, which the caller must not modify; a fragment builds one per call.
-func (d *Dataset) Tuples() []*Tuple {
-	if d.in == nil {
-		return d.tuples
-	}
-	out := make([]*Tuple, 0, d.Size())
-	d.in.each(func(id TID) { out = append(out, d.tuples[id]) })
-	return out
-}
-
-// TuplesOf lists the hosted tuples of relation rel in GID order. A root
-// returns the relation's own list (Relation.Tuples), which the caller
-// must not modify; a fragment builds one per call from the relation's scan
-// list.
-func (d *Dataset) TuplesOf(rel int) []*Tuple {
-	r := d.Relations[rel]
-	if d.in == nil {
-		return r.Tuples
-	}
-	out := make([]*Tuple, len(r.tids))
-	for i, id := range r.tids {
-		out[i] = d.tuples[id]
-	}
-	return out
-}
-
-// MemBytes estimates the dataset's storage footprint. A root counts its
-// packed columns, tuple slabs and handle slices, row table and symbol
-// arena; a fragment, which shares all of those, counts its scan lists
-// and its membership bitset.
+// MemBytes estimates the dataset's storage footprint: its packed columns,
+// scan lists, tuple slabs and handle slices, row table and symbol arena.
 func (d *Dataset) MemBytes() int64 {
 	var n int64
 	for _, r := range d.Relations {
 		n += int64(cap(r.tids)) * 4
-	}
-	if d.in != nil {
-		return n + int64(len(d.in))*8
-	}
-	for _, r := range d.Relations {
 		for _, c := range r.cols {
 			n += int64(cap(c)) * 8
 		}
@@ -461,45 +354,4 @@ func (d *Dataset) MemBytes() int64 {
 	n += int64(len(d.tuples)) * (8 + 24) // handle pointer + slab entry
 	n += int64(cap(d.loc.rel)+cap(d.loc.row)) * 4
 	return n + d.syms.Bytes()
-}
-
-// Fragment returns a view of d hosting exactly those of d's tuples whose
-// GIDs appear in ids, in any order and with repeats; ids itself is not
-// touched. The view shares the root's tuples, columns, row table and
-// symbol table, so GIDs stay globally meaningful: the parallel engine
-// exchanges matches between fragments by GID alone. It owns a membership
-// bitset over d's id space and one scan list per relation, built by
-// walking the bitset word by word, so every list is GID-ascending, as the
-// chase reads every candidate list. Its relations have no Tuples. A
-// fragment takes no rows (see Append); rows appended to the root later
-// lie outside its id space.
-func (d *Dataset) Fragment(ids []TID) *Dataset {
-	space := d.IDSpace()
-	f := &Dataset{
-		DB:        d.DB,
-		Relations: make([]*Relation, len(d.DB.Schemas)),
-		syms:      d.syms,
-		tuples:    d.tuples[:space:space],
-		in:        make(TIDSet, (space+63)>>6),
-		loc:       d.loc,
-	}
-	for _, id := range ids {
-		if d.Has(id) {
-			f.in[id>>6] |= 1 << (id & 63)
-		}
-	}
-	// Count each relation's members, carve the scan lists out of one
-	// array, then fill them in GID order.
-	counts, total := make([]int, len(d.Relations)), 0
-	f.in.each(func(id TID) { counts[d.loc.rel[id]]++; total++ })
-	all := make([]TID, total)
-	for i, s := range d.DB.Schemas {
-		f.Relations[i] = &Relation{Schema: s, syms: d.syms, cols: d.Relations[i].cols, tids: all[:0:counts[i]], loc: d.loc}
-		all = all[counts[i]:]
-	}
-	f.in.each(func(id TID) {
-		r := f.Relations[d.loc.rel[id]]
-		r.tids = append(r.tids, id)
-	})
-	return f
 }

@@ -279,23 +279,6 @@ func (ix *Index) WordFor(v Value) (uint64, bool) {
 // Distinct returns the number of distinct values in the index.
 func (ix *Index) Distinct() int { return ix.pm.n }
 
-// DistinctIn returns the number of distinct values the tuples of d, the
-// indexed dataset or a fragment of it, carry in the indexed attribute:
-// Distinct as an index built over d would read. It counts the posting
-// lists with a member in d, walking each up to its first one.
-func (ix *Index) DistinctIn(d *Dataset) int {
-	n := 0
-	for _, s := range ix.pm.slots {
-		for _, t := range ix.pm.arena[s.off : s.off+s.n] {
-			if d.Has(t) {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // Each calls fn once per distinct value of the indexed attribute, with its
 // packed word and posting list, in table order.
 func (ix *Index) Each(fn func(w uint64, post []TID)) {
@@ -418,8 +401,8 @@ func (km *KeyMap) addTargets(ts []TID) {
 //
 // An IndexSet value is a handle on the cache; Share hands out more. The
 // DMatch workers of one process bind their engines against handles of one
-// set over the root dataset, and a rule scope filters the candidates it
-// draws from the root's postings (Dataset.AppendHosted). A shared set is
+// set over the dataset, and each cuts the candidates it draws from the
+// postings to the hypercube cells it owns. A shared set is
 // read-only: AddBatch refuses. Built is safe to read at any time (it backs
 // the engine's mid-run stats snapshots): the count is an atomic.
 type IndexSet struct {
@@ -473,9 +456,6 @@ func (s *IndexSet) Share() *IndexSet {
 	s.c.shared.Store(true)
 	return &IndexSet{c: s.c}
 }
-
-// Dataset returns the dataset the set indexes.
-func (s *IndexSet) Dataset() *Dataset { return s.c.d }
 
 // For returns the index for (relation, attribute), building it on first use.
 func (s *IndexSet) For(rel, attr int) *Index {

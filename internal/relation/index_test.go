@@ -10,6 +10,7 @@ import (
 
 	"dcer/internal/chase"
 	"dcer/internal/datagen"
+	"dcer/internal/hypart"
 	"dcer/internal/mlpred"
 	"dcer/internal/relation"
 )
@@ -152,30 +153,38 @@ func checkKeyMaps(t *testing.T, where string, d *relation.Dataset, maps []keyMap
 
 // TestIndexSetSharedAcrossViews holds an IndexSet shared by the engines of
 // one process (IndexSet.Share) to what each engine used to build alone:
-//   - 8 goroutines, half bound to each of two fragment views of TPCH 0.2,
-//     ask for every index and every self key map of the root through
-//     handles of their own; each (relation, attribute) is built once over
-//     all handles (Built), and every caller gets the same *Index and
-//     *KeyMap;
-//   - over fragments at the densities of TestFragmentMatchesRootFilter,
-//     each root posting cut to the fragment (AppendHosted) lists what
-//     BuildIndex over the fragment lists, and DistinctIn counts its keys;
+//   - 8 goroutines of TPCH 0.2 ask for every index and every self key map
+//     through handles of their own, half of them after binding a DMatch
+//     worker engine (the cells of one of a 2-worker partition's workers)
+//     against their handle; each (relation, attribute) is built once over
+//     all handles and engines (Built, Stats.IndexBuilds), and every caller
+//     gets the same *Index and *KeyMap;
 //   - AddBatch on the shared set refuses and touches no posting;
 //   - InsertTuples on an engine bound against the set returns an error
 //     before it touches the set.
 func TestIndexSetSharedAcrossViews(t *testing.T) {
 	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.2, Dup: 0.3, Seed: 1})
 	d := g.D
-	space := d.IDSpace()
-	stride := func(k, off int) []relation.TID {
-		var ids []relation.TID
-		for id := off; id < space; id += k {
-			ids = append(ids, relation.TID(id))
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := hypart.Partition(d, rules, 2, hypart.Options{Share: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int, len(part.Blocks))
+	for b := range part.Blocks {
+		assign[b] = part.Blocks[b].Worker
+	}
+	cellsOf := func(w int) []chase.Cells {
+		cells := make([]chase.Cells, len(part.Cubes))
+		for r := range part.Cubes {
+			cells[r] = chase.Cells{Cube: &part.Cubes[r], Owned: part.Cubes[r].Owned(assign, w)}
 		}
-		return ids
+		return cells
 	}
 	set := relation.NewIndexSet(d)
-	views := []*relation.Dataset{d.Fragment(stride(2, 0)), d.Fragment(stride(37, 1))}
 
 	type key struct{ rel, attr int }
 	var keys []key
@@ -186,6 +195,7 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 	}
 	const goroutines = 8
 	handles := make([]*relation.IndexSet, goroutines)
+	engines := make([]*chase.Engine, goroutines)
 	got := make([][]*relation.Index, goroutines)
 	gotKM := make([][]*relation.KeyMap, goroutines)
 	var wg sync.WaitGroup
@@ -194,7 +204,15 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, view := handles[i], views[i%2]
+			h := handles[i]
+			if i%2 == 1 {
+				eng, err := chase.NewScoped(d, rules, cellsOf(i/2%2), h, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				engines[i] = eng
+			}
 			got[i] = make([]*relation.Index, len(keys))
 			gotKM[i] = make([]*relation.KeyMap, len(keys))
 			for j := range keys {
@@ -202,25 +220,20 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 				if j%2 == 0 {
 					gotKM[i][(j+i*7)%len(keys)] = h.KeyMap(k.rel, k.attr, k.rel, k.attr)
 				}
-				ix := h.For(k.rel, k.attr)
-				got[i][(j+i*7)%len(keys)] = ix
-				// A probe through the view, as a scoped engine makes it.
-				if ts := view.Relations[k.rel].TIDs(); len(ts) > 0 {
-					w := view.Relations[k.rel].Word(ts[0], k.attr)
-					if c := view.AppendHosted(nil, ix.LookupWord(w)); len(c) == 0 || c[0] != ts[0] {
-						t.Errorf("goroutine %d: %v: the view's first tuple is not its own first candidate", i, k)
-					}
-				}
+				got[i][(j+i*7)%len(keys)] = h.For(k.rel, k.attr)
 			}
 		}(i)
 	}
 	wg.Wait()
 	built := 0
-	for _, h := range handles {
+	for i, h := range handles {
 		built += h.Built()
+		if engines[i] != nil {
+			built += engines[i].Stats().IndexBuilds
+		}
 	}
 	if built != len(keys) || set.Built() != 0 {
-		t.Errorf("%d handles built %d indexes (the creating handle %d), want %d", goroutines, built, set.Built(), len(keys))
+		t.Errorf("%d handles and their engines built %d indexes (the creating handle %d), want %d", goroutines, built, set.Built(), len(keys))
 	}
 	for j := range keys {
 		km := set.KeyMap(keys[j].rel, keys[j].attr, keys[j].rel, keys[j].attr)
@@ -237,42 +250,8 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 		t.Errorf("a lookup after the builds built %d indexes", set.Built())
 	}
 
-	rng := rand.New(rand.NewSource(7))
-	random := func(n int) []relation.TID {
-		ids := make([]relation.TID, n)
-		for i := range ids {
-			ids[i] = relation.TID(rng.Intn(space))
-		}
-		return ids
-	}
-	frags := map[string][]relation.TID{
-		"every 2nd": stride(2, 0), "every 15th": stride(15, 3), "every 37th": stride(37, 1),
-		"random 1%": random(space / 100), "all": stride(1, 0), "none": nil,
-	}
-	for name, ids := range frags {
-		f := d.Fragment(ids)
-		for _, k := range keys {
-			ix, want := set.For(k.rel, k.attr), relation.BuildIndex(k.rel, f.Relations[k.rel], k.attr)
-			if n := ix.DistinctIn(f); n != want.Distinct() {
-				t.Errorf("%s: %v: DistinctIn %d, an index over the fragment holds %d keys", name, k, n, want.Distinct())
-			}
-			ix.Each(func(w uint64, post []relation.TID) {
-				if c := f.AppendHosted(nil, post); !slices.Equal(c, want.LookupWord(w)) {
-					t.Fatalf("%s: %v key %#x: cut postings %v, the fragment's index %v", name, k, w, c, want.LookupWord(w))
-				}
-			})
-		}
-	}
-
-	// Refusals: a tuple appended to the root reaches no posting.
-	rules, err := g.Rules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := chase.NewScoped(views[0], rules, nil, set, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Refusals: a tuple appended to the dataset reaches no posting.
+	eng := engines[1]
 	ix := set.For(0, 0)
 	r := d.Relations[0]
 	vals := make([]relation.Value, r.Schema.Arity())

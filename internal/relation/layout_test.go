@@ -28,8 +28,7 @@ func hasPointers(t reflect.Type) bool {
 // TestStorageHoldsNoPointers guards the layout of the enumeration's
 // storage: an index's table and postings (every field of its postMap,
 // slices of pointer-free elements or plain words), a key map's rows, the
-// row table, the scan lists and a fragment's membership bitset are arrays
-// the collector never scans.
+// row table and the scan lists are arrays the collector never scans.
 func TestStorageHoldsNoPointers(t *testing.T) {
 	pm, ok := reflect.TypeOf(Index{}).FieldByName("pm")
 	if !ok {
@@ -59,7 +58,6 @@ func TestStorageHoldsNoPointers(t *testing.T) {
 	check(reflect.TypeOf(KeyMap{}), "byRow")
 	check(reflect.TypeOf(rowTable{}), "rel", "row")
 	check(reflect.TypeOf(Relation{}), "tids")
-	check(reflect.TypeOf(Dataset{}), "in")
 }
 
 // TestTupleHandleSize pins the public tuple handle at 24 bytes: the two

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -156,46 +155,6 @@ func TestDatasetAppendErrors(t *testing.T) {
 	}
 	if d.Size() != 5 {
 		t.Errorf("Size = %d after failed appends, want 5", d.Size())
-	}
-}
-
-func TestDatasetFragment(t *testing.T) {
-	d := testDataset(t)
-	f := d.Fragment([]relation.TID{0, 2, 4, 2}) // duplicate id is deduped
-	if f.Size() != 3 {
-		t.Fatalf("fragment size = %d, want 3", f.Size())
-	}
-	if f.Tuple(2) == nil || f.Tuple(1) != nil {
-		t.Error("fragment membership wrong")
-	}
-	if !f.Has(0) || f.Has(3) {
-		t.Error("Has wrong")
-	}
-	// Shared tuples: same pointers, same GIDs.
-	if f.Tuple(2) != d.Tuple(2) {
-		t.Error("fragment copied tuples instead of sharing")
-	}
-	// Missing ids are skipped.
-	g := d.Fragment([]relation.TID{99})
-	if g.Size() != 0 {
-		t.Error("fragment invented tuples")
-	}
-	// Ids in any order, with repeats, give the fragment of the ascending
-	// ids: its relations list their tuples GID-ascending, and the caller's
-	// slice is left as it was.
-	ids := []relation.TID{4, 0, 2, 4, 0}
-	h := d.Fragment(ids)
-	if want := []relation.TID{0, 2, 4}; !slices.Equal(h.Relations[0].TIDs(), want) || !slices.Equal(f.Relations[0].TIDs(), want) {
-		t.Errorf("fragment scan lists %v and %v, want %v", h.Relations[0].TIDs(), f.Relations[0].TIDs(), want)
-	}
-	if !slices.Equal(ids, []relation.TID{4, 0, 2, 4, 0}) {
-		t.Errorf("Fragment reordered its caller's ids: %v", ids)
-	}
-	for _, id := range h.Relations[0].TIDs() {
-		tt := d.Tuple(id)
-		if h.Tuple(id) != tt || tt.GID != id || h.Relations[0].Word(id, 1) != tt.Word(1) {
-			t.Errorf("fragment tuple %d: handle %p of GID %d, root's %p; words %d, %d", id, h.Tuple(id), tt.GID, tt, h.Relations[0].Word(id, 1), tt.Word(1))
-		}
 	}
 }
 

@@ -98,13 +98,10 @@ func Chase(d *relation.Dataset, rules []Rule, reg *mlpred.Registry, epsilon floa
 			return nil, fmt.Errorf("soft: rule %s: soft chase supports id heads only", r.Name)
 		}
 	}
-	// Literal id duplicates score 1. Each relation's hosted tuples are
-	// listed once, for the enumeration too.
-	tuplesOf := make([][]*relation.Tuple, len(d.Relations))
-	for ri, rel := range d.Relations {
+	// Literal id duplicates score 1.
+	for _, rel := range d.Relations {
 		byID := make(map[string]relation.TID)
-		tuplesOf[ri] = d.TuplesOf(ri)
-		for _, t := range tuplesOf[ri] {
+		for _, t := range rel.Tuples {
 			k := t.Val(rel.Schema.IDAttr).Key()
 			if first, ok := byID[k]; ok {
 				res.scores[canon(first, t.GID)] = 1
@@ -200,7 +197,7 @@ func Chase(d *relation.Dataset, rules []Rule, reg *mlpred.Registry, epsilon floa
 					apply()
 					return
 				}
-				for _, t := range tuplesOf[r.Vars[v].RelIdx] {
+				for _, t := range d.Relations[r.Vars[v].RelIdx].Tuples {
 					binding[v] = t
 					walk(v + 1)
 				}

@@ -7,34 +7,35 @@ import (
 	"time"
 
 	"dcer/internal/chase"
-	"dcer/internal/hypart"
 	"dcer/internal/relation"
 )
 
-// Hello is the worker's handshake. DatasetSize/IDSpace/Rules fingerprint
-// the worker's locally loaded inputs; the master aborts the run on a
-// mismatch instead of silently computing a wrong Γ over divergent data.
+// Hello is the worker's handshake. DatasetSize/Rules fingerprint the
+// worker's locally loaded inputs; the master aborts the run on a mismatch
+// instead of silently computing a wrong Γ over divergent data.
 type Hello struct {
 	Version     uint32
 	Worker      int
 	DatasetSize int
-	IDSpace     int
 	Rules       int
 }
 
 // Assign carries a worker's (re)assignment: the one engine option that
-// crosses the wire, the fragment and per-rule scopes (delta-varint packed
-// via hypart), and the fact history to replay through A_Δ after the
-// rebuild (empty on the initial assignment, the full routed history after
-// a recovery or migration).
+// crosses the wire, per rule the cube and the cells the worker owns, and
+// the fact history to replay through A_Δ after the rebuild (empty on the
+// initial assignment, the full routed history after a recovery or
+// migration).
 type Assign struct {
-	Worker, Workers int
 	// NoMQO is dmatch.Options.NoMQO: the worker's engine shares no
 	// indexes or ML stores across rules. Bit 0 of the frame's flag word.
-	NoMQO     bool
-	Frag      []relation.TID
-	RuleFrags [][]relation.TID
-	Replay    []chase.Fact
+	NoMQO bool
+	// Extents[r] lists rule r's cube extents (hypart.Cube.Extents), from
+	// which, with the MQO plan, the worker derives the cube; Owned[r] is
+	// the bitmap of its cells the worker owns (hypart.Cube.Owned), one
+	// bit per cell.
+	Extents [][]int
+	Owned   [][]uint64
+	Replay  []chase.Fact
 }
 
 // Step is one superstep's inbox.
@@ -126,25 +127,38 @@ func (e *Encoder) Hello(h Hello) error {
 	fw.uvarint(uint64(h.Version))
 	fw.uvarint(uint64(h.Worker))
 	fw.uvarint(uint64(h.DatasetSize))
-	fw.uvarint(uint64(h.IDSpace))
 	fw.uvarint(uint64(h.Rules))
 	return fw.flush()
 }
 
-// Assign writes a fragment (re)assignment frame.
+// Assign writes a (re)assignment frame: the flag word, the rule count and
+// per rule its extent count, the extents and the owned-cell bitmap's
+// words, as many as the extents' product takes.
 func (e *Encoder) Assign(a Assign) error {
 	t0 := time.Now()
 	defer e.timeEncode(t0)
 	fw := e.fw
 	fw.begin(MsgAssign)
-	fw.uvarint(uint64(a.Worker))
-	fw.uvarint(uint64(a.Workers))
 	var flags uint64
 	if a.NoMQO {
 		flags |= 1
 	}
 	fw.uvarint(flags)
-	fw.buf = hypart.AppendFragment(fw.buf, a.Frag, a.RuleFrags)
+	fw.uvarint(uint64(len(a.Extents)))
+	for r, ext := range a.Extents {
+		fw.uvarint(uint64(len(ext)))
+		cells := 1
+		for _, x := range ext {
+			fw.uvarint(uint64(x))
+			cells *= x
+		}
+		if len(a.Owned) != len(a.Extents) || len(a.Owned[r]) != (cells+63)>>6 {
+			return fmt.Errorf("wire: assign's rule %d has no bitmap of %d cells", r, cells)
+		}
+		for _, w := range a.Owned[r] {
+			fw.uvarint(w)
+		}
+	}
 	e.writeFacts(a.Replay)
 	return fw.flush()
 }
@@ -299,30 +313,18 @@ func (d *Decoder) Next() (Msg, error) {
 		if m.Hello.DatasetSize, err = p.intField("dataset size"); err != nil {
 			return Msg{}, err
 		}
-		if m.Hello.IDSpace, err = p.intField("id space"); err != nil {
-			return Msg{}, err
-		}
 		if m.Hello.Rules, err = p.intField("rule count"); err != nil {
 			return Msg{}, err
 		}
 	case MsgAssign:
-		if m.Assign.Worker, err = p.intField("worker"); err != nil {
-			return Msg{}, err
-		}
-		if m.Assign.Workers, err = p.intField("workers"); err != nil {
-			return Msg{}, err
-		}
 		flags, err := p.uvarint()
 		if err != nil {
 			return Msg{}, err
 		}
 		m.Assign.NoMQO = flags&1 != 0
-		frag, ruleFrags, rest, err := hypart.ReadFragment(p.b[p.off:])
-		if err != nil {
+		if err := p.readCells(&m.Assign); err != nil {
 			return Msg{}, err
 		}
-		m.Assign.Frag, m.Assign.RuleFrags = frag, ruleFrags
-		p.off = len(p.b) - len(rest)
 		if m.Assign.Replay, err = d.readFacts(p); err != nil {
 			return Msg{}, err
 		}
@@ -363,6 +365,43 @@ func (d *Decoder) Next() (Msg, error) {
 		return Msg{}, err
 	}
 	return m, nil
+}
+
+// readCells reads an Assign's per-rule extents and owned-cell bitmaps
+// into a. Every count is bounded by the bytes left in the frame, each
+// extent and each bitmap word costing one at least, so a corrupt count or
+// extent fails before anything is allocated for it.
+func (p *payload) readCells(a *Assign) error {
+	nr, err := p.length()
+	if err != nil {
+		return err
+	}
+	a.Extents, a.Owned = make([][]int, nr), make([][]uint64, nr)
+	for r := range a.Extents {
+		nd, err := p.length()
+		if err != nil {
+			return err
+		}
+		a.Extents[r] = make([]int, nd)
+		cells := uint64(1)
+		for i := range a.Extents[r] {
+			x, err := p.uvarint()
+			if limit := uint64(64*p.remaining() + 64); err == nil && (x > limit || x != 0 && cells > limit/x) {
+				err = fmt.Errorf("%w: rule %d: extent %d exceeds what %d remaining bytes hold", ErrTruncated, r, x, p.remaining())
+			}
+			if err != nil {
+				return err
+			}
+			a.Extents[r][i], cells = int(x), cells*x
+		}
+		a.Owned[r] = make([]uint64, (cells+63)>>6)
+		for i := range a.Owned[r] {
+			if a.Owned[r][i], err = p.uvarint(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // intField reads a uvarint bounded to the int range.

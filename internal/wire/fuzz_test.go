@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dcer/internal/chase"
-	"dcer/internal/relation"
 )
 
 // FuzzDecoder feeds arbitrary bytes to the frame/message decoder. The
@@ -24,7 +23,7 @@ func FuzzDecoder(f *testing.F) {
 		}
 	}
 	seed(func(e *Encoder) error {
-		return e.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 100, IDSpace: 100, Rules: 3})
+		return e.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 100, Rules: 3})
 	})
 	seed(func(e *Encoder) error {
 		facts := []chase.Fact{
@@ -37,11 +36,11 @@ func FuzzDecoder(f *testing.F) {
 		return e.Delta(Delta{Step: 2, BusyNs: 42, Facts: facts})
 	})
 	seed(func(e *Encoder) error {
-		return e.Assign(Assign{Worker: 0, Workers: 2,
-			NoMQO:     true,
-			Frag:      []relation.TID{0, 2, 3},
-			RuleFrags: [][]relation.TID{{1, 2, 3}},
-			Replay:    []chase.Fact{{Kind: chase.FactMatch, A: 8, B: 9}},
+		return e.Assign(Assign{
+			NoMQO:   true,
+			Extents: [][]int{{2, 1, 2}, {1}, {4, 32}},
+			Owned:   [][]uint64{{0b0110}, {1}, {0xf0f0, 1 << 63}},
+			Replay:  []chase.Fact{{Kind: chase.FactMatch, A: 8, B: 9}},
 		})
 	})
 	seed(func(e *Encoder) error {

@@ -46,8 +46,11 @@ import (
 // version 4 retired the flag word's bit 1 (the worker engine's sequential
 // schedule), leaving bit 0, NoMQO; version 5 dropped the TID lists' flag
 // byte and raw-varint form, leaving one form of strictly ascending
-// deltas (hypart.AppendTIDs).
-const Version = 5
+// deltas; version 6 replaced Assign's TID lists (a fragment and one scope
+// per rule) with each rule's cube extents and owned-cell bitmap, dropped
+// Assign's worker id and count, which no worker read, and Hello's id
+// space, which equals the dataset size.
+const Version = 6
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest
@@ -59,10 +62,10 @@ const (
 	// MsgHello is the worker's handshake: version, worker slot, and a
 	// dataset fingerprint the master validates against its own load.
 	MsgHello byte = 1 + iota
-	// MsgAssign carries a worker's fragment: the NoMQO flag, the
-	// fragment tuple ids and the per-rule scope ids (strictly ascending
-	// lists), and the fact history to replay (non-empty when a rebuild
-	// follows a recovery or migration).
+	// MsgAssign carries a worker's share of the partition: the NoMQO
+	// flag, per rule the extents of its hypercube and the bitmap of the
+	// cells the worker owns, and the fact history to replay (non-empty
+	// when a rebuild follows a recovery or migration).
 	MsgAssign
 	// MsgStep delivers one superstep's inbox to a worker.
 	MsgStep

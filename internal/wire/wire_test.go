@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -56,13 +55,12 @@ func TestRoundTripAllMessages(t *testing.T) {
 	stats := &Stats{}
 	enc := NewEncoder(&buf, stats)
 
-	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, IDSpace: 67890, Rules: 7}
+	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, Rules: 7}
 	assign := Assign{
-		Worker: 2, Workers: 4,
-		NoMQO:     true,
-		Frag:      []relation.TID{1, 5, 9, 10, 11, 400},
-		RuleFrags: [][]relation.TID{{1, 5}, nil, {9, 10, 11, 400}},
-		Replay:    randFacts(rng, 40),
+		NoMQO:   true,
+		Extents: [][]int{{2, 1, 2}, {}, {4, 16}},
+		Owned:   [][]uint64{{0b1001}, {1}, {1<<63 | 7}},
+		Replay:  randFacts(rng, 40),
 	}
 	step := Step{Step: 12, Facts: randFacts(rng, 100)}
 	delta := Delta{Step: 12, BusyNs: 987654321, Facts: randFacts(rng, 55)}
@@ -86,19 +84,11 @@ func TestRoundTripAllMessages(t *testing.T) {
 	if err != nil || m.Type != MsgAssign {
 		t.Fatalf("assign round trip: %v", err)
 	}
-	if m.Assign.Worker != assign.Worker || m.Assign.Workers != assign.Workers || m.Assign.NoMQO != assign.NoMQO {
+	if m.Assign.NoMQO != assign.NoMQO {
 		t.Fatalf("assign fields: got %+v", m.Assign)
 	}
-	if fmt.Sprint(m.Assign.Frag) != fmt.Sprint(assign.Frag) {
-		t.Fatalf("assign frag: got %v want %v", m.Assign.Frag, assign.Frag)
-	}
-	if len(m.Assign.RuleFrags) != len(assign.RuleFrags) {
-		t.Fatalf("assign rule frags: got %d lists", len(m.Assign.RuleFrags))
-	}
-	for i := range assign.RuleFrags {
-		if fmt.Sprint(m.Assign.RuleFrags[i]) != fmt.Sprint(assign.RuleFrags[i]) {
-			t.Fatalf("rule frag %d: got %v want %v", i, m.Assign.RuleFrags[i], assign.RuleFrags[i])
-		}
+	if fmt.Sprint(m.Assign.Extents, m.Assign.Owned) != fmt.Sprint(assign.Extents, assign.Owned) {
+		t.Fatalf("assign cells: got %v %v want %v %v", m.Assign.Extents, m.Assign.Owned, assign.Extents, assign.Owned)
 	}
 	if !factsEqual(m.Assign.Replay, assign.Replay) {
 		t.Fatalf("assign replay mismatch")
@@ -220,7 +210,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, nil)
-	if err := enc.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 10, IDSpace: 10, Rules: 2}); err != nil {
+	if err := enc.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 10, Rules: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Step(Step{Step: 1, Facts: randFacts(rng, 30)}); err != nil {
@@ -292,43 +282,48 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// assignFrame hand-builds an Assign frame around the given fragment
-// bytes (the fragment list, the rule count and the rule lists): worker 0
-// of 2, no flags, an empty replay.
-func assignFrame(frag ...byte) []byte {
-	payload := append([]byte{MsgAssign, 0, 2, 0}, frag...)
+// assignFrame hand-builds an Assign frame around the given cells bytes
+// (the rule count, then per rule the extent count, the extents and the
+// bitmap words): no flags, an empty replay.
+func assignFrame(cells ...byte) []byte {
+	payload := append([]byte{MsgAssign, 0}, cells...)
 	payload = append(payload, 0, 0) // no dictionary entries, no facts
 	return append([]byte{byte(len(payload))}, payload...)
 }
 
-// badAssignFrames are Assign frames whose TID lists repeat an id,
-// descend, or leave the TID domain.
+// badAssignFrames are Assign frames whose counts or extents the frame
+// cannot hold.
 func badAssignFrames() map[string][]byte {
-	wrap := binary.AppendUvarint(nil, math.MaxUint64) // -1 as a delta
+	huge := binary.AppendUvarint(nil, 1<<40)
 	return map[string][]byte{
-		"repeated id":          assignFrame(2, 4, 0, 0),
-		"descending ids":       assignFrame(append(append([]byte{2, 4}, wrap...), 0)...),
-		"repeated rule id":     assignFrame(0, 1, 2, 1, 0),
-		"id past the domain":   assignFrame(append(append([]byte{1}, binary.AppendUvarint(nil, 1<<31+1)...), 0)...),
-		"first id from a zero": assignFrame(1, 0, 0),
+		"rule count past the frame":   assignFrame(100),
+		"extent count past the frame": assignFrame(1, 100),
+		"extent past the frame":       assignFrame(append([]byte{1, 1}, huge...)...),
+		"extents overflowing":         assignFrame(append(append(append([]byte{1, 3}, huge...), huge...), huge...)...),
+		"bitmap cut short":            assignFrame(1, 1, 0x80, 0x01, 5),
 	}
 }
 
-// TestAssignRejectsUnorderedTIDs: the decoder hands a worker only
-// strictly ascending TID lists. A list that repeats or descends, in the
-// fragment or in a rule scope, is an error, never a panic; the same
-// frame with ascending ids decodes.
-func TestAssignRejectsUnorderedTIDs(t *testing.T) {
-	m, err := NewDecoder(bytes.NewReader(assignFrame(2, 4, 1, 1, 2, 1, 5)), nil).Next()
+// TestAssignRejectsBadCells: the decoder bounds every count and bitmap of
+// an Assign by the frame, so a count, an extent or an extents' product the
+// bytes left cannot hold is an error, never a panic or a huge allocation;
+// a well-formed frame decodes to its extents and one bitmap word per 64
+// cells.
+func TestAssignRejectsBadCells(t *testing.T) {
+	m, err := NewDecoder(bytes.NewReader(assignFrame(2, 2, 2, 2, 5, 0, 1)), nil).Next()
 	if err != nil {
-		t.Fatalf("ascending lists: %v", err)
+		t.Fatalf("well-formed cells: %v", err)
 	}
-	if fmt.Sprint(m.Assign.Frag, m.Assign.RuleFrags) != "[3 4] [[0 5]]" {
-		t.Fatalf("ascending lists decoded to %v %v, want [3 4] [[0 5]]", m.Assign.Frag, m.Assign.RuleFrags)
+	if got := fmt.Sprint(m.Assign.Extents, m.Assign.Owned); got != "[[2 2] []] [[5] [1]]" {
+		t.Fatalf("well-formed cells decoded to %s, want [[2 2] []] [[5] [1]]", got)
 	}
 	for name, frame := range badAssignFrames() {
 		if _, err := NewDecoder(bytes.NewReader(frame), nil).Next(); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, nil).Assign(Assign{Extents: [][]int{{2, 2}}, Owned: [][]uint64{{1, 2}}}); err == nil {
+		t.Error("encoded a bitmap wider than its cube")
 	}
 }

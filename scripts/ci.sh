@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and static analysis, build, the short test
 # suite, the five examples/ programs, the race-enabled run of the concurrent packages, Γ, the partition
-# and the CSV load at three widths, four fuzz smokes, a one-shot bench smoke, the
+# and the CSV load at three widths, five fuzz smokes, a one-shot bench smoke, the
 # causal-trace race guard (with the live telemetry/health endpoint test
 # and the cmd/doctor scrape of a live endpoint), the bench-regression gate
 # of `go test -bench` against BENCH_GATE.txt, and the nested benchmark
@@ -48,11 +48,11 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, fragments over shuffled ids (same fragment, same Gamma), fragment views against a brute-force filter of the root (ids sorted, shuffled and repeated; fragments of fragments; rows refused; SaveDir of a view), pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines through fragment views (each index built once, postings cut to a fragment against an index of it), HyPart over fragments, DMatch's class set and summed work counters at 2 and 3 workers, the load against its encoding/csv oracle, at 1, 2 and 4)"
-go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestFragmentShuffledIDs|TestPoolReadsEidInPlace' ./internal/chase
-go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence|TestPartitionFragment' ./internal/hypart
-go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews|TestDatasetFragment|TestFragmentMatchesRootFilter|TestFragmentRefusesRows|TestSaveDirFragment' ./internal/relation
-go test -short -count=1 -cpu 1,2,4 -run 'TestDMatchGoldenWork' ./internal/dmatch
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines and the worker engines bound against it (each index built once), the cubes HyPart exposes against its placement (owned cells partition each cube, cells columns against an independent hash, the cell test against the blocks both ways, cubes rebuilt from the extents), DMatch's class set and summed work counters at 2, 3 and 4 workers and without MQO, each TPCH rule alone summing one engine's valuations and classifier decisions at 2 and 4 workers, the load against its encoding/csv oracle, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestPoolReadsEidInPlace' ./internal/chase
+go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence|TestCubeOwnership' ./internal/hypart
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestDMatchGoldenWork|TestDMatchRuleAloneWork' ./internal/dmatch
 
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
 go test -run=NONE -fuzz=FuzzLoadCSV -fuzztime=10s -fuzzminimizetime=100x ./internal/relation
@@ -61,8 +61,11 @@ echo "== provenance equivalence (proof replay vs the reference verifier: default
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 go test -short -run 'TestProofReplaysUnderBatchedDrain' ./internal/chase
 
-echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, NoMQO through both links, protocol version refusal)"
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestNoMQOReachesWorkers|TestDistributedVersionMismatch' ./internal/dmatch
+echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, NoMQO through both links, protocol version refusal, a worker refusing an Assign of foreign extents)"
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestNoMQOReachesWorkers|TestDistributedVersionMismatch|TestWorkerRefusesForeignAssign' ./internal/dmatch
+
+echo "== wire decoder (10 s fuzz: every frame, Assign's extents and owned-cell bitmaps included, decodes or fails with an error; never a panic or a runaway allocation)"
+go test -run=NONE -fuzz=FuzzDecoder -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
 
 echo "== one DMatch: non-blank non-test lines of internal/dmatch, then of the root module"
 ls internal/dmatch/*.go | grep -v _test | xargs cat | grep -cv '^\s*$'
@@ -97,7 +100,7 @@ go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 
-echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, partial scopes filtering one index set vs private scope indexes (Gamma sequence and work counters), InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
+echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, worker engines cutting one index set's candidates to their cells vs private per-rule sets (Gamma sequence and work counters), InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
 go test -short -count=1 -run 'TestSimJoinEqualsScan|TestScopedFilterEqualsScopeIndexes|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
 go test -short -count=1 -run 'TestSimilarityJoinThroughDMatch' ./internal/dmatch
 go test -short -count=1 -run 'TestDecidersMatchKernels|TestDecidersSkippedUnderCalibration' ./internal/mlpred
@@ -112,8 +115,8 @@ go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x .
 echo "== doctor bundle loader (10 s fuzz: LoadBundle then Diagnose over fuzzed manifest and health JSON return an error or a diagnosis, never a panic)"
 go test -run=NONE -fuzz=FuzzLoadBundle -fuzztime=10s -fuzzminimizetime=100x ./internal/health
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple; postings, index slots, key maps, the row table and a fragment's bitset hold no pointers, a fragment owns only its scan lists and bitset, and a Tuple handle is 24 bytes)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize|TestFragmentLayout' \
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart per-block not per-tuple; postings, index slots, key maps, the row table and the scan lists hold no pointers, and a Tuple handle is 24 bytes)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
 echo "== storage equivalence guards (columnar parity + golden Gamma fact sequences and class sets of Run and of inserts)"
