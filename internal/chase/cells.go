@@ -11,6 +11,7 @@ package chase
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dcer/internal/hypart"
 	"dcer/internal/relation"
@@ -28,9 +29,6 @@ type ruleCells struct {
 	// their mask (no column: v fixes none).
 	vars  []hypart.VarCells
 	owned []uint64
-	// fits caches fitsFor by mask; filled while the rule is bound
-	// (cutOrders) and read-only after.
-	fits map[int32][]uint64
 }
 
 // newRuleCells checks c against rule r over d — a cells column as long as
@@ -44,7 +42,7 @@ func newRuleCells(r *rule.Rule, c Cells, d *relation.Dataset) (*ruleCells, error
 	if !ok {
 		return nil, fmt.Errorf("chase: rule %s: cells that do not fit its variables and the dataset", r.Name)
 	}
-	return &ruleCells{vars: c.Cube.Vars, owned: c.Owned, fits: make(map[int32][]uint64)}, nil
+	return &ruleCells{vars: c.Cube.Vars, owned: c.Owned}, nil
 }
 
 // bits returns the cell bits the tuple of row row fixes as variable v.
@@ -55,12 +53,23 @@ func (rc *ruleCells) bits(v int, row int32) int32 {
 	return 0
 }
 
+// ownsNone reports whether the engine owns no cell of the rule.
+func (rc *ruleCells) ownsNone() bool {
+	return !slices.ContainsFunc(rc.owned, func(w uint64) bool { return w != 0 })
+}
+
+// mask returns the cell bits the variables of bound fix.
+func (rc *ruleCells) mask(bound uint64) int32 {
+	var m int32
+	for ; bound != 0; bound &= bound - 1 {
+		m |= rc.vars[bits.TrailingZeros64(bound)].Mask
+	}
+	return m
+}
+
 // fitsFor returns the bitmap of the partial cell indexes over mask (bit k
 // set: some owned cell c has c&mask == k).
 func (rc *ruleCells) fitsFor(mask int32) []uint64 {
-	if f, ok := rc.fits[mask]; ok {
-		return f
-	}
 	f := make([]uint64, len(rc.owned))
 	for i, word := range rc.owned {
 		for ; word != 0; word &= word - 1 {
@@ -68,8 +77,35 @@ func (rc *ruleCells) fitsFor(mask int32) []uint64 {
 			f[k>>6] |= 1 << (k & 63)
 		}
 	}
-	rc.fits[mask] = f
 	return f
+}
+
+// share estimates the fraction of variable v's candidates the cut keeps
+// once the variables of bound are bound: under uniform hashing, the chance
+// that the bits v adds to the bound ones' fit, the owned share of the
+// partial cells over the widened mask over the owned share over the bound
+// mask. The planner scales a worker's estimates by it, so a plan starts
+// from the variable whose cut keeps least. 1 in a lone engine.
+func (rc *ruleCells) share(bound uint64, v int) float64 {
+	if rc == nil {
+		return 1
+	}
+	before := rc.mask(bound)
+	after := before | rc.vars[v].Mask
+	if after == before {
+		return 1
+	}
+	owned := func(mask int32) float64 {
+		n := 0
+		for _, w := range rc.fitsFor(mask) {
+			n += bits.OnesCount64(w)
+		}
+		return float64(n) / float64(uint64(1)<<bits.OnesCount32(uint32(mask)))
+	}
+	if b := owned(before); b > 0 {
+		return owned(after) / b
+	}
+	return 0
 }
 
 // fits reports whether partial cell index k is set in bitmap f.
@@ -77,15 +113,18 @@ func fits(f []uint64, k int32) bool { return f[k>>6]&(1<<(k&63)) != 0 }
 
 // cellStep is a join step's cut: a candidate t of the step's variable
 // stays when the partial cell index part|col[row of t] fits, where part
-// holds the bits of the variables bound before.
+// holds the bits of the variables bound before. mask has the bits fits is
+// over: the bound variables' and the step's.
 type cellStep struct {
 	col  []int32
 	fits []uint64
+	mask int32
 }
 
 // cutOrders gives every join step whose variable fixes cell bits its cut,
-// over the bits its order has fixed once it binds, and resolves the seed
-// patterns' bitmaps addJob tests a drain job's pair against.
+// over the bits its order has fixed once it binds, and every order the
+// bitmap over its seed pattern's bits that ownsSeed tests a drain job's
+// pair against.
 func (br *boundRule) cutOrders() {
 	rc := br.cells
 	if rc == nil {
@@ -94,30 +133,25 @@ func (br *boundRule) cutOrders() {
 	for _, os := range [][]joinOrder{br.orders, br.seeds} {
 		for i := range os {
 			o := &os[i]
-			var mask int32
-			for v := range br.r.Vars {
-				if o.bound&(1<<v) != 0 {
-					mask |= rc.vars[v].Mask
-				}
-			}
-			rc.fitsFor(mask)
+			mask := rc.mask(o.bound)
+			o.fits = rc.fitsFor(mask)
 			for k := range o.steps {
 				st := &o.steps[k]
 				mask |= rc.vars[st.v].Mask
 				if col := rc.vars[st.v].Cells; col != nil {
-					st.cell = &cellStep{col: col, fits: rc.fitsFor(mask)}
+					st.cell = &cellStep{col: col, fits: rc.fitsFor(mask), mask: mask}
 				}
 			}
 		}
 	}
 }
 
-// ownsSeed reports whether the cell bits the seed binding fixes (x for
-// variable v1, y for v2) fit some owned cell: the test a drain job passes
-// before it is run. A lone engine owns every seed.
-func (br *boundRule) ownsSeed(rows []int32, v1, v2 int, x, y relation.TID) bool {
+// ownsSeed reports whether the cell bits the seed binding of order o
+// fixes (x for variable v1, y for v2) fit some owned cell: the test a
+// drain job passes before it is run. A lone engine owns every seed.
+func (br *boundRule) ownsSeed(o *joinOrder, rows []int32, v1, v2 int, x, y relation.TID) bool {
 	rc := br.cells
-	return rc == nil || fits(rc.fitsFor(rc.vars[v1].Mask|rc.vars[v2].Mask), rc.bits(v1, rows[x])|rc.bits(v2, rows[y]))
+	return rc == nil || fits(o.fits, rc.bits(v1, rows[x])|rc.bits(v2, rows[y]))
 }
 
 // cut keeps, in depth's buffer, the candidates ts of step st whose cell

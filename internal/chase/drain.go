@@ -39,6 +39,7 @@ const drainBatchCap = 1 << 15
 type drainJob struct {
 	br     *boundRule
 	p      *rule.Pred
+	o      *joinOrder // planned for p's variables bound
 	tx, ty relation.TID
 }
 
@@ -103,11 +104,12 @@ func (e *Engine) processEvents(q []event) {
 		switch ev.kind {
 		case FactMatch:
 			for _, br := range e.rules {
-				for _, p := range br.ids {
+				for i, p := range br.ids {
+					o := br.idOrders[i]
 					for _, x := range ev.ma {
 						for _, y := range ev.mb {
-							jobs = e.addJob(jobs, br, p, x, y)
-							jobs = e.addJob(jobs, br, p, y, x)
+							jobs = e.addJob(jobs, br, p, o, x, y)
+							jobs = e.addJob(jobs, br, p, o, y, x)
 							if len(jobs) >= drainBatchCap {
 								e.runJobs(jobs)
 								jobs = jobs[:0]
@@ -123,7 +125,7 @@ func (e *Engine) processEvents(q []event) {
 					if !m.dynamic || m.pred.Model != ev.model {
 						continue
 					}
-					jobs = e.addJob(jobs, br, m.pred, ev.a, ev.b)
+					jobs = e.addJob(jobs, br, m.pred, m.order, ev.a, ev.b)
 					if len(jobs) >= drainBatchCap {
 						e.runJobs(jobs)
 						jobs = jobs[:0]
@@ -136,20 +138,21 @@ func (e *Engine) processEvents(q []event) {
 	e.jobBuf = jobs[:0]
 }
 
-// addJob appends the job (br, p, x, y) if it is viable: both tuples on
-// the predicate's relations, not a self pair under a single-variable
-// predicate, and in a worker engine, fitting a cell the engine owns.
-func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, x, y relation.TID) []drainJob {
+// addJob appends the job (br, p, x, y), which follows order o, if it is
+// viable: both tuples on the predicate's relations, not a self pair under
+// a single-variable predicate, and in a worker engine, fitting a cell the
+// engine owns.
+func (e *Engine) addJob(jobs []drainJob, br *boundRule, p *rule.Pred, o *joinOrder, x, y relation.TID) []drainJob {
 	if e.d.RelOf(x) != br.r.Vars[p.V1].RelIdx || e.d.RelOf(y) != br.r.Vars[p.V2].RelIdx {
 		return jobs
 	}
 	if p.V1 == p.V2 && x != y {
 		return jobs
 	}
-	if !br.ownsSeed(e.d.Rows(), p.V1, p.V2, x, y) {
+	if !br.ownsSeed(o, e.d.Rows(), p.V1, p.V2, x, y) {
 		return jobs
 	}
-	return append(jobs, drainJob{br: br, p: p, tx: x, ty: y})
+	return append(jobs, drainJob{br: br, p: p, o: o, tx: x, ty: y})
 }
 
 // runJobs executes one batch, split into at most one contiguous chunk per

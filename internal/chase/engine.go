@@ -111,6 +111,9 @@ type boundMLPred struct {
 	cl      mlpred.Classifier
 	model   uint16 // pred.Model interned (fact.go), as literals carry it
 	dynamic bool   // the model appears in some rule head, so validation can flip it
+	// order, when dynamic, is the join order a drain job seeded by the
+	// predicate's pair follows.
+	order *joinOrder
 
 	// fc is cl's feature-scoring interface; when set the predicate is
 	// scored over the bundles of feats, addressed by the interned ids of
@@ -138,7 +141,10 @@ type boundRule struct {
 	intra  [][]*rule.Pred // per-var equality predicates with both sides on the var
 	eqs    []*rule.Pred   // cross-variable equality predicates
 	ids    []*rule.Pred   // id predicates in the body
-	mls    []boundMLPred  // ML predicates in the body
+	// idOrders, aligned with ids, is the join order a drain job seeded by
+	// each id predicate's pair follows.
+	idOrders []*joinOrder
+	mls      []boundMLPred // ML predicates in the body
 
 	// eqIx pre-resolves, aligned with eqs, the two indexes each equality
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
@@ -231,9 +237,10 @@ type Engine struct {
 
 	dynamicModels map[string]bool
 
-	// anyIDs records whether any rule carries an id body predicate: when
-	// none does, class-merge events have no consumer and are not queued.
-	anyIDs bool
+	// idRels marks the relations some rule's id body predicate ranges
+	// over: a class merge with no member in one has no consumer, and is
+	// not queued.
+	idRels []bool
 
 	// interpret switches enumeration from the compiled plans to the
 	// per-candidate rule interpreter. It is not an option: the interpreter
@@ -333,6 +340,7 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, cells []Cells, ix *relat
 		opts:          opts,
 		uf:            unionfind.New(d.Size()),
 		classSlot:     make([]int32, d.Size()),
+		idRels:        make([]bool, len(d.Relations)),
 		validated:     make(map[Literal]bool),
 		pairCache:     mlpred.NewPairCache(),
 		feats:         mlpred.NewFeatureStore(0),
@@ -368,8 +376,8 @@ func NewScoped(d *relation.Dataset, rules []*rule.Rule, cells []Cells, ix *relat
 			return nil, err
 		}
 		e.rules = append(e.rules, br)
-		if len(br.ids) > 0 {
-			e.anyIDs = true
+		for _, p := range br.ids {
+			e.idRels[r.Vars[p.V1].RelIdx], e.idRels[r.Vars[p.V2].RelIdx] = true, true
 		}
 	}
 	// Pre-merge literal id-value duplicates (these trivial matches are not
@@ -637,7 +645,7 @@ func (e *Engine) applyFactJ(f Fact, j *justification) bool {
 		}
 		// The old member slices stay intact (merges build fresh slices),
 		// so the event can reference them without copying.
-		if e.anyIDs {
+		if e.consumed(ma) && e.consumed(mb) {
 			e.queue = append(e.queue, event{kind: FactMatch, ma: ma, mb: mb})
 		}
 		return true
@@ -752,6 +760,17 @@ func (e *Engine) IncDeduce(external []Fact) []Fact {
 	skip := len(e.delta)
 	e.drain()
 	return append([]Fact(nil), e.delta[skip:]...)
+}
+
+// consumed reports whether a member of class ms lies in a relation some id
+// body predicate ranges over: whether a merge of ms can seed a drain job.
+func (e *Engine) consumed(ms []relation.TID) bool {
+	for _, t := range ms {
+		if e.idRels[e.d.RelOf(t)] {
+			return true
+		}
+	}
+	return false
 }
 
 func literalFact(l Literal) Fact {

@@ -206,7 +206,7 @@ func (c *evalCtx) extend(depth int) {
 	// plans' oracle, keeps scanning).
 	satisfied := -1
 	if path == apScan && c.plans {
-		if sims, mi, scored := c.simAccess(v); mi >= 0 {
+		if sims, mi, scored := c.simAccess(v, st.cell); mi >= 0 {
 			cands, path, satisfied = sims, apSim, mi
 			c.br.plan.vars[v].access[apSim].scored.Add(scored)
 		}
@@ -432,7 +432,7 @@ func (c *evalCtx) runSeed(j *drainJob) {
 	c.reset(j.br)
 	seed := c.seedFor(len(j.br.r.Vars))
 	seed[j.p.V1], seed[j.p.V2] = j.tx, j.ty // one tuple when V1 = V2 (addJob)
-	c.enumerateIn(j.br.orderFor(1<<j.p.V1|1<<j.p.V2), seed)
+	c.enumerateIn(j.o, seed)
 }
 
 // gatherInto collects an ML predicate's attribute-value vector from tuple

@@ -173,7 +173,7 @@ func (e *Engine) CheckCandidateOrder() error {
 				for _, t := range br.rels[vo].TIDs() {
 					c.reset(br)
 					c.binding[vo] = t
-					cands, _, _ := c.simAccess(vs)
+					cands, _, _ := c.simAccess(vs, nil)
 					if err := descent(cands); err != nil {
 						return fmt.Errorf("rule %s, similarity join of %s: %w", br.r.Name, m.pred, err)
 					}

@@ -115,7 +115,7 @@ const seedMorsel = 256
 func (e *Engine) seedPass(epoch relation.TID) {
 	var tasks []seedTask
 	for _, br := range e.rules {
-		if rc := br.cells; rc != nil && !fits(rc.fitsFor(0), 0) {
+		if rc := br.cells; rc != nil && rc.ownsNone() {
 			continue // a worker engine owning no cell of the rule
 		}
 		var older uint64

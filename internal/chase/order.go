@@ -52,6 +52,10 @@ type joinStep struct {
 type joinOrder struct {
 	bound uint64
 	steps []joinStep
+	// fits, in a worker engine, is the bitmap of the owned partial cells
+	// over the bits bound fixes (cells.go): a drain job seeding this order
+	// runs only if its pair's bits are set in it.
+	fits []uint64
 }
 
 // maxRuleVars bounds a rule's variables by the width of a seed pattern.
@@ -89,6 +93,15 @@ func (br *boundRule) planOrders() {
 	for i, m := range patterns {
 		br.orders[i] = br.planOrder(m, nil)
 	}
+	br.idOrders = make([]*joinOrder, len(br.ids))
+	for i, p := range br.ids {
+		br.idOrders[i] = br.orderFor(1<<p.V1 | 1<<p.V2)
+	}
+	for i := range br.mls {
+		if m := &br.mls[i]; m.dynamic {
+			m.order = br.orderFor(1<<m.pred.V1 | 1<<m.pred.V2)
+		}
+	}
 	br.seeds = make([]joinOrder, len(br.r.Vars))
 	for r, st := range br.orders[0].steps {
 		root, _, _ := br.bestAccess(st.v, 0)
@@ -116,7 +129,9 @@ func (br *boundRule) orderFor(bound uint64) *joinOrder {
 //  2. variables a similarity join reaches from a bound one;
 //  3. the rest, by relation size (a scan);
 //
-// ties going to the lower variable index. seq forces the sequence instead
+// ties going to the lower variable index. A worker engine scales every
+// estimate but the class one by the share of the candidates its cell cut
+// keeps (ruleCells.share). seq forces the sequence instead
 // (tests); each step still takes its cheapest access. An equality into a
 // unique index reads its key map.
 func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
@@ -150,7 +165,8 @@ func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 // planning class and its estimated candidate count (see planOrder). A
 // class access wins ties.
 func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
-	size := float64(len(br.rels[v].TIDs()))
+	share := br.cells.share(bound, v)
+	size := float64(len(br.rels[v].TIDs())) * share
 	best, class, est := joinStep{v: v, path: apScan}, 3, size
 	consider := func(st joinStep, e float64) {
 		if class > 1 || e < est {
@@ -187,7 +203,7 @@ func (br *boundRule) bestAccess(v int, bound uint64) (joinStep, int, float64) {
 	}
 	for _, w := range br.plan.vars[v].consts {
 		st := joinStep{v: v, path: apConst, pred: w.p, konst: w}
-		consider(st, float64(len(br.rootCands(&st))))
+		consider(st, float64(len(br.rootCands(&st)))*share)
 	}
 	if class == 3 && br.simReaches(v, bound) {
 		class = 2

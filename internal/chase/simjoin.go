@@ -17,7 +17,11 @@ import (
 // accepted values, in scan order, are the candidates: the subset of the
 // scan that passes M, so M's plan step is satisfied by construction
 // (DESIGN.md §7). Accepted sets are memoized per distinct A value, each
-// filled by exactly one of the goroutines that share the join.
+// filled by exactly one of the goroutines that share the join. In a worker
+// engine a value of B none of whose tuples the step's cell cut admits,
+// given the bound variables' cell bits, is skipped unscored: the cut would
+// drop all its tuples. So the workers score each pair of values about once
+// between them, not once each; the memo is keyed by those bits too.
 type simJoin struct {
 	rel, attr int // y's relation and B
 	from      int // A, the probing tuple's attribute
@@ -30,7 +34,16 @@ type simJoin struct {
 	both bool
 
 	mu   sync.RWMutex
-	memo map[uint64]*simEntry // by the probing tuple's word of from
+	memo map[simKey]*simEntry
+}
+
+// simKey addresses a memo entry: the probing tuple's word of from and, in
+// a worker engine, the mask of the step's cell cut and the cell bits the
+// bound variables fix, which decide the values skipped (0 and 0 in a lone
+// engine).
+type simKey struct {
+	w          uint64
+	mask, part int32
 }
 
 // simEntry is what one probing value accepts: the B words, sorted, and
@@ -48,7 +61,10 @@ func (en *simEntry) has(w uint64) bool {
 // bindSimJoins gives br's ML predicates their similarity joins, one per
 // side that can be chosen off a full scan while the other side is bound: a
 // static feature-scored predicate over single attributes of two variables
-// that no equality joins, on a variable without constant predicates.
+// that no equality joins, on a variable without constant predicates. A
+// lone engine serves both sides of a symmetric predicate over one column
+// with one join; a worker engine, which skips values by its cut, keeps a
+// join per side.
 func (br *boundRule) bindSimJoins() {
 	for i := range br.mls {
 		m := &br.mls[i]
@@ -64,13 +80,13 @@ func (br *boundRule) bindSimJoins() {
 			rel := br.r.Vars[v].RelIdx
 			switch {
 			case len(br.consts[v]) > 0:
-			case s == 1 && m.sim[0] != nil && m.fc.Symmetric() && rel == br.r.Vars[p.V1].RelIdx && attrs[0] == attrs[1]:
+			case s == 1 && m.sim[0] != nil && br.cells == nil && m.fc.Symmetric() && rel == br.r.Vars[p.V1].RelIdx && attrs[0] == attrs[1]:
 				m.sim[0].both = true
 				m.sim[1] = m.sim[0]
 			default:
 				m.sim[s] = &simJoin{
 					rel: rel, attr: attrs[s], from: attrs[1-s], ixs: br.ix,
-					scan: br.rels[v], memo: make(map[uint64]*simEntry),
+					scan: br.rels[v], memo: make(map[simKey]*simEntry),
 				}
 			}
 		}
@@ -78,11 +94,11 @@ func (br *boundRule) bindSimJoins() {
 }
 
 // simAccess resolves the similarity join, if there is one, of variable v,
-// whose join-order step is a full scan: the candidates, the index in
-// br.mls of the predicate they satisfy (-1: none, keep the scan) and the
-// number of values scored to answer. A classifier recording a Calibration
-// wants every pair, so it keeps the scan.
-func (c *evalCtx) simAccess(v int) (cands []relation.TID, mi int, scored int64) {
+// whose join-order step is a full scan cut by cs (nil: no cut): the
+// candidates, the index in br.mls of the predicate they satisfy (-1: none,
+// keep the scan) and the number of values scored to answer. A classifier
+// recording a Calibration wants every pair, so it keeps the scan.
+func (c *evalCtx) simAccess(v int, cs *cellStep) (cands []relation.TID, mi int, scored int64) {
 	for i := range c.br.mls {
 		m := &c.br.mls[i]
 		for s, j := range m.sim {
@@ -94,12 +110,15 @@ func (c *evalCtx) simAccess(v int) (cands []relation.TID, mi int, scored int64) 
 			if j == nil || vs != v || bound == unbound || mlpred.CalibrationOf(m.cl) != nil {
 				continue
 			}
-			w := c.word(vo, bound, j.from)
+			at := simKey{w: c.word(vo, bound, j.from)}
+			if cs != nil {
+				at.mask, at.part = cs.mask, c.part
+			}
 			j.mu.RLock()
-			en := j.memo[w]
+			en := j.memo[at]
 			j.mu.RUnlock()
 			if en == nil {
-				en, scored = c.simFill(m, j, s, bound, w)
+				en, scored = c.simFill(m, j, s, bound, at, cs)
 			}
 			return en.list, i, scored
 		}
@@ -107,28 +126,37 @@ func (c *evalCtx) simAccess(v int) (cands []relation.TID, mi int, scored int64) 
 	return nil, -1, 0
 }
 
-// simFill scores bound's value w against every distinct value of j's
-// column and publishes what it accepts, under the lock throughout: a second
-// goroutine probing w waits for the entry instead of scoring it again, so
-// the invocation count (one per classifier decision) repeats run over run.
-func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID, w uint64) (*simEntry, int64) {
+// simFill scores bound's value at.w against every distinct value of j's
+// column that cut cs admits with at.part and publishes what it accepts,
+// under the lock throughout: a second goroutine probing at waits for the
+// entry instead of scoring it again, so the invocation count (one per
+// classifier decision) repeats run over run.
+func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID, at simKey, cs *cellStep) (*simEntry, int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if en := j.memo[w]; en != nil {
+	if en := j.memo[at]; en != nil {
 		return en, 0
 	}
 	en := &simEntry{}
 	fb := c.bundle(m, bound, 1-s)
 	calls := c.mlCalls
+	admits := func(t relation.TID) bool { return fits(cs.fits, at.part|cs.col[c.rows[t]]) }
 	j.ixs.For(j.rel, j.attr).Each(func(key uint64, post []relation.TID) {
-		rep := post[0] // the value's representative
+		rep := post[0] // the value's representative: its first tuple the cut admits
+		if cs != nil {
+			i := slices.IndexFunc(post, admits)
+			if i < 0 {
+				return
+			}
+			rep = post[i]
+		}
 		var ok bool
 		var o *simEntry
 		if j.both { // the memo's keys are values of this column too
-			o = j.memo[key]
+			o = j.memo[simKey{w: key}]
 		}
 		if o != nil {
-			ok = o.has(w) // this pair was scored when key was the probing value
+			ok = o.has(at.w) // this pair was scored when key was the probing value
 		} else {
 			c.mlCalls++
 			if fk := c.bundle(m, rep, s); s == 0 {
@@ -147,7 +175,7 @@ func (c *evalCtx) simFill(m *boundMLPred, j *simJoin, s int, bound relation.TID,
 			en.list = append(en.list, t)
 		}
 	}
-	j.memo[w] = en
+	j.memo[at] = en
 	return en, c.mlCalls - calls
 }
 

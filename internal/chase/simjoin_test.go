@@ -106,8 +106,8 @@ func TestSimJoinEqualsScan(t *testing.T) {
 // the work — valuations, extensions, plan predicate evaluations,
 // classifier decisions — of the same engines probing private per-rule
 // index sets. Every worker of a 3-worker partition is checked, and the
-// similarity joins fire, so a join skips the values its cells cannot bind
-// alike over either set.
+// similarity joins fire, so a join skips the values none of whose tuples
+// its cells admit alike over either set.
 func TestScopedFilterEqualsScopeIndexes(t *testing.T) {
 	reg := mlpred.DefaultRegistry()
 	seeds := int64(24)
@@ -141,6 +141,61 @@ func TestScopedFilterEqualsScopeIndexes(t *testing.T) {
 			}
 			n, _, _ := simAccess(shared)
 			probes += n
+		}
+	}
+	if probes == 0 {
+		t.Fatal("no similarity join fired in a worker engine")
+	}
+}
+
+// skipRule's only join into b is a similarity join from a, which a
+// constant binds first. b is hashed on its ref, which joins c's key, and
+// a on a.ref, the value it probes with, so each value of a.ref lies in one
+// slice of the cube and each key of Q in one other: a worker probes a
+// value only from the cells holding it and scores against it only the
+// keys its cells admit with it.
+const skipRule = `sk: P(a) ^ Q(b) ^ R(c) ^ a.x = "u" ^ jaro085(a.ref, b.qk) ^ b.ref = c.rk -> b.id = c.id`
+
+// TestSimJoinSkipsValuesOutsideCells: the workers of a partition, at 2, 3
+// and 4 workers, take between them no more classifier decisions for
+// skipRule than one engine: a worker's similarity join skips the values of
+// b none of whose tuples its cell cut admits, given a's cell bits, instead
+// of scoring every value of the relation once per worker. The join fires
+// in the workers.
+func TestSimJoinSkipsValuesOutsideCells(t *testing.T) {
+	reg := mlpred.DefaultRegistry()
+	var probes int64
+	for seed := int64(500); seed < 516; seed++ {
+		d, _, err := datagen.RandomInstance(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules, err := rule.ParseResolved(skipRule, d.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone := modeDefault.engine(t, d, rules, reg)
+		lone.Run()
+		want := lone.Stats().MLCacheMiss
+		for _, n := range []int{2, 3, 4} {
+			part, err := hypart.Partition(d, rules, n, hypart.Options{Share: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got int64
+			for w := range n {
+				eng, err := chase.NewScoped(d, rules, workerCells(part, w), relation.NewIndexSet(d), reg, chase.Options{ShareIndexes: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Run()
+				got += eng.Stats().MLCacheMiss
+				p, _, _ := simAccess(eng)
+				probes += p
+			}
+			if got > want {
+				t.Errorf("seed %d, %d workers: %d classifier decisions summed over the workers, one engine %d", seed, n, got, want)
+			}
 		}
 	}
 	if probes == 0 {

@@ -23,31 +23,35 @@ import (
 // "tfacc0.2/conc"): DMatch reaches the sequential Γ (Proposition 8).
 //
 // The counters were re-recorded when the workers came to own hypercube
-// cells instead of per-rule tuple sets, with every digest unchanged. As a
-// tuple set, a rule scope forgot which variable a tuple was hashed for, so
-// two workers enumerated and classified the same valuation: tp's 450
-// valuations at TPCH 0.5 were enumerated twice at 2 and at 4 workers (the
-// ROADMAP's (m2) table shows the same at scale 6). A cell holds each
-// valuation once, so valuations, plan predicate evaluations and classifier
-// decisions fell (tpch0.5/w2 3715 → 3265 valuations, 2616 → 2166
-// decisions). Two counters rose. Extensions at tpch0.5/w4 rose 108276 →
-// 114566: the worker engines plan over the whole dataset's sizes, so tl
-// binds its broadcast orders first on every worker, where a scope-sized
-// plan had started from the worker's quarter of lineitem. Drain rounds
-// rose on tfacc0.2 (10 → 14 at w2): a valuation found on another worker
-// than before reaches this one as a routed fact, one drain round later.
+// cells instead of per-rule tuple sets, with every digest unchanged and no
+// counter above the value pinned before the change. As a tuple set, a rule
+// scope forgot which variable a tuple was hashed for, so two workers
+// enumerated and classified the same valuation: tp's 450 valuations at
+// TPCH 0.5 were enumerated twice at 2 and at 4 workers (the ROADMAP's (m2)
+// table shows the same at scale 6). A cell holds each valuation once, so
+// valuations, plan predicate evaluations and classifier decisions fell
+// (tpch0.5/w2 3715 → 3265 valuations, 2616 → 2166 decisions). A worker
+// plans over the whole dataset's sizes scaled by the share of each
+// variable's candidates its cell cut keeps, so extensions fell too
+// (tpch0.5/w4 108276 → 101584). Drain rounds fell (tpch0.5/w2 28 → 18,
+// tfacc0.2/w4 42 → 30) because a class merge that no rule's id predicate
+// can seed a job from is no longer queued, in any engine: the round that
+// expanded it into no job is gone. Without that, cells would have raised
+// the rounds on tfacc0.2 (10 → 14 at w2): a valuation found on another
+// worker than before reaches this one as a routed fact, one drain round
+// later.
 var goldenWork = map[string]struct {
 	set                                                string
 	valuations, extensions, planPreds, rounds, mlCalls int64
 }{
-	"tpch0.5/w2":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3265, 85042, 30151, 28, 2166},
-	"tpch0.5/w3":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3269, 93739, 30016, 21, 2170},
-	"tpch0.5/w4":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3341, 114566, 28879, 36, 2242},
-	"tpch0.5/w2/nomqo":  {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3245, 84966, 30055, 28, 2146},
-	"tfacc0.2/w2":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1362, 29126, 8353, 14, 2506},
-	"tfacc0.2/w3":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1364, 33828, 8127, 25, 2508},
-	"tfacc0.2/w4":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1353, 39417, 8164, 49, 2497},
-	"tfacc0.2/w2/nomqo": {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1347, 29045, 8605, 28, 2491},
+	"tpch0.5/w2":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3265, 85042, 30151, 18, 2166},
+	"tpch0.5/w3":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3269, 93739, 30016, 15, 2170},
+	"tpch0.5/w4":        {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3341, 101584, 28879, 23, 2242},
+	"tpch0.5/w2/nomqo":  {"3b498b2c7ab0b630b1cf954525c7c735a8bb42855bb52a0ef28903c230704d37", 3245, 84966, 30055, 18, 2146},
+	"tfacc0.2/w2":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1362, 29126, 8353, 9, 2506},
+	"tfacc0.2/w3":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1364, 33052, 8127, 14, 2508},
+	"tfacc0.2/w4":       {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1353, 38649, 8164, 30, 2497},
+	"tfacc0.2/w2/nomqo": {"fd24f380968d1afa71cec22bdaf8f4e1873e2bd867da565a93ac2d601948f408", 1347, 28622, 8605, 18, 2491},
 }
 
 // TestDMatchGoldenWork runs DMatch without rebalancing (whose trigger is a
