@@ -11,7 +11,6 @@ package chase
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"dcer/internal/hypart"
 	"dcer/internal/relation"
@@ -53,11 +52,6 @@ func (rc *ruleCells) bits(v int, row int32) int32 {
 	return 0
 }
 
-// ownsNone reports whether the engine owns no cell of the rule.
-func (rc *ruleCells) ownsNone() bool {
-	return !slices.ContainsFunc(rc.owned, func(w uint64) bool { return w != 0 })
-}
-
 // mask returns the cell bits the variables of bound fix.
 func (rc *ruleCells) mask(bound uint64) int32 {
 	var m int32
@@ -80,32 +74,22 @@ func (rc *ruleCells) fitsFor(mask int32) []uint64 {
 	return f
 }
 
-// share estimates the fraction of variable v's candidates the cut keeps
-// once the variables of bound are bound: under uniform hashing, the chance
-// that the bits v adds to the bound ones' fit, the owned share of the
-// partial cells over the widened mask over the owned share over the bound
-// mask. The planner scales a worker's estimates by it, so a plan starts
-// from the variable whose cut keeps least. 1 in a lone engine.
+// share estimates, for the planner, the fraction of variable v's
+// candidates the cut keeps once the variables of bound are bound: under
+// uniform hashing, the owned share of the partial cells over the widened
+// mask over that over the bound mask. 1 in a lone engine.
 func (rc *ruleCells) share(bound uint64, v int) float64 {
 	if rc == nil {
 		return 1
 	}
-	before := rc.mask(bound)
-	after := before | rc.vars[v].Mask
-	if after == before {
-		return 1
-	}
-	owned := func(mask int32) float64 {
-		n := 0
+	owned := func(mask int32) (n float64) {
 		for _, w := range rc.fitsFor(mask) {
-			n += bits.OnesCount64(w)
+			n += float64(bits.OnesCount64(w))
 		}
-		return float64(n) / float64(uint64(1)<<bits.OnesCount32(uint32(mask)))
+		return n / float64(uint64(1)<<bits.OnesCount32(uint32(mask)))
 	}
-	if b := owned(before); b > 0 {
-		return owned(after) / b
-	}
-	return 0
+	before := rc.mask(bound)
+	return owned(before|rc.vars[v].Mask) / max(owned(before), 1e-9)
 }
 
 // fits reports whether partial cell index k is set in bitmap f.

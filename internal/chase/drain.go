@@ -104,8 +104,8 @@ func (e *Engine) processEvents(q []event) {
 		switch ev.kind {
 		case FactMatch:
 			for _, br := range e.rules {
-				for i, p := range br.ids {
-					o := br.idOrders[i]
+				for _, p := range br.ids {
+					o := br.orderFor(1<<p.V1 | 1<<p.V2)
 					for _, x := range ev.ma {
 						for _, y := range ev.mb {
 							jobs = e.addJob(jobs, br, p, o, x, y)
@@ -125,7 +125,7 @@ func (e *Engine) processEvents(q []event) {
 					if !m.dynamic || m.pred.Model != ev.model {
 						continue
 					}
-					jobs = e.addJob(jobs, br, m.pred, m.order, ev.a, ev.b)
+					jobs = e.addJob(jobs, br, m.pred, br.orderFor(1<<m.pred.V1|1<<m.pred.V2), ev.a, ev.b)
 					if len(jobs) >= drainBatchCap {
 						e.runJobs(jobs)
 						jobs = jobs[:0]

@@ -111,9 +111,6 @@ type boundMLPred struct {
 	cl      mlpred.Classifier
 	model   uint16 // pred.Model interned (fact.go), as literals carry it
 	dynamic bool   // the model appears in some rule head, so validation can flip it
-	// order, when dynamic, is the join order a drain job seeded by the
-	// predicate's pair follows.
-	order *joinOrder
 
 	// fc is cl's feature-scoring interface; when set the predicate is
 	// scored over the bundles of feats, addressed by the interned ids of
@@ -141,10 +138,7 @@ type boundRule struct {
 	intra  [][]*rule.Pred // per-var equality predicates with both sides on the var
 	eqs    []*rule.Pred   // cross-variable equality predicates
 	ids    []*rule.Pred   // id predicates in the body
-	// idOrders, aligned with ids, is the join order a drain job seeded by
-	// each id predicate's pair follows.
-	idOrders []*joinOrder
-	mls      []boundMLPred // ML predicates in the body
+	mls    []boundMLPred  // ML predicates in the body
 
 	// eqIx pre-resolves, aligned with eqs, the two indexes each equality
 	// can probe: eqIx[i][0] indexes (V1's relation, A1) and eqIx[i][1]
@@ -238,8 +232,7 @@ type Engine struct {
 	dynamicModels map[string]bool
 
 	// idRels marks the relations some rule's id body predicate ranges
-	// over: a class merge with no member in one has no consumer, and is
-	// not queued.
+	// over: only a merge of two classes with a member in one is queued.
 	idRels []bool
 
 	// interpret switches enumeration from the compiled plans to the

@@ -115,7 +115,7 @@ const seedMorsel = 256
 func (e *Engine) seedPass(epoch relation.TID) {
 	var tasks []seedTask
 	for _, br := range e.rules {
-		if rc := br.cells; rc != nil && rc.ownsNone() {
+		if br.cells != nil && !fits(br.orders[0].fits, 0) {
 			continue // a worker engine owning no cell of the rule
 		}
 		var older uint64

@@ -52,9 +52,8 @@ type joinStep struct {
 type joinOrder struct {
 	bound uint64
 	steps []joinStep
-	// fits, in a worker engine, is the bitmap of the owned partial cells
-	// over the bits bound fixes (cells.go): a drain job seeding this order
-	// runs only if its pair's bits are set in it.
+	// fits, in a worker engine, holds the owned partial cells over the
+	// bits bound fixes: a drain job's seed must fit (ownsSeed).
 	fits []uint64
 }
 
@@ -92,15 +91,6 @@ func (br *boundRule) planOrders() {
 	br.orders = make([]joinOrder, len(patterns))
 	for i, m := range patterns {
 		br.orders[i] = br.planOrder(m, nil)
-	}
-	br.idOrders = make([]*joinOrder, len(br.ids))
-	for i, p := range br.ids {
-		br.idOrders[i] = br.orderFor(1<<p.V1 | 1<<p.V2)
-	}
-	for i := range br.mls {
-		if m := &br.mls[i]; m.dynamic {
-			m.order = br.orderFor(1<<m.pred.V1 | 1<<m.pred.V2)
-		}
 	}
 	br.seeds = make([]joinOrder, len(br.r.Vars))
 	for r, st := range br.orders[0].steps {

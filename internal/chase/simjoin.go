@@ -17,11 +17,10 @@ import (
 // accepted values, in scan order, are the candidates: the subset of the
 // scan that passes M, so M's plan step is satisfied by construction
 // (DESIGN.md §7). Accepted sets are memoized per distinct A value, each
-// filled by exactly one of the goroutines that share the join. In a worker
-// engine a value of B none of whose tuples the step's cell cut admits,
-// given the bound variables' cell bits, is skipped unscored: the cut would
-// drop all its tuples. So the workers score each pair of values about once
-// between them, not once each; the memo is keyed by those bits too.
+// filled by exactly one of the goroutines that share the join. A worker
+// engine skips a B value none of whose tuples its step's cell cut admits
+// with the bound variables' cell bits, so the workers score each pair of
+// values about once between them.
 type simJoin struct {
 	rel, attr int // y's relation and B
 	from      int // A, the probing tuple's attribute
@@ -37,10 +36,8 @@ type simJoin struct {
 	memo map[simKey]*simEntry
 }
 
-// simKey addresses a memo entry: the probing tuple's word of from and, in
-// a worker engine, the mask of the step's cell cut and the cell bits the
-// bound variables fix, which decide the values skipped (0 and 0 in a lone
-// engine).
+// simKey addresses a memo entry: the probing word of from and, in a worker
+// engine, the cut's mask and the bound variables' cell bits.
 type simKey struct {
 	w          uint64
 	mask, part int32
@@ -61,10 +58,8 @@ func (en *simEntry) has(w uint64) bool {
 // bindSimJoins gives br's ML predicates their similarity joins, one per
 // side that can be chosen off a full scan while the other side is bound: a
 // static feature-scored predicate over single attributes of two variables
-// that no equality joins, on a variable without constant predicates. A
-// lone engine serves both sides of a symmetric predicate over one column
-// with one join; a worker engine, which skips values by its cut, keeps a
-// join per side.
+// that no equality joins, on a variable without constant predicates. Only
+// a lone engine, which skips nothing, serves both sides with one join.
 func (br *boundRule) bindSimJoins() {
 	for i := range br.mls {
 		m := &br.mls[i]

@@ -36,10 +36,9 @@ import (
 // (tpch0.5/w4 108276 → 101584). Drain rounds fell (tpch0.5/w2 28 → 18,
 // tfacc0.2/w4 42 → 30) because a class merge that no rule's id predicate
 // can seed a job from is no longer queued, in any engine: the round that
-// expanded it into no job is gone. Without that, cells would have raised
-// the rounds on tfacc0.2 (10 → 14 at w2): a valuation found on another
-// worker than before reaches this one as a routed fact, one drain round
-// later.
+// expanded it into no job is gone. That more than offsets the rounds cells
+// add, a valuation found on another worker than before reaching this one
+// as a routed fact, one drain round later.
 var goldenWork = map[string]struct {
 	set                                                string
 	valuations, extensions, planPreds, rounds, mlCalls int64

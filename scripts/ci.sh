@@ -100,8 +100,8 @@ go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
 go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 
-echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, worker engines cutting one index set's candidates to their cells vs private per-rule sets (Gamma sequence and work counters), InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
-go test -short -count=1 -run 'TestSimJoinEqualsScan|TestScopedFilterEqualsScopeIndexes|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
+echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, worker engines cutting one index set's candidates to their cells vs private per-rule sets (Gamma sequence and work counters), workers' classifier decisions for a join into a hashed variable vs one engine's, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
+go test -short -count=1 -run 'TestSimJoinEqualsScan|TestScopedFilterEqualsScopeIndexes|TestSimJoinSkipsValuesOutsideCells|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
 go test -short -count=1 -run 'TestSimilarityJoinThroughDMatch' ./internal/dmatch
 go test -short -count=1 -run 'TestDecidersMatchKernels|TestDecidersSkippedUnderCalibration' ./internal/mlpred
 go test -race -short -count=1 -run 'TestSimJoin' ./internal/chase
