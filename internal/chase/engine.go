@@ -312,8 +312,9 @@ type Cells struct {
 // valuations, only those in the cells cells[i] owns (a nil slice: every
 // valuation, as New). HyPart puts each valuation in exactly one cell, and
 // the DMatch workers own disjoint cells, so no valuation is enumerated by
-// two workers; a tuple that passes a worker's cell test lies in a block of
-// the worker's, so the worker hosts every tuple it binds.
+// two workers; a tuple that passes a worker's cell test is one the master
+// counts the worker a host of (hypart.Result.Hosts), so the worker hosts
+// every tuple it binds.
 //
 // With MQO sharing (Options.ShareIndexes) the rules of a worker engine
 // probe ix, an index set over d, through a handle of their own

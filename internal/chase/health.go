@@ -145,41 +145,31 @@ func (e *Engine) auditPlans() {
 }
 
 // observeAccuracy feeds the live accuracy observatory: newly deduced Γ
-// matches (each fact sampled at most once, via a stride over the new
-// suffix) scored against the ground truth with false positives attributed
-// through their provenance proofs, then a recall probe over the
-// deterministic truth sample.
+// matches (Accuracy.ObserveFresh) scored against the ground truth with
+// false positives attributed through their provenance proofs, then a
+// recall probe over the deterministic truth sample.
 func (e *Engine) observeAccuracy() {
 	h := e.health
 	acc := h.mon.Accuracy()
 	if acc == nil {
 		return
 	}
-	if n := len(e.gamma.Matches); n > h.accSeen {
-		fresh := e.gamma.Matches[h.accSeen:n]
-		h.accSeen = n
-		step := (len(fresh) + h.sampleN - 1) / h.sampleN
-		if step < 1 {
-			step = 1
-		}
-		pairs := make([][2]relation.TID, 0, (len(fresh)+step-1)/step)
-		for i := 0; i < len(fresh); i += step {
-			pairs = append(pairs, [2]relation.TID{fresh[i].A, fresh[i].B})
-		}
-		var attribute func(p [2]relation.TID) string
-		if e.prov != nil {
-			attribute = func(p [2]relation.TID) string {
-				ent, ok := e.prov.Lookup(provenance.MatchID(p[0], p[1]))
-				if !ok {
-					return ""
-				}
-				if ent.Rule != "" {
-					return ent.Rule
-				}
-				return ent.Origin.String()
+	var attribute func(p [2]relation.TID) string
+	if e.prov != nil {
+		attribute = func(p [2]relation.TID) string {
+			ent, ok := e.prov.Lookup(provenance.MatchID(p[0], p[1]))
+			if !ok {
+				return ""
 			}
+			if ent.Rule != "" {
+				return ent.Rule
+			}
+			return ent.Origin.String()
 		}
-		acc.ObserveMatches(pairs, attribute)
 	}
+	matches := e.gamma.Matches
+	h.accSeen = acc.ObserveFresh(h.accSeen, len(matches), func(i int) [2]relation.TID {
+		return [2]relation.TID{matches[i].A, matches[i].B}
+	}, attribute)
 	acc.ObserveRecall(func(a, b relation.TID) bool { return e.Same(a, b) })
 }

@@ -28,7 +28,7 @@ import (
 func (e *Engine) InsertTuples(tuples []*relation.Tuple) ([]Fact, error) {
 	for _, br := range e.rules {
 		if br.cells != nil {
-			return nil, fmt.Errorf("chase: InsertTuples requires a lone engine, not a worker's bound against a shared index set")
+			return nil, fmt.Errorf("chase: InsertTuples requires a lone engine, not a DMatch worker's, which enumerates only its cells")
 		}
 	}
 	ids := make([]relation.TID, len(tuples))

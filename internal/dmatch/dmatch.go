@@ -7,8 +7,8 @@
 // (IncDeduce) afterwards. Each valuation lies in exactly one cell, so no
 // two workers enumerate or classify the same one. A master routes newly
 // deduced matches and validated ML predictions to the workers hosting
-// either tuple — holding it in a block — and every tuple a worker binds
-// lies in one of its blocks. No raw tuples are ever exchanged after
+// either tuple — owning a cell it lies in (hypart.Result.Hosts) — and
+// every tuple a worker binds it hosts. No raw tuples are ever exchanged after
 // partitioning, only facts; an Assign carries the cubes' extents and the
 // worker's owned-cell bitmaps.
 //
@@ -32,9 +32,10 @@
 // the route list and assemble each inbox, suppressing any fact the
 // destination itself produced in the same superstep
 // (Result.MessagesDeduped).
-// When a superstep's skew ratio exceeds Options.RebalanceSkew, or a worker
-// dies, the master reassigns virtual blocks and the workers whose block
-// sets changed rebuild and replay the fact history (masterState.reassign).
+// When a superstep's skew ratio exceeds a positive Options.RebalanceSkew,
+// or a worker dies, the master reassigns virtual blocks and the workers
+// whose block sets changed rebuild and replay the fact history
+// (masterState.reassign).
 package dmatch
 
 import (
@@ -72,12 +73,14 @@ type Options struct {
 	// rests on this). Each worker's engine still runs its pool at the full
 	// GOMAXPROCS width while its peers wait.
 	Sequential bool
-	// RebalanceSkew is the per-superstep skew-ratio threshold above which
-	// the scheduler re-runs the LPT assignment over the virtual blocks'
-	// observed costs and migrates blocks between workers before the next
-	// superstep, at most twice per run and only after a superstep of 2 ms
-	// or more. 0 means the default (1.5); negative disables adaptive
-	// rebalancing.
+	// RebalanceSkew, when positive, is the per-superstep skew-ratio
+	// threshold above which the scheduler re-runs the LPT assignment over
+	// the virtual blocks' observed costs and migrates blocks between
+	// workers before the next superstep, at most twice per run and only
+	// after a superstep of 2 ms or more. 0 (the default) or negative
+	// leaves the assignment alone: a worker's work follows its cells'
+	// valuations, not its blocks' sizes, and a migrated worker re-runs
+	// Deduce over its new cells.
 	RebalanceSkew float64
 	// Metrics is the run's one observability handle, which every
 	// in-process worker engine attaches to as well (chase.Options.Metrics,
@@ -238,7 +241,7 @@ func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Opt
 			if provLogs != nil {
 				hooks.Provenance = provLogs[i]
 			}
-			w := &worker{id: i, d: d, rules: rules, reg: reg, ix: ix, cubes: ms.cubes, hooks: hooks}
+			w := &worker{id: i, d: d, rules: rules, reg: reg, ix: ix, cubes: ms.part.Cubes, hooks: hooks}
 			ms.links[i] = newLoopLink(w, building, ms.events)
 		}
 		return nil

@@ -125,7 +125,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	defer dhb.Exit()
 	accSeen := 0
 
-	rb := newRebalancer(opts, n, len(ms.blocks))
+	rb := newRebalancer(opts, n, len(ms.part.Blocks))
 	deltas := make([][]chase.Fact, n)
 	elapsed := make([]time.Duration, n)
 	msgsIn := make([]int, n)
@@ -319,7 +319,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 			for _, w := range ms.assign {
 				orphans[w]++
 			}
-			next, _ := balance(ms.blocks, ms.assign, make([]time.Duration, n), ms.alive)
+			next, _ := balance(ms.part.Blocks, ms.assign, make([]time.Duration, n), ms.alive)
 			rebuilt := ms.reassign(next, res)
 			for _, w := range dead {
 				res.Recoveries = append(res.Recoveries, RecoveryEvent{
@@ -331,7 +331,7 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 			sp.End()
 		} else if ms.workPending() && rb.shouldRebalance(skew, stepMax) {
 			sp := rtc.Start("dmatch.reassign", telemetry.L("step", strconv.Itoa(step)), telemetry.L("cause", "skew"))
-			if next, moved := balance(ms.blocks, ms.assign, elapsed, ms.alive); moved > 0 {
+			if next, moved := balance(ms.part.Blocks, ms.assign, elapsed, ms.alive); moved > 0 {
 				ev := RebalanceEvent{Step: step, BlocksMoved: moved, SkewBefore: skew}
 				ev.WorkersRebuilt = ms.reassign(next, res)
 				ev.RebuildNs = int64(time.Since(t0))

@@ -45,13 +45,12 @@ type masterState struct {
 	live   int         // workers not yet dropped
 	wire   *wire.Stats // wire tallies of the TCP links; stays zero in-process
 
-	// The schedule: the virtual blocks, the rules' cubes over them, the
-	// current block→worker assignment, the NoMQO bit every Assign
-	// carries, and per worker the Assign awaiting dispatch (non-nil: the
-	// worker is fresh and must run Deduce on its next Step) and the inbox
-	// for the next superstep.
-	blocks  []hypart.Block
-	cubes   []hypart.Cube
+	// The schedule: the partition (its virtual blocks and the rules'
+	// cubes over them), the current block→worker assignment, the NoMQO
+	// bit every Assign carries, and per worker the Assign awaiting
+	// dispatch (non-nil: the worker is fresh and must run Deduce on its
+	// next Step) and the inbox for the next superstep.
+	part    *hypart.Result
 	assign  []int
 	noMQO   bool
 	pending []*wire.Assign
@@ -72,8 +71,7 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, n int, noMQO bool)
 		events:  make(chan linkEvent, 4*n),
 		live:    n,
 		wire:    &wire.Stats{},
-		blocks:  part.Blocks,
-		cubes:   part.Cubes,
+		part:    part,
 		assign:  make([]int, len(part.Blocks)),
 		noMQO:   noMQO,
 		pending: make([]*wire.Assign, n),
@@ -93,16 +91,16 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, n int, noMQO bool)
 // rule, the cube's extents and the cells w owns, and the facts to replay.
 func (ms *masterState) assignFor(w int, replay []chase.Fact) *wire.Assign {
 	a := &wire.Assign{NoMQO: ms.noMQO, Replay: replay}
-	for r := range ms.cubes {
-		a.Extents = append(a.Extents, ms.cubes[r].Extents())
-		a.Owned = append(a.Owned, ms.cubes[r].Owned(ms.assign, w))
+	for r := range ms.part.Cubes {
+		a.Extents = append(a.Extents, ms.part.Cubes[r].Extents())
+		a.Owned = append(a.Owned, ms.part.Cubes[r].Owned(ms.assign, w))
 	}
 	return a
 }
 
-// setHosts rebuilds the host bitsets from the blocks and their current
-// assignment: per tuple, every worker holding a block of it, and — folded
-// over the current E_id — per class root. The master tracks, per
+// setHosts rebuilds the host bitsets under the current assignment: per
+// tuple, every worker owning a cell it lies in (hypart.Result.Hosts), and
+// — folded over the current E_id — per class root. The master tracks, per
 // class root, the workers hosting *any* member of the class: a match
 // merging classes Ca and Cb must reach every worker hosting any member of
 // either class — a worker hosting x and y needs the bridging fact (a,b)
@@ -112,12 +110,7 @@ func (ms *masterState) assignFor(w int, replay []chase.Fact) *wire.Assign {
 // union a bitset merge.
 func (ms *masterState) setHosts() {
 	words := ms.words
-	ms.hosts = make([]uint64, ms.d.Size()*words)
-	for b, w := range ms.assign {
-		for _, gid := range ms.blocks[b].GIDs {
-			ms.hosts[int(gid)*words+w>>6] |= 1 << (uint(w) & 63)
-		}
-	}
+	ms.hosts = ms.part.Hosts(ms.d, ms.assign, ms.n)
 	ms.classHosts = make([]uint64, ms.d.Size()*words)
 	for _, t := range ms.d.Tuples() {
 		root, gid := ms.guf.Find(int(t.GID)), int(t.GID)

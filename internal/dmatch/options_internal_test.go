@@ -31,8 +31,8 @@ import (
 //     the wire as bit 0 of Assign's flag word.
 //   - Sequential: internal/experiments' simulated makespan needs the
 //     workers run one at a time; every other caller runs them at once.
-//   - RebalanceSkew: -1 in the repository benchmark, so timing-fired
-//     migrations cannot move its counts; the default elsewhere.
+//   - RebalanceSkew: 0 (off) by default, -1 (also off) in the
+//     repository benchmark; positive in the rebalancing tests.
 //   - Metrics: as for chase.Options.
 //   - Provenance, ProvenanceLimit: cmd/explain and the experiments'
 //     audit capture proofs, with the command's -limit; off elsewhere.

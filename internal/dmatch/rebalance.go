@@ -1,7 +1,6 @@
 package dmatch
 
 import (
-	"sort"
 	"time"
 
 	"dcer/internal/hypart"
@@ -11,8 +10,9 @@ import (
 // *predicted* block cost (block size), but the chase's actual cost per
 // tuple varies with rule selectivity and ML hit rates, so a superstep can
 // come out skewed even under a perfectly size-balanced assignment. This
-// file holds the policy — when to migrate, and where the blocks go; the
-// migration itself is masterState.reassign.
+// file holds the policy — when to migrate (only under a positive
+// Options.RebalanceSkew), and where the blocks go; the migration itself
+// is masterState.reassign.
 
 // RebalanceEvent describes one adaptive block migration.
 type RebalanceEvent struct {
@@ -32,11 +32,8 @@ type RebalanceEvent struct {
 	RebuildNs int64
 }
 
-const (
-	defaultRebalanceSkew = 1.5
-	// maxRebalances bounds the number of migrations per run.
-	maxRebalances = 2
-)
+// maxRebalances bounds the number of migrations per run.
+const maxRebalances = 2
 
 // rebalanceMinStep is the makespan floor a superstep must reach before its
 // skew can trigger a migration — microsecond-scale steps show large skew
@@ -53,20 +50,13 @@ type rebalancer struct {
 }
 
 func newRebalancer(opts Options, n, blocks int) *rebalancer {
-	rb := &rebalancer{
-		enabled: opts.RebalanceSkew >= 0,
+	// With n workers and ≤ n blocks every worker holds at most one block,
+	// so no migration can improve the makespan.
+	return &rebalancer{
+		enabled: opts.RebalanceSkew > 0 && n >= 2 && blocks > n,
 		skewMin: opts.RebalanceSkew,
 		left:    maxRebalances,
 	}
-	if rb.skewMin == 0 {
-		rb.skewMin = defaultRebalanceSkew
-	}
-	// With n workers and ≤ n blocks every worker holds at most one block,
-	// so no migration can improve the makespan.
-	if n < 2 || blocks <= n {
-		rb.enabled = false
-	}
-	return rb
 }
 
 // shouldRebalance reports whether the just-finished superstep's skew and
@@ -79,29 +69,29 @@ func (rb *rebalancer) shouldRebalance(skew float64, makespan time.Duration) bool
 	return true
 }
 
-// balance places blocks on the live workers with the LPT heuristic —
-// descending cost, each to the least-loaded worker — and returns the new
-// assignment plus the number of blocks that moved. After a death only the
-// dead workers' blocks move, onto the loads the survivors already carry,
-// so a survivor that adopts none keeps its engine; otherwise every block
-// is placed afresh. The observed cost of a block is its size scaled by its
-// current worker's busy time per hosted tuple this superstep — the best
-// per-block signal available without per-block timers inside the engines.
-// Workers that were idle this step (or dead: busy is then all zero)
-// contribute their blocks at predicted, size-only cost.
+// balance places blocks on the live workers with hypart.AssignLPT and
+// returns the new assignment plus the number of blocks that moved. After
+// a death only the dead workers' blocks move, onto the loads the survivors
+// already carry, so a survivor that adopts none keeps its engine;
+// otherwise every block is placed afresh. The observed cost of a block is
+// its size scaled by its current worker's busy time per hosted tuple this
+// superstep — the best per-block signal available without per-block
+// timers inside the engines. Workers that were idle this step (or dead:
+// busy is then all zero) contribute their blocks at predicted, size-only
+// cost.
 func balance(blocks []hypart.Block, assign []int, busy []time.Duration, alive func(int) bool) ([]int, int) {
 	n := len(busy)
 	sizeTotal := make([]float64, n)
 	orphaned := false
 	for b := range blocks {
-		sizeTotal[assign[b]] += float64(len(blocks[b].GIDs))
+		sizeTotal[assign[b]] += float64(blocks[b].Size)
 		orphaned = orphaned || !alive(assign[b])
 	}
 	costs := make([]float64, len(blocks))
 	load := make([]float64, n)
 	var place []int // the blocks to place, in index (canonical key) order
 	for b, w := range assign {
-		costs[b] = float64(len(blocks[b].GIDs)) // predicted cost: size alone
+		costs[b] = float64(blocks[b].Size) // predicted cost: size alone
 		if busy[w] > 0 && sizeTotal[w] > 0 {
 			costs[b] *= float64(busy[w]) / sizeTotal[w]
 		}
@@ -111,19 +101,11 @@ func balance(blocks []hypart.Block, assign []int, busy []time.Duration, alive fu
 			place = append(place, b)
 		}
 	}
-	sort.SliceStable(place, func(i, j int) bool { return costs[place[i]] > costs[place[j]] })
 	next := append([]int(nil), assign...)
+	hypart.AssignLPT(next, place, costs, load, alive)
 	moved := 0
-	for _, b := range place {
-		best := -1
-		for w := 0; w < n; w++ {
-			if alive(w) && (best < 0 || load[w] < load[best]) {
-				best = w
-			}
-		}
-		next[b] = best
-		load[best] += costs[b]
-		if best != assign[b] {
+	for b := range next {
+		if next[b] != assign[b] {
 			moved++
 		}
 	}

@@ -213,6 +213,36 @@ func TestRebalanceDisabled(t *testing.T) {
 	}
 }
 
+// TestRebalanceOffByDefault: the zero Options leave the assignment alone.
+// On this instance the cell split's second superstep reads a skew of
+// about 2.7 at 3 workers, which tripped the former default threshold of
+// 1.5 in every run; a positive threshold still migrates.
+func TestRebalanceOffByDefault(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.2, Dup: 0.4, Seed: 7})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmatch.NoRebalanceMinStep(t)
+	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rebalances) != 0 {
+		t.Errorf("default Options migrated blocks %d times", len(res.Rebalances))
+	}
+	forced, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3, RebalanceSkew: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forced.Rebalances) == 0 {
+		t.Error("a positive threshold below every skew migrated nothing")
+	}
+	if classSignature(forced.Classes()) != classSignature(res.Classes()) {
+		t.Error("classes diverge between the default run and the migrated one")
+	}
+}
+
 // TestRebalanceDebugProvider checks the dmatch_rebalance provider is
 // registered on the metrics registry and exposed via /debug/dcer.
 func TestRebalanceDebugProvider(t *testing.T) {

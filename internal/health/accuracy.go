@@ -60,6 +60,23 @@ func (a *Accuracy) SampleSize() int {
 	return a.n
 }
 
+// ObserveFresh scores the suffix [seen, n) of a growing list of derived
+// matches, pair(i) giving the i-th, through ObserveMatches: a stride
+// sample of at most SampleSize of them, so over successive calls each
+// match is scored at most once. It returns n, the next call's seen.
+func (a *Accuracy) ObserveFresh(seen, n int, pair func(i int) [2]relation.TID, attribute func(p [2]relation.TID) string) int {
+	if a == nil || n <= seen {
+		return max(seen, n)
+	}
+	step := max((n-seen+a.n-1)/a.n, 1)
+	pairs := make([][2]relation.TID, 0, (n-seen+step-1)/step)
+	for i := seen; i < n; i += step {
+		pairs = append(pairs, pair(i))
+	}
+	a.ObserveMatches(pairs, attribute)
+	return n
+}
+
 // ObserveMatches scores a batch of derived match pairs (the caller samples
 // newly added Γ entries, so each fact is counted once) against the truth
 // and updates the precision gauge. attribute maps a false-positive pair to

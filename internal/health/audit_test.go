@@ -2,6 +2,7 @@ package health_test
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dcer/internal/eval"
@@ -180,5 +181,28 @@ func TestAccuracyObservatory(t *testing.T) {
 	}
 	if v, ok := found["dcer_health_recall"]; !ok || v != 0.5 {
 		t.Errorf("dcer_health_recall gauge = %v (present %v)", v, ok)
+	}
+}
+
+// TestAccuracyObserveFresh: each call stride-samples at most SampleSize of
+// the matches added since the last, so no match is scored twice.
+func TestAccuracyObserveFresh(t *testing.T) {
+	m := health.NewMonitor(health.Options{Registry: telemetry.NewRegistry(), DiagnosisDir: t.TempDir(),
+		Truth: eval.NewTruth([][2]relation.TID{{1, 2}}), SampleSize: 4, Seed: 1})
+	defer m.Stop()
+	acc := m.Accuracy()
+	var scored []int
+	pair := func(i int) [2]relation.TID {
+		scored = append(scored, i)
+		return [2]relation.TID{relation.TID(2 * i), relation.TID(2*i + 1)}
+	}
+	seen := acc.ObserveFresh(0, 10, pair, nil)
+	seen = acc.ObserveFresh(seen, 10, pair, nil)
+	seen = acc.ObserveFresh(seen, 13, pair, nil)
+	if want := []int{0, 3, 6, 9, 10, 11, 12}; seen != 13 || !slices.Equal(scored, want) {
+		t.Fatalf("scored %v up to %d, want %v up to 13", scored, seen, want)
+	}
+	if a := m.Report().Accuracy; a.SampledTP+a.SampledFP != 7 {
+		t.Fatalf("%d pairs scored, want 7", a.SampledTP+a.SampledFP)
 	}
 }

@@ -1,8 +1,10 @@
 package hypart_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -10,79 +12,107 @@ import (
 	"dcer/internal/datagen"
 	"dcer/internal/hypart"
 	"dcer/internal/relation"
+	"dcer/internal/rule"
 )
 
-// mapBuildFragments lists, per worker, the union of the blocks assign
-// puts on it and, per (worker, rule), the union of those of its blocks the
-// rule generated: set union, then a sort of each map dump. It is the
-// oracle of WorkerSizes, and the partition digest hashes what it lists.
-func mapBuildFragments(blocks []hypart.Block, assign []int, n, numRules int) ([][]relation.TID, [][][]relation.TID) {
-	fragSets := make([]map[relation.TID]struct{}, n)
-	ruleSets := make([][]map[relation.TID]struct{}, n)
-	for i := range fragSets {
-		fragSets[i] = make(map[relation.TID]struct{})
-		ruleSets[i] = make([]map[relation.TID]struct{}, numRules)
-		for ri := range ruleSets[i] {
-			ruleSets[i][ri] = make(map[relation.TID]struct{})
-		}
+// referenceLists runs PartitionReference on the instance res partitions
+// and returns, aligned with res.Blocks, the tuples the reference placed in
+// each block. It fails the test unless the reference's blocks are exactly
+// res's, key for key.
+func referenceLists(t *testing.T, d *relation.Dataset, rules []*rule.Rule, n int, opts hypart.Options, res *hypart.Result) [][]relation.TID {
+	t.Helper()
+	_, byKey, err := hypart.PartitionReference(d, rules, n, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for bi := range blocks {
-		w := assign[bi]
-		for _, gid := range blocks[bi].GIDs {
-			fragSets[w][gid] = struct{}{}
-			for _, ri := range blocks[bi].Rules {
-				ruleSets[w][ri][gid] = struct{}{}
-			}
-		}
+	if len(byKey) != len(res.Blocks) {
+		t.Fatalf("reference found %d blocks, Partition %d", len(byKey), len(res.Blocks))
 	}
-	sortIDs := func(set map[relation.TID]struct{}) []relation.TID {
-		ids := make([]relation.TID, 0, len(set))
-		for gid := range set {
-			ids = append(ids, gid)
+	lists := make([][]relation.TID, len(res.Blocks))
+	for b, blk := range res.Blocks {
+		l, ok := byKey[hypart.RefKey(blk.Canon)]
+		if !ok {
+			t.Fatalf("block %d (%s) is not among the reference's", b, hypart.RefKey(blk.Canon))
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		return ids
+		lists[b] = l
 	}
-	frags := make([][]relation.TID, n)
-	ruleFrags := make([][][]relation.TID, n)
-	for i := range fragSets {
-		frags[i] = sortIDs(fragSets[i])
-		ruleFrags[i] = make([][]relation.TID, numRules)
-		for ri, rset := range ruleSets[i] {
-			ruleFrags[i][ri] = sortIDs(rset)
-		}
-	}
-	return frags, ruleFrags
+	return lists
 }
 
-// TestWorkerSizesMatchesMapOracle: on random overlapping blocks and
-// random block→worker assignments (the rebalance and recovery callers
-// pass arbitrary ones), the bitset WorkerSizes counts what the map-based
-// oracle lists — including workers that own nothing.
+// listHosts is the host bitsets member lists give: per tuple of a dataset
+// of size tuples, the workers assign puts a block listing it on.
+func listHosts(lists [][]relation.TID, assign []int, size, n int) []uint64 {
+	words := (n + 63) / 64
+	hosts := make([]uint64, size*words)
+	for b, l := range lists {
+		for _, gid := range l {
+			hosts[int(gid)*words+assign[b]>>6] |= 1 << (uint(assign[b]) & 63)
+		}
+	}
+	return hosts
+}
+
+// hostedBy lists, per worker, the tuples whose host bits name it,
+// ascending.
+func hostedBy(hosts []uint64, n int) [][]relation.TID {
+	words := (n + 63) / 64
+	out := make([][]relation.TID, n)
+	for i, h := range hosts {
+		for ; h != 0; h &= h - 1 {
+			w := i%words<<6 + bits.TrailingZeros64(h)
+			out[w] = append(out[w], relation.TID(i/words))
+		}
+	}
+	return out
+}
+
+// mapFragments lists, per worker, the union of the lists of the blocks
+// assign puts on it: map set union, then a sort of each map dump.
+func mapFragments(lists [][]relation.TID, assign []int, n int) [][]relation.TID {
+	sets := make([]map[relation.TID]struct{}, n)
+	for w := range sets {
+		sets[w] = make(map[relation.TID]struct{})
+	}
+	for b, l := range lists {
+		for _, gid := range l {
+			sets[assign[b]][gid] = struct{}{}
+		}
+	}
+	frags := make([][]relation.TID, n)
+	for w, set := range sets {
+		for gid := range set {
+			frags[w] = append(frags[w], gid)
+		}
+		sort.Slice(frags[w], func(a, b int) bool { return frags[w][a] < frags[w][b] })
+	}
+	return frags
+}
+
+// TestWorkerSizesMatchesMapOracle: on random instances and random
+// block→worker assignments (the rebalance and recovery callers pass
+// arbitrary ones), the tuples Hosts gives each worker — their count is
+// the worker's size, which Stats' fragment bounds read — are the
+// map-based union of the reference's lists of its blocks, including for
+// workers that own nothing.
 func TestWorkerSizesMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n, numRules, idSpace := 1+rng.Intn(6), 1+rng.Intn(70), 1+rng.Intn(500)
-		blocks := make([]hypart.Block, rng.Intn(20))
-		assign := make([]int, len(blocks))
-		for bi := range blocks {
-			for id := 0; id < idSpace; id++ {
-				if rng.Intn(4) == 0 {
-					blocks[bi].GIDs = append(blocks[bi].GIDs, relation.TID(id))
-				}
-			}
-			for ri := 0; ri < numRules; ri++ {
-				if rng.Intn(8) == 0 {
-					blocks[bi].Rules = append(blocks[bi].Rules, ri)
-				}
-			}
-			assign[bi] = rng.Intn(n)
+		d, rules := randomPartitionInstance(t, seed)
+		n := 2 + rng.Intn(5)
+		opts := hypart.Options{Share: seed%2 == 0}
+		res, err := hypart.Partition(d, rules, n, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sizes := hypart.WorkerSizes(blocks, assign, n)
-		frags, _ := mapBuildFragments(blocks, assign, n, numRules)
-		for w := range frags {
-			if sizes[w] != len(frags[w]) {
-				t.Fatalf("seed %d: worker %d holds %d tuples, the map oracle %d", seed, w, sizes[w], len(frags[w]))
+		lists := referenceLists(t, d, rules, n, opts, res)
+		assign := make([]int, len(res.Blocks))
+		for b := range assign {
+			assign[b] = rng.Intn(n)
+		}
+		got, want := hostedBy(res.Hosts(d, assign, n), n), mapFragments(lists, assign, n)
+		for w := range want {
+			if !slices.Equal(got[w], want[w]) {
+				t.Fatalf("seed %d: worker %d hosts %d tuples, the map oracle lists %d", seed, w, len(got[w]), len(want[w]))
 			}
 		}
 	}
@@ -106,10 +136,11 @@ func TestPartitionRejectsBlockKeyOverflow(t *testing.T) {
 // raceEnabled is set by race_test.go when the race detector is built in.
 var raceEnabled bool
 
-// TestPartitionAllocs guards the dense hot path: the scan appends to
-// per-block lists and the finalisation goes through one bitset, so the
-// allocation count grows with the number of blocks (list doublings, one
-// GID slice per block and scope), never with the number of tuples.
+// TestPartitionAllocs guards the dense hot path: the scan writes cells
+// columns, the size pass counts into per-shard arrays over the candidate
+// blocks, and the hosts are per-(rule, variable) tables, so the
+// allocation count grows with the number of blocks, never with the number
+// of tuples.
 func TestPartitionAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race runtime allocates per goroutine start and per sync
@@ -131,10 +162,9 @@ func TestPartitionAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per block: its key and index entry, one list per shard growing by
-	// doubling (≤ log₂|D| reallocating appends each), the GID slice and
-	// rule list; plus the plan and per-rule scan set-up. Measured 1705 for
-	// 35 blocks; the map-based partitioner this replaced needed 4213.
+	// Per block: its key and index entry; plus the plan, the per-rule
+	// scan and size set-up and the host tables. Measured 1488 for 35
+	// blocks.
 	bound := float64(48*res.Stats.Blocks + 512)
 	if allocs > bound {
 		t.Errorf("Partition allocated %.0f times for %d blocks over %d tuples, bound %.0f",

@@ -15,51 +15,39 @@ import (
 )
 
 // partitionDigest is a sha256 over what Partition computes: every block
-// (canon, sorted GIDs, rules, worker), every worker's union of blocks and
-// of each rule's blocks (mapBuildFragments), and every Stats field. Lengths
-// are written before contents, so no two distinct partitions serialize
-// alike.
-func partitionDigest(res *hypart.Result, n int) string {
+// (canon, size, worker), every cube's cell→block table, the per-tuple host
+// bitsets under the partition's own assignment (Result.Hosts), and every
+// Stats field. Lengths are written before contents, so no two distinct
+// partitions serialize alike.
+func partitionDigest(res *hypart.Result, d *relation.Dataset, n int) string {
 	h := sha256.New()
 	num := func(v int64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}
-	tids := func(ids []relation.TID) {
-		num(int64(len(ids)))
-		for _, id := range ids {
-			num(int64(id))
-		}
-	}
 	num(int64(len(res.Blocks)))
-	for _, b := range res.Blocks {
+	assign := make([]int, len(res.Blocks))
+	for i, b := range res.Blocks {
 		num(int64(len(b.Canon)))
 		for _, c := range b.Canon {
 			num(int64(c))
 		}
-		tids(b.GIDs)
-		num(int64(len(b.Rules)))
-		for _, r := range b.Rules {
-			num(int64(r))
-		}
+		num(int64(b.Size))
 		num(int64(b.Worker))
+		assign[i] = b.Worker
 	}
-	assign := make([]int, len(res.Blocks))
-	for b := range res.Blocks {
-		assign[b] = res.Blocks[b].Worker
-	}
-	frags, ruleFrags := mapBuildFragments(res.Blocks, assign, n, len(res.Cubes))
-	num(int64(len(frags)))
-	for _, f := range frags {
-		tids(f)
-	}
-	num(int64(len(ruleFrags)))
-	for _, rf := range ruleFrags {
-		num(int64(len(rf)))
-		for _, f := range rf {
-			tids(f)
+	num(int64(len(res.Cubes)))
+	for _, cb := range res.Cubes {
+		num(int64(len(cb.Blocks)))
+		for _, b := range cb.Blocks {
+			num(int64(b))
 		}
+	}
+	hosts := res.Hosts(d, assign, n)
+	num(int64(len(hosts)))
+	for _, w := range hosts {
+		num(int64(w))
 	}
 	s := res.Stats
 	for _, v := range []int64{s.HashComputations, s.HashLookups, s.GeneratedTuples, s.PlacedTuples,
@@ -70,40 +58,44 @@ func partitionDigest(res *hypart.Result, n int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenPartitions were recorded from the partitioner of commit 339dd76
-// (striped-map hasher, per-emit key sort, map-based block sets), before
-// the dense rewrite touched it. Key: dataset/n/share/shards.
+// goldenPartitions were recorded from the partitioner of commit 60a6e13,
+// which still kept every block's member list: each size is a list's
+// length, and the host bitsets were derived from the lists (per tuple,
+// the workers of the blocks listing it). That partitioner reproduced the
+// list digests of commit 339dd76's map-based one. Key:
+// dataset/n/share/shards.
 var goldenPartitions = map[string]string{
-	"tpch0.5/n=2/share=true/shards=1":   "06b3fd959c20c982c1d22a20690f26de73d7712ccc0e4b39caf8b6998d241f44",
-	"tpch0.5/n=2/share=true/shards=4":   "e221035af9a6ee9f6fc27ce2a34feba609e53a042f17999ec1fb90d2e485c427",
-	"tpch0.5/n=2/share=false/shards=1":  "f2524224f68c90f00f171b35b64e8d729fecfca7ee15f2528116aaed53ed1ac0",
-	"tpch0.5/n=2/share=false/shards=4":  "60eff498220a8a2e430bc5dc76636a82234d1b99bc73f1dfbc72edacca052a5b",
-	"tpch0.5/n=4/share=true/shards=1":   "3e47e119bd271f0f674fc39888e4baf9a62c5a5e5d709d719c83ad6d51d52d2d",
-	"tpch0.5/n=4/share=true/shards=4":   "309b4e36ea476dca5dc08ffb62c99d943eee25377a91065d9153a80b42d15fe3",
-	"tpch0.5/n=4/share=false/shards=1":  "0d09bc77de4669002ffbb19f64775c02c642c415605dea941841ca3321a90d84",
-	"tpch0.5/n=4/share=false/shards=4":  "b8b14e04a77977459894f1fd935f2e22344fcafce1e4c218880ab3ccae492a47",
-	"tpch0.5/n=8/share=true/shards=1":   "cdaf79010870492ce483391ccfe1dec78711bf8ca1a70a0bf439f72edb1ec765",
-	"tpch0.5/n=8/share=true/shards=4":   "65dc000b4ccca32798df654efcfebe4727788cabb99810a496354896ae6561f9",
-	"tpch0.5/n=8/share=false/shards=1":  "7c977658058aceb5b530d50897f17cbc6413cc6b354e817d700d03728950214d",
-	"tpch0.5/n=8/share=false/shards=4":  "721f84d40b566232e604b60e861aa04226c98400093ffb8681a9932f8895223d",
-	"tfacc0.3/n=2/share=true/shards=1":  "48ab3444f761ffde0f10e81bcca8a9f562c438665700f3778b8dbd7dde8869fc",
-	"tfacc0.3/n=2/share=true/shards=4":  "54786414c09097ac8502372c9c177b1586d5c47ec379cf14db24393f5e96bea2",
-	"tfacc0.3/n=2/share=false/shards=1": "f1a9601a0f2dc511391c27a1777a1412c66e431bdb8c50c1644c7b1c238afe2e",
-	"tfacc0.3/n=2/share=false/shards=4": "6729000e862d04ea40cef039b000388f6f47bce6390ec5f6e5fcf7dec081faeb",
-	"tfacc0.3/n=4/share=true/shards=1":  "27111e4f4da5208e132ae104ab079a248291e8725809ca4162a136ec48b8ce4c",
-	"tfacc0.3/n=4/share=true/shards=4":  "11508f5687f8761f71f5a356590181785ab12df3eaec285311b338d2ab48bab4",
-	"tfacc0.3/n=4/share=false/shards=1": "c72c1c7c822687baf723ec49fb85f7c28dca4d9e413e5c55d48690d0dec80671",
-	"tfacc0.3/n=4/share=false/shards=4": "d2aba3b93f5a8fc8734652e5ca27198cb840b70c5d58580a34c136ded6f715ad",
-	"tfacc0.3/n=8/share=true/shards=1":  "85e5b1771058bae41c80ee504103ac07f4e8e75f3834da5eea98b3bd3e860cd8",
-	"tfacc0.3/n=8/share=true/shards=4":  "cf834f68c67b4618e6011caca3574fbff0be05845e7e8f0af4ac208cf0e126b0",
-	"tfacc0.3/n=8/share=false/shards=1": "1846dba5e7b3cc73f606dd121b6289b9c2a30b79d140b54350087c22f4977e02",
-	"tfacc0.3/n=8/share=false/shards=4": "4adb7478cd7457b6a1d44a05886ffbeb9ca1a756f829342870520a7ca8118869",
+	"tpch0.5/n=2/share=true/shards=1":   "b31c624fb74ba7f9688018750e3b79b4ea13e425583e8d34a8effb82830309b8",
+	"tpch0.5/n=2/share=true/shards=4":   "c9e86dad1e84b9ad1b104d8e36ae5725b45852ba8c6f774409e3d48c6cf3df2f",
+	"tpch0.5/n=2/share=false/shards=1":  "b4afd2a39479f9c0e6963d3c1a40c647509560f2f0674985ac96ffa27846cb9d",
+	"tpch0.5/n=2/share=false/shards=4":  "28eb07055350009d2f7ffc1a5926bdc388d08355be669e10d69757c81fa640fb",
+	"tpch0.5/n=4/share=true/shards=1":   "7de9f5bb078b051a71a9198c9dc343a72d8ea2b31302792db28594297de9c357",
+	"tpch0.5/n=4/share=true/shards=4":   "31f4bbdad7061583f58a20e2386b3f911088f65a369fd61d60c204c944305478",
+	"tpch0.5/n=4/share=false/shards=1":  "c6e1491e582d4f486aca962fb7ca9334becc0b756b270ffe701c1792b1f9b05f",
+	"tpch0.5/n=4/share=false/shards=4":  "b007dd2bc366a9dcf5ba041ba1a6d737514702cc2fe7ac95730b20078d1bf4ec",
+	"tpch0.5/n=8/share=true/shards=1":   "d2666bbe0f56863edbc6f406e18fdc31a4953a77c3913f30b6b73978a920d239",
+	"tpch0.5/n=8/share=true/shards=4":   "4a7328b54456338ccc6d334954ed3b3e1f8bf5c7ff50647d63a3031fb5ea13f5",
+	"tpch0.5/n=8/share=false/shards=1":  "0a0e81c12f77bf86b65cacf8bfad6a6952bab529ea4803bc1b0483a7d1510dca",
+	"tpch0.5/n=8/share=false/shards=4":  "cdbc8d81dedf6f355df1b0a823fd5d6e4e6c71d4499d965dfd3d10b3f2289e6e",
+	"tfacc0.3/n=2/share=true/shards=1":  "d6d3c5affe2a632cedb1d5ee6ee2c71993ac342c8cee5b9009cb27360b505074",
+	"tfacc0.3/n=2/share=true/shards=4":  "4bacc271218c250a1a257f3a3c96cf39eb88d65c0590fdad20087b451f79ae6b",
+	"tfacc0.3/n=2/share=false/shards=1": "1dbee50360d27a7fe28b0de5be0102efcf9da5ae2ccba4d45214db42bdbc490d",
+	"tfacc0.3/n=2/share=false/shards=4": "e2004653e4ff4919d2ad3f209bb0c893ec29b0016494c14a1881638a878144f8",
+	"tfacc0.3/n=4/share=true/shards=1":  "f0a9b9f502ee6adc7580179b3172218e7221e959cc08a0494b1be4bd18961192",
+	"tfacc0.3/n=4/share=true/shards=4":  "11e4b6890053fb87365e9b3dab894daa58274bfcc7fca4401fb386701fd281d9",
+	"tfacc0.3/n=4/share=false/shards=1": "e8f1f76c88af970e28cd7e6b910e3d6d96e6500126edc8f70c52d9f904092c51",
+	"tfacc0.3/n=4/share=false/shards=4": "b6628a32709ca8a0270c36a52b83f128630a9dca25b0edc4e3aaefbed8639526",
+	"tfacc0.3/n=8/share=true/shards=1":  "121d16b284003e9d5d13547b077be00b9e02e1fc9a5b9b031d0d97a3bf97b50c",
+	"tfacc0.3/n=8/share=true/shards=4":  "d2f1309181aa8077cd183196aff43244c0a8ef4ef7327c4e7d7410810805c252",
+	"tfacc0.3/n=8/share=false/shards=1": "1929f4c1fe51dc264c9f3e176c3f599cccc61a3397bd7b89e9d80a17b2e6be14",
+	"tfacc0.3/n=8/share=false/shards=4": "59a25c6ba220aa4be1e850e60496afaf1aa57a04cfe7c5202bf729930f1a715d",
 }
 
 // TestPartitionGoldenDigest pins the computed partition byte for byte:
-// the dense-array partitioner must reproduce the digests of the map-based
-// one it replaced, at every worker count, sharing mode and shard count. The
-// shard count is GOMAXPROCS, and Stats records it.
+// counting block sizes and reading hosts off the cubes must reproduce the
+// digests of the partitioner that kept member lists, at every worker
+// count, sharing mode and shard count. The shard count is GOMAXPROCS, and
+// Stats records it.
 func TestPartitionGoldenDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type instance struct {
@@ -135,7 +127,7 @@ func TestPartitionGoldenDigest(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					got := partitionDigest(res, n)
+					got := partitionDigest(res, in.d, n)
 					if got != goldenPartitions[key] {
 						t.Errorf("%s: digest %s, golden %q", key, got, goldenPartitions[key])
 					}

@@ -7,19 +7,23 @@
 //
 // The partition has the locality property of Lemma 6, in its Hypercube
 // form: every valuation of a rule lies in exactly one owned cell of the
-// rule's cube (Result.Cubes, Cube.Owned), whose block holds all its
+// rule's cube (Result.Cubes, Cube.Owned), whose owner hosts all its
 // tuples. So each valuation is checked (and chased) by exactly one worker,
 // with only deduced matches and validated ML predictions exchanged.
 //
+// A block is a key, a size and a worker: no list of its tuples is kept.
+// Which workers host a tuple — own a block that one of the tuple's cells
+// lies in — is read off the cubes by Result.Hosts, the one place that
+// decides it.
+//
 // Partition itself is parallel and runs on the dense id spaces of the
-// storage layer: every rule's coordinate cells are resolved to block
-// indexes up front, the (rule, variable) tuple scans are sharded over
-// GOMAXPROCS goroutines that hash packed columns through a Sym-indexed
-// memo and append GIDs to private per-block lists, and the lists are
-// merged, deduplicated and sorted through a |D|-bit relation.TIDSet in
-// canonical block order — the output is byte-identical for every shard
-// count (the snapshot-enumerate-merge discipline of internal/chase
-// applied to partitioning).
+// storage layer: every rule's cells are resolved to candidate blocks up
+// front, the (rule, variable) scans are sharded over GOMAXPROCS goroutines
+// that hash packed columns through a Sym-indexed memo into each
+// variable's cells column, and a second sharded pass over each relation's
+// row ranges counts the distinct tuples every candidate block receives.
+// The non-empty blocks are kept in canonical key order, so the output is
+// byte-identical for every shard count.
 package hypart
 
 import (
@@ -54,15 +58,15 @@ type Options struct {
 	// the default grows with the worker count: max(4, n/2).
 	ReplicationCap int
 	// Metrics, when non-nil, receives the partition shape as the
-	// dcer_hypart_fragment_size histogram (tuples per worker: the union of
-	// its blocks, one observation per worker). Nil disables with no
-	// overhead.
+	// dcer_hypart_fragment_size histogram (tuples per worker: those it
+	// hosts, one observation per worker). Nil disables with no overhead.
 	Metrics *telemetry.Registry
 	// Trace parents the partition's causal spans: a hypart.Partition
-	// root, one hypart.shard.scan span per scan goroutine (each on its
-	// own shard lane), and the hypart.merge/hypart.assign spans of the
-	// sequential tail. The zero value disables capture; when Metrics is
-	// set and Trace is not, a root is derived from the registry's tracer.
+	// root, one hypart.shard.scan and one hypart.shard.size span per
+	// goroutine of the two passes (each on its own shard lane), and the
+	// hypart.assign span of the sequential tail. The zero value disables
+	// capture; when Metrics is set and Trace is not, a root is derived
+	// from the registry's tracer.
 	Trace telemetry.TraceContext
 }
 
@@ -75,31 +79,29 @@ type Stats struct {
 	Blocks           int   // non-empty virtual blocks
 	HashFns          int   // hash functions used (after sharing)
 	HashFnsBaseline  int   // one-per-distinct-variable baseline
-	// MaxFragment and MinFragment bound the tuples a worker holds: the
-	// union of its blocks.
+	// MaxFragment and MinFragment bound the tuples a worker hosts
+	// (Result.Hosts).
 	MaxFragment int
 	MinFragment int
 	Shards      int // goroutines the partition pass actually used
 }
 
 // Block is one virtual block of the computed partition: its canonical
-// identity (the sorted packed (fn, extent, bucket) triples), its member
-// tuples, the rules whose hypercubes generated it, and the worker the LPT
-// assignment placed it on. Blocks are retained in the Result so the
-// scheduler can re-assign them later (skew-adaptive rebalancing in
-// dmatch) without re-partitioning.
+// identity (the sorted packed (fn, extent, bucket) triples), the number of
+// distinct tuples lying in one of its cells, and the worker the LPT
+// assignment put it on. Blocks are the unit the scheduler
+// moves, weighed by Size (skew rebalancing and recovery in dmatch),
+// without re-partitioning.
 type Block struct {
-	Canon  []uint64       // sorted packed dims; the deterministic identity
-	GIDs   []relation.TID // sorted member tuples
-	Rules  []int          // sorted indices of the rules generating the block
-	Worker int            // LPT assignment
+	Canon  []uint64 // sorted packed dims; the deterministic identity
+	Size   int      // distinct tuples lying in the block
+	Worker int      // LPT assignment
 }
 
 // Result is the computed partition.
 type Result struct {
 	// Blocks lists the non-empty virtual blocks in canonical order. The
-	// n=1 fast path has one, holding every tuple, which Stats leaves
-	// uncounted.
+	// n=1 fast path has one, of every tuple, which Stats leaves uncounted.
 	Blocks []Block
 	// Cubes[r] is rule r's hypercube, with each cell's block.
 	Cubes []Cube
@@ -162,6 +164,26 @@ func (c *Cube) Extents() []int {
 	return out
 }
 
+// images lists the cell offsets of every combination of the dimensions
+// variable vc broadcasts over (extent above 1, not hashed by vc): a tuple
+// whose cells entry is p lies, for vc, in the cells p+off. A single 0 when
+// nothing is broadcast.
+func (c *Cube) images(vc *VarCells) []int32 {
+	out := []int32{0}
+	for di, dm := range c.Dims {
+		if dm.Extent > 1 && !slices.Contains(vc.Dims, di) {
+			next := make([]int32, 0, len(out)*dm.Extent)
+			for b := 0; b < dm.Extent; b++ {
+				for _, off := range out {
+					next = append(next, off+int32(b*dm.Stride))
+				}
+			}
+			out = next
+		}
+	}
+	return out
+}
+
 // Owned returns the bitmap of the cells worker w owns under assign, an
 // assignment of Result.Blocks to workers: bit c of word c>>6 is set when
 // cell c lies in a block assign puts on w. Every valuation of the rule
@@ -196,20 +218,14 @@ func effectiveRepCap(cap, n int) int {
 // partitionSingle is the n=1 fast path: one block holding everything,
 // and every rule's cube a single cell of extent-1 dimensions lying in it.
 func partitionSingle(d *relation.Dataset, res *Result, metrics *telemetry.Registry) *Result {
-	ids := make([]relation.TID, d.Size())
-	for i := range ids {
-		ids[i] = relation.TID(i)
-	}
-	rules := make([]int, len(res.Plan.Assignments))
-	for r, ra := range res.Plan.Assignments {
-		rules[r] = r
+	for _, ra := range res.Plan.Assignments {
 		cb := newCube(d, ra, buildDims(ra, 1, 1, nil))
 		cb.Blocks = []int32{0}
 		res.Cubes = append(res.Cubes, cb)
 	}
-	res.Blocks = []Block{{GIDs: ids, Rules: rules}}
-	res.Stats.MaxFragment, res.Stats.MinFragment = len(ids), len(ids)
-	metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(len(ids)))
+	res.Blocks = []Block{{Size: d.Size()}}
+	res.Stats.MaxFragment, res.Stats.MinFragment = d.Size(), d.Size()
+	metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(d.Size()))
 	return res
 }
 
@@ -320,39 +336,24 @@ func (bx *blockIndex) resolve(c *Cube) []int32 {
 }
 
 // varScan is the per-(rule, variable) scan preparation shared by every
-// shard: the rule's cube and the variable's share of it, the candidate
-// block of each cell (nil when the scan only fills the cells column), and
-// the cell offsets of every combination of the broadcast dimensions (a
-// single 0 when nothing is broadcast).
+// shard: the rule's cube, the variable's share of it and its relation.
+// Partition's scans (all) hash every dimension a variable hashes, for its
+// Stats; those of Cubes skip the extent-1 ones, whose bucket is 0.
 type varScan struct {
-	ri     int
-	cube   *Cube
-	vc     *VarCells
-	rel    *relation.Relation
-	blocks []int32
-	bcast  []int32
+	cube *Cube
+	vc   *VarCells
+	rel  *relation.Relation
+	all  bool
 }
 
-// scans prepares the scans of rule ri's variables over cube c, whose cells
-// lie in the candidate blocks blocks, and appends their units to units.
-// With blocks nil the scans only fill cells columns, and a variable
-// without one is not scanned.
-func scans(units []unit, d *relation.Dataset, ri int, ra *mqo.RuleAssignment, c *Cube, blocks []int32) []unit {
+// scans prepares the scans of rule ra's variables over cube c and appends
+// their units to units: with all, of every variable hashing a dimension;
+// without, of every variable with a cells column.
+func scans(units []unit, d *relation.Dataset, ra *mqo.RuleAssignment, c *Cube, all bool) []unit {
 	for v, rv := range ra.Rule.Vars {
-		sc := &varScan{ri: ri, cube: c, vc: &c.Vars[v], rel: d.Relations[rv.RelIdx], blocks: blocks, bcast: []int32{0}}
-		if blocks == nil && sc.vc.Cells == nil {
+		sc := &varScan{cube: c, vc: &c.Vars[v], rel: d.Relations[rv.RelIdx], all: all}
+		if sc.vc.Cells == nil && (!all || len(sc.vc.Dims) == 0) {
 			continue
-		}
-		for di, dm := range c.Dims {
-			if dm.Extent > 1 && !slices.Contains(sc.vc.Dims, di) {
-				images := make([]int32, 0, len(sc.bcast)*dm.Extent)
-				for b := 0; b < dm.Extent; b++ {
-					for _, off := range sc.bcast {
-						images = append(images, off+int32(b*dm.Stride))
-					}
-				}
-				sc.bcast = images
-			}
 		}
 		for lo := 0; lo < len(sc.rel.TIDs()); lo += unitChunk {
 			units = append(units, unit{sc, lo, min(lo+unitChunk, len(sc.rel.TIDs()))})
@@ -371,25 +372,18 @@ type unit struct {
 // across shards while the unit list stays short.
 const unitChunk = 2048
 
-// shardAcc is one goroutine's private accumulator: per block, the members
-// it emitted (duplicates included — the finalisation dedups) and the
-// rules that emitted them (none for the scans of Cubes, which place
-// nothing).
-type shardAcc struct {
-	gids      [][]relation.TID
-	rules     []uint64 // ruleWords-wide bitset per block
-	generated int64
-	hash      [unitChunk]uint32 // per-unit scratch
-	cell      [unitChunk]int32
-	row       [unitChunk]int32
+// scratch is one scan goroutine's per-unit buffers.
+type scratch struct {
+	hash [unitChunk]uint32
+	cell [unitChunk]int32
+	row  [unitChunk]int32
 }
 
-// scan hashes one unit column by column into cell indexes, writes them to
-// the variable's cells column and appends every tuple to the blocks of
-// its cell's broadcast images. The unit's tuples are a range of its
+// scan hashes one unit column by column into cell indexes and writes them
+// to the variable's cells column. The unit's tuples are a range of its
 // relation's scan list (Relation.TIDs), whose column rows the dataset's
 // row table gives: the range's own positions.
-func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWords int) {
+func (sa *scratch) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher) {
 	sc := u.scan
 	tuples := sc.rel.TIDs()[u.lo:u.hi]
 	hash, cell, rows := sa.hash[:len(tuples)], sa.cell[:len(tuples)], sa.row[:len(tuples)]
@@ -398,7 +392,7 @@ func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWor
 	}
 	for hi, di := range sc.vc.Dims {
 		dm, attr := &sc.cube.Dims[di], sc.vc.Attrs[hi]
-		if dm.Extent == 1 && sc.blocks == nil {
+		if dm.Extent == 1 && !sc.all {
 			continue // a bucket of 0; only Partition's Stats count its hash
 		}
 		hasher.HashColumn(dm.Fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), rows, hash)
@@ -411,39 +405,96 @@ func (sa *shardAcc) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher, ruleWor
 	if sc.vc.Cells != nil {
 		copy(sc.vc.Cells[u.lo:u.hi], cell)
 	}
-	if sc.blocks == nil {
-		return
-	}
-	cells := sc.blocks
-	rword, rbit := sc.ri>>6, uint64(1)<<(uint(sc.ri)&63)
-	for i, t := range tuples {
-		for _, off := range sc.bcast {
-			b := int(cells[cell[i]+off])
-			sa.gids[b] = append(sa.gids[b], t)
-			sa.rules[b*ruleWords+rword] |= rbit
-		}
-	}
-	sa.generated += int64(len(tuples) * len(sc.bcast))
 }
 
-// runUnits scans units on shards goroutines, one accumulator each (accs
-// holds shards of them), handing the units out from one atomic cursor.
-// Each goroutine's scan is a span on its own lane of ptc.
-func runUnits(units []unit, accs []*shardAcc, ptc telemetry.TraceContext, rowOf []int32, hasher *mqo.DenseHasher, ruleWords int) {
+// runScans scans units on shards goroutines, one scratch each.
+func runScans(units []unit, shards int, ptc telemetry.TraceContext, rowOf []int32, hasher *mqo.DenseHasher) {
+	bufs := make([]scratch, shards)
+	parallel(len(units), shards, ptc, "hypart.shard.scan", func(s, i int) {
+		bufs[s].scan(units[i], rowOf, hasher)
+	})
+}
+
+// parallel runs do(s, i) for every i below units on shards goroutines, s
+// the goroutine's index, handing the units out from one atomic cursor.
+// Each goroutine's share is a span called name on its own lane of ptc.
+func parallel(units, shards int, ptc telemetry.TraceContext, name string, do func(s, i int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for s, sa := range accs {
+	for s := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start("hypart.shard.scan")
-			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
-				sa.scan(units[i], rowOf, hasher, ruleWords)
+			sp := ptc.Lane(telemetry.PIDHyPart, int32(s+1)).Start(name)
+			for i := int(cursor.Add(1)) - 1; i < units; i = int(cursor.Add(1)) - 1 {
+				do(s, i)
 			}
 			sp.End()
 		}()
 	}
 	wg.Wait()
+}
+
+// image is what the size pass reads of one (rule, variable): the
+// variable's cells column (nil: every tuple's entry is 0), its broadcast
+// images and the candidate block of each of the rule's cells.
+type image struct {
+	cells, bcast, blocks []int32
+}
+
+// sizeBlocks counts, per candidate block, the distinct tuples lying in it:
+// those with a (rule, variable) cells entry one of whose broadcast images
+// is a cell of the block. It passes over each relation's row ranges on
+// shards goroutines, each deduplicating a tuple's blocks through a stamp
+// per candidate block; a row range belongs to one goroutine, so their
+// counts add up exactly. It also returns |H(Σ,D)|, the tuple copies the
+// images generate before that dedup.
+func sizeBlocks(d *relation.Dataset, plan *mqo.Plan, cubes []Cube, cand [][]int32, numCand, shards int, ptc telemetry.TraceContext) ([]int, int64) {
+	imgs := make([][]image, len(d.Relations))
+	var generated int64
+	for ri, ra := range plan.Assignments {
+		for v, rv := range ra.Rule.Vars {
+			vc := &cubes[ri].Vars[v]
+			im := image{cells: vc.Cells, bcast: cubes[ri].images(vc), blocks: cand[ri]}
+			imgs[rv.RelIdx] = append(imgs[rv.RelIdx], im)
+			generated += int64(len(d.Relations[rv.RelIdx].TIDs()) * len(im.bcast))
+		}
+	}
+	type rows struct{ rel, lo, hi int }
+	var units []rows
+	for rel, ims := range imgs {
+		for lo, n := 0, len(d.Relations[rel].TIDs()); lo < n && len(ims) > 0; lo += unitChunk {
+			units = append(units, rows{rel, lo, min(lo+unitChunk, n)})
+		}
+	}
+	counts, stamps := make([][]int, shards), make([][]relation.TID, shards)
+	for s := range counts {
+		counts[s], stamps[s] = make([]int, numCand), make([]relation.TID, numCand)
+	}
+	parallel(len(units), shards, ptc, "hypart.shard.size", func(s, i int) {
+		count, stamp, u := counts[s], stamps[s], units[i]
+		for row, t := range d.Relations[u.rel].TIDs()[u.lo:u.hi] {
+			for _, im := range imgs[u.rel] {
+				p := int32(0)
+				if im.cells != nil {
+					p = im.cells[u.lo+row]
+				}
+				for _, off := range im.bcast {
+					if b := im.blocks[p+off]; stamp[b] != t+1 {
+						stamp[b] = t + 1
+						count[b]++
+					}
+				}
+			}
+		}
+	})
+	sizes := counts[0]
+	for _, count := range counts[1:] {
+		for b, k := range count {
+			sizes[b] += k
+		}
+	}
+	return sizes, generated
 }
 
 // Partition splits dataset d into n workers' shares for the rule set Σ:
@@ -484,8 +535,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 		relSizes[i] = len(rel.TIDs())
 	}
 
-	// Resolve every rule's cube to block indexes, prepare the per-(rule,
-	// variable) scans and chunk them into units.
+	// Resolve every rule's cube to candidate blocks, prepare the
+	// per-(rule, variable) scans and chunk them into units.
 	bx := &blockIndex{byKey: make(map[string]int32)}
 	var units []unit
 	res.Cubes = make([]Cube, len(plan.Assignments))
@@ -493,36 +544,23 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for ri, ra := range plan.Assignments {
 		res.Cubes[ri] = newCube(d, ra, buildDims(ra, vb, repCap, relSizes))
 		cand[ri] = bx.resolve(&res.Cubes[ri])
-		units = scans(units, d, ri, ra, &res.Cubes[ri], cand[ri])
+		units = scans(units, d, ra, &res.Cubes[ri], true)
 	}
 
 	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
 	res.Stats.Shards = shards
-
 	hasher := mqo.NewDenseHasher(plan.NumHashFns, d.Syms())
-	ruleWords := (len(rules) + 63) / 64
-	accs := make([]*shardAcc, shards)
-	for s := range accs {
-		accs[s] = &shardAcc{
-			gids:  make([][]relation.TID, len(bx.canon)),
-			rules: make([]uint64, len(bx.canon)*ruleWords),
-		}
-	}
-	runUnits(units, accs, ptc, d.Rows(), hasher, ruleWords)
+	runScans(units, shards, ptc, d.Rows(), hasher)
 	res.Stats.HashComputations, res.Stats.HashLookups = hasher.Counts()
+	sizes, generated := sizeBlocks(d, plan, res.Cubes, cand, len(bx.canon), shards, ptc)
+	res.Stats.GeneratedTuples = generated
 
-	// Merge: the non-empty blocks in canonical key order — so the result
-	// is independent of the shard count and scheduling — each with the
-	// union of its shards' members, deduplicated and sorted through one
-	// relation.TIDSet.
-	msp := ptc.Start("hypart.merge", telemetry.L("shards", strconv.Itoa(shards)))
+	// The non-empty blocks in canonical key order, so the result is
+	// independent of the shard count and scheduling.
 	var order []int
-	for b := range bx.canon {
-		for _, sa := range accs {
-			if len(sa.gids[b]) > 0 {
-				order = append(order, b)
-				break
-			}
+	for b, size := range sizes {
+		if size > 0 {
+			order = append(order, b)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return canonLess(bx.canon[order[i]], bx.canon[order[j]]) })
@@ -530,28 +568,11 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for b := range blockOf {
 		blockOf[b] = -1
 	}
-	var set relation.TIDSet
 	res.Blocks = make([]Block, len(order))
 	for bi, b := range order {
 		blockOf[b] = int32(bi)
-		var ris []int
-		for w := 0; w < ruleWords; w++ {
-			var word uint64
-			for _, sa := range accs {
-				word |= sa.rules[b*ruleWords+w]
-			}
-			for ; word != 0; word &= word - 1 {
-				ris = append(ris, w*64+bits.TrailingZeros64(word))
-			}
-		}
-		for _, sa := range accs {
-			set.Add(sa.gids[b])
-		}
-		res.Blocks[bi] = Block{Canon: bx.canon[b], GIDs: set.Drain(), Rules: ris}
-		res.Stats.PlacedTuples += int64(len(res.Blocks[bi].GIDs))
-	}
-	for _, sa := range accs {
-		res.Stats.GeneratedTuples += sa.generated
+		res.Blocks[bi] = Block{Canon: bx.canon[b], Size: sizes[b]}
+		res.Stats.PlacedTuples += int64(sizes[b])
 	}
 	res.Stats.Blocks = len(res.Blocks)
 	for ri, cells := range cand {
@@ -560,23 +581,31 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 			res.Cubes[ri].Blocks[cell] = blockOf[b]
 		}
 	}
-	msp.End()
 
 	asp := ptc.Start("hypart.assign")
 	defer asp.End()
 	// LPT minimum-makespan assignment of virtual blocks to workers, by
-	// block size (the static cost model; dmatch re-runs this over
-	// observed costs when a run shows skew).
+	// block size (the static cost model; dmatch re-runs it over observed
+	// costs when a run shows skew, and onto the survivors after a death).
+	assign := make([]int, len(res.Blocks))
+	place := make([]int, len(res.Blocks))
 	costs := make([]float64, len(res.Blocks))
-	for i := range res.Blocks {
-		costs[i] = float64(len(res.Blocks[i].GIDs))
+	for b := range res.Blocks {
+		place[b], costs[b] = b, float64(res.Blocks[b].Size)
 	}
-	assign := AssignLPT(costs, n)
-	for i := range res.Blocks {
-		res.Blocks[i].Worker = assign[i]
+	AssignLPT(assign, place, costs, make([]float64, n), nil)
+	for b, w := range assign {
+		res.Blocks[b].Worker = w
+	}
+	words := (n + 63) / 64
+	hosted := make([]int, n)
+	for i, h := range res.Hosts(d, assign, n) {
+		for ; h != 0; h &= h - 1 {
+			hosted[i%words<<6+bits.TrailingZeros64(h)]++
+		}
 	}
 	res.Stats.MinFragment = int(^uint(0) >> 1)
-	for _, size := range WorkerSizes(res.Blocks, assign, n) {
+	for _, size := range hosted {
 		res.Stats.MaxFragment = max(res.Stats.MaxFragment, size)
 		res.Stats.MinFragment = min(res.Stats.MinFragment, size)
 		opts.Metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(size))
@@ -584,20 +613,48 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	return res, nil
 }
 
-// WorkerSizes counts, per worker, the distinct tuples of the blocks
-// assign puts on it, through one scratch relation.TIDSet.
-func WorkerSizes(blocks []Block, assign []int, n int) []int {
-	sizes := make([]int, n)
-	var set relation.TIDSet
-	for w := range sizes {
-		for b := range blocks {
-			if assign[b] == w {
-				set.Add(blocks[b].GIDs)
+// Hosts returns which of n workers host each tuple of d when assign puts
+// block b on worker assign[b]: flat bitsets (n+63)/64 words wide, tuple
+// gid's at gid·words. A worker hosts a tuple when it owns a cell the
+// tuple lies in — for some variable of some rule over the tuple's
+// relation, a broadcast image of the tuple's cells entry — so every tuple
+// of a valuation in an owned cell is hosted. Per (rule, variable), a table
+// maps each cells entry to the OR of its images' owners; a tuple's hosts
+// are the OR of its variables' tables. Tuples no rule reads are hosted
+// nowhere.
+func (res *Result) Hosts(d *relation.Dataset, assign []int, n int) []uint64 {
+	words := (n + 63) / 64
+	hosts := make([]uint64, d.Size()*words)
+	for ri, ra := range res.Plan.Assignments {
+		c := &res.Cubes[ri]
+		for v, rv := range ra.Rule.Vars {
+			vc := &c.Vars[v]
+			bcast := c.images(vc)
+			table := make([]uint64, c.Size()*words) // by cells entry: a cell within Mask
+			for p := range int32(c.Size()) {
+				if p&^vc.Mask != 0 {
+					continue
+				}
+				for _, off := range bcast {
+					if b := c.Blocks[p+off]; b >= 0 {
+						w := assign[b]
+						table[int(p)*words+w>>6] |= 1 << (uint(w) & 63)
+					}
+				}
+			}
+			for row, gid := range d.Relations[rv.RelIdx].TIDs() {
+				p := 0
+				if vc.Cells != nil {
+					p = int(vc.Cells[row])
+				}
+				dst := hosts[int(gid)*words : int(gid+1)*words]
+				for i, x := range table[p*words : (p+1)*words] {
+					dst[i] |= x
+				}
 			}
 		}
-		sizes[w] = len(set.Drain())
 	}
-	return sizes
+	return hosts
 }
 
 // Cubes derives the rules' cubes, without blocks, from the MQO plan a
@@ -626,41 +683,35 @@ func Cubes(d *relation.Dataset, plan *mqo.Plan, extents [][]int) ([]Cube, error)
 			cells *= x
 		}
 		cubes[ri] = newCube(d, ra, extents[ri])
-		units = scans(units, d, ri, ra, &cubes[ri], nil)
+		units = scans(units, d, ra, &cubes[ri], false)
 	}
-	accs := make([]*shardAcc, max(min(runtime.GOMAXPROCS(0), len(units)), 1))
-	for s := range accs {
-		accs[s] = &shardAcc{}
-	}
-	runUnits(units, accs, telemetry.TraceContext{}, d.Rows(), mqo.NewDenseHasher(plan.NumHashFns, d.Syms()), 0)
+	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
+	runScans(units, shards, telemetry.TraceContext{}, d.Rows(), mqo.NewDenseHasher(plan.NumHashFns, d.Syms()))
 	return cubes, nil
 }
 
-// AssignLPT assigns blocks to n workers with the LPT minimum-makespan
-// heuristic over the given per-block costs: blocks in descending cost
-// order (ties by block index, which is canonical key order) go to the
-// least-loaded worker (ties to the lowest worker). Partition calls it
-// with block sizes; dmatch's balance applies the same rule over observed
-// per-block costs and live workers to migrate blocks between supersteps.
-func AssignLPT(costs []float64, n int) []int {
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return costs[order[i]] > costs[order[j]] })
-	load := make([]float64, n)
-	assign := make([]int, len(costs))
-	for _, b := range order {
-		w := 0
-		for i := 1; i < n; i++ {
-			if load[i] < load[w] {
+// AssignLPT places blocks with the LPT minimum-makespan heuristic: the
+// blocks listed in place, in descending cost order (ties keep place's
+// order, which callers give ascending, i.e. canonical key order), each go
+// to the least-loaded worker alive reports live (ties to the lowest; nil
+// alive means every worker), whose load grows by the block's cost.
+// assign[b] receives block b's worker; load holds one entry per worker,
+// the load it already carries on entry. place is reordered. Partition
+// places every block on empty workers by size; dmatch's balance places
+// every block by observed cost or, after a death, the dead workers' blocks
+// onto the survivors' loads.
+func AssignLPT(assign, place []int, costs, load []float64, alive func(int) bool) {
+	sort.SliceStable(place, func(i, j int) bool { return costs[place[i]] > costs[place[j]] })
+	for _, b := range place {
+		w := -1
+		for i := range load {
+			if (alive == nil || alive(i)) && (w < 0 || load[i] < load[w]) {
 				w = i
 			}
 		}
 		assign[b] = w
 		load[w] += costs[b]
 	}
-	return assign
 }
 
 // buildDims allocates hypercube extents to a rule's dimensions by greedy

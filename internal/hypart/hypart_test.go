@@ -2,6 +2,7 @@ package hypart_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -161,8 +162,8 @@ func TestPartitionShapes(t *testing.T) {
 		assign[b] = res.Blocks[b].Worker
 	}
 	total := 0
-	for _, size := range hypart.WorkerSizes(res.Blocks, assign, 8) {
-		total += size
+	for _, h := range res.Hosts(g.D, assign, 8) {
+		total += bits.OnesCount64(h)
 	}
 	if total == 0 {
 		t.Fatal("empty partition")
@@ -194,7 +195,7 @@ func TestSingleWorkerIsWholeDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blocks) != 1 || len(res.Blocks[0].GIDs) != d.Size() || res.Blocks[0].Worker != 0 {
+	if len(res.Blocks) != 1 || res.Blocks[0].Size != d.Size() || res.Blocks[0].Worker != 0 {
 		t.Fatalf("n=1 partition should be one block of all %d tuples on worker 0, got %d blocks", d.Size(), len(res.Blocks))
 	}
 	for ri, cb := range res.Cubes {

@@ -15,7 +15,7 @@ import (
 // checkPartitionEquivalent asserts the sharded partitioner is byte-identical
 // to its own sequential path (GOMAXPROCS 1) on one instance, for several
 // shard counts, and that the seed-era reference partitioner agrees on every
-// schedule-independent invariant.
+// schedule-independent invariant: block sizes and hosts included.
 func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.Rule, n int) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -43,8 +43,10 @@ func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.R
 	}
 	// The reference implementation assigns blocks to workers with a
 	// different LPT tie-break, so workers' shares may differ; every
-	// assignment-independent quantity must agree exactly.
-	ref, err := hypart.PartitionReference(d, rules, n, hypart.Options{Share: true})
+	// assignment-independent quantity must agree exactly, and under
+	// Partition's assignment its lists must give the same hosts and
+	// fragment bounds.
+	ref, _, err := hypart.PartitionReference(d, rules, n, hypart.Options{Share: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +66,25 @@ func checkPartitionEquivalent(t *testing.T, d *relation.Dataset, rules []*rule.R
 		t.Errorf("hasher stats diverge: reference %d/%d, rewrite %d/%d",
 			ref.Stats.HashComputations, ref.Stats.HashLookups,
 			seq.Stats.HashComputations, seq.Stats.HashLookups)
+	}
+	lists := referenceLists(t, d, rules, n, hypart.Options{Share: true}, seq)
+	assign := make([]int, len(seq.Blocks))
+	for b, blk := range seq.Blocks {
+		assign[b] = blk.Worker
+		if blk.Size != len(lists[b]) {
+			t.Fatalf("block %d holds %d tuples, the reference's %d", b, blk.Size, len(lists[b]))
+		}
+	}
+	if !slices.Equal(seq.Hosts(d, assign, n), listHosts(lists, assign, d.Size(), n)) {
+		t.Fatal("hosts read off the cells differ from the reference lists'")
+	}
+	maxF, minF := 0, d.Size()
+	for _, f := range mapFragments(lists, assign, n) {
+		maxF, minF = max(maxF, len(f)), min(minF, len(f))
+	}
+	if seq.Stats.MaxFragment != maxF || seq.Stats.MinFragment != minF {
+		t.Errorf("fragment bounds %d/%d, the reference lists give %d/%d",
+			seq.Stats.MaxFragment, seq.Stats.MinFragment, maxF, minF)
 	}
 }
 
@@ -151,14 +172,17 @@ func TestReplicationCapBelowBroadcastDims(t *testing.T) {
 // checkLocality asserts Lemma 6 for a partition result, in its Hypercube
 // form: every static-satisfying valuation of every rule (bruteValuations)
 // lies in one cell of the rule's cube — its variables' cells bits agree
-// where their masks meet — whose block holds every tuple of the valuation,
-// and exactly one of the n workers owns that cell.
+// where their masks meet — in a non-empty block, exactly one of the n
+// workers owns that cell, and Hosts says that worker hosts every tuple of
+// the valuation.
 func checkLocality(t *testing.T, d *relation.Dataset, rules []*rule.Rule, res *hypart.Result, n int) {
 	t.Helper()
 	assign := make([]int, len(res.Blocks))
 	for b := range res.Blocks {
 		assign[b] = res.Blocks[b].Worker
 	}
+	hosts := res.Hosts(d, assign, n)
+	words := (n + 63) / 64
 	for ri, r := range rules {
 		cb := &res.Cubes[ri]
 		owned := make([][]uint64, n)
@@ -181,19 +205,19 @@ func checkLocality(t *testing.T, d *relation.Dataset, rules []*rule.Rule, res *h
 			if b < 0 {
 				t.Fatalf("rule %s: a valuation lies in cell %d, whose block is empty", r.Name, cell)
 			}
-			for _, tu := range binding {
-				if _, ok := slices.BinarySearch(res.Blocks[b].GIDs, tu.GID); !ok {
-					t.Fatalf("rule %s: cell %d's block lacks tuple %d of a valuation in it", r.Name, cell, tu.GID)
-				}
-			}
-			owners := 0
+			owners, owner := 0, 0
 			for w := range owned {
 				if owned[w][cell>>6]&(1<<(cell&63)) != 0 {
-					owners++
+					owners, owner = owners+1, w
 				}
 			}
 			if owners != 1 {
 				t.Fatalf("rule %s: %d workers own cell %d", r.Name, owners, cell)
+			}
+			for _, tu := range binding {
+				if hosts[int(tu.GID)*words+owner>>6]&(1<<(owner&63)) == 0 {
+					t.Fatalf("rule %s: worker %d owns cell %d but does not host tuple %d of a valuation in it", r.Name, owner, cell, tu.GID)
+				}
 			}
 		})
 	}

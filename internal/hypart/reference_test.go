@@ -1,6 +1,8 @@
 package hypart
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,25 +14,30 @@ import (
 
 // PartitionReference is the seed-era single-threaded partitioner, kept
 // verbatim (string block keys, per-emit key concatenation, map-of-maps
-// accumulation) as an independent oracle for the invariants the rewritten
-// partitioner must preserve: the same non-empty block count,
-// the same multiset of block sizes, and the same generated/placed tuple
-// totals. The LPT tie-break differs (string vs numeric key order), so
-// workers' blocks are compared against Partition's own sequential path
-// instead (see TestPartitionParallelEquivalence), and its Result holds
-// no blocks or cubes, only Stats.
-func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, error) {
+// accumulation) as an independent oracle for what the rewritten
+// partitioner must preserve: the same blocks, each of the same tuples, and
+// the same generated/placed tuple totals. Besides Stats, it returns its
+// blocks' member lists, ascending, by string key (RefKey names the key of
+// a Partition block). The LPT tie-break differs (string vs numeric key
+// order), so workers' blocks are compared against Partition's own
+// sequential path instead (see TestPartitionParallelEquivalence), and
+// its Result holds no blocks or cubes, only Stats.
+func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*Result, map[string][]relation.TID, error) {
 	if n < 1 {
-		return nil, errWorkers(n)
+		return nil, nil, errWorkers(n)
 	}
 	plan, err := mqo.Build(rules, opts.Share)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{Plan: plan}
 	res.Stats.HashFns, res.Stats.HashFnsBaseline = plan.Savings()
 	if n == 1 {
-		return partitionSingle(d, res, nil), nil
+		all := make([]relation.TID, d.Size())
+		for i := range all {
+			all[i] = relation.TID(i)
+		}
+		return partitionSingle(d, res, nil), map[string][]relation.TID{"": all}, nil
 	}
 
 	vb := n * n
@@ -117,7 +124,26 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 		res.Stats.MaxFragment = max(res.Stats.MaxFragment, len(set))
 		res.Stats.MinFragment = min(res.Stats.MinFragment, len(set))
 	}
-	return res, nil
+	lists := make(map[string][]relation.TID, len(blocks))
+	for k, set := range blocks {
+		for gid := range set {
+			lists[k] = append(lists[k], gid)
+		}
+		slices.Sort(lists[k])
+	}
+	return res, lists, nil
+}
+
+// RefKey is the reference partitioner's string key of the block whose
+// canonical identity is canon (Block.Canon): its packed dimensions
+// unpacked and joined in the reference's own order.
+func RefKey(canon []uint64) string {
+	parts := make([]string, len(canon))
+	for i, k := range canon {
+		parts[i] = fmt.Sprintf("%d/%d:%d", k>>40, k>>20&(1<<20-1), k&(1<<20-1))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
 }
 
 // refDim is one dimension of a rule's hypercube: its distinct-variable

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // TID is a global tuple identifier, unique across an entire Dataset.
 // The chase engine keys its id-equivalence relation on TIDs.
@@ -111,40 +108,6 @@ type rowTable struct {
 // tupleSlab is how many Tuple handles one slab chunk holds (96KiB per
 // chunk at 24 bytes per handle).
 const tupleSlab = 4096
-
-// TIDSet is a bitset over a GID space: id is a member when bit id&63 of
-// word id>>6 is set. It holds no pointers. HyPart unions its block lists
-// through one (Add, then Drain).
-type TIDSet []uint64
-
-// Add marks ids, growing the set when an id lies past its end. The ids
-// must be non-negative.
-func (s *TIDSet) Add(ids []TID) {
-	for _, id := range ids {
-		w := int(id) >> 6
-		if w >= len(*s) {
-			*s = append(*s, make([]uint64, w+1-len(*s))...)
-		}
-		(*s)[w] |= 1 << (uint(id) & 63)
-	}
-}
-
-// Drain returns the members in ascending order, deduplicated and sorted
-// by one word-by-word scan, and leaves the set empty for reuse.
-func (s TIDSet) Drain() []TID {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]TID, 0, n)
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, TID(i<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	clear(s)
-	return out
-}
 
 // Dataset is an instance D = (D_1, ..., D_m) of a database schema.
 type Dataset struct {

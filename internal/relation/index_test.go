@@ -260,7 +260,7 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 	}
 	tu := d.MustAppend(r.Schema.Name, vals...)
 	if _, err := eng.InsertTuples([]*relation.Tuple{tu}); err == nil {
-		t.Error("InsertTuples on an engine bound against a shared set: no error")
+		t.Error("InsertTuples on a worker engine: no error")
 	}
 	if err := handles[0].AddBatch([]relation.TID{tu.GID}); err == nil {
 		t.Error("AddBatch on a shared set: no error")

@@ -15,7 +15,7 @@ import (
 // worker 0.
 const (
 	PIDChase  = 1 // chase engine (Deduce/IncDeduce rounds, drains, plans)
-	PIDHyPart = 2 // hypercube partitioner (per-shard scan, merge)
+	PIDHyPart = 2 // hypercube partitioner (per-shard scan and size passes)
 	PIDDMatch = 3 // BSP match loop (supersteps, routing, rebalance)
 	PIDMLPred = 4 // ML predicate layer (cache-miss classifier calls)
 )
