@@ -61,7 +61,7 @@ func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 		}
 	}
 	ms.assign = next
-	ms.setHosts()
+	ms.setHosts(ms.part.Hosts(ms.d, next, ms.n))
 	for w := range changed {
 		if !changed[w] || !ms.alive(w) {
 			continue

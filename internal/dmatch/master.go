@@ -80,7 +80,7 @@ func newMasterState(d *relation.Dataset, part *hypart.Result, n int, noMQO bool)
 	for b := range part.Blocks {
 		ms.assign[b] = part.Blocks[b].Worker
 	}
-	ms.setHosts()
+	ms.setHosts(part.Hosted)
 	for w := range ms.pending {
 		ms.pending[w] = ms.assignFor(w, nil)
 	}
@@ -98,24 +98,24 @@ func (ms *masterState) assignFor(w int, replay []chase.Fact) *wire.Assign {
 	return a
 }
 
-// setHosts rebuilds the host bitsets under the current assignment: per
-// tuple, every worker owning a cell it lies in (hypart.Result.Hosts), and
-// — folded over the current E_id — per class root. The master tracks, per
-// class root, the workers hosting *any* member of the class: a match
+// setHosts installs hosts, the host bitsets under the current assignment
+// (per tuple, every worker owning a cell it lies in: hypart.Result.Hosts),
+// and folds them over the current E_id per class root. The master tracks,
+// per class root, the workers hosting *any* member of the class: a match
 // merging classes Ca and Cb must reach every worker hosting any member of
 // either class — a worker hosting x and y needs the bridging fact (a,b)
 // even when it hosts neither a nor b, otherwise transitive chains through
 // remote tuples would be lost. Keeping host bitsets at the roots makes a
 // recipient set two bitword ORs instead of a member-list walk, and class
 // union a bitset merge.
-func (ms *masterState) setHosts() {
+func (ms *masterState) setHosts(hosts []uint64) {
 	words := ms.words
-	ms.hosts = ms.part.Hosts(ms.d, ms.assign, ms.n)
+	ms.hosts = hosts
 	ms.classHosts = make([]uint64, ms.d.Size()*words)
-	for _, t := range ms.d.Tuples() {
-		root, gid := ms.guf.Find(int(t.GID)), int(t.GID)
+	for gid := range ms.d.Size() {
+		root := ms.guf.Find(gid)
 		for i := 0; i < words; i++ {
-			ms.classHosts[root*words+i] |= ms.hosts[gid*words+i]
+			ms.classHosts[root*words+i] |= hosts[gid*words+i]
 		}
 	}
 }

@@ -62,33 +62,37 @@ func partitionDigest(res *hypart.Result, d *relation.Dataset, n int) string {
 // which still kept every block's member list: each size is a list's
 // length, and the host bitsets were derived from the lists (per tuple,
 // the workers of the blocks listing it). That partitioner reproduced the
-// list digests of commit 339dd76's map-based one. Key:
-// dataset/n/share/shards.
+// list digests of commit 339dd76's map-based one. They were re-recorded
+// once since, for the hash counts alone, when the scan stopped hashing
+// dimensions of extent 1 (whose bucket is always 0) only to count them:
+// a digest over everything else here (blocks, cube tables, host bitsets
+// and the other Stats fields) read the same on all 24 keys before and
+// after. Key: dataset/n/share/shards.
 var goldenPartitions = map[string]string{
-	"tpch0.5/n=2/share=true/shards=1":   "b31c624fb74ba7f9688018750e3b79b4ea13e425583e8d34a8effb82830309b8",
-	"tpch0.5/n=2/share=true/shards=4":   "c9e86dad1e84b9ad1b104d8e36ae5725b45852ba8c6f774409e3d48c6cf3df2f",
-	"tpch0.5/n=2/share=false/shards=1":  "b4afd2a39479f9c0e6963d3c1a40c647509560f2f0674985ac96ffa27846cb9d",
-	"tpch0.5/n=2/share=false/shards=4":  "28eb07055350009d2f7ffc1a5926bdc388d08355be669e10d69757c81fa640fb",
-	"tpch0.5/n=4/share=true/shards=1":   "7de9f5bb078b051a71a9198c9dc343a72d8ea2b31302792db28594297de9c357",
-	"tpch0.5/n=4/share=true/shards=4":   "31f4bbdad7061583f58a20e2386b3f911088f65a369fd61d60c204c944305478",
-	"tpch0.5/n=4/share=false/shards=1":  "c6e1491e582d4f486aca962fb7ca9334becc0b756b270ffe701c1792b1f9b05f",
-	"tpch0.5/n=4/share=false/shards=4":  "b007dd2bc366a9dcf5ba041ba1a6d737514702cc2fe7ac95730b20078d1bf4ec",
-	"tpch0.5/n=8/share=true/shards=1":   "d2666bbe0f56863edbc6f406e18fdc31a4953a77c3913f30b6b73978a920d239",
-	"tpch0.5/n=8/share=true/shards=4":   "4a7328b54456338ccc6d334954ed3b3e1f8bf5c7ff50647d63a3031fb5ea13f5",
-	"tpch0.5/n=8/share=false/shards=1":  "0a0e81c12f77bf86b65cacf8bfad6a6952bab529ea4803bc1b0483a7d1510dca",
-	"tpch0.5/n=8/share=false/shards=4":  "cdbc8d81dedf6f355df1b0a823fd5d6e4e6c71d4499d965dfd3d10b3f2289e6e",
-	"tfacc0.3/n=2/share=true/shards=1":  "d6d3c5affe2a632cedb1d5ee6ee2c71993ac342c8cee5b9009cb27360b505074",
-	"tfacc0.3/n=2/share=true/shards=4":  "4bacc271218c250a1a257f3a3c96cf39eb88d65c0590fdad20087b451f79ae6b",
-	"tfacc0.3/n=2/share=false/shards=1": "1dbee50360d27a7fe28b0de5be0102efcf9da5ae2ccba4d45214db42bdbc490d",
-	"tfacc0.3/n=2/share=false/shards=4": "e2004653e4ff4919d2ad3f209bb0c893ec29b0016494c14a1881638a878144f8",
-	"tfacc0.3/n=4/share=true/shards=1":  "f0a9b9f502ee6adc7580179b3172218e7221e959cc08a0494b1be4bd18961192",
-	"tfacc0.3/n=4/share=true/shards=4":  "11e4b6890053fb87365e9b3dab894daa58274bfcc7fca4401fb386701fd281d9",
-	"tfacc0.3/n=4/share=false/shards=1": "e8f1f76c88af970e28cd7e6b910e3d6d96e6500126edc8f70c52d9f904092c51",
-	"tfacc0.3/n=4/share=false/shards=4": "b6628a32709ca8a0270c36a52b83f128630a9dca25b0edc4e3aaefbed8639526",
-	"tfacc0.3/n=8/share=true/shards=1":  "121d16b284003e9d5d13547b077be00b9e02e1fc9a5b9b031d0d97a3bf97b50c",
-	"tfacc0.3/n=8/share=true/shards=4":  "d2f1309181aa8077cd183196aff43244c0a8ef4ef7327c4e7d7410810805c252",
-	"tfacc0.3/n=8/share=false/shards=1": "1929f4c1fe51dc264c9f3e176c3f599cccc61a3397bd7b89e9d80a17b2e6be14",
-	"tfacc0.3/n=8/share=false/shards=4": "59a25c6ba220aa4be1e850e60496afaf1aa57a04cfe7c5202bf729930f1a715d",
+	"tpch0.5/n=2/share=true/shards=1":   "99ad14a1a31b736dc4cef80b6d75899722576ca7af5b6f86c50495dee33bb0f9",
+	"tpch0.5/n=2/share=true/shards=4":   "5ac345629f2afe1e3d0d0f0d8ce7e10ba98c9a53bee5965a0ba7e7c8a5739df8",
+	"tpch0.5/n=2/share=false/shards=1":  "f569462bf15fcefb0bc5234da4318f72ef76274f962e59f0f783f0589c1dba38",
+	"tpch0.5/n=2/share=false/shards=4":  "38d7c0136b3f17366ffb84de778ab8dcbe16ca5760664cc6ad160a45beb56314",
+	"tpch0.5/n=4/share=true/shards=1":   "4785ee6eeb3a5e610607f02e238296ef486ebc93d65b031ccfdc41f86714dfad",
+	"tpch0.5/n=4/share=true/shards=4":   "8329debe633b698515cb9dd440dfa19d341e79722b3b52e66e0fa02e4b941dcd",
+	"tpch0.5/n=4/share=false/shards=1":  "71769f7469dde811ea5e65270e0cddade86f5daade091948c578d48e3ea72b10",
+	"tpch0.5/n=4/share=false/shards=4":  "b485fb3f552a72039407fb06d949ee551f67b87e6e9c7b41bf811632277b725c",
+	"tpch0.5/n=8/share=true/shards=1":   "3f2a3216730032df638253a07ff94e1849fa04fc21616a898dad3902d9cda63b",
+	"tpch0.5/n=8/share=true/shards=4":   "d3ffdae849fca0d9b6c2b571c5186526243417ea1488aa5e9c5374849c074890",
+	"tpch0.5/n=8/share=false/shards=1":  "0c0c0a28779b15dac7ed1f713cbaf09bbc45716ab11fcc86c34c9d885dc1c005",
+	"tpch0.5/n=8/share=false/shards=4":  "12f0d4a0f53e7dc2c3b86bb817398e844612dd276870cb4afd79b84efe583feb",
+	"tfacc0.3/n=2/share=true/shards=1":  "e20e1eb42b4e55101ead7316c955cf4bae7c61e49446f25a87e67c62008c5a10",
+	"tfacc0.3/n=2/share=true/shards=4":  "def7549beb6fe387133157c2ea954bf95e6a3736bc783bb28205b3f14384b691",
+	"tfacc0.3/n=2/share=false/shards=1": "a1911ce7691cb7d45ade5ebde5f360f91fd3eb8ac4e130e3d8ee12669f542e85",
+	"tfacc0.3/n=2/share=false/shards=4": "9681b4a627f983d3f445be98df8a9ce35a9c7d802c42b1abd6d2069fea6888ae",
+	"tfacc0.3/n=4/share=true/shards=1":  "8d8218642c16dda1f5bf16901a210274418867168238c73bf3bd012a7c0bd9f8",
+	"tfacc0.3/n=4/share=true/shards=4":  "892fb780d10e8463a3cde72cc83b242fbb6dd6e191b66f20bb445e9ddd6ae0db",
+	"tfacc0.3/n=4/share=false/shards=1": "b8934c17c2eeb4441a5f135ede79855554add41ccf1fa39d7564a54578d42f08",
+	"tfacc0.3/n=4/share=false/shards=4": "8acafff9920ad89c68c8ba89aa9f7121a903b5c6e6bbe5ba67f83013ea2ae578",
+	"tfacc0.3/n=8/share=true/shards=1":  "e01cdccbf88581d9dfc31466659628e88463bbd63bddff781f0eabed6214770d",
+	"tfacc0.3/n=8/share=true/shards=4":  "98cb41278d47284aa85273af058fe71e504189bc4710d5b1905f3d2d1d46bb94",
+	"tfacc0.3/n=8/share=false/shards=1": "b41b85d5187439f15706148e2dd3418c9885f246047ffe02ab346917d3debf9d",
+	"tfacc0.3/n=8/share=false/shards=4": "aa6dea625c8f9acf9c4f54f6b7f66771a83307f4d8f558ac8e3711fd33967a15",
 }
 
 // TestPartitionGoldenDigest pins the computed partition byte for byte:

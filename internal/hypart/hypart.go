@@ -105,8 +105,11 @@ type Result struct {
 	Blocks []Block
 	// Cubes[r] is rule r's hypercube, with each cell's block.
 	Cubes []Cube
-	Plan  *mqo.Plan
-	Stats Stats
+	// Hosted is Hosts under the blocks' Worker assignment: which workers
+	// host each tuple when a run starts.
+	Hosted []uint64
+	Plan   *mqo.Plan
+	Stats  Stats
 }
 
 // Dim is one dimension of a rule's hypercube: its hash function, its
@@ -224,6 +227,7 @@ func partitionSingle(d *relation.Dataset, res *Result, metrics *telemetry.Regist
 		res.Cubes = append(res.Cubes, cb)
 	}
 	res.Blocks = []Block{{Size: d.Size()}}
+	res.Hosted = res.Hosts(d, []int{0}, 1)
 	res.Stats.MaxFragment, res.Stats.MinFragment = d.Size(), d.Size()
 	metrics.Histogram("dcer_hypart_fragment_size").Observe(uint64(d.Size()))
 	return res
@@ -337,22 +341,18 @@ func (bx *blockIndex) resolve(c *Cube) []int32 {
 
 // varScan is the per-(rule, variable) scan preparation shared by every
 // shard: the rule's cube, the variable's share of it and its relation.
-// Partition's scans (all) hash every dimension a variable hashes, for its
-// Stats; those of Cubes skip the extent-1 ones, whose bucket is 0.
 type varScan struct {
 	cube *Cube
 	vc   *VarCells
 	rel  *relation.Relation
-	all  bool
 }
 
-// scans prepares the scans of rule ra's variables over cube c and appends
-// their units to units: with all, of every variable hashing a dimension;
-// without, of every variable with a cells column.
-func scans(units []unit, d *relation.Dataset, ra *mqo.RuleAssignment, c *Cube, all bool) []unit {
+// scans prepares the scans of rule ra's variables with a cells column over
+// cube c and appends their units to units.
+func scans(units []unit, d *relation.Dataset, ra *mqo.RuleAssignment, c *Cube) []unit {
 	for v, rv := range ra.Rule.Vars {
-		sc := &varScan{cube: c, vc: &c.Vars[v], rel: d.Relations[rv.RelIdx], all: all}
-		if sc.vc.Cells == nil && (!all || len(sc.vc.Dims) == 0) {
+		sc := &varScan{cube: c, vc: &c.Vars[v], rel: d.Relations[rv.RelIdx]}
+		if sc.vc.Cells == nil {
 			continue
 		}
 		for lo := 0; lo < len(sc.rel.TIDs()); lo += unitChunk {
@@ -380,9 +380,10 @@ type scratch struct {
 }
 
 // scan hashes one unit column by column into cell indexes and writes them
-// to the variable's cells column. The unit's tuples are a range of its
-// relation's scan list (Relation.TIDs), whose column rows the dataset's
-// row table gives: the range's own positions.
+// to the variable's cells column, skipping the dimensions of extent 1,
+// whose bucket is 0. The unit's tuples are a range of its relation's scan
+// list (Relation.TIDs), whose column rows the dataset's row table gives:
+// the range's own positions.
 func (sa *scratch) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher) {
 	sc := u.scan
 	tuples := sc.rel.TIDs()[u.lo:u.hi]
@@ -392,19 +393,16 @@ func (sa *scratch) scan(u unit, rowOf []int32, hasher *mqo.DenseHasher) {
 	}
 	for hi, di := range sc.vc.Dims {
 		dm, attr := &sc.cube.Dims[di], sc.vc.Attrs[hi]
-		if dm.Extent == 1 && !sc.all {
-			continue // a bucket of 0; only Partition's Stats count its hash
+		if dm.Extent == 1 {
+			continue
 		}
 		hasher.HashColumn(dm.Fn, sc.rel.Schema.Attrs[attr].Type, sc.rel.Col(attr), rows, hash)
-		if size, stride := uint32(dm.Extent), int32(dm.Stride); size > 1 {
-			for i, h := range hash {
-				cell[i] += int32(h%size) * stride
-			}
+		size, stride := uint32(dm.Extent), int32(dm.Stride)
+		for i, h := range hash {
+			cell[i] += int32(h%size) * stride
 		}
 	}
-	if sc.vc.Cells != nil {
-		copy(sc.vc.Cells[u.lo:u.hi], cell)
-	}
+	copy(sc.vc.Cells[u.lo:u.hi], cell)
 }
 
 // runScans scans units on shards goroutines, one scratch each.
@@ -544,7 +542,7 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	for ri, ra := range plan.Assignments {
 		res.Cubes[ri] = newCube(d, ra, buildDims(ra, vb, repCap, relSizes))
 		cand[ri] = bx.resolve(&res.Cubes[ri])
-		units = scans(units, d, ra, &res.Cubes[ri], true)
+		units = scans(units, d, ra, &res.Cubes[ri])
 	}
 
 	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
@@ -599,7 +597,8 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	}
 	words := (n + 63) / 64
 	hosted := make([]int, n)
-	for i, h := range res.Hosts(d, assign, n) {
+	res.Hosted = res.Hosts(d, assign, n)
+	for i, h := range res.Hosted {
 		for ; h != 0; h &= h - 1 {
 			hosted[i%words<<6+bits.TrailingZeros64(h)]++
 		}
@@ -683,7 +682,7 @@ func Cubes(d *relation.Dataset, plan *mqo.Plan, extents [][]int) ([]Cube, error)
 			cells *= x
 		}
 		cubes[ri] = newCube(d, ra, extents[ri])
-		units = scans(units, d, ra, &cubes[ri], false)
+		units = scans(units, d, ra, &cubes[ri])
 	}
 	shards := max(min(runtime.GOMAXPROCS(0), len(units)), 1)
 	runScans(units, shards, telemetry.TraceContext{}, d.Rows(), mqo.NewDenseHasher(plan.NumHashFns, d.Syms()))

@@ -76,6 +76,9 @@ func PartitionReference(d *relation.Dataset, rules []*rule.Rule, n int, opts Opt
 					}
 				}
 				for _, di := range hashed {
+					if dims[di].size == 1 {
+						continue // bucket 0, already set; Partition hashes no extent-1 dimension either
+					}
 					attr, _ := dims[di].dv.AttrOf(vi)
 					coord[di] = int(hasher.Hash(dims[di].fn, t.Val(attr))) % dims[di].size
 				}

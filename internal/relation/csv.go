@@ -177,15 +177,25 @@ func splitHeader(name string, buf []byte) ([]string, []byte, error) {
 }
 
 // csvPiece is a record-aligned range b of a CSV body for relation ri.
-// parse writes its string cells as ids into its own dictionary (by first
-// appearance, with strHashes); publish rewrites them to Syms.
+// parse writes its string cells as ids into its own dictionary: each
+// string once, by first appearance, as a ref (offset<<32 | length) into b
+// with its strHash. The publisher interns the dictionary into syms; fill
+// then rewrites the cells to Syms and hands out the piece's tuples.
 type csvPiece struct {
 	ri, row, rec, rows int // relation, first row, first record number (the header is 1), records
+	gid                int // first GID
 	b                  []byte
-	dict               []string
+	dict               []uint64
 	hashes             []uint32
+	syms               []Sym
 	err                error
 	done               chan struct{}
+}
+
+// pieceStr is the string at a piece dictionary's ref into b.
+func pieceStr(b []byte, ref uint64) string {
+	off, n := ref>>32, ref&(1<<32-1)
+	return unsafe.String(unsafe.SliceData(b[off:off+n]), int(n))
 }
 
 // cut splits body at the first newline outside quotes past every
@@ -218,48 +228,65 @@ func cut(ri int, body []byte) []*csvPiece {
 	return out
 }
 
-// load appends the pieces' records to d. The columns grow once; GOMAXPROCS
-// goroutines parse the pieces into them while the caller publishes the
-// parsed ones in order, so every string gets the Sym of its first
-// appearance in (file, record, column) order: Syms, GIDs, rows and words
-// are a record-at-a-time load's. On error, unpublished rows are dropped.
+// load appends the pieces' records to d, every string with the Sym of its
+// first appearance in (file, record, column) order: Syms, GIDs, rows and
+// words are a record-at-a-time load's. Every list first grows to its final
+// length. GOMAXPROCS goroutines parse the pieces into the columns while
+// the caller interns the parsed ones' dictionaries in order, the one
+// serial step, and hands each interned piece on to GOMAXPROCS more that
+// fill its rows. On error, the rows from the failing piece on are dropped.
 func (d *Dataset) load(pieces []*csvPiece) error {
-	added := make([]int, len(d.Relations))
-	for _, p := range pieces {
-		p.row, p.rec, p.done = len(d.Relations[p.ri].Tuples)+added[p.ri], added[p.ri]+2, make(chan struct{})
-		added[p.ri] += p.rows
-	}
+	base, gid := d.Size(), d.Size()
+	rows, added := make([]int, len(d.Relations)), make([]int, len(d.Relations))
 	for i, r := range d.Relations {
-		d.Reserve(r.Schema.Name, added[i])
-		for c := range r.cols {
-			r.cols[c] = r.cols[c][:len(r.Tuples)+added[i]]
-		}
+		rows[i] = len(r.Tuples)
 	}
+	for _, p := range pieces {
+		p.row, p.rec, p.gid, p.done = rows[p.ri]+added[p.ri], added[p.ri]+2, gid, make(chan struct{})
+		added[p.ri] += p.rows
+		gid += p.rows
+	}
+	d.resize(base, rows, added)
+	slab := make([]Tuple, gid-base)
 	var claimed atomic.Int64
-	var wg sync.WaitGroup
+	var parses, fills sync.WaitGroup
+	interned := make(chan *csvPiece, len(pieces)) // one send per piece: the caller never waits on a fill
 	for range min(runtime.GOMAXPROCS(0), len(pieces)) {
-		wg.Add(1)
+		parses.Add(1)
 		go func() {
-			defer wg.Done()
+			defer parses.Done()
 			for i := int(claimed.Add(1)) - 1; i < len(pieces); i = int(claimed.Add(1)) - 1 {
 				pieces[i].parse(d.Relations[pieces[i].ri])
 				close(pieces[i].done)
 			}
 		}()
+		fills.Add(1)
+		go func() {
+			defer fills.Done()
+			for p := range interned {
+				d.fill(p, slab[p.gid-base:][:p.rows])
+			}
+		}()
 	}
 	var err error
-	for _, p := range pieces {
+	for i, p := range pieces {
 		<-p.done
 		if err = p.err; err != nil {
+			clear(added)
+			for _, q := range pieces[:i] {
+				added[q.ri] += q.rows
+			}
 			break
 		}
-		d.publish(p)
+		p.syms = make([]Sym, len(p.dict))
+		d.syms.internPiece(p.b, p.dict, p.hashes, p.syms)
+		interned <- p
 	}
-	wg.Wait()
-	for _, r := range d.Relations {
-		for c := range r.cols {
-			r.cols[c] = r.cols[c][:len(r.Tuples)]
-		}
+	close(interned)
+	parses.Wait()
+	fills.Wait()
+	if err != nil {
+		d.resize(base, rows, added)
 	}
 	return err
 }
@@ -292,11 +319,18 @@ func (p *csvPiece) parse(r *Relation) {
 				r.cols[c][p.row+j] = PackNum(x)
 				continue
 			}
+			if len(b) > maxSymLen {
+				err = fmt.Errorf("a %d-byte string, past the %d bytes a symbol holds", len(b), maxSymLen)
+				continue
+			}
 			h := uint32(maphash.Bytes(symSeed, b))
-			id := index.lookup(p.dict, str, h)
+			id := index.lookup(h, func(id int) bool { return pieceStr(p.b, p.dict[id]) == str })
 			if id < 0 {
 				id = len(p.dict)
-				p.dict, p.hashes = append(p.dict, str), append(p.hashes, h)
+				// A field is a view of p.b, so their capacities differ by
+				// its offset.
+				ref := uint64(cap(p.b)-cap(b))<<32 | uint64(len(b))
+				p.dict, p.hashes = append(p.dict, ref), append(p.hashes, h)
 				index.insert(h, id)
 			}
 			r.cols[c][p.row+j] = uint64(id)
@@ -308,24 +342,27 @@ func (p *csvPiece) parse(r *Relation) {
 	}
 }
 
-// publish interns a parsed piece's dictionary, rewrites its string cells
-// to Syms and hands out its tuple handles.
-func (d *Dataset) publish(p *csvPiece) {
-	syms := make([]Sym, len(p.dict))
-	d.syms.internHashed(p.dict, p.hashes, syms)
+// fill rewrites an interned piece's string cells to Syms and hands out its
+// tuples from slab, one per row, into the rows and GIDs load sized every
+// list for.
+func (d *Dataset) fill(p *csvPiece, slab []Tuple) {
 	r := d.Relations[p.ri]
 	for c, a := range r.Schema.Attrs {
 		if a.Type == TypeString {
 			col := r.cols[c][p.row : p.row+p.rows]
 			for j, w := range col {
-				col[j] = uint64(syms[w])
+				col[j] = uint64(p.syms[w])
 			}
 		}
 	}
-	for range p.rows {
-		d.handOut(p.ri)
+	for j := range slab {
+		gid, row := TID(p.gid+j), int32(p.row+j)
+		t := &slab[j]
+		*t = Tuple{GID: gid, Row: row, Rel: p.ri, rel: r}
+		d.tuples[gid], r.Tuples[row], r.tids[row] = t, t, gid
+		d.loc.rel[gid], d.loc.row[gid] = int32(p.ri), row
 	}
-	p.b, p.dict, p.hashes = nil, nil, nil
+	p.b, p.dict, p.hashes, p.syms = nil, nil, nil, nil
 }
 
 // csvScanner reads records as encoding/csv does by default (quoted fields

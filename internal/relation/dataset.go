@@ -32,7 +32,7 @@ func (t *Tuple) Arity() int { return len(t.rel.cols) }
 func (t *Tuple) Word(i int) uint64 { return t.rel.cols[i][t.Row] }
 
 // Val unboxes attribute i into a Value. String payloads are the interned
-// arena-backed strings, so two equal Vals from the same dataset compare
+// chunk-backed strings, so two equal Vals from the same dataset compare
 // by pointer before falling back to byte comparison.
 func (t *Tuple) Val(i int) Value { return t.rel.val(t.Row, i) }
 
@@ -105,8 +105,9 @@ type rowTable struct {
 	row []int32
 }
 
-// tupleSlab is how many Tuple handles one slab chunk holds (96KiB per
-// chunk at 24 bytes per handle).
+// tupleSlab is how many Tuple handles one slab chunk of appended tuples
+// holds (96KiB per chunk at 24 bytes per handle); a CSV load hands out its
+// tuples from one slab of its own.
 const tupleSlab = 4096
 
 // Dataset is an instance D = (D_1, ..., D_m) of a database schema.
@@ -175,6 +176,27 @@ func reserve[E any](s []E, n int) []E {
 	return grown
 }
 
+// resize sets the length of every list a load fills: relation ri's columns
+// and scan lists to rows[ri]+added[ri], the dataset's tuples and row
+// table to base plus the added rows. Growing reserves room for exactly
+// that.
+func (d *Dataset) resize(base int, rows, added []int) {
+	n := base
+	for ri, r := range d.Relations {
+		k := rows[ri] + added[ri]
+		for c := range r.cols {
+			r.cols[c] = setLen(r.cols[c], k)
+		}
+		r.Tuples, r.tids = setLen(r.Tuples, k), setLen(r.tids, k)
+		n += added[ri]
+	}
+	d.tuples = setLen(d.tuples, n)
+	d.loc.rel, d.loc.row = setLen(d.loc.rel, n), setLen(d.loc.row, n)
+}
+
+// setLen returns s at length n, reserving room when it has too little.
+func setLen[E any](s []E, n int) []E { return reserve(s, n-len(s))[:n] }
+
 // Append adds a tuple with the given values to the named relation and
 // returns it. The values must match the schema arity and every value's
 // Kind must match its attribute type exactly — in particular int and
@@ -193,6 +215,9 @@ func (d *Dataset) Append(rel string, values ...Value) (*Tuple, error) {
 	}
 	for i, v := range values {
 		if v.Kind == s.Attrs[i].Type {
+			if len(v.Str) > maxSymLen {
+				return nil, fmt.Errorf("relation: %s.%s: a %d-byte string, past the %d bytes a symbol holds", rel, s.Attrs[i].Name, len(v.Str), maxSymLen)
+			}
 			continue
 		}
 		want, got := s.Attrs[i].Type, v.Kind
@@ -304,7 +329,7 @@ func (d *Dataset) SchemaOf(t *Tuple) *Schema { return d.DB.Schemas[t.Rel] }
 func (d *Dataset) Tuples() []*Tuple { return d.tuples }
 
 // MemBytes estimates the dataset's storage footprint: its packed columns,
-// scan lists, tuple slabs and handle slices, row table and symbol arena.
+// scan lists, tuple slabs and handle slices, row table and symbol table.
 func (d *Dataset) MemBytes() int64 {
 	var n int64
 	for _, r := range d.Relations {

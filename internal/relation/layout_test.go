@@ -26,9 +26,11 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestStorageHoldsNoPointers guards the layout of the enumeration's
-// storage: an index's table and postings (every field of its postMap,
-// slices of pointer-free elements or plain words), a key map's rows, the
-// row table and the scan lists are arrays the collector never scans.
+// storage and of the strings: an index's table and postings (every field
+// of its postMap, slices of pointer-free elements or plain words), a key
+// map's rows, the row table, the scan lists, the symbol table's refs and
+// index, and a CSV piece's dictionary are arrays the collector never
+// scans.
 func TestStorageHoldsNoPointers(t *testing.T) {
 	pm, ok := reflect.TypeOf(Index{}).FieldByName("pm")
 	if !ok {
@@ -58,6 +60,9 @@ func TestStorageHoldsNoPointers(t *testing.T) {
 	check(reflect.TypeOf(KeyMap{}), "byRow")
 	check(reflect.TypeOf(rowTable{}), "rel", "row")
 	check(reflect.TypeOf(Relation{}), "tids")
+	check(reflect.TypeOf(SymTab{}), "refs")
+	check(reflect.TypeOf(strIndex{}), "slots")
+	check(reflect.TypeOf(csvPiece{}), "dict", "hashes", "syms")
 }
 
 // TestTupleHandleSize pins the public tuple handle at 24 bytes: the two

@@ -210,11 +210,11 @@ func TestLoadDirGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestLoadDirEqualsReference compares LoadDir with the encoding/csv
-// oracle word for word, on the golden directories and on a directory of
-// awkward CSV: quoted commas, quotes and newlines, CRLF line ends, empty
-// lines, a missing final newline.
-func TestLoadDirEqualsReference(t *testing.T) {
+// loadTestDirs are the golden directories and one of awkward CSV: quoted
+// commas, quotes and newlines, CRLF line ends, empty lines, a missing
+// final newline.
+func loadTestDirs(t *testing.T) map[string]string {
+	t.Helper()
 	dirs := goldenLoadDirs(t)
 	dirs["awkward"] = t.TempDir()
 	for name, text := range map[string]string{
@@ -226,13 +226,97 @@ func TestLoadDirEqualsReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, dir := range dirs {
+	return dirs
+}
+
+// TestLoadDirEqualsReference compares LoadDir with the encoding/csv
+// oracle word for word, on every loadTestDirs directory.
+func TestLoadDirEqualsReference(t *testing.T) {
+	for name, dir := range loadTestDirs(t) {
 		want, err := loadDirReference(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, size := range pieceSizes {
 			if err := sameLoad(loadDirAt(t, dir, size), want); err != nil {
+				t.Errorf("%s, pieces of %d bytes: %v", name, size, err)
+			}
+		}
+	}
+}
+
+// halves splits every CSV file of dir into two bodies with its header,
+// the first half of its records and the rest, as loadDirReference finds
+// the files.
+func halves(t *testing.T, dir string) (names []string, first, second [][]byte) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		fh, err := os.Open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(fh).ReadAll()
+		fh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := 1 + (len(rows)-1)/2
+		for i, part := range [][][]string{rows[1:half], rows[half:]} {
+			var b bytes.Buffer
+			w := csv.NewWriter(&b)
+			w.Write(rows[0])
+			w.WriteAll(part)
+			if i == 0 {
+				first = append(first, b.Bytes())
+			} else {
+				second = append(second, b.Bytes())
+			}
+		}
+		names = append(names, strings.TrimSuffix(filepath.Base(f), ".csv"))
+	}
+	return names, first, second
+}
+
+// TestLoadCSVIntoNonEmpty loads the second half of every file of every
+// loadTestDirs directory with LoadCSVInto into a dataset already holding
+// the first halves of all of them, at every piece size: every Sym, GID,
+// row and word must be the encoding/csv oracle's, which appends each
+// record in turn. Known and new strings, and rows and GIDs that do not
+// start at 0, meet in every file.
+func TestLoadCSVIntoNonEmpty(t *testing.T) {
+	for name, dir := range loadTestDirs(t) {
+		names, first, second := halves(t, dir)
+		whole, err := loadDirReference(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := func(loader func(*relation.Dataset, string, io.Reader) error) *relation.Dataset {
+			d := relation.NewDataset(whole.DB)
+			for i, body := range first {
+				if err := loadCSVReference(d, names[i], bytes.NewReader(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, body := range second {
+				if err := loader(d, names[i], bytes.NewReader(body)); err != nil {
+					t.Fatalf("%s, %s: %v", name, names[i], err)
+				}
+			}
+			return d
+		}
+		want := prefix(loadCSVReference)
+		for _, size := range pieceSizes {
+			restore := func() {}
+			if size > 0 {
+				restore = relation.SetPieceBytes(size)
+			}
+			got := prefix(relation.LoadCSVInto)
+			restore()
+			if err := sameLoad(got, want); err != nil {
 				t.Errorf("%s, pieces of %d bytes: %v", name, size, err)
 			}
 		}

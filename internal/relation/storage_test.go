@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dcer/internal/relation"
@@ -110,6 +113,127 @@ func TestSymTabConcurrentIntern(t *testing.T) {
 				t.Fatalf("Find(%q) = %d,%v, want %d,true", s, found, ok, sym)
 			}
 		}
+	}
+}
+
+// TestSymTabStrStable checks that a string Str returned stays what it was
+// while the table grows, because chunks never move: every earlier Str
+// result, short, empty or longer than a quarter chunk, must still read
+// the same after 100 000 later Interns of short and over-quarter-chunk
+// strings. Meanwhile other goroutines call Str and Find on the known
+// symbols while LoadCSVInto loads new strings into the same dataset
+// (run under -race).
+func TestSymTabStrStable(t *testing.T) {
+	db := relation.MustDatabase(relation.MustSchema("R", "k",
+		relation.Attribute{Name: "k", Type: relation.TypeString},
+		relation.Attribute{Name: "s", Type: relation.TypeString}))
+	d := relation.NewDataset(db)
+	st := d.Syms()
+	long := func(s string) string { return s + strings.Repeat("x", 20<<10) }
+	want := []string{"", "a", "known", long("known")}
+	for i := range 300 {
+		want = append(want, fmt.Sprintf("k%d", i))
+	}
+	views := make([]string, len(want))
+	for i, s := range want {
+		if sym := st.Intern(s); int(sym) != i {
+			t.Fatalf("Intern(%.20q) = %d, want %d", s, sym, i)
+		}
+		views[i] = st.Str(relation.Sym(i))
+	}
+	check := func() error {
+		for i, s := range want {
+			if views[i] != s {
+				return fmt.Errorf("an earlier Str(%d) now reads %.20q, want %.20q", i, views[i], s)
+			}
+			if got := st.Str(relation.Sym(i)); got != s {
+				return fmt.Errorf("Str(%d) = %.20q, want %.20q", i, got, s)
+			}
+			if sym, ok := st.Find(s); !ok || int(sym) != i {
+				return fmt.Errorf("Find(%.20q) = %d,%v, want %d", s, sym, ok, i)
+			}
+		}
+		return nil
+	}
+
+	var body strings.Builder
+	body.WriteString("k:string!id,s:string\n")
+	for i := range 20000 {
+		s := fmt.Sprintf("load%d", i)
+		if i%1000 == 0 {
+			s = long(s)
+		}
+		fmt.Fprintf(&body, "%s,k%d\n", s, i%300)
+	}
+	defer relation.SetPieceBytes(4 << 10)()
+	var stop atomic.Bool
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	err := relation.LoadCSVInto(d, "R", strings.NewReader(body.String()))
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range 100_000 {
+		s := fmt.Sprintf("late%d", i)
+		if i%1000 == 0 {
+			s = long(s)
+		}
+		st.Intern(s)
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want) + 20000 + 100_000; st.Len() != n {
+		t.Fatalf("Len = %d, want %d", st.Len(), n)
+	}
+}
+
+// TestSymTabInternAllocs is the allocation guard of Intern: a known
+// string costs nothing, and a new short one next to nothing (the table's
+// lists grow by doubling and its chunks hold thousands of strings).
+// testing.AllocsPerRun rounds its average down to an integer, so the
+// guard counts the mallocs of 10 000 calls itself, on one P as
+// AllocsPerRun does.
+func TestSymTabInternAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10_000
+	strs := make([]string, runs)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("new-%d", i)
+	}
+	st := relation.NewSymTab()
+	perCall := func(f func(s string) relation.Sym) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, s := range strs {
+			f(s)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs
+	}
+	if avg := perCall(st.Intern); avg > 0.05 {
+		t.Errorf("Intern of a new string allocates %.4f per call, want at most 0.05", avg)
+	}
+	if avg := perCall(st.Intern); avg != 0 {
+		t.Errorf("Intern of a known string allocates %.4f per call, want 0", avg)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // dictOut is the sending side of a connection direction's symbol
-// dictionary. Strings intern into a relation.SymTab (dense ids, arena
-// backed); the shipped watermark tracks how many entries the peer has
-// already received, so each batch only carries SymTab.Since(shipped) —
-// the delta — and every symbol crosses the wire at most once per
-// direction.
+// dictionary. Strings intern into a relation.SymTab (dense ids, bytes in
+// pointer-free chunks); the shipped watermark tracks how many entries the
+// peer has already received, so each batch only carries
+// SymTab.Since(shipped) — the delta — and every symbol crosses the wire at
+// most once per direction.
 type dictOut struct {
 	tab     *relation.SymTab
 	shipped int
@@ -22,23 +22,12 @@ func newDictOut() *dictOut { return &dictOut{tab: relation.NewSymTab()} }
 // id interns s, assigning the next dense id on first sight.
 func (d *dictOut) id(s string) uint64 { return uint64(d.tab.Intern(s)) }
 
-// pending returns the delta the peer is missing, in id order.
-func (d *dictOut) pending() []string { return d.tab.Since(d.shipped) }
-
-// markShipped advances the watermark after a delta was framed.
-func (d *dictOut) markShipped() { d.shipped = d.tab.Len() }
-
 // dictIn is the receiving side: a dense table grown strictly by applying
 // deltas in frame order. Ids index the table; an id at or past the table
 // length means the sender violated the delta-before-use ordering (or the
 // stream is corrupt) and decodes as an error.
 type dictIn struct {
 	strs []string
-}
-
-// apply appends one delta in order.
-func (d *dictIn) apply(delta []string) {
-	d.strs = append(d.strs, delta...)
 }
 
 // str resolves a wire id.
@@ -49,13 +38,13 @@ func (d *dictIn) str(id uint64) (string, error) {
 	return d.strs[id], nil
 }
 
-// writeDictDelta frames the pending delta: count, then each string
-// length-prefixed, ids implicit (the receiver's next dense ids). The
-// watermark advances immediately — the delta is part of the same frame
+// writeDictDelta frames the delta the peer is missing: count, then each
+// string length-prefixed, ids implicit (the receiver's next dense ids).
+// The watermark advances past it immediately — the delta is part of the same frame
 // as the facts that reference it, so a successfully framed batch always
 // carries its own definitions first.
 func (fw *frameWriter) writeDictDelta(d *dictOut) {
-	delta := d.pending()
+	delta := d.tab.Since(d.shipped)
 	fw.uvarint(uint64(len(delta)))
 	for _, s := range delta {
 		fw.str(s)
@@ -64,10 +53,10 @@ func (fw *frameWriter) writeDictDelta(d *dictOut) {
 			fw.stats.DictBytes.Add(int64(len(s)))
 		}
 	}
-	d.markShipped()
+	d.shipped += len(delta)
 }
 
-// readDictDelta decodes a delta section and applies it in order.
+// readDictDelta decodes a delta section and appends it in order.
 func (p *payload) readDictDelta(d *dictIn) error {
 	n, err := p.length()
 	if err != nil {
@@ -78,7 +67,7 @@ func (p *payload) readDictDelta(d *dictIn) error {
 		if err != nil {
 			return err
 		}
-		d.apply([]string{s})
+		d.strs = append(d.strs, s)
 	}
 	return nil
 }

@@ -15,9 +15,9 @@
 # the shared wire stats (internal/wire), the lock-free hash memo the HyPart
 # scan shards fill concurrently (internal/mqo), the CAS-published
 # feature store every enumeration goroutine probes (internal/mlpred), and
-# the CSV ingest's parse goroutines writing disjoint rows of shared columns
-# beside the symbol table's lock-free readers (internal/relation) make the
-# race detector mandatory for those packages.
+# the CSV ingest's parse and fill goroutines writing disjoint rows of shared
+# columns and lists beside the symbol table's lock-free readers
+# (internal/relation) make the race detector mandatory for those packages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -48,10 +48,10 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines and the worker engines bound against it (each index built once), the cubes HyPart exposes against its placement (owned cells partition each cube, cells columns against an independent hash, a worker's cell test against the hosts read off the cells and against the reference partitioner's blocks, cubes rebuilt from the extents), the hosts read off the cells against the reference partitioner's member lists on TPCH 0.5 and TFACC 0.3 at 2, 3, 4 and 8 workers, DMatch's class set and summed work counters at 2, 3 and 4 workers and without MQO, each TPCH rule alone summing one engine's valuations and classifier decisions at 2 and 4 workers, the load against its encoding/csv oracle, at 1, 2 and 4)"
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines and the worker engines bound against it (each index built once), the cubes HyPart exposes against its placement (owned cells partition each cube, cells columns against an independent hash, a worker's cell test against the hosts read off the cells and against the reference partitioner's blocks, cubes rebuilt from the extents), the hosts read off the cells against the reference partitioner's member lists on TPCH 0.5 and TFACC 0.3 at 2, 3, 4 and 8 workers, DMatch's class set and summed work counters at 2, 3 and 4 workers and without MQO, each TPCH rule alone summing one engine's valuations and classifier decisions at 2 and 4 workers, the load against its encoding/csv oracle, into an empty dataset and into one already holding rows, and Str results that stay put while the symbol table grows, at 1, 2 and 4)"
 go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestPoolReadsEidInPlace' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence|TestCubeOwnership|TestHostsMatchReference' ./internal/hypart
-go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews' ./internal/relation
+go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestLoadCSVIntoNonEmpty|TestSymTabStrStable|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews' ./internal/relation
 go test -short -count=1 -cpu 1,2,4 -run 'TestDMatchGoldenWork|TestDMatchRuleAloneWork' ./internal/dmatch
 
 echo "== CSV ingest (10 s fuzz: LoadCSVInto, cut into pieces of a few bytes, loads what the encoding/csv oracle loads, or both fail; never a panic)"
@@ -115,8 +115,8 @@ go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x .
 echo "== doctor bundle loader (10 s fuzz: LoadBundle then Diagnose over fuzzed manifest and health JSON return an error or a diagnosis, never a panic)"
 go test -run=NONE -fuzz=FuzzLoadBundle -fuzztime=10s -fuzzminimizetime=100x ./internal/health
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart, which keeps no member lists, per block not per tuple; postings, index slots, key maps, the row table and the scan lists hold no pointers, and a Tuple handle is 24 bytes)"
-go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize' \
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart, which keeps no member lists, per block not per tuple, SymTab.Intern: none for a known string, at most 0.05 per new one; postings, index slots, key maps, the row table, the scan lists, the symbol refs and a CSV piece's dictionary hold no pointers, and a Tuple handle is 24 bytes)"
+go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestSymTabInternAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
 echo "== storage equivalence guards (columnar parity + golden Gamma fact sequences and class sets of Run and of inserts)"
