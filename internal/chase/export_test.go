@@ -45,12 +45,11 @@ func (e *Engine) SeedPatterns(ri int) [][]int {
 
 // EnumerateOrder enumerates rule ri from seed (a tuple per variable, nil
 // where free), binding the free variables in the sequence seq — nil is the
-// greedy plan — with key maps on or off, under a seed pass's epoch cut
-// (the free variables before cut range over tuples older than epoch; cut 0
-// restricts nothing), and calls f with the GIDs, in variable order, of
-// every valuation it emits. The enumeration buffers what it deduces and
+// greedy plan — under a seed pass's epoch cut (the free variables before
+// cut range over tuples older than epoch; cut 0 restricts nothing), and
+// calls f with the GIDs, in variable order, of every valuation it emits. The enumeration buffers what it deduces and
 // drops it: Γ does not change.
-func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMaps bool, cut int, epoch relation.TID, f func(gids []relation.TID)) {
+func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, cut int, epoch relation.TID, f func(gids []relation.TID)) {
 	br := e.rules[ri]
 	var bound uint64
 	for v, t := range seed {
@@ -59,11 +58,6 @@ func (e *Engine) EnumerateOrder(ri int, seed []*relation.Tuple, seq []int, keyMa
 		}
 	}
 	o := br.planOrder(bound, seq)
-	if !keyMaps {
-		for i := range o.steps {
-			o.steps[i].km = nil
-		}
-	}
 	c := &evalCtx{e: e, task: &seedTask{v: -1, older: 1<<cut - 1, epoch: epoch}}
 	c.seeded = func(_ *boundRule, binding []relation.TID) {
 		f(slices.Clone(binding))
@@ -100,28 +94,6 @@ func (e *Engine) PlannedOrders(ri int) [][]PlanStep {
 		}
 	}
 	return out
-}
-
-// LiveKeyMaps counts the key maps the engine's join orders read that still
-// answer their probes.
-func (e *Engine) LiveKeyMaps() int {
-	live := map[*relation.KeyMap]bool{}
-	for _, br := range e.rules {
-		for _, o := range br.orders {
-			for _, st := range o.steps {
-				if st.km != nil {
-					live[st.km] = st.km.Live()
-				}
-			}
-		}
-	}
-	n := 0
-	for _, ok := range live {
-		if ok {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckCandidateOrder draws every candidate list e's join orders can draw

@@ -30,13 +30,10 @@ type joinStep struct {
 	// apClass: from is the bound side of the id predicate, whose class
 	// the candidates are.
 	// apEq: ix indexes (v's relation, the equality's attribute of v) and is
-	// probed with bound variable from's attribute fromAttr; km, when the
-	// index keys each tuple uniquely, answers the probe from an array
-	// instead (relation.KeyMap). float marks a float key, whose NaN words
-	// find nothing.
+	// probed with bound variable from's attribute fromAttr. float marks a
+	// float key, whose NaN words find nothing.
 	from, fromAttr int
 	ix             *relation.Index
-	km             *relation.KeyMap
 	float          bool
 
 	konst *wordPred // apConst: the constant's step, with its probe word and index
@@ -122,8 +119,7 @@ func (br *boundRule) orderFor(bound uint64) *joinOrder {
 // ties going to the lower variable index. A worker engine scales every
 // estimate but the class one by the share of the candidates its cell cut
 // keeps (ruleCells.share). seq forces the sequence instead
-// (tests); each step still takes its cheapest access. An equality into a
-// unique index reads its key map.
+// (tests); each step still takes its cheapest access.
 func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 	n := len(br.r.Vars)
 	o := joinOrder{bound: bound, steps: make([]joinStep, 0, n-bits.OnesCount64(bound))}
@@ -141,9 +137,6 @@ func (br *boundRule) planOrder(bound uint64, seq []int) joinOrder {
 			if class < bestClass || class == bestClass && est < bestEst {
 				best, bestClass, bestEst = st, class, est
 			}
-		}
-		if best.path == apEq {
-			best.km = br.ix.KeyMap(br.r.Vars[best.from].RelIdx, best.fromAttr, best.ix.Rel, best.ix.Attr)
 		}
 		o.steps = append(o.steps, best)
 		bound |= 1 << best.v
@@ -220,8 +213,8 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 }
 
 // candidatesFor makes step st's one access, at recursion depth depth: the
-// class of its id predicate's bound side, the key map or posting list of
-// its equality, its constant's posting list, or its relation's scan. It
+// class of its id predicate's bound side, the posting list of its
+// equality, its constant's posting list, or its relation's scan. It
 // returns the path taken. Every candidate is a GID of v's relation, and
 // the equality's probe word is the bound tuple's, read through the row
 // table; rule resolution gives both sides of an equality one type. In a
@@ -231,18 +224,14 @@ func (br *boundRule) simReaches(v int, bound uint64) bool {
 // which extend's GID window (gidWindow) reads by binary search: a
 // relation lists its tuples in GID order, and so does a similarity join,
 // which follows the relation; postings are appended as tuples arrive, in
-// GID order; a key map returns at most one tuple; Engine.union keeps class
-// member lists sorted; and the cell cut keeps the order.
+// GID order; Engine.union keeps class member lists sorted; and the cell
+// cut keeps the order.
 func (c *evalCtx) candidatesFor(st *joinStep, depth int) ([]relation.TID, accessPath) {
 	switch st.path {
 	case apClass:
 		return c.classOf(st, depth), apClass
 	case apEq:
-		t := c.binding[st.from]
-		if km := st.km; km != nil && km.Live() {
-			return km.Lookup(t), apKey
-		}
-		w := c.word(st.from, t, st.fromAttr)
+		w := c.word(st.from, c.binding[st.from], st.fromAttr)
 		if st.float && w == relation.QNaNWord {
 			return nil, apEq // NaN equals nothing
 		}
@@ -302,9 +291,6 @@ func (c *evalCtx) candBuf(depth int) []relation.TID {
 func (br *boundRule) describe(o *joinOrder, i int) PlanStep {
 	st := &o.steps[i]
 	ps := PlanStep{Var: br.r.Vars[st.v].Name, Path: accessPathNames[st.path]}
-	if st.km != nil {
-		ps.Path = accessPathNames[apKey]
-	}
 	if st.pred != nil {
 		ps.Via = st.pred.String()
 	}

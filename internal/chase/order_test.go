@@ -17,15 +17,15 @@ import (
 
 // valuations enumerates rule ri of eng from seed along seq (nil: the
 // planned order) and returns the emitted valuations, sorted.
-func valuations(eng *chase.Engine, ri int, seed []*relation.Tuple, seq []int, keyMaps bool) []string {
-	return cutValuations(eng, ri, seed, seq, keyMaps, 0, 0, nil)
+func valuations(eng *chase.Engine, ri int, seed []*relation.Tuple, seq []int) []string {
+	return cutValuations(eng, ri, seed, seq, 0, 0, nil)
 }
 
 // cutValuations is valuations under the epoch cut (cut, epoch), keeping
 // only the valuations keep accepts (nil: all).
-func cutValuations(eng *chase.Engine, ri int, seed []*relation.Tuple, seq []int, keyMaps bool, cut int, epoch relation.TID, keep func([]relation.TID) bool) []string {
+func cutValuations(eng *chase.Engine, ri int, seed []*relation.Tuple, seq []int, cut int, epoch relation.TID, keep func([]relation.TID) bool) []string {
 	var out []string
-	eng.EnumerateOrder(ri, seed, seq, keyMaps, cut, epoch, func(gids []relation.TID) {
+	eng.EnumerateOrder(ri, seed, seq, cut, epoch, func(gids []relation.TID) {
 		if keep == nil || keep(gids) {
 			out = append(out, fmt.Sprint(gids))
 		}
@@ -139,7 +139,7 @@ func patternSeeds(d *relation.Dataset, r *rule.Rule, pat []int, base []string, n
 }
 
 // nanInstance is a dataset whose float key columns hold NaN: A's keys are
-// unique (so probes into them read a key map), B's repeat.
+// unique, B's repeat.
 func nanInstance(t *testing.T) (*relation.Dataset, []*rule.Rule) {
 	t.Helper()
 	str, fl := relation.TypeString, relation.TypeFloat
@@ -213,9 +213,8 @@ v: A(a) ^ A(b) ^ a.x = "none" -> lev080(a.x, b.x)
 // depend on its join order: for every rule of TPCH 0.1, TFACC 0.1, random
 // instances, a float-keyed instance with NaNs and an instance with
 // multi-member E_id classes (classInstance), from every seed pattern the
-// engine plans, the planned order without key maps and each of up to 40
-// orders of the free variables (12 under -short; samplePerms), with key
-// maps on and off in turn, emit exactly the planned order's valuations. On
+// engine plans, each of up to 40 orders of the free variables (12 under
+// -short; samplePerms) emits exactly the planned order's valuations. On
 // the class instance every order also runs through the interpreter and
 // under each epoch cut, which must keep exactly the valuations whose cut
 // variables are older than the epoch: class lists are cut by binary
@@ -278,7 +277,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 		}
 		epoch := relation.TID(tc.d.Size() / 2)
 		for ri, r := range tc.rules {
-			base := valuations(eng, ri, nil, nil, true)
+			base := valuations(eng, ri, nil, nil)
 			if tc.external != nil && r.Head.Kind == rule.PredID && len(base) == 0 {
 				t.Errorf("%s rule %s: no valuations to compare", tc.name, r.Name)
 			}
@@ -290,21 +289,16 @@ func TestJoinOrderInvariance(t *testing.T) {
 					}
 				}
 				for _, seed := range patternSeeds(tc.d, r, pat, base, seeds) {
-					want := valuations(eng, ri, seed, nil, true)
-					if got := valuations(eng, ri, seed, nil, false); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s rule %s pattern %v: %d valuations without key maps, %d with",
-							tc.name, r.Name, pat, len(got), len(want))
-					}
-					for k, perm := range samplePerms(tc.d, r, pat, free, limit) {
-						km := k%2 == 0
-						if got := valuations(eng, ri, seed, perm, km); !reflect.DeepEqual(got, want) {
-							t.Errorf("%s rule %s pattern %v order %v key maps %v: %d valuations, planned order %d",
-								tc.name, r.Name, pat, perm, km, len(got), len(want))
+					want := valuations(eng, ri, seed, nil)
+					for _, perm := range samplePerms(tc.d, r, pat, free, limit) {
+						if got := valuations(eng, ri, seed, perm); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s rule %s pattern %v order %v: %d valuations, planned order %d",
+								tc.name, r.Name, pat, perm, len(got), len(want))
 						}
 						if tc.external == nil {
 							continue
 						}
-						if got := valuations(interp, ri, seed, perm, km); !reflect.DeepEqual(got, want) {
+						if got := valuations(interp, ri, seed, perm); !reflect.DeepEqual(got, want) {
 							t.Errorf("%s rule %s pattern %v order %v: %d valuations interpreted, planned order %d",
 								tc.name, r.Name, pat, perm, len(got), len(want))
 						}
@@ -319,8 +313,8 @@ func TestJoinOrderInvariance(t *testing.T) {
 								}
 								return true
 							}
-							want := cutValuations(eng, ri, seed, nil, true, 0, 0, older)
-							if got := cutValuations(eng, ri, seed, perm, km, cut, epoch, nil); !reflect.DeepEqual(got, want) {
+							want := cutValuations(eng, ri, seed, nil, 0, 0, older)
+							if got := cutValuations(eng, ri, seed, perm, cut, epoch, nil); !reflect.DeepEqual(got, want) {
 								t.Errorf("%s rule %s pattern %v order %v cut %d: %d valuations, %d older than the epoch",
 									tc.name, r.Name, pat, perm, cut, len(got), len(want))
 							}
@@ -336,7 +330,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 		// join on k, to a tuple whose k is NaN.
 		for ri, r := range tc.rules {
 			for _, perm := range samplePerms(tc.d, r, nil, []int{0, 1, 2}, 6) {
-				eng.EnumerateOrder(ri, nil, perm, true, 0, 0, func(gids []relation.TID) {
+				eng.EnumerateOrder(ri, nil, perm, 0, 0, func(gids []relation.TID) {
 					for _, g := range []relation.TID{gids[0], gids[2]} {
 						if k := tc.d.Tuple(g).Val(1).Num; k != k {
 							t.Errorf("nan rule %s order %v: valuation %v binds a NaN key", r.Name, perm, gids)
@@ -348,94 +342,131 @@ func TestJoinOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestKeyMapFollowsInserts appends, through InsertTuples, a target row
-// that existing probing rows reference, new probing rows, and then a
-// target row that repeats a key: enumeration through the key maps must
-// equal enumeration through the index after each batch, the map must stay
-// live through the first batch and retire at the repeat, and the engine
-// must reach the Γ of a chase from scratch.
+// TestEqualityProbeFollowsInserts appends, through InsertTuples, a target
+// row that existing probing rows reference, new probing rows, a target row
+// that repeats a key, and a probing row whose float key is NaN. After each
+// batch every planned order's enumeration — from scratch along the greedy
+// plan and two forced orders, and from each seed pattern the engine plans
+// — must equal the interpreter's over the same inserts, and the classes
+// must equal those of a chase from scratch.
 //
 // Rule r's id predicate binds s to t's class, a singleton, so its
 // valuations are the P rows that share a target. At a fixpoint a valuation
 // that derives its head is pruned before it is complete, so only those
 // that lev080 — dynamic, since rule v, which never applies, validates it —
-// rejects are left to compare: pairs of dissimilar pks.
-func TestKeyMapFollowsInserts(t *testing.T) {
-	str := relation.TypeString
-	a := func(n string) relation.Attribute { return relation.Attribute{Name: n, Type: str} }
+// rejects are left to compare: pairs of dissimilar pks. Rule f joins P to
+// T on a float key, which a NaN probe word never finds.
+func TestEqualityProbeFollowsInserts(t *testing.T) {
+	str, fl := relation.TypeString, relation.TypeFloat
+	a := func(n string, ty relation.Type) relation.Attribute { return relation.Attribute{Name: n, Type: ty} }
 	db := relation.MustDatabase(
-		relation.MustSchema("T", "tk", a("tk"), a("key")),
-		relation.MustSchema("P", "pk", a("pk"), a("ref"), a("name")),
+		relation.MustSchema("T", "tk", a("tk", str), a("key", str), a("f", fl)),
+		relation.MustSchema("P", "pk", a("pk", str), a("ref", str), a("name", str), a("f", fl)),
 	)
 	d := relation.NewDataset(db)
-	add := func(rel string, vals ...string) *relation.Tuple {
+	add := func(rel string, f float64, vals ...string) *relation.Tuple {
 		var vs []relation.Value
 		for _, v := range vals {
 			vs = append(vs, relation.S(v))
 		}
-		return d.MustAppend(rel, vs...)
+		return d.MustAppend(rel, append(vs, relation.F(f))...)
 	}
-	add("T", "t0", "k0")
-	add("T", "t1", "k1")
-	add("P", "pa0000", "k0", "n")
-	add("P", "p1", "k2", "n") // no target yet
-	add("P", "p2", "k1", "n")
-	add("P", "q0", "k0", "n") // shares t0 with pa0000
+	add("T", 0, "t0", "k0")
+	add("T", 1, "t1", "k1")
+	add("P", 0, "pa0000", "k0", "n")
+	add("P", 2, "p1", "k2", "n") // no target yet
+	add("P", 1, "p2", "k1", "n")
+	add("P", 0, "q0", "k0", "n") // shares t0 with pa0000
 	const text = `
 r: P(p) ^ P(q) ^ T(t) ^ T(s) ^ p.ref = t.key ^ q.ref = s.key ^ p.name = q.name ^ t.id = s.id ^ lev080(p.pk, q.pk) -> p.id = q.id
+f: P(p) ^ P(q) ^ T(t) ^ p.f = t.f ^ q.f = t.f ^ lev080(p.pk, q.pk) -> p.id = q.id
 v: P(p) ^ P(q) ^ p.name = "none" -> lev080(p.pk, q.pk)`
 	rules, err := rule.ParseResolved(text, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := chase.New(d, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+	reg := mlpred.DefaultRegistry()
+	eng, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	interp, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp.SetInterpretRules(true)
 	eng.Run()
-	probeFirst := []int{0, 2, 1, 3} // p, then t through p's key map, q, s
+	interp.Run()
+	probeFirst := []int{0, 2, 1, 3} // p, then t through p's key, q, s
 	tFirst := []int{2, 0, 3, 1}     // t, p, then s through t's class, q
-	check := func(stage string, wantLive bool) {
+	check := func(stage string) {
 		t.Helper()
-		if live := eng.LiveKeyMaps() > 0; live != wantLive {
-			t.Errorf("%s: key maps live %v, want %v", stage, live, wantLive)
-		}
 		for _, seq := range [][]int{nil, probeFirst, tFirst} {
-			on, off := valuations(eng, 0, nil, seq, true), valuations(eng, 0, nil, seq, false)
-			if !reflect.DeepEqual(on, off) {
-				t.Errorf("%s order %v: %d valuations through key maps, %d through the index", stage, seq, len(on), len(off))
+			got, want := valuations(eng, 0, nil, seq), valuations(interp, 0, nil, seq)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s order %v: %d valuations, %d interpreted", stage, seq, len(got), len(want))
 			}
-			if len(off) == 0 {
+			if len(want) == 0 {
 				t.Errorf("%s order %v: no valuations to compare", stage, seq)
 			}
-			t.Logf("%s order %v: %d valuations", stage, seq, len(off))
+			t.Logf("%s order %v: %d valuations", stage, seq, len(want))
+		}
+		for ri, r := range rules {
+			base := valuations(interp, ri, nil, nil)
+			for _, pat := range eng.SeedPatterns(ri) {
+				for _, seed := range patternSeeds(d, r, pat, base, 3) {
+					if got, want := valuations(eng, ri, seed, nil), valuations(interp, ri, seed, nil); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s rule %s pattern %v: %d valuations, %d interpreted", stage, r.Name, pat, len(got), len(want))
+					}
+				}
+			}
+		}
+		fresh, err := chase.New(d, rules, reg, chase.Options{ShareIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Run()
+		if got, want := canonClasses(eng.Classes()), canonClasses(fresh.Classes()); got != want {
+			t.Errorf("%s: inserts reach classes %s, a chase from scratch %s", stage, got, want)
 		}
 	}
-	check("initial", true)
-	batch := []*relation.Tuple{
-		add("T", "t2", "k2"), // p1's target arrives
-		add("P", "p3", "k2", "n"),
-		add("P", "p4", "k3", "n"),
-		add("T", "t3", "k3"),
+	insert := func(batch ...*relation.Tuple) {
+		t.Helper()
+		for _, e := range []*chase.Engine{eng, interp} {
+			if _, err := e.InsertTuples(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := eng.InsertTuples(batch); err != nil {
-		t.Fatal(err)
-	}
-	check("new keys", true)
+	check("initial")
+	insert(
+		add("T", 2, "t2", "k2"), // p1's target arrives
+		add("P", 2, "p3", "k2", "n"),
+		add("P", 3, "p4", "k3", "n"),
+		add("T", 3, "t3", "k3"),
+	)
+	check("new keys")
 	// pa0005 shares both k0 targets with pa0000, and lev080 accepts the
 	// pair: the batch derives a match, which is then pruned.
-	if _, err := eng.InsertTuples([]*relation.Tuple{add("T", "t4", "k0"), add("P", "pa0005", "k0", "n")}); err != nil {
-		t.Fatal(err)
+	insert(add("T", 0, "t4", "k0"), add("P", 0, "pa0005", "k0", "n"))
+	check("repeated key")
+	// A NaN float key equals nothing, not even the NaN key of T it joins.
+	insert(add("T", math.NaN(), "t5", "k5"), add("P", math.NaN(), "p5", "k5", "n"))
+	check("NaN key")
+	if n := len(eng.Classes()); n != 1 {
+		t.Errorf("inserts reach %d classes, want one: %v", n, eng.Classes())
 	}
-	check("repeated key", false)
-
-	fresh, err := chase.New(d, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Run()
-	if got, want := canonClasses(eng.Classes()), canonClasses(fresh.Classes()); got != want || len(eng.Classes()) != 1 {
-		t.Errorf("inserts reach classes %s, a chase from scratch %s; want one class", got, want)
+	n := 0
+	eng.EnumerateOrder(1, nil, nil, 0, 0, func(gids []relation.TID) {
+		n++
+		for _, g := range gids {
+			if f := d.Tuple(g).Val(d.SchemaOf(d.Tuple(g)).Arity() - 1).Num; f != f {
+				t.Errorf("rule f: valuation %v binds a NaN key", gids)
+			}
+		}
+	})
+	if n == 0 {
+		t.Error("rule f: no valuations to check")
 	}
 }
 

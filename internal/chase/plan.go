@@ -123,12 +123,11 @@ const (
 	apEq                      // the posting list of an equality to a bound variable
 	apConst                   // the posting list of a constant predicate
 	apSim                     // the similarity join of an ML predicate (simjoin.go)
-	apKey                     // the key map of an equality into a unique index
 	apClass                   // the E_id class of an id predicate's bound side
 	numAccessPaths
 )
 
-var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim", "key", "class"}
+var accessPathNames = [numAccessPaths]string{"scan", "eq", "const", "sim", "class"}
 
 // accessStats is the account of one access path of one variable: times
 // chosen, candidates returned and, for apSim, distinct values scored.
@@ -519,7 +518,7 @@ type PlanAccess struct {
 
 // PlanVarReport is the compiled program of one rule variable, in
 // execution order, and the access paths its candidates came from ("scan",
-// "eq", "const", "sim", "key", "class"; used ones only).
+// "eq", "const", "sim", "class"; used ones only).
 type PlanVarReport struct {
 	Var    string       `json:"var"`
 	Preds  []PlanPred   `json:"preds"`
@@ -527,12 +526,11 @@ type PlanVarReport struct {
 }
 
 // PlanStep is one step of a rule's planned join order: the variable bound,
-// the access path planned for it ("scan", "eq", "key", "const", "class"),
-// the predicate that access answers and, on the step that binds a reduced
+// the access path planned for it ("scan", "eq", "const", "class"), the
+// predicate that access answers and, on the step that binds a reduced
 // rule's later head variable, the symmetry reduction's GID bound (say
-// "l.gid < k.gid") its candidates are cut to. A "key" step whose map
-// retired probes the index instead, and its variable's Access counts it as
-// "eq".
+// "l.gid < k.gid") its candidates are cut to. An "eq" step probes the
+// equality's index with the bound side's word.
 type PlanStep struct {
 	Var   string `json:"var"`
 	Path  string `json:"path"`

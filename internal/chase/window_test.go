@@ -16,7 +16,7 @@ import (
 
 // TestCandidateListsAscending pins the invariant the enumeration's GID
 // window rests on: every candidate list a join step can draw — scans,
-// postings, key maps, E_id classes and similarity joins — is strictly
+// postings, E_id classes and similarity joins — is strictly
 // GID-ascending, so the insert epoch and the symmetry order are answered
 // by binary search. It is checked on a root engine over TPCH and TFACC,
 // on the worker engines of a DMatch run with 2 and 3 workers, after each

@@ -52,11 +52,12 @@ const (
 
 // RunDistributed is Run with the n workers as separate processes reached
 // over TCP links. Every worker loads the same dataset and rules from disk
-// (loading is deterministic) and proves it via the Hello fingerprint; the
-// master aborts on mismatch rather than computing a wrong Γ over divergent
-// inputs. The returned Result is byte-identical in Γ (Matches, Validated,
-// Eq) to Run with the same Options. A worker that dies or falls silent
-// has its blocks reassigned to the survivors and the run continues.
+// (loading is deterministic) and proves it via the Hello digest
+// (fingerprint); the master aborts on mismatch rather than computing a
+// wrong Γ over divergent inputs. The returned Result is byte-identical in
+// Γ (Matches, Validated, Eq) to Run with the same Options. A worker that
+// dies or falls silent has its blocks reassigned to the survivors and the
+// run continues.
 func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options, dopts DistOptions) (*Result, error) {
 	n := opts.Workers
 	if n < 1 {
@@ -97,6 +98,7 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 			return nil, fmt.Errorf("dmatch: spawn worker %d: %w", i, err)
 		}
 	}
+	digest := fingerprint(d, rules) // while the workers load
 
 	// Handshake: accept n connections and validate each Hello against the
 	// master's own view of the inputs.
@@ -122,9 +124,9 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 				err = fmt.Errorf("worker id %d out of range [0,%d)", h.Worker, n)
 			case ms.links[h.Worker] != nil:
 				err = fmt.Errorf("duplicate worker id %d", h.Worker)
-			case h.DatasetSize != d.Size() || h.Rules != len(rules):
-				err = fmt.Errorf("dataset fingerprint mismatch: worker has (size=%d rules=%d), master has (%d %d)",
-					h.DatasetSize, h.Rules, d.Size(), len(rules))
+			case h.Digest != digest:
+				err = fmt.Errorf("input fingerprint mismatch: worker has (size=%d digest=%016x), master has (%d %016x)",
+					h.DatasetSize, h.Digest, d.Size(), digest)
 			}
 			if err != nil {
 				conn.Close()
@@ -139,4 +141,58 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 		opts.Metrics.Counter("dcer_wire_frames_out").Add(res.Wire.FramesOut)
 	}
 	return res, err
+}
+
+// fingerprint digests the inputs a worker must share with its master:
+// each relation's name and packed columns, in row order; the symbol
+// strings, in Sym order, which give the string words their meaning; and
+// each rule's text. A load numbers Syms by first appearance at every
+// width, so equal inputs digest equally in every process.
+func fingerprint(d *relation.Dataset, rules []*rule.Rule) uint64 {
+	var h digest
+	for _, r := range d.Relations {
+		h.str(r.Schema.Name)
+		n := len(r.TIDs())
+		h.word(uint64(n))
+		for a := range r.Schema.Attrs {
+			for _, w := range r.Col(a)[:n] {
+				h.word(w)
+			}
+		}
+	}
+	syms := d.Syms()
+	for i := range syms.Len() {
+		h.str(syms.Str(relation.Sym(i)))
+	}
+	for _, r := range rules {
+		h.str(r.String())
+	}
+	return uint64(h)
+}
+
+// digest is a multiply-xor mix over 64-bit words. Each step xors a word
+// in, multiplies by an odd constant and folds the high half down: all
+// bijections of the state, so two inputs of one length that differ in a
+// single word always digest differently.
+type digest uint64
+
+func (h *digest) word(w uint64) {
+	x := (uint64(*h) ^ w) * 0x9E3779B97F4A7C15
+	*h = digest(x ^ x>>32)
+}
+
+// str mixes in s's length and then its bytes, eight to a word.
+func (h *digest) str(s string) {
+	h.word(uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := range len(s) {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.word(w)
+	}
 }

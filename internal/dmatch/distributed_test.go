@@ -231,6 +231,91 @@ func TestDistributedFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestDistributedFingerprintCoversContent: a worker whose inputs match the
+// master's in size and rule count but not in content must be refused at
+// the handshake with the fingerprint error — one whose dataset has one
+// string value changed, and one with one rule changed — while a worker
+// whose dataset is a tuple-by-tuple copy of the master's is accepted.
+func TestDistributedFingerprintCoversContent(t *testing.T) {
+	g, rules := tpchWorkload(t)
+	// copyData rebuilds d tuple by tuple, in GID order, with change
+	// applied to each tuple's values.
+	copyData := func(d *relation.Dataset, change func(gid relation.TID, vals []relation.Value)) *relation.Dataset {
+		cp := relation.NewDataset(d.DB)
+		for _, tu := range d.Tuples() {
+			vals := tu.Values()
+			change(tu.GID, vals)
+			cp.MustAppend(d.SchemaOf(tu).Name, vals...)
+		}
+		return cp
+	}
+	target := relation.TID(g.D.Size() / 2)
+	for _, tc := range []struct {
+		name string
+		// load gives worker 1 its inputs from a fresh generation.
+		load   func(gw *datagen.Generated, rw []*rule.Rule) (*relation.Dataset, []*rule.Rule, error)
+		refuse bool
+	}{
+		{"copy", func(gw *datagen.Generated, rw []*rule.Rule) (*relation.Dataset, []*rule.Rule, error) {
+			return copyData(gw.D, func(relation.TID, []relation.Value) {}), rw, nil
+		}, false},
+		{"value", func(gw *datagen.Generated, rw []*rule.Rule) (*relation.Dataset, []*rule.Rule, error) {
+			changed := false
+			d := copyData(gw.D, func(gid relation.TID, vals []relation.Value) {
+				for a, v := range vals {
+					if gid >= target && !changed && v.Kind == relation.TypeString {
+						vals[a] = relation.S(v.Str + "?")
+						changed = true
+					}
+				}
+			})
+			if !changed {
+				return nil, nil, errors.New("no string value to change")
+			}
+			return d, rw, nil
+		}, true},
+		{"rule", func(gw *datagen.Generated, _ []*rule.Rule) (*relation.Dataset, []*rule.Rule, error) {
+			text := strings.Replace(gw.RulesText, "lev075(n.nname, m.nname)", "lev080(n.nname, m.nname)", 1)
+			if text == gw.RulesText {
+				return nil, nil, errors.New("no rule text to change")
+			}
+			gw.RulesText = text
+			rw, err := gw.Rules()
+			return gw.D, rw, err
+		}, true},
+	} {
+		errs := make(chan error, 2)
+		spawn := func(worker int, addr string) error {
+			return spawnWorkersOver(func() (*relation.Dataset, []*rule.Rule, error) {
+				gw := datagen.TPCH(datagen.TPCHOptions{Scale: 0.04, Dup: 0.4, Seed: 7})
+				rw, err := gw.Rules()
+				if err != nil || worker == 0 {
+					return gw.D, rw, err
+				}
+				return tc.load(gw, rw)
+			}, nil, errs)(worker, addr)
+		}
+		res, err := dmatch.RunDistributed(g.D, rules, mlpred.DefaultRegistry(),
+			dmatch.Options{Workers: 2},
+			dmatch.DistOptions{Spawn: spawn, AcceptTimeout: 10 * time.Second})
+		switch {
+		case !tc.refuse && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.refuse && err == nil:
+			t.Errorf("%s: accepted, returned %d classes", tc.name, len(res.Classes()))
+		case tc.refuse && !strings.Contains(err.Error(), "fingerprint"):
+			t.Errorf("%s: got error %v, want the handshake's fingerprint error", tc.name, err)
+		}
+		if !tc.refuse {
+			for range 2 {
+				if werr := <-errs; werr != nil {
+					t.Errorf("%s: worker: %v", tc.name, werr)
+				}
+			}
+		}
+	}
+}
+
 // TestDistributedVersionMismatch: a worker built against another protocol
 // version must be refused at the handshake — the run fails with the
 // "protocol version" error, promptly — instead of being sent an Assign it
@@ -246,7 +331,7 @@ func TestDistributedVersionMismatch(t *testing.T) {
 				}
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(10 * time.Second))
-				hello := wire.Hello{Version: version, Worker: worker, DatasetSize: g.D.Size(), Rules: len(rules)}
+				hello := wire.Hello{Version: version, Worker: worker, DatasetSize: g.D.Size()}
 				if wire.NewEncoder(conn, nil).Hello(hello) == nil {
 					io.Copy(io.Discard, conn) // until the master hangs up
 				}

@@ -163,7 +163,7 @@ var ErrInjectedCrash = errors.New("dmatch: injected worker crash")
 // worker.handle the in-process links drive, and a side goroutine Pongs on
 // an interval so a long Deduce never looks like a dead process. The
 // dataset and rules are this process's own load of the same inputs the
-// master has; the Hello fingerprint proves it.
+// master has; the Hello digest (fingerprint) proves it.
 func RunWorker(addr string, d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, wopts WorkerOptions) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -173,7 +173,7 @@ func RunWorker(addr string, d *relation.Dataset, rules []*rule.Rule, reg *mlpred
 	enc := wire.NewEncoder(conn, wopts.Stats)
 	dec := wire.NewDecoder(conn, wopts.Stats)
 	w := &worker{id: wopts.Worker, d: d, rules: rules, reg: reg, ix: relation.NewIndexSet(d)}
-	err = enc.Hello(wire.Hello{Version: wire.Version, Worker: w.id, DatasetSize: d.Size(), Rules: len(rules)})
+	err = enc.Hello(wire.Hello{Version: wire.Version, Worker: w.id, DatasetSize: d.Size(), Digest: fingerprint(d, rules)})
 	if err != nil {
 		return fmt.Errorf("dmatch: worker %d: hello: %w", w.id, err)
 	}

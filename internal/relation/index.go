@@ -289,115 +289,11 @@ func (ix *Index) Each(fn func(w uint64, post []TID)) {
 	}
 }
 
-// MaxBucket returns the size of the largest posting list (a skew measure).
-func (ix *Index) MaxBucket() int {
-	max := 0
-	for _, s := range ix.pm.slots {
-		if int(s.n) > max {
-			max = int(s.n)
-		}
-	}
-	return max
-}
-
-// noTID marks a key-map row that finds nothing.
-const noTID TID = -1
-
-// KeyMap answers an equality probe into a unique attribute from an array:
-// for each root row of a probing relation, the GID of the one tuple of the
-// target index whose key equals the row's probe attribute, or noTID. It
-// stands in for a word probe of the index when the target index has no
-// repeated key (every posting list one long), so a key-to-key join costs
-// one array read per probe instead of a hash probe. A float probe word
-// that is NaN finds nothing, as NaN equals nothing.
-//
-// IndexSet.AddBatch keeps a map current; a key that starts to repeat
-// retires it for good (Live turns false), and its users fall back to the
-// index.
-type KeyMap struct {
-	probe, target *Index // (probing relation, attribute) and the unique target
-	float         bool   // the key column is a float column: NaN words find nothing
-	byRow         []TID
-}
-
-func newKeyMap(probe, target *Index) *KeyMap {
-	probers := probe.rel.tids
-	rows := 0
-	for _, p := range probers {
-		rows = max(rows, int(probe.rel.loc.row[p])+1)
-	}
-	km := &KeyMap{probe: probe, target: target, float: target.typ == TypeFloat, byRow: make([]TID, rows)}
-	for i := range km.byRow {
-		km.byRow[i] = noTID
-	}
-	for _, p := range probers {
-		km.addProbe(p)
-	}
-	return km
-}
-
-// Live reports whether the map still answers its probes: false once a key
-// of the target repeated.
-func (km *KeyMap) Live() bool { return km.byRow != nil }
-
-// Lookup returns, as a one-GID view, the target tuple whose key equals
-// the probe attribute of the probing relation's tuple p, or nil when there
-// is none. The map must be live.
-func (km *KeyMap) Lookup(p TID) []TID {
-	if r := int(km.probe.rel.loc.row[p]); r < len(km.byRow) && km.byRow[r] != noTID {
-		return km.byRow[r : r+1 : r+1]
-	}
-	return nil
-}
-
-// set records t as the tuple probing tuple p finds, growing the array over
-// rows appended since it was sized.
-func (km *KeyMap) set(p, t TID) {
-	r := int(km.probe.rel.loc.row[p])
-	for len(km.byRow) <= r {
-		km.byRow = append(km.byRow, noTID)
-	}
-	km.byRow[r] = t
-}
-
-// addProbe gives probing tuple p its entry.
-func (km *KeyMap) addProbe(p TID) {
-	w := km.probe.rel.Word(p, km.probe.Attr)
-	if km.float && w == QNaNWord {
-		return
-	}
-	if post := km.target.LookupWord(w); len(post) == 1 {
-		km.set(p, post[0])
-	}
-}
-
-// addTargets follows the tuples ts appended to the target index, whose
-// postings already hold them: a key that now repeats retires the map, a
-// new one fills in the probing rows that carry it.
-func (km *KeyMap) addTargets(ts []TID) {
-	for _, t := range ts {
-		if len(km.target.LookupWord(km.target.rel.Word(t, km.target.Attr))) > 1 {
-			km.byRow = nil
-			return
-		}
-	}
-	for _, t := range ts {
-		w := km.target.rel.Word(t, km.target.Attr)
-		if km.float && w == QNaNWord {
-			continue
-		}
-		for _, p := range km.probe.LookupWord(w) {
-			km.set(p, t)
-		}
-	}
-}
-
 // IndexSet caches the indexes of a dataset, built lazily per
-// (relation, attribute), and the key maps over them. For and KeyMap are
-// safe for concurrent use: each builds its key once, outside the set-wide
-// lock, so callers asking for different keys build in parallel and a
-// caller asking for a key in the making waits for it. AddBatch needs
-// them quiesced.
+// (relation, attribute). For is safe for concurrent use: it builds each
+// index once, outside the set-wide lock, so callers asking for different
+// indexes build in parallel and a caller asking for one in the making
+// waits for it. AddBatch needs them quiesced.
 //
 // An IndexSet value is a handle on the cache; Share hands out more. The
 // DMatch workers of one process bind their engines against handles of one
@@ -413,76 +309,48 @@ type IndexSet struct {
 // indexCache is what the handles of one IndexSet share.
 type indexCache struct {
 	d       *Dataset
-	mu      sync.Mutex // guards the two maps, not the builds
+	mu      sync.Mutex // guards the map, not the builds
 	indexes map[[2]int]*indexEntry
-	keyMaps map[[4]int]*keyMapEntry
 	shared  atomic.Bool // Share was called: AddBatch refuses
 }
 
-// indexEntry and keyMapEntry hold one key of the cache, filled once by
-// the first caller to ask for it.
+// indexEntry holds one index of the cache, built once by the first
+// caller to ask for it.
 type indexEntry struct {
 	once sync.Once
 	ix   *Index
 }
 
-type keyMapEntry struct {
-	once sync.Once
-	km   *KeyMap
-}
-
-// entry returns the entry of key in m, one of c's maps, adding an empty
-// one: the only step taken under c.mu.
-func entry[K comparable, E any](c *indexCache, m map[K]*E, key K) *E {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en := m[key]
-	if en == nil {
-		en = new(E)
-		m[key] = en
-	}
-	return en
-}
-
 // NewIndexSet creates an empty index cache over d.
 func NewIndexSet(d *Dataset) *IndexSet {
-	return &IndexSet{c: &indexCache{d: d, indexes: make(map[[2]int]*indexEntry), keyMaps: make(map[[4]int]*keyMapEntry)}}
+	return &IndexSet{c: &indexCache{d: d, indexes: make(map[[2]int]*indexEntry)}}
 }
 
-// Share returns a new handle on s's indexes and key maps, for another
-// engine to bind against; its Built counts the builds made through it. It
-// makes the set read-only for every handle: AddBatch refuses from then on.
+// Share returns a new handle on s's indexes, for another engine to bind
+// against; its Built counts the builds made through it. It makes the set
+// read-only for every handle: AddBatch refuses from then on.
 func (s *IndexSet) Share() *IndexSet {
 	s.c.shared.Store(true)
 	return &IndexSet{c: s.c}
 }
 
-// For returns the index for (relation, attribute), building it on first use.
+// For returns the index for (relation, attribute), building it on first
+// use. Only finding or adding its entry happens under the set-wide lock.
 func (s *IndexSet) For(rel, attr int) *Index {
 	c := s.c
-	en := entry(c, c.indexes, [2]int{rel, attr})
+	key := [2]int{rel, attr}
+	c.mu.Lock()
+	en := c.indexes[key]
+	if en == nil {
+		en = new(indexEntry)
+		c.indexes[key] = en
+	}
+	c.mu.Unlock()
 	en.once.Do(func() {
 		en.ix = BuildIndex(rel, c.d.Relations[rel], attr)
 		s.built.Add(1)
 	})
 	return en.ix
-}
-
-// KeyMap returns the key map that answers probes from attribute
-// probeAttr of relation probeRel into attribute attr of relation rel,
-// building it (and the two indexes) on first use. It is nil when the
-// target index repeats a key or the two attributes differ in type, and
-// then the probe stays with the index.
-func (s *IndexSet) KeyMap(probeRel, probeAttr, rel, attr int) *KeyMap {
-	c := s.c
-	en := entry(c, c.keyMaps, [4]int{probeRel, probeAttr, rel, attr})
-	en.once.Do(func() {
-		target := s.For(rel, attr)
-		if target.typ == c.d.Relations[probeRel].Schema.Attrs[probeAttr].Type && target.MaxBucket() <= 1 {
-			en.km = newKeyMap(s.For(probeRel, probeAttr), target)
-		}
-	})
-	return en.km
 }
 
 // Built returns how many indexes were materialized through this handle:
@@ -496,12 +364,10 @@ var errSharedAddBatch = errors.New("relation: AddBatch on a shared IndexSet: a s
 
 // AddBatch registers newly appended tuples, by GID, GIDs above every
 // tuple the set has seen, in every materialized index of their relations
-// and every live key map they probe from or key into (incremental ΔD
-// maintenance). Each relation's share is appended to its indexes in GID
-// order, so postings stay GID-ascending and list what BuildIndex's over
-// the grown dataset list; then the key maps follow, and a map retires iff
-// some target key now repeats. A shared set (Share) refuses, touching
-// nothing.
+// (incremental ΔD maintenance). Each relation's share is appended to its
+// indexes in GID order, so postings stay GID-ascending and list what
+// BuildIndex's over the grown dataset list. A shared set (Share) refuses,
+// touching nothing.
 func (s *IndexSet) AddBatch(ids []TID) error {
 	c := s.c
 	if c.shared.Load() {
@@ -519,18 +385,6 @@ func (s *IndexSet) AddBatch(ids []TID) error {
 		ix := en.ix
 		for _, id := range byRel[key[0]] {
 			ix.pm.appendTo(ix.rel.Word(id, ix.Attr), id)
-		}
-	}
-	for _, en := range c.keyMaps {
-		km := en.km
-		if km == nil || !km.Live() {
-			continue
-		}
-		km.addTargets(byRel[km.target.Rel])
-		if km.Live() {
-			for _, p := range byRel[km.probe.Rel] {
-				km.addProbe(p)
-			}
 		}
 	}
 	return nil

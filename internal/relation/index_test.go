@@ -15,19 +15,13 @@ import (
 	"dcer/internal/relation"
 )
 
-// keyMapSpec names a key map as IndexSet.KeyMap takes it: probing
-// (relation, attribute), then the target (relation, attribute).
-type keyMapSpec struct{ probeRel, probeAttr, rel, attr int }
-
 // TestIndexSetAddBatchEqualsRebuild grows random datasets in random batches
 // through IndexSet.AddBatch, each batch handed over shuffled, and checks
 // after every batch that each index equals BuildIndex over the grown
-// relation — the same postings, GID-ascending — and that each key map is
-// live exactly when a fresh map over the grown dataset can be built, then
-// answering every probing row as the fresh one does. Target keys repeat at
-// a per-trial rate (zero included), so maps retire at the batch where
-// their target first repeats or never; float keys carry NaN, which finds
-// nothing, and two of which repeat a key.
+// relation — the same postings, GID-ascending. R's keys repeat at a
+// per-trial rate (zero included), so an index that starts unique gains
+// its first repeated key at some batch or never; P's keys reference R's,
+// sometimes one that arrives later; float keys carry NaN.
 func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 	str, num, flt := relation.TypeString, relation.TypeInt, relation.TypeFloat
 	attr := func(n string, ty relation.Type) relation.Attribute { return relation.Attribute{Name: n, Type: ty} }
@@ -35,21 +29,13 @@ func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 		relation.MustSchema("R", "id", attr("id", str), attr("k", str), attr("f", flt), attr("n", num)),
 		relation.MustSchema("P", "id", attr("id", str), attr("ref", str), attr("fref", flt), attr("n", num)),
 	)
-	const R, P = 0, 1
-	maps := []keyMapSpec{
-		{P, 1, R, 1}, // P.ref -> R.k
-		{P, 2, R, 2}, // P.fref -> R.f
-		{R, 1, R, 1}, // R.k -> R.k, probing its own relation
-		{R, 0, P, 0}, // R.id -> P.id
-		{P, 3, R, 3}, // P.n -> R.n: repeats from the start, never built
-	}
 	for trial := range 40 {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		repeat := []float64{0, 0.002, 0.01, 0.05}[trial%4]
 		d := relation.NewDataset(db)
 		rows := 0
 		nextKey := 0
-		// key draws a target key: an earlier one at the trial's repeat
+		// key draws an R key: an earlier one at the trial's repeat
 		// rate, else a fresh one.
 		key := func() int {
 			if nextKey > 0 && rng.Float64() < repeat {
@@ -64,7 +50,7 @@ func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 			}
 			return relation.F(float64(k) + 0.5)
 		}
-		// ref draws a probing key: mostly one a target holds or will hold
+		// ref draws a P key: mostly one an R tuple holds or will hold
 		// soon, sometimes none.
 		ref := func() int { return rng.Intn(nextKey+8) - 2 }
 		add := func() *relation.Tuple {
@@ -87,10 +73,6 @@ func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 				s.For(rel, a)
 			}
 		}
-		built := make([]*relation.KeyMap, len(maps))
-		for i, m := range maps {
-			built[i] = s.KeyMap(m.probeRel, m.probeAttr, m.rel, m.attr)
-		}
 		for batch := range 1 + rng.Intn(8) {
 			ts := make([]relation.TID, rng.Intn(30))
 			for i := range ts {
@@ -102,7 +84,6 @@ func TestIndexSetAddBatchEqualsRebuild(t *testing.T) {
 			}
 			where := fmt.Sprintf("trial %d (repeat rate %g), batch %d", trial, repeat, batch)
 			checkIndexes(t, where, d, s)
-			checkKeyMaps(t, where, d, maps, built)
 		}
 	}
 }
@@ -128,37 +109,14 @@ func checkIndexes(t *testing.T, where string, d *relation.Dataset, s *relation.I
 	}
 }
 
-// checkKeyMaps holds every key map built before the batches to a fresh one
-// over d: live exactly when a fresh one can be built, and then finding,
-// for every probing tuple, what the fresh one finds.
-func checkKeyMaps(t *testing.T, where string, d *relation.Dataset, maps []keyMapSpec, built []*relation.KeyMap) {
-	t.Helper()
-	fresh := relation.NewIndexSet(d)
-	for i, m := range maps {
-		want := fresh.KeyMap(m.probeRel, m.probeAttr, m.rel, m.attr)
-		got := built[i]
-		if live := got != nil && got.Live(); live != (want != nil) {
-			t.Fatalf("%s: key map %v live %v, a fresh one builds %v", where, m, live, want != nil)
-		}
-		if want == nil {
-			continue
-		}
-		for _, p := range d.Relations[m.probeRel].Tuples {
-			if g, w := got.Lookup(p.GID), want.Lookup(p.GID); !slices.Equal(g, w) {
-				t.Fatalf("%s: key map %v, probing tuple %d: finds %v, a fresh one %v", where, m, p.GID, g, w)
-			}
-		}
-	}
-}
-
 // TestIndexSetSharedAcrossViews holds an IndexSet shared by the engines of
 // one process (IndexSet.Share) to what each engine used to build alone:
-//   - 8 goroutines of TPCH 0.2 ask for every index and every self key map
-//     through handles of their own, half of them after binding a DMatch
-//     worker engine (the cells of one of a 2-worker partition's workers)
-//     against their handle; each (relation, attribute) is built once over
-//     all handles and engines (Built, Stats.IndexBuilds), and every caller
-//     gets the same *Index and *KeyMap;
+//   - 8 goroutines of TPCH 0.2 ask for every index through handles of
+//     their own, half of them after binding a DMatch worker engine (the
+//     cells of one of a 2-worker partition's workers) against their
+//     handle; each (relation, attribute) is built once over all handles
+//     and engines (Built, Stats.IndexBuilds), and every caller gets the
+//     same *Index;
 //   - AddBatch on the shared set refuses and touches no posting;
 //   - InsertTuples on an engine bound against the set returns an error
 //     before it touches the set.
@@ -197,7 +155,6 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 	handles := make([]*relation.IndexSet, goroutines)
 	engines := make([]*chase.Engine, goroutines)
 	got := make([][]*relation.Index, goroutines)
-	gotKM := make([][]*relation.KeyMap, goroutines)
 	var wg sync.WaitGroup
 	for i := range goroutines {
 		handles[i] = set.Share()
@@ -214,12 +171,8 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 				engines[i] = eng
 			}
 			got[i] = make([]*relation.Index, len(keys))
-			gotKM[i] = make([]*relation.KeyMap, len(keys))
 			for j := range keys {
 				k := keys[(j+i*7)%len(keys)] // each goroutine in its own order
-				if j%2 == 0 {
-					gotKM[i][(j+i*7)%len(keys)] = h.KeyMap(k.rel, k.attr, k.rel, k.attr)
-				}
 				got[i][(j+i*7)%len(keys)] = h.For(k.rel, k.attr)
 			}
 		}(i)
@@ -236,13 +189,9 @@ func TestIndexSetSharedAcrossViews(t *testing.T) {
 		t.Errorf("%d handles and their engines built %d indexes (the creating handle %d), want %d", goroutines, built, set.Built(), len(keys))
 	}
 	for j := range keys {
-		km := set.KeyMap(keys[j].rel, keys[j].attr, keys[j].rel, keys[j].attr)
 		for i := range goroutines {
 			if got[i][j] != got[0][j] {
 				t.Errorf("%v: goroutines 0 and %d got different indexes", keys[j], i)
-			}
-			if m := gotKM[i][j]; m != nil && m != km {
-				t.Errorf("%v: goroutine %d got another key map", keys[j], i)
 			}
 		}
 	}

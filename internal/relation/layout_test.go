@@ -27,10 +27,9 @@ func hasPointers(t reflect.Type) bool {
 
 // TestStorageHoldsNoPointers guards the layout of the enumeration's
 // storage and of the strings: an index's table and postings (every field
-// of its postMap, slices of pointer-free elements or plain words), a key
-// map's rows, the row table, the scan lists, the symbol table's refs and
-// index, and a CSV piece's dictionary are arrays the collector never
-// scans.
+// of its postMap, slices of pointer-free elements or plain words), the
+// row table, the scan lists, the symbol table's refs and index, and a CSV
+// piece's dictionary are arrays the collector never scans.
 func TestStorageHoldsNoPointers(t *testing.T) {
 	pm, ok := reflect.TypeOf(Index{}).FieldByName("pm")
 	if !ok {
@@ -57,7 +56,6 @@ func TestStorageHoldsNoPointers(t *testing.T) {
 		fields = append(fields, pm.Type.Field(i).Name)
 	}
 	check(pm.Type, fields...)
-	check(reflect.TypeOf(KeyMap{}), "byRow")
 	check(reflect.TypeOf(rowTable{}), "rel", "row")
 	check(reflect.TypeOf(Relation{}), "tids")
 	check(reflect.TypeOf(SymTab{}), "refs")

@@ -170,8 +170,8 @@ func TestIndexLookup(t *testing.T) {
 	if ix.Distinct() != 2 {
 		t.Errorf("Distinct = %d, want 2", ix.Distinct())
 	}
-	if ix.MaxBucket() != 3 {
-		t.Errorf("MaxBucket = %d, want 3", ix.MaxBucket())
+	if w, ok := ix.WordFor(relation.I(0)); !ok || len(ix.LookupWord(w)) != 3 {
+		t.Errorf("LookupWord(word of 0) = %d tuples, want 3", len(ix.LookupWord(w)))
 	}
 	set := relation.NewIndexSet(d)
 	a := set.For(0, 1)

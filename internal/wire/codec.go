@@ -10,14 +10,16 @@ import (
 	"dcer/internal/relation"
 )
 
-// Hello is the worker's handshake. DatasetSize/Rules fingerprint the
-// worker's locally loaded inputs; the master aborts the run on a mismatch
-// instead of silently computing a wrong Γ over divergent data.
+// Hello is the worker's handshake. Digest fingerprints the worker's
+// locally loaded inputs — every relation's packed columns, the symbol
+// strings and the rules' text (dmatch computes it) — and the master aborts
+// the run when it differs from its own instead of computing a wrong Γ over
+// divergent data. DatasetSize rides along for the error message.
 type Hello struct {
 	Version     uint32
 	Worker      int
 	DatasetSize int
-	Rules       int
+	Digest      uint64
 }
 
 // Assign carries a worker's (re)assignment: the one engine option that
@@ -127,7 +129,7 @@ func (e *Encoder) Hello(h Hello) error {
 	fw.uvarint(uint64(h.Version))
 	fw.uvarint(uint64(h.Worker))
 	fw.uvarint(uint64(h.DatasetSize))
-	fw.uvarint(uint64(h.Rules))
+	fw.uvarint(h.Digest)
 	return fw.flush()
 }
 
@@ -313,7 +315,7 @@ func (d *Decoder) Next() (Msg, error) {
 		if m.Hello.DatasetSize, err = p.intField("dataset size"); err != nil {
 			return Msg{}, err
 		}
-		if m.Hello.Rules, err = p.intField("rule count"); err != nil {
+		if m.Hello.Digest, err = p.uvarint(); err != nil {
 			return Msg{}, err
 		}
 	case MsgAssign:

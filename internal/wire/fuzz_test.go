@@ -23,7 +23,7 @@ func FuzzDecoder(f *testing.F) {
 		}
 	}
 	seed(func(e *Encoder) error {
-		return e.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 100, Rules: 3})
+		return e.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 100, Digest: 3})
 	})
 	seed(func(e *Encoder) error {
 		facts := []chase.Fact{

@@ -49,8 +49,9 @@ import (
 // deltas; version 6 replaced Assign's TID lists (a fragment and one scope
 // per rule) with each rule's cube extents and owned-cell bitmap, dropped
 // Assign's worker id and count, which no worker read, and Hello's id
-// space, which equals the dataset size.
-const Version = 6
+// space, which equals the dataset size; version 7 replaced Hello's rule
+// count with a 64-bit digest of the worker's dataset and rules.
+const Version = 7
 
 // MaxFrame caps one frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation. 256 MiB comfortably holds the largest
@@ -59,8 +60,9 @@ const MaxFrame = 1 << 28
 
 // Message types (payload[0]).
 const (
-	// MsgHello is the worker's handshake: version, worker slot, and a
-	// dataset fingerprint the master validates against its own load.
+	// MsgHello is the worker's handshake: version, worker slot, dataset
+	// size and the digest of its inputs, which the master validates
+	// against its own load.
 	MsgHello byte = 1 + iota
 	// MsgAssign carries a worker's share of the partition: the NoMQO
 	// flag, per rule the extents of its hypercube and the bitmap of the

@@ -55,7 +55,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 	stats := &Stats{}
 	enc := NewEncoder(&buf, stats)
 
-	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, Rules: 7}
+	hello := Hello{Version: Version, Worker: 3, DatasetSize: 12345, Digest: 0xfedcba9876543210}
 	assign := Assign{
 		NoMQO:   true,
 		Extents: [][]int{{2, 1, 2}, {}, {4, 16}},
@@ -210,7 +210,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, nil)
-	if err := enc.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 10, Rules: 2}); err != nil {
+	if err := enc.Hello(Hello{Version: Version, Worker: 1, DatasetSize: 10, Digest: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Step(Step{Step: 1, Facts: randFacts(rng, 30)}); err != nil {

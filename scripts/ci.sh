@@ -48,8 +48,8 @@ done
 echo "== go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation"
 go test -race -short ./internal/chase ./internal/dmatch ./internal/hypart ./internal/mqo ./internal/mlpred ./internal/telemetry ./internal/provenance ./internal/health ./internal/wire ./internal/relation
 
-echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), key maps under inserts and the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines and the worker engines bound against it (each index built once), the cubes HyPart exposes against its placement (owned cells partition each cube, cells columns against an independent hash, a worker's cell test against the hosts read off the cells and against the reference partitioner's blocks, cubes rebuilt from the extents), the hosts read off the cells against the reference partitioner's member lists on TPCH 0.5 and TFACC 0.3 at 2, 3, 4 and 8 workers, DMatch's class set and summed work counters at 2, 3 and 4 workers and without MQO, each TPCH rule alone summing one engine's valuations and classifier decisions at 2 and 4 workers, the load against its encoding/csv oracle, into an empty dataset and into one already holding rows, and Str results that stay put while the symbol table grows, at 1, 2 and 4)"
-go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestPoolReadsEidInPlace' ./internal/chase
+echo "== width independence (GOMAXPROCS is the only width of the chase pool, the HyPart scan and the CSV parse: golden Gamma sequence and class-set digests, partition and load digests, Gamma's fact sequence at width 1 vs the live width for Run, an IncDeduce replay and a random InsertTuples split, the drain's chunking at forced widths 1, 2 and 4, the one seed pass of Run and InsertTuples (inserts with and without Run first, no valuation emitted twice across Run and every batch) and Partition, the pool's own contract, join-order invariance (class steps over multi-member classes and the epoch cut included), equality probes under inserts against the interpreter and a chase from scratch, the TPCH join orders with their class steps and the root-then-single split of each empty pattern's order, GID-ascending candidate lists (root, DMatch worker and inserted engines), the GID window against a linear filter, pool tasks reading E_id without compressing it, batched index growth against a rebuild, one index set shared by goroutines and the worker engines bound against it (each index built once), the cubes HyPart exposes against its placement (owned cells partition each cube, cells columns against an independent hash, a worker's cell test against the hosts read off the cells and against the reference partitioner's blocks, cubes rebuilt from the extents), the hosts read off the cells against the reference partitioner's member lists on TPCH 0.5 and TFACC 0.3 at 2, 3, 4 and 8 workers, DMatch's class set and summed work counters at 2, 3 and 4 workers and without MQO, each TPCH rule alone summing one engine's valuations and classifier decisions at 2 and 4 workers, the load against its encoding/csv oracle, into an empty dataset and into one already holding rows, and Str results that stay put while the symbol table grows, at 1, 2 and 4)"
+go test -short -count=1 -cpu 1,2,4 -run 'TestGammaGoldenDigest|TestDeduceParallelEquivalence|TestDrainParallelEquivalence|TestInsertTuples|TestInsertSeedsEnumerateOnce|TestPool|TestJoinOrderInvariance|TestEqualityProbeFollowsInserts|TestJoinOrderTPCH|TestCandidateListsAscending|TestGIDWindow|TestPoolReadsEidInPlace' ./internal/chase
 go test -short -count=1 -cpu 1,2,4 -run 'TestPartitionGoldenDigest|TestPartitionParallelEquivalence|TestCubeOwnership|TestHostsMatchReference' ./internal/hypart
 go test -short -count=1 -cpu 1,2,4 -run 'TestLoadDirGoldenDigest|TestLoadDirEqualsReference|TestLoadCSVIntoNonEmpty|TestSymTabStrStable|TestIndexSetAddBatchEqualsRebuild|TestIndexSetSharedAcrossViews' ./internal/relation
 go test -short -count=1 -cpu 1,2,4 -run 'TestDMatchGoldenWork|TestDMatchRuleAloneWork' ./internal/dmatch
@@ -61,8 +61,8 @@ echo "== provenance equivalence (proof replay vs the reference verifier: default
 go test -short -run 'TestProofReplaysAgainstVerifier|TestDMatchProofEveryPair' ./internal/provenance
 go test -short -run 'TestProofReplaysUnderBatchedDrain' ./internal/chase
 
-echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, NoMQO through both links, protocol version refusal, a worker refusing an Assign of foreign extents)"
-go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestNoMQOReachesWorkers|TestDistributedVersionMismatch|TestWorkerRefusesForeignAssign' ./internal/dmatch
+echo "== distribution equivalence guards (dedup-routing Gamma equality + distributed TCP Gamma equality, recovery (orphans only), rebalance, rebalance+crash, superstep limit, NoMQO through both links, protocol version refusal, input fingerprint refusal (one changed string value, one changed rule), a worker refusing an Assign of foreign extents)"
+go test -short -count=1 -run 'TestRoutingDedupGammaEquality|TestAdaptiveRebalance|TestDistributedEqualsInProcess|TestDistributedRecovery|TestRecoveryMovesOnlyOrphans|TestDistributedRebalance|TestDistributedRebalanceAndCrash|TestSuperstepLimit|TestNoMQOReachesWorkers|TestDistributedVersionMismatch|TestDistributedFingerprintCoversContent|TestWorkerRefusesForeignAssign' ./internal/dmatch
 
 echo "== wire decoder (10 s fuzz: every frame, Assign's extents and owned-cell bitmaps included, decodes or fails with an error; never a panic or a runaway allocation)"
 go test -run=NONE -fuzz=FuzzDecoder -fuzztime=10s -fuzzminimizetime=100x ./internal/wire
@@ -95,10 +95,10 @@ if ! grep -q "recoveries=1" /tmp/dcer_ci_crash.log; then
     exit 1
 fi
 
-echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity with and without shared indexes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path, the join orders with their class steps, the key maps and PlanReport snapshots)"
+echo "== plan equivalence guards (compiled plans vs interpreter: Gamma byte-identity with and without shared indexes, DMatch; the static program order, unchanged by Run and inserts; symmetry reduction: which rules reduce, halved valuations with the recorded TPCH Gamma, directional rules left alone; then racing the compiled path, the join orders with their class steps, the equality probes under inserts and PlanReport snapshots)"
 go test -short -count=1 -run 'TestSymmetry' ./internal/rule
 go test -short -count=1 -run 'TestPlanGammaEquivalence|TestPlanDMatchEquivalence|TestPlanProgramOrder|TestSymmetry' ./internal/chase
-go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestKeyMapFollowsInserts|TestJoinOrderTPCH' ./internal/chase
+go test -race -short -count=1 -run 'TestPlan|TestSymmetry|TestJoinOrderInvariance|TestEqualityProbeFollowsInserts|TestJoinOrderTPCH' ./internal/chase
 
 echo "== similarity-join and decider guards (access path vs the scanning interpreter: Gamma sequence with and without shared indexes, worker engines cutting one index set's candidates to their cells vs private per-rule sets (Gamma sequence and work counters), workers' classifier decisions for a join into a hashed variable vs one engine's, InsertTuples vs re-chase with lengthened postings and a new value, one raw score per invocation under calibration, invocation counts that repeat, TFACC through both DMatch links; deciders vs kernels on the whole table; then racing the shared memo, then a 10 s fuzz of decision == score >= threshold)"
 go test -short -count=1 -run 'TestSimJoinEqualsScan|TestScopedFilterEqualsScopeIndexes|TestSimJoinSkipsValuesOutsideCells|TestSimJoinInsertEqualsRechase|TestCalibrationSeesEveryPair|TestSimJoinCountsEveryDecision' ./internal/chase
@@ -115,7 +115,7 @@ go test -run=NONE -fuzz=FuzzRuleRoundTrip -fuzztime=10s -fuzzminimizetime=100x .
 echo "== doctor bundle loader (10 s fuzz: LoadBundle then Diagnose over fuzzed manifest and health JSON return an error or a diagnosis, never a panic)"
 go test -run=NONE -fuzz=FuzzLoadBundle -fuzztime=10s -fuzzminimizetime=100x ./internal/health
 
-echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart, which keeps no member lists, per block not per tuple, SymTab.Intern: none for a known string, at most 0.05 per new one; postings, index slots, key maps, the row table, the scan lists, the symbol refs and a CSV piece's dictionary hold no pointers, and a Tuple handle is 24 bytes)"
+echo "== allocation-regression guards (index/cache probes, string metrics, saturated enumeration, HyPart, which keeps no member lists, per block not per tuple, SymTab.Intern: none for a known string, at most 0.05 per new one; postings, index slots, the row table, the scan lists, the symbol refs and a CSV piece's dictionary hold no pointers, and a Tuple handle is 24 bytes)"
 go test -count=1 -run 'TestIndexProbeAllocs|TestMetricAllocs|TestCacheProbeAllocs|TestEnumerationAllocs|TestPartitionAllocs|TestSymTabInternAllocs|TestStorageHoldsNoPointers|TestTupleHandleSize' \
     ./internal/relation ./internal/mlpred ./internal/chase ./internal/hypart
 
