@@ -25,7 +25,9 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"dcer"
 	"dcer/internal/chase"
@@ -318,6 +320,46 @@ func BenchmarkParallelDMatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDMatchCPU reports DMatch's CPU over one engine's as the
+// cpu/engine metric, at GOMAXPROCS 1, where CPU time does not depend on
+// how many cores the host lends the run: each iteration times chase.New +
+// Run (ShareIndexes) and then dmatch.Run at w workers on gateFixture, each
+// by getrusage after a collection. Nothing gates the ratio.
+func BenchmarkDMatchCPU(b *testing.B) {
+	g, rules := gateFixture(b)
+	reg := mlpred.DefaultRegistry()
+	for _, w := range []int{2, 4} {
+		b.Run("w"+itoa(w), func(b *testing.B) {
+			defer sequentialArm(b)()
+			var engine, dm time.Duration
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				t0 := cpuTime()
+				eng, err := chase.New(g.D, rules, reg, chase.Options{ShareIndexes: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Run()
+				engine += cpuTime() - t0
+				runtime.GC()
+				t1 := cpuTime()
+				if _, err := dmatch.Run(g.D, rules, reg, dmatch.Options{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+				dm += cpuTime() - t1
+			}
+			b.ReportMetric(float64(dm)/float64(engine), "cpu/engine")
+		})
+	}
+}
+
+// cpuTime is the user+sys CPU this process has spent so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF on Linux
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkHyPart measures partitioning alone: the MQO-sharing ablation,

@@ -184,9 +184,9 @@ func main() {
 		}
 		classes = res.Classes()
 		if *verbose {
-			logg.Infof("workers=%d supersteps=%d messages=%d deduped=%d rebalances=%d recoveries=%d partition=%v build=%v er=%v sim=%v",
+			logg.Infof("workers=%d supersteps=%d messages=%d deduped=%d recoveries=%d partition=%v build=%v er=%v sim=%v",
 				*workers, res.Supersteps, res.MessagesRouted, res.MessagesDeduped,
-				len(res.Rebalances), len(res.Recoveries), res.PartitionTime, res.BuildTime, res.ERTime, res.Timeline().Makespan())
+				len(res.Recoveries), res.PartitionTime, res.BuildTime, res.ERTime, res.Timeline().Makespan())
 			if *distributed {
 				w := res.Wire
 				logg.Infof("wire: out=%dB in=%dB frames=%d/%d encode=%v decode=%v dict=%d strings %dB (naive %dB)",

@@ -197,8 +197,7 @@ var ErrWorkerCrash = dmatch.ErrInjectedCrash
 // MatchDistributed runs DMatch with n worker processes over TCP: the
 // master spawns workers via dopts.Spawn, partitions, routes facts through
 // the wire protocol, and recovers from worker failures by reassigning the
-// dead worker's blocks to the survivors — the step a skew rebalance takes
-// in either mode.
+// dead worker's blocks to the survivors.
 func MatchDistributed(d *Dataset, rules []*Rule, reg *ClassifierRegistry, opts ParallelOptions, dopts DistributedOptions) (*ParallelResult, error) {
 	return dmatch.RunDistributed(d, rules, reg, opts, dopts)
 }

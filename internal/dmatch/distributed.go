@@ -66,6 +66,9 @@ func RunDistributed(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registr
 	if opts.Provenance {
 		return nil, errors.New("dmatch: provenance capture is not supported in distributed mode")
 	}
+	if opts.RebalanceSkew > 0 {
+		return nil, errRebalanceSkew
+	}
 	if dopts.Spawn == nil {
 		return nil, errors.New("dmatch: DistOptions.Spawn is required")
 	}

@@ -127,55 +127,73 @@ func TestDistributedEqualsInProcess(t *testing.T) {
 	}
 }
 
-// TestDistributedRecovery kills one worker after its first delta and
-// checks the master recovers — reassigns the dead worker's blocks,
-// rebuilds the survivors over the wire with replay — and still converges
-// to the in-process Γ.
+// TestDistributedRecovery kills workers after given deltas at n = 3 and
+// checks the master recovers — hands each dead worker's blocks to the
+// survivors, rebuilds those that adopt one over the wire with replay —
+// and still converges to the in-process Γ. After its recovery a dead slot
+// stays idle. The survivors' WorkerStats keep the work of the engines a
+// rebuild retired, so the run sums at least the crash-free valuations.
+// Two deaths at different supersteps recover twice, the second onto the
+// one survivor, which the first recovery had already rebuilt.
 func TestDistributedRecovery(t *testing.T) {
+	const n = 3
 	g, rules := tpchWorkload(t)
-	want, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3})
+	want, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const n = 3
-	gm, rulesM := tpchWorkload(t)
-	errs := make(chan error, n)
-	dist, err := dmatch.RunDistributed(gm.D, rulesM, mlpred.DefaultRegistry(),
-		dmatch.Options{Workers: n},
-		dmatch.DistOptions{
-			Spawn:            spawnLocalWorkers(t, map[int]int{1: 1}, errs),
-			HeartbeatTimeout: 5 * time.Second,
-		})
-	if err != nil {
-		t.Fatalf("distributed with crash: %v", err)
-	}
-	sawCrash := false
-	for i := 0; i < n; i++ {
-		if werr := <-errs; errors.Is(werr, dmatch.ErrInjectedCrash) {
-			sawCrash = true
-		} else if werr != nil {
-			t.Fatalf("worker: %v", werr)
+	valuations := func(r *dmatch.Result) (sum int64) {
+		for _, st := range r.WorkerStats {
+			sum += st.Valuations
 		}
+		return sum
 	}
-	if !sawCrash {
-		t.Fatal("injected crash never fired")
-	}
-	if len(dist.Recoveries) == 0 {
-		t.Fatal("worker died but no recovery was recorded")
-	}
-	rec := dist.Recoveries[0]
-	if rec.Worker != 1 || rec.BlocksMoved == 0 || rec.WorkersRebuilt == 0 {
-		t.Fatalf("recovery event %+v: want worker 1 with moved blocks and rebuilt survivors", rec)
-	}
-	if got := factSetSignature(dist.Matches); got != factSetSignature(want.Matches) {
-		t.Error("post-recovery match set diverges from in-process")
-	}
-	if got := factSetSignature(dist.Validated); got != factSetSignature(want.Validated) {
-		t.Error("post-recovery validated set diverges from in-process")
-	}
-	if classSignature(dist.Classes()) != classSignature(want.Classes()) {
-		t.Error("post-recovery classes diverge from in-process")
+	for _, tc := range []struct {
+		name  string
+		crash map[int]int // worker → CrashAfter
+		dead  []int       // the recoveries' workers, in order
+	}{
+		{"after_1st_delta", map[int]int{1: 1}, []int{1}},
+		{"after_2nd_delta", map[int]int{1: 2}, []int{1}},
+		{"two_deaths", map[int]int{1: 1, 2: 3}, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dist, err := runTCP(t, tpchSmall, dmatch.Options{Workers: n}, tc.crash)
+			if err != nil {
+				t.Fatalf("distributed with crash: %v", err)
+			}
+			if len(dist.Recoveries) != len(tc.dead) {
+				t.Fatalf("recoveries %+v, want %d", dist.Recoveries, len(tc.dead))
+			}
+			for i, rec := range dist.Recoveries {
+				if rec.Worker != tc.dead[i] || rec.BlocksMoved == 0 || rec.WorkersRebuilt == 0 {
+					t.Errorf("recovery %+v: want worker %d with moved blocks and rebuilt survivors", rec, tc.dead[i])
+				}
+				if i > 0 && rec.Step <= dist.Recoveries[i-1].Step {
+					t.Errorf("recoveries %+v share a superstep", dist.Recoveries)
+				}
+				for _, ss := range dist.Timeline().Steps[rec.Step+1:] {
+					if w := ss.Workers[rec.Worker]; w.MsgsIn != 0 || w.FactsOut != 0 {
+						t.Errorf("dead worker %d active in superstep %d: %+v", rec.Worker, ss.Step, w)
+					}
+				}
+			}
+			if len(tc.dead) == 2 && dist.Recoveries[0].WorkersRebuilt != n-1 {
+				t.Errorf("first recovery %+v did not rebuild worker 0, which the second lands on", dist.Recoveries[0])
+			}
+			if got := factSetSignature(dist.Matches); got != factSetSignature(want.Matches) {
+				t.Error("post-recovery match set diverges from in-process")
+			}
+			if got := factSetSignature(dist.Validated); got != factSetSignature(want.Validated) {
+				t.Error("post-recovery validated set diverges from in-process")
+			}
+			if classSignature(dist.Classes()) != classSignature(want.Classes()) {
+				t.Error("post-recovery classes diverge from in-process")
+			}
+			if got, floor := valuations(dist), valuations(want); got < floor {
+				t.Errorf("summed Valuations %d after recovery, below the crash-free %d: retired engines' work was dropped", got, floor)
+			}
+		})
 	}
 }
 

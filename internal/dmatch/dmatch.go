@@ -32,13 +32,13 @@
 // the route list and assemble each inbox, suppressing any fact the
 // destination itself produced in the same superstep
 // (Result.MessagesDeduped).
-// When a superstep's skew ratio exceeds a positive Options.RebalanceSkew,
-// or a worker dies, the master reassigns virtual blocks and the workers
-// whose block sets changed rebuild and replay the fact history
-// (masterState.reassign).
+// Blocks stay where HyPart's LPT put them until a worker dies: then the
+// master hands the dead worker's blocks to the survivors, and those that
+// adopt one rebuild and replay the fact history (masterState.reassign).
 package dmatch
 
 import (
+	"errors"
 	"runtime"
 	"strconv"
 	"sync"
@@ -73,31 +73,25 @@ type Options struct {
 	// rests on this). Each worker's engine still runs its pool at the full
 	// GOMAXPROCS width while its peers wait.
 	Sequential bool
-	// RebalanceSkew, when positive, is the per-superstep skew-ratio
-	// threshold above which the scheduler re-runs the LPT assignment over
-	// the virtual blocks' observed costs and migrates blocks between
-	// workers before the next superstep, at most twice per run and only
-	// after a superstep of 2 ms or more. 0 (the default) or negative
-	// leaves the assignment alone: a worker's work follows its cells'
-	// valuations, not its blocks' sizes, and a migrated worker re-runs
-	// Deduce over its new cells.
+	// RebalanceSkew must be 0 or negative: DMatch never migrates blocks
+	// between live workers, and a positive value is an error before any
+	// worker starts. The field stays for callers that switch it off.
 	RebalanceSkew float64
 	// Metrics is the run's one observability handle, which every
 	// in-process worker engine attaches to as well (chase.Options.Metrics,
 	// labeled worker=i). From it the run takes: live instrumentation
 	// (per-superstep makespan/skew gauges, routing counters, per-worker
-	// busy and HyPart partition-size histograms, the "dmatch_timeline" and
-	// "dmatch_rebalance" debug providers); causal spans on its tracer (a
-	// dmatch.Run root, one dmatch.superstep span per BSP step with each
-	// in-process worker's Deduce/IncDeduce on the worker's lane, the route
-	// and per-destination inbox spans, one reassign span per migration or
-	// recovery); at debug level of its logger, one wide event per
-	// superstep; and, when a health monitor is attached to it (health.Of),
-	// a superstep heartbeat, a sampled auditor over the master's global
-	// union-find in the quiescent fold phase, a "dist_workers" check that
-	// fails when a worker dies, and — with ground truth — the accuracy
-	// observatory fed from the globally folded matches. nil disables all
-	// of it.
+	// busy and HyPart partition-size histograms, the "dmatch_timeline"
+	// debug provider); causal spans on its tracer (a dmatch.Run root, one
+	// dmatch.superstep span per BSP step with each in-process worker's
+	// Deduce/IncDeduce on the worker's lane, the route and per-destination
+	// inbox spans, one reassign span per recovery); at debug level of its
+	// logger, one wide event per superstep; and, when a health monitor is
+	// attached to it (health.Of), a superstep heartbeat, a sampled auditor
+	// over the master's global union-find in the quiescent fold phase, a
+	// "dist_workers" check that fails when a worker dies, and — with
+	// ground truth — the accuracy observatory fed from the globally folded
+	// matches. nil disables all of it.
 	Metrics *telemetry.Registry
 	// Provenance enables justification capture: every worker engine
 	// records its derivations into a per-worker log stamped with the
@@ -140,8 +134,8 @@ type Result struct {
 	// WorkerStats[w] sums the work counters over every engine slot w ran
 	// (a reassignment replaces the engine); a dead worker's are zero.
 	WorkerStats []chase.Stats
-	// Rebalances lists the skew-adaptive block migrations the scheduler
-	// performed (empty when none triggered).
+	// Rebalances is always empty: blocks move only off a dead worker
+	// (Recoveries). It stays for callers that read its length.
 	Rebalances []RebalanceEvent
 	// Recoveries lists the worker-failure recoveries of the run (a worker
 	// in the master's process dies only if its engine cannot be built).
@@ -207,6 +201,13 @@ func (r *Result) Classes() [][]relation.TID {
 	return out
 }
 
+// RebalanceEvent is the element type of Result.Rebalances, which is
+// always empty; it holds nothing.
+type RebalanceEvent struct{}
+
+// errRebalanceSkew refuses a positive Options.RebalanceSkew.
+var errRebalanceSkew = errors.New("dmatch: skew rebalancing is not supported; RebalanceSkew must be 0 or negative")
+
 // factRoute is one routable fact of a superstep with its recipient bitset
 // (an offset into the route arena, so arena growth never invalidates it).
 type factRoute struct {
@@ -218,6 +219,9 @@ type factRoute struct {
 // Run partitions d with HyPart and executes the BSP fixpoint with n
 // workers running as goroutines of this process behind loopback links.
 func Run(d *relation.Dataset, rules []*rule.Rule, reg *mlpred.Registry, opts Options) (*Result, error) {
+	if opts.RebalanceSkew > 0 {
+		return nil, errRebalanceSkew
+	}
 	n := opts.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

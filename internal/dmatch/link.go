@@ -43,8 +43,8 @@ type loopLink struct {
 	// building counts the engines under construction across the run's
 	// loopback links. Workers of one process share its cores, so a Step
 	// starts only once every Assign sent before it has been handled: the
-	// step's BusyNs — the rebalancer's skew signal — then times the chase
-	// alone, not its overlap with a neighbour's engine build.
+	// step's BusyNs — the timeline's busy time and skew — then times the
+	// chase alone, not its overlap with a neighbour's engine build.
 	building *sync.WaitGroup
 }
 

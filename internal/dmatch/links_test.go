@@ -93,8 +93,7 @@ var tpchSmall = tpchLoader(datagen.TPCHOptions{Scale: 0.04, Dup: 0.4, Seed: 7})
 func TestSuperstepLimit(t *testing.T) {
 	for _, lk := range bothLinks {
 		t.Run(lk.name, func(t *testing.T) {
-			// Migrations off: a timing-fired one adds supersteps.
-			opts := dmatch.Options{Workers: 2, RebalanceSkew: -1}
+			opts := dmatch.Options{Workers: 2}
 			full, err := lk.run(t, tpchSmall, opts, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -142,65 +141,12 @@ func TestNoMQOReachesWorkers(t *testing.T) {
 	}
 }
 
-// forcedRebalance makes every eligible superstep migrate: a threshold
-// below any positive skew and no makespan floor.
-func forcedRebalance(t *testing.T, workers int) dmatch.Options {
-	dmatch.NoRebalanceMinStep(t)
-	return dmatch.Options{Workers: workers, RebalanceSkew: 1e-9}
-}
-
-// TestDistributedRebalance: the skew-adaptive scheduler runs over TCP
-// links too — the migrated workers rebuild from an Assign carrying the
-// replay — and Γ stays the single-engine fixpoint.
-func TestDistributedRebalance(t *testing.T) {
-	res, err := runTCP(t, tpchSmall, forcedRebalance(t, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rebalances) == 0 {
-		t.Fatal("forced rebalancing recorded no RebalanceEvent over TCP")
-	}
-	for i, ev := range res.Rebalances {
-		if ev.BlocksMoved <= 0 || ev.WorkersRebuilt <= 0 {
-			t.Errorf("event %d: moved %d blocks, rebuilt %d workers", i, ev.BlocksMoved, ev.WorkersRebuilt)
-		}
-	}
-	if got := classSignature(res.Classes()); got != sequentialClasses(t, tpchSmall) {
-		t.Error("classes diverge from the single-engine chase after a distributed rebalance")
-	}
-}
-
-// TestDistributedRebalanceAndCrash drives both reassign triggers in one
-// run: forced migrations, and worker 1 dying after its first or second
-// delta (before and after the first migration). The dead slot must never
-// get blocks back, and Γ must not move.
-func TestDistributedRebalanceAndCrash(t *testing.T) {
-	want := sequentialClasses(t, tpchSmall)
-	for _, after := range []int{1, 2} {
-		res, err := runTCP(t, tpchSmall, forcedRebalance(t, 3), map[int]int{1: after})
-		if err != nil {
-			t.Fatalf("CrashAfter=%d: %v", after, err)
-		}
-		if len(res.Recoveries) != 1 || res.Recoveries[0].Worker != 1 {
-			t.Fatalf("CrashAfter=%d: recoveries %+v, want exactly one, of worker 1", after, res.Recoveries)
-		}
-		if got := classSignature(res.Classes()); got != want {
-			t.Errorf("CrashAfter=%d: classes diverge from the single-engine chase", after)
-		}
-		for _, ss := range res.Timeline().Steps[res.Recoveries[0].Step+1:] {
-			if w := ss.Workers[1]; w.MsgsIn != 0 || w.FactsOut != 0 {
-				t.Errorf("CrashAfter=%d: dead worker 1 active in superstep %d: %+v", after, ss.Step, w)
-			}
-		}
-	}
-}
-
 // TestRecoveryMovesOnlyOrphans: a death reassigns the dead worker's blocks
 // and nothing else, so only the survivors that adopt one rebuild and
 // replay — the others keep their engines.
 func TestRecoveryMovesOnlyOrphans(t *testing.T) {
 	const n = 8
-	res, err := runTCP(t, tpchSmall, dmatch.Options{Workers: n, RebalanceSkew: -1}, map[int]int{1: 1})
+	res, err := runTCP(t, tpchSmall, dmatch.Options{Workers: n}, map[int]int{1: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +160,35 @@ func TestRecoveryMovesOnlyOrphans(t *testing.T) {
 	}
 	if got := classSignature(res.Classes()); got != sequentialClasses(t, tpchSmall) {
 		t.Error("classes diverge from the single-engine chase after the recovery")
+	}
+}
+
+// TestRebalanceSkewRejected: skew rebalancing is gone, so a positive
+// RebalanceSkew is an error before any worker starts — Run is handed no
+// inputs at all, and RunDistributed a Spawn that fails the test — while 0
+// and -1 run on both links with Rebalances empty.
+func TestRebalanceSkewRejected(t *testing.T) {
+	skewed := dmatch.Options{Workers: 2, RebalanceSkew: 0.5}
+	if _, err := dmatch.Run(nil, nil, nil, skewed); err == nil {
+		t.Error("Run accepted RebalanceSkew 0.5")
+	}
+	spawn := func(int, string) error {
+		t.Error("RunDistributed spawned a worker under RebalanceSkew 0.5")
+		return nil
+	}
+	if _, err := dmatch.RunDistributed(nil, nil, nil, skewed, dmatch.DistOptions{Spawn: spawn}); err == nil {
+		t.Error("RunDistributed accepted RebalanceSkew 0.5")
+	}
+	for _, skew := range []float64{0, -1} {
+		for _, lk := range bothLinks {
+			res, err := lk.run(t, paperLoader, dmatch.Options{Workers: 2, RebalanceSkew: skew}, nil)
+			if err != nil {
+				t.Fatalf("%s, RebalanceSkew %v: %v", lk.name, skew, err)
+			}
+			if len(res.Rebalances) != 0 {
+				t.Errorf("%s, RebalanceSkew %v: %d rebalances", lk.name, skew, len(res.Rebalances))
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"dcer/internal/chase"
 	"dcer/internal/health"
+	"dcer/internal/hypart"
 	"dcer/internal/provenance"
 	"dcer/internal/telemetry"
 	"dcer/internal/wire"
@@ -46,19 +47,37 @@ func (ms *masterState) workPending() bool {
 	return false
 }
 
+// adopt places the dead workers' blocks onto the survivors with
+// hypart.AssignLPT, on top of the tuples the survivors' own blocks already
+// weigh, and returns the new assignment with each worker's orphaned block
+// count. Only orphans move, so a survivor that adopts none keeps its engine.
+func (ms *masterState) adopt() (next, orphans []int) {
+	next = append([]int(nil), ms.assign...)
+	orphans = make([]int, ms.n)
+	load := make([]int, ms.n)
+	var place []int // the orphans, in index (canonical key) order
+	for b, w := range ms.assign {
+		if ms.alive(w) {
+			load[w] += ms.part.Blocks[b].Size
+		} else {
+			place = append(place, b)
+			orphans[w]++
+		}
+	}
+	hypart.AssignLPT(next, place, ms.part.Blocks, load, ms.alive)
+	return next, orphans
+}
+
 // reassign moves the virtual blocks to the assignment next and leaves
-// every live worker whose block set changed with an Assign pending: the
-// cells it now owns plus the fact history to replay, its delivery record
-// reset to that history. Rebuilt workers re-run Deduce over their new
-// cells and replay the history through IncDeduce; facts are idempotent
-// and the fixpoint is unique, so Γ is unchanged — only the schedule moves.
-// Both triggers end here: the rebalancer's skew test and a dead link.
+// every survivor that adopts a block with an Assign pending: the cells it
+// now owns plus the fact history to replay, its delivery record reset to
+// that history. Rebuilt workers re-run Deduce over their new cells and
+// replay the history through IncDeduce; facts are idempotent and the
+// fixpoint is unique, so Γ is unchanged — only the schedule moves.
 func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 	changed := make([]bool, ms.n)
 	for b, w := range next {
-		if w != ms.assign[b] {
-			changed[w], changed[ms.assign[b]] = true, true
-		}
+		changed[w] = changed[w] || w != ms.assign[b]
 	}
 	ms.assign = next
 	ms.setHosts(ms.part.Hosts(ms.d, next, ms.n))
@@ -79,7 +98,7 @@ func (ms *masterState) reassign(next []int, res *Result) (rebuilt int) {
 // non-empty inbox, collect one Delta per dispatched Step (or the worker's
 // death), fold the deltas into the global Γ in worker-index order, route
 // the new facts into the next inboxes, and reassign blocks when a worker
-// died or the step was skewed.
+// died.
 func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *Result, provLogs []*provenance.Log) error {
 	n := ms.n
 
@@ -109,11 +128,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	if provLogs != nil {
 		mreg.SetDebug("provenance", func() any { return provenance.Summarize(provLogs...) })
 	}
-	mreg.SetDebug("dmatch_rebalance", func() any {
-		tlMu.Lock()
-		defer tlMu.Unlock()
-		return append([]RebalanceEvent(nil), res.Rebalances...)
-	})
 
 	// Health wiring: the superstep heartbeat brackets the whole loop, and
 	// the master's sequential fold phase audits the global union-find and
@@ -125,7 +139,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 	defer dhb.Exit()
 	accSeen := 0
 
-	rb := newRebalancer(opts, n, len(ms.part.Blocks))
 	deltas := make([][]chase.Fact, n)
 	elapsed := make([]time.Duration, n)
 	msgsIn := make([]int, n)
@@ -285,9 +298,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 		tlMu.Lock()
 		tl.record(step, elapsed, factsOut, msgsIn, routeNs, int64(time.Since(stepWall)), wireStep, routed, deduped)
 		skew := tl.Steps[len(tl.Steps)-1].SkewRatio
-		if k := len(res.Rebalances); k > 0 && res.Rebalances[k-1].Step == step-1 {
-			res.Rebalances[k-1].SkewAfter = skew
-		}
 		tlMu.Unlock()
 		skewGauge.Set(skew)
 		if logg.Level() <= telemetry.LogDebug {
@@ -301,25 +311,18 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 				telemetry.F{K: "deduped", V: deduped},
 				telemetry.F{K: "route_ns", V: routeNs},
 				telemetry.F{K: "wire_bytes", V: wireStep},
-				telemetry.F{K: "rebalances", V: len(res.Rebalances)},
 				telemetry.F{K: "recoveries", V: len(res.Recoveries)},
 				telemetry.F{K: "sequential", V: opts.Sequential},
 			)
 		}
 		ssp.End()
 
-		// Reassign-and-replay, on either trigger. A death hands the dead
-		// workers' blocks to the least-loaded survivors at once; otherwise,
-		// with work still pending and this superstep over the skew
-		// threshold, LPT re-runs over the blocks' observed costs.
-		t0 := time.Now()
+		// Reassign-and-replay: a death hands the dead workers' blocks to
+		// the least-loaded survivors at once.
 		if len(dead) > 0 {
-			sp := rtc.Start("dmatch.reassign", telemetry.L("step", strconv.Itoa(step)), telemetry.L("cause", "death"))
-			orphans := make([]int, n)
-			for _, w := range ms.assign {
-				orphans[w]++
-			}
-			next, _ := balance(ms.part.Blocks, ms.assign, make([]time.Duration, n), ms.alive)
+			t0 := time.Now()
+			sp := rtc.Start("dmatch.reassign", telemetry.L("step", strconv.Itoa(step)))
+			next, orphans := ms.adopt()
 			rebuilt := ms.reassign(next, res)
 			for _, w := range dead {
 				res.Recoveries = append(res.Recoveries, RecoveryEvent{
@@ -328,17 +331,6 @@ func (ms *masterState) fixpoint(opts Options, rtc telemetry.TraceContext, res *R
 				})
 			}
 			dead = dead[:0]
-			sp.End()
-		} else if ms.workPending() && rb.shouldRebalance(skew, stepMax) {
-			sp := rtc.Start("dmatch.reassign", telemetry.L("step", strconv.Itoa(step)), telemetry.L("cause", "skew"))
-			if next, moved := balance(ms.part.Blocks, ms.assign, elapsed, ms.alive); moved > 0 {
-				ev := RebalanceEvent{Step: step, BlocksMoved: moved, SkewBefore: skew}
-				ev.WorkersRebuilt = ms.reassign(next, res)
-				ev.RebuildNs = int64(time.Since(t0))
-				tlMu.Lock()
-				res.Rebalances = append(res.Rebalances, ev)
-				tlMu.Unlock()
-			}
 			sp.End()
 		}
 		if !ms.workPending() {

@@ -31,8 +31,9 @@ import (
 //     the wire as bit 0 of Assign's flag word.
 //   - Sequential: internal/experiments' simulated makespan needs the
 //     workers run one at a time; every other caller runs them at once.
-//   - RebalanceSkew: 0 (off) by default, -1 (also off) in the
-//     repository benchmark; positive in the rebalancing tests.
+//   - RebalanceSkew: 0 by default, -1 in the repository benchmark; any
+//     positive value is an error, since DMatch never migrates blocks. The
+//     field stays only because the frozen benchmark sets it.
 //   - Metrics: as for chase.Options.
 //   - Provenance, ProvenanceLimit: cmd/explain and the experiments'
 //     audit capture proofs, with the command's -limit; off elsewhere.

@@ -89,11 +89,10 @@ func mapFragments(lists [][]relation.TID, assign []int, n int) [][]relation.TID 
 }
 
 // TestWorkerSizesMatchesMapOracle: on random instances and random
-// block→worker assignments (the rebalance and recovery callers pass
-// arbitrary ones), the tuples Hosts gives each worker — their count is
-// the worker's size, which Stats' fragment bounds read — are the
-// map-based union of the reference's lists of its blocks, including for
-// workers that own nothing.
+// block→worker assignments (a recovery passes one Partition never made),
+// the tuples Hosts gives each worker — their count is the worker's size,
+// which Stats' fragment bounds read — are the map-based union of the
+// reference's lists of its blocks, including for workers that own nothing.
 func TestWorkerSizesMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -89,9 +89,8 @@ type Stats struct {
 // Block is one virtual block of the computed partition: its canonical
 // identity (the sorted packed (fn, extent, bucket) triples), the number of
 // distinct tuples lying in one of its cells, and the worker the LPT
-// assignment put it on. Blocks are the unit the scheduler
-// moves, weighed by Size (skew rebalancing and recovery in dmatch),
-// without re-partitioning.
+// assignment put it on. Blocks are the unit a recovery in dmatch moves,
+// weighed by Size, without re-partitioning.
 type Block struct {
 	Canon  []uint64 // sorted packed dims; the deterministic identity
 	Size   int      // distinct tuples lying in the block
@@ -583,15 +582,13 @@ func Partition(d *relation.Dataset, rules []*rule.Rule, n int, opts Options) (*R
 	asp := ptc.Start("hypart.assign")
 	defer asp.End()
 	// LPT minimum-makespan assignment of virtual blocks to workers, by
-	// block size (the static cost model; dmatch re-runs it over observed
-	// costs when a run shows skew, and onto the survivors after a death).
+	// block size (dmatch re-runs it onto the survivors after a death).
 	assign := make([]int, len(res.Blocks))
 	place := make([]int, len(res.Blocks))
-	costs := make([]float64, len(res.Blocks))
-	for b := range res.Blocks {
-		place[b], costs[b] = b, float64(res.Blocks[b].Size)
+	for b := range place {
+		place[b] = b
 	}
-	AssignLPT(assign, place, costs, make([]float64, n), nil)
+	AssignLPT(assign, place, res.Blocks, make([]int, n), nil)
 	for b, w := range assign {
 		res.Blocks[b].Worker = w
 	}
@@ -690,17 +687,16 @@ func Cubes(d *relation.Dataset, plan *mqo.Plan, extents [][]int) ([]Cube, error)
 }
 
 // AssignLPT places blocks with the LPT minimum-makespan heuristic: the
-// blocks listed in place, in descending cost order (ties keep place's
+// blocks listed in place, in descending Size order (ties keep place's
 // order, which callers give ascending, i.e. canonical key order), each go
 // to the least-loaded worker alive reports live (ties to the lowest; nil
-// alive means every worker), whose load grows by the block's cost.
+// alive means every worker), whose load grows by the block's Size.
 // assign[b] receives block b's worker; load holds one entry per worker,
-// the load it already carries on entry. place is reordered. Partition
-// places every block on empty workers by size; dmatch's balance places
-// every block by observed cost or, after a death, the dead workers' blocks
-// onto the survivors' loads.
-func AssignLPT(assign, place []int, costs, load []float64, alive func(int) bool) {
-	sort.SliceStable(place, func(i, j int) bool { return costs[place[i]] > costs[place[j]] })
+// the tuples it already carries on entry. place is reordered. Partition
+// places every block on empty workers; dmatch, after a death, places the
+// dead workers' blocks onto the survivors' loads.
+func AssignLPT(assign, place []int, blocks []Block, load []int, alive func(int) bool) {
+	sort.SliceStable(place, func(i, j int) bool { return blocks[place[i]].Size > blocks[place[j]].Size })
 	for _, b := range place {
 		w := -1
 		for i := range load {
@@ -709,7 +705,7 @@ func AssignLPT(assign, place []int, costs, load []float64, alive func(int) bool)
 			}
 		}
 		assign[b] = w
-		load[w] += costs[b]
+		load[w] += blocks[b].Size
 	}
 }
 

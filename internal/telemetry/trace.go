@@ -16,7 +16,7 @@ import (
 const (
 	PIDChase  = 1 // chase engine (Deduce/IncDeduce rounds, drains, plans)
 	PIDHyPart = 2 // hypercube partitioner (per-shard scan and size passes)
-	PIDDMatch = 3 // BSP match loop (supersteps, routing, rebalance)
+	PIDDMatch = 3 // BSP match loop (supersteps, routing, recovery)
 	PIDMLPred = 4 // ML predicate layer (cache-miss classifier calls)
 )
 
@@ -136,8 +136,8 @@ func (tc TraceContext) Record(name string, start time.Time, labels ...Label) {
 }
 
 // Event records an instant (zero-duration) child span — used for
-// point-in-time annotations such as plan re-sorts and rebalance
-// decisions that carry their payload in labels.
+// point-in-time annotations such as plan re-sorts that carry their
+// payload in labels.
 func (tc TraceContext) Event(name string, labels ...Label) {
 	if tc.tr == nil {
 		return

@@ -44,7 +44,7 @@ func TestTraceContextCausality(t *testing.T) {
 	root := tc.Start("dmatch.Run")
 	rctx := root.Context()
 	child := rctx.Lane(PIDDMatch, 3).Start("chase.Deduce")
-	rctx.Event("dmatch.rebalance", L("step", "1"))
+	rctx.Event("dmatch.recovery", L("step", "1"))
 	child.End()
 	root.End()
 
@@ -59,7 +59,7 @@ func TestTraceContextCausality(t *testing.T) {
 			t.Errorf("%s: zero trace/span ID: %+v", r.Name, r)
 		}
 	}
-	rootRec, childRec, evRec := byName["dmatch.Run"], byName["chase.Deduce"], byName["dmatch.rebalance"]
+	rootRec, childRec, evRec := byName["dmatch.Run"], byName["chase.Deduce"], byName["dmatch.recovery"]
 	if rootRec.ParentID != 0 {
 		t.Errorf("root has parent %d, want 0", rootRec.ParentID)
 	}

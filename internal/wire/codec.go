@@ -25,8 +25,7 @@ type Hello struct {
 // Assign carries a worker's (re)assignment: the one engine option that
 // crosses the wire, per rule the cube and the cells the worker owns, and
 // the fact history to replay through A_Δ after the rebuild (empty on the
-// initial assignment, the full routed history after a recovery or
-// migration).
+// initial assignment, the full routed history after a recovery).
 type Assign struct {
 	// NoMQO is dmatch.Options.NoMQO: the worker's engine shares no
 	// indexes or ML stores across rules. Bit 0 of the frame's flag word.
@@ -47,7 +46,7 @@ type Step struct {
 }
 
 // Delta is one superstep's worker output: the newly deduced facts plus
-// the worker's compute time (the master's timeline and rebalancer input).
+// the worker's compute time (the master's timeline input).
 type Delta struct {
 	Step   int
 	BusyNs int64

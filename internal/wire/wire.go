@@ -67,12 +67,12 @@ const (
 	// MsgAssign carries a worker's share of the partition: the NoMQO
 	// flag, per rule the extents of its hypercube and the bitmap of the
 	// cells the worker owns, and the fact history to replay (non-empty
-	// when a rebuild follows a recovery or migration).
+	// when a rebuild follows a recovery).
 	MsgAssign
 	// MsgStep delivers one superstep's inbox to a worker.
 	MsgStep
 	// MsgDelta returns one superstep's newly deduced facts to the master,
-	// with the worker's compute time for the timeline and the rebalancer.
+	// with the worker's compute time for the timeline.
 	MsgDelta
 	// MsgPong is the worker's liveness beat, sent on an interval by a
 	// side goroutine so a long Deduce never looks like a dead process.
