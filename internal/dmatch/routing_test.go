@@ -122,3 +122,61 @@ func TestWorkersExceedVirtualBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceDisabled: the negative threshold the repository benchmark
+// pins still runs, migrates nothing, and converges to the single-engine Γ.
+func TestRebalanceDisabled(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.03, Dup: 0.4, Seed: 7})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := chase.New(g.D, rules, mlpred.DefaultRegistry(), chase.Options{ShareIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.Run()
+	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{
+		Workers:       4,
+		RebalanceSkew: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rebalances) != 0 {
+		t.Errorf("rebalancing ran despite RebalanceSkew=-1: %d events", len(res.Rebalances))
+	}
+	if classSignature(res.Classes()) != classSignature(seq.Classes()) {
+		t.Error("classes diverge from the single-engine chase under RebalanceSkew=-1")
+	}
+}
+
+// TestRebalanceOffByDefault: the zero Options leave the assignment alone.
+// On this instance the cell split's second superstep reads a skew of
+// about 2.7 at 3 workers, which tripped the former default threshold of
+// 1.5 in every run; a positive threshold is now an error, and the zero
+// Options and RebalanceSkew -1 reach the same classes.
+func TestRebalanceOffByDefault(t *testing.T) {
+	g := datagen.TPCH(datagen.TPCHOptions{Scale: 0.2, Dup: 0.4, Seed: 7})
+	rules, err := g.Rules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rebalances) != 0 {
+		t.Errorf("default Options migrated blocks %d times", len(res.Rebalances))
+	}
+	if _, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3, RebalanceSkew: 1e-9}); err == nil {
+		t.Error("a positive threshold was accepted")
+	}
+	off, err := dmatch.Run(g.D, rules, mlpred.DefaultRegistry(), dmatch.Options{Workers: 3, RebalanceSkew: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if classSignature(off.Classes()) != classSignature(res.Classes()) {
+		t.Error("classes diverge between the zero Options and RebalanceSkew=-1")
+	}
+}
